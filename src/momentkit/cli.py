@@ -231,17 +231,19 @@ def cmd_analyze(args) -> int:
 
 
 def _run_criterion(name: str, seq: MomentSequence) -> dict:
-    from .hamburger import admissibility_check, carleman, christoffel, hankel
-    from .hamburger import recurrence_from_moments, weyl_disk
+    from .hamburger import carleman, christoffel, recurrence_from_moments, weyl_disk
     from .scalars import complex_scalar
 
     mode = seq.mode
     fmt = lambda v: format_value(mode, v)
     out: dict[str, Any] = {"name": name}
     if name == "admissibility":
-        adm = admissibility_check(hankel(_as_1d(seq), seq.max_degree // 2))
-        out.update(classification=adm.classification, rank=adm.rank,
-                   sufficiency="necessary-only")
+        # the recurrence raises NotAdmissible for data no measure has
+        n = seq.max_degree // 2
+        rec = recurrence_from_moments(_as_1d(seq), n)
+        out.update(classification=("positive_definite" if rec.rank > n
+                                   else "positive_semidefinite"),
+                   rank=rec.rank, sufficiency="necessary-only")
         return out
     if name == "carleman":
         s1 = _as_1d(seq)

@@ -39,7 +39,9 @@ class NotPositiveDefinite(MomentKitError):
 
 
 class NotAdmissible(MomentKitError):
-    """The moment functional is not positive on squares (indefinite Hankel)."""
+    """No measure has these moments: the functional is not positive on
+    squares (indefinite Hankel), or a singular Hankel form has no flat
+    extension."""
 
 
 class NonpositiveEvenMoment(MomentKitError):

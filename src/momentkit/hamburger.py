@@ -63,7 +63,7 @@ FLOAT_PIVOT_GUARD_BITS = 12
 
 
 # ---------------------------------------------------------------------------
-# Hankel matrices and admissibility
+# Hankel matrices
 
 
 @dataclass(frozen=True)
@@ -82,77 +82,6 @@ def hankel(seq: MomentSequence, n: int, shift: int = 0) -> HankelMatrix:
     m = seq.moments_1d()
     rows = tuple(tuple(m[i + j + shift] for j in range(n + 1)) for i in range(n + 1))
     return HankelMatrix(n, rows, seq.mode)
-
-
-@dataclass(frozen=True)
-class Admissibility:
-    """Outcome of the pivoted symmetric factorization."""
-
-    classification: str          # "positive_definite" | "positive_semidefinite" | "indefinite"
-    rank: int
-    pivots: tuple                # pivot values in elimination order
-
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.classification == "positive_definite"
-
-
-def admissibility_check(h: HankelMatrix) -> Admissibility:
-    """Classify H by diagonal-pivoted symmetric elimination.
-
-    Exact in rational mode.  Float mode carries a first-order noise floor for
-    every entry through the eliminations (moment matrices mix wildly
-    different magnitudes, so no single cutoff works): a rank decision is made
-    only when the whole remaining block sits below its floors, and a pivot
-    that is neither clearly signed nor part of such a zero block raises
-    PrecisionExhausted rather than guessing.
-    """
-    mode = h.mode
-    n = h.order + 1
-    a = [list(row) for row in h.rows]
-    active = list(range(n))
-    pivots = []
-    eps = _relative_eps(mode)
-    zero = mode.zero()
-    # first-order noise floors per entry; in exact mode they stay zero
-    noise = [[(eps * abs(x) if eps is not None else zero) for x in row] for row in a]
-    while active:
-        if all(abs(a[i][j]) <= noise[i][j] for i in active for j in active):
-            return Admissibility("positive_semidefinite", len(pivots), tuple(pivots))
-        best = max(active, key=lambda i: a[i][i])
-        piv = a[best][best]
-        tol = noise[best][best]
-        if piv <= tol:
-            if isinstance(mode, FloatMode) and abs(piv) <= tol:
-                raise PrecisionExhausted(
-                    "pivot below its noise floor; sign undecidable"
-                )
-            # a PSD matrix with vanishing maximal diagonal has a zero block;
-            # surviving off-diagonal mass means the form takes both signs
-            return Admissibility("indefinite", len(pivots), tuple(pivots + [piv]))
-        pivots.append(piv)
-        active.remove(best)
-        prow = list(a[best])  # freeze the pivot row before eliminating with it
-        nrow = list(noise[best])
-        for i in active:
-            ratio = a[i][best] / piv
-            if eps is not None:
-                ratio_noise = (noise[i][best] + abs(ratio) * tol) / piv
-                for j in active:
-                    update = abs(ratio) * abs(prow[j])
-                    noise[i][j] = (noise[i][j] + abs(ratio) * nrow[j]
-                                   + ratio_noise * abs(prow[j]) + eps * update)
-                    a[i][j] = a[i][j] - ratio * prow[j]
-            elif ratio:
-                for j in active:
-                    a[i][j] = a[i][j] - ratio * prow[j]
-    return Admissibility("positive_definite", n, tuple(pivots))
-
-
-def _relative_eps(mode: Mode):
-    if isinstance(mode, RationalMode):
-        return None
-    return mode.ctx.ldexp(mode.one(), -(mode.precision_bits - FLOAT_PIVOT_GUARD_BITS))
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +129,30 @@ class Recurrence:
         return out
 
 
+def _relative_eps(mode: Mode):
+    if isinstance(mode, RationalMode):
+        return None
+    return mode.ctx.ldexp(mode.one(), -(mode.precision_bits - FLOAT_PIVOT_GUARD_BITS))
+
+
 def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     """Moment-to-recurrence transform, O(n^2) on sigma_{k,l} = L(pi_k x^l).
 
+    The pivots ``sigma_{k,k} = ||pi_k||^2`` are the LDL^T pivots of the
+    Hankel matrix H_n, so this one pass also decides positivity on squares:
+    a negative pivot raises NotAdmissible.  A vanishing pivot confines any
+    representing measure to the k zeros of pi_k, where L(pi_k x^l) = 0 for
+    every l, so the whole remaining row ``sigma_{k,k..2n-k}`` must vanish
+    with it (the flat-extension, or recursively generated, condition of
+    Curto and Fialkow).  If it does, the input is finitely atomic and the
+    recurrence stops early with the trailing beta equal to zero; if not, no
+    measure has these moments and NotAdmissible is raised.
+
     Rational mode is exact and is mandatory for the acceptance runs on
-    integer-moment measures; float mode aborts with PrecisionExhausted when a
-    pivot loses all significant bits rather than returning garbage.  On rank
-    degeneracy (finitely atomic input) the recurrence stops early with the
-    trailing beta equal to zero.
+    integer-moment measures.  Float mode carries first-order noise floors
+    and cannot tell a surviving row from lost bits, so there a pivot that
+    is neither clearly signed nor part of a vanished row raises
+    PrecisionExhausted rather than returning garbage.
     """
     if n < 1:
         raise InvalidParameter("recurrence order must be at least 1")
@@ -247,14 +192,18 @@ def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
         tol = noi[k]
         pivots.append(mode.to_float(piv))
         if piv < -tol:
-            raise NotPositiveDefinite(f"||pi_{k}||^2 < 0; Hankel not PSD")
+            raise NotAdmissible(f"functional is not positive on squares: ||pi_{k}||^2 < 0")
         if piv <= tol:
-            if isinstance(mode, FloatMode):
-                # rank degeneracy only if the whole row died with the pivot
-                if any(abs(sig[l]) > noi[l] for l in range(k, hi + 1)):
+            # rank degeneracy only if the whole row died with the pivot
+            if any(abs(sig[l]) > noi[l] for l in range(k, hi + 1)):
+                if isinstance(mode, FloatMode):
                     raise PrecisionExhausted(
                         f"pivot at step {k} lost all significant bits"
                     )
+                raise NotAdmissible(
+                    f"||pi_{k}||^2 = 0 but L(pi_{k} x^l) != 0 for some l: "
+                    "no flat extension, so no representing measure"
+                )
             beta.append(zero)
             return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
         beta.append(piv / sig_prev[k - 1])
@@ -682,7 +631,8 @@ def verdict_1d(seq: MomentSequence, flavor: Flavor | None = None,
     """Run the 1D criterion battery and synthesize a verdict.
 
     Component failures beyond admissibility itself become neutral evidence
-    items instead of aborting the run.
+    items instead of aborting the run; input without a representing measure
+    raises NotAdmissible (see ``recurrence_from_moments``).
     """
     if seq.dimension != 1:
         raise InvalidParameter("verdict_1d needs a 1D sequence")
@@ -695,23 +645,19 @@ def verdict_1d(seq: MomentSequence, flavor: Flavor | None = None,
     evidence: list[Evidence] = []
 
     n_max = N // 2
-    h = hankel(seq, n_max)
-    adm = admissibility_check(h)
-    if adm.classification == "indefinite":
-        raise NotAdmissible("functional is not positive on squares")
-    if adm.classification == "positive_semidefinite":
-        # finite rank r: the measure is r-atomic, hence determinate
+    rec = recurrence_from_moments(seq, n_max)
+    if rec.rank <= n_max:
+        # finite rank r with a flat extension: the measure is r-atomic,
+        # hence determinate
         suff = (Sufficiency.RIGOROUS_SUFFICIENT if isinstance(mode, RationalMode)
                 else Sufficiency.LIMIT_RIGOROUS_NUMERIC)
-        evidence.append(Evidence("hankel-rank", n_max, adm.rank, suff,
+        evidence.append(Evidence("hankel-rank", n_max, rec.rank, suff,
                                  Leaning.DETERMINATE,
-                                 f"finite rank {adm.rank}: finitely atomic measure"))
-        rec = recurrence_from_moments(seq, n_max)
+                                 f"finite rank {rec.rank}: finitely atomic measure"))
     else:
-        evidence.append(Evidence("hankel-admissibility", n_max, adm.rank,
+        evidence.append(Evidence("hankel-admissibility", n_max, rec.rank,
                                  Sufficiency.NECESSARY_ONLY, Leaning.NEUTRAL,
                                  "positive definite"))
-        rec = recurrence_from_moments(seq, n_max)
 
         horizon = cfg.carleman_horizon or max(N // 2, 1)
         try:

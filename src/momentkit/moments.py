@@ -43,7 +43,7 @@ from .polynomials import (
     multinomial,
     poly_trim,
 )
-from .scalars import Mode, RationalMode
+from .scalars import FloatMode, Mode, RationalMode
 
 # ---------------------------------------------------------------------------
 # support hints
@@ -122,6 +122,11 @@ class MomentSequence:
             if alpha not in self.entries:
                 raise InvalidParameter(f"missing entry for multi-index {alpha}")
             converted[alpha] = self.mode.convert(self.entries[alpha])
+        if isinstance(self.mode, FloatMode):
+            isfinite = self.mode.ctx.isfinite
+            for alpha, v in converted.items():
+                if not isfinite(v):
+                    raise InvalidParameter(f"moment {alpha} is not finite: {v}")
         if len(self.entries) != len(converted):
             raise InvalidParameter("entries beyond max_degree or wrong dimension")
         # m_0 > 0 for genuine measures; m_0 = 0 is tolerated so that weighting

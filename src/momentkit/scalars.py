@@ -24,7 +24,9 @@ exact results: quantities that are exactly zero stay exactly zero.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Union
 
@@ -34,6 +36,9 @@ from .errors import InvalidParameter, ModeMismatch
 
 #: bits used for the controlled approximations available in rational mode
 RATIONAL_APPROX_BITS = 256
+
+_INTEGER = re.compile(r"[+-]?\d+")
+
 
 def _isqrt_scaled(x: Fraction, bits: int) -> Fraction:
     """sqrt(x) as a Fraction, exact for perfect squares, else within 2**-bits."""
@@ -74,7 +79,7 @@ class RationalMode:
         if isinstance(v, (int, Fraction)):
             return Fraction(v)
         if isinstance(v, str):
-            return Fraction(v)
+            return self.from_string(v)
         raise ModeMismatch(
             f"rational mode does not accept {type(v).__name__}; "
             "floats are rejected, not coerced"
@@ -101,10 +106,18 @@ class RationalMode:
             return math.inf if v > 0 else -math.inf
 
     def to_string(self, v: Fraction) -> str:
+        """``p/q`` (or ``p``); the digits go through ``Decimal``, which has no
+        int<->str digit limit, so rationals of any size render."""
         v = Fraction(v)
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+        num = str(Decimal(v.numerator))
+        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
 
     def from_string(self, s: str) -> Fraction:
+        """Inverse of ``to_string`` for any size; decimal literals such as
+        ``1.5e-3`` are accepted too (within Python's digit limit)."""
+        num, slash, den = s.strip().partition("/")
+        if _INTEGER.fullmatch(num) and (not slash or _INTEGER.fullmatch(den)):
+            return Fraction(int(Decimal(num)), int(Decimal(den)) if slash else 1)
         return Fraction(s)
 
 

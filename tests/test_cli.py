@@ -75,6 +75,31 @@ def test_analyze_negative_m2_exits_2(tmp_path):
     assert any(e["error"] == "NotAdmissible" for e in rep["errors"])
 
 
+def test_analyze_singular_data_exits_2(tmp_path):
+    path = tmp_path / "singular.json"
+    save_moment_sequence(sequence_from_1d([F(1), F(0), F(0), F(0), F(1)], R), str(path))
+    out = tmp_path / "report.json"
+    rc = main(["analyze", "--input", str(path), "--out", str(out)])
+    assert rc == 2
+    rep = json.loads(out.read_text())
+    assert [e["error"] for e in rep["errors"]] == ["NotAdmissible"]
+    assert "verdict" not in rep
+
+
+def test_analyze_nan_moment_exits_2(tmp_path):
+    path = write_spec(tmp_path / "nan.json", {
+        "dimension": 1, "max_degree": 2, "mode": "float:128",
+        "support_hint": {"kind": "full_space"},
+        "entries": [{"alpha": [0], "value": "1"}, {"alpha": [1], "value": "nan"},
+                    {"alpha": [2], "value": "1"}]})
+    out = tmp_path / "report.json"
+    rc = main(["analyze", "--input", path, "--out", str(out)])
+    assert rc == 2
+    rep = json.loads(out.read_text())
+    assert [e["error"] for e in rep["errors"]] == ["InvalidParameter"]
+    assert "verdict" not in rep
+
+
 def test_analyze_rejects_cone_criteria_on_full_space(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["analyze", "--input", gaussian_spec(tmp_path, 20),

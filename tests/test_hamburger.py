@@ -13,7 +13,6 @@ from momentkit.errors import (
 )
 from momentkit.hamburger import (
     VerdictConfig,
-    admissibility_check,
     carleman,
     christoffel,
     christoffel_direct,
@@ -35,6 +34,7 @@ from momentkit.moments import (
 )
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar
 from momentkit.verdicts import Flavor, Status, Sufficiency
+from oracles import admissibility_check
 
 R = RationalMode()
 
@@ -399,6 +399,23 @@ def test_indefinite_raises_not_admissible():
     bad = sequence_from_1d([F(1), F(0), F(-1)], R)
     with pytest.raises(NotAdmissible):
         verdict_1d(bad)
+
+
+def test_singular_data_without_flat_extension_not_admissible():
+    # m_2 = 0 forces the point mass at 0, whose m_4 vanishes: no measure has
+    # these moments although the Hankel matrix is PSD of rank 2
+    seq = sequence_from_1d([F(1), F(0), F(0), F(0), F(1)], R)
+    adm = admissibility_check(hankel(seq, 2))
+    assert (adm.classification, adm.rank) == ("positive_semidefinite", 2)
+    with pytest.raises(NotAdmissible):
+        recurrence_from_moments(seq, 2)
+    with pytest.raises(NotAdmissible):
+        verdict_1d(seq)
+    # float mode cannot tell a surviving row from lost bits
+    fm = FloatMode(128)
+    with pytest.raises(PrecisionExhausted):
+        recurrence_from_moments(sequence_from_1d([fm.convert(v) for v in (1, 0, 0, 0, 1)],
+                                                 fm), 2)
 
 
 def test_atomic_verdict_determinate_by_rank():

@@ -6,6 +6,7 @@ import pytest
 from momentkit.errors import (
     DegreeInsufficient,
     InvalidDirection,
+    InvalidParameter,
     ModeMismatch,
     NegativeWeightDetected,
     UnrepresentableInMode,
@@ -102,6 +103,14 @@ def test_sequence_invariants():
     seq = gauss(4)
     with pytest.raises(DegreeInsufficient):
         seq.moment((5,))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_sequence_rejects_non_finite_values(bad):
+    fm = FloatMode(128)
+    entries = {(0,): fm.convert(1), (1,): fm.from_string(bad), (2,): fm.convert(1)}
+    with pytest.raises(InvalidParameter, match="not finite"):
+        MomentSequence(1, 2, fm, entries)
 
 
 def test_apply_linear_functional():

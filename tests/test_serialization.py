@@ -13,6 +13,7 @@ from momentkit.moments import (
     NonnegativeOrthant,
     QLattice1D,
     generate_moments,
+    sequence_from_1d,
 )
 from momentkit.scalars import FloatMode, RationalMode
 from momentkit.serialization import (
@@ -91,3 +92,16 @@ def test_format_value_shapes():
     fm = FloatMode(64)
     out = format_value(fm, fm.convert(F(1, 2)))
     assert out["hex"].startswith("0x") and out["decimal"] == "0.5"
+
+
+def test_rational_round_trip_past_int_str_digit_limit():
+    # about 15k digits each side, past Python's 4300-digit int<->str limit
+    big = F(7 ** 17800 + 1, 3 ** 31000)
+    seq = sequence_from_1d([F(1), F(0), big], R)
+    text = sequence_to_json(seq)
+    assert sequence_from_json(text).entries == seq.entries
+    rendered = format_value(R, big)["rational"]
+    num, den = rendered.split("/")
+    assert 15000 < len(num) < 15100 and 14700 < len(den) < 14800
+    assert R.from_string(rendered) == big
+    assert R.from_string(num) == big.numerator
