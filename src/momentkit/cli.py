@@ -34,7 +34,7 @@ from .gaps import (
     poisson_kappa_estimate,
     sphere_average_kappa,
 )
-from .hamburger import VerdictConfig, verdict_1d
+from .hamburger import Recurrence, VerdictConfig, recurrence_from_moments, verdict_1d
 from .moments import (
     Atomic,
     Exponential1D,
@@ -202,10 +202,12 @@ def cmd_analyze(args) -> int:
     mode = seq.mode
     fmt = lambda v: format_value(mode, v)
 
-    verdict = None
+    verdict = rec = None
     try:
         if seq.dimension == 1:
-            verdict = verdict_1d(seq, None, VerdictConfig())
+            # one factorization serves the verdict and every 1D criterion
+            rec = recurrence_from_moments(seq, seq.max_degree // 2)
+            verdict = verdict_1d(seq, None, VerdictConfig(), rec)
         elif "scan" in wanted or "verdict" in wanted:
             directions = direction_set(seq.dimension, 2 * seq.dimension, mode)
             scan = direction_scan(seq, directions)
@@ -222,7 +224,7 @@ def cmd_analyze(args) -> int:
         if name == "verdict":
             continue
         try:
-            report["criteria"].append(_run_criterion(name, seq))
+            report["criteria"].append(_run_criterion(name, seq, rec))
         except MomentKitError as exc:
             report["errors"].append({"criterion": name, "error": type(exc).__name__,
                                      "detail": str(exc)})
@@ -230,8 +232,11 @@ def cmd_analyze(args) -> int:
     return 0 if not report["errors"] else 2
 
 
-def _run_criterion(name: str, seq: MomentSequence) -> dict:
-    from .hamburger import carleman, christoffel, recurrence_from_moments, weyl_disk
+def _run_criterion(name: str, seq: MomentSequence,
+                   rec: Recurrence | None = None) -> dict:
+    """One criterion entry of an analyze report; ``rec``, if given, is the
+    recurrence of the 1D ``seq`` at order ``seq.max_degree // 2``."""
+    from .hamburger import carleman, christoffel, weyl_disk
     from .scalars import complex_scalar
 
     mode = seq.mode
@@ -240,7 +245,7 @@ def _run_criterion(name: str, seq: MomentSequence) -> dict:
     if name == "admissibility":
         # the recurrence raises NotAdmissible for data no measure has
         n = seq.max_degree // 2
-        rec = recurrence_from_moments(_as_1d(seq), n)
+        rec = rec or recurrence_from_moments(_as_1d(seq), n)
         out.update(classification=("positive_definite" if rec.rank > n
                                    else "positive_semidefinite"),
                    rank=rec.rank, sufficiency="necessary-only")
@@ -257,7 +262,7 @@ def _run_criterion(name: str, seq: MomentSequence) -> dict:
         return out
     if name in ("christoffel", "weyl"):
         s1 = _as_1d(seq)
-        rec = recurrence_from_moments(s1, s1.max_degree // 2)
+        rec = rec or recurrence_from_moments(s1, s1.max_degree // 2)
         z = complex_scalar(mode, 0, 1)
         top = min(rec.order - 1, rec.rank - 1)
         if name == "christoffel":
@@ -288,7 +293,7 @@ def _run_criterion(name: str, seq: MomentSequence) -> dict:
         return out
     if name == "poisson":
         if seq.dimension == 1:
-            k = poisson_kappa_1d(seq, 0, 1, max((seq.max_degree - 2) // 2, 1))
+            k = poisson_kappa_1d(seq, 0, 1, max((seq.max_degree - 2) // 2, 1), rec)
             out.update(kappa=fmt(k), point=[0.0, 1.0], exact=True,
                        sufficiency="limit-rigorous-numeric")
         else:

@@ -33,6 +33,7 @@ from .errors import (
     InvalidDirection,
     InvalidH,
     InvalidParameter,
+    LpUnbounded,
     NotInteriorDirection,
     WrongSupport,
 )
@@ -272,11 +273,14 @@ class GapEstimate:
 
 def grid_gap_lp(seq: MomentSequence, phi, degree: int,
                 grid: Sequence | None = None) -> GapEstimate:
-    """Solve the two grid LPs over coefficient vectors of degree <= degree.
+    """Solve both grid LPs over coefficient vectors of degree <= degree.
 
-    Raises LpUnbounded when the grid is too sparse to pin the polynomials
-    down (the caller should refine the grid), LpInfeasible never for
-    consistent inputs.
+    Each side is solved through its moment-space dual: the nonnegative grid
+    measures y with the moments of seq up to ``degree``.  The sup side is
+    the least and the inf side the greatest sum_g y_g phi(g) over them (see
+    ``simplex.measure_bounds``).  Raises LpUnbounded when no such measure
+    exists, i.e. the grid is too sparse to pin the polynomials down (the
+    caller should refine the grid); LpInfeasible never for consistent inputs.
     """
     if degree > seq.max_degree:
         raise DegreeInsufficient("LP degree exceeds the truncation")
@@ -290,24 +294,29 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
         raise InvalidParameter("grid must be non-empty")
     monomials = list(multi_indices(seq.dimension, degree))
     c_obj = [seq.entries[alpha] for alpha in monomials]
-    rows = []
-    for g in grid:
-        row = []
-        for alpha in monomials:
-            term = mode.one()
-            for x, e in zip(g, alpha):
-                for _ in range(e):
-                    term = term * x
-            row.append(term)
-        rows.append(row)
     phi_vals = [evaluate_separating(phi, g, mode) for g in grid]
-
-    sup_res = simplex.maximize(mode, c_obj, rows, phi_vals)
-    neg_rows = [[-v for v in row] for row in rows]
-    neg_phi = [-v for v in phi_vals]
-    inf_res = simplex.minimize(mode, c_obj, neg_rows, neg_phi)
-    return GapEstimate(sup_res.value, inf_res.value, False, False, degree,
+    sup_side, inf_side = _grid_measure_bounds(mode, grid, monomials, c_obj,
+                                              phi_vals, degree)
+    return GapEstimate(sup_side, inf_side, False, False, degree,
                        describe_grid(grid, mode))
+
+
+def _grid_measure_bounds(mode: Mode, grid: Sequence, monomials: Sequence,
+                         moments: Sequence, objective: Sequence, degree: int,
+                         weight: Mapping | None = None) -> tuple:
+    """(min, max) of sum_g y_g objective[g] over the nonnegative measures y
+    on the grid with sum_g y_g w(g) g^alpha = moments[alpha] for each
+    monomial alpha, where w is the polynomial ``weight`` (default 1)."""
+    columns = []
+    for g in grid:
+        w = mode.one() if weight is None else mpoly_eval(weight, g)
+        columns.append([w * mpoly_eval({alpha: 1}, g) for alpha in monomials])
+    try:
+        return simplex.measure_bounds(mode, columns, moments, objective)
+    except LpUnbounded:
+        raise LpUnbounded(f"no nonnegative measure on the {len(grid)}-point grid "
+                          f"reproduces the moments up to degree {degree}; "
+                          "refine the grid") from None
 
 
 # ---------------------------------------------------------------------------
@@ -546,40 +555,20 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
     for alpha in p_monomials:
         prod = mpoly_mul(form, {alpha: mode.one()})
         lin_coeffs.append(apply_linear_functional(seq, prod))
+    # L(r) = +-(m_0 - L((a.x+1) p)).  By LP duality, max L((a.x+1) p) over
+    # (a.g+1) p(g) <= 1 is the least, and min L((a.x+1) p) over
+    # (a.g+1) p(g) >= 1 the greatest, mass of the nonnegative grid measures
+    # y with sum_g y_g (a.g+1) g^alpha = lin_coeffs[alpha]
+    low, high = _grid_measure_bounds(mode, grid, p_monomials, lin_coeffs,
+                                     [mode.one()] * len(grid), degree, weight=form)
     m0 = seq.entries[(0,) * d]
-    values = {}
-    for sign_name, sign in (("plus", 1), ("minus", -1)):
-        # r(g) >= 0  <=>  sign * (a.g + 1) p(g) <= sign * 1
-        rows, rhs = [], []
-        for g in grid:
-            fg = mpoly_eval(form, g)
-            row = []
-            for alpha in p_monomials:
-                term = mode.one()
-                for x, e in zip(g, alpha):
-                    for _ in range(e):
-                        term = term * x
-                row.append(sign * fg * term)
-            rows.append(row)
-            rhs.append(sign * mode.one())
-        # L(r) for r = sign*(1 - (a.x+1)p) = sign*m_0 - sign*L((a.x+1)p);
-        # minimizing it means maximizing sign*L((a.x+1)p)
-        res = simplex.maximize(mode, [sign * c for c in lin_coeffs], rows, rhs)
-        values[sign_name] = sign * m0 - sign * _dot(mode, lin_coeffs, res.x)
     return {
-        "value_plus": values["plus"],
-        "value_minus": values["minus"],
+        "value_plus": m0 - low,
+        "value_minus": high - m0,
         "certified": False,
         "degree": degree,
         "grid": describe_grid(grid, mode),
     }
-
-
-def _dot(mode, coeffs, xs):
-    total = mode.zero()
-    for c, x in zip(coeffs, xs):
-        total = total + c * x
-    return total
 
 
 # ---------------------------------------------------------------------------

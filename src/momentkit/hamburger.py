@@ -627,12 +627,14 @@ class VerdictConfig:
 
 
 def verdict_1d(seq: MomentSequence, flavor: Flavor | None = None,
-               config: VerdictConfig | None = None) -> Verdict:
+               config: VerdictConfig | None = None,
+               rec: Recurrence | None = None) -> Verdict:
     """Run the 1D criterion battery and synthesize a verdict.
 
     Component failures beyond admissibility itself become neutral evidence
     items instead of aborting the run; input without a representing measure
-    raises NotAdmissible (see ``recurrence_from_moments``).
+    raises NotAdmissible (see ``recurrence_from_moments``).  ``rec``, if
+    given, must be the recurrence of seq at order ``seq.max_degree // 2``.
     """
     if seq.dimension != 1:
         raise InvalidParameter("verdict_1d needs a 1D sequence")
@@ -645,7 +647,8 @@ def verdict_1d(seq: MomentSequence, flavor: Flavor | None = None,
     evidence: list[Evidence] = []
 
     n_max = N // 2
-    rec = recurrence_from_moments(seq, n_max)
+    if rec is None:
+        rec = recurrence_from_moments(seq, n_max)
     if rec.rank <= n_max:
         # finite rank r with a flat extension: the measure is r-atomic,
         # hence determinate

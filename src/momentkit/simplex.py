@@ -1,142 +1,108 @@
-"""Dense two-phase simplex, generic over the scalar mode.
+"""Moment-space LP engine over grid measures, generic over the scalar mode.
 
-Solves  max c.x  subject to  A x <= b  with x free, by splitting each free
-variable into a difference of nonnegatives and running a standard tableau
-simplex with Bland's rule (no cycling).  Rational mode pivots exactly; float
-mode uses the context precision with a relative pivot tolerance.  Problem
-sizes here are small (at most a few hundred constraints), so no factorization
-machinery is carried around: one tableau, eliminated in place.
+On a finite grid both sides of the variational gap,
+``sup { L(p) : p <= phi }`` and ``inf { L(q) : q >= phi }``, are linear
+programs over polynomial coefficients.  Their LP duals range over one set,
+the nonnegative grid measures that reproduce the moments,
+
+    Y = { y >= 0 : sum_g y_g g^alpha = m_alpha },
+
+the grid's representing measures (the moment-space duality of Karlin and
+Studden, *Tchebycheff Systems*, 1966).  The sup side is ``min_Y sum_g y_g
+phi(g)`` and the inf side ``max_Y``.  ``measure_bounds`` solves both in
+standard form on one n x (G + n) tableau, one row per moment and one column
+per grid point plus one artificial per row: phase 1 finds a vertex of Y
+once, then two phase-2 runs from copies of it give the min and the max.
+
+Pivoting follows Bland's rule (no cycling).  Rational mode pivots exactly;
+float mode uses the context precision with a relative pivot tolerance.
+Problem sizes here are small (tens of moments, at most a few hundred grid
+points), so no factorization machinery is carried around: one tableau,
+eliminated in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import LpInfeasible, LpUnbounded, PrecisionExhausted
 from .scalars import Mode, RationalMode
 
-
-@dataclass(frozen=True)
-class LpResult:
-    value: object
-    x: tuple
-    iterations: int
+#: pivots per run; Bland's rule cannot cycle, so only float rounding reaches it
+MAX_ITERATIONS = 100_000
 
 
-def maximize(mode: Mode, c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
-             max_iterations: int = 100_000) -> LpResult:
-    """max c.x st A x <= b, x free.  Raises LpUnbounded / LpInfeasible."""
-    c = [mode.convert(v) for v in c]
-    a = [[mode.convert(v) for v in row] for row in a_ub]
-    b = [mode.convert(v) for v in b_ub]
-    n = len(c)
-    m = len(a)
-    if any(len(row) != n for row in a) or len(b) != m:
+def measure_bounds(mode: Mode, columns: Sequence[Sequence], moments: Sequence,
+                   objective: Sequence) -> tuple:
+    """(min, max) of sum_g y_g objective[g] over y >= 0 with
+    sum_g y_g columns[g] = moments.
+
+    Raises LpUnbounded when no such y exists (the primal polynomial LPs are
+    then unbounded: the grid is too sparse for the moments), LpInfeasible
+    when the objective is unbounded over them, which cannot happen when
+    every column has a positive constant entry (the mass is then bounded).
+    """
+    cols = [[mode.convert(v) for v in col] for col in columns]
+    rhs = [mode.convert(v) for v in moments]
+    obj = [mode.convert(v) for v in objective]
+    size, n = len(cols), len(rhs)
+    if len(obj) != size or any(len(col) != n for col in cols):
         raise LpInfeasible("inconsistent LP shapes")
+    zero = mode.zero()
+    tol = _tolerance(mode, cols, rhs, obj)
 
-    zero, one = mode.zero(), mode.one()
-    tol = _tolerance(mode, a, b, c)
-
-    # columns: n plus-parts, n minus-parts, m slacks, then artificials
-    def split_row(row):
-        return [v for v in row] + [-v for v in row]
-
-    ncols = 2 * n + m
+    # row i reads sum_g y_g columns[g][i] = moments[i], signed so that its
+    # right-hand side (index -1) is nonnegative; basis entry size + i is the
+    # artificial of row i.  An artificial that leaves the basis never
+    # returns, so its column is not stored.
     tableau = []
-    basis = []
-    artificial_cols = []
-    for i in range(m):
-        row = split_row(a[i]) + [zero] * m + [b[i]]
-        row[2 * n + i] = one
-        if b[i] < zero:
-            row = [-v for v in row]
-        tableau.append(row)
-    # phase 1: rows whose slack got negated need an artificial basis column
-    for i in range(m):
-        if tableau[i][2 * n + i] == one:
-            basis.append(2 * n + i)
-        else:
-            col = ncols + len(artificial_cols)
-            artificial_cols.append(col)
-            for j, row in enumerate(tableau):
-                row.insert(-1, one if j == i else zero)
-            basis.append(col)
-    ncols += len(artificial_cols)
+    for i, m in enumerate(rhs):
+        row = [col[i] for col in cols] + [m]
+        tableau.append([-v for v in row] if m < zero else row)
+    basis = [size + i for i in range(n)]
 
-    iterations = 0
-    if artificial_cols:
-        # minimize the sum of artificials
-        obj = [zero] * (ncols + 1)
-        for col in artificial_cols:
-            obj[col] = -one
-        _price_out(obj, tableau, basis)
-        iterations += _run(mode, tableau, basis, obj, ncols, tol, max_iterations)
-        if obj[-1] > tol:  # obj[-1] tracks -z, so this is the artificial mass
-            raise LpInfeasible("phase 1 failed to zero the artificials")
-        _drive_out_artificials(mode, tableau, basis, artificial_cols, tol)
+    # phase 1: maximize minus the artificial mass; with every artificial
+    # basic, the reduced profits are the column sums and profit[-1] is the
+    # mass still carried by the artificials
+    profit = [sum(entries, zero) for entries in zip(*tableau)]
+    _run(tableau, basis, profit, tol)
+    if profit[-1] > tol:
+        raise LpUnbounded(f"no nonnegative measure on the {size}-point grid "
+                          "reproduces the moments")
+    tableau, basis = _drive_out_artificials(tableau, basis, size, tol)
 
-    obj = [zero] * (ncols + 1)
-    for j in range(n):
-        obj[j] = c[j]
-        obj[n + j] = -c[j]
-    for col in artificial_cols:
-        obj[col] = None  # blocked
-    _price_out(obj, tableau, basis)
-    iterations += _run(mode, tableau, basis, obj, ncols, tol, max_iterations)
-
-    x = [zero] * n
-    values = {col: tableau[i][-1] for i, col in enumerate(basis)}
-    for j in range(n):
-        x[j] = values.get(j, zero) - values.get(n + j, zero)
-    return LpResult(value=-obj[-1], x=tuple(x), iterations=iterations)
+    bounds = []
+    for sign in (-1, 1):  # maximize -objective, then objective
+        t, b = [list(row) for row in tableau], list(basis)
+        profit = [sign * v for v in obj] + [zero]
+        for row, col in zip(t, b):
+            coeff = profit[col]
+            if coeff:
+                profit = [u - coeff * v for u, v in zip(profit, row)]
+        _run(t, b, profit, tol)
+        bounds.append(sign * -profit[-1])
+    return bounds[0], bounds[1]
 
 
-def minimize(mode: Mode, c: Sequence, a_ub, b_ub, **kw) -> LpResult:
-    res = maximize(mode, [-v for v in (mode.convert(u) for u in c)], a_ub, b_ub, **kw)
-    return LpResult(value=-res.value, x=res.x, iterations=res.iterations)
-
-
-def _tolerance(mode: Mode, a, b, c):
+def _tolerance(mode: Mode, cols, rhs, obj):
     if isinstance(mode, RationalMode):
         return mode.zero()
     scale = mode.one()
-    for row in a:
-        for v in row:
-            if abs(v) > scale:
-                scale = abs(v)
-    for v in list(b) + list(c):
+    for v in [v for col in cols for v in col] + list(rhs) + list(obj):
         if abs(v) > scale:
             scale = abs(v)
     return mode.ctx.ldexp(scale, -(mode.precision_bits // 2))
 
 
-def _price_out(obj, tableau, basis):
-    """Express the objective in terms of the current nonbasic columns."""
-    for i, col in enumerate(basis):
-        coeff = obj[col]
-        if coeff is None or not coeff:
-            continue
-        row = tableau[i]  # rhs sits at index -1 of both obj and rows
-        for j in range(len(obj)):
-            if obj[j] is not None:
-                obj[j] = obj[j] - coeff * row[j]
-
-
-def _run(mode, tableau, basis, obj, ncols, tol, max_iterations) -> int:
-    it = 0
-    while True:
-        it += 1
-        if it > max_iterations:
-            raise PrecisionExhausted("simplex iteration limit hit; numerically stuck")
-        enter = None
-        for j in range(ncols):  # Bland: first improving column
-            coeff = obj[j]
-            if coeff is not None and coeff > tol and j not in basis:
-                enter = j
-                break
+def _run(tableau, basis, profit, tol) -> None:
+    """Maximize the objective whose reduced profits are ``profit`` (its last
+    entry is minus the current value); pivots update it in place."""
+    for _ in range(MAX_ITERATIONS):
+        basic = set(basis)
+        enter = next((j for j in range(len(profit) - 1)  # Bland: first improving
+                      if profit[j] > tol and j not in basic), None)
         if enter is None:
-            return it
+            return
         leave, best = None, None
         for i, row in enumerate(tableau):
             aij = row[enter]
@@ -145,43 +111,36 @@ def _run(mode, tableau, basis, obj, ncols, tol, max_iterations) -> int:
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave, best = i, ratio
         if leave is None:
-            raise LpUnbounded("improving direction is unbounded; grid too sparse "
-                              "for the requested degree")
-        _pivot(tableau, basis, obj, leave, enter)
+            raise LpInfeasible("the objective is unbounded over the grid measures")
+        _pivot(tableau, basis, profit, leave, enter)
+    raise PrecisionExhausted("simplex iteration limit hit; numerically stuck")
 
 
-def _pivot(tableau, basis, obj, leave, enter):
-    row = tableau[leave]
-    piv = row[enter]
-    tableau[leave] = [v / piv for v in row]
-    row = tableau[leave]
+def _pivot(tableau, basis, profit, leave, enter) -> None:
+    piv = tableau[leave][enter]
+    row = tableau[leave] = [v / piv for v in tableau[leave]]
     for i, other in enumerate(tableau):
-        if i != leave and other[enter]:
-            f = other[enter]
+        f = other[enter]
+        if i != leave and f:
             tableau[i] = [u - f * v for u, v in zip(other, row)]
-    f = obj[enter]
+    f = profit[enter] if profit is not None else 0
     if f:
-        for j in range(len(obj)):
-            if obj[j] is not None:
-                obj[j] = obj[j] - f * row[j]
+        profit[:] = [u - f * v for u, v in zip(profit, row)]
     basis[leave] = enter
 
 
-def _drive_out_artificials(mode, tableau, basis, artificial_cols, tol):
-    art = set(artificial_cols)
-    for i, col in enumerate(basis):
-        if col not in art:
-            continue
-        row = tableau[i]
-        enter = None
-        for j in range(len(row) - 1):
-            if j not in art and abs(row[j]) > tol and j not in basis:
-                enter = j
-                break
-        if enter is not None:
-            dummy = [None] * len(row)
-            _pivot(tableau, basis, dummy, i, enter)
-        # a fully zero row stays; its artificial is at value 0 and harmless
-    for row in tableau:
-        for col in art:
-            row[col] = mode.zero()
+def _drive_out_artificials(tableau, basis, size, tol):
+    """Pivot every artificial still basic (at level zero) out on a grid
+    column; a row with no such column is a redundant equality and is
+    dropped."""
+    redundant = set()
+    for i in range(len(tableau)):
+        if basis[i] >= size:
+            row = tableau[i]
+            enter = next((j for j in range(size) if abs(row[j]) > tol), None)
+            if enter is None:
+                redundant.add(i)
+            else:
+                _pivot(tableau, basis, None, i, enter)
+    keep = [i for i in range(len(tableau)) if i not in redundant]
+    return [tableau[i] for i in keep], [basis[i] for i in keep]

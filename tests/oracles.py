@@ -10,14 +10,23 @@ The elimination sees only positive semidefiniteness: it does not check the
 flat-extension condition, so on singular data such as ``(1, 0, 0, 0, 1)``
 it reports "positive_semidefinite" where the library rightly raises
 NotAdmissible.
+
+``maximize``/``minimize`` solve the primal grid LPs, ``max c.x`` subject to
+``A x <= b`` with x free, by a dense two-phase simplex that splits each free
+variable into a difference of nonnegatives and adds one slack per
+constraint.  The library solves the same LPs through their moment-space dual
+(``simplex.measure_bounds``); by LP duality the optimal values agree, so
+this solver is the reference the dual engine is compared against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from momentkit.errors import LpInfeasible, LpUnbounded, PrecisionExhausted
 from momentkit.hamburger import HankelMatrix
-from momentkit.scalars import RationalMode
+from momentkit.scalars import Mode, RationalMode
 
 
 @dataclass(frozen=True)
@@ -56,3 +65,177 @@ def admissibility_check(h: HankelMatrix) -> Admissibility:
                 for j in active:
                     a[i][j] = a[i][j] - ratio * prow[j]
     return Admissibility("positive_definite", n, tuple(pivots))
+
+
+# ---------------------------------------------------------------------------
+# primal grid-LP solver
+
+
+@dataclass(frozen=True)
+class LpResult:
+    value: object
+    x: tuple
+    iterations: int
+
+
+def maximize(mode: Mode, c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
+             max_iterations: int = 100_000) -> LpResult:
+    """max c.x st A x <= b, x free.  Raises LpUnbounded / LpInfeasible."""
+    c = [mode.convert(v) for v in c]
+    a = [[mode.convert(v) for v in row] for row in a_ub]
+    b = [mode.convert(v) for v in b_ub]
+    n = len(c)
+    m = len(a)
+    if any(len(row) != n for row in a) or len(b) != m:
+        raise LpInfeasible("inconsistent LP shapes")
+
+    zero, one = mode.zero(), mode.one()
+    tol = _tolerance(mode, a, b, c)
+
+    # columns: n plus-parts, n minus-parts, m slacks, then artificials
+    def split_row(row):
+        return [v for v in row] + [-v for v in row]
+
+    ncols = 2 * n + m
+    tableau = []
+    basis = []
+    artificial_cols = []
+    for i in range(m):
+        row = split_row(a[i]) + [zero] * m + [b[i]]
+        row[2 * n + i] = one
+        if b[i] < zero:
+            row = [-v for v in row]
+        tableau.append(row)
+    # phase 1: rows whose slack got negated need an artificial basis column
+    for i in range(m):
+        if tableau[i][2 * n + i] == one:
+            basis.append(2 * n + i)
+        else:
+            col = ncols + len(artificial_cols)
+            artificial_cols.append(col)
+            for j, row in enumerate(tableau):
+                row.insert(-1, one if j == i else zero)
+            basis.append(col)
+    ncols += len(artificial_cols)
+
+    iterations = 0
+    if artificial_cols:
+        # minimize the sum of artificials
+        obj = [zero] * (ncols + 1)
+        for col in artificial_cols:
+            obj[col] = -one
+        _price_out(obj, tableau, basis)
+        iterations += _run(mode, tableau, basis, obj, ncols, tol, max_iterations)
+        if obj[-1] > tol:  # obj[-1] tracks -z, so this is the artificial mass
+            raise LpInfeasible("phase 1 failed to zero the artificials")
+        _drive_out_artificials(mode, tableau, basis, artificial_cols, tol)
+
+    obj = [zero] * (ncols + 1)
+    for j in range(n):
+        obj[j] = c[j]
+        obj[n + j] = -c[j]
+    for col in artificial_cols:
+        obj[col] = None  # blocked
+    _price_out(obj, tableau, basis)
+    iterations += _run(mode, tableau, basis, obj, ncols, tol, max_iterations)
+
+    x = [zero] * n
+    values = {col: tableau[i][-1] for i, col in enumerate(basis)}
+    for j in range(n):
+        x[j] = values.get(j, zero) - values.get(n + j, zero)
+    return LpResult(value=-obj[-1], x=tuple(x), iterations=iterations)
+
+
+def minimize(mode: Mode, c: Sequence, a_ub, b_ub, **kw) -> LpResult:
+    res = maximize(mode, [-v for v in (mode.convert(u) for u in c)], a_ub, b_ub, **kw)
+    return LpResult(value=-res.value, x=res.x, iterations=res.iterations)
+
+
+def _tolerance(mode: Mode, a, b, c):
+    if isinstance(mode, RationalMode):
+        return mode.zero()
+    scale = mode.one()
+    for row in a:
+        for v in row:
+            if abs(v) > scale:
+                scale = abs(v)
+    for v in list(b) + list(c):
+        if abs(v) > scale:
+            scale = abs(v)
+    return mode.ctx.ldexp(scale, -(mode.precision_bits // 2))
+
+
+def _price_out(obj, tableau, basis):
+    """Express the objective in terms of the current nonbasic columns."""
+    for i, col in enumerate(basis):
+        coeff = obj[col]
+        if coeff is None or not coeff:
+            continue
+        row = tableau[i]  # rhs sits at index -1 of both obj and rows
+        for j in range(len(obj)):
+            if obj[j] is not None:
+                obj[j] = obj[j] - coeff * row[j]
+
+
+def _run(mode, tableau, basis, obj, ncols, tol, max_iterations) -> int:
+    it = 0
+    while True:
+        it += 1
+        if it > max_iterations:
+            raise PrecisionExhausted("simplex iteration limit hit; numerically stuck")
+        enter = None
+        for j in range(ncols):  # Bland: first improving column
+            coeff = obj[j]
+            if coeff is not None and coeff > tol and j not in basis:
+                enter = j
+                break
+        if enter is None:
+            return it
+        leave, best = None, None
+        for i, row in enumerate(tableau):
+            aij = row[enter]
+            if aij > tol:
+                ratio = row[-1] / aij
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            raise LpUnbounded("improving direction is unbounded; grid too sparse "
+                              "for the requested degree")
+        _pivot(tableau, basis, obj, leave, enter)
+
+
+def _pivot(tableau, basis, obj, leave, enter):
+    row = tableau[leave]
+    piv = row[enter]
+    tableau[leave] = [v / piv for v in row]
+    row = tableau[leave]
+    for i, other in enumerate(tableau):
+        if i != leave and other[enter]:
+            f = other[enter]
+            tableau[i] = [u - f * v for u, v in zip(other, row)]
+    f = obj[enter]
+    if f:
+        for j in range(len(obj)):
+            if obj[j] is not None:
+                obj[j] = obj[j] - f * row[j]
+    basis[leave] = enter
+
+
+def _drive_out_artificials(mode, tableau, basis, artificial_cols, tol):
+    art = set(artificial_cols)
+    for i, col in enumerate(basis):
+        if col not in art:
+            continue
+        row = tableau[i]
+        enter = None
+        for j in range(len(row) - 1):
+            if j not in art and abs(row[j]) > tol and j not in basis:
+                enter = j
+                break
+        if enter is not None:
+            dummy = [None] * len(row)
+            _pivot(tableau, basis, dummy, i, enter)
+        # a fully zero row stays; its artificial is at value 0 and harmless
+    for row in tableau:
+        for col in art:
+            row[col] = mode.zero()

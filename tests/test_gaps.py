@@ -38,6 +38,7 @@ from momentkit.moments import (
 )
 from momentkit.scalars import RationalMode, complex_scalar
 from momentkit.verdicts import Status
+from oracles import maximize
 
 R = RationalMode()
 
@@ -115,7 +116,8 @@ def test_envelope_gap_dominates_grid_lp():
 def test_unbounded_grid_reported():
     seq = generate_moments(QLattice1D(2), 1, 16, R)
     tiny = [(F(0),), (F(1),)]
-    with pytest.raises(LpUnbounded):
+    with pytest.raises(LpUnbounded, match="no nonnegative measure on the 2-point grid "
+                       "reproduces the moments up to degree 8; refine the grid"):
         grid_gap_lp(seq, Sampled(tuple(tiny), (F(1), F(1, 2))), 8, tiny)
 
 
@@ -220,6 +222,19 @@ def test_hyperplane_qlattice_positive_baseline():
     seq = generate_moments(QLattice1D(2), 1, 16, R)
     res = hyperplane_gap(seq, (1,), 8)
     assert min(R.to_float(res["value_plus"]), R.to_float(res["value_minus"])) > 0
+
+
+def test_hyperplane_values_match_primal_oracle():
+    # value_+- = min L(r) over r = +-(1 - (x+1) p) >= 0 on the grid, p of
+    # degree 3, solved as the primal LP in the coefficients of p
+    seq = generate_moments(Exponential1D(), 1, 8, R)
+    res = hyperplane_gap(seq, (1,), 4)
+    grid = [g[0] for g in default_grid(seq.support, 1, R)]
+    lin = [seq.entries[(k,)] + seq.entries[(k + 1,)] for k in range(4)]
+    for key, sign in (("value_plus", 1), ("value_minus", -1)):
+        rows = [[sign * (g + 1) * g ** k for k in range(4)] for g in grid]
+        best = maximize(R, [sign * c for c in lin], rows, [sign] * len(grid))
+        assert res[key] == sign * seq.entries[(0,)] - best.value
 
 
 def test_hyperplane_needs_cone_and_interior():
