@@ -390,19 +390,22 @@ def cmd_kappa(args) -> int:
     mode = seq.mode
     rows = []
     max_level = max((seq.max_degree - 2) // 2, 1)
-    pf = (pushforward_direction(seq, (1,) + (0,) * (seq.dimension - 1))
-          if seq.dimension >= 2 else None)
+    # the exact 1D values come from seq itself, or from its first-axis
+    # push-forward as the crosscheck of a multivariate field; one recurrence
+    # at the order poisson_kappa_1d would pick serves every field point
+    s1 = _as_1d(seq)
+    rec = recurrence_from_moments(s1, s1.max_degree // 2)
     for t in ts:
         for x in xs:
             xq = Fraction(x).limit_denominator(10 ** 6)
             tq = Fraction(t).limit_denominator(10 ** 6)
             if seq.dimension == 1:
-                k = poisson_kappa_1d(seq, xq, tq, max_level)
+                k = poisson_kappa_1d(seq, xq, tq, max_level, rec)
                 rows.append([x, t, mode.to_float(k), "weyl-disk-1d", True, ""])
             else:
                 est = poisson_kappa_estimate(seq, (xq,) * seq.dimension, tq,
                                              args.lp_degree)
-                k1 = poisson_kappa_1d(pf, xq, tq, max((pf.max_degree - 2) // 2, 1))
+                k1 = poisson_kappa_1d(s1, xq, tq, max_level, rec)
                 rows.append([x, t, mode.to_float(est.gap), "grid-lp", False,
                              repr(mode.to_float(k1))])
     with open(args.out, "w", newline="") as fh:
@@ -443,7 +446,8 @@ def cmd_curve(args) -> int:
     else:
         with open(args.curve) as fh:
             curve = curve_from_json(fh.read())
-    mode = mode_from_string(args.mode)
+    # an interchange-file lift ignores --mode, so reject a malformed one here
+    mode_from_string(args.mode)
     sigma, provenance = load_input(args.sigma, args.mode, None)
     need = args.degree * curve.max_component_degree
     if sigma.max_degree < need:

@@ -344,30 +344,26 @@ def lift_and_test(cm: CurveMeasure, config: VerdictConfig | None = None,
     sigma = cm.lifted_1d
     mode = sigma.mode
     curve = cm.curve
-    w = tuple(mode.convert(c) for c in curve.weight)
-    if poly_degree(w) >= 1:
+    if poly_degree(curve.weight) >= 1:
         _warn_on_ramified_atoms(sigma, curve)
-        w_pow = poly_pow(w, weight_exponent)
-        weighted = apply_polynomial_weight(
-            sigma, {(k,): c for k, c in enumerate(w_pow) if c})
-        if weighted.entries[(0,)] == 0:
-            # the weight annihilated the lift: all mass sits on ramification
-            # parameters, so the curve measure is finitely atomic
-            ev = Evidence("weighted-lift-annihilated", weighted.max_degree,
-                          sigma.mode.zero(),
-                          Sufficiency.RIGOROUS_SUFFICIENT
-                          if isinstance(sigma.mode, RationalMode)
-                          else Sufficiency.LIMIT_RIGOROUS_NUMERIC,
-                          Leaning.DETERMINATE,
-                          "all lift mass is atomic on the ramification set")
-            return Verdict(Status.DETERMINATE, Flavor.HAMBURGER, (ev,))
-    else:
-        weighted = sigma
-    verdict = verdict_1d(weighted, None, cfg)
+    weighted = _weighted_lift(sigma, curve.weight, weight_exponent)
+    if weighted is not sigma and weighted.entries[(0,)] == 0:
+        # the weight annihilated the lift: all mass sits on ramification
+        # parameters, so the curve measure is finitely atomic
+        ev = Evidence("weighted-lift-annihilated", weighted.max_degree,
+                      sigma.mode.zero(),
+                      Sufficiency.RIGOROUS_SUFFICIENT
+                      if isinstance(sigma.mode, RationalMode)
+                      else Sufficiency.LIMIT_RIGOROUS_NUMERIC,
+                      Leaning.DETERMINATE,
+                      "all lift mass is atomic on the ramification set")
+        return Verdict(Status.DETERMINATE, Flavor.HAMBURGER, (ev,))
+    # one factorization serves the verdict and the evaluation witness
+    rec = recurrence_from_moments(weighted, weighted.max_degree // 2)
+    verdict = verdict_1d(weighted, None, cfg, rec)
     alpha = evaluation_parameter or complex_scalar(mode, 0, 1)
     extra = []
     try:
-        rec = recurrence_from_moments(weighted, weighted.max_degree // 2)
         top = min(rec.order, rec.rank - 1)
         rho = christoffel(rec, alpha, top)
         beta = (curve.point_at_complex(mode, alpha)
@@ -431,19 +427,22 @@ def christoffel_on_curve(cm: CurveMeasure, alpha: ComplexScalar, n: int,
                          weight_exponent: int = 2):
     """Christoffel value of the weight**exponent-weighted lift at alpha,
     the curve-side evaluation-bound surrogate at the point u(alpha)."""
-    sigma = cm.lifted_1d
-    mode = sigma.mode
-    w = tuple(mode.convert(c) for c in cm.curve.weight)
-    if poly_degree(w) >= 1:
-        w_pow = poly_pow(w, weight_exponent)
-        weighted = apply_polynomial_weight(
-            sigma, {(k,): c for k, c in enumerate(w_pow) if c})
-    else:
-        weighted = sigma
+    weighted = _weighted_lift(cm.lifted_1d, cm.curve.weight, weight_exponent)
     if 2 * n > weighted.max_degree:
         raise DegreeInsufficient(f"level {n} needs weighted degree {2 * n}")
     rec = recurrence_from_moments(weighted, max(n, 1))
     return christoffel(rec, alpha, min(n, rec.rank - 1))
+
+
+def _weighted_lift(sigma: MomentSequence, weight: tuple,
+                   exponent: int) -> MomentSequence:
+    """The lift times weight**exponent; sigma itself for a constant weight
+    (a globally injective parametrization)."""
+    w = tuple(sigma.mode.convert(c) for c in weight)
+    if poly_degree(w) < 1:
+        return sigma
+    w_pow = poly_pow(w, exponent)
+    return apply_polynomial_weight(sigma, {(k,): c for k, c in enumerate(w_pow) if c})
 
 
 # ---------------------------------------------------------------------------

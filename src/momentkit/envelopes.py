@@ -75,48 +75,25 @@ def cosine_envelope(seq_1d: MomentSequence, order: int,
         raise InvalidParameter("order must be >= 1")
     if seq_1d.dimension != 1:
         raise InvalidParameter("cosine envelope needs a 1D sequence")
-    mode = seq_1d.mode
     import math
 
-    if not phase_shifted:
-        top_deg = 2 * order
-        if top_deg > seq_1d.max_degree:
-            raise DegreeInsufficient(f"order {order} needs degree {top_deg}")
-        coeffs = [mode.zero()] * (top_deg + 1)
-        for j in range(order + 1):
-            coeffs[2 * j] = mode.convert((-1) ** j) / math.factorial(2 * j)
-        sums = _cumulative_alternating(coeffs, even_steps=True)
-        s_prev, s_top = sums[order - 1], sums[order]
-        lower, upper = (s_top, s_prev) if order % 2 == 1 else (s_prev, s_top)
-        gap = seq_1d.moment((top_deg,)) / math.factorial(top_deg)
-        return PolynomialEnvelope(lower, upper, "real_line", top_deg, gap)
-
     # sine stream: alternating on the half line only
-    if not isinstance(seq_1d.support, NonnegativeOrthant):
+    if phase_shifted and not isinstance(seq_1d.support, NonnegativeOrthant):
         raise WrongSupport("the phase-shifted envelope is certified on [0, inf) only")
-    top_deg = 2 * order + 1
+    mode = seq_1d.mode
+    parity = 1 if phase_shifted else 0      # the stream's degrees are 2j + parity
+    top_deg = 2 * order + parity
     if top_deg > seq_1d.max_degree:
         raise DegreeInsufficient(f"order {order} needs degree {top_deg}")
     coeffs = [mode.zero()] * (top_deg + 1)
     for j in range(order + 1):
-        coeffs[2 * j + 1] = mode.convert((-1) ** j) / math.factorial(2 * j + 1)
-    sums = _cumulative_alternating(coeffs, even_steps=False)
-    s_prev, s_top = sums[order - 1], sums[order]
+        coeffs[2 * j + parity] = mode.convert((-1) ** j) / math.factorial(2 * j + parity)
+    # the last two partial sums end at degrees top_deg - 2 and top_deg
+    s_prev, s_top = poly_trim(coeffs[: top_deg - 1]), poly_trim(coeffs)
     lower, upper = (s_top, s_prev) if order % 2 == 1 else (s_prev, s_top)
     gap = seq_1d.moment((top_deg,)) / math.factorial(top_deg)
-    return PolynomialEnvelope(lower, upper, "half_line", top_deg, gap)
-
-
-def _cumulative_alternating(coeffs: Sequence, even_steps: bool) -> list:
-    """Partial sums cut after each nonzero term (degree 2j or 2j+1)."""
-    out = []
-    step = 2
-    start = 0 if even_steps else 1
-    deg = start
-    while deg < len(coeffs):
-        out.append(poly_trim(coeffs[: deg + 1]))
-        deg += step
-    return out
+    return PolynomialEnvelope(lower, upper, "half_line" if phase_shifted else "real_line",
+                              top_deg, gap)
 
 
 def geometric_envelope(seq_1d: MomentSequence, order: int) -> PolynomialEnvelope:

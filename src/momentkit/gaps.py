@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from mpmath.ctx_mp import MPContext
-
 from . import simplex
 from .errors import (
     DegreeInsufficient,
@@ -47,13 +45,15 @@ from .moments import (
     support_is_cone,
 )
 from .polynomials import (
+    monomial,
     mpoly_eval,
     mpoly_mul,
     mpoly_translate,
     multi_indices,
     poly_eval,
 )
-from .scalars import ComplexScalar, FloatMode, Mode, RationalMode, exact_fraction
+from .scalars import (ComplexScalar, FloatMode, Mode, RationalMode, from_context,
+                      to_context, work_context)
 from .verdicts import Evidence, Flavor, Status, Verdict
 
 RATIONAL_PHI_BITS = 128
@@ -108,7 +108,8 @@ def evaluate_separating(spec, point: Sequence, mode: Mode):
     """phi(point) in the sequence's mode.
 
     Rational mode evaluates transcendental targets (cosine, Poisson with
-    even d) through 128-bit floats and converts exactly; the resulting
+    even d) through 128-bit floats (``scalars.work_context`` at
+    ``RATIONAL_PHI_BITS``) and converts exactly; the resulting
     rational is an approximation of phi, which is acceptable because grid
     estimates are heuristic by construction.  Rational targets (Fantappie,
     odd-d Poisson) stay exact.
@@ -132,46 +133,20 @@ def evaluate_separating(spec, point: Sequence, mode: Mode):
         for x0, x in zip(spec.x0, point):
             diff = mode.convert(x0) - mode.convert(x)
             r2 = r2 + diff * diff
+        ctx = work_context(mode, RATIONAL_PHI_BITS)
+        cd = to_context(ctx, poisson_constant_float(d))
         if d % 2 == 1:
             # (d+1)/2 integral: the kernel is rational except for c_d
-            power = r2 ** ((d + 1) // 2)
-            cd = _convert_float_constant(mode, poisson_constant_float(d))
-            return cd * t0 / power
-        return _float_eval(mode, lambda ctx: (
-            ctx.mpf(poisson_constant_float(d)) * _to_ctx_scalar(ctx, mode, t0)
-            / _to_ctx_scalar(ctx, mode, r2) ** (ctx.mpf(d + 1) / 2)))
+            return from_context(mode, cd) * t0 / r2 ** ((d + 1) // 2)
+        return from_context(mode, cd * to_context(ctx, t0)
+                            / to_context(ctx, r2) ** (ctx.mpf(d + 1) / 2))
     if isinstance(spec, Cosine):
-        return _float_eval(mode, lambda ctx: _cos_at(ctx, mode, spec, point))
+        ctx = work_context(mode, RATIONAL_PHI_BITS)
+        t = ctx.mpf(0)
+        for xi, x in zip(spec.xi, point):
+            t += to_context(ctx, mode.convert(xi)) * to_context(ctx, mode.convert(x))
+        return from_context(mode, ctx.cos(t) if spec.phase == "zero" else ctx.sin(t))
     raise InvalidParameter(f"unknown separating spec {type(spec).__name__}")
-
-
-def _cos_at(ctx, mode, spec: Cosine, point):
-    t = ctx.mpf(0)
-    for xi, x in zip(spec.xi, point):
-        t += _to_ctx_scalar(ctx, mode, mode.convert(xi)) * _to_ctx_scalar(ctx, mode, mode.convert(x))
-    return ctx.cos(t) if spec.phase == "zero" else ctx.sin(t)
-
-
-def _to_ctx_scalar(ctx, mode, v):
-    if isinstance(v, Fraction):
-        return ctx.mpf(v.numerator) / ctx.mpf(v.denominator)
-    return ctx.convert(v)
-
-
-def _float_eval(mode: Mode, fn):
-    if isinstance(mode, FloatMode):
-        return fn(mode.ctx)
-    ctx = MPContext()
-    ctx.prec = RATIONAL_PHI_BITS
-    return exact_fraction(fn(ctx))
-
-
-def _convert_float_constant(mode: Mode, value: float):
-    if isinstance(mode, FloatMode):
-        return mode.convert(value)
-    ctx = MPContext()
-    ctx.prec = RATIONAL_PHI_BITS
-    return exact_fraction(ctx.mpf(value))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +285,7 @@ def _grid_measure_bounds(mode: Mode, grid: Sequence, monomials: Sequence,
     columns = []
     for g in grid:
         w = mode.one() if weight is None else mpoly_eval(weight, g)
-        columns.append([w * mpoly_eval({alpha: 1}, g) for alpha in monomials])
+        columns.append([w * monomial(g, alpha) for alpha in monomials])
     try:
         return simplex.measure_bounds(mode, columns, moments, objective)
     except LpUnbounded:

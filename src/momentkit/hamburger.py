@@ -36,10 +36,7 @@ exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
-
-from mpmath.ctx_mp import MPContext
 
 from .errors import (
     DegreeInsufficient,
@@ -52,11 +49,9 @@ from .errors import (
     PrecisionExhausted,
 )
 from .moments import MomentSequence, NonnegativeOrthant
-from .scalars import ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar
+from .scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
+                      from_context, to_context, work_context)
 from .verdicts import Evidence, Flavor, Leaning, Sufficiency, Verdict, synthesize
-
-#: precision used in rational mode for irrational-valued outputs
-RATIONAL_SIDE_CHANNEL_BITS = 256
 
 #: float-mode pivots within 2**(-prec + guard) of zero are undecidable
 FLOAT_PIVOT_GUARD_BITS = 12
@@ -116,17 +111,6 @@ class Recurrence:
             if b == 0:
                 return k
         return len(self.beta)
-
-    def offdiag(self, k: int):
-        """Orthonormal off-diagonal a_k = sqrt(beta_k) (exact if a perfect square)."""
-        return self.mode.sqrt(self.beta[k])
-
-    def norm_sq(self, k: int):
-        """||pi_k||^2 = beta_0 ... beta_k."""
-        out = self.mode.one()
-        for j in range(k + 1):
-            out = out * self.beta[j]
-        return out
 
 
 def _relative_eps(mode: Mode):
@@ -461,8 +445,9 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int,
     ``t_k * k >= slope_constant``: such terms dominate a multiple of the
     harmonic series.  The flag alone is a heuristic; paired with a certified
     growth bound on the sequence it becomes rigorous (sum of c/k diverges).
-    Terms are evaluated in binary floats (the mode's own precision, or 256
-    bits in rational mode) since the roots are irrational.
+    Terms are evaluated in binary floats (``scalars.work_context``: the
+    mode's own precision, or 256 bits in rational mode) since the roots are
+    irrational.
     """
     K = horizon
     if K < 1:
@@ -471,11 +456,11 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int,
     if need > seq.max_degree:
         raise DegreeInsufficient(f"horizon {K} needs degree {need}")
     m = seq.moments_1d()
-    ctx = _work_context(seq.mode)
+    ctx = work_context(seq.mode)
     terms = []
     for k in range(1, K + 1):
         mk = m[2 * k] if flavor is Flavor.HAMBURGER else m[k]
-        mkf = _to_ctx(ctx, mk)
+        mkf = to_context(ctx, mk)
         if not mkf > 0:
             raise NonpositiveEvenMoment(f"moment for Carleman term {k} is not positive")
         terms.append(ctx.exp(-ctx.log(mkf) / (2 * k)))
@@ -485,35 +470,13 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int,
     c = ctx.mpf(slope_constant)
     diverging = all(t * (tail_start + 1 + i) >= c for i, t in enumerate(tail))
     return CarlemanResult(
-        partial_sum=_from_ctx(seq.mode, total),
+        partial_sum=from_context(seq.mode, total),
         diverging=diverging,
         horizon=K,
         flavor=flavor,
         slope_constant=slope_constant,
         terms_tail=tuple(float(t) for t in tail[:8]),
     )
-
-
-def _work_context(mode: Mode) -> MPContext:
-    if isinstance(mode, FloatMode):
-        return mode.ctx
-    ctx = MPContext()
-    ctx.prec = RATIONAL_SIDE_CHANNEL_BITS
-    return ctx
-
-
-def _to_ctx(ctx: MPContext, v):
-    if isinstance(v, Fraction):
-        return ctx.mpf(v.numerator) / ctx.mpf(v.denominator)
-    return ctx.mpf(v) if not hasattr(v, "_mpf_") else ctx.convert(v)
-
-
-def _from_ctx(mode: Mode, v):
-    if isinstance(mode, FloatMode):
-        return mode.convert(v)
-    from .scalars import exact_fraction
-
-    return exact_fraction(v)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +659,7 @@ def _christoffel_weyl_evidence(seq: MomentSequence, rec: Recurrence,
                                flavor: Flavor, cfg: VerdictConfig) -> list:
     mode = seq.mode
     out: list[Evidence] = []
-    top = min(rec.order - 1, rec.rank - 1, (seq.max_degree - 2) // 2)
+    top = min(rec.order - 1, rec.rank - 1)
     half = top // 2
     if half < 1:
         return out
@@ -717,23 +680,22 @@ def _christoffel_weyl_evidence(seq: MomentSequence, rec: Recurrence,
         out.append(Evidence("christoffel", top, rho_top,
                             Sufficiency.HEURISTIC, Leaning.NEUTRAL,
                             f"rho ratio {ratio:.6f} in the indecisive band"))
-    disk_top = min(top, rec.order - 1)
-    disk = weyl_disk(rec, z, disk_top)
-    disk_half = weyl_disk(rec, z, max(disk_top // 2, 1))
+    disk = weyl_disk(rec, z, top)
+    disk_half = weyl_disk(rec, z, max(top // 2, 1))
     if disk_half.radius_sq > 0:
         rratio = mode.to_float(disk.radius_sq / disk_half.radius_sq) ** 0.5
         if rratio > cfg.weyl_plateau_ratio:
-            out.append(Evidence("weyl-radius-plateau", disk_top, disk.radius_sq,
+            out.append(Evidence("weyl-radius-plateau", top, disk.radius_sq,
                                 Sufficiency.LIMIT_RIGOROUS_NUMERIC, Leaning.INDETERMINATE,
                                 f"radius ratio {rratio:.6f} > {cfg.weyl_plateau_ratio}"))
         else:
-            out.append(Evidence("weyl-radius", disk_top, disk.radius_sq,
+            out.append(Evidence("weyl-radius", top, disk.radius_sq,
                                 Sufficiency.HEURISTIC,
                                 Leaning.DETERMINATE if rratio < cfg.christoffel_decay_ratio
                                 else Leaning.NEUTRAL,
                                 f"radius ratio {rratio:.6f}"))
     else:
-        out.append(Evidence("weyl-radius", disk_top, mode.zero(),
+        out.append(Evidence("weyl-radius", top, mode.zero(),
                             Sufficiency.RIGOROUS_SUFFICIENT if isinstance(mode, RationalMode)
                             else Sufficiency.LIMIT_RIGOROUS_NUMERIC,
                             Leaning.DETERMINATE, "degenerate point disk"))

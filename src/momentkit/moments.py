@@ -34,6 +34,8 @@ from .errors import (
 )
 from .polynomials import (
     binomial,
+    compositions,
+    monomial,
     mpoly_constant,
     mpoly_degree,
     mpoly_mul,
@@ -338,11 +340,7 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
         for alpha in multi_indices(dimension, max_degree):
             total = mode.zero()
             for p, w in zip(pts, wts):
-                term = w
-                for c, e in zip(p, alpha):
-                    for _ in range(e):
-                        term = term * c
-                total = total + term
+                total = total + w * monomial(p, alpha)
             entries[alpha] = total
         on_orthant = all(all(c >= 0 for c in p) for p in pts)
         support = NonnegativeOrthant() if on_orthant else FullSpace()
@@ -415,25 +413,14 @@ def pushforward_direction(seq: MomentSequence, xi: Sequence, degree: int | None 
     out = []
     for k in range(K + 1):
         total = seq.mode.zero()
-        for alpha in _exact_degree_indices(seq.dimension, k):
-            coeff = multinomial(k, alpha)
-            term = seq.entries[alpha] * coeff
-            for c, e in zip(xiv, alpha):
-                for _ in range(e):
-                    term = term * c
-            total = total + term
+        for alpha in compositions(k, seq.dimension):
+            total = total + seq.entries[alpha] * multinomial(k, alpha) * monomial(xiv, alpha)
         out.append(total)
     stieltjes = support_is_cone(seq.support) and dual_interior_contains(
         seq.support, xiv, interior_tolerance)
     support = NonnegativeOrthant() if stieltjes else FullSpace()
     meta = {"carleman_growth_certified": seq.is_certified_carleman()}
     return sequence_from_1d(out, seq.mode, support, meta)
-
-
-def _exact_degree_indices(dimension: int, k: int):
-    for alpha in multi_indices(dimension, k):
-        if sum(alpha) == k:
-            yield alpha
 
 
 def marginal(seq: MomentSequence, axes: Sequence[int]) -> MomentSequence:

@@ -31,11 +31,13 @@ def grlex_key(alpha: Sequence[int]):
 def multi_indices(dimension: int, max_degree: int) -> Iterator[MultiIndex]:
     """All alpha with |alpha| <= max_degree, in graded lexicographic order."""
     for total in range(max_degree + 1):
-        for alpha in _compositions(total, dimension):
+        for alpha in compositions(total, dimension):
             yield alpha
 
 
-def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
+def compositions(total: int, parts: int) -> Iterator[MultiIndex]:
+    """All alpha with ``parts`` entries and |alpha| == total, in the order
+    ``multi_indices`` lists them."""
     if parts == 1:
         yield (total,)
         return
@@ -54,6 +56,16 @@ def multinomial(k: int, alpha: Sequence[int]) -> int:
 
 def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
+
+
+def monomial(point: Sequence, alpha: Sequence[int]):
+    """point**alpha = prod x_i**alpha_i, the one monomial evaluator; plain
+    repeated multiplication, so exact in rational mode."""
+    out = 1
+    for x, e in zip(point, alpha):
+        for _ in range(e):
+            out = out * x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +244,7 @@ def mpoly_pow(p: Mapping, n: int, dimension: int) -> dict:
 def mpoly_eval(p: Mapping, point: Sequence):
     out = 0
     for alpha, c in p.items():
-        term = c
-        for x, e in zip(point, alpha):
-            for _ in range(e):
-                term = term * x
-        out = out + term
+        out = out + c * monomial(point, alpha)
     return out
 
 

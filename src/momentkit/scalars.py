@@ -19,6 +19,13 @@ Rational mode admits two controlled approximations, both opt-in and
 documented at the call sites: ``sqrt`` (exact when the radicand is a perfect
 square, otherwise correct to ``bits``) and ``pi``.  They never contaminate
 exact results: quantities that are exactly zero stay exactly zero.
+
+Every other irrational value (Carleman roots, transcendental kernels on
+grids) goes through one side channel: ``work_context(mode, bits)`` is the
+float mode's own context, or a fresh ``bits``-bit one in rational mode;
+``to_context`` moves a scalar in and ``from_context`` brings the result back,
+exactly (``exact_fraction``) in rational mode.  This module is the only one
+that imports ``mpmath``.
 """
 
 from __future__ import annotations
@@ -95,9 +102,7 @@ class RationalMode:
         return _isqrt_scaled(Fraction(v), bits)
 
     def pi(self, bits: int = RATIONAL_APPROX_BITS) -> Fraction:
-        ctx = MPContext()
-        ctx.prec = bits
-        return exact_fraction(+ctx.pi)
+        return from_context(self, +work_context(self, bits).pi)
 
     def to_float(self, v: Fraction) -> float:
         try:
@@ -227,6 +232,32 @@ def exact_fraction(v) -> Fraction:
         return Fraction(0)
     f = Fraction(int(man)) * (Fraction(2) ** exp)
     return -f if sign else f
+
+
+def work_context(mode: Mode, bits: int = RATIONAL_APPROX_BITS) -> MPContext:
+    """Binary-float context for an irrational value: the float mode's own,
+    or a fresh one at ``bits`` of precision in rational mode."""
+    if isinstance(mode, FloatMode):
+        return mode.ctx
+    ctx = MPContext()
+    ctx.prec = bits
+    return ctx
+
+
+def to_context(ctx: MPContext, v):
+    """A scalar (or a float constant) as an mpf of ``ctx``.  A Fraction p/q
+    becomes mpf(p)/mpf(q); rational-mode outputs depend on this rounding."""
+    if isinstance(v, Fraction):
+        return ctx.mpf(v.numerator) / ctx.mpf(v.denominator)
+    return ctx.convert(v)
+
+
+def from_context(mode: Mode, v):
+    """An mpf from ``work_context(mode, ...)`` back in the mode: unchanged
+    in float mode, its exact Fraction in rational mode."""
+    if isinstance(mode, FloatMode):
+        return mode.convert(v)
+    return exact_fraction(v)
 
 
 @dataclass(frozen=True)

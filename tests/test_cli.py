@@ -2,6 +2,7 @@ import csv
 import json
 from fractions import Fraction as F
 
+from momentkit import cli, gaps
 from momentkit.cli import main
 from momentkit.moments import sequence_from_1d
 from momentkit.scalars import RationalMode
@@ -25,6 +26,22 @@ def qlattice_spec(tmp_path, degree=62):
     return write_spec(tmp_path / "ql.json", {
         "measure": {"variant": "q_lattice", "q": "2"},
         "dimension": 1, "max_degree": degree, "mode": "rational"})
+
+
+def exponential_spec(tmp_path, degree=41):
+    return write_spec(tmp_path / "expo.json", {
+        "measure": {"variant": "exponential"},
+        "dimension": 1, "max_degree": degree, "mode": "rational"})
+
+
+def count_recurrences(monkeypatch, *modules):
+    """Count recurrence_from_moments calls made through ``modules``."""
+    calls = []
+    for module in modules:
+        real = module.recurrence_from_moments
+        monkeypatch.setattr(module, "recurrence_from_moments",
+                            lambda seq, n, _real=real: calls.append(n) or _real(seq, n))
+    return calls
 
 
 def mixed_spec(tmp_path, degree=60):
@@ -51,6 +68,21 @@ def test_analyze_gaussian_determinate(tmp_path):
     assert car["sufficiency"] == "rigorous-sufficient"
     assert "input_sha256" in rep["provenance"]
     assert all("sufficiency" in c for c in rep["criteria"])
+
+
+def test_weyl_criterion_degree_matches_verdict(tmp_path):
+    """The weyl criterion and the verdict's weyl-radius item use one degree."""
+    for spec in (gaussian_spec(tmp_path), qlattice_spec(tmp_path),
+                 exponential_spec(tmp_path)):
+        out = tmp_path / "report.json"
+        rc = main(["analyze", "--input", spec, "--criteria", "verdict,weyl",
+                   "--out", str(out)])
+        assert rc == 0
+        rep = json.loads(out.read_text())
+        degrees = [e["degree"] for e in rep["verdict"]["evidence"]
+                   if e["criterion"].startswith("weyl-radius")]
+        assert degrees == [rep["criteria"][0]["degree"]]
+        assert degrees[0] == (rep["input_summary"]["max_degree"] - 2) // 2
 
 
 def test_analyze_qlattice_indeterminate(tmp_path):
@@ -156,6 +188,15 @@ def test_kappa_field_1d(tmp_path):
     assert all(r[3] == "weyl-disk-1d" for r in rows[1:])
 
 
+def test_kappa_field_factorizes_once(tmp_path, monkeypatch):
+    calls = count_recurrences(monkeypatch, cli, gaps)
+    out = tmp_path / "kappa.csv"
+    rc = main(["kappa", "--input", qlattice_spec(tmp_path, 22),
+               "--field=-1:1:3,1:2:2", "--out", str(out)])
+    assert rc == 0
+    assert calls == [11]
+
+
 def test_kappa_field_dirac_zero(tmp_path):
     spec = write_spec(tmp_path / "dirac.json", {
         "measure": {"variant": "atomic", "points": [["0"]], "weights": ["1"]},
@@ -187,6 +228,19 @@ def test_curve_gaussian_determinate(tmp_path):
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["verdict"]["status"] == "determinate"
+
+
+def test_curve_rejects_bad_mode_with_interchange_sigma(tmp_path):
+    # an interchange file carries its own mode, so --mode is checked alone
+    sigma = tmp_path / "sigma.json"
+    save_moment_sequence(sequence_from_1d([F(1), F(0), F(1), F(0), F(3)], R), str(sigma))
+    out = tmp_path / "curve.json"
+    rc = main(["curve", "--curve", "catalog:parabola", "--sigma", str(sigma),
+               "--mode", "decimal", "--degree", "2", "--out", str(out)])
+    assert rc == 2
+    rep = json.loads(out.read_text())
+    assert [e["error"] for e in rep["errors"]] == ["InvalidParameter"]
+    assert "decimal" in rep["errors"][0]["detail"]
 
 
 def test_missing_input_reports_error(tmp_path):

@@ -226,6 +226,19 @@ def test_parabola_transfers_qlattice_indeterminacy():
     assert any(e.criterion == "curve-bounded-evaluation" for e in v.evidence)
 
 
+def test_lift_factorizes_the_weighted_lift_once(monkeypatch):
+    from momentkit import curves, hamburger
+
+    calls = []
+    for module in (curves, hamburger):
+        real = module.recurrence_from_moments
+        monkeypatch.setattr(module, "recurrence_from_moments",
+                            lambda seq, n, _real=real: calls.append(n) or _real(seq, n))
+    cm = pushforward_to_curve(gauss(40), catalog("parabola"), 10)
+    lift_and_test(cm)
+    assert calls == [20]
+
+
 def test_parabola_transfers_gaussian_determinacy():
     cm = pushforward_to_curve(gauss(80), catalog("parabola"), 10)
     v = lift_and_test(cm)

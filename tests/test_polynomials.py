@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 from momentkit.polynomials import (
+    compositions,
     grlex_key,
+    monomial,
     mpoly_compose_univariates,
     mpoly_eval,
     mpoly_mul,
@@ -35,6 +37,22 @@ def test_multinomial_row_sums():
     for k in range(8):
         total = sum(multinomial(k, a) for a in multi_indices(3, k) if sum(a) == k)
         assert total == 3 ** k
+
+
+def test_compositions_are_the_exact_degree_slice():
+    for d in (1, 2, 3):
+        for k in range(6):
+            assert list(compositions(k, d)) == [a for a in multi_indices(d, k)
+                                                if sum(a) == k]
+
+
+def test_monomial():
+    point = (F(2, 3), F(-1, 2), F(5))
+    assert monomial(point, (0, 0, 0)) == 1
+    assert monomial(point, (2, 1, 0)) == F(4, 9) * F(-1, 2)
+    assert monomial(point, (1, 0, 3)) == F(2, 3) * 125
+    p = {(2, 1, 0): F(3), (0, 0, 1): F(-1), (0, 0, 0): F(7)}
+    assert mpoly_eval(p, point) == 3 * monomial(point, (2, 1, 0)) - 5 + 7
 
 
 def test_poly_mul_eval_consistency():

@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import momentkit
 from momentkit.errors import InvalidParameter, ModeMismatch
 from momentkit.scalars import (
     FloatMode,
@@ -10,8 +13,11 @@ from momentkit.scalars import (
     complex_scalar,
     default_float_bits,
     exact_fraction,
+    from_context,
     mode_from_string,
     mode_to_string,
+    to_context,
+    work_context,
 )
 
 
@@ -79,6 +85,39 @@ def test_rational_pi_brackets():
     mode = RationalMode()
     pi = mode.pi(128)
     assert F(314159, 100000) < pi < F(314160, 100000)
+
+
+def test_side_channel_precision_and_round_trip():
+    rational, flt = RationalMode(), FloatMode(80)
+    assert work_context(flt, 4096) is flt.ctx
+    ctx = work_context(rational, 128)
+    assert ctx.prec == 128 and work_context(rational).prec == 256
+    # a Fraction goes in as mpf(p)/mpf(q) and comes back exactly
+    third = to_context(ctx, F(1, 3))
+    assert third == ctx.mpf(1) / ctx.mpf(3)
+    assert from_context(rational, third) == exact_fraction(third)
+    assert abs(from_context(rational, third) - F(1, 3)) < F(1, 2**127)
+    # float constants are exact in either mode
+    assert from_context(rational, to_context(ctx, 0.1)) == F(0.1)
+    v = flt.convert(F(5, 7))
+    assert from_context(flt, to_context(flt.ctx, v)) is v
+    assert rational.pi() == from_context(rational, +work_context(rational, 256).pi)
+
+
+def test_only_scalars_imports_mpmath():
+    """scalars.py is the one side channel into binary floats."""
+    importers = []
+    for path in sorted(Path(momentkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "mpmath" or n.startswith("mpmath.") for n in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["scalars.py"]
 
 
 def test_exact_fraction_of_mpf():
