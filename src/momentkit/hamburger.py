@@ -18,14 +18,19 @@ parametrization depends on them):
   sqrt(beta_k)`` is the off-diagonal recurrence entry.
 * The Weyl disk at truncation n is the image of ``tau in R u {inf}`` under
   ``tau -> -(Q_{n+1} + tau sqrt(beta_{n+1}) Q_n) / (pi_{n+1} + tau
-  sqrt(beta_{n+1}) pi_n)`` evaluated at z.  For ``beta_{n+1} > 0`` the image
-  set equals the circle through the parameter values {0, 1, inf} of the
-  unscaled pencil, which is how it is computed (a three-point circumcircle,
-  exact in rational mode).  For ``beta_{n+1} = 0`` the pencil degenerates and
-  the disk is the single point ``-Q_{n+1}(z)/pi_{n+1}(z)``, the Cauchy
-  transform of the finitely atomic representing measure.  This convention is
-  pinned empirically by the atomic-degeneracy oracle and cross-checked
-  against the closed form ``radius_n(z) = rho_n(z) / (2 |Im z|)``.
+  sqrt(beta_{n+1}) pi_n)`` evaluated at z.  For ``beta_{n+1} > 0`` this
+  Moebius map has determinant ``Q_{n+1} pi_n - Q_n pi_{n+1} = ||pi_n||^2``
+  (the Casoratian identity), so with ``s = Im(pi_{n+1} conj pi_n)`` the disk
+  has radius ``||pi_n||^2 / (2 |s|)`` and its center is the image of the
+  mirror point of the pole; both are closed forms, exact in rational mode.
+  For ``beta_{n+1} = 0`` the pencil degenerates and the disk is the single
+  point ``-Q_{n+1}(z)/pi_{n+1}(z)``, the Cauchy transform of the finitely
+  atomic representing measure.
+* The Christoffel function at non-real z comes, in rational mode, from the
+  Christoffel-Darboux identity ``sum_{k<n} |pi_k(z)|^2 / ||pi_k||^2 =
+  Im(pi_n conj pi_{n-1}) / (Im z ||pi_{n-1}||^2)``.  Since ``s / Im z =
+  ||pi_n||^2 K_n(z, conj z)``, the Weyl radius equals ``rho_n(z) / (2 |Im
+  z|)``: at one point the two are one quantity, not independent evidence.
 
 Everything is exact in rational mode.  Quantities that are inherently
 irrational (Carleman roots, kappa values) are computed through binary floats
@@ -35,7 +40,7 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import (
@@ -55,6 +60,10 @@ from .verdicts import Evidence, Flavor, Leaning, Sufficiency, Verdict, synthesiz
 
 #: float-mode pivots within 2**(-prec + guard) of zero are undecidable
 FLOAT_PIVOT_GUARD_BITS = 12
+
+#: full-order evaluations a Recurrence keeps, newest last; a verdict visits
+#: three points (i, -1, 0), and a kappa field visits one point at a time
+ORTHO_MEMO_POINTS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +102,16 @@ class Recurrence:
     the number of atoms when the measure is finitely atomic.
     ``pivot_log`` records the elimination pivots ``sigma_{k,k} = ||pi_k||^2``
     as floats, for diagnostics of the (notoriously unstable) moment-to-
-    recurrence transform.
+    recurrence transform.  ``evals`` holds the forward passes of
+    ``ortho_eval`` at the last ``ORTHO_MEMO_POINTS`` points; it is not part
+    of the value.
     """
 
     mode: Mode
     alpha: tuple
     beta: tuple
     pivot_log: tuple = ()
+    evals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -265,23 +277,38 @@ class OrthoEval:
 
 
 def ortho_eval(rec: Recurrence, z: ComplexScalar, n: int | None = None) -> OrthoEval:
-    """Forward evaluation of pi_k and Q_k at z; total for any recurrence."""
+    """pi_k(z) and Q_k(z) for k <= n (default: the full order); total for any
+    recurrence.  Every level asked for at one point shares one full-order
+    forward pass, kept in ``rec.evals``."""
     top = rec.order if n is None else n
     if top > rec.order:
         raise DegreeInsufficient(f"recurrence order {rec.order} < requested {top}")
+    full = rec.evals.pop(z, None)
+    if full is None:
+        full = _forward_pass(rec, z)
+        if len(rec.evals) >= ORTHO_MEMO_POINTS:
+            del rec.evals[next(iter(rec.evals))]
+    rec.evals[z] = full
+    if top == rec.order:
+        return full
+    return OrthoEval(z, full.first[:top + 1], full.second[:top + 1],
+                     full.norm_sq[:top + 1])
+
+
+def _forward_pass(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     mode = rec.mode
     one, zero = mode.one(), mode.zero()
     first = [ComplexScalar(one, zero)]
     second = [ComplexScalar(zero, zero)]
-    if top >= 1:
+    if rec.order >= 1:
         first.append(z - ComplexScalar(rec.alpha[0], zero))
         second.append(ComplexScalar(rec.beta[0], zero))
-    for k in range(1, top):
+    for k in range(1, rec.order):
         zk = z - ComplexScalar(rec.alpha[k], zero)
         first.append(zk * first[k] - first[k - 1].scale(rec.beta[k]))
         second.append(zk * second[k] - second[k - 1].scale(rec.beta[k]))
     norms = [rec.beta[0]]
-    for k in range(1, top + 1):
+    for k in range(1, rec.order + 1):
         norms.append(norms[-1] * rec.beta[k])
     return OrthoEval(z, tuple(first), tuple(second), tuple(norms))
 
@@ -294,9 +321,16 @@ def christoffel(rec: Recurrence, z: ComplexScalar, n: int):
     """rho_n(z) = 1 / sum_{k<=n} |p_k(z)|^2, the minimum of L(|p|^2) over
     polynomials of degree <= n with p(z) = 1.
 
-    For a rank-degenerate (r-atomic) recurrence and n >= r the minimum is 0
-    off the atoms (a degree-r polynomial vanishes on all atoms while hitting
-    p(z) = 1) and the atom's weight at an atom.
+    In rational mode, for non-real z and n >= 1, the sum below n is the
+    Christoffel-Darboux closed form ``Im(pi_n conj pi_{n-1}) / (Im z
+    ||pi_{n-1}||^2)``, so only pi_{n-1} and pi_n are read.  At real z (where
+    the atoms are) and in float mode the sum is taken term by term: in
+    floats the closed form's difference cancels the leading bits the two
+    values share (about 57 of 100 on the q = 3 lattice at N = 40), while a
+    sum of positive terms keeps them.  For a rank-degenerate (r-atomic)
+    recurrence and n >= r the minimum is 0 off the atoms (a degree-r
+    polynomial vanishes on all atoms while hitting p(z) = 1) and the atom's
+    weight at an atom.
     """
     if n > rec.order and rec.rank > n:
         raise DegreeInsufficient(f"recurrence order {rec.order} < {n}")
@@ -307,7 +341,11 @@ def christoffel(rec: Recurrence, z: ComplexScalar, n: int):
             return rec.mode.zero()
         return 1 / ev.kernel_diagonal(r - 1)
     ev = ortho_eval(rec, z, n)
-    return 1 / ev.kernel_diagonal(n)
+    if z.im == 0 or n == 0 or isinstance(rec.mode, FloatMode):
+        return 1 / ev.kernel_diagonal(n)
+    p1, p0 = ev.first[n], ev.first[n - 1]
+    cross = p1.im * p0.re - p1.re * p0.im
+    return 1 / (cross / (z.im * ev.norm_sq[n - 1]) + ev.first_normalized_abs2(n))
 
 
 def christoffel_direct(seq: MomentSequence, z: ComplexScalar, n: int):
@@ -386,9 +424,12 @@ class WeylDisk:
 def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
     """Disk at truncation n (moment data through degree 2n+2).
 
-    Computed as the circumcircle of the pencil values at parameters
-    {0, 1, inf}; the closed form radius = rho_n(z)/(2 Im z) is asserted
-    against it in the test suite rather than trusted as the source of truth.
+    With P_1, P_0 = pi_{n+1}(z), pi_n(z), Q_1, Q_0 the second kind values
+    and s = Im(P_1 conj P_0), the pencil is a Moebius map of determinant
+    ||pi_n||^2 (Casoratian), so ``radius_sq = ||pi_n||^4 / (4 s^2)`` and the
+    center, the image of the pole's mirror point, is ``-(Q_1 conj P_0 -
+    Q_0 conj P_1) / (2 i s)``.  Christoffel-Darboux gives ``s / Im z > 0``;
+    a float pass that breaks that sign has lost its bits.
     """
     if z.im == 0:
         raise NonRealPointRequired("Weyl disks need Im z != 0")
@@ -403,23 +444,13 @@ def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
         # Cauchy transform of the unique (atomic) representing measure
         center = -(q_top / p_top)
         return WeylDisk(z, n, center, mode.zero(), mode, degenerate=True)
-    w0 = -(q_top / p_top)
-    w1 = -((q_top + q_low) / (p_top + p_low))
-    winf = -(q_low / p_low)
-    center = _circumcenter(mode, w0, w1, winf)
-    return WeylDisk(z, n, center, (w0 - center).abs2(), mode)
-
-
-def _circumcenter(mode: Mode, w0: ComplexScalar, w1: ComplexScalar,
-                  w2: ComplexScalar) -> ComplexScalar:
-    a1, b1 = 2 * (w1.re - w0.re), 2 * (w1.im - w0.im)
-    r1 = w1.abs2() - w0.abs2()
-    a2, b2 = 2 * (w2.re - w0.re), 2 * (w2.im - w0.im)
-    r2 = w2.abs2() - w0.abs2()
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        raise PrecisionExhausted("degenerate circumcircle; boundary points collinear")
-    return ComplexScalar((r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det)
+    s = p_top.im * p_low.re - p_top.re * p_low.im
+    if not s * z.im > 0:
+        raise PrecisionExhausted("Weyl disk: Im(pi_{n+1} conj pi_n) lost its sign")
+    num = q_top * p_low.conj() - q_low * p_top.conj()
+    center = ComplexScalar(-num.im / (2 * s), num.re / (2 * s))
+    norm = ev.norm_sq[n]
+    return WeylDisk(z, n, center, norm * norm / (4 * s * s), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +711,9 @@ def _christoffel_weyl_evidence(seq: MomentSequence, rec: Recurrence,
         out.append(Evidence("christoffel", top, rho_top,
                             Sufficiency.HEURISTIC, Leaning.NEUTRAL,
                             f"rho ratio {ratio:.6f} in the indecisive band"))
+    # radius = rho / (2 |Im z|), so this ratio is the rho ratio above
     disk = weyl_disk(rec, z, top)
-    disk_half = weyl_disk(rec, z, max(top // 2, 1))
+    disk_half = weyl_disk(rec, z, half)
     if disk_half.radius_sq > 0:
         rratio = mode.to_float(disk.radius_sq / disk_half.radius_sq) ** 0.5
         if rratio > cfg.weyl_plateau_ratio:

@@ -11,6 +11,12 @@ flat-extension condition, so on singular data such as ``(1, 0, 0, 0, 1)``
 it reports "positive_semidefinite" where the library rightly raises
 NotAdmissible.
 
+``weyl_disk_circumcircle`` builds the Weyl disk as the circle through the
+pencil values at the parameters {0, 1, inf}: three complex divisions and a
+circumcenter.  The library uses the closed forms of the Casoratian and
+Christoffel-Darboux identities instead; in rational mode both are exact, so
+they must agree with ``==``.
+
 ``maximize``/``minimize`` solve the primal grid LPs, ``max c.x`` subject to
 ``A x <= b`` with x free, by a dense two-phase simplex that splits each free
 variable into a difference of nonnegatives and adds one slack per
@@ -25,8 +31,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from momentkit.errors import LpInfeasible, LpUnbounded, PrecisionExhausted
-from momentkit.hamburger import HankelMatrix
-from momentkit.scalars import Mode, RationalMode
+from momentkit.hamburger import HankelMatrix, Recurrence, WeylDisk, ortho_eval
+from momentkit.scalars import ComplexScalar, Mode, RationalMode
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,39 @@ def admissibility_check(h: HankelMatrix) -> Admissibility:
                 for j in active:
                     a[i][j] = a[i][j] - ratio * prow[j]
     return Admissibility("positive_definite", n, tuple(pivots))
+
+
+# ---------------------------------------------------------------------------
+# Weyl disk through three pencil values
+
+
+def weyl_disk_circumcircle(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
+    """Disk at truncation n as the circumcircle of the pencil values at
+    parameters {0, 1, inf}; the caller ensures Im z != 0 and n < rec.order."""
+    mode = rec.mode
+    ev = ortho_eval(rec, z, n + 1)
+    p_top, p_low = ev.first[n + 1], ev.first[n]
+    q_top, q_low = ev.second[n + 1], ev.second[n]
+    if rec.beta[n + 1] == 0:
+        center = -(q_top / p_top)
+        return WeylDisk(z, n, center, mode.zero(), mode, degenerate=True)
+    w0 = -(q_top / p_top)
+    w1 = -((q_top + q_low) / (p_top + p_low))
+    winf = -(q_low / p_low)
+    center = _circumcenter(mode, w0, w1, winf)
+    return WeylDisk(z, n, center, (w0 - center).abs2(), mode)
+
+
+def _circumcenter(mode: Mode, w0: ComplexScalar, w1: ComplexScalar,
+                  w2: ComplexScalar) -> ComplexScalar:
+    a1, b1 = 2 * (w1.re - w0.re), 2 * (w1.im - w0.im)
+    r1 = w1.abs2() - w0.abs2()
+    a2, b2 = 2 * (w2.re - w0.re), 2 * (w2.im - w0.im)
+    r2 = w2.abs2() - w0.abs2()
+    det = a1 * b2 - a2 * b1
+    if det == 0:
+        raise PrecisionExhausted("degenerate circumcircle; boundary points collinear")
+    return ComplexScalar((r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det)
 
 
 # ---------------------------------------------------------------------------

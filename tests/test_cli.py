@@ -2,7 +2,7 @@ import csv
 import json
 from fractions import Fraction as F
 
-from momentkit import cli, gaps
+from momentkit import cli, gaps, hamburger
 from momentkit.cli import main
 from momentkit.moments import sequence_from_1d
 from momentkit.scalars import RationalMode
@@ -195,6 +195,22 @@ def test_kappa_field_factorizes_once(tmp_path, monkeypatch):
                "--field=-1:1:3,1:2:2", "--out", str(out)])
     assert rc == 0
     assert calls == [11]
+
+
+def test_analyze_runs_one_forward_pass_per_point(tmp_path, monkeypatch):
+    """The verdict and every 1D and cone criterion share one forward
+    recurrence pass at each point they visit (i, -1 and 0)."""
+    points = []
+    real = hamburger._forward_pass
+    monkeypatch.setattr(hamburger, "_forward_pass",
+                        lambda rec, z: points.append(z.to_complex()) or real(rec, z))
+    out = tmp_path / "report.json"
+    rc = main(["analyze", "--input", qlattice_spec(tmp_path, 40), "--criteria",
+               "verdict,admissibility,carleman,christoffel,weyl,fantappie,cosine,"
+               "poisson,orthant,hyperplane", "--out", str(out)])
+    assert rc == 0
+    assert not json.loads(out.read_text())["errors"]
+    assert sorted(points, key=lambda c: (c.real, c.imag)) == [-1, 0, 1j]
 
 
 def test_kappa_field_dirac_zero(tmp_path):

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from momentkit import hamburger
 from momentkit.errors import (
     DegreeInsufficient,
     NonpositiveEvenMoment,
@@ -34,7 +37,7 @@ from momentkit.moments import (
 )
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar
 from momentkit.verdicts import Flavor, Status, Sufficiency
-from oracles import admissibility_check
+from oracles import admissibility_check, weyl_disk_circumcircle
 
 R = RationalMode()
 
@@ -302,6 +305,68 @@ def test_disk_radius_monotone_and_closed_form():
         if prev is not None:
             assert disk.radius_sq <= prev
         prev = disk.radius_sq
+
+
+def test_float_disk_keeps_its_radius_at_low_precision():
+    # the three-point circumcircle cancelled catastrophically here (radius_sq
+    # 0.01345 instead of 0.10021) and the verdict lost its weyl plateau
+    fm = FloatMode(160)
+    radii = []
+    for mode in (fm, R):
+        rec = recurrence_from_moments(generate_moments(QLattice1D(2), 1, 48, mode), 24)
+        radii.append(mode.to_float(weyl_disk(rec, complex_scalar(mode, 0, 1), 23).radius_sq))
+    assert radii[0] == pytest.approx(radii[1], rel=1e-12)
+    v = verdict_1d(generate_moments(QLattice1D(2), 1, 48, fm))
+    assert any(e.criterion == "weyl-radius-plateau" for e in v.evidence)
+
+
+@st.composite
+def data_and_point(draw):
+    """Rational 1D data (atomic, possibly rank-degenerate, or a positive
+    definite catalog measure), a recurrence order and a non-real point."""
+    order = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["atomic", "gauss", "qlattice", "expo"]))
+    if kind == "atomic":
+        pts = draw(st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=6),
+                            min_size=1, max_size=9, unique=True))
+        wts = draw(st.lists(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+                            min_size=len(pts), max_size=len(pts)))
+        measure = Atomic(tuple((p,) for p in pts), tuple(wts))
+    elif kind == "gauss":
+        measure = GaussianProduct((draw(st.fractions(min_value=F(1, 4), max_value=4,
+                                                     max_denominator=4)),))
+    elif kind == "qlattice":
+        measure = QLattice1D(draw(st.sampled_from([F(3, 2), 2, 3])))
+    else:
+        measure = Exponential1D()
+    seq = generate_moments(measure, 1, 2 * order, R)
+    im = draw(st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool))
+    re = draw(st.fractions(min_value=-5, max_value=5, max_denominator=5))
+    return seq, order, ComplexScalar(re, im)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data_and_point())
+def test_closed_forms_match_oracles(case):
+    seq, order, z = case
+    rec = recurrence_from_moments(seq, order)
+    for n in range(rec.order):
+        assert weyl_disk(rec, z, n) == weyl_disk_circumcircle(rec, z, n)
+    for n in range(min(rec.order, rec.rank - 1) + 1):
+        rho = christoffel(rec, z, n)
+        assert rho == christoffel_direct(seq, z, n)
+        assert rho == 1 / ortho_eval(rec, z, n).kernel_diagonal(n)
+
+
+def test_ortho_memo_stays_bounded():
+    rec = recurrence_from_moments(gauss(20), 10)
+    for k in range(200):
+        ortho_eval(rec, complex_scalar(R, F(k, 7), 1), 5)
+    assert len(rec.evals) == hamburger.ORTHO_MEMO_POINTS
+    # the newest point is kept, and answers every level
+    z = complex_scalar(R, F(199, 7), 1)
+    assert ortho_eval(rec, z, 3).first == rec.evals[z].first[:4]
+    assert rec == recurrence_from_moments(gauss(20), 10)   # the memo is not part of the value
 
 
 def test_disk_requires_nonreal_point():
