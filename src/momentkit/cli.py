@@ -34,7 +34,7 @@ from .gaps import (
     poisson_kappa_estimate,
     sphere_average_kappa,
 )
-from .hamburger import Recurrence, VerdictConfig, recurrence_from_moments, verdict_1d
+from .hamburger import recurrence_from_moments, verdict_1d
 from .moments import (
     Atomic,
     Exponential1D,
@@ -54,6 +54,9 @@ from .verdicts import Flavor
 CRITERIA = ("admissibility", "carleman", "christoffel", "weyl", "fantappie",
             "cosine", "poisson", "orthant", "hyperplane", "scan")
 CONE_ONLY = {"fantappie", "hyperplane"}
+#: criteria read off a 1D sequence: the input itself, or the first-axis
+#: push-forward of a multivariate input
+ONE_D = {"admissibility", "carleman", "christoffel", "weyl", "fantappie", "cosine"}
 
 
 def main(argv=None) -> int:
@@ -202,15 +205,12 @@ def cmd_analyze(args) -> int:
     mode = seq.mode
     fmt = lambda v: format_value(mode, v)
 
-    verdict = rec = None
+    verdict = scan = None
     try:
         if seq.dimension == 1:
-            # one factorization serves the verdict and every 1D criterion
-            rec = recurrence_from_moments(seq, seq.max_degree // 2)
-            verdict = verdict_1d(seq, None, VerdictConfig(), rec)
+            verdict = verdict_1d(seq)
         elif "scan" in wanted or "verdict" in wanted:
-            directions = direction_set(seq.dimension, 2 * seq.dimension, mode)
-            scan = direction_scan(seq, directions)
+            scan = _scan(seq)
             verdict = scan["aggregate"]
     except NotAdmissible as exc:
         report["errors"].append({"error": "NotAdmissible", "detail": str(exc)})
@@ -220,11 +220,12 @@ def cmd_analyze(args) -> int:
     if verdict is not None:
         report["verdict"] = verdict.as_dict(lambda v: fmt(v))
 
+    s1 = _as_1d(seq) if ONE_D.intersection(wanted) else None
     for name in wanted:
         if name == "verdict":
             continue
         try:
-            report["criteria"].append(_run_criterion(name, seq, rec))
+            report["criteria"].append(_run_criterion(name, seq, s1, scan))
         except MomentKitError as exc:
             report["errors"].append({"criterion": name, "error": type(exc).__name__,
                                      "detail": str(exc)})
@@ -232,10 +233,11 @@ def cmd_analyze(args) -> int:
     return 0 if not report["errors"] else 2
 
 
-def _run_criterion(name: str, seq: MomentSequence,
-                   rec: Recurrence | None = None) -> dict:
-    """One criterion entry of an analyze report; ``rec``, if given, is the
-    recurrence of the 1D ``seq`` at order ``seq.max_degree // 2``."""
+def _run_criterion(name: str, seq: MomentSequence, s1: MomentSequence | None,
+                   scan: dict | None) -> dict:
+    """One criterion entry of an analyze report.  ``s1`` is the 1D sequence
+    of the ``ONE_D`` criteria and ``scan`` the direction scan the verdict
+    already ran, if any."""
     from .hamburger import carleman, christoffel, weyl_disk
     from .scalars import complex_scalar
 
@@ -244,14 +246,13 @@ def _run_criterion(name: str, seq: MomentSequence,
     out: dict[str, Any] = {"name": name}
     if name == "admissibility":
         # the recurrence raises NotAdmissible for data no measure has
-        n = seq.max_degree // 2
-        rec = rec or recurrence_from_moments(_as_1d(seq), n)
+        n = s1.max_degree // 2
+        rec = recurrence_from_moments(s1, n)
         out.update(classification=("positive_definite" if rec.rank > n
                                    else "positive_semidefinite"),
                    rank=rec.rank, sufficiency="necessary-only")
         return out
     if name == "carleman":
-        s1 = _as_1d(seq)
         flavor = (Flavor.STIELTJES if isinstance(s1.support, NonnegativeOrthant)
                   else Flavor.HAMBURGER)
         res = carleman(s1, flavor, max(s1.max_degree // 2, 1))
@@ -261,8 +262,7 @@ def _run_criterion(name: str, seq: MomentSequence,
                                 s1.is_certified_carleman() else "limit-rigorous-numeric"))
         return out
     if name in ("christoffel", "weyl"):
-        s1 = _as_1d(seq)
-        rec = rec or recurrence_from_moments(s1, s1.max_degree // 2)
+        rec = recurrence_from_moments(s1, s1.max_degree // 2)
         z = complex_scalar(mode, 0, 1)
         top = min(rec.order - 1, rec.rank - 1)
         if name == "christoffel":
@@ -278,7 +278,6 @@ def _run_criterion(name: str, seq: MomentSequence,
                        sufficiency="limit-rigorous-numeric")
         return out
     if name == "fantappie":
-        s1 = _as_1d(seq)
         env = geometric_envelope(s1, min(4, s1.max_degree // 2))
         est = GapEstimate.from_envelope(env, s1)
         out.update(envelope_gap=fmt(env.gap_functional), order=env.order,
@@ -286,14 +285,13 @@ def _run_criterion(name: str, seq: MomentSequence,
                    certified=True, sufficiency="necessary-only")
         return out
     if name == "cosine":
-        s1 = _as_1d(seq)
         env = cosine_envelope(s1, min(4, s1.max_degree // 2))
         out.update(envelope_gap=fmt(env.gap_functional), order=env.order,
                    certified=True, sufficiency="necessary-only")
         return out
     if name == "poisson":
         if seq.dimension == 1:
-            k = poisson_kappa_1d(seq, 0, 1, max((seq.max_degree - 2) // 2, 1), rec)
+            k = poisson_kappa_1d(seq, 0, 1, max((seq.max_degree - 2) // 2, 1))
             out.update(kappa=fmt(k), point=[0.0, 1.0], exact=True,
                        sufficiency="limit-rigorous-numeric")
         else:
@@ -322,8 +320,7 @@ def _run_criterion(name: str, seq: MomentSequence,
                    sufficiency="heuristic")
         return out
     if name == "scan":
-        directions = direction_set(seq.dimension, 2 * seq.dimension, mode)
-        scan = direction_scan(seq, directions)
+        scan = scan or _scan(seq)
         out.update(aggregate=scan["aggregate"].as_dict(lambda v: fmt(v)),
                    rows=[{"direction": [mode.to_float(c) for c in r["direction"]],
                           "status": r["verdict"].status.value}
@@ -331,6 +328,10 @@ def _run_criterion(name: str, seq: MomentSequence,
                    basis_covered=scan["basis_covered"])
         return out
     raise MomentKitError(f"criterion {name} not implemented")
+
+
+def _scan(seq: MomentSequence) -> dict:
+    return direction_scan(seq, direction_set(seq.dimension, 2 * seq.dimension, seq.mode))
 
 
 def _as_1d(seq: MomentSequence) -> MomentSequence:
@@ -391,21 +392,22 @@ def cmd_kappa(args) -> int:
     rows = []
     max_level = max((seq.max_degree - 2) // 2, 1)
     # the exact 1D values come from seq itself, or from its first-axis
-    # push-forward as the crosscheck of a multivariate field; one recurrence
-    # at the order poisson_kappa_1d would pick serves every field point
+    # push-forward as the crosscheck of a multivariate field; factorizing it
+    # up front reports inadmissible input before any field point, and every
+    # point then reuses this factorization
     s1 = _as_1d(seq)
-    rec = recurrence_from_moments(s1, s1.max_degree // 2)
+    recurrence_from_moments(s1, s1.max_degree // 2)
     for t in ts:
         for x in xs:
             xq = Fraction(x).limit_denominator(10 ** 6)
             tq = Fraction(t).limit_denominator(10 ** 6)
             if seq.dimension == 1:
-                k = poisson_kappa_1d(seq, xq, tq, max_level, rec)
+                k = poisson_kappa_1d(seq, xq, tq, max_level)
                 rows.append([x, t, mode.to_float(k), "weyl-disk-1d", True, ""])
             else:
                 est = poisson_kappa_estimate(seq, (xq,) * seq.dimension, tq,
                                              args.lp_degree)
-                k1 = poisson_kappa_1d(s1, xq, tq, max_level, rec)
+                k1 = poisson_kappa_1d(s1, xq, tq, max_level)
                 rows.append([x, t, mode.to_float(est.gap), "grid-lp", False,
                              repr(mode.to_float(k1))])
     with open(args.out, "w", newline="") as fh:
@@ -461,7 +463,7 @@ def cmd_curve(args) -> int:
                 f"lift degree {sigma.max_degree} below required {need}"
             )
     cm = pushforward_to_curve(sigma, curve, args.degree)
-    verdict = lift_and_test(cm, VerdictConfig(), args.weight_exponent)
+    verdict = lift_and_test(cm, args.weight_exponent)
     fmt = lambda v: format_value(sigma.mode, v)
     report = {
         "schema_version": "1",

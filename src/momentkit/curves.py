@@ -35,13 +35,7 @@ from .errors import (
     InvalidParameter,
     UnknownCurve,
 )
-from .hamburger import (
-    Recurrence,
-    VerdictConfig,
-    christoffel,
-    recurrence_from_moments,
-    verdict_1d,
-)
+from .hamburger import Recurrence, christoffel, recurrence_from_moments, verdict_1d
 from .moments import (
     CurveSupport,
     MomentSequence,
@@ -320,15 +314,13 @@ def projection_bridge(sigma: MomentSequence, max_degree: int) -> MomentSequence:
                                   sigma.is_certified_carleman()})
 
 
-def lift_and_test(cm: CurveMeasure, config: VerdictConfig | None = None,
-                  weight_exponent: int = 2,
-                  evaluation_parameter: ComplexScalar | None = None) -> Verdict:
+def lift_and_test(cm: CurveMeasure, weight_exponent: int = 2) -> Verdict:
     """Curve indeterminateness through the weighted lift.
 
     Multiplies the lift by weight**weight_exponent (squares keep positivity;
     the exponent is exposed because deeper descent steps may want 4), runs
     the one-variable verdict on the weighted lift, and reports the
-    Christoffel value at a non-real parameter as the bounded-evaluation
+    Christoffel value at the parameter i as the bounded-evaluation
     witness: an indeterminate weighted lift admits bounded point evaluations
     off the real line, and those bounds transfer through the parametrization
     to the complexified curve.
@@ -340,7 +332,6 @@ def lift_and_test(cm: CurveMeasure, config: VerdictConfig | None = None,
     """
     if weight_exponent % 2 != 0 or weight_exponent < 2:
         raise InvalidParameter("weight exponent must be a positive even integer")
-    cfg = config or VerdictConfig()
     sigma = cm.lifted_1d
     mode = sigma.mode
     curve = cm.curve
@@ -358,10 +349,10 @@ def lift_and_test(cm: CurveMeasure, config: VerdictConfig | None = None,
                       Leaning.DETERMINATE,
                       "all lift mass is atomic on the ramification set")
         return Verdict(Status.DETERMINATE, Flavor.HAMBURGER, (ev,))
-    # one factorization serves the verdict and the evaluation witness
+    verdict = verdict_1d(weighted)
+    # the verdict's factorization also serves the evaluation witness
     rec = recurrence_from_moments(weighted, weighted.max_degree // 2)
-    verdict = verdict_1d(weighted, None, cfg, rec)
-    alpha = evaluation_parameter or complex_scalar(mode, 0, 1)
+    alpha = complex_scalar(mode, 0, 1)
     extra = []
     try:
         top = min(rec.order, rec.rank - 1)

@@ -26,7 +26,7 @@ from .errors import (
     WrongSupport,
 )
 from .moments import MomentSequence, NonnegativeOrthant
-from .polynomials import poly_eval, poly_sub, poly_trim
+from .polynomials import poly_trim
 
 
 @dataclass(frozen=True)
@@ -43,21 +43,6 @@ class PolynomialEnvelope:
     domain: str
     order: int
     gap_functional: Any
-
-    def gap_polynomial(self) -> tuple:
-        return poly_sub(self.upper, self.lower)
-
-    def check_on_points(self, phi: Callable[[Any], Any], points: Sequence,
-                        slack=0) -> bool:
-        """Spot-check lower <= phi <= upper on sample points (with an additive
-        slack for float-evaluated phi)."""
-        for t in points:
-            v = phi(t)
-            if poly_eval(self.lower, t) > v + slack:
-                return False
-            if poly_eval(self.upper, t) < v - slack:
-                return False
-        return True
 
 
 def cosine_envelope(seq_1d: MomentSequence, order: int,

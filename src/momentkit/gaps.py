@@ -35,7 +35,7 @@ from .errors import (
     NotInteriorDirection,
     WrongSupport,
 )
-from .hamburger import Recurrence, VerdictConfig, recurrence_from_moments, verdict_1d, weyl_disk
+from .hamburger import recurrence_from_moments, verdict_1d, weyl_disk
 from .moments import (
     MomentSequence,
     NonnegativeOrthant,
@@ -298,8 +298,7 @@ def _grid_measure_bounds(mode: Mode, grid: Sequence, monomials: Sequence,
 # Poisson gaps
 
 
-def poisson_kappa_1d(seq_1d: MomentSequence, x0, t0, n: int,
-                     rec: Recurrence | None = None):
+def poisson_kappa_1d(seq_1d: MomentSequence, x0, t0, n: int):
     """Exact 1D Poisson gap at truncation n.
 
     The Poisson values of measures matching the truncated moments fill an
@@ -312,8 +311,7 @@ def poisson_kappa_1d(seq_1d: MomentSequence, x0, t0, n: int,
     t0v = mode.convert(t0)
     if not t0v > 0:
         raise InvalidParameter("t0 must be positive")
-    if rec is None:
-        rec = recurrence_from_moments(seq_1d, min(n + 1, seq_1d.max_degree // 2))
+    rec = recurrence_from_moments(seq_1d, seq_1d.max_degree // 2)
     if rec.rank <= n:
         n = rec.rank - 1
     z = ComplexScalar(mode.convert(x0), t0v)
@@ -351,15 +349,12 @@ def sphere_average_kappa(seq: MomentSequence, x0: Sequence, t0, radius,
     total, wsum = 0.0, 0.0
     x0v = [mode.to_float(mode.convert(c)) for c in x0]
     t0f, rf = mode.to_float(t0v), mode.to_float(rv)
-    rec = None
-    if seq.dimension == 1:
-        rec = recurrence_from_moments(seq, min(degree + 1, seq.max_degree // 2))
     for node, w in zip(nodes, weights):
         x = [x0v[i] + rf * node[i] for i in range(seq.dimension)]
         t = t0f + rf * node[-1]
         if seq.dimension == 1:
             k = mode.to_float(poisson_kappa_1d(seq, _approx_in_mode(mode, x[0]),
-                                               _approx_in_mode(mode, t), degree, rec))
+                                               _approx_in_mode(mode, t), degree))
         else:
             est = poisson_kappa_estimate(seq, [_approx_in_mode(mode, c) for c in x],
                                          _approx_in_mode(mode, t), degree, grid)
@@ -495,8 +490,7 @@ def _validate_orthant_h(mode, h: tuple, grid) -> None:
 
 
 def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
-                   grid: Sequence | None = None,
-                   interior_tolerance=0) -> dict:
+                   grid: Sequence | None = None) -> dict:
     """Grid LPs for the two normalized-on-a-hyperplane minimization problems:
 
         minimize L(r) over r = +-(1 - (a.x + 1) p(x)),  r >= 0 on the grid.
@@ -511,7 +505,7 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
     if not support_is_cone(seq.support):
         raise WrongSupport("hyperplane gaps need cone-supported sequences")
     av = [mode.convert(c) for c in a]
-    if not dual_interior_contains(seq.support, av, interior_tolerance):
+    if not dual_interior_contains(seq.support, av):
         raise NotInteriorDirection("a must be strictly interior to the dual cone")
     if degree > seq.max_degree:
         raise DegreeInsufficient("degree exceeds the truncation")
@@ -592,10 +586,7 @@ def direction_set(dimension: int, count: int, mode: Mode) -> list:
     return out
 
 
-def direction_scan(seq: MomentSequence, directions: Sequence,
-                   config: VerdictConfig | None = None,
-                   flavor: Flavor | None = None,
-                   interior_tolerance=0) -> dict:
+def direction_scan(seq: MomentSequence, directions: Sequence) -> dict:
     """verdict_1d on every push-forward, plus the aggregation rule:
 
     * a full basis of DETERMINATE directions makes the aggregate DETERMINATE
@@ -604,14 +595,15 @@ def direction_scan(seq: MomentSequence, directions: Sequence,
     * any INDETERMINATE direction contributes indeterminate evidence to the
       aggregate (numeric-flagged);
     * anything else is INCONCLUSIVE.
+
+    Each push-forward gets its own flavor (Stieltjes for directions interior
+    to the dual of a cone support); the aggregate is a Hamburger verdict.
     """
     if not directions:
         raise InvalidDirection("no directions supplied")
-    cfg = config or VerdictConfig()
     rows = []
     for xi in directions:
-        pf = pushforward_direction(seq, xi, interior_tolerance=interior_tolerance)
-        v = verdict_1d(pf, flavor, cfg)
+        v = verdict_1d(pushforward_direction(seq, xi))
         rows.append({"direction": tuple(seq.mode.convert(c) for c in xi), "verdict": v})
     det_dirs = [r["direction"] for r in rows if r["verdict"].status is Status.DETERMINATE]
     has_basis = _contains_basis(seq.mode, det_dirs, seq.dimension)
@@ -623,14 +615,13 @@ def direction_scan(seq: MomentSequence, directions: Sequence,
                 criterion=f"direction{tuple(seq.mode.to_float(c) for c in r['direction'])}:{e.criterion}",
                 degree=e.degree, value=e.value, sufficiency=e.sufficiency,
                 leaning=e.leaning, detail=e.detail))
-    agg_flavor = flavor or Flavor.HAMBURGER
     if has_basis and not any_indet:
-        aggregate = Verdict(Status.DETERMINATE, agg_flavor, tuple(evidence))
+        aggregate = Verdict(Status.DETERMINATE, Flavor.HAMBURGER, tuple(evidence))
     elif any_indet:
-        aggregate = Verdict(Status.INDETERMINATE, agg_flavor, tuple(evidence),
+        aggregate = Verdict(Status.INDETERMINATE, Flavor.HAMBURGER, tuple(evidence),
                             numeric_flagged=True)
     else:
-        aggregate = Verdict(Status.INCONCLUSIVE, agg_flavor, tuple(evidence))
+        aggregate = Verdict(Status.INCONCLUSIVE, Flavor.HAMBURGER, tuple(evidence))
     return {"rows": rows, "aggregate": aggregate, "basis_covered": has_basis}
 
 

@@ -1,7 +1,7 @@
 """The one-variable engine every multivariate criterion reduces to.
 
-From a 1D moment sequence this module builds Hankel matrices, the monic
-three-term recurrence, first and second kind orthogonal polynomial values,
+From a 1D moment sequence this module builds the monic three-term
+recurrence, first and second kind orthogonal polynomial values,
 Christoffel functions, Weyl disks of truncated Cauchy-transform values,
 Carleman sums, Stieltjes continued-fraction convergents, and a synthesized
 verdict.
@@ -65,27 +65,19 @@ FLOAT_PIVOT_GUARD_BITS = 12
 #: three points (i, -1, 0), and a kappa field visits one point at a time
 ORTHO_MEMO_POINTS = 4
 
+# Verdict thresholds.  Christoffel values and Weyl disks are read at z = i,
+# the Stieltjes convergents at z = STIELTJES_POINT.
 
-# ---------------------------------------------------------------------------
-# Hankel matrices
-
-
-@dataclass(frozen=True)
-class HankelMatrix:
-    """H[i][j] = m_{i+j} for 0 <= i, j <= order."""
-
-    order: int
-    rows: tuple
-    mode: Mode
-
-
-def hankel(seq: MomentSequence, n: int, shift: int = 0) -> HankelMatrix:
-    """Hankel matrix of order n (size n+1), optionally on shifted moments."""
-    if 2 * n + shift > seq.max_degree:
-        raise DegreeInsufficient(f"Hankel order {n} needs degree {2 * n + shift}")
-    m = seq.moments_1d()
-    rows = tuple(tuple(m[i + j + shift] for j in range(n + 1)) for i in range(n + 1))
-    return HankelMatrix(n, rows, seq.mode)
+#: a diverging Carleman slope has every last-quarter term t_k clear c/k
+CARLEMAN_SLOPE = 0.2
+#: rho_top(i)/rho_half(i) above this is a plateau (indeterminate side); the
+#: Weyl radius ratio is the same quantity (radius = rho / (2 |Im z|))
+PLATEAU_RATIO = 0.9
+#: ratios below this decay; determinate catalog references reach it by degree 40
+DECAY_RATIO = 0.7
+#: width_top/width_low of the Stieltjes bracket above this is a plateau
+WIDTH_PLATEAU_RATIO = 0.5
+STIELTJES_POINT = -1
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +126,11 @@ def _relative_eps(mode: Mode):
 def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     """Moment-to-recurrence transform, O(n^2) on sigma_{k,l} = L(pi_k x^l).
 
+    The result is kept on the sequence (``seq.recurrences``, one per order),
+    so every criterion that asks for the same order shares one
+    factorization.  Criteria ask for order ``seq.max_degree // 2``, whose
+    coefficients contain every lower order as an exact prefix.
+
     The pivots ``sigma_{k,k} = ||pi_k||^2`` are the LDL^T pivots of the
     Hankel matrix H_n, so this one pass also decides positivity on squares:
     a negative pivot raises NotAdmissible.  A vanishing pivot confines any
@@ -150,6 +147,13 @@ def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     is neither clearly signed nor part of a vanished row raises
     PrecisionExhausted rather than returning garbage.
     """
+    rec = seq.recurrences.get(n)
+    if rec is None:
+        rec = seq.recurrences[n] = _factorize(seq, n)
+    return rec
+
+
+def _factorize(seq: MomentSequence, n: int) -> Recurrence:
     if n < 1:
         raise InvalidParameter("recurrence order must be at least 1")
     if 2 * n > seq.max_degree:
@@ -208,44 +212,6 @@ def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
         sig_prev2, sig_prev = sig_prev, sig
         noi_prev2, noi_prev = noi_prev, noi
     return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
-
-
-def reconstruct_moments(rec: Recurrence, upto: int) -> list:
-    """Rebuild m_0..m_upto from the recurrence, exactly for upto <= 2*order.
-
-    Expand x^l in the monic orthogonal basis (exact: the expansion of x^l
-    needs pi_0..pi_l only, so no truncation error for l <= order), then read
-    off m_{a+b} = sum_j c^a_j c^b_j ||pi_j||^2.
-    """
-    K = rec.order
-    if upto > 2 * K:
-        raise DegreeInsufficient(f"order {K} reconstructs at most degree {2 * K}")
-    mode = rec.mode
-    vecs = [[mode.one()]]
-    for l in range(min(upto, K)):
-        cur = vecs[-1]
-        nxt = [mode.zero()] * (l + 2)
-        for j, c in enumerate(cur):
-            if not c:
-                continue
-            nxt[j + 1] = nxt[j + 1] + c
-            nxt[j] = nxt[j] + rec.alpha[j] * c
-            if j >= 1:
-                nxt[j - 1] = nxt[j - 1] + rec.beta[j] * c
-        vecs.append(nxt)
-    norm_sq = [rec.beta[0]]
-    for k in range(1, K + 1):
-        norm_sq.append(norm_sq[-1] * rec.beta[k])
-    out = []
-    for l in range(upto + 1):
-        a = min(l, K)
-        b = l - a
-        va, vb = vecs[a], vecs[b]
-        total = mode.zero()
-        for j in range(min(len(va), len(vb))):
-            total = total + va[j] * vb[j] * norm_sq[j]
-        out.append(total)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -348,48 +314,6 @@ def christoffel(rec: Recurrence, z: ComplexScalar, n: int):
     return 1 / (cross / (z.im * ev.norm_sq[n - 1]) + ev.first_normalized_abs2(n))
 
 
-def christoffel_direct(seq: MomentSequence, z: ComplexScalar, n: int):
-    """Independent oracle: rho_n(z) = 1 / (v* H_n^{-1} v) with
-    v = (1, z, ..., z^n), solved by complex-rational Gaussian elimination.
-    Deliberately shares no code with the recurrence path."""
-    h = hankel(seq, n)
-    mode = seq.mode
-    size = n + 1
-    one, zero = mode.one(), mode.zero()
-    a = [[ComplexScalar(h.rows[i][j], zero) for j in range(size)] for i in range(size)]
-    v = [ComplexScalar(one, zero)]
-    for _ in range(n):
-        v.append(v[-1] * z)
-    rhs = [x.conj() for x in v]
-    # solve H y = conj(v)
-    for col in range(size):
-        piv_row = None
-        for r in range(col, size):
-            if a[r][col].abs2() != 0:
-                piv_row = r
-                break
-        if piv_row is None:
-            raise NotPositiveDefinite("Hankel matrix is singular")
-        a[col], a[piv_row] = a[piv_row], a[col]
-        rhs[col], rhs[piv_row] = rhs[piv_row], rhs[col]
-        piv = a[col][col]
-        for r in range(col + 1, size):
-            f = a[r][col] / piv
-            for c in range(col, size):
-                a[r][c] = a[r][c] - f * a[col][c]
-            rhs[r] = rhs[r] - f * rhs[col]
-    y = [ComplexScalar(zero, zero)] * size
-    for r in range(size - 1, -1, -1):
-        acc = rhs[r]
-        for c in range(r + 1, size):
-            acc = acc - a[r][c] * y[c]
-        y[r] = acc / a[r][r]
-    kernel = ComplexScalar(zero, zero)
-    for vi, yi in zip(v, y):
-        kernel = kernel + vi * yi
-    return 1 / kernel.re
-
-
 # ---------------------------------------------------------------------------
 # Weyl disks
 
@@ -463,17 +387,15 @@ class CarlemanResult:
     diverging: bool            # heuristic slope test; see ``carleman``
     horizon: int
     flavor: Flavor
-    slope_constant: float
     terms_tail: tuple = ()     # last-quarter terms, for evidence records
 
 
-def carleman(seq: MomentSequence, flavor: Flavor, horizon: int,
-             slope_constant: float = 0.2) -> CarlemanResult:
+def carleman(seq: MomentSequence, flavor: Flavor, horizon: int) -> CarlemanResult:
     """Partial Carleman sum and a divergence heuristic.
 
     Hamburger: sum_{k=1..K} m_{2k}^(-1/(2k)); Stieltjes: sum m_k^(-1/(2k)).
     ``diverging`` fires when every last-quarter term satisfies
-    ``t_k * k >= slope_constant``: such terms dominate a multiple of the
+    ``t_k * k >= CARLEMAN_SLOPE``: such terms dominate a multiple of the
     harmonic series.  The flag alone is a heuristic; paired with a certified
     growth bound on the sequence it becomes rigorous (sum of c/k diverges).
     Terms are evaluated in binary floats (``scalars.work_context``: the
@@ -498,14 +420,13 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int,
     total = sum(terms, ctx.mpf(0))
     tail_start = (3 * K) // 4
     tail = terms[tail_start:]
-    c = ctx.mpf(slope_constant)
+    c = ctx.mpf(CARLEMAN_SLOPE)
     diverging = all(t * (tail_start + 1 + i) >= c for i, t in enumerate(tail))
     return CarlemanResult(
         partial_sum=from_context(seq.mode, total),
         diverging=diverging,
         horizon=K,
         flavor=flavor,
-        slope_constant=slope_constant,
         terms_tail=tuple(float(t) for t in tail[:8]),
     )
 
@@ -526,8 +447,7 @@ class ConvergentPair:
     interval_width: Any
 
 
-def stieltjes_convergents(seq: MomentSequence, z, n: int,
-                          rec: Recurrence | None = None) -> ConvergentPair:
+def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     """Even and odd convergents at level n.
 
     The even convergent is the plain n-level quadrature value of the
@@ -544,8 +464,7 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int,
     zv = mode.convert(z)
     if not zv < 0:
         raise InvalidParameter("evaluation point must be a negative real")
-    if rec is None:
-        rec = recurrence_from_moments(seq, n + 1 if 2 * (n + 1) <= seq.max_degree else n)
+    rec = recurrence_from_moments(seq, seq.max_degree // 2)
     if rec.rank <= n:
         # finitely atomic: both convergents equal the exact transform
         zc = complex_scalar(mode, zv)
@@ -596,43 +515,17 @@ def _assert_stieltjes_positive(seq: MomentSequence, rec: Recurrence, n: int) -> 
 # verdict synthesis
 
 
-@dataclass(frozen=True)
-class VerdictConfig:
-    """Thresholds for the 1D verdict; defaults are the documented tunables.
-
-    ``carleman_slope_constant``: last-quarter terms must clear c/k.
-    ``christoffel_plateau_ratio``: rho_top/rho_(top/2) above this is a
-    plateau (indeterminate-side, limit-rigorous); determinate references in
-    the catalog show ratios below ``christoffel_decay_ratio`` by degree 40.
-    ``assume_carleman_tail``: caller-supplied assertion that upgrades a
-    firing Carleman slope test to a rigorous certificate even without
-    generator metadata.
-    """
-
-    carleman_horizon: int | None = None
-    carleman_slope_constant: float = 0.2
-    christoffel_plateau_ratio: float = 0.9
-    christoffel_decay_ratio: float = 0.7
-    weyl_plateau_ratio: float = 0.9
-    width_plateau_ratio: float = 0.5
-    assume_carleman_tail: bool = False
-    eval_point_im: int = 1          # criteria evaluate at z = i * eval_point_im
-    stieltjes_point: int = -1
-
-
-def verdict_1d(seq: MomentSequence, flavor: Flavor | None = None,
-               config: VerdictConfig | None = None,
-               rec: Recurrence | None = None) -> Verdict:
+def verdict_1d(seq: MomentSequence, flavor: Flavor | None = None) -> Verdict:
     """Run the 1D criterion battery and synthesize a verdict.
 
     Component failures beyond admissibility itself become neutral evidence
     items instead of aborting the run; input without a representing measure
-    raises NotAdmissible (see ``recurrence_from_moments``).  ``rec``, if
-    given, must be the recurrence of seq at order ``seq.max_degree // 2``.
+    raises NotAdmissible (see ``recurrence_from_moments``).  A diverging
+    Carleman slope is rigorous only on a sequence whose meta carries
+    ``carleman_growth_certified``.
     """
     if seq.dimension != 1:
         raise InvalidParameter("verdict_1d needs a 1D sequence")
-    cfg = config or VerdictConfig()
     if flavor is None:
         flavor = (Flavor.STIELTJES if isinstance(seq.support, NonnegativeOrthant)
                   else Flavor.HAMBURGER)
@@ -641,8 +534,7 @@ def verdict_1d(seq: MomentSequence, flavor: Flavor | None = None,
     evidence: list[Evidence] = []
 
     n_max = N // 2
-    if rec is None:
-        rec = recurrence_from_moments(seq, n_max)
+    rec = recurrence_from_moments(seq, n_max)
     if rec.rank <= n_max:
         # finite rank r with a flat extension: the measure is r-atomic,
         # hence determinate
@@ -656,11 +548,11 @@ def verdict_1d(seq: MomentSequence, flavor: Flavor | None = None,
                                  Sufficiency.NECESSARY_ONLY, Leaning.NEUTRAL,
                                  "positive definite"))
 
-        horizon = cfg.carleman_horizon or max(N // 2, 1)
+        horizon = max(N // 2, 1)
         try:
-            car = carleman(seq, flavor, horizon, cfg.carleman_slope_constant)
+            car = carleman(seq, flavor, horizon)
             if car.diverging:
-                certified = seq.is_certified_carleman() or cfg.assume_carleman_tail
+                certified = seq.is_certified_carleman()
                 suff = (Sufficiency.RIGOROUS_SUFFICIENT if certified
                         else Sufficiency.LIMIT_RIGOROUS_NUMERIC)
                 detail = ("divergence slope test fired"
@@ -678,35 +570,34 @@ def verdict_1d(seq: MomentSequence, flavor: Flavor | None = None,
                                      Sufficiency.HEURISTIC, Leaning.NEUTRAL,
                                      f"skipped: {exc}"))
 
-        evidence.extend(_christoffel_weyl_evidence(seq, rec, flavor, cfg))
+        evidence.extend(_christoffel_weyl_evidence(rec))
 
         if flavor is Flavor.STIELTJES:
-            evidence.extend(_convergent_evidence(seq, rec, cfg))
+            evidence.extend(_convergent_evidence(seq, rec))
 
     return synthesize(flavor, evidence)
 
 
-def _christoffel_weyl_evidence(seq: MomentSequence, rec: Recurrence,
-                               flavor: Flavor, cfg: VerdictConfig) -> list:
-    mode = seq.mode
+def _christoffel_weyl_evidence(rec: Recurrence) -> list:
+    mode = rec.mode
     out: list[Evidence] = []
     top = min(rec.order - 1, rec.rank - 1)
     half = top // 2
     if half < 1:
         return out
-    z = complex_scalar(mode, 0, cfg.eval_point_im)
+    z = complex_scalar(mode, 0, 1)
     rho_top = christoffel(rec, z, top)
     rho_half = christoffel(rec, z, half)
     ratio = mode.to_float(rho_top / rho_half)
-    if ratio > cfg.christoffel_plateau_ratio:
+    if ratio > PLATEAU_RATIO:
         out.append(Evidence("christoffel-plateau", top, rho_top,
                             Sufficiency.LIMIT_RIGOROUS_NUMERIC, Leaning.INDETERMINATE,
                             f"rho_{top}(i)/rho_{half}(i) = {ratio:.6f} "
-                            f"> {cfg.christoffel_plateau_ratio}"))
-    elif ratio < cfg.christoffel_decay_ratio:
+                            f"> {PLATEAU_RATIO}"))
+    elif ratio < DECAY_RATIO:
         out.append(Evidence("christoffel-decay", top, rho_top,
                             Sufficiency.HEURISTIC, Leaning.DETERMINATE,
-                            f"rho ratio {ratio:.6f} < {cfg.christoffel_decay_ratio}"))
+                            f"rho ratio {ratio:.6f} < {DECAY_RATIO}"))
     else:
         out.append(Evidence("christoffel", top, rho_top,
                             Sufficiency.HEURISTIC, Leaning.NEUTRAL,
@@ -716,14 +607,14 @@ def _christoffel_weyl_evidence(seq: MomentSequence, rec: Recurrence,
     disk_half = weyl_disk(rec, z, half)
     if disk_half.radius_sq > 0:
         rratio = mode.to_float(disk.radius_sq / disk_half.radius_sq) ** 0.5
-        if rratio > cfg.weyl_plateau_ratio:
+        if rratio > PLATEAU_RATIO:
             out.append(Evidence("weyl-radius-plateau", top, disk.radius_sq,
                                 Sufficiency.LIMIT_RIGOROUS_NUMERIC, Leaning.INDETERMINATE,
-                                f"radius ratio {rratio:.6f} > {cfg.weyl_plateau_ratio}"))
+                                f"radius ratio {rratio:.6f} > {PLATEAU_RATIO}"))
         else:
             out.append(Evidence("weyl-radius", top, disk.radius_sq,
                                 Sufficiency.HEURISTIC,
-                                Leaning.DETERMINATE if rratio < cfg.christoffel_decay_ratio
+                                Leaning.DETERMINATE if rratio < DECAY_RATIO
                                 else Leaning.NEUTRAL,
                                 f"radius ratio {rratio:.6f}"))
     else:
@@ -734,8 +625,7 @@ def _christoffel_weyl_evidence(seq: MomentSequence, rec: Recurrence,
     return out
 
 
-def _convergent_evidence(seq: MomentSequence, rec: Recurrence,
-                         cfg: VerdictConfig) -> list:
+def _convergent_evidence(seq: MomentSequence, rec: Recurrence) -> list:
     mode = seq.mode
     out: list[Evidence] = []
     top = min(rec.order - 1, rec.rank - 1)
@@ -743,8 +633,8 @@ def _convergent_evidence(seq: MomentSequence, rec: Recurrence,
         return out
     low = max(2, top // 2)
     try:
-        pair_top = stieltjes_convergents(seq, cfg.stieltjes_point, top, rec)
-        pair_low = stieltjes_convergents(seq, cfg.stieltjes_point, low, rec)
+        pair_top = stieltjes_convergents(seq, STIELTJES_POINT, top)
+        pair_low = stieltjes_convergents(seq, STIELTJES_POINT, low)
     except (NotStieltjesAdmissible, DegreeInsufficient) as exc:
         out.append(Evidence("stieltjes-convergents", top, None,
                             Sufficiency.HEURISTIC, Leaning.NEUTRAL, f"skipped: {exc}"))
@@ -752,11 +642,11 @@ def _convergent_evidence(seq: MomentSequence, rec: Recurrence,
     w_top, w_low = pair_top.interval_width, pair_low.interval_width
     if w_low > 0 and w_top > 0:
         ratio = mode.to_float(w_top / w_low)
-        if ratio > cfg.width_plateau_ratio:
+        if ratio > WIDTH_PLATEAU_RATIO:
             out.append(Evidence("stieltjes-width-plateau", top, w_top,
                                 Sufficiency.LIMIT_RIGOROUS_NUMERIC, Leaning.INDETERMINATE,
                                 f"width_{top}/width_{low} = {ratio:.6f} "
-                                f"> {cfg.width_plateau_ratio}"))
+                                f"> {WIDTH_PLATEAU_RATIO}"))
         else:
             out.append(Evidence("stieltjes-width", top, w_top,
                                 Sufficiency.HEURISTIC, Leaning.DETERMINATE,

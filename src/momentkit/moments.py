@@ -82,10 +82,10 @@ def support_is_cone(s: Support) -> bool:
     return isinstance(s, (NonnegativeOrthant, ConeSupport))
 
 
-def dual_interior_contains(s: Support, xi: Sequence, tolerance=0) -> bool:
-    """Strict interior of the dual cone, checked on the generators.
-
-    Float mode callers supply a positive tolerance; exact mode uses 0.
+def dual_interior_contains(s: Support, xi: Sequence) -> bool:
+    """Strict interior of the dual cone: xi pairs positively with every
+    generator.  The test is exact in rational mode; in float mode a
+    direction within rounding of the boundary may fall on either side.
     """
     if isinstance(s, NonnegativeOrthant):
         gens = [tuple(1 if j == i else 0 for j in range(len(xi))) for i in range(len(xi))]
@@ -94,7 +94,7 @@ def dual_interior_contains(s: Support, xi: Sequence, tolerance=0) -> bool:
     else:
         return False
     for g in gens:
-        if sum(gi * xj for gi, xj in zip(g, xi)) <= tolerance:
+        if sum(gi * xj for gi, xj in zip(g, xi)) <= 0:
             return False
     return True
 
@@ -105,7 +105,12 @@ def dual_interior_contains(s: Support, xi: Sequence, tolerance=0) -> bool:
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Dense truncated moment map; immutable after construction."""
+    """Dense truncated moment map; immutable after construction.
+
+    ``recurrences`` keeps the factorizations of
+    ``hamburger.recurrence_from_moments``, one per order; it is not part of
+    the value.
+    """
 
     dimension: int
     max_degree: int
@@ -113,6 +118,7 @@ class MomentSequence:
     entries: Mapping[tuple, Any]
     support: Support = field(default_factory=FullSpace)
     meta: Mapping[str, Any] = field(default_factory=dict)
+    recurrences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -169,10 +175,6 @@ def sequence_from_1d(values: Sequence, mode: Mode, support: Support = None,
         support=support if support is not None else FullSpace(),
         meta=meta or {},
     )
-
-
-def moment(seq: MomentSequence, alpha: Sequence[int]):
-    return seq.moment(alpha)
 
 
 def apply_linear_functional(seq: MomentSequence, p: Mapping[tuple, Any]):
@@ -391,33 +393,28 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
 # preserver operations
 
 
-def pushforward_direction(seq: MomentSequence, xi: Sequence, degree: int | None = None,
-                          interior_tolerance=0) -> MomentSequence:
+def pushforward_direction(seq: MomentSequence, xi: Sequence) -> MomentSequence:
     """Moments of the image under x -> x . xi:
     s_k = sum_{|alpha|=k} multinomial(k; alpha) xi**alpha m_alpha.
 
     The result lives on [0, inf) when the source support is a cone and xi is
-    strictly interior to its dual (checked on generators, with the supplied
-    tolerance in float mode).  Carleman growth certification survives: the
-    directional even moments are dominated by a fixed multiple of the axis
-    moments, which preserves the O(k) root-growth class.
+    strictly interior to its dual (checked on generators).  Carleman growth
+    certification survives: the directional even moments are dominated by a
+    fixed multiple of the axis moments, which preserves the O(k) root-growth
+    class.
     """
-    K = seq.max_degree if degree is None else degree
-    if K > seq.max_degree:
-        raise DegreeInsufficient("requested degree exceeds the truncation")
     xiv = [seq.mode.convert(c) for c in xi]
     if len(xiv) != seq.dimension:
         raise DimensionMismatch("direction dimension mismatch")
     if all(not c for c in xiv):
         raise InvalidDirection("direction must be non-zero")
     out = []
-    for k in range(K + 1):
+    for k in range(seq.max_degree + 1):
         total = seq.mode.zero()
         for alpha in compositions(k, seq.dimension):
             total = total + seq.entries[alpha] * multinomial(k, alpha) * monomial(xiv, alpha)
         out.append(total)
-    stieltjes = support_is_cone(seq.support) and dual_interior_contains(
-        seq.support, xiv, interior_tolerance)
+    stieltjes = support_is_cone(seq.support) and dual_interior_contains(seq.support, xiv)
     support = NonnegativeOrthant() if stieltjes else FullSpace()
     meta = {"carleman_growth_certified": seq.is_certified_carleman()}
     return sequence_from_1d(out, seq.mode, support, meta)

@@ -102,10 +102,6 @@ def poly_sub(p: Sequence, q: Sequence) -> tuple:
     return poly_add(p, poly_neg(q))
 
 
-def poly_scale(p: Sequence, c) -> tuple:
-    return poly_trim(tuple(ci * c for ci in p))
-
-
 def poly_mul(p: Sequence, q: Sequence) -> tuple:
     p, q = poly_trim(p), poly_trim(q)
     if not p or not q:
@@ -210,10 +206,6 @@ def mpoly_add(p: Mapping, q: Mapping) -> dict:
         else:
             out.pop(a, None)
     return out
-
-
-def mpoly_scale(p: Mapping, c) -> dict:
-    return {a: v * c for a, v in p.items()} if c else {}
 
 
 def mpoly_mul(p: Mapping, q: Mapping) -> dict:

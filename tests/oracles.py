@@ -1,5 +1,12 @@
 """Independent oracles for the test suite.
 
+``hankel`` builds the Hankel matrix ``H[i][j] = m_{i+j}`` read by
+``christoffel_direct`` and ``admissibility_check``.  ``christoffel_direct``
+computes the Christoffel function as ``1 / (v* H_n^{-1} v)`` by
+complex-rational Gaussian elimination, sharing no code with the recurrence
+path.  ``reconstruct_moments`` maps a recurrence back to moments, so a
+round trip checks the moment-to-recurrence transform exactly.
+
 ``admissibility_check`` classifies a Hankel matrix by diagonal-pivoted
 symmetric elimination, O(n^3).  The library decides positivity, rank and
 flatness from the O(n^2) moment-to-recurrence transform instead; this
@@ -30,9 +37,117 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from momentkit.errors import LpInfeasible, LpUnbounded, PrecisionExhausted
-from momentkit.hamburger import HankelMatrix, Recurrence, WeylDisk, ortho_eval
+from momentkit.errors import (DegreeInsufficient, LpInfeasible, LpUnbounded,
+                              NotPositiveDefinite, PrecisionExhausted)
+from momentkit.hamburger import Recurrence, WeylDisk, ortho_eval
+from momentkit.moments import MomentSequence
 from momentkit.scalars import ComplexScalar, Mode, RationalMode
+
+
+# ---------------------------------------------------------------------------
+# Hankel matrices
+
+
+@dataclass(frozen=True)
+class HankelMatrix:
+    """H[i][j] = m_{i+j} for 0 <= i, j <= order."""
+
+    order: int
+    rows: tuple
+    mode: Mode
+
+
+def hankel(seq: MomentSequence, n: int, shift: int = 0) -> HankelMatrix:
+    """Hankel matrix of order n (size n+1), optionally on shifted moments."""
+    if 2 * n + shift > seq.max_degree:
+        raise DegreeInsufficient(f"Hankel order {n} needs degree {2 * n + shift}")
+    m = seq.moments_1d()
+    rows = tuple(tuple(m[i + j + shift] for j in range(n + 1)) for i in range(n + 1))
+    return HankelMatrix(n, rows, seq.mode)
+
+
+def christoffel_direct(seq: MomentSequence, z: ComplexScalar, n: int):
+    """Independent oracle: rho_n(z) = 1 / (v* H_n^{-1} v) with
+    v = (1, z, ..., z^n), solved by complex-rational Gaussian elimination.
+    Deliberately shares no code with the recurrence path."""
+    h = hankel(seq, n)
+    mode = seq.mode
+    size = n + 1
+    one, zero = mode.one(), mode.zero()
+    a = [[ComplexScalar(h.rows[i][j], zero) for j in range(size)] for i in range(size)]
+    v = [ComplexScalar(one, zero)]
+    for _ in range(n):
+        v.append(v[-1] * z)
+    rhs = [x.conj() for x in v]
+    # solve H y = conj(v)
+    for col in range(size):
+        piv_row = None
+        for r in range(col, size):
+            if a[r][col].abs2() != 0:
+                piv_row = r
+                break
+        if piv_row is None:
+            raise NotPositiveDefinite("Hankel matrix is singular")
+        a[col], a[piv_row] = a[piv_row], a[col]
+        rhs[col], rhs[piv_row] = rhs[piv_row], rhs[col]
+        piv = a[col][col]
+        for r in range(col + 1, size):
+            f = a[r][col] / piv
+            for c in range(col, size):
+                a[r][c] = a[r][c] - f * a[col][c]
+            rhs[r] = rhs[r] - f * rhs[col]
+    y = [ComplexScalar(zero, zero)] * size
+    for r in range(size - 1, -1, -1):
+        acc = rhs[r]
+        for c in range(r + 1, size):
+            acc = acc - a[r][c] * y[c]
+        y[r] = acc / a[r][r]
+    kernel = ComplexScalar(zero, zero)
+    for vi, yi in zip(v, y):
+        kernel = kernel + vi * yi
+    return 1 / kernel.re
+
+
+def reconstruct_moments(rec: Recurrence, upto: int) -> list:
+    """Rebuild m_0..m_upto from the recurrence, exactly for upto <= 2*order.
+
+    Expand x^l in the monic orthogonal basis (exact: the expansion of x^l
+    needs pi_0..pi_l only, so no truncation error for l <= order), then read
+    off m_{a+b} = sum_j c^a_j c^b_j ||pi_j||^2.
+    """
+    K = rec.order
+    if upto > 2 * K:
+        raise DegreeInsufficient(f"order {K} reconstructs at most degree {2 * K}")
+    mode = rec.mode
+    vecs = [[mode.one()]]
+    for l in range(min(upto, K)):
+        cur = vecs[-1]
+        nxt = [mode.zero()] * (l + 2)
+        for j, c in enumerate(cur):
+            if not c:
+                continue
+            nxt[j + 1] = nxt[j + 1] + c
+            nxt[j] = nxt[j] + rec.alpha[j] * c
+            if j >= 1:
+                nxt[j - 1] = nxt[j - 1] + rec.beta[j] * c
+        vecs.append(nxt)
+    norm_sq = [rec.beta[0]]
+    for k in range(1, K + 1):
+        norm_sq.append(norm_sq[-1] * rec.beta[k])
+    out = []
+    for l in range(upto + 1):
+        a = min(l, K)
+        b = l - a
+        va, vb = vecs[a], vecs[b]
+        total = mode.zero()
+        for j in range(min(len(va), len(vb))):
+            total = total + va[j] * vb[j] * norm_sq[j]
+        out.append(total)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Hankel elimination
 
 
 @dataclass(frozen=True)

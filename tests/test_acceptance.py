@@ -26,7 +26,6 @@ from momentkit.gaps import Sampled, direction_scan, grid_gap_lp, poisson_kappa_1
 from momentkit.hamburger import (
     carleman,
     christoffel,
-    christoffel_direct,
     recurrence_from_moments,
     stieltjes_convergents,
     verdict_1d,
@@ -51,6 +50,7 @@ from momentkit.polynomials import (
 )
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar
 from momentkit.verdicts import Flavor, Status
+from oracles import christoffel_direct
 
 R = RationalMode()
 
@@ -155,7 +155,7 @@ def test_acceptance_04_qlattice_indeterminate_reference():
     assert R.to_float(rho30 / rho15) > 0.9
     # frozen regression baseline (exact-rational computation)
     assert R.to_float(rho30) == pytest.approx(0.6331245390055394666191655, rel=1e-18)
-    pairs = {n: stieltjes_convergents(seq62, -1, n, rec) for n in (10, 20, 30)}
+    pairs = {n: stieltjes_convergents(seq62, -1, n) for n in (10, 20, 30)}
     for n, pair in pairs.items():
         assert pair.interval_width > 0
     for a, b in ((pairs[10], pairs[20]), (pairs[20], pairs[30])):

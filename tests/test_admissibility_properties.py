@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from momentkit.errors import NotAdmissible
-from momentkit.hamburger import hankel, recurrence_from_moments, verdict_1d
+from momentkit.hamburger import recurrence_from_moments, verdict_1d
 from momentkit.moments import (
     Atomic,
     Exponential1D,
@@ -19,7 +19,7 @@ from momentkit.moments import (
 )
 from momentkit.scalars import FloatMode, RationalMode
 from momentkit.verdicts import Status, Sufficiency
-from oracles import admissibility_check
+from oracles import admissibility_check, hankel
 
 R = RationalMode()
 SETTINGS = settings(max_examples=40, deadline=None,

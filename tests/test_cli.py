@@ -34,13 +34,13 @@ def exponential_spec(tmp_path, degree=41):
         "dimension": 1, "max_degree": degree, "mode": "rational"})
 
 
-def count_recurrences(monkeypatch, *modules):
-    """Count recurrence_from_moments calls made through ``modules``."""
+def count_factorizations(monkeypatch):
+    """Orders of the factorizations made, i.e. of the recurrence_from_moments
+    calls that the per-sequence memo could not serve."""
     calls = []
-    for module in modules:
-        real = module.recurrence_from_moments
-        monkeypatch.setattr(module, "recurrence_from_moments",
-                            lambda seq, n, _real=real: calls.append(n) or _real(seq, n))
+    real = hamburger._factorize
+    monkeypatch.setattr(hamburger, "_factorize",
+                        lambda seq, n: calls.append(n) or real(seq, n))
     return calls
 
 
@@ -189,12 +189,49 @@ def test_kappa_field_1d(tmp_path):
 
 
 def test_kappa_field_factorizes_once(tmp_path, monkeypatch):
-    calls = count_recurrences(monkeypatch, cli, gaps)
+    calls = count_factorizations(monkeypatch)
     out = tmp_path / "kappa.csv"
     rc = main(["kappa", "--input", qlattice_spec(tmp_path, 22),
                "--field=-1:1:3,1:2:2", "--out", str(out)])
     assert rc == 0
     assert calls == [11]
+
+
+def test_kappa_sphere_average_shares_the_field_factorization(tmp_path, monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    out = tmp_path / "kappa.csv"
+    rc = main(["kappa", "--input", qlattice_spec(tmp_path, 22),
+               "--field=-1:1:3,1:2:2", "--sphere-average", "--out", str(out)])
+    assert rc == 0
+    assert calls == [11]
+
+
+def test_analyze_2d_scans_once_and_pushes_forward_once(tmp_path, monkeypatch):
+    """One direction scan serves the verdict and the scan entry; one
+    first-axis push-forward, factorized once, serves every 1D criterion."""
+    spec = write_spec(tmp_path / "gauss2d.json", {
+        "measure": {"variant": "gaussian_product", "variances": ["1", "1"]},
+        "dimension": 2, "max_degree": 24, "mode": "rational"})
+    verdicts, pushed = [], []
+    real_verdict, real_push = gaps.verdict_1d, cli.pushforward_direction
+    monkeypatch.setattr(gaps, "verdict_1d",
+                        lambda *args: verdicts.append(args) or real_verdict(*args))
+    monkeypatch.setattr(cli, "pushforward_direction",
+                        lambda seq, xi: pushed.append(xi) or real_push(seq, xi))
+    factorized = count_factorizations(monkeypatch)
+    out = tmp_path / "report.json"
+    for criteria in ("verdict,scan", "scan"):
+        verdicts.clear()
+        assert main(["analyze", "--input", spec, "--criteria", criteria,
+                     "--out", str(out)]) == 0
+        assert len(verdicts) == 4                   # 2 * dimension directions, once each
+        assert not pushed
+    factorized.clear()
+    assert main(["analyze", "--input", spec, "--criteria",
+                 "verdict,admissibility,carleman,christoffel,weyl,cosine",
+                 "--out", str(out)]) == 0
+    assert pushed == [(1, 0)]
+    assert factorized == [12] * 5                   # 4 scan directions + e_1
 
 
 def test_analyze_runs_one_forward_pass_per_point(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from momentkit.errors import (
     InvalidParameter,
     UnknownCurve,
 )
-from momentkit.hamburger import christoffel, christoffel_direct, recurrence_from_moments
+from momentkit.hamburger import christoffel, recurrence_from_moments
 from momentkit.moments import (
     Atomic,
     GaussianProduct,
@@ -38,6 +38,7 @@ from momentkit.polynomials import (
 )
 from momentkit.scalars import RationalMode, complex_scalar
 from momentkit.verdicts import Status
+from oracles import christoffel_direct
 
 R = RationalMode()
 
@@ -227,13 +228,12 @@ def test_parabola_transfers_qlattice_indeterminacy():
 
 
 def test_lift_factorizes_the_weighted_lift_once(monkeypatch):
-    from momentkit import curves, hamburger
+    from momentkit import hamburger
 
     calls = []
-    for module in (curves, hamburger):
-        real = module.recurrence_from_moments
-        monkeypatch.setattr(module, "recurrence_from_moments",
-                            lambda seq, n, _real=real: calls.append(n) or _real(seq, n))
+    real = hamburger._factorize
+    monkeypatch.setattr(hamburger, "_factorize",
+                        lambda seq, n: calls.append(n) or real(seq, n))
     cm = pushforward_to_curve(gauss(40), catalog("parabola"), 10)
     lift_and_test(cm)
     assert calls == [20]

@@ -149,7 +149,7 @@ def test_kappa_1d_atomic_degenerate_zero():
 def test_kappa_1d_qlattice_positive_plateau():
     seq = generate_moments(QLattice1D(2), 1, 42, R)
     rec = recurrence_from_moments(seq, 21)
-    values = [R.to_float(poisson_kappa_1d(seq, 0, 1, n, rec)) for n in (5, 10, 20)]
+    values = [R.to_float(poisson_kappa_1d(seq, 0, 1, n)) for n in (5, 10, 20)]
     assert values[0] >= values[1] >= values[2] > 0.19
     # kappa = diameter / pi with the disk at the same level
     disk = weyl_disk(rec, complex_scalar(R, 0, 1), 20)

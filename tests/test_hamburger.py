@@ -15,13 +15,9 @@ from momentkit.errors import (
     PrecisionExhausted,
 )
 from momentkit.hamburger import (
-    VerdictConfig,
     carleman,
     christoffel,
-    christoffel_direct,
-    hankel,
     ortho_eval,
-    reconstruct_moments,
     recurrence_from_moments,
     stieltjes_convergents,
     verdict_1d,
@@ -37,7 +33,13 @@ from momentkit.moments import (
 )
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar
 from momentkit.verdicts import Flavor, Status, Sufficiency
-from oracles import admissibility_check, weyl_disk_circumcircle
+from oracles import (
+    admissibility_check,
+    christoffel_direct,
+    hankel,
+    reconstruct_moments,
+    weyl_disk_circumcircle,
+)
 
 R = RationalMode()
 
@@ -369,6 +371,19 @@ def test_ortho_memo_stays_bounded():
     assert rec == recurrence_from_moments(gauss(20), 10)   # the memo is not part of the value
 
 
+def test_sequence_keeps_one_recurrence_per_order():
+    seq = qlattice(24)
+    top = recurrence_from_moments(seq, 12)
+    assert recurrence_from_moments(seq, 12) is top
+    low = recurrence_from_moments(seq, 5)
+    assert low is not top and recurrence_from_moments(seq, 5) is low
+    # the top order carries every lower one as an exact prefix
+    assert (low.alpha, low.beta) == (top.alpha[:5], top.beta[:6])
+    # the memo is not part of the value
+    assert sorted(seq.recurrences) == [5, 12]
+    assert seq == qlattice(24) and repr(seq) == repr(qlattice(24))
+
+
 def test_disk_requires_nonreal_point():
     rec = recurrence_from_moments(gauss(10), 4)
     with pytest.raises(NonRealPointRequired):
@@ -496,7 +511,8 @@ def test_verdict_without_certificate_is_not_determinate():
     seq = sequence_from_1d(generate_moments(GaussianProduct((1,)), 1, 80, R).moments_1d(), R)
     v = verdict_1d(seq)
     assert v.status is not Status.DETERMINATE
-    v2 = verdict_1d(seq, None, VerdictConfig(assume_carleman_tail=True))
+    v2 = verdict_1d(sequence_from_1d(seq.moments_1d(), R,
+                                     meta={"carleman_growth_certified": True}))
     assert v2.status is Status.DETERMINATE
 
 
