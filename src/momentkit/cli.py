@@ -7,6 +7,14 @@ toolkit version).  Reports are deterministic: identical config and input
 produce byte-identical output except the isolable "generated_at" field.
 Exit code 0 for any verdict, 2 on errors (which are themselves reported as
 structured entries).
+
+A measure spec with neither a "mode" of its own nor ``--mode`` runs in float
+mode at ``64 + 2N`` bits.  Wherever the command raises PrecisionExhausted
+(the verdict, a scan direction, one criterion entry of ``analyze``), the
+moments are regenerated at twice the bits and the command reruns, up to
+``scalars.default_float_bits(N)``; at that cap the error is reported.  The
+provenance "mode" names the precision used.  Explicit modes and interchange
+files run once.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import sys
@@ -23,7 +32,7 @@ from typing import Any
 from . import __version__
 from .curves import catalog, curve_from_json, lift_and_test, pushforward_to_curve
 from .envelopes import cosine_envelope, geometric_envelope
-from .errors import MomentKitError, NotAdmissible
+from .errors import MomentKitError, NotAdmissible, PrecisionExhausted
 from .gaps import (
     GapEstimate,
     direction_scan,
@@ -47,7 +56,7 @@ from .moments import (
     generate_moments,
     pushforward_direction,
 )
-from .scalars import Mode, RationalMode, default_float_bits, mode_from_string
+from .scalars import Mode, RationalMode, default_float_bits, mode_from_string, mode_to_string
 from .serialization import format_value, sequence_from_json, support_to_json
 from .verdicts import Flavor
 
@@ -120,17 +129,25 @@ def _common_input_args(p) -> None:
 # input loading
 
 
-def load_input(path: str, mode_arg: str | None, degree_arg: int | None) -> tuple:
-    """(sequence, provenance dict).  Measure specs carry closed-form moment
-    rules; interchange files carry the numbers themselves."""
+def load_input(path: str, mode_arg: str | None, degree_arg: int | None,
+               bits: int | None = None) -> tuple:
+    """(sequence, provenance dict, cap).  Measure specs carry closed-form
+    moment rules; interchange files carry the numbers themselves.  A spec
+    whose mode is left open is generated at ``float:<bits>`` (default
+    ``64 + 2N``, never above ``cap = default_float_bits(N)``, the most bits
+    a rerun may ask for); ``cap`` is None when the mode is fixed."""
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
     doc = json.loads(raw.decode("utf-8"))
+    cap = None
     if "measure" in doc:
         dimension = int(doc.get("dimension", 1))
         max_degree = degree_arg or int(doc.get("max_degree", 20))
-        mode_str = mode_arg or doc.get("mode") or _default_mode_string(max_degree)
+        mode_str = mode_arg or doc.get("mode")
+        if mode_str is None:
+            cap = default_float_bits(max_degree)
+            mode_str = f"float:{min(bits or 64 + 2 * max_degree, cap)}"
         mode = mode_from_string(mode_str)
         defn = _measure_from_json(doc["measure"])
         seq = generate_moments(defn, dimension, max_degree, mode)
@@ -142,20 +159,35 @@ def load_input(path: str, mode_arg: str | None, degree_arg: int | None) -> tuple
             entries = {a: seq.entries[a] for a in multi_indices(seq.dimension, degree_arg)}
             seq = MomentSequence(seq.dimension, degree_arg, seq.mode, entries,
                                  seq.support, seq.meta)
-        mode_str = None
     provenance = {
         "input_path": path,
         "input_sha256": digest,
-        "mode": ("rational" if isinstance(seq.mode, RationalMode)
-                 else f"float:{seq.mode.precision_bits}"),
+        "mode": mode_to_string(seq.mode),
         "max_degree": seq.max_degree,
         "toolkit_version": __version__,
     }
-    return seq, provenance
+    return seq, provenance, cap
 
 
-def _default_mode_string(max_degree: int) -> str:
-    return f"float:{default_float_bits(max_degree)}"
+def _with_precision(command):
+    """``command(args, seq, provenance, retry)`` on the loaded input, rerun
+    at twice the bits on PrecisionExhausted while the loader leaves the mode
+    open and the cap allows.  ``retry`` tells the command whether such an
+    error will be retried, so that ``analyze`` raises it out of a criterion
+    entry rather than report it."""
+    @functools.wraps(command)
+    def run(args) -> int:
+        seq, provenance, cap = load_input(args.input, args.mode, args.degree)
+        while True:
+            retry = cap is not None and seq.mode.precision_bits < cap
+            try:
+                return command(args, seq, provenance, retry)
+            except PrecisionExhausted:
+                if not retry:
+                    raise
+            seq, provenance, cap = load_input(args.input, args.mode, args.degree,
+                                              2 * seq.mode.precision_bits)
+    return run
 
 
 def _measure_from_json(doc: dict):
@@ -181,8 +213,8 @@ def _measure_from_json(doc: dict):
 # analyze
 
 
-def cmd_analyze(args) -> int:
-    seq, provenance = load_input(args.input, args.mode, args.degree)
+@_with_precision
+def cmd_analyze(args, seq: MomentSequence, provenance: dict, retry: bool) -> int:
     wanted = [c.strip() for c in args.criteria.split(",") if c.strip()]
     for name in wanted:
         if name not in CRITERIA and name != "verdict":
@@ -227,6 +259,8 @@ def cmd_analyze(args) -> int:
         try:
             report["criteria"].append(_run_criterion(name, seq, s1, scan))
         except MomentKitError as exc:
+            if retry and isinstance(exc, PrecisionExhausted):
+                raise
             report["errors"].append({"criterion": name, "error": type(exc).__name__,
                                      "detail": str(exc)})
     _finish_report(report, args.out)
@@ -344,8 +378,8 @@ def _as_1d(seq: MomentSequence) -> MomentSequence:
 # scan
 
 
-def cmd_scan(args) -> int:
-    seq, _provenance = load_input(args.input, args.mode, args.degree)
+@_with_precision
+def cmd_scan(args, seq: MomentSequence, _provenance: dict, _retry: bool) -> int:
     if seq.dimension < 2:
         raise MomentKitError("scan needs a multivariate input")
     mode = seq.mode
@@ -385,8 +419,8 @@ def _csv_value(mode: Mode, v) -> str:
 # kappa field
 
 
-def cmd_kappa(args) -> int:
-    seq, _provenance = load_input(args.input, args.mode, args.degree)
+@_with_precision
+def cmd_kappa(args, seq: MomentSequence, _provenance: dict, _retry: bool) -> int:
     xs, ts = _parse_field(args.field)
     mode = seq.mode
     rows = []
@@ -450,7 +484,7 @@ def cmd_curve(args) -> int:
             curve = curve_from_json(fh.read())
     # an interchange-file lift ignores --mode, so reject a malformed one here
     mode_from_string(args.mode)
-    sigma, provenance = load_input(args.sigma, args.mode, None)
+    sigma, provenance, _cap = load_input(args.sigma, args.mode, None)
     need = args.degree * curve.max_component_degree
     if sigma.max_degree < need:
         with open(args.sigma) as fh:

@@ -548,8 +548,11 @@ def direction_set(dimension: int, count: int, mode: Mode) -> list:
     """Deterministic unit directions.
 
     Rational mode uses tan-half-angle rational circle points (exactly unit
-    length); float mode uses uniform angles.  Dimensions above 2 combine the
-    2D layout with stereographic lifting of a rational grid.
+    length); float mode uses uniform angles.  Dimensions above 2 lift
+    rational points of the (d-1)-cube through the inverse stereographic
+    map: round ``b`` visits seven points of the grid ``c / (4 + b)``, ``|c|
+    <= 3``, and the lift is injective, so there are as many distinct
+    directions as asked for (a prime ``4 + b`` gives seven new ones).
     """
     if count < 1:
         raise InvalidParameter("need at least one direction")
@@ -570,12 +573,13 @@ def direction_set(dimension: int, count: int, mode: Mode) -> list:
                 th = math.pi * j / count
                 out.append((mode.convert(math.cos(th)), mode.convert(math.sin(th))))
         return out
-    # d >= 3: lift rational points of the (d-1)-cube through the inverse
-    # stereographic map, which lands on the unit sphere with rational coords
+    # d >= 3: the inverse stereographic map lands on the unit sphere with
+    # rational coords
     out = []
     k = 0
     while len(out) < count:
-        u = [Fraction((k * (i + 3) + 2 * i + 1) % 7 - 3, 4) for i in range(dimension - 1)]
+        u = [Fraction((k * (i + 3) + 2 * i + 1) % 7 - 3, 4 + k // 7)
+             for i in range(dimension - 1)]
         s = sum(c * c for c in u)
         den = s + 1
         point = tuple(2 * c / den for c in u) + ((s - 1) / den,)

@@ -36,6 +36,12 @@ Everything is exact in rational mode.  Quantities that are inherently
 irrational (Carleman roots, kappa values) are computed through binary floats
 at a documented precision and converted back, except that exact zeros stay
 exact.
+
+In float mode the recurrence measures its own headroom: a positive pivot
+that clears its first-order noise floor by fewer than half the working bits
+raises PrecisionExhausted, the same half-precision rule the grid LP and the
+scan's basis test use.  A caller that can regenerate its data (the CLI for a
+measure spec without a mode) answers by doubling the precision.
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ from .errors import (
     PrecisionExhausted,
 )
 from .moments import MomentSequence, NonnegativeOrthant
-from .scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
-                      from_context, to_context, work_context)
+from .scalars import (RATIONAL_APPROX_BITS, ComplexScalar, FloatMode, Mode, RationalMode,
+                      complex_scalar, fixed_context, from_context, to_context)
 from .verdicts import Evidence, Flavor, Leaning, Sufficiency, Verdict, synthesize
 
 #: float-mode pivots within 2**(-prec + guard) of zero are undecidable
@@ -123,6 +129,13 @@ def _relative_eps(mode: Mode):
     return mode.ctx.ldexp(mode.one(), -(mode.precision_bits - FLOAT_PIVOT_GUARD_BITS))
 
 
+def _half_precision(mode: Mode):
+    """2**(prec // 2): a float pivot must clear its noise floor by this much."""
+    if isinstance(mode, RationalMode):
+        return None
+    return mode.ctx.ldexp(mode.one(), mode.precision_bits // 2)
+
+
 def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     """Moment-to-recurrence transform, O(n^2) on sigma_{k,l} = L(pi_k x^l).
 
@@ -145,7 +158,11 @@ def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     integer-moment measures.  Float mode carries first-order noise floors
     and cannot tell a surviving row from lost bits, so there a pivot that
     is neither clearly signed nor part of a vanished row raises
-    PrecisionExhausted rather than returning garbage.
+    PrecisionExhausted rather than returning garbage.  So does a positive
+    pivot that clears its floor ``tol`` by fewer than half the working bits
+    (``tol < piv <= tol * 2**(prec // 2)``): the headroom ``log2(piv /
+    tol)`` tracks the correct bits of alpha and beta, and a recurrence that
+    keeps fewer than half of them is not worth reading a verdict from.
     """
     rec = seq.recurrences.get(n)
     if rec is None:
@@ -163,6 +180,7 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
     if not m[0] > 0:
         raise NotPositiveDefinite("m_0 must be positive")
     eps = _relative_eps(mode)
+    half = _half_precision(mode)
     zero = mode.zero()
     alpha = [m[1] / m[0]]
     beta = [m[0]]
@@ -206,6 +224,10 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
                 )
             beta.append(zero)
             return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
+        if half is not None and piv <= tol * half:
+            raise PrecisionExhausted(
+                f"pivot at step {k} keeps fewer than half the working bits"
+            )
         beta.append(piv / sig_prev[k - 1])
         if k < n:
             alpha.append(sig[k + 1] / piv - sig_prev[k] / sig_prev[k - 1])
@@ -350,10 +372,13 @@ def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
 
     With P_1, P_0 = pi_{n+1}(z), pi_n(z), Q_1, Q_0 the second kind values
     and s = Im(P_1 conj P_0), the pencil is a Moebius map of determinant
-    ||pi_n||^2 (Casoratian), so ``radius_sq = ||pi_n||^4 / (4 s^2)`` and the
-    center, the image of the pole's mirror point, is ``-(Q_1 conj P_0 -
+    ||pi_n||^2 (Casoratian), so the radius is ``||pi_n||^2 / (2 |s|)`` and
+    the center, the image of the pole's mirror point, is ``-(Q_1 conj P_0 -
     Q_0 conj P_1) / (2 i s)``.  Christoffel-Darboux gives ``s / Im z > 0``;
-    a float pass that breaks that sign has lost its bits.
+    a float pass that breaks that sign has lost its bits.  The radius is
+    read as ``rho_n(z) / (2 |Im z|)``, the same value: ``radius_sq = rho^2
+    / (4 Im z^2)`` is equal in rational mode, and in float mode ``rho``'s
+    sum of positive terms keeps the bits that ``s`` cancels away.
     """
     if z.im == 0:
         raise NonRealPointRequired("Weyl disks need Im z != 0")
@@ -373,8 +398,8 @@ def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
         raise PrecisionExhausted("Weyl disk: Im(pi_{n+1} conj pi_n) lost its sign")
     num = q_top * p_low.conj() - q_low * p_top.conj()
     center = ComplexScalar(-num.im / (2 * s), num.re / (2 * s))
-    norm = ev.norm_sq[n]
-    return WeylDisk(z, n, center, norm * norm / (4 * s * s), mode)
+    rho = christoffel(rec, z, n)
+    return WeylDisk(z, n, center, rho * rho / (4 * z.im * z.im), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +423,10 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int) -> CarlemanResul
     ``t_k * k >= CARLEMAN_SLOPE``: such terms dominate a multiple of the
     harmonic series.  The flag alone is a heuristic; paired with a certified
     growth bound on the sequence it becomes rigorous (sum of c/k diverges).
-    Terms are evaluated in binary floats (``scalars.work_context``: the
-    mode's own precision, or 256 bits in rational mode) since the roots are
-    irrational.
+    The roots are irrational, so the terms are evaluated in a fresh
+    256-bit binary-float context (``RATIONAL_APPROX_BITS``) in both modes:
+    a slope heuristic and a sum of positive terms need no more, whatever
+    the working precision.
     """
     K = horizon
     if K < 1:
@@ -409,7 +435,7 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int) -> CarlemanResul
     if need > seq.max_degree:
         raise DegreeInsufficient(f"horizon {K} needs degree {need}")
     m = seq.moments_1d()
-    ctx = work_context(seq.mode)
+    ctx = fixed_context(RATIONAL_APPROX_BITS)
     terms = []
     for k in range(1, K + 1):
         mk = m[2 * k] if flavor is Flavor.HAMBURGER else m[k]

@@ -417,7 +417,11 @@ def pushforward_direction(seq: MomentSequence, xi: Sequence) -> MomentSequence:
     stieltjes = support_is_cone(seq.support) and dual_interior_contains(seq.support, xiv)
     support = NonnegativeOrthant() if stieltjes else FullSpace()
     meta = {"carleman_growth_certified": seq.is_certified_carleman()}
-    return sequence_from_1d(out, seq.mode, support, meta)
+    image = sequence_from_1d(out, seq.mode, support, meta)
+    if seq.dimension == 1 and xiv[0] == 1:
+        # the identity: same moments, so the same recurrences
+        object.__setattr__(image, "recurrences", seq.recurrences)
+    return image
 
 
 def marginal(seq: MomentSequence, axes: Sequence[int]) -> MomentSequence:

@@ -22,10 +22,16 @@ exact results: quantities that are exactly zero stay exactly zero.
 
 Every other irrational value (Carleman roots, transcendental kernels on
 grids) goes through one side channel: ``work_context(mode, bits)`` is the
-float mode's own context, or a fresh ``bits``-bit one in rational mode;
-``to_context`` moves a scalar in and ``from_context`` brings the result back,
-exactly (``exact_fraction``) in rational mode.  This module is the only one
-that imports ``mpmath``.
+float mode's own context, or a fresh ``bits``-bit one in rational mode, and
+``fixed_context(bits)`` is a fresh one in either mode (Carleman terms take
+256 bits whatever the working precision); ``to_context`` moves a scalar in
+and ``from_context`` brings the result back, exactly (``exact_fraction``) in
+rational mode and rounded to the mode's precision in float mode.  This
+module is the only one that imports ``mpmath``.
+
+A float precision for degree-N data is the caller's choice; the CLI starts a
+measure spec with no mode at ``64 + 2N`` bits, doubles on
+``PrecisionExhausted`` and stops at ``default_float_bits(N)``.
 """
 
 from __future__ import annotations
@@ -207,9 +213,10 @@ Mode = Union[RationalMode, FloatMode]
 
 
 def default_float_bits(max_degree: int) -> int:
-    """Default precision 64 + 4*N**2: Hankel conditioning for the built-in
-    measures grows super-exponentially in the degree N, and the oracle
-    agreement tests validate this empirically."""
+    """The most bits the CLI spends on degree-N data, 64 + 4*N**2: ample
+    for the Hankel conditioning of every built-in measure (the oracle
+    agreement tests validate this empirically).  It caps the doubling loop
+    that starts at 64 + 2N; it is not the starting precision."""
     return 64 + 4 * max_degree * max_degree
 
 
@@ -234,29 +241,37 @@ def exact_fraction(v) -> Fraction:
     return -f if sign else f
 
 
-def work_context(mode: Mode, bits: int = RATIONAL_APPROX_BITS) -> MPContext:
-    """Binary-float context for an irrational value: the float mode's own,
-    or a fresh one at ``bits`` of precision in rational mode."""
-    if isinstance(mode, FloatMode):
-        return mode.ctx
+def fixed_context(bits: int = RATIONAL_APPROX_BITS) -> MPContext:
+    """A fresh binary-float context at ``bits`` of precision, in any mode."""
     ctx = MPContext()
     ctx.prec = bits
     return ctx
 
 
+def work_context(mode: Mode, bits: int = RATIONAL_APPROX_BITS) -> MPContext:
+    """Binary-float context for an irrational value: the float mode's own,
+    or a fresh one at ``bits`` of precision in rational mode."""
+    if isinstance(mode, FloatMode):
+        return mode.ctx
+    return fixed_context(bits)
+
+
 def to_context(ctx: MPContext, v):
-    """A scalar (or a float constant) as an mpf of ``ctx``.  A Fraction p/q
-    becomes mpf(p)/mpf(q); rational-mode outputs depend on this rounding."""
+    """A scalar (or a float constant) as an mpf of ``ctx``, rounded to its
+    precision.  A Fraction p/q becomes mpf(p)/mpf(q); rational-mode outputs
+    depend on this rounding."""
     if isinstance(v, Fraction):
         return ctx.mpf(v.numerator) / ctx.mpf(v.denominator)
-    return ctx.convert(v)
+    if isinstance(v, ctx.mpf):
+        return v
+    return +ctx.convert(v)
 
 
 def from_context(mode: Mode, v):
-    """An mpf from ``work_context(mode, ...)`` back in the mode: unchanged
-    in float mode, its exact Fraction in rational mode."""
+    """An mpf of any context back in the mode: rounded to the mode's
+    precision in float mode, its exact Fraction in rational mode."""
     if isinstance(mode, FloatMode):
-        return mode.convert(v)
+        return to_context(mode.ctx, v)
     return exact_fraction(v)
 
 

@@ -2,6 +2,9 @@ import csv
 import json
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from momentkit import cli, gaps, hamburger
 from momentkit.cli import main
 from momentkit.moments import sequence_from_1d
@@ -42,6 +45,13 @@ def count_factorizations(monkeypatch):
     monkeypatch.setattr(hamburger, "_factorize",
                         lambda seq, n: calls.append(n) or real(seq, n))
     return calls
+
+
+def signature(report):
+    """Status and the sorted (criterion, sufficiency) pairs of a verdict."""
+    verdict = report["verdict"]
+    return verdict["status"], sorted((e["criterion"], e["sufficiency"])
+                                     for e in verdict["evidence"])
 
 
 def mixed_spec(tmp_path, degree=60):
@@ -314,3 +324,136 @@ def test_analyze_float_mode_spec(tmp_path):
     # log-normal is the classical indeterminate reference; at shape s = 1 the
     # Christoffel plateau is already unambiguous within this degree budget
     assert rep["verdict"]["status"] == "indeterminate"
+
+
+# ---------------------------------------------------------------------------
+# working precision of a measure spec without a mode
+
+
+def modeless_spec(tmp_path, measure, degree):
+    return write_spec(tmp_path / "modeless.json", {
+        "measure": measure, "dimension": 1, "max_degree": degree})
+
+
+def analyze_report(spec, tmp_path, *extra):
+    out = tmp_path / "report.json"
+    rc = main(["analyze", "--input", spec, *extra, "--out", str(out)])
+    return rc, json.loads(out.read_text())
+
+
+def test_modeless_spec_doubles_its_precision_until_the_pivots_have_headroom(tmp_path):
+    """Exponential N = 80 starts at 64 + 2N = 224 bits, where a pivot keeps
+    fewer than half the bits, and is rerun at 448; the verdict is the
+    rational one."""
+    spec = modeless_spec(tmp_path, {"variant": "exponential"}, 80)
+    rc, rep = analyze_report(spec, tmp_path)
+    assert rc == 0 and not rep["errors"]
+    assert rep["provenance"]["mode"] == "float:448"
+    rc, exact = analyze_report(spec, tmp_path, "--mode", "rational")
+    assert rc == 0
+    assert signature(rep) == signature(exact)
+
+
+def test_explicit_mode_is_not_raised(tmp_path):
+    """At an explicit float:128 the recurrence keeps too few bits; the
+    error is reported, not a verdict, and no other precision is tried."""
+    spec = modeless_spec(tmp_path, {"variant": "exponential"}, 80)
+    rc, rep = analyze_report(spec, tmp_path, "--mode", "float:128")
+    assert rc == 2
+    assert [e["error"] for e in rep["errors"]] == ["PrecisionExhausted"]
+    assert "verdict" not in rep
+
+
+def test_modeless_report_reruns_at_its_recorded_mode(tmp_path):
+    spec = modeless_spec(tmp_path, {"variant": "exponential"}, 80)
+    criteria = ["--criteria", "verdict,admissibility,carleman,christoffel,weyl"]
+    rc, first = analyze_report(spec, tmp_path, *criteria)
+    assert rc == 0
+    rc, again = analyze_report(spec, tmp_path, *criteria,
+                               "--mode", first["provenance"]["mode"])
+    assert rc == 0
+    first.pop("generated_at")
+    again.pop("generated_at")
+    assert json.dumps(first, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+def test_precision_exhausted_in_a_criterion_entry_raises_the_precision(tmp_path,
+                                                                        monkeypatch):
+    """A PrecisionExhausted from one criterion entry reruns the whole
+    command at twice the bits, and the report holds no error."""
+    from momentkit.errors import PrecisionExhausted
+
+    real = cli.cosine_envelope
+
+    def cosine_envelope(seq, order):
+        if seq.mode.precision_bits < 200:
+            raise PrecisionExhausted("test: too few bits")
+        return real(seq, order)
+
+    monkeypatch.setattr(cli, "cosine_envelope", cosine_envelope)
+    spec = modeless_spec(tmp_path, {"variant": "gaussian_product", "variances": ["1"]}, 40)
+    rc, rep = analyze_report(spec, tmp_path, "--criteria", "verdict,cosine")
+    assert rc == 0 and not rep["errors"]
+    assert rep["provenance"]["mode"] == "float:288"
+
+
+def test_precision_exhausted_at_the_cap_is_reported(tmp_path, monkeypatch):
+    """The loop stops at default_float_bits(N); there the criterion error
+    is reported as it is for an explicit mode."""
+    from momentkit.errors import PrecisionExhausted
+
+    def cosine_envelope(seq, order):
+        raise PrecisionExhausted("test: never enough bits")
+
+    monkeypatch.setattr(cli, "cosine_envelope", cosine_envelope)
+    spec = modeless_spec(tmp_path, {"variant": "gaussian_product", "variances": ["1"]}, 10)
+    rc, rep = analyze_report(spec, tmp_path, "--criteria", "verdict,cosine")
+    assert rc == 2
+    assert rep["provenance"]["mode"] == "float:464"          # 84, 168, 336, then the cap
+    assert rep["verdict"]["status"] == "determinate"
+    assert [(e["criterion"], e["error"]) for e in rep["errors"]] == \
+        [("cosine", "PrecisionExhausted")]
+
+
+MODELESS_CATALOG = {
+    "gaussian": {"variant": "gaussian_product", "variances": ["1"]},
+    "exponential": {"variant": "exponential"},
+    "q_lattice": {"variant": "q_lattice", "q": "2"},
+    "atomic": {"variant": "atomic", "points": [["0"], ["1/2"], ["3"]],
+               "weights": ["1", "2", "1/3"]},
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(MODELESS_CATALOG)), st.integers(min_value=8, max_value=80))
+def test_modeless_verdict_agrees_with_rational(tmp_path_factory, name, degree):
+    tmp_path = tmp_path_factory.mktemp("modeless")
+    spec = modeless_spec(tmp_path, MODELESS_CATALOG[name], degree)
+    rc, approx = analyze_report(spec, tmp_path)
+    assert rc == 0 and approx["provenance"]["mode"].startswith("float:")
+    rc, exact = analyze_report(spec, tmp_path, "--mode", "rational")
+    assert rc == 0
+    if name == "atomic":
+        # a float finite-rank item is limit-rigorous, which the status rules
+        # do not let decide: the same rank, but inconclusive
+        assert exact["verdict"]["status"] == "determinate"
+        assert approx["verdict"]["status"] == "inconclusive"
+    else:
+        assert approx["verdict"]["status"] == exact["verdict"]["status"]
+
+
+# ---------------------------------------------------------------------------
+# one factorization per sequence
+
+
+def test_analyze_1d_scan_shares_the_verdict_factorization(tmp_path, monkeypatch):
+    """In 1D the scan's only direction is (1,), whose push-forward is the
+    input itself; it reads the recurrence the verdict already made."""
+    calls = count_factorizations(monkeypatch)
+    rc, rep = analyze_report(qlattice_spec(tmp_path, 40), tmp_path,
+                             "--criteria", "verdict,scan")
+    assert rc == 0
+    assert calls == [20]
+    rows = rep["criteria"][0]["rows"]
+    assert rows == [{"direction": [1.0], "status": rep["verdict"]["status"]}]
+

@@ -1,9 +1,13 @@
+import json
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 
+from momentkit.cli import main
 from momentkit.envelopes import geometric_envelope
 from momentkit.errors import (
     InvalidDirection,
@@ -290,6 +294,47 @@ def test_direction_sets():
     assert len(dirs3) == 6
     for d in dirs3:
         assert sum(c * c for c in d) == 1
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, if the body runs longer than ``seconds``."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_direction_set_has_no_period_in_higher_dimensions():
+    """The first seven directions are the documented ones; beyond them the
+    generator keeps finding new rational unit vectors."""
+    with deadline(30):
+        dirs = direction_set(4, 12, R)
+    assert len(set(dirs)) == 12
+    assert all(sum(c * c for c in d) == 1 for d in dirs)
+    assert direction_set(3, 7, R)[:6] == direction_set(3, 6, R)
+    assert direction_set(3, 6, R)[0] == (F(-4, 5), 0, F(-3, 5))
+
+
+def test_analyze_4d_runs_its_eight_direction_scan(tmp_path):
+    spec = tmp_path / "gauss4d.json"
+    spec.write_text(json.dumps({
+        "measure": {"variant": "gaussian_product", "variances": ["1", "2", "1", "1/2"]},
+        "dimension": 4, "max_degree": 6, "mode": "rational"}))
+    out = tmp_path / "report.json"
+    with deadline(60):
+        rc = main(["analyze", "--input", str(spec), "--criteria", "verdict,scan",
+                   "--out", str(out)])
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    rows = rep["criteria"][0]["rows"]
+    assert len({tuple(r["direction"]) for r in rows}) == len(rows) == 8
+    assert rep["verdict"]["status"] == "determinate"
 
 
 def test_default_grids_shapes():

@@ -31,7 +31,8 @@ from momentkit.moments import (
     generate_moments,
     sequence_from_1d,
 )
-from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar
+from momentkit.scalars import (ComplexScalar, FloatMode, RationalMode, complex_scalar,
+                               exact_fraction)
 from momentkit.verdicts import Flavor, Status, Sufficiency
 from oracles import (
     admissibility_check,
@@ -147,6 +148,19 @@ def test_float_mode_precision_exhaustion():
     seq = generate_moments(GaussianProduct((1,)), 1, 40, fm)
     with pytest.raises(PrecisionExhausted):
         recurrence_from_moments(seq, 20)
+
+
+def test_float_pivot_needs_half_the_working_bits():
+    """Exponential N = 80: at 128 bits a pivot clears its noise floor by
+    fewer than 64 bits, which raises instead of returning coefficients with
+    a few correct bits; at 448 bits every pivot has the headroom."""
+    with pytest.raises(PrecisionExhausted, match="half the working bits"):
+        recurrence_from_moments(generate_moments(Exponential1D(), 1, 80, FloatMode(128)), 40)
+    fm = FloatMode(448)
+    recf = recurrence_from_moments(generate_moments(Exponential1D(), 1, 80, fm), 40)
+    recr = recurrence_from_moments(generate_moments(Exponential1D(), 1, 80, R), 40)
+    for k in range(1, 41):
+        assert abs(exact_fraction(recf.beta[k]) / recr.beta[k] - 1) < F(1, 2**200)
 
 
 def test_float_mode_default_precision_matches_exact():
@@ -304,6 +318,11 @@ def test_disk_radius_monotone_and_closed_form():
         rho = christoffel(rec, z, n)
         # closed-form cross-check: radius = rho_n(z) / (2 Im z), exactly
         assert disk.radius_sq * 4 * z.im * z.im == rho * rho
+        # and = ||pi_n||^2 / (2 |s|) with s = Im(pi_{n+1} conj pi_n) (Casoratian)
+        ev = ortho_eval(rec, z, n + 1)
+        p1, p0 = ev.first[n + 1], ev.first[n]
+        s = p1.im * p0.re - p1.re * p0.im
+        assert disk.radius_sq == ev.norm_sq[n] ** 2 / (4 * s * s)
         if prev is not None:
             assert disk.radius_sq <= prev
         prev = disk.radius_sq
@@ -320,6 +339,18 @@ def test_float_disk_keeps_its_radius_at_low_precision():
     assert radii[0] == pytest.approx(radii[1], rel=1e-12)
     v = verdict_1d(generate_moments(QLattice1D(2), 1, 48, fm))
     assert any(e.criterion == "weyl-radius-plateau" for e in v.evidence)
+
+
+def test_float_disk_radius_from_the_christoffel_sum():
+    """On the q = 3 lattice at float:64 the Casoratian form rho-free radius
+    ||pi_n||^4 / (4 s^2) kept about 5 correct bits at level 18; read off
+    the Christoffel sum it keeps nearly all 64."""
+    exact = recurrence_from_moments(qlattice(40, 3), 20)
+    fm = FloatMode(64)
+    recf = recurrence_from_moments(generate_moments(QLattice1D(3), 1, 40, fm), 20)
+    want = weyl_disk(exact, complex_scalar(R, 0, 1), 18).radius_sq
+    got = exact_fraction(weyl_disk(recf, complex_scalar(fm, 0, 1), 18).radius_sq)
+    assert abs(got / want - 1) < F(1, 2**50)
 
 
 @st.composite
@@ -399,6 +430,20 @@ def test_carleman_gaussian_diverges():
     res = carleman(seq, Flavor.HAMBURGER, 100)
     assert R.to_float(res.partial_sum) > 10
     assert res.diverging
+
+
+def test_carleman_terms_use_256_bits_at_any_working_precision():
+    seqs = [generate_moments(GaussianProduct((1,)), 1, 60, FloatMode(bits))
+            for bits in (512, 14464)]
+    low, high = (carleman(seq, Flavor.HAMBURGER, 30) for seq in seqs)
+    assert low.diverging and high.diverging
+    assert abs(exact_fraction(low.partial_sum) / exact_fraction(high.partial_sum) - 1) \
+        < F(1, 2**250)
+    # the moments are integers below 2**512, so both sums are the same
+    # 256-bit computation
+    assert exact_fraction(low.partial_sum) == exact_fraction(high.partial_sum)
+    # the 256-bit sum comes back as a value of the sequence's own mode
+    assert seqs[0].mode.is_value(low.partial_sum)
 
 
 def test_carleman_qlattice_bounded():

@@ -13,6 +13,7 @@ from momentkit.scalars import (
     complex_scalar,
     default_float_bits,
     exact_fraction,
+    fixed_context,
     from_context,
     mode_from_string,
     mode_to_string,
@@ -102,6 +103,19 @@ def test_side_channel_precision_and_round_trip():
     v = flt.convert(F(5, 7))
     assert from_context(flt, to_context(flt.ctx, v)) is v
     assert rational.pi() == from_context(rational, +work_context(rational, 256).pi)
+
+
+def test_foreign_context_values_enter_a_float_mode_rounded():
+    """A value of another context (a fixed-precision side computation) comes
+    back as a value of the mode, rounded to its precision."""
+    flt = FloatMode(64)
+    wide = fixed_context(256)
+    assert wide.prec == 256 and fixed_context().prec == 256
+    third = wide.mpf(1) / 3
+    back = from_context(flt, third)
+    assert flt.is_value(back)
+    assert back == flt.one() / 3
+    assert flt.to_string(back) == flt.to_string(flt.one() / 3)
 
 
 def test_only_scalars_imports_mpmath():
