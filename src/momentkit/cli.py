@@ -487,12 +487,10 @@ def cmd_curve(args) -> int:
     sigma, provenance, _cap = load_input(args.sigma, args.mode, None)
     need = args.degree * curve.max_component_degree
     if sigma.max_degree < need:
-        with open(args.sigma) as fh:
-            doc = json.load(fh)
-        if "measure" in doc:
-            sigma = generate_moments(_measure_from_json(doc["measure"]), 1, need,
-                                     sigma.mode)
-        else:
+        # a spec regenerates at the required degree; an interchange file
+        # keeps its own
+        sigma, provenance, _cap = load_input(args.sigma, args.mode, need)
+        if sigma.max_degree < need:
             raise MomentKitError(
                 f"lift degree {sigma.max_degree} below required {need}"
             )

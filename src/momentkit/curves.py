@@ -41,11 +41,11 @@ from .moments import (
     MomentSequence,
     NonnegativeOrthant,
     apply_polynomial_weight,
+    image_moments,
     sequence_from_1d,
 )
 from .polynomials import (
     mpoly_compose_univariates,
-    multi_indices,
     poly_degree,
     poly_eval,
     poly_gcd,
@@ -274,28 +274,18 @@ class CurveMeasure:
 
 def pushforward_to_curve(sigma: MomentSequence, curve: PolynomialCurve,
                          max_degree: int) -> CurveMeasure:
-    """Push a 1D measure onto the curve by exact polynomial composition."""
+    """Push a 1D measure onto the curve: L_sigma(u**alpha) from
+    ``image_moments`` with the components as the map."""
     if sigma.dimension != 1:
         raise InvalidParameter("the lift must be one-dimensional")
-    if curve.components is None:
-        raise InvalidParameter(f"curve {curve.name} has no stored parametrization")
-    mode = sigma.mode
-    comps = [tuple(mode.convert(c) for c in comp) for comp in curve.components]
-    need = max_degree * max(poly_degree(c) for c in comps)
+    need = max_degree * curve.max_component_degree
     if need > sigma.max_degree:
         raise DegreeInsufficient(
             f"curve degree {max_degree} needs lift degree {need}"
         )
-    entries = {}
-    for alpha in multi_indices(curve.dimension, max_degree):
-        prod: tuple = (mode.one(),)
-        for comp, e in zip(comps, alpha):
-            if e:
-                prod = poly_mul(prod, poly_pow(comp, e))
-        from .moments import apply_linear_functional_1d
-
-        entries[alpha] = apply_linear_functional_1d(sigma, prod)
-    cm = MomentSequence(curve.dimension, max_degree, mode, entries,
+    forms = [{(k,): c for k, c in enumerate(comp)} for comp in curve.components]
+    entries = image_moments(sigma, forms, max_degree)
+    cm = MomentSequence(curve.dimension, max_degree, sigma.mode, entries,
                         CurveSupport(curve.name),
                         meta={"carleman_growth_certified": False})
     return CurveMeasure(curve, sigma, cm)

@@ -25,8 +25,13 @@ from .errors import (
     NotCompletelyMonotonicCoefficients,
     WrongSupport,
 )
-from .moments import MomentSequence, NonnegativeOrthant
-from .polynomials import poly_trim
+from .moments import MomentSequence, NonnegativeOrthant, image_moments
+from .polynomials import mpoly_degree, poly_trim
+
+#: trend thresholds of ``cm_gap_criterion``, as fractions of the first and
+#: the middle gap value
+ZERO_RATIO = 0.1
+PLATEAU_RATIO = 0.9
 
 
 @dataclass(frozen=True)
@@ -162,27 +167,25 @@ class CmGapResult:
 
 
 def cm_gap_criterion(phi: CompletelyMonotonic, seq: MomentSequence,
-                     omega: Sequence | dict, horizon: int,
-                     plateau_ratio: float = 0.9,
-                     zero_ratio: float = 0.1) -> CmGapResult:
+                     omega: Sequence | dict, horizon: int) -> CmGapResult:
     """Running infimum of the envelope gap sequence for phi composed with a
     polynomial weight omega.
 
-    A zero trend says phi(omega(x)) admits arbitrarily tight brackets, so it
-    cannot separate (necessary-side evidence against indeterminateness via
-    this phi); a positive plateau leaves the criterion value positive.
-    omega may be univariate (coefficient sequence, applied when seq is 1D) or
-    a multivariate coefficient dict.
+    A zero trend (last value at most ``ZERO_RATIO`` times the first) says
+    phi(omega(x)) admits arbitrarily tight brackets, so it cannot separate
+    (necessary-side evidence against indeterminateness via this phi); a
+    positive plateau (last value at least ``PLATEAU_RATIO`` times the
+    middle one) leaves the criterion value positive.  omega may be
+    univariate (coefficient sequence, applied when seq is 1D) or a
+    multivariate coefficient dict.
     """
     if horizon < 1:
         raise InvalidParameter("horizon must be >= 1")
     import math
 
-    from .moments import apply_linear_functional
-    from .polynomials import mpoly_from_univariate, mpoly_pow, mpoly_degree
-
     mode = seq.mode
-    w = (mpoly_from_univariate(omega) if not isinstance(omega, dict) else dict(omega))
+    w = (dict(omega) if isinstance(omega, dict)
+         else {(k,): c for k, c in enumerate(poly_trim(omega)) if c})
     if seq.dimension == 1 and w and len(next(iter(w))) != 1:
         raise InvalidParameter("omega dimension mismatch")
     dw = mpoly_degree(w)
@@ -192,22 +195,22 @@ def cm_gap_criterion(phi: CompletelyMonotonic, seq: MomentSequence,
         raise DegreeInsufficient(
             f"horizon {horizon} needs degree {2 * horizon * dw}"
         )
+    powers = image_moments(seq, [w], 2 * horizon)
     values = []
     for n in range(1, horizon + 1):
         # the bracket width only sees |phi^(2n)(0)|, so cosine-type streams
         # (alternating even derivatives) are accepted alongside strict
         # complete monotonicity
         coeff = mode.convert(abs(phi.derivatives(2 * n))) / math.factorial(2 * n)
-        wpow = mpoly_pow(w, 2 * n, seq.dimension)
-        values.append(coeff * apply_linear_functional(seq, wpow))
+        values.append(coeff * powers[(2 * n,)])
     inf_v = values[0]
     for v in values[1:]:
         if v < inf_v:
             inf_v = v
     floats = [mode.to_float(v) for v in values]
-    if floats[-1] <= zero_ratio * max(floats[0], 1e-300):
+    if floats[-1] <= ZERO_RATIO * max(floats[0], 1e-300):
         trend = "zero-trend"
-    elif floats[-1] > 0 and floats[-1] >= plateau_ratio * max(floats[len(floats) // 2], 1e-300):
+    elif floats[-1] > 0 and floats[-1] >= PLATEAU_RATIO * max(floats[len(floats) // 2], 1e-300):
         trend = "positive-plateau"
     else:
         trend = "indecisive"

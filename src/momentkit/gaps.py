@@ -39,7 +39,9 @@ from .hamburger import recurrence_from_moments, verdict_1d, weyl_disk
 from .moments import (
     MomentSequence,
     NonnegativeOrthant,
+    affine_map,
     apply_linear_functional,
+    apply_polynomial_weight,
     dual_interior_contains,
     pushforward_direction,
     support_is_cone,
@@ -48,7 +50,6 @@ from .polynomials import (
     monomial,
     mpoly_eval,
     mpoly_mul,
-    mpoly_translate,
     multi_indices,
     poly_eval,
 )
@@ -153,28 +154,34 @@ def evaluate_separating(spec, point: Sequence, mode: Mode):
 # grids
 
 
+#: default grid shape: the half-line ladder 2**j runs over
+#: j = -HALF_POINTS/2 .. HALF_POINTS, the full-line grid has UNIFORM_STEPS
+#: uniform points on each side of 0 out to UNIFORM_SPAN
+HALF_POINTS = 16
+UNIFORM_SPAN = 8
+UNIFORM_STEPS = 16
+
+
 def default_grid(support, dimension: int, mode: Mode,
-                 half_points: int = 16, uniform_span: int = 8,
-                 uniform_steps: int = 16, points_per_axis: int | None = None) -> tuple:
+                 points_per_axis: int | None = None) -> tuple:
     """Per-support default grid.
 
-    Half line: the geometric ladder 2**j, j = -half_points/2 .. half_points,
-    plus 0 (the heavy tail is what drives moment growth).  Full line: a
-    symmetric uniform grid on [-span, span] plus geometric tail points on
-    both sides.  Multivariate grids are the tensor product of a thinned 1D
-    grid, capped to keep LP sizes at desk scale.
+    Half line: the geometric ladder 2**j plus 0 (the heavy tail is what
+    drives moment growth).  Full line: a symmetric uniform grid on
+    [-UNIFORM_SPAN, UNIFORM_SPAN] plus geometric tail points on both sides.
+    Multivariate grids are the tensor product of a thinned 1D grid, capped
+    to keep LP sizes at desk scale.
     """
     if dimension == 1:
-        return tuple((x,) for x in _grid_1d(support, mode, half_points,
-                                            uniform_span, uniform_steps))
+        return tuple((x,) for x in _grid_1d(support, mode))
     # multivariate: tensor product of a uniform axis grid; the per-axis count
     # must outrun the LP degree or the polynomials dip between grid points
     # and the LP goes unbounded (callers then refine)
     per_axis = points_per_axis or max(3, int(round(50 ** (1.0 / dimension))))
     if isinstance(support, NonnegativeOrthant):
-        lo, hi = Fraction(0), Fraction(uniform_span)
+        lo, hi = Fraction(0), Fraction(UNIFORM_SPAN)
     else:
-        lo, hi = Fraction(-uniform_span), Fraction(uniform_span)
+        lo, hi = Fraction(-UNIFORM_SPAN), Fraction(UNIFORM_SPAN)
     axis = [mode.convert(lo + Fraction((hi - lo) * k, per_axis - 1))
             for k in range(per_axis)]
     grid = [()]
@@ -183,19 +190,19 @@ def default_grid(support, dimension: int, mode: Mode,
     return tuple(grid)
 
 
-def _grid_1d(support, mode: Mode, half_points, uniform_span, uniform_steps):
+def _grid_1d(support, mode: Mode):
     two = mode.convert(2)
     if isinstance(support, NonnegativeOrthant):
         pts = [mode.zero()]
-        for j in range(-(half_points // 2), half_points + 1):
+        for j in range(-(HALF_POINTS // 2), HALF_POINTS + 1):
             pts.append(two ** j)
         return sorted(set(pts))
     pts = {mode.zero()}
-    for k in range(1, uniform_steps + 1):
-        step = mode.convert(Fraction(uniform_span * k, uniform_steps))
+    for k in range(1, UNIFORM_STEPS + 1):
+        step = mode.convert(Fraction(UNIFORM_SPAN * k, UNIFORM_STEPS))
         pts.add(step)
         pts.add(-step)
-    for j in range(4, half_points + 1):
+    for j in range(4, HALF_POINTS + 1):
         pts.add(two ** j)
         pts.add(-(two ** j))
     return sorted(pts)
@@ -455,6 +462,9 @@ def orthant_criterion(seq: MomentSequence, a: Sequence,
     if len(av) != d:
         raise InvalidParameter("corner dimension mismatch")
     h_flip = tuple(c if k % 2 == 0 else -c for k, c in enumerate(h))
+    # the moments of x - a: L(H_I(x - a)) is H_I applied to them
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    translated = affine_map(seq, identity, [-c for c in av], deg_h * d)
     total = mode.zero()
     for pattern in range(1 << d):
         factors = [h_flip if (pattern >> j) & 1 else h for j in range(d)]
@@ -466,8 +476,7 @@ def orthant_criterion(seq: MomentSequence, a: Sequence,
                     key = tuple(k if jj == j else 0 for jj in range(d))
                     axis_poly[key] = c
             poly = mpoly_mul(poly, axis_poly)
-        shifted = mpoly_translate(poly, av, d)
-        total = total + apply_linear_functional(seq, shifted)
+        total = total + apply_linear_functional(translated, poly)
     m0 = seq.entries[(0,) * d]
     return {"slack": total - m0, "corner": tuple(av)}
 
@@ -519,11 +528,10 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
         if c:
             form[tuple(1 if jj == j else 0 for jj in range(d))] = c
     p_monomials = list(multi_indices(d, max(degree - 1, 0)))
-    # objective: L(r) = m_0 -+ L((a.x+1) p); variables are the coefficients of p
-    lin_coeffs = []
-    for alpha in p_monomials:
-        prod = mpoly_mul(form, {alpha: mode.one()})
-        lin_coeffs.append(apply_linear_functional(seq, prod))
+    # objective: L(r) = m_0 -+ L((a.x+1) p); variables are the coefficients
+    # of p, and L((a.x+1) x^alpha) is the alpha moment of (a.x+1) L
+    weighted = apply_polynomial_weight(seq, form)
+    lin_coeffs = [weighted.entries[alpha] for alpha in p_monomials]
     # L(r) = +-(m_0 - L((a.x+1) p)).  By LP duality, max L((a.x+1) p) over
     # (a.g+1) p(g) <= 1 is the least, and min L((a.x+1) p) over
     # (a.g+1) p(g) >= 1 the greatest, mass of the nonnegative grid measures

@@ -36,13 +36,10 @@ from .polynomials import (
     binomial,
     compositions,
     monomial,
-    mpoly_constant,
     mpoly_degree,
-    mpoly_mul,
-    mpoly_pow,
     mpoly_eval,
+    mpoly_mul,
     multi_indices,
-    multinomial,
     poly_trim,
 )
 from .scalars import FloatMode, Mode, RationalMode
@@ -382,8 +379,8 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
 
         if defn.curve.dimension != dimension:
             raise DimensionMismatch("curve dimension mismatch")
-        max_comp_deg = max(len(poly_trim(u)) - 1 for u in defn.curve.components)
-        base = generate_moments(defn.base_1d, 1, max_degree * max_comp_deg, mode)
+        base = generate_moments(defn.base_1d, 1,
+                                max_degree * defn.curve.max_component_degree, mode)
         return pushforward_to_curve(base, defn.curve, max_degree).curve_moments
 
     raise InvalidParameter(f"unknown measure definition {type(defn).__name__}")
@@ -393,9 +390,42 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
 # preserver operations
 
 
+def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
+                  max_degree: int) -> dict:
+    """L(u**beta) for every |beta| <= max_degree, keyed by beta: the moments
+    of the image of L under the polynomial map u = (u_1, ..., u_k), where
+    ``forms[i]`` is u_i as {alpha: coefficient} in the source variables.
+
+    Each u**beta is built as u**(beta - e_i) * u_i, i the first axis with
+    beta_i > 0, from the products of the previous degree; only one degree's
+    products are kept at a time.
+    """
+    mode = seq.mode
+    forms = [{tuple(a): mode.convert(c) for a, c in u.items() if c} for u in forms]
+    if any(len(a) != seq.dimension for u in forms for a in u):
+        raise DimensionMismatch("polynomial dimension mismatch")
+    need = max_degree * max((mpoly_degree(u) for u in forms), default=0)
+    if need > seq.max_degree:
+        raise DegreeInsufficient(
+            f"degree {max_degree} images need degree {need}, "
+            f"truncation is {seq.max_degree}"
+        )
+    k = len(forms)
+    level = {(0,) * k: {(0,) * seq.dimension: mode.one()}}
+    out = {(0,) * k: seq.entries[(0,) * seq.dimension]}
+    for n in range(1, max_degree + 1):
+        products = {}
+        for beta in compositions(n, k):
+            i = next(j for j, e in enumerate(beta) if e)
+            prev = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            products[beta] = mpoly_mul(level[prev], forms[i])
+            out[beta] = apply_linear_functional(seq, products[beta])
+        level = products
+    return out
+
+
 def pushforward_direction(seq: MomentSequence, xi: Sequence) -> MomentSequence:
-    """Moments of the image under x -> x . xi:
-    s_k = sum_{|alpha|=k} multinomial(k; alpha) xi**alpha m_alpha.
+    """Moments of the image under x -> x . xi: s_k = L((x . xi)**k).
 
     The result lives on [0, inf) when the source support is a cone and xi is
     strictly interior to its dual (checked on generators).  Carleman growth
@@ -408,12 +438,9 @@ def pushforward_direction(seq: MomentSequence, xi: Sequence) -> MomentSequence:
         raise DimensionMismatch("direction dimension mismatch")
     if all(not c for c in xiv):
         raise InvalidDirection("direction must be non-zero")
-    out = []
-    for k in range(seq.max_degree + 1):
-        total = seq.mode.zero()
-        for alpha in compositions(k, seq.dimension):
-            total = total + seq.entries[alpha] * multinomial(k, alpha) * monomial(xiv, alpha)
-        out.append(total)
+    form = {tuple(int(i == j) for i in range(seq.dimension)): c for j, c in enumerate(xiv)}
+    image = image_moments(seq, [form], seq.max_degree)
+    out = [image[(k,)] for k in range(seq.max_degree + 1)]
     stieltjes = support_is_cone(seq.support) and dual_interior_contains(seq.support, xiv)
     support = NonnegativeOrthant() if stieltjes else FullSpace()
     meta = {"carleman_growth_certified": seq.is_certified_carleman()}
@@ -537,8 +564,8 @@ def _weight_check_grid(seq: MomentSequence) -> list:
 
 def affine_map(seq: MomentSequence, matrix: Sequence[Sequence], offset: Sequence,
                out_degree: int | None = None) -> MomentSequence:
-    """Moments of the image under x -> A x + b, by polynomial expansion of
-    (A x + b)**alpha.  Degree is preserved; the certificate survives (an
+    """Moments of the image under x -> A x + b, L((A x + b)**alpha) from
+    ``image_moments``.  Degree is preserved; the certificate survives (an
     affine image rescales the growth class by constants)."""
     N = seq.max_degree if out_degree is None else out_degree
     if N > seq.max_degree:
@@ -552,20 +579,11 @@ def affine_map(seq: MomentSequence, matrix: Sequence[Sequence], offset: Sequence
     # linear forms (A x + b)_i as multivariate polynomials in x
     forms = []
     for i in range(d_out):
-        form = {}
-        for j, c in enumerate(rows[i]):
-            if c:
-                form[tuple(1 if jj == j else 0 for jj in range(seq.dimension))] = c
-        if b[i]:
-            form[(0,) * seq.dimension] = b[i]
+        form = {tuple(int(jj == j) for jj in range(seq.dimension)): c
+                for j, c in enumerate(rows[i])}
+        form[(0,) * seq.dimension] = b[i]
         forms.append(form)
-    entries = {}
-    for alpha in multi_indices(d_out, N):
-        p = mpoly_constant(mode.one(), seq.dimension)
-        for i, e in enumerate(alpha):
-            if e:
-                p = mpoly_mul(p, mpoly_pow(forms[i], e, seq.dimension))
-        entries[alpha] = apply_linear_functional(seq, p)
+    entries = image_moments(seq, forms, N)
     keeps_orthant = (isinstance(seq.support, NonnegativeOrthant)
                      and all(c >= 0 for row in rows for c in row)
                      and all(c >= 0 for c in b))

@@ -3,9 +3,9 @@
 Univariate polynomials are coefficient tuples indexed by power, trimmed of
 trailing zeros; ``()`` is the zero polynomial.  Multivariate polynomials are
 dicts mapping exponent tuples (multi-indices) to coefficients.  Integer
-coefficients are allowed everywhere as mode-neutral multipliers; combinatorial
-factors (binomials, multinomials) are always computed in exact integers and
-then injected into the ambient mode.
+coefficients are allowed everywhere as mode-neutral multipliers; binomial
+factors are always computed in exact integers and then injected into the
+ambient mode.
 
 Multi-indices are plain tuples of non-negative ints.  The graded
 lexicographic order (degree first, then tuple comparison) is the canonical
@@ -24,10 +24,6 @@ from typing import Iterator, Mapping, Sequence
 MultiIndex = tuple
 
 
-def grlex_key(alpha: Sequence[int]):
-    return (sum(alpha), tuple(alpha))
-
-
 def multi_indices(dimension: int, max_degree: int) -> Iterator[MultiIndex]:
     """All alpha with |alpha| <= max_degree, in graded lexicographic order."""
     for total in range(max_degree + 1):
@@ -44,14 +40,6 @@ def compositions(total: int, parts: int) -> Iterator[MultiIndex]:
     for bars in combinations_with_replacement(range(total + 1), parts - 1):
         cuts = (0,) + bars + (total,)
         yield tuple(cuts[i + 1] - cuts[i] for i in range(parts))
-
-
-def multinomial(k: int, alpha: Sequence[int]) -> int:
-    """k! / prod(alpha_i!) for |alpha| = k, in exact integers."""
-    out = math.factorial(k)
-    for a in alpha:
-        out //= math.factorial(a)
-    return out
 
 
 def binomial(n: int, k: int) -> int:
@@ -94,14 +82,6 @@ def poly_add(p: Sequence, q: Sequence) -> tuple:
     return poly_trim(out)
 
 
-def poly_neg(p: Sequence) -> tuple:
-    return tuple(-c for c in p)
-
-
-def poly_sub(p: Sequence, q: Sequence) -> tuple:
-    return poly_add(p, poly_neg(q))
-
-
 def poly_mul(p: Sequence, q: Sequence) -> tuple:
     p, q = poly_trim(p), poly_trim(q)
     if not p or not q:
@@ -133,19 +113,6 @@ def poly_eval(p: Sequence, x):
     for c in reversed(poly_trim(p)):
         out = out * x + c
     return out
-
-
-def poly_compose(p: Sequence, inner: Sequence) -> tuple:
-    """p(inner(t)) by Horner over polynomial coefficients."""
-    out: tuple = ()
-    for c in reversed(poly_trim(p)):
-        out = poly_add(poly_mul(out, inner), (c,))
-    return out
-
-
-def poly_shift(p: Sequence, a) -> tuple:
-    """p(t + a)."""
-    return poly_compose(p, (a, 1))
 
 
 def poly_derivative(p: Sequence) -> tuple:
@@ -185,27 +152,8 @@ def poly_is_squarefree(p: Sequence) -> bool:
 # multivariate polynomials: {alpha: coefficient}, zero coefficients omitted
 
 
-def mpoly_from_univariate(p: Sequence) -> dict:
-    return {(i,): c for i, c in enumerate(poly_trim(p)) if c}
-
-
-def mpoly_constant(c, dimension: int) -> dict:
-    return {(0,) * dimension: c} if c else {}
-
-
 def mpoly_degree(p: Mapping) -> int:
     return max((sum(a) for a in p), default=-1)
-
-
-def mpoly_add(p: Mapping, q: Mapping) -> dict:
-    out = dict(p)
-    for a, c in q.items():
-        s = out.get(a, 0) + c
-        if s:
-            out[a] = s
-        else:
-            out.pop(a, None)
-    return out
 
 
 def mpoly_mul(p: Mapping, q: Mapping) -> dict:
@@ -218,18 +166,6 @@ def mpoly_mul(p: Mapping, q: Mapping) -> dict:
                 out[key] = s
             else:
                 out.pop(key, None)
-    return out
-
-
-def mpoly_pow(p: Mapping, n: int, dimension: int) -> dict:
-    out = mpoly_constant(1, dimension)
-    base = dict(p)
-    while n:
-        if n & 1:
-            out = mpoly_mul(out, base)
-        n >>= 1
-        if n:
-            base = mpoly_mul(base, base)
     return out
 
 
@@ -251,18 +187,3 @@ def mpoly_compose_univariates(p: Mapping, components: Sequence[Sequence]) -> tup
         out = poly_add(out, term)
     return out
 
-
-def mpoly_translate(p: Mapping, shift: Sequence, dimension: int) -> dict:
-    """p(x - shift), expanded by per-variable binomials."""
-    out: dict = {}
-    for alpha, c in p.items():
-        term = mpoly_constant(c, dimension)
-        for axis, e in enumerate(alpha):
-            if e == 0:
-                continue
-            var = {tuple(1 if i == axis else 0 for i in range(dimension)): 1}
-            if shift[axis]:
-                var[(0,) * dimension] = -shift[axis]
-            term = mpoly_mul(term, mpoly_pow(var, e, dimension))
-        out = mpoly_add(out, term)
-    return out

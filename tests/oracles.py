@@ -30,6 +30,11 @@ variable into a difference of nonnegatives and adds one slack per
 constraint.  The library solves the same LPs through their moment-space dual
 (``simplex.measure_bounds``); by LP duality the optimal values agree, so
 this solver is the reference the dual engine is compared against.
+
+``mpoly_pow`` expands a polynomial power by repeated squaring, so
+``apply_linear_functional(seq, mpoly_pow(form, k, d))`` is the direct
+reference for push-forward moments; the library builds them degree by
+degree in ``moments.image_moments`` instead.
 """
 
 from __future__ import annotations
@@ -41,7 +46,25 @@ from momentkit.errors import (DegreeInsufficient, LpInfeasible, LpUnbounded,
                               NotPositiveDefinite, PrecisionExhausted)
 from momentkit.hamburger import Recurrence, WeylDisk, ortho_eval
 from momentkit.moments import MomentSequence
+from momentkit.polynomials import mpoly_mul
 from momentkit.scalars import ComplexScalar, Mode, RationalMode
+
+
+# ---------------------------------------------------------------------------
+# polynomial powers
+
+
+def mpoly_pow(p: dict, n: int, dimension: int) -> dict:
+    """p**n for a polynomial {alpha: coefficient} in ``dimension`` variables."""
+    out = {(0,) * dimension: 1}
+    base = dict(p)
+    while n:
+        if n & 1:
+            out = mpoly_mul(out, base)
+        n >>= 1
+        if n:
+            base = mpoly_mul(base, base)
+    return out
 
 
 # ---------------------------------------------------------------------------

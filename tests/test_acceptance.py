@@ -44,13 +44,12 @@ from momentkit.moments import (
 )
 from momentkit.polynomials import (
     mpoly_compose_univariates,
-    mpoly_pow,
     poly_eval,
     poly_trim,
 )
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar
 from momentkit.verdicts import Flavor, Status
-from oracles import christoffel_direct
+from oracles import christoffel_direct, mpoly_pow
 
 R = RationalMode()
 

@@ -293,6 +293,32 @@ def test_curve_gaussian_determinate(tmp_path):
     assert rep["verdict"]["status"] == "determinate"
 
 
+def test_curve_short_spec_lift_regenerates_and_reports_its_degree(tmp_path):
+    # the nodal cubic at curve degree 8 needs lift degree 8 * 3 = 24; the
+    # spec says 20, so the lift is regenerated and provenance names 24
+    out = tmp_path / "curve.json"
+    rc = main(["curve", "--curve", "catalog:nodal_cubic",
+               "--sigma", gaussian_spec(tmp_path, 20),
+               "--degree", "8", "--out", str(out)])
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert rep["provenance"]["max_degree"] == 24
+    assert rep["provenance"]["mode"] == "rational"
+
+
+def test_curve_short_interchange_lift_is_an_error(tmp_path):
+    # an interchange file keeps its own degree
+    sigma = tmp_path / "sigma.json"
+    save_moment_sequence(sequence_from_1d([F(1), F(0), F(1), F(0), F(3)], R), str(sigma))
+    out = tmp_path / "curve.json"
+    rc = main(["curve", "--curve", "catalog:parabola", "--sigma", str(sigma),
+               "--degree", "3", "--out", str(out)])
+    assert rc == 2
+    rep = json.loads(out.read_text())
+    assert [e["error"] for e in rep["errors"]] == ["MomentKitError"]
+    assert "below required 6" in rep["errors"][0]["detail"]
+
+
 def test_curve_rejects_bad_mode_with_interchange_sigma(tmp_path):
     # an interchange file carries its own mode, so --mode is checked alone
     sigma = tmp_path / "sigma.json"

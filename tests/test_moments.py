@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentkit.errors import (
     DegreeInsufficient,
@@ -28,13 +30,16 @@ from momentkit.moments import (
     apply_polynomial_weight,
     convolve,
     generate_moments,
+    image_moments,
     marginal,
     pushforward_direction,
 )
-from momentkit.polynomials import mpoly_pow, multi_indices
+from momentkit.polynomials import mpoly_mul, multi_indices
 from momentkit.scalars import FloatMode, RationalMode
+from oracles import mpoly_pow
 
 R = RationalMode()
+F256 = FloatMode(256)
 
 
 def gauss(n, d=1):
@@ -162,6 +167,55 @@ def test_pushforward_linearity_oracle():
         for k in range(11):
             direct = apply_linear_functional(seq, mpoly_pow(form, k, d))
             assert pf.moment((k,)) == direct
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+positive = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+
+
+@st.composite
+def rational_measures(draw):
+    """(definition, dimension): an atomic or a product Gaussian measure on
+    R or R^2 with small rational data."""
+    d = draw(st.integers(min_value=1, max_value=2))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=3))
+        points = tuple(tuple(draw(small) for _ in range(d)) for _ in range(n))
+        return Atomic(points, tuple(draw(positive) for _ in range(n))), d
+    return GaussianProduct(tuple(draw(positive) for _ in range(d))), d
+
+
+def polynomial_maps(d_in):
+    """One to two forms of degree <= 2 in d_in variables."""
+    form = st.dictionaries(st.sampled_from(list(multi_indices(d_in, 2))), small,
+                           max_size=4)
+    return st.lists(form, min_size=1, max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_image_moments_match_expanded_powers(data):
+    defn, d = data.draw(rational_measures())
+    forms = data.draw(polynomial_maps(d))
+    seq = generate_moments(defn, d, 8, R)
+    image = image_moments(seq, forms, 4)
+    image_f = image_moments(generate_moments(defn, d, 8, F256), forms, 4)
+    assert set(image) == set(multi_indices(len(forms), 4))
+    for beta, value in image.items():
+        power = {(0,) * d: 1}
+        for u, e in zip(forms, beta):
+            power = mpoly_mul(power, mpoly_pow(u, e, d))
+        assert value == apply_linear_functional(seq, power)
+        exact = F256.convert(value)
+        assert abs(image_f[beta] - exact) <= F256.convert(F(1, 10 ** 60)) * max(abs(exact), 1)
+
+
+def test_image_moments_degree_guard():
+    g = gauss(6, 2)
+    quadratic = {(2, 0): F(1), (0, 1): F(1)}
+    assert len(image_moments(g, [quadratic], 3)) == 4
+    with pytest.raises(DegreeInsufficient):
+        image_moments(g, [quadratic], 4)
 
 
 def test_pushforward_support_rule():

@@ -3,40 +3,28 @@ from fractions import Fraction as F
 
 from momentkit.polynomials import (
     compositions,
-    grlex_key,
     monomial,
     mpoly_compose_univariates,
     mpoly_eval,
     mpoly_mul,
-    mpoly_pow,
-    mpoly_translate,
     multi_indices,
-    multinomial,
-    poly_compose,
     poly_degree,
     poly_eval,
     poly_gcd,
     poly_is_squarefree,
     poly_mul,
     poly_pow,
-    poly_shift,
-    poly_sub,
     poly_trim,
 )
+from oracles import mpoly_pow
 
 
 def test_multi_indices_grlex_is_strict_total_order():
     idx = list(multi_indices(3, 4))
-    keys = [grlex_key(a) for a in idx]
+    keys = [(sum(a), a) for a in idx]  # degree first, then tuple order
     assert len(set(keys)) == len(keys)
     assert keys == sorted(keys)
     assert len(idx) == 35  # C(4+3,3)
-
-
-def test_multinomial_row_sums():
-    for k in range(8):
-        total = sum(multinomial(k, a) for a in multi_indices(3, k) if sum(a) == k)
-        assert total == 3 ** k
 
 
 def test_compositions_are_the_exact_degree_slice():
@@ -62,18 +50,11 @@ def test_poly_mul_eval_consistency():
         q = tuple(F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 6)))
         x = F(rng.randint(-4, 4), rng.randint(1, 4))
         assert poly_eval(poly_mul(p, q), x) == poly_eval(p, x) * poly_eval(q, x)
-        assert poly_eval(poly_sub(p, q), x) == poly_eval(p, x) - poly_eval(q, x)
 
 
-def test_poly_pow_and_compose():
+def test_poly_pow():
     p = (F(1), F(1))  # 1 + t
     assert poly_pow(p, 3) == (F(1), F(3), F(3), F(1))
-    inner = (F(0), F(0), F(1))  # t^2
-    composed = poly_compose((F(2), F(0), F(1)), inner)  # 2 + t^4
-    assert poly_trim(composed) == (F(2), 0, 0, 0, F(1))
-    # p(t + a) shifts evaluation
-    sh = poly_shift((F(0), F(0), F(1)), F(3))  # (t+3)^2
-    assert poly_eval(sh, F(2)) == 25
 
 
 def test_poly_gcd_and_squarefree():
@@ -96,12 +77,6 @@ def test_mpoly_algebra():
     for _ in range(20):
         pt = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
         assert mpoly_eval(q, pt) == (pt[0] + pt[1]) ** 2
-
-
-def test_mpoly_translate():
-    p = {(2, 0): F(1)}  # x^2
-    shifted = mpoly_translate(p, (F(1), F(0)), 2)  # (x-1)^2
-    assert mpoly_eval(shifted, (F(3), F(7))) == 4
 
 
 def test_mpoly_compose_univariates():
