@@ -441,6 +441,28 @@ def test_precision_exhausted_at_the_cap_is_reported(tmp_path, monkeypatch):
         [("cosine", "PrecisionExhausted")]
 
 
+def test_modeless_hyperplane_lp_reruns_until_its_grid_measure_holds(tmp_path):
+    """At the starting float:104 rounding carries the q-lattice grid LP to a
+    wrong vertex (value_plus 0.8233 against the exact 0.4564).  The check of
+    the optimal grid measure raises PrecisionExhausted, which an explicit
+    mode reports and a mode-less run answers with twice the bits, until the
+    values are the rational ones."""
+    spec = modeless_spec(tmp_path, {"variant": "q_lattice", "q": "2"}, 20)
+    criteria = ("--criteria", "hyperplane")
+    rc, low = analyze_report(spec, tmp_path, *criteria, "--mode", "float:104")
+    assert rc == 2 and not low["criteria"]
+    assert [e["error"] for e in low["errors"]] == ["PrecisionExhausted"]
+    rc, approx = analyze_report(spec, tmp_path, *criteria)
+    assert rc == 0 and not approx["errors"]
+    assert approx["provenance"]["mode"] == "float:416"        # 104, 208, then 416
+    rc, exact = analyze_report(spec, tmp_path, *criteria, "--mode", "rational")
+    assert rc == 0
+    (got,), (want,) = approx["criteria"], exact["criteria"]
+    for side in ("value_plus", "value_minus"):
+        value = float(F(want[side]["rational"]))
+        assert abs(float(got[side]["decimal"]) - value) <= 1e-12 * abs(value)
+
+
 MODELESS_CATALOG = {
     "gaussian": {"variant": "gaussian_product", "variances": ["1"]},
     "exponential": {"variant": "exponential"},

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentkit import gaps, simplex
 from momentkit.errors import LpInfeasible, LpUnbounded
+from momentkit.moments import QLattice1D, generate_moments
 from momentkit.scalars import FloatMode, RationalMode
 from momentkit.simplex import measure_bounds
 from oracles import maximize, minimize
@@ -114,7 +116,60 @@ def test_measure_bounds_float_agrees_with_rational():
         assert fm.to_float(a) == pytest.approx(float(e), rel=1e-12)
 
 
+def _primal_bounds(cols, moments, objective):
+    """The two primal polynomial LPs through the oracle: max m.x st
+    x.col_g <= f_g, and min m.x st x.col_g >= f_g."""
+    low = maximize(R, moments, cols, objective).value
+    high = -maximize(R, [-m for m in moments], [[-v for v in col] for col in cols],
+                     [-f for f in objective]).value
+    return low, high
+
+
+def test_measure_bounds_qlattice_log_grid_matches_primal_oracle():
+    # the q = 2 lattice to degree 16, degree-8 LP on the 43-point grid
+    # +-2**j (j = -4..16) plus 0: column entries up to 2**128, and
+    # phi(t) = t / (t^2 + 1) with denominators up to 2**32 + 1
+    grid = sorted([F(0)] + [F(2) ** j for j in range(-4, 17)]
+                  + [-(F(2) ** j) for j in range(-4, 17)])
+    seq = generate_moments(QLattice1D(F(2)), 1, 16, R)
+    moments = [seq.entries[(k,)] for k in range(9)]
+    objective = [t / (t * t + 1) for t in grid]
+    bounds = measure_bounds(R, _columns(grid, 8), moments, objective)
+    assert bounds == _primal_bounds(_columns(grid, 8), moments, objective)
+    phi = gaps.Sampled(tuple((t,) for t in grid), tuple(objective))
+    est = gaps.grid_gap_lp(seq, phi, 8, [(t,) for t in grid])
+    assert (est.sup_side, est.inf_side) == bounds
+    assert bounds[0] < bounds[1]
+
+
+def test_measure_bounds_negative_drive_out_pivot_and_redundant_row(monkeypatch):
+    # rows y_a + y_b + y_c = 2 and twice y_a + y_b - y_c = 2: phase 1 enters
+    # column a on the first row and leaves both artificials of the copies
+    # basic at level zero, each row now reading -2 y_c = 0.  Driving the
+    # first out pivots on that -2 (its row is negated to keep the common
+    # denominator positive), and the copy becomes all zero and is dropped.
+    # Then y_c = 0 and y_a + y_b = 2, so y_a + 2 y_b ranges over [2, 4].
+    pivots = []
+    real = simplex._Tableau.pivot
+
+    def pivot(tab, leave, enter):
+        pivots.append(tab.rows[leave][enter])
+        real(tab, leave, enter)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
+    cols = [[1, 1, 1], [1, 1, 1], [1, -1, -1]]
+    moments, objective = [2, 2, 2], [1, 2, 2]
+    assert measure_bounds(R, cols, moments, objective) == (2, 4)
+    assert pivots[:2] == [1, -2]
+    assert _primal_bounds(cols, moments, objective) == (2, 4)
+    low, high = measure_bounds(FloatMode(64), cols, moments, objective)
+    assert (low, high) == (2, 4)
+
+
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+#: entries whose denominators make the lcm row scaling and the exact
+#: divisions of the integer tableau work
+odd = st.sampled_from([F(1, 2 ** 20), F(-3, 2 ** 20), F(1, 3), F(-1, 7), F(22, 7)])
 
 
 @st.composite
@@ -125,17 +180,18 @@ def grid_lps(draw):
     the columns (feasible) or arbitrary (often infeasible)."""
     size = draw(st.integers(1, 6))
     n = draw(st.integers(1, 4))
-    entry = st.one_of(st.just(F(0)), st.just(F(1)), small)
+    entry = st.one_of(st.just(F(0)), st.just(F(1)), small, odd)
     cols = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(size)]
     if draw(st.booleans()):
         cols = [[F(1)] + col[1:] for col in cols]
     if draw(st.booleans()):
-        y = draw(st.lists(st.sampled_from([F(0), F(0), F(1), F(1, 2), F(2)]),
+        y = draw(st.lists(st.sampled_from([F(0), F(0), F(1), F(1, 2), F(2), F(1, 7)]),
                           min_size=size, max_size=size))
         moments = [sum(yg * col[i] for yg, col in zip(y, cols)) for i in range(n)]
     else:
         moments = draw(st.lists(small, min_size=n, max_size=n))
-    objective = draw(st.lists(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2)]),
+    objective = draw(st.lists(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2),
+                                               F(1, 3), F(-1, 2 ** 20)]),
                               min_size=size, max_size=size))
     return cols, moments, objective
 
@@ -148,10 +204,7 @@ def test_measure_bounds_match_primal_oracle(lp):
     # x.col_g >= f_g; either both sides solve, to equal values, or both raise
     cols, moments, objective = lp
     try:
-        low = maximize(R, moments, cols, objective).value
-        high = -maximize(R, [-m for m in moments], [[-v for v in col] for col in cols],
-                         [-f for f in objective]).value
-        oracle = (low, high)
+        oracle = _primal_bounds(cols, moments, objective)
     except (LpUnbounded, LpInfeasible):
         oracle = None
     try:
