@@ -33,6 +33,7 @@ from .errors import (
     AtomsOnRamificationWarning,
     DegreeInsufficient,
     InvalidParameter,
+    MomentKitError,
     UnknownCurve,
 )
 from .hamburger import Recurrence, christoffel, recurrence_from_moments, verdict_1d
@@ -373,8 +374,8 @@ def _warn_on_ramified_atoms(sigma: MomentSequence, curve: PolynomialCurve) -> No
         return
     try:
         rec = recurrence_from_moments(sigma, sigma.max_degree // 2)
-    except Exception:
-        return
+    except MomentKitError:
+        return  # the verdict on the weighted lift reports it; any other error is a bug
     if rec.rank > rec.order:
         return  # no visible degeneracy at this truncation
     r = rec.rank

@@ -37,6 +37,18 @@ irrational (Carleman roots, kappa values) are computed through binary floats
 at a documented precision and converted back, except that exact zeros stay
 exact.
 
+The exact engine runs on integers.  Each sigma row of the recurrence is a
+list of integer numerators over one positive denominator, divided by its
+content after every step; each level of pi_k(z) and Q_k(z) in the forward
+pass is an integer (re, im) pair over one denominator, reduced the way
+``Fraction`` reduces a sum.  ``Fraction``s are built once, for the
+outputs.  That takes one gcd per row where reduced ``Fraction`` entries take
+several per entry, and the content-reduced rows stay smaller than the
+entries of the unreduced (Bareiss) fraction-free form, which grow into
+Hankel determinants.  Float mode runs the same loops on ``(value, 1)``
+pairs, every denominator 1 and no content step, so its arithmetic is that
+of the plain recurrence.
+
 In float mode the recurrence measures its own headroom: a positive pivot
 that clears its first-order noise floor by fewer than half the working bits
 raises PrecisionExhausted, the same half-precision rule the grid LP and the
@@ -46,7 +58,10 @@ measure spec without a mode) answers by doubling the precision.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd, inf, lcm
 from typing import Any
 
 from .errors import (
@@ -154,6 +169,17 @@ def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     recurrence stops early with the trailing beta equal to zero; if not, no
     measure has these moments and NotAdmissible is raised.
 
+    In rational mode the moments are scaled to integers by the lcm of their
+    denominators, and row k is kept as integers ``T_l`` over one denominator
+    ``D``.  With ``alpha_{k-1} = an/ad`` and ``beta_{k-1} = bn/bd``, ``D =
+    lcm(d_{k-1} ad, d_{k-2} bd)`` and ``T_l = A S1_{l+1} - B S1_l - C
+    S2_l``, where S1 and S2 are the numerators of rows k-1 and k-2 and A, B
+    and C are integers; the row is then divided by ``gcd(D, T_k, ...,
+    T_{2n-k})``, which stops as soon as it reaches 1.  The outputs are
+    ratios in which the row denominators cancel: ``alpha_k = T_{k+1}/T_k -
+    S1_k/S1_{k-1}`` and ``beta_k = T_k d_{k-1} / (D S1_{k-1})``.  The pivot
+    tests are integer sign and zero tests.
+
     Rational mode is exact and is mandatory for the acceptance runs on
     integer-moment measures.  Float mode carries first-order noise floors
     and cannot tell a surviving row from lost bits, so there a pivot that
@@ -175,46 +201,67 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
         raise InvalidParameter("recurrence order must be at least 1")
     if 2 * n > seq.max_degree:
         raise DegreeInsufficient(f"order {n} needs moments to degree {2 * n}")
-    m = seq.moments_1d()
+    m = seq.moments_1d()[:2 * n + 1]
     mode = seq.mode
     if not m[0] > 0:
         raise NotPositiveDefinite("m_0 must be positive")
     eps = _relative_eps(mode)
     half = _half_precision(mode)
-    zero = mode.zero()
+    exact = eps is None
+    ratio = Fraction if exact else operator.truediv
+    zero = 0 if exact else mode.zero()
     alpha = [m[1] / m[0]]
     beta = [m[0]]
     pivots = [mode.to_float(m[0])]
-    sig_prev2: list = []
-    sig_prev = list(m)
+    # row k holds sigma_{k,l} = row[l] / d for k <= l <= 2n - k: integers
+    # over one positive denominator in rational mode, (value, 1) in float mode
+    if exact:
+        d_prev = lcm(*(x.denominator for x in m))
+        row_prev = [x.numerator * (d_prev // x.denominator) for x in m]
+        d_prev = _reduce_content(row_prev, 0, 2 * n, d_prev)
+    else:
+        row_prev, d_prev = list(m), 1
+    row_prev2: list = []
+    d_prev2 = 1
+    lead = alpha[0]                 # sigma_{k-1,k} / sigma_{k-1,k-1}
     # first-order noise floors alongside the sigma rows (zero in exact mode)
     noi_prev2: list = []
-    noi_prev = [(eps * abs(x) if eps is not None else zero) for x in m]
+    noi_prev = [zero if exact else eps * abs(x) for x in m]
     for k in range(1, n + 1):
-        sig = [zero] * len(m)
-        noi = [zero] * len(m)
         hi = 2 * n - k
+        # sigma_k = sigma_{k-1} x - alpha_{k-1} sigma_{k-1} - beta_{k-1} sigma_{k-2}
+        # over d = lcm(d_{k-1} ad, d_{k-2} bd), with integer multipliers
+        an, ad = _pair(alpha[k - 1])
+        bn, bd = _pair(beta[k - 1])
+        d = d_prev * ad if k == 1 else lcm(d_prev * ad, d_prev2 * bd)
+        a = d // d_prev
+        b = an * (d // (d_prev * ad))
+        if k >= 2:
+            c = bn * (d // (d_prev2 * bd))
+        row = [zero] * len(m)
+        noi = [zero] * len(m)
         for l in range(k, hi + 1):
-            v = sig_prev[l + 1] - alpha[k - 1] * sig_prev[l]
+            bs = b * row_prev[l]
+            v = a * row_prev[l + 1] - bs
             if k >= 2:
-                v = v - beta[k - 1] * sig_prev2[l]
-            sig[l] = v
-            if eps is not None:
-                carried = noi_prev[l + 1] + abs(alpha[k - 1]) * noi_prev[l] \
-                    + eps * abs(alpha[k - 1] * sig_prev[l])
+                cs = c * row_prev2[l]
+                v = v - cs
+            row[l] = v
+            if not exact:
+                carried = noi_prev[l + 1] + abs(an) * noi_prev[l] + eps * abs(bs)
                 if k >= 2:
-                    carried = carried + abs(beta[k - 1]) * noi_prev2[l] \
-                        + eps * abs(beta[k - 1] * sig_prev2[l])
+                    carried = carried + abs(bn) * noi_prev2[l] + eps * abs(cs)
                 noi[l] = carried + eps * abs(v)
-        piv = sig[k]
+        d = _reduce_content(row, k, hi, d)
+        piv = row[k]
         tol = noi[k]
-        pivots.append(mode.to_float(piv))
+        pivots.append(_to_float(piv, d))
         if piv < -tol:
             raise NotAdmissible(f"functional is not positive on squares: ||pi_{k}||^2 < 0")
         if piv <= tol:
             # rank degeneracy only if the whole row died with the pivot
-            if any(abs(sig[l]) > noi[l] for l in range(k, hi + 1)):
-                if isinstance(mode, FloatMode):
+            if any(abs(row[l]) > noi[l] for l in range(k, hi + 1)):
+                if not exact:
                     raise PrecisionExhausted(
                         f"pivot at step {k} lost all significant bits"
                     )
@@ -222,18 +269,57 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
                     f"||pi_{k}||^2 = 0 but L(pi_{k} x^l) != 0 for some l: "
                     "no flat extension, so no representing measure"
                 )
-            beta.append(zero)
+            beta.append(mode.zero())
             return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
         if half is not None and piv <= tol * half:
             raise PrecisionExhausted(
                 f"pivot at step {k} keeps fewer than half the working bits"
             )
-        beta.append(piv / sig_prev[k - 1])
+        # the row denominators cancel from both ratios
+        beta.append(ratio(piv * d_prev, d * row_prev[k - 1]))
         if k < n:
-            alpha.append(sig[k + 1] / piv - sig_prev[k] / sig_prev[k - 1])
-        sig_prev2, sig_prev = sig_prev, sig
+            nxt = ratio(row[k + 1], piv)
+            alpha.append(nxt - lead)
+            lead = nxt
+        row_prev2, row_prev, d_prev2, d_prev = row_prev, row, d_prev, d
         noi_prev2, noi_prev = noi_prev, noi
     return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
+
+
+def _pair(x) -> tuple:
+    """(numerator, denominator) of a Fraction; (x, 1) for a float."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return x, 1
+
+
+def _reduce_content(row: list, lo: int, hi: int, d: int) -> int:
+    """Divide row[lo..hi] and d by their gcd, in place; the new d."""
+    g = _content(d, *row[lo:hi + 1])
+    if g != 1:
+        for l in range(lo, hi + 1):
+            row[l] //= g
+    return d // g
+
+
+def _content(d: int, *parts) -> int:
+    """gcd(d, *parts), stopping as soon as it reaches 1; 1 at once when
+    d = 1, as in float mode, whose parts are not integers."""
+    g = d
+    for v in parts:
+        if g == 1:
+            break
+        g = gcd(g, v)
+    return g
+
+
+def _to_float(num, den) -> float:
+    """num / den as a float (correctly rounded for integers, as Fraction's
+    own conversion), +-inf beyond the float range."""
+    try:
+        return float(num / den)
+    except OverflowError:
+        return inf if num > 0 else -inf
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +371,82 @@ def ortho_eval(rec: Recurrence, z: ComplexScalar, n: int | None = None) -> Ortho
 
 def _forward_pass(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     mode = rec.mode
-    one, zero = mode.one(), mode.zero()
-    first = [ComplexScalar(one, zero)]
-    second = [ComplexScalar(zero, zero)]
+    exact = isinstance(mode, RationalMode)
+    one, zero = (1, 0) if exact else (mode.one(), mode.zero())
+    # z = (xr + i xi) / w; level k of either kind is (re + i im) / e
+    (xr, wr), (xi, wi) = _pair(z.re), _pair(z.im)
+    w = lcm(wr, wi)
+    xr, xi = xr * (w // wr), xi * (w // wi)
+    first = [(one, zero, 1)]
+    second = [(zero, zero, 1)]
     if rec.order >= 1:
-        first.append(z - ComplexScalar(rec.alpha[0], zero))
-        second.append(ComplexScalar(rec.beta[0], zero))
+        an, ad = _pair(rec.alpha[0])
+        first.append((xr * ad - an * w, xi * ad, w * ad))
+        bn, bd = _pair(rec.beta[0])
+        second.append((bn, zero, bd))
     for k in range(1, rec.order):
-        zk = z - ComplexScalar(rec.alpha[k], zero)
-        first.append(zk * first[k] - first[k - 1].scale(rec.beta[k]))
-        second.append(zk * second[k] - second[k - 1].scale(rec.beta[k]))
+        # z - alpha_k = (x + i y) / zd
+        an, ad = _pair(rec.alpha[k])
+        bn, bd = _pair(rec.beta[k])
+        x, y, zd = xr * ad - an * w, xi * ad, w * ad
+        for levels in (first, second):
+            levels.append(_next_level(x, y, zd, bn, bd, levels[k], levels[k - 1]))
+    return OrthoEval(z, _complex_values(first, exact), _complex_values(second, exact),
+                     _norms(rec))
+
+
+def _norms(rec: Recurrence) -> tuple:
+    """||pi_k||^2 = beta_0 ... beta_k; they do not depend on z, so a pass
+    takes them from any point kept in ``rec.evals``."""
+    for ev in rec.evals.values():
+        return ev.norm_sq
     norms = [rec.beta[0]]
     for k in range(1, rec.order + 1):
         norms.append(norms[-1] * rec.beta[k])
-    return OrthoEval(z, tuple(first), tuple(second), tuple(norms))
+    return tuple(norms)
+
+
+def _next_level(x, y, zd, bn, bd, cur: tuple, prev: tuple) -> tuple:
+    """(x + i y)/zd * cur - (bn/bd) * prev, each (re, im, e) meaning (re + i
+    im)/e.  As in Fraction arithmetic, each product is cancelled crosswise
+    before it is formed and the difference is reduced by the gcd of the two
+    denominators only, so no gcd is taken at the size of the result.  In
+    float mode every denominator is 1, so every content is 1."""
+    re1, im1, e1 = cur
+    re0, im0, e0 = prev
+    g = _content(zd, re1, im1)
+    if g != 1:
+        zd, re1, im1 = zd // g, re1 // g, im1 // g
+    g = _content(e1, x, y)
+    if g != 1:
+        e1, x, y = e1 // g, x // g, y // g
+    g = _content(bd, re0, im0)
+    if g != 1:
+        bd, re0, im0 = bd // g, re0 // g, im0 // g
+    g = _content(e0, bn)
+    if g != 1:
+        e0, bn = e0 // g, bn // g
+    d1, d0 = zd * e1, bd * e0
+    g = gcd(d1, d0)
+    s1, s0 = d0 // g, d1 // g
+    if s1 != 1:
+        x, y = x * s1, y * s1
+    if s0 != 1:
+        bn = bn * s0
+    re = x * re1 - y * im1 - bn * re0
+    im = x * im1 + y * re1 - bn * im0
+    h = _content(g, re, im)
+    if h != 1:
+        re, im, d0 = re // h, im // h, d0 // h
+    return re, im, s0 * d0
+
+
+def _complex_values(levels: list, exact: bool) -> tuple:
+    """The levels as ComplexScalars: Fractions in rational mode; in float
+    mode every denominator is 1."""
+    if exact:
+        return tuple(ComplexScalar(Fraction(re, e), Fraction(im, e)) for re, im, e in levels)
+    return tuple(ComplexScalar(re, im) for re, im, _ in levels)
 
 
 # ---------------------------------------------------------------------------

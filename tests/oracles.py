@@ -31,6 +31,14 @@ constraint.  The library solves the same LPs through their moment-space dual
 (``simplex.measure_bounds``); by LP duality the optimal values agree, so
 this solver is the reference the dual engine is compared against.
 
+``factorize_fractions`` and ``forward_pass_fractions`` are the
+moment-to-recurrence transform and the forward pass of the three-term
+recurrence carried out entry by entry in the mode's own scalars (reduced
+``Fraction``s in rational mode).  The library runs the same loops on integer
+numerators over one content-reduced denominator per row or level; the
+values, the float pivots, the errors and their messages must be equal, and
+float mode bit-identical.
+
 ``mpoly_pow`` expands a polynomial power by repeated squaring, so
 ``apply_linear_functional(seq, mpoly_pow(form, k, d))`` is the direct
 reference for push-forward moments; the library builds them degree by
@@ -42,12 +50,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from momentkit.errors import (DegreeInsufficient, LpInfeasible, LpUnbounded,
-                              NotPositiveDefinite, PrecisionExhausted)
-from momentkit.hamburger import Recurrence, WeylDisk, ortho_eval
+from momentkit.errors import (DegreeInsufficient, InvalidParameter, LpInfeasible,
+                              LpUnbounded, NotAdmissible, NotPositiveDefinite,
+                              PrecisionExhausted)
+from momentkit.hamburger import (OrthoEval, Recurrence, WeylDisk, _half_precision,
+                                 _relative_eps, ortho_eval)
 from momentkit.moments import MomentSequence
 from momentkit.polynomials import mpoly_mul
-from momentkit.scalars import ComplexScalar, Mode, RationalMode
+from momentkit.scalars import ComplexScalar, FloatMode, Mode, RationalMode
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +139,93 @@ def christoffel_direct(seq: MomentSequence, z: ComplexScalar, n: int):
     for vi, yi in zip(v, y):
         kernel = kernel + vi * yi
     return 1 / kernel.re
+
+
+def factorize_fractions(seq: MomentSequence, n: int) -> Recurrence:
+    """The moment-to-recurrence transform of ``hamburger._factorize``, with
+    each sigma_{k,l} a scalar of the mode: the same pivots, noise floors,
+    checks and messages."""
+    if n < 1:
+        raise InvalidParameter("recurrence order must be at least 1")
+    if 2 * n > seq.max_degree:
+        raise DegreeInsufficient(f"order {n} needs moments to degree {2 * n}")
+    m = seq.moments_1d()
+    mode = seq.mode
+    if not m[0] > 0:
+        raise NotPositiveDefinite("m_0 must be positive")
+    eps = _relative_eps(mode)
+    half = _half_precision(mode)
+    zero = mode.zero()
+    alpha = [m[1] / m[0]]
+    beta = [m[0]]
+    pivots = [mode.to_float(m[0])]
+    sig_prev2: list = []
+    sig_prev = list(m)
+    noi_prev2: list = []
+    noi_prev = [(eps * abs(x) if eps is not None else zero) for x in m]
+    for k in range(1, n + 1):
+        sig = [zero] * len(m)
+        noi = [zero] * len(m)
+        hi = 2 * n - k
+        for l in range(k, hi + 1):
+            v = sig_prev[l + 1] - alpha[k - 1] * sig_prev[l]
+            if k >= 2:
+                v = v - beta[k - 1] * sig_prev2[l]
+            sig[l] = v
+            if eps is not None:
+                carried = noi_prev[l + 1] + abs(alpha[k - 1]) * noi_prev[l] \
+                    + eps * abs(alpha[k - 1] * sig_prev[l])
+                if k >= 2:
+                    carried = carried + abs(beta[k - 1]) * noi_prev2[l] \
+                        + eps * abs(beta[k - 1] * sig_prev2[l])
+                noi[l] = carried + eps * abs(v)
+        piv = sig[k]
+        tol = noi[k]
+        pivots.append(mode.to_float(piv))
+        if piv < -tol:
+            raise NotAdmissible(f"functional is not positive on squares: ||pi_{k}||^2 < 0")
+        if piv <= tol:
+            if any(abs(sig[l]) > noi[l] for l in range(k, hi + 1)):
+                if isinstance(mode, FloatMode):
+                    raise PrecisionExhausted(
+                        f"pivot at step {k} lost all significant bits"
+                    )
+                raise NotAdmissible(
+                    f"||pi_{k}||^2 = 0 but L(pi_{k} x^l) != 0 for some l: "
+                    "no flat extension, so no representing measure"
+                )
+            beta.append(zero)
+            return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
+        if half is not None and piv <= tol * half:
+            raise PrecisionExhausted(
+                f"pivot at step {k} keeps fewer than half the working bits"
+            )
+        beta.append(piv / sig_prev[k - 1])
+        if k < n:
+            alpha.append(sig[k + 1] / piv - sig_prev[k] / sig_prev[k - 1])
+        sig_prev2, sig_prev = sig_prev, sig
+        noi_prev2, noi_prev = noi_prev, noi
+    return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
+
+
+def forward_pass_fractions(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
+    """pi_k(z), Q_k(z) and ||pi_k||^2 to the full order, as
+    ``hamburger._forward_pass``, with ComplexScalar arithmetic throughout."""
+    mode = rec.mode
+    one, zero = mode.one(), mode.zero()
+    first = [ComplexScalar(one, zero)]
+    second = [ComplexScalar(zero, zero)]
+    if rec.order >= 1:
+        first.append(z - ComplexScalar(rec.alpha[0], zero))
+        second.append(ComplexScalar(rec.beta[0], zero))
+    for k in range(1, rec.order):
+        zk = z - ComplexScalar(rec.alpha[k], zero)
+        first.append(zk * first[k] - first[k - 1].scale(rec.beta[k]))
+        second.append(zk * second[k] - second[k - 1].scale(rec.beta[k]))
+    norms = [rec.beta[0]]
+    for k in range(1, rec.order + 1):
+        norms.append(norms[-1] * rec.beta[k])
+    return OrthoEval(z, tuple(first), tuple(second), tuple(norms))
 
 
 def reconstruct_moments(rec: Recurrence, upto: int) -> list:

@@ -15,10 +15,12 @@ from momentkit.curves import (
     projection_bridge,
     pushforward_to_curve,
 )
+from momentkit import curves
 from momentkit.errors import (
     AtomsOnRamificationWarning,
     DegreeInsufficient,
     InvalidParameter,
+    NotAdmissible,
     UnknownCurve,
 )
 from momentkit.hamburger import christoffel, recurrence_from_moments
@@ -263,6 +265,35 @@ def test_nodal_cubic_atom_on_ramification_warns():
         v = lift_and_test(cm)
     assert [w for w in wlist if issubclass(w.category, AtomsOnRamificationWarning)]
     assert v.status is Status.DETERMINATE
+
+
+def test_ramified_atom_check_lets_a_kernel_bug_through(monkeypatch):
+    """The ramified-atom check skips only on a MomentKitError of the lift's
+    recurrence: a bug (here a TypeError) propagates instead of silently
+    dropping the warning, which fires again once the kernel works."""
+    sigma = generate_moments(Atomic(((1,), (3,)), (F(1, 2), F(1, 2))), 1, 30, R)
+    cm = pushforward_to_curve(sigma, catalog("nodal_cubic"), 6)
+    real = curves.recurrence_from_moments
+
+    def failing_on_the_lift(exc):
+        def recurrence(seq, n):
+            if seq is sigma:
+                raise exc
+            return real(seq, n)
+        return recurrence
+
+    monkeypatch.setattr(curves, "recurrence_from_moments",
+                        failing_on_the_lift(NotAdmissible("no measure")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lift_and_test(cm).status is Status.DETERMINATE
+    monkeypatch.setattr(curves, "recurrence_from_moments",
+                        failing_on_the_lift(TypeError("kernel bug")))
+    with pytest.raises(TypeError, match="kernel bug"):
+        lift_and_test(cm)
+    monkeypatch.undo()
+    with pytest.warns(AtomsOnRamificationWarning):
+        lift_and_test(cm)
 
 
 def test_weight_exponent_must_be_even():

@@ -1,0 +1,152 @@
+"""The integer-row recurrence and forward pass against their scalar oracles.
+
+``hamburger._factorize`` and ``hamburger._forward_pass`` keep integer
+numerators over one content-reduced denominator per row or level in
+rational mode, and run the same loops on (value, 1) pairs in float mode.
+``oracles.factorize_fractions`` and ``oracles.forward_pass_fractions`` do the
+arithmetic entry by entry in the mode's scalars.  Every output must be equal
+and of the same type, every error of the same class with the same message,
+and float values bit-identical.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from momentkit import hamburger
+from momentkit.curves import _weighted_lift, catalog, pushforward_to_curve
+from momentkit.errors import MomentKitError
+from momentkit.moments import Atomic, QLattice1D, generate_moments, sequence_from_1d
+from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar
+from oracles import factorize_fractions, forward_pass_fractions
+
+R = RationalMode()
+F128 = FloatMode(128)
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# moments with mixed denominators: 1/3, 1/7 and 2**-20 side by side
+DENOMINATORS = (1, 3, 7, 2 ** 20)
+points = st.builds(F, st.integers(-40, 40), st.sampled_from(DENOMINATORS))
+weights = st.builds(F, st.integers(1, 30), st.sampled_from(DENOMINATORS))
+# evaluation points such as 1/3 + (2/7)i, and real ones
+parts = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7)))
+points_z = st.one_of(st.builds(lambda re: (re, F(0)), parts), st.tuples(parts, parts))
+
+
+def atomic(draw, atoms):
+    xs = draw(st.lists(points, min_size=atoms, max_size=atoms, unique=True))
+    ws = draw(st.lists(weights, min_size=atoms, max_size=atoms))
+    return Atomic(tuple((x,) for x in xs), tuple(ws))
+
+
+@st.composite
+def measures(draw):
+    """(measure, order): up to n + 3 atoms, so both full-order recurrences
+    and the rank early stop (fewer than n + 1 atoms) are drawn."""
+    n = draw(st.integers(1, 8))
+    return atomic(draw, draw(st.integers(1, n + 3))), n
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MomentKitError as exc:
+        return type(exc), str(exc)
+
+
+def same(a, b) -> bool:
+    """Equal with the same types, element by element; mpf values equal in
+    their raw mantissa and exponent (bit-identical)."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, ComplexScalar):
+        return isinstance(b, ComplexScalar) and same(a.re, b.re) and same(a.im, b.im)
+    if hasattr(a, "_mpf_"):
+        return hasattr(b, "_mpf_") and a._mpf_ == b._mpf_
+    return type(a) is type(b) and a == b
+
+
+def check_recurrence(seq, n):
+    got = outcome(hamburger._factorize, seq, n)
+    want = outcome(factorize_fractions, seq, n)
+    if isinstance(want, tuple):
+        assert got == want
+        return None
+    assert same((got.alpha, got.beta, got.pivot_log),
+                (want.alpha, want.beta, want.pivot_log))
+    return got
+
+
+def check_pass(rec, z):
+    got = hamburger._forward_pass(rec, z)
+    want = forward_pass_fractions(rec, z)
+    assert same((got.first, got.second, got.norm_sq),
+                (want.first, want.second, want.norm_sq))
+
+
+@SETTINGS
+@given(measures(), points_z)
+def test_recurrence_and_pass_match_oracles(measure_and_n, z):
+    measure, n = measure_and_n
+    for mode in (R, F128):
+        seq = generate_moments(measure, 1, 2 * n, mode)
+        rec = check_recurrence(seq, n)
+        if rec is not None:
+            check_pass(rec, complex_scalar(mode, *z))
+
+
+@SETTINGS
+@given(st.lists(st.builds(F, st.integers(-30, 30), st.sampled_from(DENOMINATORS)),
+                min_size=3, max_size=15))
+@example([F(1), F(0), F(0), F(0), F(1)])        # no flat extension
+@example([F(1), F(0), F(-1)])                   # ||pi_1||^2 < 0
+@example([F(0), F(0), F(1)])                    # m_0 = 0
+def test_arbitrary_data_same_outcome(m):
+    """Mostly non-admissible data: the same error class and message, or the
+    same recurrence."""
+    m = m[: 2 * ((len(m) - 1) // 2) + 1]
+    n = (len(m) - 1) // 2
+    for mode in (R, F128):
+        seq = outcome(sequence_from_1d, [mode.convert(x) for x in m], mode)
+        if not isinstance(seq, tuple):      # a negative m_0 is refused on entry
+            check_recurrence(seq, n)
+
+
+@SETTINGS
+@given(measures(), st.integers(1, 3), st.builds(F, st.integers(1, 50), st.sampled_from(DENOMINATORS)))
+def test_non_flat_rows_same_error(measure_and_n, gap, c):
+    """Singular data whose dead pivot leaves a surviving row."""
+    measure, _ = measure_and_n
+    atoms = len(measure.points)
+    n = atoms + gap
+    m = generate_moments(measure, 1, 2 * n, R).moments_1d()
+    m[-1] += c
+    check_recurrence(sequence_from_1d(m, R), n)
+
+
+def lhospital_lift(mode):
+    """The q = 2 lattice to degree 60 pushed onto the l'Hospital quintic and
+    weighted by the square of its ramification weight: ~48k-bit moments."""
+    curve = catalog("lhospital_quintic")
+    cm = pushforward_to_curve(generate_moments(QLattice1D(2), 1, 60, mode), curve, 6)
+    seq = _weighted_lift(cm.lifted_1d, curve.weight, 2)
+    return check_recurrence(seq, seq.max_degree // 2)
+
+
+@pytest.fixture(scope="module")
+def lhospital_rec():
+    return lhospital_lift(R)
+
+
+@pytest.mark.parametrize("z", [(0, 1), (-1, 0), (0, 0), (F(1, 3), F(2, 7))])
+def test_weighted_lhospital_lift_matches_oracles(z, lhospital_rec):
+    check_pass(lhospital_rec, complex_scalar(R, *z))
+
+
+def test_weighted_lhospital_lift_float_bit_identical():
+    rec = lhospital_lift(F128)
+    for z in ((0, 1), (-1, 0)):
+        check_pass(rec, complex_scalar(F128, *z))
