@@ -43,7 +43,7 @@ from .gaps import (
     poisson_kappa_estimate,
     sphere_average_kappa,
 )
-from .hamburger import recurrence_from_moments, verdict_1d
+from .hamburger import carleman, christoffel, recurrence_from_moments, verdict_1d, weyl_disk
 from .moments import (
     Atomic,
     Exponential1D,
@@ -56,7 +56,9 @@ from .moments import (
     generate_moments,
     pushforward_direction,
 )
-from .scalars import Mode, RationalMode, default_float_bits, mode_from_string, mode_to_string
+from .polynomials import multi_indices
+from .scalars import (Mode, RationalMode, complex_scalar, default_float_bits, mode_from_string,
+                      mode_to_string)
 from .serialization import format_value, sequence_from_json, support_to_json
 from .verdicts import Flavor
 
@@ -154,8 +156,6 @@ def load_input(path: str, mode_arg: str | None, degree_arg: int | None,
     else:
         seq = sequence_from_json(raw.decode("utf-8"))
         if degree_arg is not None and degree_arg < seq.max_degree:
-            from .polynomials import multi_indices
-
             entries = {a: seq.entries[a] for a in multi_indices(seq.dimension, degree_arg)}
             seq = MomentSequence(seq.dimension, degree_arg, seq.mode, entries,
                                  seq.support, seq.meta)
@@ -272,9 +272,6 @@ def _run_criterion(name: str, seq: MomentSequence, s1: MomentSequence | None,
     """One criterion entry of an analyze report.  ``s1`` is the 1D sequence
     of the ``ONE_D`` criteria and ``scan`` the direction scan the verdict
     already ran, if any."""
-    from .hamburger import carleman, christoffel, weyl_disk
-    from .scalars import complex_scalar
-
     mode = seq.mode
     fmt = lambda v: format_value(mode, v)
     out: dict[str, Any] = {"name": name}

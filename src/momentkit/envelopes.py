@@ -16,6 +16,7 @@ gap that blows up simply means the envelope family is too weak to decide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -61,50 +62,60 @@ def cosine_envelope(seq_1d: MomentSequence, order: int,
     differs by the degree-2M term; gap functional = m_{2M} / (2M)!
     (cosine) or m_{2M+1} / (2M+1)! (sine).
     """
-    if order < 1:
-        raise InvalidParameter("order must be >= 1")
-    if seq_1d.dimension != 1:
-        raise InvalidParameter("cosine envelope needs a 1D sequence")
-    import math
-
-    # sine stream: alternating on the half line only
-    if phase_shifted and not isinstance(seq_1d.support, NonnegativeOrthant):
-        raise WrongSupport("the phase-shifted envelope is certified on [0, inf) only")
-    mode = seq_1d.mode
     parity = 1 if phase_shifted else 0      # the stream's degrees are 2j + parity
-    top_deg = 2 * order + parity
-    if top_deg > seq_1d.max_degree:
-        raise DegreeInsufficient(f"order {order} needs degree {top_deg}")
+    top_deg = _top_degree(seq_1d, order, "cosine envelope", parity,
+                          "the phase-shifted envelope is certified on [0, inf) only"
+                          if phase_shifted else None)
+    mode = seq_1d.mode
     coeffs = [mode.zero()] * (top_deg + 1)
     for j in range(order + 1):
         coeffs[2 * j + parity] = mode.convert((-1) ** j) / math.factorial(2 * j + parity)
-    # the last two partial sums end at degrees top_deg - 2 and top_deg
-    s_prev, s_top = poly_trim(coeffs[: top_deg - 1]), poly_trim(coeffs)
-    lower, upper = (s_top, s_prev) if order % 2 == 1 else (s_prev, s_top)
+    # m_top / top! rounds once in float mode; (1 / top!) * m_top would round twice
     gap = seq_1d.moment((top_deg,)) / math.factorial(top_deg)
-    return PolynomialEnvelope(lower, upper, "half_line" if phase_shifted else "real_line",
-                              top_deg, gap)
+    return _bracket(coeffs, "half_line" if phase_shifted else "real_line", gap)
 
 
 def geometric_envelope(seq_1d: MomentSequence, order: int) -> PolynomialEnvelope:
     """Bracket of 1/(1+s) on s >= 0 by geometric partial sums:
-    sum_{k<=2n-1} (-s)^k <= 1/(1+s) <= sum_{k<=2n} (-s)^k, gap = L(s^{2n})."""
+    sum_{k<=2n-1} (-s)^k <= 1/(1+s) <= sum_{k<=2n} (-s)^k, gap = L(s^{2n}).
+
+    These are the brackets of ``maclaurin_envelope`` on
+    ``CompletelyMonotonic.geometric()``, but with every coefficient exactly
+    +-1: in float mode that stream's k!/k! rounds away from 1 once k! no
+    longer fits the mantissa."""
+    top_deg = _top_degree(seq_1d, order, "geometric envelope", 0,
+                          "geometric envelope is valid on [0, inf) only")
+    one = seq_1d.mode.one()
+    coeffs = [one if k % 2 == 0 else -one for k in range(top_deg + 1)]
+    return _bracket(coeffs, "half_line", seq_1d.moment((top_deg,)))
+
+
+def _top_degree(seq_1d: MomentSequence, order: int, name: str, parity: int,
+                half_line: str | None) -> int:
+    """The bracket's top degree 2 * order + parity, after the checks every
+    envelope makes, in this order: the order, the dimension, the support
+    (``half_line`` is the WrongSupport message of an envelope certified on
+    [0, inf) only) and the truncation degree."""
     if order < 1:
         raise InvalidParameter("order must be >= 1")
     if seq_1d.dimension != 1:
-        raise InvalidParameter("geometric envelope needs a 1D sequence")
-    if not isinstance(seq_1d.support, NonnegativeOrthant):
-        raise WrongSupport("geometric envelope is valid on [0, inf) only")
-    top_deg = 2 * order
+        raise InvalidParameter(f"{name} needs a 1D sequence")
+    if half_line is not None and not isinstance(seq_1d.support, NonnegativeOrthant):
+        raise WrongSupport(half_line)
+    top_deg = 2 * order + parity
     if top_deg > seq_1d.max_degree:
         raise DegreeInsufficient(f"order {order} needs degree {top_deg}")
-    mode = seq_1d.mode
-    one = mode.one()
-    upper = tuple(one if k % 2 == 0 else -one for k in range(top_deg + 1))
-    lower = upper[:top_deg]
-    gap = seq_1d.moment((top_deg,))
-    return PolynomialEnvelope(poly_trim(lower), poly_trim(upper), "half_line",
-                              top_deg, gap)
+    return top_deg
+
+
+def _bracket(coeffs: list, domain: str, gap) -> PolynomialEnvelope:
+    """The last two partial sums of an alternating coefficient stream, the
+    one that ends on a positive term as the upper side; they differ by the
+    top term, whose value under L is ``gap``."""
+    top_deg = len(coeffs) - 1
+    s_prev, s_top = poly_trim(coeffs[:top_deg]), poly_trim(coeffs)
+    lower, upper = (s_prev, s_top) if coeffs[top_deg] > 0 else (s_top, s_prev)
+    return PolynomialEnvelope(lower, upper, domain, top_deg, gap)
 
 
 @dataclass(frozen=True)
@@ -126,8 +137,6 @@ class CompletelyMonotonic:
     @staticmethod
     def geometric() -> "CompletelyMonotonic":
         """phi(s) = 1/(1+s): derivative stream (-1)^k k!."""
-        import math
-
         return CompletelyMonotonic(lambda k: (-1) ** k * math.factorial(k), "1/(1+s)")
 
 
@@ -135,16 +144,9 @@ def maclaurin_envelope(phi: CompletelyMonotonic, seq_1d: MomentSequence,
                        order: int) -> PolynomialEnvelope:
     """Power-series bracket M_{2n-1} <= phi <= M_{2n} on s >= 0 for a
     completely monotonic phi; gap = phi^(2n)(0)/(2n)! * L(s^{2n})."""
-    if order < 1:
-        raise InvalidParameter("order must be >= 1")
-    if not isinstance(seq_1d.support, NonnegativeOrthant):
-        raise WrongSupport("the bracket holds on [0, inf) only")
-    top_deg = 2 * order
-    if top_deg > seq_1d.max_degree:
-        raise DegreeInsufficient(f"order {order} needs degree {top_deg}")
+    top_deg = _top_degree(seq_1d, order, "maclaurin envelope", 0,
+                          "the bracket holds on [0, inf) only")
     mode = seq_1d.mode
-    import math
-
     coeffs = []
     for k in range(top_deg + 1):
         dk = phi.derivatives(k)
@@ -153,10 +155,7 @@ def maclaurin_envelope(phi: CompletelyMonotonic, seq_1d: MomentSequence,
                 f"derivative stream fails alternation at k={k}"
             )
         coeffs.append(mode.convert(dk) / math.factorial(k))
-    lower = poly_trim(coeffs[:top_deg])          # M_{2n-1}
-    upper = poly_trim(coeffs[: top_deg + 1])     # M_{2n}
-    gap = coeffs[top_deg] * seq_1d.moment((top_deg,))
-    return PolynomialEnvelope(lower, upper, "half_line", top_deg, gap)
+    return _bracket(coeffs, "half_line", coeffs[top_deg] * seq_1d.moment((top_deg,)))
 
 
 @dataclass(frozen=True)
@@ -181,8 +180,6 @@ def cm_gap_criterion(phi: CompletelyMonotonic, seq: MomentSequence,
     """
     if horizon < 1:
         raise InvalidParameter("horizon must be >= 1")
-    import math
-
     mode = seq.mode
     w = (dict(omega) if isinstance(omega, dict)
          else {(k,): c for k, c in enumerate(poly_trim(omega)) if c})

@@ -41,6 +41,7 @@ from .moments import (
     NonnegativeOrthant,
     affine_map,
     apply_linear_functional,
+    apply_linear_functional_1d,
     apply_polynomial_weight,
     dual_interior_contains,
     pushforward_direction,
@@ -53,7 +54,7 @@ from .polynomials import (
     multi_indices,
     poly_eval,
 )
-from .scalars import (ComplexScalar, FloatMode, Mode, RationalMode, from_context,
+from .scalars import (ComplexScalar, Mode, RationalMode, from_context, half_floor,
                       to_context, work_context)
 from .verdicts import Evidence, Flavor, Status, Verdict
 
@@ -245,8 +246,6 @@ class GapEstimate:
 
     @staticmethod
     def from_envelope(envelope, seq: MomentSequence) -> "GapEstimate":
-        from .moments import apply_linear_functional_1d
-
         lo = apply_linear_functional_1d(seq, envelope.lower)
         hi = apply_linear_functional_1d(seq, envelope.upper)
         return GapEstimate(lo, hi, True, True, envelope.order,
@@ -434,8 +433,7 @@ DEFAULT_ORTHANT_H = (1, 1, 1)  # h(t) = t^2 + t + 1
 
 
 def orthant_criterion(seq: MomentSequence, a: Sequence,
-                      h: Sequence = DEFAULT_ORTHANT_H,
-                      h_check_grid: Sequence | None = None) -> dict:
+                      h: Sequence = DEFAULT_ORTHANT_H) -> dict:
     """Slack of the translated-orthant step-function bracket at corner a:
 
         slack = sum over all sign-flip patterns I of L(H_I(x - a)) - m_0,
@@ -447,11 +445,11 @@ def orthant_criterion(seq: MomentSequence, a: Sequence,
 
     h must satisfy h >= 1 on [0, inf) and h >= 0 on R; the default
     t^2 + t + 1 is certified by calculus (min on the half line is h(0) = 1,
-    discriminant -3 < 0), custom h is spot-checked on a grid.
+    discriminant -3 < 0), custom h is spot-checked on the grid j/4, |j| <= 64.
     """
     mode = seq.mode
     h = tuple(mode.convert(c) for c in h)
-    _validate_orthant_h(mode, h, h_check_grid)
+    _validate_orthant_h(mode, h)
     d = seq.dimension
     deg_h = len(h) - 1
     if deg_h * d > seq.max_degree:
@@ -481,11 +479,10 @@ def orthant_criterion(seq: MomentSequence, a: Sequence,
     return {"slack": total - m0, "corner": tuple(av)}
 
 
-def _validate_orthant_h(mode, h: tuple, grid) -> None:
+def _validate_orthant_h(mode, h: tuple) -> None:
     if list(h) == [mode.convert(c) for c in DEFAULT_ORTHANT_H]:
         return  # certified symbolically; see docstring
-    pts = grid if grid is not None else [Fraction(j, 4) for j in range(-64, 65)]
-    for t in pts:
+    for t in [Fraction(j, 4) for j in range(-64, 65)]:
         tv = mode.convert(t)
         val = poly_eval(h, tv)
         if mode.to_float(val) < 0:
@@ -643,8 +640,7 @@ def _contains_basis(mode: Mode, vectors: list, dimension: int) -> bool:
     rows = [list(v) for v in vectors]
     rank = 0
     ncols = dimension
-    tol = (mode.ctx.ldexp(mode.one(), -(mode.precision_bits // 2))
-           if isinstance(mode, FloatMode) else 0)
+    tol = half_floor(mode, mode.one())
     col = 0
     r = 0
     while r < len(rows) and col < ncols:

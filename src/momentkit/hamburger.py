@@ -51,9 +51,10 @@ of the plain recurrence.
 
 In float mode the recurrence measures its own headroom: a positive pivot
 that clears its first-order noise floor by fewer than half the working bits
-raises PrecisionExhausted, the same half-precision rule the grid LP and the
-scan's basis test use.  A caller that can regenerate its data (the CLI for a
-measure spec without a mode) answers by doubling the precision.
+raises PrecisionExhausted, the same half-precision rule
+(``scalars.half_floor``) the grid LP and the scan's basis test use.  A
+caller that can regenerate its data (the CLI for a measure spec without a
+mode) answers by doubling the precision.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from typing import Any
 
 from .errors import (
@@ -76,7 +77,8 @@ from .errors import (
 )
 from .moments import MomentSequence, NonnegativeOrthant
 from .scalars import (RATIONAL_APPROX_BITS, ComplexScalar, FloatMode, Mode, RationalMode,
-                      complex_scalar, fixed_context, from_context, to_context)
+                      complex_scalar, fixed_context, from_context, half_floor, integers,
+                      ratio_to_float, to_context)
 from .verdicts import Evidence, Flavor, Leaning, Sufficiency, Verdict, synthesize
 
 #: float-mode pivots within 2**(-prec + guard) of zero are undecidable
@@ -144,13 +146,6 @@ def _relative_eps(mode: Mode):
     return mode.ctx.ldexp(mode.one(), -(mode.precision_bits - FLOAT_PIVOT_GUARD_BITS))
 
 
-def _half_precision(mode: Mode):
-    """2**(prec // 2): a float pivot must clear its noise floor by this much."""
-    if isinstance(mode, RationalMode):
-        return None
-    return mode.ctx.ldexp(mode.one(), mode.precision_bits // 2)
-
-
 def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     """Moment-to-recurrence transform, O(n^2) on sigma_{k,l} = L(pi_k x^l).
 
@@ -170,15 +165,15 @@ def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     measure has these moments and NotAdmissible is raised.
 
     In rational mode the moments are scaled to integers by the lcm of their
-    denominators, and row k is kept as integers ``T_l`` over one denominator
-    ``D``.  With ``alpha_{k-1} = an/ad`` and ``beta_{k-1} = bn/bd``, ``D =
-    lcm(d_{k-1} ad, d_{k-2} bd)`` and ``T_l = A S1_{l+1} - B S1_l - C
-    S2_l``, where S1 and S2 are the numerators of rows k-1 and k-2 and A, B
-    and C are integers; the row is then divided by ``gcd(D, T_k, ...,
-    T_{2n-k})``, which stops as soon as it reaches 1.  The outputs are
-    ratios in which the row denominators cancel: ``alpha_k = T_{k+1}/T_k -
-    S1_k/S1_{k-1}`` and ``beta_k = T_k d_{k-1} / (D S1_{k-1})``.  The pivot
-    tests are integer sign and zero tests.
+    denominators (``scalars.integers``), and row k is kept as integers
+    ``T_l`` over one denominator ``D``.  With ``alpha_{k-1} = an/ad`` and
+    ``beta_{k-1} = bn/bd``, ``D = lcm(d_{k-1} ad, d_{k-2} bd)`` and ``T_l =
+    A S1_{l+1} - B S1_l - C S2_l``, where S1 and S2 are the numerators of
+    rows k-1 and k-2 and A, B and C are integers; the row is then divided by
+    ``gcd(D, T_k, ..., T_{2n-k})``, which stops as soon as it reaches 1.
+    The outputs are ratios in which the row denominators cancel: ``alpha_k
+    = T_{k+1}/T_k - S1_k/S1_{k-1}`` and ``beta_k = T_k d_{k-1} / (D
+    S1_{k-1})``.  The pivot tests are integer sign and zero tests.
 
     Rational mode is exact and is mandatory for the acceptance runs on
     integer-moment measures.  Float mode carries first-order noise floors
@@ -186,9 +181,10 @@ def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     is neither clearly signed nor part of a vanished row raises
     PrecisionExhausted rather than returning garbage.  So does a positive
     pivot that clears its floor ``tol`` by fewer than half the working bits
-    (``tol < piv <= tol * 2**(prec // 2)``): the headroom ``log2(piv /
-    tol)`` tracks the correct bits of alpha and beta, and a recurrence that
-    keeps fewer than half of them is not worth reading a verdict from.
+    (``tol < piv`` and ``half_floor(mode, piv) <= tol``, that is ``piv <=
+    tol * 2**(prec // 2)``): the headroom ``log2(piv / tol)`` tracks the
+    correct bits of alpha and beta, and a recurrence that keeps fewer than
+    half of them is not worth reading a verdict from.
     """
     rec = seq.recurrences.get(n)
     if rec is None:
@@ -206,7 +202,6 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
     if not m[0] > 0:
         raise NotPositiveDefinite("m_0 must be positive")
     eps = _relative_eps(mode)
-    half = _half_precision(mode)
     exact = eps is None
     ratio = Fraction if exact else operator.truediv
     zero = 0 if exact else mode.zero()
@@ -215,12 +210,8 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
     pivots = [mode.to_float(m[0])]
     # row k holds sigma_{k,l} = row[l] / d for k <= l <= 2n - k: integers
     # over one positive denominator in rational mode, (value, 1) in float mode
-    if exact:
-        d_prev = lcm(*(x.denominator for x in m))
-        row_prev = [x.numerator * (d_prev // x.denominator) for x in m]
-        d_prev = _reduce_content(row_prev, 0, 2 * n, d_prev)
-    else:
-        row_prev, d_prev = list(m), 1
+    row_prev, d_prev = integers(m)
+    d_prev = _reduce_content(row_prev, 0, 2 * n, d_prev)
     row_prev2: list = []
     d_prev2 = 1
     lead = alpha[0]                 # sigma_{k-1,k} / sigma_{k-1,k-1}
@@ -255,7 +246,7 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
         d = _reduce_content(row, k, hi, d)
         piv = row[k]
         tol = noi[k]
-        pivots.append(_to_float(piv, d))
+        pivots.append(ratio_to_float(piv, d))
         if piv < -tol:
             raise NotAdmissible(f"functional is not positive on squares: ||pi_{k}||^2 < 0")
         if piv <= tol:
@@ -271,7 +262,7 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
                 )
             beta.append(mode.zero())
             return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
-        if half is not None and piv <= tol * half:
+        if not exact and half_floor(mode, piv) <= tol:
             raise PrecisionExhausted(
                 f"pivot at step {k} keeps fewer than half the working bits"
             )
@@ -311,15 +302,6 @@ def _content(d: int, *parts) -> int:
             break
         g = gcd(g, v)
     return g
-
-
-def _to_float(num, den) -> float:
-    """num / den as a float (correctly rounded for integers, as Fraction's
-    own conversion), +-inf beyond the float range."""
-    try:
-        return float(num / den)
-    except OverflowError:
-        return inf if num > 0 else -inf
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +356,7 @@ def _forward_pass(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     exact = isinstance(mode, RationalMode)
     one, zero = (1, 0) if exact else (mode.one(), mode.zero())
     # z = (xr + i xi) / w; level k of either kind is (re + i im) / e
-    (xr, wr), (xi, wi) = _pair(z.re), _pair(z.im)
-    w = lcm(wr, wi)
-    xr, xi = xr * (w // wr), xi * (w // wi)
+    (xr, xi), w = integers((z.re, z.im))
     first = [(one, zero, 1)]
     second = [(zero, zero, 1)]
     if rec.order >= 1:

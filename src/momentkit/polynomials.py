@@ -123,14 +123,15 @@ def poly_gcd(p: Sequence, q: Sequence) -> tuple:
     """Monic gcd over a field (exact mode); Euclid's algorithm."""
     a, b = poly_trim(p), poly_trim(q)
     while b:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, poly_mod(a, b)
     if a:
         lead = a[-1]
         a = tuple(c / lead for c in a)
     return a
 
 
-def _poly_mod(a: tuple, b: tuple) -> tuple:
+def poly_mod(a: tuple, b: tuple) -> tuple:
+    """The remainder of a divided by a non-zero b, over a field (exact mode)."""
     r = poly_trim(a)
     db, lead = len(b) - 1, b[-1]
     while r and len(r) - 1 >= db:

@@ -29,6 +29,12 @@ and ``from_context`` brings the result back, exactly (``exact_fraction``) in
 rational mode and rounded to the mode's precision in float mode.  This
 module is the only one that imports ``mpmath``.
 
+Three rules the kernels share are defined here once: ``integers`` puts
+rationals over one denominator for the integer kernels (the recurrence,
+the forward pass, the grid LP) and hands float values back as they are;
+``half_floor`` is the float noise floor that keeps half the working bits;
+``ratio_to_float`` converts an integer ratio, saturating to +-inf.
+
 A float precision for degree-N data is the caller's choice; the CLI starts a
 measure spec with no mode at ``64 + 2N`` bits, doubles on
 ``PrecisionExhausted`` and stops at ``default_float_bits(N)``.
@@ -111,10 +117,7 @@ class RationalMode:
         return from_context(self, +work_context(self, bits).pi)
 
     def to_float(self, v: Fraction) -> float:
-        try:
-            return float(v)
-        except OverflowError:
-            return math.inf if v > 0 else -math.inf
+        return ratio_to_float(v.numerator, v.denominator)
 
     def to_string(self, v: Fraction) -> str:
         """``p/q`` (or ``p``); the digits go through ``Decimal``, which has no
@@ -230,6 +233,35 @@ def mode_from_string(s: str) -> Mode:
 
 def mode_to_string(mode: Mode) -> str:
     return "rational" if isinstance(mode, RationalMode) else f"float:{mode.precision_bits}"
+
+
+def integers(values) -> tuple:
+    """Rationals as integers over the lcm of their denominators: (the
+    numerators, the lcm).  Binary floats come back unchanged, over 1."""
+    values = list(values)
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return values, 1
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def ratio_to_float(num, den) -> float:
+    """num / den (den > 0) as a float: correctly rounded for integers, as
+    ``float(Fraction(num, den))``; +-inf beyond the float range."""
+    try:
+        return float(num / den)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def half_floor(mode: Mode, scale):
+    """The noise floor of a float quantity of size ``scale`` that keeps half
+    the working bits: ``scale * 2**-(prec // 2)``, exact (a power-of-two
+    shift), so ``half_floor(mode, x) <= t`` iff ``x <= t * 2**(prec // 2)``.
+    0 in rational mode, which has no noise."""
+    if isinstance(mode, RationalMode):
+        return 0
+    return mode.ctx.ldexp(scale, -(mode.precision_bits // 2))
 
 
 def exact_fraction(v) -> Fraction:

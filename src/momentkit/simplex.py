@@ -18,16 +18,18 @@ Pivoting follows Bland's rule (no cycling), and one engine serves both
 modes; only the elimination step differs.  Rational mode pivots exactly on
 integers, with no gcd per entry (Edmonds' fraction-free Gauss-Jordan, the
 Bareiss idea applied to the simplex): each moment row is scaled to integers
-by the lcm of its denominators, the objective by the lcm ``den`` of its
-own, and every tableau and profit entry is an integer numerator over one
-common denominator ``D > 0``, the current basis determinant.  A pivot on
+by the lcm of its denominators and the objective by the lcm ``den`` of its
+own (``scalars.integers``, which leaves float rows as they are), and every
+tableau and profit entry is an integer numerator over one common
+denominator ``D > 0``, the current basis determinant.  A pivot on
 ``p`` takes each entry ``u`` of another row to ``(u * p - f * v) // D``,
 exactly, where ``f`` is that row's entry in the pivot column and ``v`` the
 pivot row's; the pivot row stays as it is and ``D`` becomes ``p``.  Ratios
 are compared by cross-multiplication, and an optimum is read off as
 ``Fraction(-profit[-1], D * den)``.  Float mode keeps ``D = 1``, divides
 the pivot row by the pivot, and works at the context precision with a
-relative pivot tolerance; since rounding can carry it to a wrong vertex, it
+pivot tolerance of half the working bits below the largest entry
+(``scalars.half_floor``); since rounding can carry it to a wrong vertex, it
 re-checks each optimal grid measure against the moments and raises
 PrecisionExhausted when the measure misses them.  Problem sizes here are
 small (tens of moments, at most a few hundred grid points), so no
@@ -37,12 +39,11 @@ place.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import LpInfeasible, LpUnbounded, PrecisionExhausted
-from .scalars import Mode, RationalMode
+from .scalars import Mode, RationalMode, half_floor, integers
 
 #: pivots per run; Bland's rule cannot cycle, so only float rounding reaches it
 MAX_ITERATIONS = 100_000
@@ -89,11 +90,9 @@ def _solve(mode: Mode, exact: bool, cols, rhs, obj) -> tuple:
     # stored.
     rows = []
     for i, m in enumerate(rhs):
-        row = [col[i] for col in cols] + [m]
-        if exact:
-            row = _integers(row)[0]
+        row = integers([col[i] for col in cols] + [m])[0]
         rows.append([-v for v in row] if m < 0 else row)
-    obj, den = _integers(obj) if exact else (obj, 1)
+    obj, den = integers(obj)
     tab = _Tableau(rows, [size + i for i in range(len(rows))], exact)
 
     # phase 1: maximize minus the artificial mass; with every artificial
@@ -126,19 +125,12 @@ def _solve(mode: Mode, exact: bool, cols, rhs, obj) -> tuple:
     return bounds[0], bounds[1]
 
 
-def _integers(values) -> tuple:
-    """Fractions scaled to integers by the lcm of their denominators:
-    (the integers, the lcm)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _tolerance(mode: Mode, cols, rhs, obj):
     scale = mode.one()
     for v in [v for col in cols for v in col] + list(rhs) + list(obj):
         if abs(v) > scale:
             scale = abs(v)
-    return mode.ctx.ldexp(scale, -(mode.precision_bits // 2))
+    return half_floor(mode, scale)
 
 
 def _check_measure(mode: Mode, cols, rhs, tab) -> None:
@@ -149,14 +141,13 @@ def _check_measure(mode: Mode, cols, rhs, tab) -> None:
     sum_g |columns[g][i]|``, over the basic g."""
     y = [(row[-1], g) for row, g in zip(tab.rows, tab.basis)]
     y_max = max((abs(v) for v, _ in y), default=mode.zero())
-    half = -(mode.precision_bits // 2)
-    if any(v < -mode.ctx.ldexp(y_max, half) for v, _ in y):
+    if any(v < -half_floor(mode, y_max) for v, _ in y):
         raise PrecisionExhausted("the optimal grid measure has a negative weight "
                                  "beyond half the working bits")
     for i, m in enumerate(rhs):
         residual = sum((v * cols[g][i] for v, g in y), -m)
         scale = abs(m) + y_max * sum(abs(cols[g][i]) for _, g in y)
-        if abs(residual) > mode.ctx.ldexp(scale, half):
+        if abs(residual) > half_floor(mode, scale):
             raise PrecisionExhausted(
                 f"the optimal grid measure misses moment {i} by more than "
                 "half the working bits")

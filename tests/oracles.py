@@ -53,11 +53,10 @@ from typing import Sequence
 from momentkit.errors import (DegreeInsufficient, InvalidParameter, LpInfeasible,
                               LpUnbounded, NotAdmissible, NotPositiveDefinite,
                               PrecisionExhausted)
-from momentkit.hamburger import (OrthoEval, Recurrence, WeylDisk, _half_precision,
-                                 _relative_eps, ortho_eval)
+from momentkit.hamburger import OrthoEval, Recurrence, WeylDisk, _relative_eps, ortho_eval
 from momentkit.moments import MomentSequence
 from momentkit.polynomials import mpoly_mul
-from momentkit.scalars import ComplexScalar, FloatMode, Mode, RationalMode
+from momentkit.scalars import ComplexScalar, FloatMode, Mode, RationalMode, half_floor
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +153,6 @@ def factorize_fractions(seq: MomentSequence, n: int) -> Recurrence:
     if not m[0] > 0:
         raise NotPositiveDefinite("m_0 must be positive")
     eps = _relative_eps(mode)
-    half = _half_precision(mode)
     zero = mode.zero()
     alpha = [m[1] / m[0]]
     beta = [m[0]]
@@ -196,7 +194,7 @@ def factorize_fractions(seq: MomentSequence, n: int) -> Recurrence:
                 )
             beta.append(zero)
             return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
-        if half is not None and piv <= tol * half:
+        if eps is not None and half_floor(mode, piv) <= tol:
             raise PrecisionExhausted(
                 f"pivot at step {k} keeps fewer than half the working bits"
             )

@@ -296,6 +296,27 @@ def test_ramified_atom_check_lets_a_kernel_bug_through(monkeypatch):
         lift_and_test(cm)
 
 
+def test_bounded_evaluation_witness_lets_a_kernel_bug_through(monkeypatch):
+    """The curve-bounded-evaluation witness is skipped only on a
+    MomentKitError: a bug in the kernel (here a TypeError) propagates
+    instead of turning into a "skipped" item next to the verdict."""
+    sigma = generate_moments(Atomic(((2,), (3,)), (F(1, 2), F(1, 2))), 1, 30, R)
+    cm = pushforward_to_curve(sigma, catalog("nodal_cubic"), 6)
+
+    def failing(exc):
+        def christoffel(rec, z, n):
+            raise exc
+        return christoffel
+
+    monkeypatch.setattr(curves, "christoffel", failing(DegreeInsufficient("too short")))
+    item = lift_and_test(cm).evidence[-1]
+    assert item.criterion == "curve-bounded-evaluation"
+    assert item.detail == "skipped: too short"
+    monkeypatch.setattr(curves, "christoffel", failing(TypeError("kernel bug")))
+    with pytest.raises(TypeError, match="kernel bug"):
+        lift_and_test(cm)
+
+
 def test_weight_exponent_must_be_even():
     cm = pushforward_to_curve(qlattice(60), catalog("parabola"), 10)
     with pytest.raises(InvalidParameter):

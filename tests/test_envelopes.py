@@ -19,7 +19,7 @@ from momentkit.moments import (
     generate_moments,
 )
 from momentkit.polynomials import poly_eval
-from momentkit.scalars import RationalMode
+from momentkit.scalars import FloatMode, RationalMode
 
 R = RationalMode()
 
@@ -115,6 +115,16 @@ def test_maclaurin_geometric_stream_reproduces_geometric_envelope():
         assert via_cm.lower == direct.lower
         assert via_cm.upper == direct.upper
         assert via_cm.gap_functional == direct.gap_functional
+
+
+def test_geometric_coefficients_stay_exact_in_float_mode():
+    # at float:64, mpf(27!)/27! is not 1: the geometric envelope does not
+    # divide the geometric derivative stream by k!
+    seq = generate_moments(Exponential1D(), 1, 40, FloatMode(64))
+    env = geometric_envelope(seq, 20)
+    assert env.upper == tuple((-1) ** k for k in range(41))
+    assert env.lower == env.upper[:40]
+    assert env.gap_functional == seq.moment((40,))
 
 
 def test_maclaurin_rejects_non_alternating_stream():

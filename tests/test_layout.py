@@ -5,6 +5,13 @@
   ``__init__.py`` or used by other library code: another module, or another
   definition of its own module.  A helper that no library code reaches is
   deleted, not kept for the tests alone.
+* No module imports another module's private ``_name``, or reads one off a
+  module it imported: a helper two modules share is public.
+* An import inside a function is kept only to break a cycle: the imported
+  module imports this one at top level.  Every other import sits at the top.
+
+(That ``scalars.py`` is the only module importing ``mpmath`` is checked in
+``test_scalars.py``.)
 """
 
 import ast
@@ -68,3 +75,57 @@ def test_every_public_definition_is_exported_or_used():
                        for sibling in tree.body if sibling is not node):
                 unreached.append(f"{name}.{node.name}")
     assert unreached == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _targets(node) -> list:
+    """The modules an import statement reads: the package's own by their
+    stem (``from . import simplex`` reads ``simplex``), others by name."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if node.level and node.module is None:
+        return [a.name for a in node.names]
+    return [node.module]
+
+
+def test_no_private_names_across_modules():
+    crossings = []
+    for name, tree in _modules().items():
+        sibling_modules = set()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level:
+                if n.module is None:
+                    sibling_modules.update(a.asname or a.name for a in n.names)
+                else:
+                    crossings += [f"{name}: {n.module}.{a.name}"
+                                  for a in n.names if _is_private(a.name)]
+        crossings += [f"{name}: {n.value.id}.{n.attr}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                      and n.value.id in sibling_modules and _is_private(n.attr)]
+    assert crossings == []
+
+
+def test_function_local_imports_only_break_cycles():
+    modules = _modules()
+    top_level = {}
+    for name, tree in modules.items():
+        top_level[name] = set()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.ImportFrom) and n.level:
+                    top_level[name].update(_targets(n))
+    local = set()
+    for name, tree in modules.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for n in ast.walk(fn):
+                if isinstance(n, (ast.Import, ast.ImportFrom)):
+                    local.update(f"{name}.{fn.name}: {target}" for target in _targets(n)
+                                 if name not in top_level.get(target, ()))
+    assert sorted(local) == []

@@ -1,9 +1,12 @@
 import ast
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momentkit
 from momentkit.errors import InvalidParameter, ModeMismatch
@@ -15,8 +18,11 @@ from momentkit.scalars import (
     exact_fraction,
     fixed_context,
     from_context,
+    half_floor,
+    integers,
     mode_from_string,
     mode_to_string,
+    ratio_to_float,
     to_context,
     work_context,
 )
@@ -150,3 +156,56 @@ def test_complex_scalar_field_ops():
     assert z.conj().im == -z.im
     one = (z / z)
     assert one.re == 1 and one.im == 0
+
+
+HELPER_SETTINGS = settings(max_examples=80, deadline=None)
+
+
+@HELPER_SETTINGS
+@given(st.lists(st.one_of(st.integers(-10**30, 10**30),
+                          st.fractions(max_denominator=10**12)), max_size=10))
+def test_integers_puts_rationals_over_their_lcm(values):
+    nums, den = integers(values)
+    assert den == math.lcm(*(F(v).denominator for v in values))
+    assert all(type(n) is int for n in nums)
+    assert [F(n, den) for n in nums] == [F(v) for v in values]
+
+
+@HELPER_SETTINGS
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+       st.sampled_from([8, 53, 128, 300]))
+def test_integers_passes_floats_through_over_one(values, bits):
+    mode = FloatMode(bits)
+    floats = [mode.convert(v) for v in values]
+    nums, den = integers(floats)
+    assert den == 1
+    assert all(n is v for n, v in zip(nums, floats)) and len(nums) == len(floats)
+
+
+@HELPER_SETTINGS
+@given(st.integers(-2**1000, 2**1000), st.integers(1, 2**1000))
+def test_ratio_to_float_rounds_as_fraction(num, den):
+    assert ratio_to_float(num, den) == float(F(num, den))
+    assert RationalMode().to_float(F(num, den)) == float(F(num, den))
+
+
+@HELPER_SETTINGS
+@given(st.integers(1, 2**80), st.integers(1, 2**80), st.integers(1024, 4000))
+def test_ratio_to_float_is_infinite_past_the_float_range(a, den, shift):
+    num = (a * den) << shift  # num / den = a * 2**shift >= 2**1024
+    assert ratio_to_float(num, den) == math.inf
+    assert ratio_to_float(-num, den) == -math.inf
+    assert RationalMode().to_float(F(-num, den)) == -math.inf
+
+
+@HELPER_SETTINGS
+@given(st.integers(-2**300, 2**300), st.integers(-400, 400), st.integers(32, 128),
+       st.sampled_from([8, 53, 64, 129, 512]))
+def test_half_floor_keeps_half_the_working_bits(pm, pe, k, bits):
+    mode = FloatMode(bits)
+    p = mode.ctx.ldexp(mode.convert(pm), pe)
+    # t within a binade of p's floor on either side, where the test flips
+    t = mode.ctx.ldexp(abs(p) * mode.convert(F(k, 64)), -(bits // 2))
+    exact = exact_fraction(p) <= exact_fraction(t) * 2 ** (bits // 2)
+    assert (half_floor(mode, p) <= t) == exact
+    assert half_floor(RationalMode(), F(pm, 3)) == 0
