@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .errors import (
@@ -78,16 +79,9 @@ def cosine_envelope(seq_1d: MomentSequence, order: int,
 def geometric_envelope(seq_1d: MomentSequence, order: int) -> PolynomialEnvelope:
     """Bracket of 1/(1+s) on s >= 0 by geometric partial sums:
     sum_{k<=2n-1} (-s)^k <= 1/(1+s) <= sum_{k<=2n} (-s)^k, gap = L(s^{2n}).
-
-    These are the brackets of ``maclaurin_envelope`` on
-    ``CompletelyMonotonic.geometric()``, but with every coefficient exactly
-    +-1: in float mode that stream's k!/k! rounds away from 1 once k! no
-    longer fits the mantissa."""
-    top_deg = _top_degree(seq_1d, order, "geometric envelope", 0,
-                          "geometric envelope is valid on [0, inf) only")
-    one = seq_1d.mode.one()
-    coeffs = [one if k % 2 == 0 else -one for k in range(top_deg + 1)]
-    return _bracket(coeffs, "half_line", seq_1d.moment((top_deg,)))
+    The ``maclaurin_envelope`` of ``CompletelyMonotonic.geometric()``, whose
+    coefficients k!/k! are exactly +-1 in either mode."""
+    return maclaurin_envelope(CompletelyMonotonic.geometric(), seq_1d, order)
 
 
 def _top_degree(seq_1d: MomentSequence, order: int, name: str, parity: int,
@@ -122,8 +116,10 @@ def _bracket(coeffs: list, domain: str, gap) -> PolynomialEnvelope:
 class CompletelyMonotonic:
     """A completely monotonic target given by its derivative stream at 0.
 
-    ``derivatives(k)`` returns phi^(k)(0); the stream must alternate:
-    (-1)^k phi^(k)(0) >= 0.  ``description`` feeds reports.
+    ``derivatives(k)`` returns phi^(k)(0) as an exact value (int or
+    ``Fraction``); the stream must alternate: (-1)^k phi^(k)(0) >= 0.
+    Envelopes divide it by k! exactly and convert each coefficient once.
+    ``description`` feeds reports.
     """
 
     derivatives: Callable[[int], Any]
@@ -154,7 +150,7 @@ def maclaurin_envelope(phi: CompletelyMonotonic, seq_1d: MomentSequence,
             raise NotCompletelyMonotonicCoefficients(
                 f"derivative stream fails alternation at k={k}"
             )
-        coeffs.append(mode.convert(dk) / math.factorial(k))
+        coeffs.append(mode.convert(Fraction(dk, math.factorial(k))))
     return _bracket(coeffs, "half_line", coeffs[top_deg] * seq_1d.moment((top_deg,)))
 
 
@@ -198,7 +194,7 @@ def cm_gap_criterion(phi: CompletelyMonotonic, seq: MomentSequence,
         # the bracket width only sees |phi^(2n)(0)|, so cosine-type streams
         # (alternating even derivatives) are accepted alongside strict
         # complete monotonicity
-        coeff = mode.convert(abs(phi.derivatives(2 * n))) / math.factorial(2 * n)
+        coeff = mode.convert(Fraction(abs(phi.derivatives(2 * n)), math.factorial(2 * n)))
         values.append(coeff * powers[(2 * n,)])
     inf_v = values[0]
     for v in values[1:]:

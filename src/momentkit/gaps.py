@@ -605,8 +605,9 @@ def direction_scan(seq: MomentSequence, directions: Sequence) -> dict:
       aggregate (numeric-flagged);
     * anything else is INCONCLUSIVE.
 
-    Each push-forward gets its own flavor (Stieltjes for directions interior
-    to the dual of a cone support); the aggregate is a Hamburger verdict.
+    Each push-forward gets its own flavor (Stieltjes for directions in the
+    closed dual cone of a cone support, boundary directions such as the
+    axes of the orthant included); the aggregate is a Hamburger verdict.
     """
     if not directions:
         raise InvalidDirection("no directions supplied")

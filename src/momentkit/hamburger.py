@@ -31,6 +31,12 @@ parametrization depends on them):
   Im(pi_n conj pi_{n-1}) / (Im z ||pi_{n-1}||^2)``.  Since ``s / Im z =
   ||pi_n||^2 K_n(z, conj z)``, the Weyl radius equals ``rho_n(z) / (2 |Im
   z|)``: at one point the two are one quantity, not independent evidence.
+* The Stieltjes convergents come from Stieltjes' continued fraction, whose
+  partial numerators q_k, e_k split the recurrence (``alpha_k = q_{k+1} +
+  e_k``, ``beta_k = q_k e_k``): one real loop over them checks both Hankel
+  forms and gives the Gauss and Radau values, with no forward pass.  So a
+  verdict evaluates orthogonal polynomials at z = i only, and a Recurrence
+  keeps the forward pass at its last point only.
 
 Everything is exact in rational mode.  Quantities that are inherently
 irrational (Carleman roots, kappa values) are computed through binary floats
@@ -84,10 +90,6 @@ from .verdicts import Evidence, Flavor, Leaning, Sufficiency, Verdict, synthesiz
 #: float-mode pivots within 2**(-prec + guard) of zero are undecidable
 FLOAT_PIVOT_GUARD_BITS = 12
 
-#: full-order evaluations a Recurrence keeps, newest last; a verdict visits
-#: three points (i, -1, 0), and a kappa field visits one point at a time
-ORTHO_MEMO_POINTS = 4
-
 # Verdict thresholds.  Christoffel values and Weyl disks are read at z = i,
 # the Stieltjes convergents at z = STIELTJES_POINT.
 
@@ -117,9 +119,9 @@ class Recurrence:
     the number of atoms when the measure is finitely atomic.
     ``pivot_log`` records the elimination pivots ``sigma_{k,k} = ||pi_k||^2``
     as floats, for diagnostics of the (notoriously unstable) moment-to-
-    recurrence transform.  ``evals`` holds the forward passes of
-    ``ortho_eval`` at the last ``ORTHO_MEMO_POINTS`` points; it is not part
-    of the value.
+    recurrence transform.  ``evals`` holds the full-order forward pass of
+    ``ortho_eval`` at the last point it visited (a verdict reads z = i only;
+    a kappa field visits one point at a time); it is not part of the value.
     """
 
     mode: Mode
@@ -335,16 +337,15 @@ class OrthoEval:
 def ortho_eval(rec: Recurrence, z: ComplexScalar, n: int | None = None) -> OrthoEval:
     """pi_k(z) and Q_k(z) for k <= n (default: the full order); total for any
     recurrence.  Every level asked for at one point shares one full-order
-    forward pass, kept in ``rec.evals``."""
+    forward pass, kept in ``rec.evals`` until the next point."""
     top = rec.order if n is None else n
     if top > rec.order:
         raise DegreeInsufficient(f"recurrence order {rec.order} < requested {top}")
-    full = rec.evals.pop(z, None)
+    full = rec.evals.get(z)
     if full is None:
         full = _forward_pass(rec, z)
-        if len(rec.evals) >= ORTHO_MEMO_POINTS:
-            del rec.evals[next(iter(rec.evals))]
-    rec.evals[z] = full
+        rec.evals.clear()
+        rec.evals[z] = full
     if top == rec.order:
         return full
     return OrthoEval(z, full.first[:top + 1], full.second[:top + 1],
@@ -377,7 +378,7 @@ def _forward_pass(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
 
 def _norms(rec: Recurrence) -> tuple:
     """||pi_k||^2 = beta_0 ... beta_k; they do not depend on z, so a pass
-    takes them from any point kept in ``rec.evals``."""
+    takes them from the point kept in ``rec.evals``."""
     for ev in rec.evals.values():
         return ev.norm_sq
     norms = [rec.beta[0]]
@@ -602,15 +603,29 @@ class ConvergentPair:
 
 
 def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
-    """Even and odd convergents at level n.
+    """Even and odd convergents at level n, from Stieltjes' continued
+    fraction (the S-fraction) of the transform at ``s = -z > 0``:
 
-    The even convergent is the plain n-level quadrature value of the
-    transform read off the second/first kind ratio; the odd convergent fixes
-    an extra node at the support endpoint 0.  For Stieltjes-determinate
-    sequences the interval width shrinks to 0; in the indeterminate case the
-    two limits differ and the width plateaus at the transform gap.  Requires
-    both the plain and the shifted Hankel forms to be positive (otherwise
-    NotStieltjesAdmissible) and the support hint to be the half line.
+        integral dmu(x) / (x + s) = m_0/(s + q_1/(1 + e_1/(s + q_2/(1 + ...)))).
+
+    Its partial numerators are the chain sequence that splits the
+    recurrence: with ``e_0 = 0``, ``q_{k+1} = alpha_k - e_k`` and ``e_{k+1}
+    = beta_{k+1} / q_{k+1}``, so ``alpha_k = q_{k+1} + e_k`` and ``beta_k =
+    q_k e_k``.  Both Hankel forms, plain and shifted, are positive definite
+    iff every q and e is positive (otherwise NotStieltjesAdmissible); the
+    support hint must be the half line.
+
+    Convergent 2n stops before ``e_n``; contracting its pairs of levels
+    gives the J-fraction of alpha_0..alpha_{n-1} and beta_1..beta_{n-1},
+    so it is the n-point Gauss value ``-Q_n(z)/pi_n(z)`` (the even value,
+    lower end).  Convergent 2n + 1 stops before ``q_{n+1}``, that is at
+    ``alpha_n = e_n``, the top coefficient that puts a root of pi_{n+1} at
+    0: it is the Gauss-Radau value with a fixed node at the support
+    endpoint (the odd value, upper end).  One real Wallis loop gives both,
+    adding positive terms only, so in float mode the pair keeps the bits
+    of q and e.  For Stieltjes-determinate sequences the interval width
+    shrinks to 0; in the indeterminate case the two limits differ and the
+    width plateaus at the transform gap.
     """
     mode = seq.mode
     if not isinstance(seq.support, NonnegativeOrthant):
@@ -621,48 +636,30 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     rec = recurrence_from_moments(seq, seq.max_degree // 2)
     if rec.rank <= n:
         # finitely atomic: both convergents equal the exact transform
-        zc = complex_scalar(mode, zv)
-        ev = ortho_eval(rec, zc, rec.rank)
+        ev = ortho_eval(rec, complex_scalar(mode, zv), rec.rank)
         val = -(ev.second[rec.rank].re / ev.first[rec.rank].re)
         return ConvergentPair(zv, n, val, val, mode.zero())
     if rec.order < n:
         raise DegreeInsufficient(f"recurrence order {rec.order} < level {n}")
-    _assert_stieltjes_positive(seq, rec, n)
-    zc = complex_scalar(mode, zv)
-    ev = ortho_eval(rec, zc, n)
-    even = -(ev.second[n].re / ev.first[n].re)
-    # fixed node at 0: modified top diagonal alpha* = 0 - beta_n pi_{n-1}(0)/pi_n(0)
-    zero_c = complex_scalar(mode, 0)
-    at0 = ortho_eval(rec, zero_c, n)
-    pn0, pn10 = at0.first[n].re, at0.first[n - 1].re
-    if pn0 == 0:
-        raise NotStieltjesAdmissible("pi_n(0) = 0; roots touch the endpoint")
-    alpha_star = -rec.beta[n] * pn10 / pn0
-    p_top = (zc - complex_scalar(mode, alpha_star)) * ev.first[n] - ev.first[n - 1].scale(rec.beta[n])
-    q_top = (zc - complex_scalar(mode, alpha_star)) * ev.second[n] - ev.second[n - 1].scale(rec.beta[n])
-    odd = -(q_top.re / p_top.re)
-    width = odd - even if odd >= even else even - odd
-    return ConvergentPair(zv, n, even, odd, width)
-
-
-def _assert_stieltjes_positive(seq: MomentSequence, rec: Recurrence, n: int) -> None:
-    """Positivity of Hankel and shifted Hankel to the needed order.
-
-    Checked through the chain splitting of the recurrence: with e_0 = 0,
-    q_{k+1} = alpha_k - e_k and e_{k+1} = beta_{k+1} / q_{k+1}, both Hankel
-    forms are positive definite iff every q and e is positive.  This is the
-    exact O(n) equivalent of factorizing the shifted Hankel matrix.
-    """
-    if any(b <= 0 for b in rec.beta[:n + 1]):
-        raise NotStieltjesAdmissible("Hankel form not positive to the needed order")
-    e = seq.mode.zero()
+    if n < 0:
+        raise InvalidParameter("level must be nonnegative")
+    s = -zv
+    # Wallis numerators and denominators of convergents 2k and 2k + 1
+    even_num, even_den = mode.zero(), mode.one()
+    odd_num, odd_den = rec.beta[0], s
+    e = mode.zero()
     for k in range(n):
         q = rec.alpha[k] - e
         if not q > 0:
             raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
+        even_num, even_den = odd_num + q * even_num, odd_den + q * even_den
         e = rec.beta[k + 1] / q
         if not e > 0:
             raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
+        odd_num, odd_den = s * even_num + e * odd_num, s * even_den + e * odd_den
+    even, odd = even_num / even_den, odd_num / odd_den
+    width = odd - even if odd >= even else even - odd
+    return ConvergentPair(zv, n, even, odd, width)
 
 
 # ---------------------------------------------------------------------------

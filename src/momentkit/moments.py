@@ -84,16 +84,17 @@ def dual_interior_contains(s: Support, xi: Sequence) -> bool:
     generator.  The test is exact in rational mode; in float mode a
     direction within rounding of the boundary may fall on either side.
     """
+    pairings = _generator_pairings(s, xi)
+    return pairings is not None and all(p > 0 for p in pairings)
+
+
+def _generator_pairings(s: Support, xi: Sequence) -> list | None:
+    """xi . g for every generator g of a cone support; None off a cone."""
     if isinstance(s, NonnegativeOrthant):
-        gens = [tuple(1 if j == i else 0 for j in range(len(xi))) for i in range(len(xi))]
-    elif isinstance(s, ConeSupport):
-        gens = s.generators
-    else:
-        return False
-    for g in gens:
-        if sum(gi * xj for gi, xj in zip(g, xi)) <= 0:
-            return False
-    return True
+        return list(xi)
+    if isinstance(s, ConeSupport):
+        return [sum(gi * xj for gi, xj in zip(g, xi)) for g in s.generators]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +428,9 @@ def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
 def pushforward_direction(seq: MomentSequence, xi: Sequence) -> MomentSequence:
     """Moments of the image under x -> x . xi: s_k = L((x . xi)**k).
 
-    The result lives on [0, inf) when the source support is a cone and xi is
-    strictly interior to its dual (checked on generators).  Carleman growth
+    The result lives on [0, inf) when the source support is a cone and xi
+    lies in its closed dual cone, xi . g >= 0 on every generator g, so
+    boundary directions such as an axis of the orthant count.  Carleman growth
     certification survives: the directional even moments are dominated by a
     fixed multiple of the axis moments, which preserves the O(k) root-growth
     class.
@@ -441,7 +443,8 @@ def pushforward_direction(seq: MomentSequence, xi: Sequence) -> MomentSequence:
     form = {tuple(int(i == j) for i in range(seq.dimension)): c for j, c in enumerate(xiv)}
     image = image_moments(seq, [form], seq.max_degree)
     out = [image[(k,)] for k in range(seq.max_degree + 1)]
-    stieltjes = support_is_cone(seq.support) and dual_interior_contains(seq.support, xiv)
+    pairings = _generator_pairings(seq.support, xiv)
+    stieltjes = pairings is not None and all(p >= 0 for p in pairings)
     support = NonnegativeOrthant() if stieltjes else FullSpace()
     meta = {"carleman_growth_certified": seq.is_certified_carleman()}
     image = sequence_from_1d(out, seq.mode, support, meta)
@@ -517,13 +520,12 @@ def _boxed_indices(gamma: tuple):
 
 
 def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any],
-                            check_nonneg: bool = False,
-                            check_grid: Sequence | None = None) -> MomentSequence:
+                            check_nonneg: bool = False) -> MomentSequence:
     """Moments of the weighted measure w * mu: m'_alpha = L(x**alpha w).
 
     The caller asserts w >= 0 on the support; with ``check_nonneg`` the
-    assertion is spot-checked on a grid (default grid from the support hint)
-    and a violation raises NegativeWeightDetected.  Degree drops by deg w.
+    assertion is spot-checked on a grid built from the support hint and a
+    violation raises NegativeWeightDetected.  Degree drops by deg w.
     The growth certificate survives a degree shift.
     """
     w = {tuple(a): seq.mode.convert(c) for a, c in w.items() if c}
@@ -533,8 +535,7 @@ def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any],
     if dw > seq.max_degree:
         raise DegreeInsufficient("weight degree exceeds the truncation")
     if check_nonneg:
-        grid = check_grid if check_grid is not None else _weight_check_grid(seq)
-        for point in grid:
+        for point in _weight_check_grid(seq):
             pt = tuple(seq.mode.convert(x) for x in point)
             if seq.mode.to_float(mpoly_eval(w, pt)) < 0:
                 raise NegativeWeightDetected(f"w < 0 at grid point {point}")

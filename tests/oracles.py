@@ -39,6 +39,14 @@ numerators over one content-reduced denominator per row or level; the
 values, the float pivots, the errors and their messages must be equal, and
 float mode bit-identical.
 
+``convergents_radau`` is ``hamburger.stieltjes_convergents`` the long way:
+the even value ``-Q_n/pi_n`` from a forward pass at z, a second pass at 0
+for the Gauss-Radau top coefficient ``alpha* = -beta_n pi_{n-1}(0) /
+pi_n(0)``, the odd value from the modified top level, and a separate walk
+over the chain sequence q, e for positivity.  The library reads both values
+off one Wallis loop over the Stieltjes continued fraction instead; in
+rational mode the values, the errors and their messages must be equal.
+
 ``mpoly_pow`` expands a polynomial power by repeated squaring, so
 ``apply_linear_functional(seq, mpoly_pow(form, k, d))`` is the direct
 reference for push-forward moments; the library builds them degree by
@@ -52,11 +60,13 @@ from typing import Sequence
 
 from momentkit.errors import (DegreeInsufficient, InvalidParameter, LpInfeasible,
                               LpUnbounded, NotAdmissible, NotPositiveDefinite,
-                              PrecisionExhausted)
-from momentkit.hamburger import OrthoEval, Recurrence, WeylDisk, _relative_eps, ortho_eval
-from momentkit.moments import MomentSequence
+                              NotStieltjesAdmissible, PrecisionExhausted)
+from momentkit.hamburger import (ConvergentPair, OrthoEval, Recurrence, WeylDisk,
+                                 _relative_eps, ortho_eval, recurrence_from_moments)
+from momentkit.moments import MomentSequence, NonnegativeOrthant
 from momentkit.polynomials import mpoly_mul
-from momentkit.scalars import ComplexScalar, FloatMode, Mode, RationalMode, half_floor
+from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
+                               half_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +234,59 @@ def forward_pass_fractions(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     for k in range(1, rec.order + 1):
         norms.append(norms[-1] * rec.beta[k])
     return OrthoEval(z, tuple(first), tuple(second), tuple(norms))
+
+
+def convergents_radau(seq: MomentSequence, z, n: int) -> ConvergentPair:
+    """Even and odd Stieltjes convergents at level n by two forward passes
+    and a Radau change to the top coefficient, with the positivity checks,
+    errors and messages of ``hamburger.stieltjes_convergents``."""
+    mode = seq.mode
+    if not isinstance(seq.support, NonnegativeOrthant):
+        raise NotStieltjesAdmissible("convergents need support on [0, inf)")
+    zv = mode.convert(z)
+    if not zv < 0:
+        raise InvalidParameter("evaluation point must be a negative real")
+    rec = recurrence_from_moments(seq, seq.max_degree // 2)
+    if rec.rank <= n:
+        zc = complex_scalar(mode, zv)
+        ev = ortho_eval(rec, zc, rec.rank)
+        val = -(ev.second[rec.rank].re / ev.first[rec.rank].re)
+        return ConvergentPair(zv, n, val, val, mode.zero())
+    if rec.order < n:
+        raise DegreeInsufficient(f"recurrence order {rec.order} < level {n}")
+    _assert_stieltjes_positive(seq, rec, n)
+    zc = complex_scalar(mode, zv)
+    ev = ortho_eval(rec, zc, n)
+    even = -(ev.second[n].re / ev.first[n].re)
+    # fixed node at 0: modified top diagonal alpha* = 0 - beta_n pi_{n-1}(0)/pi_n(0)
+    zero_c = complex_scalar(mode, 0)
+    at0 = ortho_eval(rec, zero_c, n)
+    pn0, pn10 = at0.first[n].re, at0.first[n - 1].re
+    if pn0 == 0:
+        raise NotStieltjesAdmissible("pi_n(0) = 0; roots touch the endpoint")
+    alpha_star = -rec.beta[n] * pn10 / pn0
+    zk = zc - complex_scalar(mode, alpha_star)
+    p_top = zk * ev.first[n] - ev.first[n - 1].scale(rec.beta[n])
+    q_top = zk * ev.second[n] - ev.second[n - 1].scale(rec.beta[n])
+    odd = -(q_top.re / p_top.re)
+    width = odd - even if odd >= even else even - odd
+    return ConvergentPair(zv, n, even, odd, width)
+
+
+def _assert_stieltjes_positive(seq: MomentSequence, rec: Recurrence, n: int) -> None:
+    """Both Hankel forms positive to the needed order, through the chain
+    splitting: with e_0 = 0, q_{k+1} = alpha_k - e_k and e_{k+1} = beta_{k+1}
+    / q_{k+1}, every q and e must be positive."""
+    if any(b <= 0 for b in rec.beta[:n + 1]):
+        raise NotStieltjesAdmissible("Hankel form not positive to the needed order")
+    e = seq.mode.zero()
+    for k in range(n):
+        q = rec.alpha[k] - e
+        if not q > 0:
+            raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
+        e = rec.beta[k + 1] / q
+        if not e > 0:
+            raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
 
 
 def reconstruct_moments(rec: Recurrence, upto: int) -> list:

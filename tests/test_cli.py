@@ -244,9 +244,26 @@ def test_analyze_2d_scans_once_and_pushes_forward_once(tmp_path, monkeypatch):
     assert factorized == [12] * 5                   # 4 scan directions + e_1
 
 
+def test_analyze_cone_input_reads_1d_criteria_on_the_half_line(tmp_path):
+    """The first-axis push-forward of an orthant measure lies on [0, inf):
+    the axis is on the boundary of the dual cone, not outside it."""
+    spec = write_spec(tmp_path / "expo2d.json", {
+        "measure": {"variant": "product", "factors": [
+            {"measure": {"variant": "exponential"}, "dimension": 1},
+            {"measure": {"variant": "exponential"}, "dimension": 1}]},
+        "dimension": 2, "max_degree": 12, "mode": "rational"})
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--input", spec, "--criteria", "fantappie,carleman",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert not rep["errors"]
+    assert {c["name"]: c for c in rep["criteria"]}["carleman"]["flavor"] == "stieltjes"
+
+
 def test_analyze_runs_one_forward_pass_per_point(tmp_path, monkeypatch):
     """The verdict and every 1D and cone criterion share one forward
-    recurrence pass at each point they visit (i, -1 and 0)."""
+    recurrence pass, at the one point they visit (i): the Stieltjes
+    convergents need no pass."""
     points = []
     real = hamburger._forward_pass
     monkeypatch.setattr(hamburger, "_forward_pass",
@@ -257,7 +274,7 @@ def test_analyze_runs_one_forward_pass_per_point(tmp_path, monkeypatch):
                "poisson,orthant,hyperplane", "--out", str(out)])
     assert rc == 0
     assert not json.loads(out.read_text())["errors"]
-    assert sorted(points, key=lambda c: (c.real, c.imag)) == [-1, 0, 1j]
+    assert points == [1j]
 
 
 def test_kappa_field_dirac_zero(tmp_path):

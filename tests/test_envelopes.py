@@ -108,18 +108,20 @@ def test_maclaurin_exponential_bracket():
 
 
 def test_maclaurin_geometric_stream_reproduces_geometric_envelope():
-    seq = generate_moments(Exponential1D(), 1, 12, R)
-    for n in (1, 2):
-        via_cm = maclaurin_envelope(CompletelyMonotonic.geometric(), seq, n)
-        direct = geometric_envelope(seq, n)
-        assert via_cm.lower == direct.lower
-        assert via_cm.upper == direct.upper
-        assert via_cm.gap_functional == direct.gap_functional
+    # float:64 from order 14 on: the stream's k!/k! must round once, to +-1
+    for mode, degree, orders in ((R, 12, (1, 2)), (FloatMode(64), 40, (14, 20))):
+        seq = generate_moments(Exponential1D(), 1, degree, mode)
+        for n in orders:
+            via_cm = maclaurin_envelope(CompletelyMonotonic.geometric(), seq, n)
+            direct = geometric_envelope(seq, n)
+            assert via_cm.lower == direct.lower
+            assert via_cm.upper == direct.upper
+            assert via_cm.gap_functional == direct.gap_functional
 
 
 def test_geometric_coefficients_stay_exact_in_float_mode():
-    # at float:64, mpf(27!)/27! is not 1: the geometric envelope does not
-    # divide the geometric derivative stream by k!
+    # at float:64, mpf(27!)/27! is not 1: the Maclaurin coefficients are
+    # the exact ratios k!/k!, each converted once
     seq = generate_moments(Exponential1D(), 1, 40, FloatMode(64))
     env = geometric_envelope(seq, 20)
     assert env.upper == tuple((-1) ** k for k in range(41))

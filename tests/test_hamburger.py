@@ -2,12 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from momentkit import hamburger
 from momentkit.errors import (
     DegreeInsufficient,
+    InvalidParameter,
     NonpositiveEvenMoment,
     NonRealPointRequired,
     NotAdmissible,
@@ -27,6 +27,7 @@ from momentkit.moments import (
     Atomic,
     Exponential1D,
     GaussianProduct,
+    NonnegativeOrthant,
     QLattice1D,
     generate_moments,
     sequence_from_1d,
@@ -37,6 +38,7 @@ from momentkit.verdicts import Flavor, Status, Sufficiency
 from oracles import (
     admissibility_check,
     christoffel_direct,
+    convergents_radau,
     hankel,
     reconstruct_moments,
     weyl_disk_circumcircle,
@@ -395,7 +397,7 @@ def test_ortho_memo_stays_bounded():
     rec = recurrence_from_moments(gauss(20), 10)
     for k in range(200):
         ortho_eval(rec, complex_scalar(R, F(k, 7), 1), 5)
-    assert len(rec.evals) == hamburger.ORTHO_MEMO_POINTS
+    assert len(rec.evals) == 1
     # the newest point is kept, and answers every level
     z = complex_scalar(R, F(199, 7), 1)
     assert ortho_eval(rec, z, 3).first == rec.evals[z].first[:4]
@@ -498,6 +500,77 @@ def test_convergents_need_halfline_support():
     g = gauss(20)
     with pytest.raises(NotStieltjesAdmissible):
         stieltjes_convergents(g, -1, 4)
+
+
+# moments with mixed denominators, as in test_exact_kernels
+DENOMINATORS = (1, 3, 7, 2 ** 20)
+fractions = st.builds(F, st.integers(-40, 40), st.sampled_from(DENOMINATORS))
+weights = st.builds(F, st.integers(1, 30), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def halfline_sequences(draw):
+    """Rational half-line sequences of three kinds: atomic measures on
+    [0, inf) (some with an atom at 0, some with fewer atoms than levels);
+    arbitrary data, or atoms on both sides of 0, under the half-line hint;
+    and q-lattices."""
+    kind = draw(st.sampled_from(("atomic", "data", "lattice")))
+    if kind == "lattice":
+        q = draw(st.sampled_from((F(3, 2), F(2), F(3))))
+        return generate_moments(QLattice1D(q), 1, draw(st.integers(2, 40)), R)
+    n = draw(st.integers(1, 8))
+    if kind == "data" and draw(st.booleans()):
+        m = draw(st.lists(fractions, min_size=2 * n + 1, max_size=2 * n + 1))
+        m[0] = abs(m[0]) or F(1)
+        return sequence_from_1d(m, R, NonnegativeOrthant())
+    points = fractions.map(abs) if kind == "atomic" else fractions
+    xs = draw(st.lists(points, min_size=1, max_size=n + 3, unique=True))
+    if kind == "atomic" and draw(st.booleans()):
+        xs = [F(0)] + [x for x in xs if x]
+    ws = draw(st.lists(weights, min_size=len(xs), max_size=len(xs)))
+    m = generate_moments(Atomic(tuple((x,) for x in xs), tuple(ws)), 1, 2 * n, R).moments_1d()
+    return sequence_from_1d(m, R, NonnegativeOrthant())
+
+
+def convergent_outcome(fn, seq, z, n):
+    try:
+        pair = fn(seq, z, n)
+    except Exception as exc:       # an atom at z divides by zero in both
+        return type(exc), str(exc)
+    return pair, tuple(map(type, (pair.even_value, pair.odd_value, pair.interval_width)))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(halfline_sequences())
+@example(sequence_from_1d([F(1), F(0), F(1)], R, NonnegativeOrthant()))     # q_1 = 0
+def test_convergents_match_two_pass_radau_oracle(seq):
+    """Every level from 1 past the recurrence order: the same Fractions as
+    the two forward passes and the Radau step, or the same error."""
+    for z in (-1, F(-1, 3), -7):
+        for n in range(1, seq.max_degree // 2 + 2):
+            assert (convergent_outcome(stieltjes_convergents, seq, z, n)
+                    == convergent_outcome(convergents_radau, seq, z, n))
+
+
+def test_convergents_level_zero_is_the_one_node_radau_value():
+    """Level 0: no Gauss node, and all the mass on the node at 0; no level
+    below it."""
+    pair = stieltjes_convergents(qlattice(20, 3), F(-1, 3), 0)
+    assert (pair.even_value, pair.odd_value, pair.interval_width) == (0, 3, 3)
+    with pytest.raises(InvalidParameter, match="level must be nonnegative"):
+        stieltjes_convergents(qlattice(20, 3), -1, -1)
+
+
+def test_float_convergents_keep_their_bits():
+    """A Radau change to the top coefficient (``convergents_radau``) keeps
+    about 36 of the 128 bits of the odd value here; the Wallis loop adds
+    positive terms only and keeps them."""
+    exact = stieltjes_convergents(qlattice(60, 3), -1, 29)
+    fm = FloatMode(128)
+    pair = stieltjes_convergents(generate_moments(QLattice1D(3), 1, 60, fm), -1, 29)
+    for got, want in ((pair.odd_value, exact.odd_value),
+                      (pair.interval_width, exact.interval_width)):
+        assert abs(exact_fraction(got) - want) <= want * F(1, 2 ** 120)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,8 @@ def test_pushforward_support_rule():
     q2 = generate_moments(Product(((QLattice1D(2), 1), (QLattice1D(2), 1))), 2, 6, R)
     assert isinstance(pushforward_direction(q2, (1, 1)).support, NonnegativeOrthant)
     assert isinstance(pushforward_direction(q2, (1, -1)).support, FullSpace)
+    # the closed dual cone: x . (1, 0) >= 0 on the orthant too
+    assert isinstance(pushforward_direction(q2, (1, 0)).support, NonnegativeOrthant)
     g2 = gauss(6, 2)
     assert isinstance(pushforward_direction(g2, (1, 1)).support, FullSpace)
     with pytest.raises(InvalidDirection):
