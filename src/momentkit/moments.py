@@ -42,7 +42,7 @@ from .polynomials import (
     multi_indices,
     poly_trim,
 )
-from .scalars import FloatMode, Mode, RationalMode
+from .scalars import FloatMode, Mode, RationalMode, integers
 
 # ---------------------------------------------------------------------------
 # support hints
@@ -397,9 +397,15 @@ def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
     of the image of L under the polynomial map u = (u_1, ..., u_k), where
     ``forms[i]`` is u_i as {alpha: coefficient} in the source variables.
 
-    Each u**beta is built as u**(beta - e_i) * u_i, i the first axis with
-    beta_i > 0, from the products of the previous degree; only one degree's
-    products are kept at a time.
+    In rational mode each form is written with integer numerators over one
+    denominator ``den_i``, and the moments it reaches (|alpha| <= need) as
+    integers over their lcm ``D``.  Each u**beta is built in integers as
+    u**(beta - e_i) * u_i, i the first axis with beta_i > 0, from the products
+    of the previous degree, over ``den**beta``; only one degree's products
+    are kept at a time.  Then ``L(u**beta)`` is one integer dot product over
+    ``D * den**beta``, reduced once.  In float mode the forms and moments are
+    their own values over 1, and the same loop runs without a division, so
+    every product and sum is taken in the same order as term by term.
     """
     mode = seq.mode
     forms = [{tuple(a): mode.convert(c) for a, c in u.items() if c} for u in forms]
@@ -411,16 +417,28 @@ def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
             f"degree {max_degree} images need degree {need}, "
             f"truncation is {seq.max_degree}"
         )
+    scaled = []
+    for u in forms:
+        nums, den = integers(u.values())
+        scaled.append((dict(zip(u, nums)), den))
+    reached = [a for a in seq.entries if sum(a) <= need]
+    nums, lcm = integers(seq.entries[a] for a in reached)
+    moments = dict(zip(reached, nums))
+    exact = isinstance(mode, RationalMode)
     k = len(forms)
-    level = {(0,) * k: {(0,) * seq.dimension: mode.one()}}
+    # each product with the denominator of its L value, D * den**beta
+    level = {(0,) * k: ({(0,) * seq.dimension: 1}, lcm)}
     out = {(0,) * k: seq.entries[(0,) * seq.dimension]}
     for n in range(1, max_degree + 1):
         products = {}
         for beta in compositions(n, k):
             i = next(j for j, e in enumerate(beta) if e)
-            prev = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-            products[beta] = mpoly_mul(level[prev], forms[i])
-            out[beta] = apply_linear_functional(seq, products[beta])
+            prev, prev_den = level[beta[:i] + (beta[i] - 1,) + beta[i + 1:]]
+            form, form_den = scaled[i]
+            power, den = mpoly_mul(prev, form), prev_den * form_den
+            products[beta] = power, den
+            total = sum(c * moments[alpha] for alpha, c in power.items())
+            out[beta] = Fraction(total, den) if exact else mode.convert(total)
         level = products
     return out
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 # ---------------------------------------------------------------------------
@@ -161,7 +162,7 @@ def mpoly_mul(p: Mapping, q: Mapping) -> dict:
     out: dict = {}
     for a, ca in p.items():
         for b, cb in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
+            key = tuple(map(add, a, b))
             s = out.get(key, 0) + ca * cb
             if s:
                 out[key] = s

@@ -31,9 +31,10 @@ module is the only one that imports ``mpmath``.
 
 Three rules the kernels share are defined here once: ``integers`` puts
 rationals over one denominator for the integer kernels (the recurrence,
-the forward pass, the grid LP) and hands float values back as they are;
-``half_floor`` is the float noise floor that keeps half the working bits;
-``ratio_to_float`` converts an integer ratio, saturating to +-inf.
+the forward pass, the grid LP, the image-moment table) and hands float
+values back as they are; ``half_floor`` is the float noise floor that
+keeps half the working bits; ``ratio_to_float`` converts an integer ratio,
+saturating to +-inf.
 
 A float precision for degree-N data is the caller's choice; the CLI starts a
 measure spec with no mode at ``64 + 2N`` bits, doubles on
@@ -50,6 +51,7 @@ from fractions import Fraction
 from typing import Any, Union
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import InvalidParameter, ModeMismatch
 
@@ -167,13 +169,18 @@ class FloatMode:
         if isinstance(v, (int, float)):
             return self.ctx.mpf(v)
         if isinstance(v, Fraction):
-            return self.ctx.mpf(v.numerator) / self.ctx.mpf(v.denominator)
+            return self._ratio(v.numerator, v.denominator)
         if isinstance(v, str):
             return self.from_string(v)
         raise ModeMismatch(
             f"float:{self.precision_bits} mode does not accept {type(v).__name__} "
             "(values from a different precision context are a different mode)"
         )
+
+    def _ratio(self, p: int, q: int):
+        """p/q rounded once, to nearest at the context precision (dividing
+        two mpf values would round p and q first once they outgrow it)."""
+        return self.ctx.make_mpf(from_rational(p, q, self.ctx.prec, round_nearest))
 
     def zero(self):
         return self.ctx.mpf(0)
@@ -206,7 +213,7 @@ class FloatMode:
             v = self.ctx.ldexp(self.ctx.mpf(int(man_s, 16)), int(exp_s))
         elif "/" in body:
             p, q = body.split("/")
-            v = self.ctx.mpf(int(p)) / self.ctx.mpf(int(q))
+            v = self._ratio(int(p), int(q))
         else:
             v = self.ctx.mpf(body)
         return -v if neg else v

@@ -49,8 +49,12 @@ rational mode the values, the errors and their messages must be equal.
 
 ``mpoly_pow`` expands a polynomial power by repeated squaring, so
 ``apply_linear_functional(seq, mpoly_pow(form, k, d))`` is the direct
-reference for push-forward moments; the library builds them degree by
-degree in ``moments.image_moments`` instead.
+reference for push-forward moments.  ``image_moments_fractions`` builds
+them degree by degree, each ``u**beta`` as ``u**(beta - e_i) * u_i`` on the
+mode's scalars, and applies L one scalar term at a time.  The library runs
+the same products on integer numerators over one denominator
+(``moments.image_moments``); the values, the errors and their messages must
+be equal, and float mode bit-identical.
 """
 
 from __future__ import annotations
@@ -58,13 +62,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from momentkit.errors import (DegreeInsufficient, InvalidParameter, LpInfeasible,
-                              LpUnbounded, NotAdmissible, NotPositiveDefinite,
+from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidParameter,
+                              LpInfeasible, LpUnbounded, NotAdmissible, NotPositiveDefinite,
                               NotStieltjesAdmissible, PrecisionExhausted)
 from momentkit.hamburger import (ConvergentPair, OrthoEval, Recurrence, WeylDisk,
                                  _relative_eps, ortho_eval, recurrence_from_moments)
-from momentkit.moments import MomentSequence, NonnegativeOrthant
-from momentkit.polynomials import mpoly_mul
+from momentkit.moments import MomentSequence, NonnegativeOrthant, apply_linear_functional
+from momentkit.polynomials import compositions, mpoly_degree, mpoly_mul
 from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
                                half_floor)
 
@@ -83,6 +87,34 @@ def mpoly_pow(p: dict, n: int, dimension: int) -> dict:
         n >>= 1
         if n:
             base = mpoly_mul(base, base)
+    return out
+
+
+def image_moments_fractions(seq: MomentSequence, forms, max_degree: int) -> dict:
+    """``moments.image_moments`` on the mode's scalars: each u**beta built as
+    u**(beta - e_i) * u_i, i the first axis with beta_i > 0, and L applied
+    term by term."""
+    mode = seq.mode
+    forms = [{tuple(a): mode.convert(c) for a, c in u.items() if c} for u in forms]
+    if any(len(a) != seq.dimension for u in forms for a in u):
+        raise DimensionMismatch("polynomial dimension mismatch")
+    need = max_degree * max((mpoly_degree(u) for u in forms), default=0)
+    if need > seq.max_degree:
+        raise DegreeInsufficient(
+            f"degree {max_degree} images need degree {need}, "
+            f"truncation is {seq.max_degree}"
+        )
+    k = len(forms)
+    level = {(0,) * k: {(0,) * seq.dimension: mode.one()}}
+    out = {(0,) * k: seq.entries[(0,) * seq.dimension]}
+    for n in range(1, max_degree + 1):
+        products = {}
+        for beta in compositions(n, k):
+            i = next(j for j, e in enumerate(beta) if e)
+            prev = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            products[beta] = mpoly_mul(level[prev], forms[i])
+            out[beta] = apply_linear_functional(seq, products[beta])
+        level = products
     return out
 
 

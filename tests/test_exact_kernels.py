@@ -1,12 +1,14 @@
-"""The integer-row recurrence and forward pass against their scalar oracles.
+"""The integer kernels against their scalar oracles.
 
 ``hamburger._factorize`` and ``hamburger._forward_pass`` keep integer
 numerators over one content-reduced denominator per row or level in
 rational mode, and run the same loops on (value, 1) pairs in float mode.
 ``oracles.factorize_fractions`` and ``oracles.forward_pass_fractions`` do the
-arithmetic entry by entry in the mode's scalars.  Every output must be equal
-and of the same type, every error of the same class with the same message,
-and float values bit-identical.
+arithmetic entry by entry in the mode's scalars.  ``moments.image_moments``
+builds the image-moment table on integer numerators over one denominator,
+``oracles.image_moments_fractions`` on the mode's scalars.  Every output must
+be equal and of the same type, every error of the same class with the same
+message, and float values bit-identical.
 """
 
 from fractions import Fraction as F
@@ -18,9 +20,11 @@ from hypothesis import strategies as st
 from momentkit import hamburger
 from momentkit.curves import _weighted_lift, catalog, pushforward_to_curve
 from momentkit.errors import MomentKitError
-from momentkit.moments import Atomic, QLattice1D, generate_moments, sequence_from_1d
+from momentkit.moments import (Atomic, GaussianProduct, QLattice1D, generate_moments,
+                               image_moments, sequence_from_1d)
+from momentkit.polynomials import multi_indices
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar
-from oracles import factorize_fractions, forward_pass_fractions
+from oracles import factorize_fractions, forward_pass_fractions, image_moments_fractions
 
 R = RationalMode()
 F128 = FloatMode(128)
@@ -150,3 +154,70 @@ def test_weighted_lhospital_lift_float_bit_identical():
     rec = lhospital_lift(F128)
     for z in ((0, 1), (-1, 0)):
         check_pass(rec, complex_scalar(F128, *z))
+
+
+# ---------------------------------------------------------------------------
+# image moments
+
+coefficients = st.one_of(st.just(F(0)),
+                         st.builds(F, st.integers(-9, 9), st.sampled_from(DENOMINATORS)))
+
+
+@st.composite
+def image_inputs(draw):
+    """(measure, dimension, truncation, forms, max_degree): a Gaussian or an
+    atomic measure with mixed denominators, and either affine forms (the
+    ``affine_map`` shape: linear part plus offset) or curve components of
+    degree <= 5 on a 1D measure.  Coefficients may be zero and a form may be
+    zero; some inputs ask for more degree than the truncation holds, or
+    carry an index of the wrong dimension."""
+    curve = draw(st.booleans())
+    d = 1 if curve else draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        measure = GaussianProduct(tuple(draw(weights) for _ in range(d)))
+    else:
+        atoms = draw(st.integers(1, 4))
+        xs = draw(st.lists(st.tuples(*[points] * d), min_size=atoms, max_size=atoms))
+        measure = Atomic(tuple(xs), tuple(draw(weights) for _ in xs))
+    k = draw(st.integers(1, 3))
+    if curve:
+        top = draw(st.integers(1, 5))
+        keys = [(j,) for j in range(top + 1)]
+    else:
+        keys = list(multi_indices(d, 1))
+    forms = [{a: draw(coefficients) for a in keys} for _ in range(k)]
+    if draw(st.integers(0, 4)) == 0:
+        forms[draw(st.integers(0, k - 1))] = {}
+    max_degree = draw(st.integers(0, 4))
+    truncation = max_degree * (keys[-1][0] if curve else 1) + draw(st.integers(0, 2))
+    fault = draw(st.sampled_from((None,) * 6 + ("short", "dimension")))
+    if fault == "short":
+        truncation = max(truncation - 3, 0)
+    elif fault == "dimension":
+        forms[0][(1,) * (d + 1)] = F(1)
+    return measure, d, truncation, forms, max_degree
+
+
+def check_image(seq, forms, max_degree):
+    got = outcome(image_moments, seq, forms, max_degree)
+    want = outcome(image_moments_fractions, seq, forms, max_degree)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert same(tuple(got.items()), tuple(want.items()))
+
+
+@SETTINGS
+@given(image_inputs())
+@example((Atomic(((F(1, 3),), (F(-2, 7),)), (F(1), F(3, 2 ** 20))), 1, 8,
+          [{(0,): F(1, 3), (1,): F(0), (2,): F(5, 7)}, {}], 4))
+@example((GaussianProduct((F(1, 3), F(2, 7))), 2, 4,
+          [{(0, 0): F(1, 2 ** 20), (1, 0): F(1), (0, 1): F(-1, 3)},
+           {(0, 0): F(0), (1, 0): F(2, 7), (0, 1): F(1)}], 4))
+def test_image_moments_match_oracle(inputs):
+    """Rational values equal with the same types, the same errors, and float
+    values bit-identical at 64 and 128 bits."""
+    measure, d, truncation, forms, max_degree = inputs
+    for mode in (R, FloatMode(64), F128):
+        seq = generate_moments(measure, d, truncation, mode)
+        check_image(seq, forms, max_degree)

@@ -60,6 +60,33 @@ def test_float_round_trip_bit_exact():
         assert mode.from_string("0x0p+0") == 0
 
 
+def _half_ulp_miss(v, x: F, bits: int) -> bool:
+    """|v - x| > ulp(x) / 2 for x > 0, with ulp(x) = 2**(e - bits + 1) and
+    2**e <= x < 2**(e + 1)."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if F(2) ** e > x:
+        e -= 1
+    return abs(exact_fraction(v) - x) > F(2) ** (e - bits)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_float_convert_rounds_a_fraction_once(bits):
+    """p/q is rounded once, to nearest, even when p or q outgrows the
+    mantissa: 1/k! for k = 1..199, through ``convert`` and ``from_string``.
+    Dividing two rounded mpf values missed 53 of these at 64 bits and 38 at
+    128."""
+    mode = FloatMode(bits)
+    for k in range(1, 200):
+        x = F(1, math.factorial(k))
+        v = mode.convert(x)
+        assert not _half_ulp_miss(v, x, bits), k
+        assert mode.from_string(f"{x.numerator}/{x.denominator}") == v
+        assert mode.from_string(f"-{x.numerator}/{x.denominator}") == -v
+    # 0.70 ulp away with two roundings
+    x = F(1, math.factorial(27))
+    assert not _half_ulp_miss(FloatMode(64).convert(x), x, 64)
+
+
 def test_float_modes_with_different_precision_are_distinct():
     assert FloatMode(128) == FloatMode(128)
     assert FloatMode(128) != FloatMode(256)
