@@ -59,7 +59,8 @@ from .moments import (
 from .polynomials import multi_indices
 from .scalars import (Mode, RationalMode, complex_scalar, default_float_bits, mode_from_string,
                       mode_to_string)
-from .serialization import format_value, sequence_from_json, support_to_json
+from .serialization import (format_value, json_list, json_object, rationals, read_field,
+                            sequence_from_json, support_to_json)
 from .verdicts import Flavor
 
 CRITERIA = ("admissibility", "carleman", "christoffel", "weyl", "fantappie",
@@ -141,11 +142,11 @@ def load_input(path: str, mode_arg: str | None, degree_arg: int | None,
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    doc = json.loads(raw.decode("utf-8"))
+    doc = json_object(json.loads(raw.decode("utf-8")), "the input document")
     cap = None
     if "measure" in doc:
-        dimension = int(doc.get("dimension", 1))
-        max_degree = degree_arg or int(doc.get("max_degree", 20))
+        dimension = read_field(doc, "dimension", int, 1)
+        max_degree = degree_arg or read_field(doc, "max_degree", int, 20)
         mode_str = mode_arg or doc.get("mode")
         if mode_str is None:
             cap = default_float_bits(max_degree)
@@ -190,22 +191,24 @@ def _with_precision(command):
     return run
 
 
-def _measure_from_json(doc: dict):
-    kind = doc["variant"]
+def _measure_from_json(doc):
+    doc = json_object(doc, "measure")
+    kind = read_field(doc, "variant")
     if kind == "gaussian_product":
-        return GaussianProduct(tuple(Fraction(v) for v in doc["variances"]))
+        return GaussianProduct(read_field(doc, "variances", rationals))
     if kind == "exponential":
         return Exponential1D()
     if kind == "log_normal":
-        return LogNormal1D(doc["s"])
+        return LogNormal1D(read_field(doc, "s"))
     if kind == "q_lattice":
-        return QLattice1D(Fraction(doc["q"]))
+        return QLattice1D(read_field(doc, "q", Fraction))
     if kind == "atomic":
-        return Atomic(tuple(tuple(Fraction(c) for c in p) for p in doc["points"]),
-                      tuple(Fraction(w) for w in doc["weights"]))
+        return Atomic(read_field(doc, "points", lambda ps: tuple(map(rationals, json_list(ps)))),
+                      read_field(doc, "weights", rationals))
     if kind == "product":
-        return Product(tuple((_measure_from_json(f["measure"]), int(f["dimension"]))
-                             for f in doc["factors"]))
+        factors = [json_object(f, "a factor") for f in read_field(doc, "factors", json_list)]
+        return Product(tuple((_measure_from_json(read_field(f, "measure")),
+                              read_field(f, "dimension", int)) for f in factors))
     raise MomentKitError(f"unknown measure variant {kind!r}")
 
 

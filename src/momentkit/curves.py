@@ -59,6 +59,7 @@ from .polynomials import (
     poly_trim,
 )
 from .scalars import ComplexScalar, Mode, RationalMode, complex_scalar
+from .serialization import json_list, json_object, rationals, read_field
 from .verdicts import Evidence, Flavor, Leaning, Status, Sufficiency, Verdict
 
 
@@ -441,23 +442,22 @@ def curve_to_json(curve: PolynomialCurve) -> str:
 
 
 def curve_from_json(text: str) -> PolynomialCurve:
-    doc = json.loads(text)
-    comps = (tuple(tuple(Fraction(c) for c in comp) for comp in doc["components"])
-             if doc.get("components") is not None else None)
-    implicit = tuple(
-        {_key_parse(k): Fraction(v) for k, v in eq.items()}
-        for eq in doc.get("implicit", [])
-    )
+    doc = json_object(json.loads(text), "a curve document")
+    comps = read_field(doc, "components",
+                       lambda cs: None if cs is None else tuple(map(rationals, json_list(cs))),
+                       None)
+    implicit = read_field(doc, "implicit", lambda eqs: tuple(
+        {_key_parse(k): Fraction(v) for k, v in json_object(eq, "an implicit equation").items()}
+        for eq in json_list(eqs)), [])
     return PolynomialCurve(
-        name=doc.get("name", "custom"),
-        dimension=int(doc["dimension"]),
+        name=read_field(doc, "name", default="custom"),
+        dimension=read_field(doc, "dimension", int),
         components=comps,
         implicit_equations=implicit,
-        weight=tuple(Fraction(c) for c in doc.get("weight", ["1"])),
-        ramification_approx=tuple((float(re), float(im))
-                                  for re, im in doc.get("ramification", [])),
-        pairing=(tuple(Fraction(c) for c in doc["pairing"])
-                 if doc.get("pairing") else None),
+        weight=read_field(doc, "weight", rationals, ["1"]),
+        ramification_approx=read_field(doc, "ramification", lambda rs: tuple(
+            (float(re), float(im)) for re, im in json_list(rs)), []),
+        pairing=read_field(doc, "pairing", lambda p: rationals(p) if p else None, None),
     )
 
 

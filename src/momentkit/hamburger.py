@@ -51,9 +51,14 @@ pass is an integer (re, im) pair over one denominator, reduced the way
 outputs.  That takes one gcd per row where reduced ``Fraction`` entries take
 several per entry, and the content-reduced rows stay smaller than the
 entries of the unreduced (Bareiss) fraction-free form, which grow into
-Hankel determinants.  Float mode runs the same loops on ``(value, 1)``
-pairs, every denominator 1 and no content step, so its arithmetic is that
-of the plain recurrence.
+Hankel determinants.  In float mode the sigma rows and their noise floors
+are raw mpmath mantissa/exponent tuples, run through mpmath's tuple
+arithmetic (``scalars.raw_mul`` and its siblings) at the working precision,
+so every value and every pivot decision is bit-identical to what the
+``mpf`` operators give; only the row arithmetic differs by mode, and one
+block of pivot checks and ratios serves both.  The forward pass runs its
+loop on ``(value, 1)`` pairs in float mode, every denominator 1 and no
+content step, so its arithmetic is that of the plain recurrence.
 
 In float mode the recurrence measures its own headroom: a positive pivot
 that clears its first-order noise floor by fewer than half the working bits
@@ -82,9 +87,10 @@ from .errors import (
     PrecisionExhausted,
 )
 from .moments import MomentSequence, NonnegativeOrthant
-from .scalars import (RATIONAL_APPROX_BITS, ComplexScalar, FloatMode, Mode, RationalMode,
-                      complex_scalar, fixed_context, from_context, half_floor, integers,
-                      ratio_to_float, to_context)
+from .scalars import (NEAREST, RATIONAL_APPROX_BITS, RAW_ZERO, ComplexScalar, FloatMode, Mode,
+                      RationalMode, complex_scalar, fixed_context, from_context, half_floor,
+                      integers, ratio_to_float, raw_abs, raw_add, raw_mul, raw_shift,
+                      raw_sub, to_context)
 from .verdicts import Evidence, Flavor, Leaning, Sufficiency, Verdict, synthesize
 
 #: float-mode pivots within 2**(-prec + guard) of zero are undecidable
@@ -142,12 +148,6 @@ class Recurrence:
         return len(self.beta)
 
 
-def _relative_eps(mode: Mode):
-    if isinstance(mode, RationalMode):
-        return None
-    return mode.ctx.ldexp(mode.one(), -(mode.precision_bits - FLOAT_PIVOT_GUARD_BITS))
-
-
 def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     """Moment-to-recurrence transform, O(n^2) on sigma_{k,l} = L(pi_k x^l).
 
@@ -203,57 +203,52 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
     mode = seq.mode
     if not m[0] > 0:
         raise NotPositiveDefinite("m_0 must be positive")
-    eps = _relative_eps(mode)
-    exact = eps is None
+    exact = isinstance(mode, RationalMode)
     ratio = Fraction if exact else operator.truediv
-    zero = 0 if exact else mode.zero()
     alpha = [m[1] / m[0]]
     beta = [m[0]]
     pivots = [mode.to_float(m[0])]
-    # row k holds sigma_{k,l} = row[l] / d for k <= l <= 2n - k: integers
-    # over one positive denominator in rational mode, (value, 1) in float mode
-    row_prev, d_prev = integers(m)
-    d_prev = _reduce_content(row_prev, 0, 2 * n, d_prev)
-    row_prev2: list = []
-    d_prev2 = 1
     lead = alpha[0]                 # sigma_{k-1,k} / sigma_{k-1,k-1}
-    # first-order noise floors alongside the sigma rows (zero in exact mode)
+    # row k holds sigma_{k,l} = row[l] / d for k <= l <= 2n - k: integers
+    # over one positive denominator in rational mode; in float mode raw mpf
+    # tuples over d = 1, with their first-order noise floors in noi.
+    # cell(l) is (sigma_{k,l}, its floor) as scalars of the mode, for the
+    # checks and ratios both modes share
+    row_prev2: list = []
     noi_prev2: list = []
-    noi_prev = [zero if exact else eps * abs(x) for x in m]
+    d_prev2 = 1
+    if exact:
+        row_prev, d_prev = integers(m)
+        d_prev = _reduce_content(row_prev, 0, 2 * n, d_prev)
+
+        def cell(l: int) -> tuple:
+            return row[l], 0
+    else:
+        value = mode.ctx.make_mpf
+        row_prev, d_prev = [x._mpf_ for x in m], 1
+        eps_shift = FLOAT_PIVOT_GUARD_BITS - mode.precision_bits
+        noi_prev = [raw_shift(raw_abs(x, mode.precision_bits, NEAREST), eps_shift)
+                    for x in row_prev]
+
+        def cell(l: int) -> tuple:
+            return value(row[l]), value(noi[l])
+    piv_prev = row_prev[0] if exact else m[0]
     for k in range(1, n + 1):
         hi = 2 * n - k
-        # sigma_k = sigma_{k-1} x - alpha_{k-1} sigma_{k-1} - beta_{k-1} sigma_{k-2}
-        # over d = lcm(d_{k-1} ad, d_{k-2} bd), with integer multipliers
-        an, ad = _pair(alpha[k - 1])
-        bn, bd = _pair(beta[k - 1])
-        d = d_prev * ad if k == 1 else lcm(d_prev * ad, d_prev2 * bd)
-        a = d // d_prev
-        b = an * (d // (d_prev * ad))
-        if k >= 2:
-            c = bn * (d // (d_prev2 * bd))
-        row = [zero] * len(m)
-        noi = [zero] * len(m)
-        for l in range(k, hi + 1):
-            bs = b * row_prev[l]
-            v = a * row_prev[l + 1] - bs
-            if k >= 2:
-                cs = c * row_prev2[l]
-                v = v - cs
-            row[l] = v
-            if not exact:
-                carried = noi_prev[l + 1] + abs(an) * noi_prev[l] + eps * abs(bs)
-                if k >= 2:
-                    carried = carried + abs(bn) * noi_prev2[l] + eps * abs(cs)
-                noi[l] = carried + eps * abs(v)
-        d = _reduce_content(row, k, hi, d)
-        piv = row[k]
-        tol = noi[k]
+        if exact:
+            row, d = _exact_row(k, hi, alpha[k - 1], beta[k - 1],
+                                row_prev, d_prev, row_prev2, d_prev2)
+        else:
+            d = 1
+            row, noi = _float_row(k, hi, alpha[k - 1], beta[k - 1], row_prev, noi_prev,
+                                  row_prev2, noi_prev2, mode.precision_bits)
+        piv, tol = cell(k)
         pivots.append(ratio_to_float(piv, d))
         if piv < -tol:
             raise NotAdmissible(f"functional is not positive on squares: ||pi_{k}||^2 < 0")
         if piv <= tol:
             # rank degeneracy only if the whole row died with the pivot
-            if any(abs(row[l]) > noi[l] for l in range(k, hi + 1)):
+            if any(abs(x) > t for x, t in map(cell, range(k, hi + 1))):
                 if not exact:
                     raise PrecisionExhausted(
                         f"pivot at step {k} lost all significant bits"
@@ -269,14 +264,66 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
                 f"pivot at step {k} keeps fewer than half the working bits"
             )
         # the row denominators cancel from both ratios
-        beta.append(ratio(piv * d_prev, d * row_prev[k - 1]))
+        beta.append(ratio(piv * d_prev, d * piv_prev))
         if k < n:
-            nxt = ratio(row[k + 1], piv)
+            nxt = ratio(cell(k + 1)[0], piv)
             alpha.append(nxt - lead)
             lead = nxt
         row_prev2, row_prev, d_prev2, d_prev = row_prev, row, d_prev, d
-        noi_prev2, noi_prev = noi_prev, noi
+        if not exact:
+            noi_prev2, noi_prev = noi_prev, noi
+        piv_prev = piv
     return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
+
+
+def _exact_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, d_prev: int,
+               row_prev2: list, d_prev2: int) -> tuple:
+    """Rational row k: sigma_k = sigma_{k-1} x - alpha_{k-1} sigma_{k-1} -
+    beta_{k-1} sigma_{k-2} over d = lcm(d_{k-1} ad, d_{k-2} bd), with
+    integer multipliers, divided by its content; (the row, d)."""
+    an, ad = _pair(alpha_prev)
+    bn, bd = _pair(beta_prev)
+    d = d_prev * ad if k == 1 else lcm(d_prev * ad, d_prev2 * bd)
+    a = d // d_prev
+    b = an * (d // (d_prev * ad))
+    if k >= 2:
+        c = bn * (d // (d_prev2 * bd))
+    row = [0] * len(row_prev)
+    for l in range(k, hi + 1):
+        v = a * row_prev[l + 1] - b * row_prev[l]
+        if k >= 2:
+            v = v - c * row_prev2[l]
+        row[l] = v
+    return row, _reduce_content(row, k, hi, d)
+
+
+def _float_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, noi_prev: list,
+               row_prev2: list, noi_prev2: list, prec: int) -> tuple:
+    """Float row k on raw mpf tuples, with its first-order noise floors;
+    (the row, the floors).  Every operation is the one the mpf operators of
+    a ``prec``-bit context perform, in the same order, so every value is
+    theirs bit for bit; eps * |x| is the exact shift of |x| by the
+    power-of-two eps = 2**(guard - prec)."""
+    mul, add, sub, shift = raw_mul, raw_add, raw_sub, raw_shift
+    absolute, rnd = raw_abs, NEAREST
+    eps_shift = FLOAT_PIVOT_GUARD_BITS - prec
+    an, bn = alpha_prev._mpf_, beta_prev._mpf_
+    abs_an, abs_bn = absolute(an, prec, rnd), absolute(bn, prec, rnd)
+    row = [RAW_ZERO] * len(row_prev)
+    noi = [RAW_ZERO] * len(row_prev)
+    for l in range(k, hi + 1):
+        bs = mul(an, row_prev[l], prec, rnd)
+        v = sub(row_prev[l + 1], bs, prec, rnd)
+        carried = add(add(noi_prev[l + 1], mul(abs_an, noi_prev[l], prec, rnd), prec, rnd),
+                      shift(absolute(bs, prec, rnd), eps_shift), prec, rnd)
+        if k >= 2:
+            cs = mul(bn, row_prev2[l], prec, rnd)
+            v = sub(v, cs, prec, rnd)
+            carried = add(add(carried, mul(abs_bn, noi_prev2[l], prec, rnd), prec, rnd),
+                          shift(absolute(cs, prec, rnd), eps_shift), prec, rnd)
+        row[l] = v
+        noi[l] = add(carried, shift(absolute(v, prec, rnd), eps_shift), prec, rnd)
+    return row, noi
 
 
 def _pair(x) -> tuple:

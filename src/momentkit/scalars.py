@@ -36,6 +36,15 @@ values back as they are; ``half_floor`` is the float noise floor that
 keeps half the working bits; ``ratio_to_float`` converts an integer ratio,
 saturating to +-inf.
 
+The float recurrence runs on raw ``(sign, man, exp, bc)`` tuples rather
+than ``mpf`` objects, which saves mpmath's object layer on every
+operation.  This module hands out the tuple arithmetic it needs:
+``raw_mul``, ``raw_add``, ``raw_sub`` and ``raw_abs``, which at ``(prec,
+NEAREST)`` are the ``mpf`` operators of a ``prec``-bit context bit for bit,
+``raw_shift`` (an exact product by a power of two) and ``RAW_ZERO``; a
+float scalar's tuple is ``v._mpf_`` and ``mode.ctx.make_mpf`` wraps one
+back.
+
 A float precision for degree-N data is the caller's choice; the CLI starts a
 measure spec with no mode at ``64 + 2N`` bits, doubles on
 ``PrecisionExhausted`` and stops at ``default_float_bits(N)``.
@@ -51,12 +60,17 @@ from fractions import Fraction
 from typing import Any, Union
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import (from_rational, fzero, mpf_abs, mpf_add, mpf_mul, mpf_shift, mpf_sub,
+                          round_nearest)
 
 from .errors import InvalidParameter, ModeMismatch
 
 #: bits used for the controlled approximations available in rational mode
 RATIONAL_APPROX_BITS = 256
+
+#: mpmath's arithmetic on raw tuples (see the module docstring)
+raw_mul, raw_add, raw_sub, raw_abs, raw_shift = mpf_mul, mpf_add, mpf_sub, mpf_abs, mpf_shift
+RAW_ZERO, NEAREST = fzero, round_nearest
 
 _INTEGER = re.compile(r"[+-]?\d+")
 
@@ -233,8 +247,8 @@ def default_float_bits(max_degree: int) -> int:
 def mode_from_string(s: str) -> Mode:
     if s == "rational":
         return RationalMode()
-    if s.startswith("float:"):
-        return FloatMode(int(s.split(":", 1)[1]))
+    if isinstance(s, str) and s.startswith("float:") and _INTEGER.fullmatch(s[6:]):
+        return FloatMode(int(s[6:]))
     raise InvalidParameter(f"unknown mode {s!r}; expected 'rational' or 'float:<bits>'")
 
 

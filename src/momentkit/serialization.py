@@ -25,6 +25,45 @@ from .polynomials import multi_indices
 from .scalars import FloatMode, Mode, RationalMode, mode_from_string, mode_to_string
 
 
+_REQUIRED = object()
+
+
+def json_object(doc, name: str) -> dict:
+    """``doc`` when it is a JSON object; InvalidParameter naming it if not."""
+    if not isinstance(doc, dict):
+        raise InvalidParameter(f"{name} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def json_list(value) -> list:
+    """``value`` when it is a JSON list; TypeError if not."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, not {type(value).__name__}")
+    return value
+
+
+def rationals(value) -> tuple:
+    """A JSON list of integers or "p/q" strings as Fractions."""
+    return tuple(Fraction(v) for v in json_list(value))
+
+
+def read_field(doc: dict, name: str, convert=None, default=_REQUIRED):
+    """``convert(doc[name])``, with ``default`` standing in for an absent
+    field.  A missing field without a default, or a value ``convert``
+    rejects (a null, a number where a list belongs, "1/0"), raises
+    InvalidParameter naming the field.  Converters read the document only,
+    so no kernel error is renamed here."""
+    if name not in doc and default is _REQUIRED:
+        raise InvalidParameter(f"missing field {name!r}")
+    value = doc.get(name, default)
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"field {name!r}: {exc}") from exc
+
+
 def support_to_json(support) -> dict:
     if isinstance(support, FullSpace):
         return {"kind": "full_space"}
@@ -39,16 +78,16 @@ def support_to_json(support) -> dict:
 
 
 def support_from_json(doc: dict):
-    kind = doc.get("kind", "full_space")
+    kind = read_field(json_object(doc, "support_hint"), "kind", default="full_space")
     if kind == "full_space":
         return FullSpace()
     if kind == "nonnegative_orthant":
         return NonnegativeOrthant()
     if kind == "cone":
-        return ConeSupport(tuple(tuple(Fraction(c) for c in g)
-                                 for g in doc["generators"]))
+        return ConeSupport(read_field(doc, "generators",
+                                      lambda gs: tuple(map(rationals, json_list(gs)))))
     if kind == "curve":
-        return CurveSupport(doc["curve_id"])
+        return CurveSupport(read_field(doc, "curve_id"))
     raise InvalidParameter(f"unknown support kind {kind!r}")
 
 
@@ -70,19 +109,27 @@ def sequence_to_json(seq: MomentSequence) -> str:
 
 
 def sequence_from_json(text: str) -> MomentSequence:
-    doc = json.loads(text)
-    mode = mode_from_string(doc["mode"])
+    doc = json_object(json.loads(text), "an interchange document")
+    mode = mode_from_string(read_field(doc, "mode"))
     entries = {}
-    for item in doc["entries"]:
-        entries[tuple(int(e) for e in item["alpha"])] = mode.from_string(item["value"])
+    for item in read_field(doc, "entries", json_list):
+        item = json_object(item, "an entry")
+        alpha = read_field(item, "alpha", lambda a: tuple(int(e) for e in json_list(a)))
+        entries[alpha] = read_field(item, "value", lambda v: mode.from_string(_string(v)))
     return MomentSequence(
-        dimension=int(doc["dimension"]),
-        max_degree=int(doc["max_degree"]),
+        dimension=read_field(doc, "dimension", int),
+        max_degree=read_field(doc, "max_degree", int),
         mode=mode,
         entries=entries,
-        support=support_from_json(doc.get("support_hint", {})),
-        meta=doc.get("meta", {}),
+        support=support_from_json(read_field(doc, "support_hint", default={})),
+        meta=json_object(read_field(doc, "meta", default={}), "meta"),
     )
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, not {type(value).__name__}")
+    return value
 
 
 def save_moment_sequence(seq: MomentSequence, path: str) -> None:

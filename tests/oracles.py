@@ -34,10 +34,12 @@ this solver is the reference the dual engine is compared against.
 ``factorize_fractions`` and ``forward_pass_fractions`` are the
 moment-to-recurrence transform and the forward pass of the three-term
 recurrence carried out entry by entry in the mode's own scalars (reduced
-``Fraction``s in rational mode).  The library runs the same loops on integer
-numerators over one content-reduced denominator per row or level; the
-values, the float pivots, the errors and their messages must be equal, and
-float mode bit-identical.
+``Fraction``s in rational mode, the ``mpf`` operators in float mode, with
+``eps * |x|`` an mpf product).  In rational mode the library runs the same
+loops on integer numerators over one content-reduced denominator per row
+or level; in float mode its recurrence rows and noise floors are raw mpmath
+tuples.  The values, the float pivots, the errors and their messages must
+be equal, and float mode bit-identical, noise floors included.
 
 ``convergents_radau`` is ``hamburger.stieltjes_convergents`` the long way:
 the even value ``-Q_n/pi_n`` from a forward pass at z, a second pass at 0
@@ -65,8 +67,8 @@ from typing import Sequence
 from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidParameter,
                               LpInfeasible, LpUnbounded, NotAdmissible, NotPositiveDefinite,
                               NotStieltjesAdmissible, PrecisionExhausted)
-from momentkit.hamburger import (ConvergentPair, OrthoEval, Recurrence, WeylDisk,
-                                 _relative_eps, ortho_eval, recurrence_from_moments)
+from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEval, Recurrence,
+                                 WeylDisk, ortho_eval, recurrence_from_moments)
 from momentkit.moments import MomentSequence, NonnegativeOrthant, apply_linear_functional
 from momentkit.polynomials import compositions, mpoly_degree, mpoly_mul
 from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
@@ -182,10 +184,11 @@ def christoffel_direct(seq: MomentSequence, z: ComplexScalar, n: int):
     return 1 / kernel.re
 
 
-def factorize_fractions(seq: MomentSequence, n: int) -> Recurrence:
+def factorize_fractions(seq: MomentSequence, n: int, rows: list | None = None) -> Recurrence:
     """The moment-to-recurrence transform of ``hamburger._factorize``, with
     each sigma_{k,l} a scalar of the mode: the same pivots, noise floors,
-    checks and messages."""
+    checks and messages.  Each (sigma row, noise row) for k >= 1 is appended
+    to ``rows`` when it is given."""
     if n < 1:
         raise InvalidParameter("recurrence order must be at least 1")
     if 2 * n > seq.max_degree:
@@ -194,7 +197,9 @@ def factorize_fractions(seq: MomentSequence, n: int) -> Recurrence:
     mode = seq.mode
     if not m[0] > 0:
         raise NotPositiveDefinite("m_0 must be positive")
-    eps = _relative_eps(mode)
+    eps = None
+    if isinstance(mode, FloatMode):
+        eps = mode.ctx.ldexp(mode.one(), -(mode.precision_bits - FLOAT_PIVOT_GUARD_BITS))
     zero = mode.zero()
     alpha = [m[1] / m[0]]
     beta = [m[0]]
@@ -219,6 +224,8 @@ def factorize_fractions(seq: MomentSequence, n: int) -> Recurrence:
                     carried = carried + abs(beta[k - 1]) * noi_prev2[l] \
                         + eps * abs(beta[k - 1] * sig_prev2[l])
                 noi[l] = carried + eps * abs(v)
+        if rows is not None:
+            rows.append((sig, noi))
         piv = sig[k]
         tol = noi[k]
         pivots.append(mode.to_float(piv))

@@ -2,6 +2,7 @@ import csv
 import json
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -522,3 +523,40 @@ def test_analyze_1d_scan_shares_the_verdict_factorization(tmp_path, monkeypatch)
     rows = rep["criteria"][0]["rows"]
     assert rows == [{"direction": [1.0], "status": rep["verdict"]["status"]}]
 
+
+
+def interchange(**entry):
+    """A 1D rational interchange document whose m_1 entry is replaced by ``entry``."""
+    entries = [{"alpha": [0], "value": "1"}, dict({"alpha": [1], "value": "0"}, **entry),
+               {"alpha": [2], "value": "1"}]
+    return {"dimension": 1, "max_degree": 2, "mode": "rational", "entries": entries}
+
+
+GAUSS_SPEC = {"measure": {"variant": "gaussian_product", "variances": ["1"]},
+              "dimension": 1, "max_degree": 4, "mode": "rational"}
+
+
+@pytest.mark.parametrize("doc, extra, detail", [
+    ([1], (), "the input document"),
+    ("measure", (), "the input document"),
+    (dict(GAUSS_SPEC, measure=5), (), "measure"),
+    (dict(GAUSS_SPEC, measure={"variant": "gaussian_product", "variances": 1}), (), "variances"),
+    (dict(GAUSS_SPEC, measure={"variant": "q_lattice", "q": "2/0"}), (), "'q'"),
+    (interchange(alpha=0), (), "'alpha'"),
+    (interchange(value=None), (), "'value'"),
+    (GAUSS_SPEC, ("--mode", "float:abc"), "unknown mode 'float:abc'"),
+    ([1], ("curve",), "a curve document"),
+])
+def test_malformed_documents_give_one_structured_error(tmp_path, doc, extra, detail):
+    """A document no reader can take is one InvalidParameter entry naming
+    the field, with exit code 2, never a traceback."""
+    path = write_spec(tmp_path / "doc.json", doc)
+    out = tmp_path / "report.json"
+    if extra == ("curve",):
+        argv = ["curve", "--curve", path, "--sigma", gaussian_spec(tmp_path, 8)]
+    else:
+        argv = ["analyze", "--input", path, *extra]
+    assert main([*argv, "--out", str(out)]) == 2
+    errors = json.loads(out.read_text())["errors"]
+    assert [e["error"] for e in errors] == ["InvalidParameter"]
+    assert detail in errors[0]["detail"]

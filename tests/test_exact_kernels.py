@@ -2,16 +2,21 @@
 
 ``hamburger._factorize`` and ``hamburger._forward_pass`` keep integer
 numerators over one content-reduced denominator per row or level in
-rational mode, and run the same loops on (value, 1) pairs in float mode.
-``oracles.factorize_fractions`` and ``oracles.forward_pass_fractions`` do the
-arithmetic entry by entry in the mode's scalars.  ``moments.image_moments``
-builds the image-moment table on integer numerators over one denominator,
-``oracles.image_moments_fractions`` on the mode's scalars.  Every output must
-be equal and of the same type, every error of the same class with the same
-message, and float values bit-identical.
+rational mode.  In float mode ``_factorize`` runs its sigma rows and noise
+floors on raw mpmath mantissa/exponent tuples, and ``_forward_pass`` runs
+its loop on (value, 1) pairs.  ``oracles.factorize_fractions`` and
+``oracles.forward_pass_fractions`` do the arithmetic entry by entry in the
+mode's scalars, with the mpf operators in float mode.
+``moments.image_moments`` builds the image-moment table on integer
+numerators over one denominator, ``oracles.image_moments_fractions`` on the
+mode's scalars.  Every output must be equal and of the same type, every
+error of the same class with the same message, and float values
+bit-identical; the float recurrence is checked at 64, 128 and 512 bits,
+its sigma rows and noise floors included.
 """
 
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -19,15 +24,17 @@ from hypothesis import strategies as st
 
 from momentkit import hamburger
 from momentkit.curves import _weighted_lift, catalog, pushforward_to_curve
-from momentkit.errors import MomentKitError
-from momentkit.moments import (Atomic, GaussianProduct, QLattice1D, generate_moments,
-                               image_moments, sequence_from_1d)
+from momentkit.errors import MomentKitError, PrecisionExhausted
+from momentkit.moments import (Atomic, GaussianProduct, LogNormal1D, QLattice1D,
+                               generate_moments, image_moments, sequence_from_1d)
 from momentkit.polynomials import multi_indices
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar
 from oracles import factorize_fractions, forward_pass_fractions, image_moments_fractions
 
 R = RationalMode()
 F128 = FloatMode(128)
+# float mode at the smallest, a middle and a large working precision
+MODES = (R, FloatMode(64), F128, FloatMode(512))
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -73,9 +80,32 @@ def same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+def factorize_recorded(seq, n) -> tuple:
+    """The outcome of ``hamburger._factorize`` and the (sigma row, noise row)
+    pairs its float rows returned, as raw tuples."""
+    rows = []
+    float_row = hamburger._float_row
+
+    def recording(*args):
+        rows.append(float_row(*args))
+        return rows[-1]
+    with mock.patch.object(hamburger, "_float_row", recording):
+        return outcome(hamburger._factorize, seq, n), rows
+
+
 def check_recurrence(seq, n):
-    got = outcome(hamburger._factorize, seq, n)
-    want = outcome(factorize_fractions, seq, n)
+    """Same outcome as the oracle, and in float mode the same sigma rows and
+    noise floors bit for bit: a floor decides nothing unless a pivot sits
+    near it, so the floors are compared themselves."""
+    got, rows = factorize_recorded(seq, n)
+    want_rows = []
+    want = outcome(factorize_fractions, seq, n, want_rows)
+    if isinstance(seq.mode, FloatMode):
+        assert len(rows) == len(want_rows)
+        for k, ((row, noi), (sig, sig_noi)) in enumerate(zip(rows, want_rows), 1):
+            cells = range(k, 2 * n - k + 1)
+            assert [row[l] for l in cells] == [sig[l]._mpf_ for l in cells]
+            assert [noi[l] for l in cells] == [sig_noi[l]._mpf_ for l in cells]
     if isinstance(want, tuple):
         assert got == want
         return None
@@ -95,7 +125,7 @@ def check_pass(rec, z):
 @given(measures(), points_z)
 def test_recurrence_and_pass_match_oracles(measure_and_n, z):
     measure, n = measure_and_n
-    for mode in (R, F128):
+    for mode in MODES:
         seq = generate_moments(measure, 1, 2 * n, mode)
         rec = check_recurrence(seq, n)
         if rec is not None:
@@ -113,7 +143,7 @@ def test_arbitrary_data_same_outcome(m):
     same recurrence."""
     m = m[: 2 * ((len(m) - 1) // 2) + 1]
     n = (len(m) - 1) // 2
-    for mode in (R, F128):
+    for mode in MODES:
         seq = outcome(sequence_from_1d, [mode.convert(x) for x in m], mode)
         if not isinstance(seq, tuple):      # a negative m_0 is refused on entry
             check_recurrence(seq, n)
@@ -129,6 +159,26 @@ def test_non_flat_rows_same_error(measure_and_n, gap, c):
     m = generate_moments(measure, 1, 2 * n, R).moments_1d()
     m[-1] += c
     check_recurrence(sequence_from_1d(m, R), n)
+
+
+GAUSS = GaussianProduct((F(1),))
+QL2 = QLattice1D(F(2))
+
+
+@pytest.mark.parametrize("measure, degree, bits, error", [
+    (QL2, 48, 160, None), (QL2, 62, 128, None), (GAUSS, 60, 184, None),
+    (GAUSS, 120, 512, None), (LogNormal1D(F(1, 2)), 40, 144, None),
+    (GAUSS, 120, 128, (PrecisionExhausted,
+                       "pivot at step 42 keeps fewer than half the working bits")),
+])
+def test_float_families_bit_identical(measure, degree, bits, error):
+    """The ``analyze-float`` benchmark families at their working precisions
+    (a spec without a mode starts at 64 + 2N bits): alpha, beta, the pivot
+    log, the sigma rows and their noise floors bit-identical to the oracle,
+    or the same error."""
+    seq = generate_moments(measure, 1, degree, FloatMode(bits))
+    rec = check_recurrence(seq, degree // 2)
+    assert (outcome(hamburger._factorize, seq, degree // 2) if rec is None else None) == error
 
 
 def lhospital_lift(mode):
