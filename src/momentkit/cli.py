@@ -8,13 +8,16 @@ produce byte-identical output except the isolable "generated_at" field.
 Exit code 0 for any verdict, 2 on errors (which are themselves reported as
 structured entries).
 
-A measure spec with neither a "mode" of its own nor ``--mode`` runs in float
-mode at ``64 + 2N`` bits.  Wherever the command raises PrecisionExhausted
-(the verdict, a scan direction, one criterion entry of ``analyze``), the
-moments are regenerated at twice the bits and the command reruns, up to
-``scalars.default_float_bits(N)``; at that cap the error is reported.  The
-provenance "mode" names the precision used.  Explicit modes and interchange
-files run once.
+A measure spec with neither a "mode" of its own nor ``--mode`` runs in
+rational mode, exactly, whenever its closed-form moments are rational (every
+catalog family but log-normal, and every product of them).  A spec whose
+moment rule raises UnrepresentableInMode in rational mode runs in float mode
+at ``64 + 2N`` bits instead.  Wherever that command raises
+PrecisionExhausted (the verdict, a scan direction, one criterion entry of
+``analyze``), the moments are regenerated at twice the bits and the command
+reruns, up to ``scalars.default_float_bits(N)``; at that cap the error is
+reported.  The provenance "mode" names the mode and precision used.
+Rational runs, explicit modes and interchange files run once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Any
 from . import __version__
 from .curves import catalog, curve_from_json, lift_and_test, pushforward_to_curve
 from .envelopes import cosine_envelope, geometric_envelope
-from .errors import MomentKitError, NotAdmissible, PrecisionExhausted
+from .errors import MomentKitError, NotAdmissible, PrecisionExhausted, UnrepresentableInMode
 from .gaps import (
     GapEstimate,
     direction_scan,
@@ -136,9 +139,11 @@ def load_input(path: str, mode_arg: str | None, degree_arg: int | None,
                bits: int | None = None) -> tuple:
     """(sequence, provenance dict, cap).  Measure specs carry closed-form
     moment rules; interchange files carry the numbers themselves.  A spec
-    whose mode is left open is generated at ``float:<bits>`` (default
-    ``64 + 2N``, never above ``cap = default_float_bits(N)``, the most bits
-    a rerun may ask for); ``cap`` is None when the mode is fixed."""
+    whose mode is left open is generated in rational mode unless its rule
+    raises UnrepresentableInMode there, and then at ``float:<bits>``
+    (default ``64 + 2N``, never above ``cap = default_float_bits(N)``, the
+    most bits a rerun may ask for); ``cap`` is None when the mode is fixed
+    or rational."""
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
@@ -148,12 +153,12 @@ def load_input(path: str, mode_arg: str | None, degree_arg: int | None,
         dimension = read_field(doc, "dimension", int, 1)
         max_degree = degree_arg or read_field(doc, "max_degree", int, 20)
         mode_str = mode_arg or doc.get("mode")
-        if mode_str is None:
-            cap = default_float_bits(max_degree)
-            mode_str = f"float:{min(bits or 64 + 2 * max_degree, cap)}"
-        mode = mode_from_string(mode_str)
+        mode = None if mode_str is None else mode_from_string(mode_str)
         defn = _measure_from_json(doc["measure"])
-        seq = generate_moments(defn, dimension, max_degree, mode)
+        if mode is None:
+            seq, cap = _modeless_moments(defn, dimension, max_degree, bits)
+        else:
+            seq = generate_moments(defn, dimension, max_degree, mode)
     else:
         seq = sequence_from_json(raw.decode("utf-8"))
         if degree_arg is not None and degree_arg < seq.max_degree:
@@ -168,6 +173,19 @@ def load_input(path: str, mode_arg: str | None, degree_arg: int | None,
         "toolkit_version": __version__,
     }
     return seq, provenance, cap
+
+
+def _modeless_moments(defn, dimension: int, max_degree: int, bits: int | None) -> tuple:
+    """(sequence, cap) of a spec with no mode, as ``load_input`` describes.
+    Only a float-mode run is rerun, and a rerun passes ``bits``."""
+    if bits is None:
+        try:
+            return generate_moments(defn, dimension, max_degree, RationalMode()), None
+        except UnrepresentableInMode:
+            pass
+    cap = default_float_bits(max_degree)
+    mode = mode_from_string(f"float:{min(bits or 64 + 2 * max_degree, cap)}")
+    return generate_moments(defn, dimension, max_degree, mode), cap
 
 
 def _with_precision(command):

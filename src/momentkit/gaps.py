@@ -35,7 +35,7 @@ from .errors import (
     NotInteriorDirection,
     WrongSupport,
 )
-from .hamburger import recurrence_from_moments, verdict_1d, weyl_disk
+from .hamburger import recurrence_from_moments, verdict_1d, weyl_radius_sq
 from .moments import (
     MomentSequence,
     NonnegativeOrthant,
@@ -321,10 +321,10 @@ def poisson_kappa_1d(seq_1d: MomentSequence, x0, t0, n: int):
     if rec.rank <= n:
         n = rec.rank - 1
     z = ComplexScalar(mode.convert(x0), t0v)
-    disk = weyl_disk(rec, z, n)
-    if disk.radius_sq == 0:
+    radius_sq = weyl_radius_sq(rec, z, n)
+    if radius_sq == 0:
         return mode.zero()
-    return 2 * disk.radius / mode.pi()
+    return 2 * mode.sqrt(radius_sq) / mode.pi()
 
 
 def poisson_kappa_estimate(seq: MomentSequence, x0: Sequence, t0, degree: int,

@@ -556,10 +556,7 @@ def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
     / (4 Im z^2)`` is equal in rational mode, and in float mode ``rho``'s
     sum of positive terms keeps the bits that ``s`` cancels away.
     """
-    if z.im == 0:
-        raise NonRealPointRequired("Weyl disks need Im z != 0")
-    if n + 1 > rec.order:
-        raise DegreeInsufficient(f"disk at {n} needs recurrence order {n + 1}")
+    radius_sq = weyl_radius_sq(rec, z, n)
     mode = rec.mode
     ev = ortho_eval(rec, z, n + 1)
     p_top, p_low = ev.first[n + 1], ev.first[n]
@@ -567,15 +564,38 @@ def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
     if rec.beta[n + 1] == 0:
         # degenerate pencil: every parameter gives the same point, the
         # Cauchy transform of the unique (atomic) representing measure
-        center = -(q_top / p_top)
-        return WeylDisk(z, n, center, mode.zero(), mode, degenerate=True)
-    s = p_top.im * p_low.re - p_top.re * p_low.im
-    if not s * z.im > 0:
-        raise PrecisionExhausted("Weyl disk: Im(pi_{n+1} conj pi_n) lost its sign")
+        return WeylDisk(z, n, -(q_top / p_top), radius_sq, mode, degenerate=True)
+    s = _casoratian_im(ev, n)
     num = q_top * p_low.conj() - q_low * p_top.conj()
     center = ComplexScalar(-num.im / (2 * s), num.re / (2 * s))
-    rho = christoffel(rec, z, n)
-    return WeylDisk(z, n, center, rho * rho / (4 * z.im * z.im), mode)
+    return WeylDisk(z, n, center, radius_sq, mode)
+
+
+def weyl_radius_sq(rec: Recurrence, z: ComplexScalar, n: int, rho=None):
+    """``radius_sq`` of ``weyl_disk(rec, z, n)`` without its center: 0 for a
+    degenerate pencil, else ``rho^2 / (4 Im z^2)`` with ``rho =
+    christoffel(rec, z, n)``, which a caller that holds it passes in.  A
+    float pass whose ``s / Im z`` is not positive has lost its bits and
+    raises PrecisionExhausted; in rational mode Christoffel-Darboux makes it
+    positive, so it is not evaluated."""
+    if z.im == 0:
+        raise NonRealPointRequired("Weyl disks need Im z != 0")
+    if n + 1 > rec.order:
+        raise DegreeInsufficient(f"disk at {n} needs recurrence order {n + 1}")
+    mode = rec.mode
+    if rec.beta[n + 1] == 0:
+        return mode.zero()
+    if isinstance(mode, FloatMode) and not _casoratian_im(ortho_eval(rec, z, n + 1), n) * z.im > 0:
+        raise PrecisionExhausted("Weyl disk: Im(pi_{n+1} conj pi_n) lost its sign")
+    if rho is None:
+        rho = christoffel(rec, z, n)
+    return rho * rho / (4 * z.im * z.im)
+
+
+def _casoratian_im(ev: OrthoEval, n: int):
+    """s = Im(pi_{n+1} conj pi_n), the pencil's sign and scale."""
+    p_top, p_low = ev.first[n + 1], ev.first[n]
+    return p_top.im * p_low.re - p_top.re * p_low.im
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +619,7 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int) -> CarlemanResul
     ``t_k * k >= CARLEMAN_SLOPE``: such terms dominate a multiple of the
     harmonic series.  The flag alone is a heuristic; paired with a certified
     growth bound on the sequence it becomes rigorous (sum of c/k diverges).
-    The roots are irrational, so the terms are evaluated in a fresh
+    The roots are irrational, so the terms are evaluated in the shared
     256-bit binary-float context (``RATIONAL_APPROX_BITS``) in both modes:
     a slope heuristic and a sum of positive terms need no more, whatever
     the working precision.
@@ -801,16 +821,16 @@ def _christoffel_weyl_evidence(rec: Recurrence) -> list:
                             Sufficiency.HEURISTIC, Leaning.NEUTRAL,
                             f"rho ratio {ratio:.6f} in the indecisive band"))
     # radius = rho / (2 |Im z|), so this ratio is the rho ratio above
-    disk = weyl_disk(rec, z, top)
-    disk_half = weyl_disk(rec, z, half)
-    if disk_half.radius_sq > 0:
-        rratio = mode.to_float(disk.radius_sq / disk_half.radius_sq) ** 0.5
+    radius_sq = weyl_radius_sq(rec, z, top, rho_top)
+    radius_sq_half = weyl_radius_sq(rec, z, half, rho_half)
+    if radius_sq_half > 0:
+        rratio = mode.to_float(radius_sq / radius_sq_half) ** 0.5
         if rratio > PLATEAU_RATIO:
-            out.append(Evidence("weyl-radius-plateau", top, disk.radius_sq,
+            out.append(Evidence("weyl-radius-plateau", top, radius_sq,
                                 Sufficiency.LIMIT_RIGOROUS_NUMERIC, Leaning.INDETERMINATE,
                                 f"radius ratio {rratio:.6f} > {PLATEAU_RATIO}"))
         else:
-            out.append(Evidence("weyl-radius", top, disk.radius_sq,
+            out.append(Evidence("weyl-radius", top, radius_sq,
                                 Sufficiency.HEURISTIC,
                                 Leaning.DETERMINATE if rratio < DECAY_RATIO
                                 else Leaning.NEUTRAL,

@@ -22,8 +22,8 @@ exact results: quantities that are exactly zero stay exactly zero.
 
 Every other irrational value (Carleman roots, transcendental kernels on
 grids) goes through one side channel: ``work_context(mode, bits)`` is the
-float mode's own context, or a fresh ``bits``-bit one in rational mode, and
-``fixed_context(bits)`` is a fresh one in either mode (Carleman terms take
+float mode's own context, or a shared ``bits``-bit one in rational mode, and
+``fixed_context(bits)`` is that shared one in either mode (Carleman terms take
 256 bits whatever the working precision); ``to_context`` moves a scalar in
 and ``from_context`` brings the result back, exactly (``exact_fraction``) in
 rational mode and rounded to the mode's precision in float mode.  This
@@ -45,13 +45,15 @@ NEAREST)`` are the ``mpf`` operators of a ``prec``-bit context bit for bit,
 float scalar's tuple is ``v._mpf_`` and ``mode.ctx.make_mpf`` wraps one
 back.
 
-A float precision for degree-N data is the caller's choice; the CLI starts a
-measure spec with no mode at ``64 + 2N`` bits, doubles on
-``PrecisionExhausted`` and stops at ``default_float_bits(N)``.
+A float precision for degree-N data is the caller's choice; the CLI runs a
+measure spec with no mode in rational mode when its moments are rational,
+and otherwise starts at ``64 + 2N`` bits, doubles on ``PrecisionExhausted``
+and stops at ``default_float_bits(N)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -295,7 +297,14 @@ def exact_fraction(v) -> Fraction:
 
 
 def fixed_context(bits: int = RATIONAL_APPROX_BITS) -> MPContext:
-    """A fresh binary-float context at ``bits`` of precision, in any mode."""
+    """The binary-float context at ``bits`` of precision, in any mode: one
+    shared object per ``bits``, since building one costs about half a
+    millisecond.  Callers never change its precision."""
+    return _shared_context(bits)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_context(bits: int) -> MPContext:
     ctx = MPContext()
     ctx.prec = bits
     return ctx
@@ -303,7 +312,7 @@ def fixed_context(bits: int = RATIONAL_APPROX_BITS) -> MPContext:
 
 def work_context(mode: Mode, bits: int = RATIONAL_APPROX_BITS) -> MPContext:
     """Binary-float context for an irrational value: the float mode's own,
-    or a fresh one at ``bits`` of precision in rational mode."""
+    or the shared one at ``bits`` of precision in rational mode."""
     if isinstance(mode, FloatMode):
         return mode.ctx
     return fixed_context(bits)

@@ -77,15 +77,20 @@ def support_to_json(support) -> dict:
     raise InvalidParameter(f"unknown support {support!r}")
 
 
-def support_from_json(doc: dict):
+def support_from_json(doc: dict, dimension: int):
+    """The support hint of a ``dimension``-variate document."""
     kind = read_field(json_object(doc, "support_hint"), "kind", default="full_space")
     if kind == "full_space":
         return FullSpace()
     if kind == "nonnegative_orthant":
         return NonnegativeOrthant()
     if kind == "cone":
-        return ConeSupport(read_field(doc, "generators",
-                                      lambda gs: tuple(map(rationals, json_list(gs)))))
+        generators = read_field(doc, "generators",
+                                lambda gs: tuple(map(rationals, json_list(gs))))
+        if any(len(g) != dimension for g in generators):
+            raise InvalidParameter(f"field 'generators': a cone generator needs "
+                                   f"{dimension} coordinates")
+        return ConeSupport(generators)
     if kind == "curve":
         return CurveSupport(read_field(doc, "curve_id"))
     raise InvalidParameter(f"unknown support kind {kind!r}")
@@ -116,12 +121,13 @@ def sequence_from_json(text: str) -> MomentSequence:
         item = json_object(item, "an entry")
         alpha = read_field(item, "alpha", lambda a: tuple(int(e) for e in json_list(a)))
         entries[alpha] = read_field(item, "value", lambda v: mode.from_string(_string(v)))
+    dimension = read_field(doc, "dimension", int)
     return MomentSequence(
-        dimension=read_field(doc, "dimension", int),
+        dimension=dimension,
         max_degree=read_field(doc, "max_degree", int),
         mode=mode,
         entries=entries,
-        support=support_from_json(read_field(doc, "support_hint", default={})),
+        support=support_from_json(read_field(doc, "support_hint", default={}), dimension),
         meta=json_object(read_field(doc, "meta", default={}), "meta"),
     )
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from momentkit import cli, gaps, hamburger
 from momentkit.cli import main
 from momentkit.moments import sequence_from_1d
-from momentkit.scalars import RationalMode
+from momentkit.scalars import RationalMode, default_float_bits
 from momentkit.serialization import save_moment_sequence
 
 R = RationalMode()
@@ -385,17 +385,20 @@ def analyze_report(spec, tmp_path, *extra):
     return rc, json.loads(out.read_text())
 
 
+LOG_NORMAL_SPEC = {"variant": "log_normal", "s": "1"}
+
+
 def test_modeless_spec_doubles_its_precision_until_the_pivots_have_headroom(tmp_path):
-    """Exponential N = 80 starts at 64 + 2N = 224 bits, where a pivot keeps
-    fewer than half the bits, and is rerun at 448; the verdict is the
-    rational one."""
-    spec = modeless_spec(tmp_path, {"variant": "exponential"}, 80)
+    """Log-normal s = 1/8, N = 20 starts at 64 + 2N = 104 bits, where a
+    pivot keeps fewer than half the bits, and is rerun at 208; the verdict
+    is the one at the cap (its moments have no rational mode)."""
+    spec = modeless_spec(tmp_path, {"variant": "log_normal", "s": "1/8"}, 20)
     rc, rep = analyze_report(spec, tmp_path)
     assert rc == 0 and not rep["errors"]
-    assert rep["provenance"]["mode"] == "float:448"
-    rc, exact = analyze_report(spec, tmp_path, "--mode", "rational")
+    assert rep["provenance"]["mode"] == "float:208"
+    rc, wide = analyze_report(spec, tmp_path, "--mode", f"float:{default_float_bits(20)}")
     assert rc == 0
-    assert signature(rep) == signature(exact)
+    assert signature(rep) == signature(wide)
 
 
 def test_explicit_mode_is_not_raised(tmp_path):
@@ -409,16 +412,20 @@ def test_explicit_mode_is_not_raised(tmp_path):
 
 
 def test_modeless_report_reruns_at_its_recorded_mode(tmp_path):
-    spec = modeless_spec(tmp_path, {"variant": "exponential"}, 80)
+    """The recorded mode is "rational" for the exponential, and the float
+    mode the doubling loop reached for log-normal s = 1/8."""
     criteria = ["--criteria", "verdict,admissibility,carleman,christoffel,weyl"]
-    rc, first = analyze_report(spec, tmp_path, *criteria)
-    assert rc == 0
-    rc, again = analyze_report(spec, tmp_path, *criteria,
-                               "--mode", first["provenance"]["mode"])
-    assert rc == 0
-    first.pop("generated_at")
-    again.pop("generated_at")
-    assert json.dumps(first, sort_keys=True) == json.dumps(again, sort_keys=True)
+    for measure, degree, mode in (({"variant": "exponential"}, 80, "rational"),
+                                  ({"variant": "log_normal", "s": "1/8"}, 20, "float:208")):
+        spec = modeless_spec(tmp_path, measure, degree)
+        rc, first = analyze_report(spec, tmp_path, *criteria)
+        assert rc == 0 and first["provenance"]["mode"] == mode
+        rc, again = analyze_report(spec, tmp_path, *criteria,
+                                   "--mode", first["provenance"]["mode"])
+        assert rc == 0
+        first.pop("generated_at")
+        again.pop("generated_at")
+        assert json.dumps(first, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
 def test_precision_exhausted_in_a_criterion_entry_raises_the_precision(tmp_path,
@@ -435,7 +442,7 @@ def test_precision_exhausted_in_a_criterion_entry_raises_the_precision(tmp_path,
         return real(seq, order)
 
     monkeypatch.setattr(cli, "cosine_envelope", cosine_envelope)
-    spec = modeless_spec(tmp_path, {"variant": "gaussian_product", "variances": ["1"]}, 40)
+    spec = modeless_spec(tmp_path, LOG_NORMAL_SPEC, 40)
     rc, rep = analyze_report(spec, tmp_path, "--criteria", "verdict,cosine")
     assert rc == 0 and not rep["errors"]
     assert rep["provenance"]["mode"] == "float:288"
@@ -450,22 +457,21 @@ def test_precision_exhausted_at_the_cap_is_reported(tmp_path, monkeypatch):
         raise PrecisionExhausted("test: never enough bits")
 
     monkeypatch.setattr(cli, "cosine_envelope", cosine_envelope)
-    spec = modeless_spec(tmp_path, {"variant": "gaussian_product", "variances": ["1"]}, 10)
+    spec = modeless_spec(tmp_path, LOG_NORMAL_SPEC, 10)
     rc, rep = analyze_report(spec, tmp_path, "--criteria", "verdict,cosine")
     assert rc == 2
     assert rep["provenance"]["mode"] == "float:464"          # 84, 168, 336, then the cap
-    assert rep["verdict"]["status"] == "determinate"
+    assert rep["verdict"]["status"] == "indeterminate"
     assert [(e["criterion"], e["error"]) for e in rep["errors"]] == \
         [("cosine", "PrecisionExhausted")]
 
 
 def test_modeless_hyperplane_lp_reruns_until_its_grid_measure_holds(tmp_path):
-    """At the starting float:104 rounding carries the q-lattice grid LP to a
-    wrong vertex (value_plus 0.8233 against the exact 0.4564).  The check of
-    the optimal grid measure raises PrecisionExhausted, which an explicit
-    mode reports and a mode-less run answers with twice the bits, until the
-    values are the rational ones."""
-    spec = modeless_spec(tmp_path, {"variant": "q_lattice", "q": "2"}, 20)
+    """At the starting float:104 rounding leaves the log-normal (s = 1) grid
+    LP an optimal grid measure with a negative weight.  That check raises
+    PrecisionExhausted, which an explicit mode reports and a mode-less run
+    answers with twice the bits, until the values are those at the cap."""
+    spec = modeless_spec(tmp_path, LOG_NORMAL_SPEC, 20)
     criteria = ("--criteria", "hyperplane")
     rc, low = analyze_report(spec, tmp_path, *criteria, "--mode", "float:104")
     assert rc == 2 and not low["criteria"]
@@ -473,11 +479,12 @@ def test_modeless_hyperplane_lp_reruns_until_its_grid_measure_holds(tmp_path):
     rc, approx = analyze_report(spec, tmp_path, *criteria)
     assert rc == 0 and not approx["errors"]
     assert approx["provenance"]["mode"] == "float:416"        # 104, 208, then 416
-    rc, exact = analyze_report(spec, tmp_path, *criteria, "--mode", "rational")
+    rc, wide = analyze_report(spec, tmp_path, *criteria,
+                              "--mode", f"float:{default_float_bits(20)}")
     assert rc == 0
-    (got,), (want,) = approx["criteria"], exact["criteria"]
+    (got,), (want,) = approx["criteria"], wide["criteria"]
     for side in ("value_plus", "value_minus"):
-        value = float(F(want[side]["rational"]))
+        value = float(want[side]["decimal"])
         assert abs(float(got[side]["decimal"]) - value) <= 1e-12 * abs(value)
 
 
@@ -493,19 +500,36 @@ MODELESS_CATALOG = {
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(sorted(MODELESS_CATALOG)), st.integers(min_value=8, max_value=80))
 def test_modeless_verdict_agrees_with_rational(tmp_path_factory, name, degree):
+    """A family with rational moments runs in rational mode: the report is
+    the ``--mode rational`` one byte for byte (an atomic spec's finite rank
+    is a rigorous item, so it reads determinate)."""
     tmp_path = tmp_path_factory.mktemp("modeless")
     spec = modeless_spec(tmp_path, MODELESS_CATALOG[name], degree)
-    rc, approx = analyze_report(spec, tmp_path)
-    assert rc == 0 and approx["provenance"]["mode"].startswith("float:")
+    rc, modeless = analyze_report(spec, tmp_path)
+    assert rc == 0 and modeless["provenance"]["mode"] == "rational"
     rc, exact = analyze_report(spec, tmp_path, "--mode", "rational")
     assert rc == 0
     if name == "atomic":
-        # a float finite-rank item is limit-rigorous, which the status rules
-        # do not let decide: the same rank, but inconclusive
         assert exact["verdict"]["status"] == "determinate"
-        assert approx["verdict"]["status"] == "inconclusive"
-    else:
-        assert approx["verdict"]["status"] == exact["verdict"]["status"]
+    modeless.pop("generated_at")
+    exact.pop("generated_at")
+    assert json.dumps(modeless, sort_keys=True) == json.dumps(exact, sort_keys=True)
+
+
+@pytest.mark.parametrize("measure, dimension", [
+    (LOG_NORMAL_SPEC, 1),
+    ({"variant": "product", "factors": [
+        {"measure": {"variant": "gaussian_product", "variances": ["1"]}, "dimension": 1},
+        {"measure": LOG_NORMAL_SPEC, "dimension": 1}]}, 2),
+])
+def test_modeless_spec_without_rational_moments_starts_in_float(tmp_path, measure, dimension):
+    """Log-normal moments exp(k^2 s^2 / 2) have no rational mode, in a
+    product too: such a spec starts at float:64+2N and may double up to
+    the cap."""
+    spec = write_spec(tmp_path / "spec.json", {"measure": measure, "dimension": dimension,
+                                               "max_degree": 10})
+    _seq, provenance, cap = cli.load_input(spec, None, None)
+    assert provenance["mode"] == "float:84" and cap == default_float_bits(10)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +570,8 @@ GAUSS_SPEC = {"measure": {"variant": "gaussian_product", "variances": ["1"]},
     (interchange(value=None), (), "'value'"),
     (GAUSS_SPEC, ("--mode", "float:abc"), "unknown mode 'float:abc'"),
     ([1], ("curve",), "a curve document"),
+    (dict(interchange(), support_hint={"kind": "cone", "generators": [["1", "2"]]}), (),
+     "'generators'"),
 ])
 def test_malformed_documents_give_one_structured_error(tmp_path, doc, extra, detail):
     """A document no reader can take is one InvalidParameter entry naming

@@ -15,6 +15,7 @@ from momentkit.errors import (
     PrecisionExhausted,
 )
 from momentkit.hamburger import (
+    Recurrence,
     carleman,
     christoffel,
     ortho_eval,
@@ -22,6 +23,7 @@ from momentkit.hamburger import (
     stieltjes_convergents,
     verdict_1d,
     weyl_disk,
+    weyl_radius_sq,
 )
 from momentkit.moments import (
     Atomic,
@@ -320,6 +322,7 @@ def test_disk_radius_monotone_and_closed_form():
         rho = christoffel(rec, z, n)
         # closed-form cross-check: radius = rho_n(z) / (2 Im z), exactly
         assert disk.radius_sq * 4 * z.im * z.im == rho * rho
+        assert weyl_radius_sq(rec, z, n, rho) == weyl_radius_sq(rec, z, n) == disk.radius_sq
         # and = ||pi_n||^2 / (2 |s|) with s = Im(pi_{n+1} conj pi_n) (Casoratian)
         ev = ortho_eval(rec, z, n + 1)
         p1, p0 = ev.first[n + 1], ev.first[n]
@@ -341,6 +344,20 @@ def test_float_disk_keeps_its_radius_at_low_precision():
     assert radii[0] == pytest.approx(radii[1], rel=1e-12)
     v = verdict_1d(generate_moments(QLattice1D(2), 1, 48, fm))
     assert any(e.criterion == "weyl-radius-plateau" for e in v.evidence)
+
+
+def test_float_weyl_radius_checks_the_pencil_sign():
+    """s / Im z > 0 for every positive definite recurrence, so a float pass
+    that breaks it has lost its bits; here a negative beta_1 breaks it
+    (pi_2(i) = 1, s = Im(pi_2 conj pi_1) = -1 at level 1)."""
+    fm = FloatMode(64)
+    zero, one = fm.zero(), fm.one()
+    rec = Recurrence(fm, (zero, zero), (one, -2 * one, one))
+    z = complex_scalar(fm, 0, 1)
+    assert weyl_radius_sq(rec, z, 0) > 0
+    for radius in (lambda: weyl_radius_sq(rec, z, 1, one), lambda: weyl_disk(rec, z, 1)):
+        with pytest.raises(PrecisionExhausted):
+            radius()
 
 
 def test_float_disk_radius_from_the_christoffel_sum():

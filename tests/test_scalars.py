@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import momentkit
 from momentkit.errors import InvalidParameter, ModeMismatch
+from momentkit.hamburger import carleman
+from momentkit.moments import GaussianProduct, generate_moments
 from momentkit.scalars import (
     FloatMode,
     RationalMode,
@@ -26,6 +28,7 @@ from momentkit.scalars import (
     to_context,
     work_context,
 )
+from momentkit.verdicts import Flavor
 
 
 def test_exact_arithmetic_error_free():
@@ -136,6 +139,18 @@ def test_side_channel_precision_and_round_trip():
     v = flt.convert(F(5, 7))
     assert from_context(flt, to_context(flt.ctx, v)) is v
     assert rational.pi() == from_context(rational, +work_context(rational, 256).pi)
+
+
+def test_fixed_context_is_one_shared_context_per_bit_count():
+    """Every side computation at one precision shares one context, in
+    either mode, and a Carleman sum run in it leaves its precision alone."""
+    ctx = fixed_context(256)
+    assert fixed_context() is ctx and work_context(RationalMode()) is ctx
+    assert fixed_context(128) is work_context(RationalMode(), 128) is not ctx
+    for mode in (RationalMode(), FloatMode(64)):
+        seq = generate_moments(GaussianProduct((F(1),)), 1, 40, mode)
+        carleman(seq, Flavor.HAMBURGER, 20)
+        assert fixed_context(256) is ctx and ctx.prec == 256
 
 
 def test_foreign_context_values_enter_a_float_mode_rounded():

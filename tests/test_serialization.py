@@ -75,9 +75,9 @@ def test_multivariate_round_trip():
 def test_support_kinds():
     for s in (FullSpace(), NonnegativeOrthant(),
               ConeSupport(((F(1), F(1)), (F(1), F(-1)))), CurveSupport("parabola")):
-        assert support_from_json(support_to_json(s)) == s
+        assert support_from_json(support_to_json(s), 2) == s
     with pytest.raises(InvalidParameter):
-        support_from_json({"kind": "banana"})
+        support_from_json({"kind": "banana"}, 2)
 
 
 def test_meta_preserved():
