@@ -56,6 +56,7 @@ from .moments import (
     NonnegativeOrthant,
     Product,
     QLattice1D,
+    check_moment_count,
     generate_moments,
     pushforward_direction,
 )
@@ -152,6 +153,7 @@ def load_input(path: str, mode_arg: str | None, degree_arg: int | None,
     if "measure" in doc:
         dimension = read_field(doc, "dimension", int, 1)
         max_degree = degree_arg or read_field(doc, "max_degree", int, 20)
+        check_moment_count(dimension, max_degree)
         mode_str = mode_arg or doc.get("mode")
         mode = None if mode_str is None else mode_from_string(mode_str)
         defn = _measure_from_json(doc["measure"])

@@ -36,7 +36,8 @@ from .errors import (
     MomentKitError,
     UnknownCurve,
 )
-from .hamburger import Recurrence, christoffel, recurrence_from_moments, verdict_1d
+from .hamburger import (Recurrence, christoffel, monic_coefficients, recurrence_from_moments,
+                        verdict_1d)
 from .moments import (
     CurveSupport,
     MomentSequence,
@@ -320,8 +321,11 @@ def lift_and_test(cm: CurveMeasure, weight_exponent: int = 2) -> Verdict:
     sigma = cm.lifted_1d
     mode = sigma.mode
     curve = cm.curve
+    source = None
     if poly_degree(curve.weight) >= 1:
-        _warn_on_ramified_atoms(sigma, curve)
+        source = _source_recurrence(sigma)
+        if isinstance(mode, RationalMode):
+            _warn_on_ramified_atoms(source, curve)
     weighted = _weighted_lift(sigma, curve.weight, weight_exponent)
     if weighted is not sigma and weighted.entries[(0,)] == 0:
         # the weight annihilated the lift: all mass sits on ramification
@@ -334,9 +338,14 @@ def lift_and_test(cm: CurveMeasure, weight_exponent: int = 2) -> Verdict:
                       Leaning.DETERMINATE,
                       "all lift mass is atomic on the ramification set")
         return Verdict(Status.DETERMINATE, Flavor.HAMBURGER, (ev,))
+    # the weighted lift factorizes from the source recurrence (the banded
+    # modified moments of weight**exponent), unless the source stopped at
+    # its rank; the verdict and the witness share this factorization
+    base = None
+    if source is not None and source.rank > source.order:
+        base = (source, sigma.max_degree - weighted.max_degree)
+    rec = recurrence_from_moments(weighted, weighted.max_degree // 2, base)
     verdict = verdict_1d(weighted)
-    # the verdict's factorization also serves the evaluation witness
-    rec = recurrence_from_moments(weighted, weighted.max_degree // 2)
     alpha = complex_scalar(mode, 0, 1)
     extra = []
     try:
@@ -363,19 +372,22 @@ def lift_and_test(cm: CurveMeasure, weight_exponent: int = 2) -> Verdict:
                    verdict.numeric_flagged)
 
 
-def _warn_on_ramified_atoms(sigma: MomentSequence, curve: PolynomialCurve) -> None:
-    if not isinstance(sigma.mode, RationalMode):
-        return
+def _source_recurrence(sigma: MomentSequence) -> Recurrence | None:
+    """The lift's own recurrence at order N/2, or None when it has none
+    (the verdict on the weighted lift reports why); any other error is a
+    bug."""
     try:
-        rec = recurrence_from_moments(sigma, sigma.max_degree // 2)
+        return recurrence_from_moments(sigma, sigma.max_degree // 2)
     except MomentKitError:
-        return  # the verdict on the weighted lift reports it; any other error is a bug
-    if rec.rank > rec.order:
+        return None
+
+
+def _warn_on_ramified_atoms(rec: Recurrence | None, curve: PolynomialCurve) -> None:
+    if rec is None or rec.rank > rec.order:
         return  # no visible degeneracy at this truncation
-    r = rec.rank
     # monic pi_r has the atoms as roots; shared roots with the weight mean
     # atoms sitting on the ramification parameters
-    pi = _monic_coeffs(rec, r)
+    pi = monic_coefficients(rec, rec.rank)[-1]
     w = tuple(Fraction(c) for c in curve.weight)
     shared = poly_gcd(pi, w)
     if poly_degree(shared) >= 1:
@@ -384,30 +396,6 @@ def _warn_on_ramified_atoms(sigma: MomentSequence, curve: PolynomialCurve) -> No
             "the lift is not unique",
             AtomsOnRamificationWarning,
         )
-
-
-def _monic_coeffs(rec: Recurrence, r: int) -> tuple:
-    prev: tuple = (Fraction(1),)
-    if r == 0:
-        return prev
-    cur: tuple = (-Fraction(rec.alpha[0]), Fraction(1))
-    for k in range(1, r):
-        nxt = poly_mul((-Fraction(rec.alpha[k]), Fraction(1)), cur)
-        nxt = tuple(a - b for a, b in _pad_pair(
-            nxt, tuple(Fraction(rec.beta[k]) * c for c in prev)))
-        prev, cur = cur, poly_trim(nxt)
-    return cur
-
-
-def christoffel_on_curve(cm: CurveMeasure, alpha: ComplexScalar, n: int,
-                         weight_exponent: int = 2):
-    """Christoffel value of the weight**exponent-weighted lift at alpha,
-    the curve-side evaluation-bound surrogate at the point u(alpha)."""
-    weighted = _weighted_lift(cm.lifted_1d, cm.curve.weight, weight_exponent)
-    if 2 * n > weighted.max_degree:
-        raise DegreeInsufficient(f"level {n} needs weighted degree {2 * n}")
-    rec = recurrence_from_moments(weighted, max(n, 1))
-    return christoffel(rec, alpha, min(n, rec.rank - 1))
 
 
 def _weighted_lift(sigma: MomentSequence, weight: tuple,

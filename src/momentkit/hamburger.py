@@ -36,7 +36,16 @@ parametrization depends on them):
   e_k``, ``beta_k = q_k e_k``): one real loop over them checks both Hankel
   forms and gives the Gauss and Radau values, with no forward pass.  So a
   verdict evaluates orthogonal polynomials at z = i only, and a Recurrence
-  keeps the forward pass at its last point only.
+  keeps the forward pass at its last point only.  The pass builds the
+  second kind only when ``OrthoEval.second`` is first read, which no
+  verdict does.
+* The recurrence comes from the mixed moments ``sigma_{k,l} = L(pi_k
+  p_l)`` (the modified Chebyshev algorithm), where the p_l are the monic
+  polynomials of an optional base recurrence ``(a_l, b_l)``: the monomials
+  when there is none.  A curve lift w^2 sigma passes sigma's own
+  recurrence: its modified moments ``nu_l = L_sigma(w^2 p_l)`` vanish for
+  l > 2r = deg w^2, so each row is a band of at most 2r + 1 entries, and
+  the values are those of the plain route.
 
 Everything is exact in rational mode.  Quantities that are inherently
 irrational (Carleman roots, kappa values) are computed through binary floats
@@ -45,7 +54,8 @@ exact.
 
 The exact engine runs on integers.  Each sigma row of the recurrence is a
 list of integer numerators over one positive denominator, divided by its
-content after every step; each level of pi_k(z) and Q_k(z) in the forward
+content after every step (a base recurrence's terms join over their common
+denominators); each level of pi_k(z) and Q_k(z) in the forward
 pass is an integer (re, im) pair over one denominator, reduced the way
 ``Fraction`` reduces a sum.  ``Fraction``s are built once, for the
 outputs.  That takes one gcd per row where reduced ``Fraction`` entries take
@@ -72,9 +82,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any
+from typing import Any, Callable
 
 from .errors import (
     DegreeInsufficient,
@@ -148,8 +159,27 @@ class Recurrence:
         return len(self.beta)
 
 
-def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
-    """Moment-to-recurrence transform, O(n^2) on sigma_{k,l} = L(pi_k x^l).
+def recurrence_from_moments(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurrence:
+    """Moment-to-recurrence transform, O(n^2) on the mixed moments
+    sigma_{k,l} = L(pi_k p_l), by the modified Chebyshev algorithm (Gautschi,
+    *Orthogonal Polynomials: Computation and Approximation*, 2004, 2.1.7;
+    Sack and Donovan 1972).
+
+    The p_l are the monic polynomials of a base recurrence ``(a_l, b_l)``:
+    ``p_{l+1} = (x - a_l) p_l - b_l p_{l-1}``.  With no base they are the
+    monomials (a = b = 0) and row 0 holds the moments.  ``base = (rec,
+    width)`` says that the sequence is the measure sigma of ``rec`` times a
+    polynomial w of degree ``width`` (a curve lift times its weight**2, say):
+    then row 0 holds the modified moments ``nu_l = L(p_l) = L_sigma(w p_l)``,
+    which vanish for l > width since p_l is sigma-orthogonal to lower
+    degrees, and every row is a band, ``sigma_{k,l} = 0`` for l > k + width.
+    The row update is ``sigma_{k,l} = sigma_{k-1,l+1} - (alpha_{k-1} - a_l)
+    sigma_{k-1,l} - beta_{k-1} sigma_{k-2,l} + b_l sigma_{k-1,l-1}``, and
+    ``alpha_k = a_k + sigma_{k,k+1}/sigma_{k,k} -
+    sigma_{k-1,k}/sigma_{k-1,k-1}``, ``beta_k = sigma_{k,k} /
+    sigma_{k-1,k-1}``.  A band-edge entry reads b_l only, so sigma's
+    recurrence to order ``(2n + width) // 2`` is enough; a shorter base is
+    an InvalidParameter.  Both routes give the same exact values.
 
     The result is kept on the sequence (``seq.recurrences``, one per order),
     so every criterion that asks for the same order shares one
@@ -162,39 +192,43 @@ def recurrence_from_moments(seq: MomentSequence, n: int) -> Recurrence:
     representing measure to the k zeros of pi_k, where L(pi_k x^l) = 0 for
     every l, so the whole remaining row ``sigma_{k,k..2n-k}`` must vanish
     with it (the flat-extension, or recursively generated, condition of
-    Curto and Fialkow).  If it does, the input is finitely atomic and the
-    recurrence stops early with the trailing beta equal to zero; if not, no
-    measure has these moments and NotAdmissible is raised.
+    Curto and Fialkow; p_l is x^l plus lower terms, so the modified row
+    vanishes with the plain one).  If it does, the input is finitely atomic
+    and the recurrence stops early with the trailing beta equal to zero; if
+    not, no measure has these moments and NotAdmissible is raised.
 
-    In rational mode the moments are scaled to integers by the lcm of their
+    In rational mode row 0 is scaled to integers by the lcm of its
     denominators (``scalars.integers``), and row k is kept as integers
-    ``T_l`` over one denominator ``D``.  With ``alpha_{k-1} = an/ad`` and
-    ``beta_{k-1} = bn/bd``, ``D = lcm(d_{k-1} ad, d_{k-2} bd)`` and ``T_l =
-    A S1_{l+1} - B S1_l - C S2_l``, where S1 and S2 are the numerators of
-    rows k-1 and k-2 and A, B and C are integers; the row is then divided by
-    ``gcd(D, T_k, ..., T_{2n-k})``, which stops as soon as it reaches 1.
-    The outputs are ratios in which the row denominators cancel: ``alpha_k
-    = T_{k+1}/T_k - S1_k/S1_{k-1}`` and ``beta_k = T_k d_{k-1} / (D
-    S1_{k-1})``.  The pivot tests are integer sign and zero tests.
+    ``T_l`` over one denominator ``D``.  With ``alpha_{k-1} = an/ad``,
+    ``beta_{k-1} = bn/bd`` and the base terms over their common
+    denominators pd and qd, ``D = lcm(d_{k-1} lcm(ad, pd, qd), d_{k-2}
+    bd)`` and every term of the update has an integer multiplier; the row
+    is then divided by ``gcd(D, T_k, ..., T_hi)``, which stops as soon as it
+    reaches 1.  The outputs are ratios in which the row denominators
+    cancel: ``alpha_k = a_k + T_{k+1}/T_k - S1_k/S1_{k-1}`` and ``beta_k =
+    T_k d_{k-1} / (D S1_{k-1})``.  The pivot tests are integer sign and zero
+    tests.
 
     Rational mode is exact and is mandatory for the acceptance runs on
     integer-moment measures.  Float mode carries first-order noise floors
-    and cannot tell a surviving row from lost bits, so there a pivot that
-    is neither clearly signed nor part of a vanished row raises
-    PrecisionExhausted rather than returning garbage.  So does a positive
-    pivot that clears its floor ``tol`` by fewer than half the working bits
-    (``tol < piv`` and ``half_floor(mode, piv) <= tol``, that is ``piv <=
-    tol * 2**(prec // 2)``): the headroom ``log2(piv / tol)`` tracks the
-    correct bits of alpha and beta, and a recurrence that keeps fewer than
-    half of them is not worth reading a verdict from.
+    (for nu_l, that of the terms it sums) and cannot tell a surviving row
+    from lost bits, so there a pivot that is neither clearly signed nor
+    part of a vanished row raises PrecisionExhausted rather than returning
+    garbage.  So does a positive pivot that clears its floor ``tol`` by
+    fewer than half the working bits (``tol < piv`` and ``half_floor(mode,
+    piv) <= tol``, that is ``piv <= tol * 2**(prec // 2)``): the headroom
+    ``log2(piv / tol)`` tracks the correct bits of alpha and beta, and a
+    recurrence that keeps fewer than half of them is not worth reading a
+    verdict from.  The floors carry no error of a float base: its zeros
+    beyond the band are taken as exact.
     """
     rec = seq.recurrences.get(n)
     if rec is None:
-        rec = seq.recurrences[n] = _factorize(seq, n)
+        rec = seq.recurrences[n] = _factorize(seq, n, base)
     return rec
 
 
-def _factorize(seq: MomentSequence, n: int) -> Recurrence:
+def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurrence:
     if n < 1:
         raise InvalidParameter("recurrence order must be at least 1")
     if 2 * n > seq.max_degree:
@@ -205,12 +239,16 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
         raise NotPositiveDefinite("m_0 must be positive")
     exact = isinstance(mode, RationalMode)
     ratio = Fraction if exact else operator.truediv
-    alpha = [m[1] / m[0]]
+    nu, scale, a, b, width = m, m, None, None, 2 * n
+    if base is not None:
+        width = base[1]
+        nu, scale, a, b = _modified_moments(m, n, *base)
+    lead = nu[1] / nu[0]            # sigma_{k-1,k} / sigma_{k-1,k-1}
+    alpha = [lead if a is None else a[0] + lead]
     beta = [m[0]]
     pivots = [mode.to_float(m[0])]
-    lead = alpha[0]                 # sigma_{k-1,k} / sigma_{k-1,k-1}
-    # row k holds sigma_{k,l} = row[l] / d for k <= l <= 2n - k: integers
-    # over one positive denominator in rational mode; in float mode raw mpf
+    # row k holds sigma_{k,l} = row[l] / d for k <= l <= hi: integers over
+    # one positive denominator in rational mode; in float mode raw mpf
     # tuples over d = 1, with their first-order noise floors in noi.
     # cell(l) is (sigma_{k,l}, its floor) as scalars of the mode, for the
     # checks and ratios both modes share
@@ -218,30 +256,32 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
     noi_prev2: list = []
     d_prev2 = 1
     if exact:
-        row_prev, d_prev = integers(m)
+        row_prev, d_prev = integers(nu)
         d_prev = _reduce_content(row_prev, 0, 2 * n, d_prev)
+        terms = None if base is None else (*integers(a), *integers(b))
 
         def cell(l: int) -> tuple:
             return row[l], 0
     else:
         value = mode.ctx.make_mpf
-        row_prev, d_prev = [x._mpf_ for x in m], 1
+        row_prev, d_prev = [x._mpf_ for x in nu], 1
         eps_shift = FLOAT_PIVOT_GUARD_BITS - mode.precision_bits
-        noi_prev = [raw_shift(raw_abs(x, mode.precision_bits, NEAREST), eps_shift)
-                    for x in row_prev]
+        noi_prev = [raw_shift(raw_abs(x._mpf_, mode.precision_bits, NEAREST), eps_shift)
+                    for x in scale]
+        terms = None if base is None else ([x._mpf_ for x in a], [x._mpf_ for x in b])
 
         def cell(l: int) -> tuple:
             return value(row[l]), value(noi[l])
-    piv_prev = row_prev[0] if exact else m[0]
+    piv_prev = row_prev[0] if exact else nu[0]
     for k in range(1, n + 1):
-        hi = 2 * n - k
+        hi = min(2 * n - k, k + width)
         if exact:
             row, d = _exact_row(k, hi, alpha[k - 1], beta[k - 1],
-                                row_prev, d_prev, row_prev2, d_prev2)
+                                row_prev, d_prev, row_prev2, d_prev2, terms)
         else:
             d = 1
             row, noi = _float_row(k, hi, alpha[k - 1], beta[k - 1], row_prev, noi_prev,
-                                  row_prev2, noi_prev2, mode.precision_bits)
+                                  row_prev2, noi_prev2, mode.precision_bits, terms)
         piv, tol = cell(k)
         pivots.append(ratio_to_float(piv, d))
         if piv < -tol:
@@ -267,7 +307,7 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
         beta.append(ratio(piv * d_prev, d * piv_prev))
         if k < n:
             nxt = ratio(cell(k + 1)[0], piv)
-            alpha.append(nxt - lead)
+            alpha.append(nxt - lead if a is None else a[k] + (nxt - lead))
             lead = nxt
         row_prev2, row_prev, d_prev2, d_prev = row_prev, row, d_prev, d
         if not exact:
@@ -276,32 +316,83 @@ def _factorize(seq: MomentSequence, n: int) -> Recurrence:
     return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
 
 
+def _modified_moments(m: list, n: int, rec: Recurrence, width: int) -> tuple:
+    """(nu, scale, a, b) for order n from moments m of w sigma, rec
+    sigma's recurrence and width = deg w: nu_l = L(p_l) = sum_j c_{l,j}
+    m_j for l <= width and 0 above, scale_l = sum_j |c_{l,j} m_j| (what
+    nu_l cancels, for its float floor), and the base terms a_l, b_l up to
+    the last the band reads; a_l is 0 where it multiplies a zero of the
+    band edge."""
+    # the last l of any row, and the last whose sigma_{k-1,l} is in the band
+    top = max(min(2 * n - k, k + width) for k in range(1, n + 1))
+    top_a = max(min(2 * n - k, k - 1 + width) for k in range(1, n + 1))
+    need = max(top, top_a + 1)      # a Recurrence holds beta to its order
+    if rec.order < need:
+        raise InvalidParameter(f"a base recurrence for order {n} and width {width} "
+                               f"needs order {need}, not {rec.order}")
+    zero = rec.mode.zero()
+    products = [[c * x for c, x in zip(p, m)]
+                for p in monic_coefficients(rec, min(width, 2 * n))]
+    nu = [sum(t, zero) for t in products] + [zero] * (2 * n + 1 - len(products))
+    scale = [sum(map(abs, t), zero) for t in products] + nu[len(products):]
+    a = list(rec.alpha[:top_a + 1]) + [zero] * (top - top_a)
+    return nu, scale, a, rec.beta[:top + 1]
+
+
+def monic_coefficients(rec: Recurrence, r: int) -> list:
+    """Coefficients, constant term first, of the monic pi_0 .. pi_r of
+    ``rec`` in its mode's scalars: the p_l of the modified moments, and for
+    a rank-r recurrence the polynomial pi_r whose roots are the atoms."""
+    zero = rec.mode.zero()
+    polys = [(rec.mode.one(),)]
+    for k in range(r):
+        nxt = [zero, *polys[-1]]
+        for j, c in enumerate(polys[-1]):
+            nxt[j] -= rec.alpha[k] * c
+        if k:
+            for j, c in enumerate(polys[-2]):
+                nxt[j] -= rec.beta[k] * c
+        polys.append(tuple(nxt))
+    return polys
+
+
 def _exact_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, d_prev: int,
-               row_prev2: list, d_prev2: int) -> tuple:
+               row_prev2: list, d_prev2: int, terms: tuple | None) -> tuple:
     """Rational row k: sigma_k = sigma_{k-1} x - alpha_{k-1} sigma_{k-1} -
-    beta_{k-1} sigma_{k-2} over d = lcm(d_{k-1} ad, d_{k-2} bd), with
+    beta_{k-1} sigma_{k-2}, plus a_l sigma_{k-1,l} + b_l sigma_{k-1,l-1}
+    when ``terms = (pn, pd, qn, qd)`` holds a base recurrence a_l = pn_l/pd,
+    b_l = qn_l/qd; over d = lcm(d_{k-1} lcm(ad, pd, qd), d_{k-2} bd), with
     integer multipliers, divided by its content; (the row, d)."""
     an, ad = _pair(alpha_prev)
     bn, bd = _pair(beta_prev)
-    d = d_prev * ad if k == 1 else lcm(d_prev * ad, d_prev2 * bd)
+    e = ad if terms is None else lcm(ad, terms[1], terms[3])
+    d = d_prev * e if k == 1 else lcm(d_prev * e, d_prev2 * bd)
     a = d // d_prev
     b = an * (d // (d_prev * ad))
+    row = [0] * len(row_prev)
+    if terms is None:
+        for l in range(k, hi + 1):
+            row[l] = a * row_prev[l + 1] - b * row_prev[l]
+    else:
+        pn, pd, qn, qd = terms
+        f, g = d // (d_prev * pd), d // (d_prev * qd)
+        for l in range(k, hi + 1):
+            row[l] = (a * row_prev[l + 1] - (b - f * pn[l]) * row_prev[l]
+                      + g * qn[l] * row_prev[l - 1])
     if k >= 2:
         c = bn * (d // (d_prev2 * bd))
-    row = [0] * len(row_prev)
-    for l in range(k, hi + 1):
-        v = a * row_prev[l + 1] - b * row_prev[l]
-        if k >= 2:
-            v = v - c * row_prev2[l]
-        row[l] = v
+        for l in range(k, hi + 1):
+            row[l] -= c * row_prev2[l]
     return row, _reduce_content(row, k, hi, d)
 
 
 def _float_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, noi_prev: list,
-               row_prev2: list, noi_prev2: list, prec: int) -> tuple:
+               row_prev2: list, noi_prev2: list, prec: int, terms: tuple | None = None) -> tuple:
     """Float row k on raw mpf tuples, with its first-order noise floors;
-    (the row, the floors).  Every operation is the one the mpf operators of
-    a ``prec``-bit context perform, in the same order, so every value is
+    (the row, the floors).  ``terms = (a, b)`` holds the raw base terms,
+    which replace alpha_{k-1} by alpha_{k-1} - a_l and add b_l
+    sigma_{k-1,l-1}.  Every operation is the one the mpf operators of a
+    ``prec``-bit context perform, in the same order, so every value is
     theirs bit for bit; eps * |x| is the exact shift of |x| by the
     power-of-two eps = 2**(guard - prec)."""
     mul, add, sub, shift = raw_mul, raw_add, raw_sub, raw_shift
@@ -312,15 +403,25 @@ def _float_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, noi_prev:
     row = [RAW_ZERO] * len(row_prev)
     noi = [RAW_ZERO] * len(row_prev)
     for l in range(k, hi + 1):
-        bs = mul(an, row_prev[l], prec, rnd)
+        a_l, abs_a_l = an, abs_an               # alpha_{k-1} - a_l
+        if terms is not None:
+            a_l = sub(an, terms[0][l], prec, rnd)
+            abs_a_l = absolute(a_l, prec, rnd)
+        bs = mul(a_l, row_prev[l], prec, rnd)
         v = sub(row_prev[l + 1], bs, prec, rnd)
-        carried = add(add(noi_prev[l + 1], mul(abs_an, noi_prev[l], prec, rnd), prec, rnd),
+        carried = add(add(noi_prev[l + 1], mul(abs_a_l, noi_prev[l], prec, rnd), prec, rnd),
                       shift(absolute(bs, prec, rnd), eps_shift), prec, rnd)
         if k >= 2:
             cs = mul(bn, row_prev2[l], prec, rnd)
             v = sub(v, cs, prec, rnd)
             carried = add(add(carried, mul(abs_bn, noi_prev2[l], prec, rnd), prec, rnd),
                           shift(absolute(cs, prec, rnd), eps_shift), prec, rnd)
+        if terms is not None:
+            b_l = terms[1][l]
+            es = mul(b_l, row_prev[l - 1], prec, rnd)
+            v = add(v, es, prec, rnd)
+            carried = add(add(carried, mul(absolute(b_l, prec, rnd), noi_prev[l - 1], prec, rnd),
+                              prec, rnd), shift(absolute(es, prec, rnd), eps_shift), prec, rnd)
         row[l] = v
         noi[l] = add(carried, shift(absolute(v, prec, rnd), eps_shift), prec, rnd)
     return row, noi
@@ -361,12 +462,22 @@ def _content(d: int, *parts) -> int:
 class OrthoEval:
     """Values of the monic first kind pi_k(z) and second kind Q_k(z) together
     with the norms; orthonormal values are the monic ones over sqrt(norm_sq),
-    so |p_k(z)|^2 stays exactly representable in rational mode."""
+    so |p_k(z)|^2 stays exactly representable in rational mode.
+
+    ``second`` is built on its first read (a cached property): no verdict
+    reads it (the Christoffel values and the Weyl radius read the first
+    kind and the norms), only the Weyl center, the atomic convergents and
+    their oracles do."""
 
     z: ComplexScalar
     first: tuple          # pi_0(z) .. pi_n(z)
-    second: tuple         # Q_0(z) .. Q_n(z)
     norm_sq: tuple        # ||pi_0||^2 .. ||pi_n||^2
+    _build_second: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def second(self) -> tuple:
+        """Q_0(z) .. Q_n(z)."""
+        return self._build_second()
 
     def first_normalized_abs2(self, k: int):
         """|p_k(z)|^2 = |pi_k(z)|^2 / ||pi_k||^2."""
@@ -384,7 +495,8 @@ class OrthoEval:
 def ortho_eval(rec: Recurrence, z: ComplexScalar, n: int | None = None) -> OrthoEval:
     """pi_k(z) and Q_k(z) for k <= n (default: the full order); total for any
     recurrence.  Every level asked for at one point shares one full-order
-    forward pass, kept in ``rec.evals`` until the next point."""
+    forward pass, kept in ``rec.evals`` until the next point; a truncated
+    view slices the full pass's second kind only when it is read."""
     top = rec.order if n is None else n
     if top > rec.order:
         raise DegreeInsufficient(f"recurrence order {rec.order} < requested {top}")
@@ -395,32 +507,39 @@ def ortho_eval(rec: Recurrence, z: ComplexScalar, n: int | None = None) -> Ortho
         rec.evals[z] = full
     if top == rec.order:
         return full
-    return OrthoEval(z, full.first[:top + 1], full.second[:top + 1],
-                     full.norm_sq[:top + 1])
+    return OrthoEval(z, full.first[:top + 1], full.norm_sq[:top + 1],
+                     lambda: full.second[:top + 1])
 
 
 def _forward_pass(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
-    mode = rec.mode
+    """The first kind at z, and the second kind from the same loop started
+    at (Q_0, Q_1) = (0, m_0) when it is first read."""
+    # the builder holds the coefficients, not rec, whose evals keep the pass
+    return OrthoEval(z, _levels(rec.mode, rec.alpha, rec.beta, z, True), _norms(rec),
+                     partial(_levels, rec.mode, rec.alpha, rec.beta, z, False))
+
+
+def _levels(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar, first_kind: bool) -> tuple:
+    """pi_k(z) (first kind) or Q_k(z) for k <= len(alpha), the order."""
     exact = isinstance(mode, RationalMode)
     one, zero = (1, 0) if exact else (mode.one(), mode.zero())
-    # z = (xr + i xi) / w; level k of either kind is (re + i im) / e
+    # z = (xr + i xi) / w; level k is (re + i im) / e
     (xr, xi), w = integers((z.re, z.im))
-    first = [(one, zero, 1)]
-    second = [(zero, zero, 1)]
-    if rec.order >= 1:
-        an, ad = _pair(rec.alpha[0])
-        first.append((xr * ad - an * w, xi * ad, w * ad))
-        bn, bd = _pair(rec.beta[0])
-        second.append((bn, zero, bd))
-    for k in range(1, rec.order):
+    levels = [(one, zero, 1) if first_kind else (zero, zero, 1)]
+    if alpha:
+        if first_kind:
+            an, ad = _pair(alpha[0])
+            levels.append((xr * ad - an * w, xi * ad, w * ad))
+        else:
+            bn, bd = _pair(beta[0])
+            levels.append((bn, zero, bd))
+    for k in range(1, len(alpha)):
         # z - alpha_k = (x + i y) / zd
-        an, ad = _pair(rec.alpha[k])
-        bn, bd = _pair(rec.beta[k])
-        x, y, zd = xr * ad - an * w, xi * ad, w * ad
-        for levels in (first, second):
-            levels.append(_next_level(x, y, zd, bn, bd, levels[k], levels[k - 1]))
-    return OrthoEval(z, _complex_values(first, exact), _complex_values(second, exact),
-                     _norms(rec))
+        an, ad = _pair(alpha[k])
+        bn, bd = _pair(beta[k])
+        levels.append(_next_level(xr * ad - an * w, xi * ad, w * ad, bn, bd,
+                                  levels[k], levels[k - 1]))
+    return _complex_values(levels, exact)
 
 
 def _norms(rec: Recurrence) -> tuple:

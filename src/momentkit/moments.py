@@ -100,6 +100,43 @@ def _generator_pairings(s: Support, xi: Sequence) -> list | None:
 # ---------------------------------------------------------------------------
 # moment sequences
 
+#: the most multi-index entries, C(N + d, d) moments times d variables, a
+#: document may ask for; the largest benchmark input holds 2925 moments of
+#: 3 variables (8775 entries)
+MAX_MOMENT_ENTRIES = 10 ** 6
+#: an error detail prints at most this many entries of a multi-index
+INDEX_PREFIX = 8
+
+
+def check_moment_count(dimension: int, max_degree: int) -> None:
+    """InvalidParameter naming the field, before anything is allocated, when
+    ``dimension < 1``, ``max_degree < 0``, or the C(N + d, d) moments of d
+    variables to degree N hold more than MAX_MOMENT_ENTRIES index entries;
+    the count stops as soon as it passes the bound, so 2**70 costs
+    nothing."""
+    if dimension < 1:
+        raise InvalidParameter("field 'dimension': must be at least 1")
+    if max_degree < 0:
+        raise InvalidParameter("field 'max_degree': must be non-negative")
+    big, small = max(dimension, max_degree), min(dimension, max_degree)
+    entries = dimension             # d C(big + i, i) after step i, an integer
+    for i in range(1, small + 1):
+        if entries > MAX_MOMENT_ENTRIES:
+            break
+        entries = entries * (big + i) // i
+    if entries > MAX_MOMENT_ENTRIES:
+        name = "dimension" if dimension >= max_degree else "max_degree"
+        raise InvalidParameter(f"field {name!r}: C(N + d, d) moments of d variables "
+                               f"exceed {MAX_MOMENT_ENTRIES} index entries")
+
+
+def _index_str(alpha: tuple) -> str:
+    """A multi-index for an error detail, cut to INDEX_PREFIX entries."""
+    if len(alpha) <= INDEX_PREFIX:
+        return str(alpha)
+    head = ", ".join(map(str, alpha[:INDEX_PREFIX]))
+    return f"({head}, ... {len(alpha)} entries)"
+
 
 @dataclass(frozen=True)
 class MomentSequence:
@@ -126,13 +163,13 @@ class MomentSequence:
         converted = {}
         for alpha in multi_indices(self.dimension, self.max_degree):
             if alpha not in self.entries:
-                raise InvalidParameter(f"missing entry for multi-index {alpha}")
+                raise InvalidParameter(f"missing entry for multi-index {_index_str(alpha)}")
             converted[alpha] = self.mode.convert(self.entries[alpha])
         if isinstance(self.mode, FloatMode):
             isfinite = self.mode.ctx.isfinite
             for alpha, v in converted.items():
                 if not isfinite(v):
-                    raise InvalidParameter(f"moment {alpha} is not finite: {v}")
+                    raise InvalidParameter(f"moment {_index_str(alpha)} is not finite: {v}")
         if len(self.entries) != len(converted):
             raise InvalidParameter("entries beyond max_degree or wrong dimension")
         # m_0 > 0 for genuine measures; m_0 = 0 is tolerated so that weighting
@@ -146,7 +183,7 @@ class MomentSequence:
         """m_alpha; raises DegreeInsufficient beyond the truncation."""
         alpha = tuple(alpha)
         if len(alpha) != self.dimension:
-            raise DimensionMismatch(f"index {alpha} has wrong dimension")
+            raise DimensionMismatch(f"index {_index_str(alpha)} has wrong dimension")
         if sum(alpha) > self.max_degree:
             raise DegreeInsufficient(
                 f"|alpha|={sum(alpha)} exceeds max_degree={self.max_degree}"

@@ -20,6 +20,7 @@ from .moments import (
     FullSpace,
     MomentSequence,
     NonnegativeOrthant,
+    check_moment_count,
 )
 from .polynomials import multi_indices
 from .scalars import FloatMode, Mode, RationalMode, mode_from_string, mode_to_string
@@ -116,15 +117,17 @@ def sequence_to_json(seq: MomentSequence) -> str:
 def sequence_from_json(text: str) -> MomentSequence:
     doc = json_object(json.loads(text), "an interchange document")
     mode = mode_from_string(read_field(doc, "mode"))
+    dimension = read_field(doc, "dimension", int)
+    max_degree = read_field(doc, "max_degree", int)
+    check_moment_count(dimension, max_degree)
     entries = {}
     for item in read_field(doc, "entries", json_list):
         item = json_object(item, "an entry")
         alpha = read_field(item, "alpha", lambda a: tuple(int(e) for e in json_list(a)))
         entries[alpha] = read_field(item, "value", lambda v: mode.from_string(_string(v)))
-    dimension = read_field(doc, "dimension", int)
     return MomentSequence(
         dimension=dimension,
-        max_degree=read_field(doc, "max_degree", int),
+        max_degree=max_degree,
         mode=mode,
         entries=entries,
         support=support_from_json(read_field(doc, "support_hint", default={}), dimension),

@@ -49,6 +49,12 @@ over the chain sequence q, e for positivity.  The library reads both values
 off one Wallis loop over the Stieltjes continued fraction instead; in
 rational mode the values, the errors and their messages must be equal.
 
+``christoffel_on_curve`` is the curve-side Christoffel value the plain way:
+the weighted lift's moments factorized with no base recurrence.
+``curves.lift_and_test`` factorizes the same lift by modification, from
+the lift's own recurrence and the banded modified moments of the weight;
+in rational mode both routes give equal values.
+
 ``mpoly_pow`` expands a polynomial power by repeated squaring, so
 ``apply_linear_functional(seq, mpoly_pow(form, k, d))`` is the direct
 reference for push-forward moments.  ``image_moments_fractions`` builds
@@ -67,8 +73,9 @@ from typing import Sequence
 from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidParameter,
                               LpInfeasible, LpUnbounded, NotAdmissible, NotPositiveDefinite,
                               NotStieltjesAdmissible, PrecisionExhausted)
+from momentkit.curves import CurveMeasure, _weighted_lift
 from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEval, Recurrence,
-                                 WeylDisk, ortho_eval, recurrence_from_moments)
+                                 WeylDisk, christoffel, ortho_eval, recurrence_from_moments)
 from momentkit.moments import MomentSequence, NonnegativeOrthant, apply_linear_functional
 from momentkit.polynomials import compositions, mpoly_degree, mpoly_mul
 from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
@@ -272,7 +279,19 @@ def forward_pass_fractions(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     norms = [rec.beta[0]]
     for k in range(1, rec.order + 1):
         norms.append(norms[-1] * rec.beta[k])
-    return OrthoEval(z, tuple(first), tuple(second), tuple(norms))
+    return OrthoEval(z, tuple(first), tuple(norms), lambda: tuple(second))
+
+
+def christoffel_on_curve(cm: CurveMeasure, alpha: ComplexScalar, n: int,
+                         weight_exponent: int = 2):
+    """Christoffel value of the weight**exponent-weighted lift at alpha,
+    the curve-side evaluation-bound surrogate at the point u(alpha), from
+    the plain factorization of the weighted moments."""
+    weighted = _weighted_lift(cm.lifted_1d, cm.curve.weight, weight_exponent)
+    if 2 * n > weighted.max_degree:
+        raise DegreeInsufficient(f"level {n} needs weighted degree {2 * n}")
+    rec = recurrence_from_moments(weighted, max(n, 1))
+    return christoffel(rec, alpha, min(n, rec.rank - 1))
 
 
 def convergents_radau(seq: MomentSequence, z, n: int) -> ConvergentPair:

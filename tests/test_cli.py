@@ -1,5 +1,6 @@
 import csv
 import json
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -44,7 +45,7 @@ def count_factorizations(monkeypatch):
     calls = []
     real = hamburger._factorize
     monkeypatch.setattr(hamburger, "_factorize",
-                        lambda seq, n: calls.append(n) or real(seq, n))
+                        lambda seq, n, base=None: calls.append(n) or real(seq, n, base))
     return calls
 
 
@@ -586,3 +587,34 @@ def test_malformed_documents_give_one_structured_error(tmp_path, doc, extra, det
     errors = json.loads(out.read_text())["errors"]
     assert [e["error"] for e in errors] == ["InvalidParameter"]
     assert detail in errors[0]["detail"]
+
+
+@pytest.mark.parametrize("doc, detail", [
+    (dict(interchange(), dimension=2 ** 70), "field 'dimension'"),
+    (dict(GAUSS_SPEC, max_degree=2 ** 70), "field 'max_degree'"),
+    (dict(GAUSS_SPEC, max_degree=10 ** 9), "field 'max_degree'"),
+    (dict(interchange(), dimension=10000), "field 'dimension'"),
+    (dict(interchange(), dimension=10000, max_degree=0),
+     "missing entry for multi-index (0, 0, 0, 0, 0, 0, 0, 0, ... 10000 entries)"),
+    (dict(GAUSS_SPEC, dimension=0), "field 'dimension'"),
+])
+def test_unbounded_documents_give_one_short_structured_error(tmp_path, doc, detail):
+    """A document asking for more moments than ``MAX_MOMENT_ENTRIES``, or
+    for no variables, is refused before anything is allocated: exit 2 and
+    one InvalidParameter naming the field within 5 s, and a multi-index in
+    a detail is cut to a short prefix."""
+    def timeout(signum, frame):
+        raise TimeoutError("no answer within 5 s")
+
+    path = write_spec(tmp_path / "doc.json", doc)
+    out = tmp_path / "report.json"
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        assert main(["analyze", "--input", path, "--out", str(out)]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    errors = json.loads(out.read_text())["errors"]
+    assert [e["error"] for e in errors] == ["InvalidParameter"]
+    assert detail in errors[0]["detail"] and len(errors[0]["detail"]) < 200

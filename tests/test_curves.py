@@ -8,7 +8,6 @@ from momentkit.curves import (
     CATALOG_NAMES,
     PolynomialCurve,
     catalog,
-    christoffel_on_curve,
     curve_from_json,
     curve_to_json,
     lift_and_test,
@@ -40,7 +39,7 @@ from momentkit.polynomials import (
 )
 from momentkit.scalars import RationalMode, complex_scalar
 from momentkit.verdicts import Status
-from oracles import christoffel_direct
+from oracles import christoffel_direct, christoffel_on_curve
 
 R = RationalMode()
 
@@ -230,15 +229,24 @@ def test_parabola_transfers_qlattice_indeterminacy():
 
 
 def test_lift_factorizes_the_weighted_lift_once(monkeypatch):
+    """One factorization per sequence: the lift's own, which is the
+    weighted lift for a constant weight; for a ramified curve the weighted
+    lift takes the base path (the source recurrence and the band of the
+    weight**2), so a silent fall back to plain rows fails here."""
     from momentkit import hamburger
 
     calls = []
     real = hamburger._factorize
     monkeypatch.setattr(hamburger, "_factorize",
-                        lambda seq, n: calls.append(n) or real(seq, n))
+                        lambda seq, n, base=None: calls.append((n, base is not None))
+                        or real(seq, n, base))
     cm = pushforward_to_curve(gauss(40), catalog("parabola"), 10)
     lift_and_test(cm)
-    assert calls == [20]
+    assert calls == [(20, False)]
+    calls.clear()
+    cm = pushforward_to_curve(qlattice(60), catalog("lhospital_quintic"), 6)
+    lift_and_test(cm)
+    assert calls == [(30, False), (26, True)]
 
 
 def test_parabola_transfers_gaussian_determinacy():
@@ -276,10 +284,10 @@ def test_ramified_atom_check_lets_a_kernel_bug_through(monkeypatch):
     real = curves.recurrence_from_moments
 
     def failing_on_the_lift(exc):
-        def recurrence(seq, n):
+        def recurrence(seq, n, base=None):
             if seq is sigma:
                 raise exc
-            return real(seq, n)
+            return real(seq, n, base)
         return recurrence
 
     monkeypatch.setattr(curves, "recurrence_from_moments",

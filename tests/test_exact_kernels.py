@@ -15,6 +15,7 @@ bit-identical; the float recurrence is checked at 64, 128 and 512 bits,
 its sigma rows and noise floors included.
 """
 
+import warnings
 from fractions import Fraction as F
 from unittest import mock
 
@@ -23,12 +24,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from momentkit import hamburger
-from momentkit.curves import _weighted_lift, catalog, pushforward_to_curve
-from momentkit.errors import MomentKitError, PrecisionExhausted
-from momentkit.moments import (Atomic, GaussianProduct, LogNormal1D, QLattice1D,
+from momentkit.curves import _weighted_lift, catalog, lift_and_test, pushforward_to_curve
+from momentkit.errors import (AtomsOnRamificationWarning, InvalidParameter, MomentKitError,
+                              PrecisionExhausted)
+from momentkit.moments import (Atomic, Exponential1D, GaussianProduct, LogNormal1D, QLattice1D,
                                generate_moments, image_moments, sequence_from_1d)
 from momentkit.polynomials import multi_indices
-from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar
+from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar, exact_fraction
 from oracles import factorize_fractions, forward_pass_fractions, image_moments_fractions
 
 R = RationalMode()
@@ -192,7 +194,120 @@ def lhospital_lift(mode):
 
 @pytest.fixture(scope="module")
 def lhospital_rec():
+    """The plain factorization of the rational lhospital lift, checked
+    against the oracle once for every test of this module."""
     return lhospital_lift(R)
+
+
+def lift_factorizations(monkeypatch, sigma, curve_name, degree=6) -> tuple:
+    """The verdict of ``lift_and_test`` on the push-forward of sigma onto a
+    catalog curve, and the (seq, n, base, recurrence) of every
+    factorization it makes."""
+    made = []
+    real = hamburger._factorize
+
+    def recording(seq, n, base=None):
+        made.append((seq, n, base, real(seq, n, base)))
+        return made[-1][-1]
+    monkeypatch.setattr(hamburger, "_factorize", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AtomsOnRamificationWarning)
+        verdict = lift_and_test(pushforward_to_curve(sigma, catalog(curve_name), degree))
+    monkeypatch.undo()
+    return verdict, made
+
+
+def classes(verdict) -> tuple:
+    return verdict.status, sorted((e.criterion, e.sufficiency) for e in verdict.evidence)
+
+
+SOURCES = {"ql60": (QL2, 60), "gauss80": (GAUSS, 80), "expo40": (Exponential1D(), 40)}
+CURVES = ("nodal_cubic", "ramphoid_quartic", "lhospital_quintic")
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("curve", CURVES)
+def test_weighted_lift_by_modification_matches_plain_oracle(source, curve, monkeypatch,
+                                                            lhospital_rec):
+    """A curve lift factorizes its weighted lift from the source recurrence
+    and the banded modified moments of weight**2: alpha, beta and the
+    pivots are those of the plain oracle on the weighted moments, equal
+    with the same types (the q = 2 lhospital lift reads the module's
+    oracle-checked recurrence)."""
+    measure, degree = SOURCES[source]
+    verdict, made = lift_factorizations(monkeypatch, generate_moments(measure, 1, degree, R),
+                                        curve)
+    (_, _, source_base, _), (seq, n, base, got) = made
+    assert source_base is None and base is not None
+    assert base[1] == 2 * (len(catalog(curve).weight) - 1)
+    if (source, curve) == ("ql60", "lhospital_quintic"):
+        want = lhospital_rec
+    else:
+        want = factorize_fractions(seq, n)
+    assert same((got.alpha, got.beta, got.pivot_log), (want.alpha, want.beta, want.pivot_log))
+    # float:128 takes the same path: the rational status and evidence
+    # classes, and alpha, beta within half the working bits
+    verdict_f, made_f = lift_factorizations(monkeypatch,
+                                            generate_moments(measure, 1, degree, F128), curve)
+    (_, _, base_f, rec_f) = made_f[-1]
+    assert base_f is not None and classes(verdict_f) == classes(verdict)
+    for x, e in zip(rec_f.alpha + rec_f.beta, got.alpha + got.beta, strict=True):
+        assert abs(exact_fraction(x) - e) <= max(abs(e), 1) / 2 ** 64
+
+
+@pytest.mark.parametrize("points, weights, curve, based", [
+    ((1, 3), (F(1, 2), F(1, 2)), "nodal_cubic", False),     # an atom on the ramification set
+    ((0,), (1,), "nodal_cubic", False),
+    ((2, 3), (F(1, 2), F(1, 2)), "nodal_cubic", False),
+    (tuple(range(20)), tuple(F(1, k + 1) for k in range(20)), "ramphoid_quartic", True),
+])
+def test_atomic_lifts_match_plain_oracle(points, weights, curve, based, monkeypatch):
+    """An atomic source that stops at its rank is no base: the weighted lift
+    runs the same kernel with plain rows.  Twenty atoms outrank order 15,
+    so that lift takes the base path.  Either way every factorization
+    equals the oracle's."""
+    sigma = generate_moments(Atomic(tuple((x,) for x in points), weights), 1, 30, R)
+    _, made = lift_factorizations(monkeypatch, sigma, curve)
+    assert [base is not None for _, _, base, _ in made] == [False, based]
+    for seq, n, _, got in made:
+        want = factorize_fractions(seq, n)
+        assert same((got.alpha, got.beta, got.pivot_log),
+                    (want.alpha, want.beta, want.pivot_log))
+
+
+def test_short_base_recurrence_is_refused():
+    """A base must reach the last band entry: order 13 of the lift with
+    width 4 reads b_15, so the lift's order-15 recurrence serves and its
+    order-14 prefix does not."""
+    curve = catalog("nodal_cubic")
+    sigma = generate_moments(GAUSS, 1, 30, R)
+    seq = _weighted_lift(sigma, curve.weight, 2)
+    want = factorize_fractions(seq, 13)
+    got = hamburger._factorize(seq, 13, (hamburger._factorize(sigma, 15), 4))
+    assert same((got.alpha, got.beta, got.pivot_log), (want.alpha, want.beta, want.pivot_log))
+    with pytest.raises(InvalidParameter, match="needs order 15, not 14"):
+        hamburger._factorize(seq, 13, (hamburger._factorize(sigma, 14), 4))
+
+
+def test_verdict_leaves_the_second_kind_unbuilt(monkeypatch):
+    """A verdict on a rational lift reads the first kind only; the second
+    kind is built on its first read and equals the oracle's."""
+    kinds = []
+    real = hamburger._levels
+    monkeypatch.setattr(hamburger, "_levels", lambda mode, a, b, z, first:
+                        kinds.append(first) or real(mode, a, b, z, first))
+    curve = catalog("nodal_cubic")
+    sigma = generate_moments(GAUSS, 1, 80, R)
+    seq = _weighted_lift(sigma, curve.weight, 2)
+    hamburger.verdict_1d(seq)
+    rec = seq.recurrences[seq.max_degree // 2]
+    (z, ev), = rec.evals.items()
+    assert kinds == [True]
+    truncated = hamburger.ortho_eval(rec, z, 5)
+    assert kinds == [True]
+    want = forward_pass_fractions(rec, z)
+    assert same(ev.second, want.second) and same(truncated.second, want.second[:6])
+    assert kinds == [True, False]
 
 
 @pytest.mark.parametrize("z", [(0, 1), (-1, 0), (0, 0), (F(1, 3), F(2, 7))])
