@@ -104,7 +104,8 @@ def main(argv=None) -> int:
     pc.add_argument("--curve", required=True,
                     help="catalog:<name> or a curve description file")
     pc.add_argument("--sigma", required=True, help="1D lift: spec or interchange file")
-    pc.add_argument("--mode", default="rational")
+    pc.add_argument("--mode", default=None,
+                    help="rational | float:<bits>; spec files may set their own")
     pc.add_argument("--degree", type=int, default=8)
     pc.add_argument("--weight-exponent", type=int, default=2)
     pc.add_argument("--out", required=True)
@@ -503,7 +504,8 @@ def cmd_curve(args) -> int:
         with open(args.curve) as fh:
             curve = curve_from_json(fh.read())
     # an interchange-file lift ignores --mode, so reject a malformed one here
-    mode_from_string(args.mode)
+    if args.mode is not None:
+        mode_from_string(args.mode)
     sigma, provenance, _cap = load_input(args.sigma, args.mode, None)
     need = args.degree * curve.max_component_degree
     if sigma.max_degree < need:

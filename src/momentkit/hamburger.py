@@ -73,9 +73,9 @@ content step, so its arithmetic is that of the plain recurrence.
 In float mode the recurrence measures its own headroom: a positive pivot
 that clears its first-order noise floor by fewer than half the working bits
 raises PrecisionExhausted, the same half-precision rule
-(``scalars.half_floor``) the grid LP and the scan's basis test use.  A
-caller that can regenerate its data (the CLI for a measure spec without a
-mode) answers by doubling the precision.
+(``scalars.half_floor``) the scan's basis test uses.  A caller that can
+regenerate its data (the CLI for a measure spec without a mode) answers by
+doubling the precision.
 """
 
 from __future__ import annotations

@@ -287,14 +287,6 @@ class WeightedBy:
     weight: Mapping[tuple, Any]
 
 
-@dataclass(frozen=True)
-class CurvePushforward:
-    """Image of a 1D base measure under a polynomial curve parametrization."""
-
-    base_1d: Any
-    curve: Any
-
-
 MeasureDefinition = Any
 
 
@@ -411,15 +403,6 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
         w = {tuple(a): v for a, v in defn.weight.items()}
         base = generate_moments(defn.base, dimension, max_degree + mpoly_degree(w), mode)
         return apply_polynomial_weight(base, w)
-
-    if isinstance(defn, CurvePushforward):
-        from .curves import pushforward_to_curve  # cycle kept local
-
-        if defn.curve.dimension != dimension:
-            raise DimensionMismatch("curve dimension mismatch")
-        base = generate_moments(defn.base_1d, 1,
-                                max_degree * defn.curve.max_component_degree, mode)
-        return pushforward_to_curve(base, defn.curve, max_degree).curve_moments
 
     raise InvalidParameter(f"unknown measure definition {type(defn).__name__}")
 

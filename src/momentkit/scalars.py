@@ -31,10 +31,10 @@ module is the only one that imports ``mpmath``.
 
 Three rules the kernels share are defined here once: ``integers`` puts
 rationals over one denominator for the integer kernels (the recurrence,
-the forward pass, the grid LP, the image-moment table) and hands float
-values back as they are; ``half_floor`` is the float noise floor that
-keeps half the working bits; ``ratio_to_float`` converts an integer ratio,
-saturating to +-inf.
+the forward pass, the image-moment table, and the grid LP, which hands it
+the exact values of float data too) and hands float values back as they
+are; ``half_floor`` is the float noise floor that keeps half the working
+bits; ``ratio_to_float`` converts an integer ratio, saturating to +-inf.
 
 The float recurrence runs on raw ``(sign, man, exp, bc)`` tuples rather
 than ``mpf`` objects, which saves mpmath's object layer on every
@@ -288,9 +288,12 @@ def half_floor(mode: Mode, scale):
 
 
 def exact_fraction(v) -> Fraction:
-    """Exact Fraction equal to an mpf value (mpf -> rational is always exact)."""
-    sign, man, exp, _bc = v._mpf_
+    """Exact Fraction equal to an mpf value (mpf -> rational is always
+    exact).  Raises InvalidParameter on +-inf and NaN, which have none."""
+    sign, man, exp, bc = v._mpf_
     if man == 0:
+        if bc:  # mpmath's inf, -inf and nan: no mantissa, a nonzero bc
+            raise InvalidParameter(f"{v} has no exact rational value")
         return Fraction(0)
     f = Fraction(int(man)) * (Fraction(2) ** exp)
     return -f if sign else f

@@ -351,6 +351,30 @@ def test_curve_rejects_bad_mode_with_interchange_sigma(tmp_path):
     assert "decimal" in rep["errors"][0]["detail"]
 
 
+def test_curve_spec_mode_is_kept(tmp_path):
+    # with no --mode a spec's own mode holds, as in analyze
+    spec = write_spec(tmp_path / "ql.json", {
+        "measure": {"variant": "q_lattice", "q": "2"},
+        "dimension": 1, "max_degree": 40, "mode": "float:128"})
+    out = tmp_path / "curve.json"
+    rc = main(["curve", "--curve", "catalog:parabola", "--sigma", spec,
+               "--degree", "6", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["provenance"]["mode"] == "float:128"
+
+
+def test_curve_modeless_irrational_spec_runs_in_float_mode(tmp_path):
+    # log-normal moments have no rational mode; a mode-less spec starts at
+    # 64 + 2N bits
+    spec = modeless_spec(tmp_path, {"variant": "log_normal", "s": "1/2"}, 30)
+    out = tmp_path / "curve.json"
+    rc = main(["curve", "--curve", "catalog:parabola", "--sigma", spec,
+               "--degree", "6", "--out", str(out)])
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert not rep["errors"] and rep["provenance"]["mode"] == "float:124"
+
+
 def test_missing_input_reports_error(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["analyze", "--input", str(tmp_path / "nope.json"), "--out", str(out)])
@@ -467,26 +491,26 @@ def test_precision_exhausted_at_the_cap_is_reported(tmp_path, monkeypatch):
         [("cosine", "PrecisionExhausted")]
 
 
-def test_modeless_hyperplane_lp_reruns_until_its_grid_measure_holds(tmp_path):
-    """At the starting float:104 rounding leaves the log-normal (s = 1) grid
-    LP an optimal grid measure with a negative weight.  That check raises
-    PrecisionExhausted, which an explicit mode reports and a mode-less run
-    answers with twice the bits, until the values are those at the cap."""
+def test_modeless_hyperplane_lp_solves_at_its_starting_precision(tmp_path):
+    """The grid LP solves a float LP exactly on its binary data, so the
+    log-normal (s = 1) hyperplane entry holds at the starting float:104: an
+    explicit float:104 run reports it, a mode-less run stays there, and
+    both agree with the run at the cap."""
     spec = modeless_spec(tmp_path, LOG_NORMAL_SPEC, 20)
     criteria = ("--criteria", "hyperplane")
     rc, low = analyze_report(spec, tmp_path, *criteria, "--mode", "float:104")
-    assert rc == 2 and not low["criteria"]
-    assert [e["error"] for e in low["errors"]] == ["PrecisionExhausted"]
+    assert rc == 0 and not low["errors"]
     rc, approx = analyze_report(spec, tmp_path, *criteria)
     assert rc == 0 and not approx["errors"]
-    assert approx["provenance"]["mode"] == "float:416"        # 104, 208, then 416
+    assert approx["provenance"]["mode"] == "float:104"
     rc, wide = analyze_report(spec, tmp_path, *criteria,
                               "--mode", f"float:{default_float_bits(20)}")
     assert rc == 0
-    (got,), (want,) = approx["criteria"], wide["criteria"]
-    for side in ("value_plus", "value_minus"):
-        value = float(want[side]["decimal"])
-        assert abs(float(got[side]["decimal"]) - value) <= 1e-12 * abs(value)
+    (want,) = wide["criteria"]
+    for (got,) in (low["criteria"], approx["criteria"]):
+        for side in ("value_plus", "value_minus"):
+            value = float(want[side]["decimal"])
+            assert abs(float(got[side]["decimal"]) - value) <= 1e-12 * abs(value)
 
 
 MODELESS_CATALOG = {

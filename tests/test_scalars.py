@@ -188,6 +188,14 @@ def test_exact_fraction_of_mpf():
     assert exact_fraction(v) == F(3, 8)
 
 
+def test_exact_fraction_rejects_infinities_and_nan():
+    ctx = FloatMode(64).ctx
+    assert exact_fraction(ctx.mpf(0)) == 0
+    for v in (ctx.inf, -ctx.inf, ctx.nan):
+        with pytest.raises(InvalidParameter):
+            exact_fraction(v)
+
+
 def test_complex_scalar_field_ops():
     mode = RationalMode()
     z = complex_scalar(mode, F(1, 3), F(1, 2))

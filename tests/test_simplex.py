@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from momentkit import gaps, simplex
 from momentkit.errors import LpInfeasible, LpUnbounded
-from momentkit.moments import QLattice1D, generate_moments
-from momentkit.scalars import FloatMode, RationalMode
+from momentkit.moments import LogNormal1D, QLattice1D, generate_moments
+from momentkit.scalars import FloatMode, RationalMode, exact_fraction
 from momentkit.simplex import measure_bounds
 from oracles import maximize, minimize
 
@@ -125,15 +125,19 @@ def _primal_bounds(cols, moments, objective):
     return low, high
 
 
-def test_measure_bounds_qlattice_log_grid_matches_primal_oracle():
-    # the q = 2 lattice to degree 16, degree-8 LP on the 43-point grid
-    # +-2**j (j = -4..16) plus 0: column entries up to 2**128, and
-    # phi(t) = t / (t^2 + 1) with denominators up to 2**32 + 1
+def _qlattice_log_grid_lp():
+    """The q = 2 lattice to degree 16, degree-8 LP on the 43-point grid
+    +-2**j (j = -4..16) plus 0: column entries up to 2**128, and phi(t) =
+    t / (t^2 + 1) with denominators up to 2**32 + 1."""
     grid = sorted([F(0)] + [F(2) ** j for j in range(-4, 17)]
                   + [-(F(2) ** j) for j in range(-4, 17)])
     seq = generate_moments(QLattice1D(F(2)), 1, 16, R)
     moments = [seq.entries[(k,)] for k in range(9)]
-    objective = [t / (t * t + 1) for t in grid]
+    return grid, seq, moments, [t / (t * t + 1) for t in grid]
+
+
+def test_measure_bounds_qlattice_log_grid_matches_primal_oracle():
+    grid, seq, moments, objective = _qlattice_log_grid_lp()
     bounds = measure_bounds(R, _columns(grid, 8), moments, objective)
     assert bounds == _primal_bounds(_columns(grid, 8), moments, objective)
     phi = gaps.Sampled(tuple((t,) for t in grid), tuple(objective))
@@ -212,3 +216,64 @@ def test_measure_bounds_match_primal_oracle(lp):
     except (LpUnbounded, LpInfeasible):
         engine = None
     assert engine == oracle
+
+
+def _rounded(fm, lp):
+    cols, moments, objective = lp
+    return ([[fm.convert(v) for v in col] for col in cols],
+            [fm.convert(v) for v in moments], [fm.convert(v) for v in objective])
+
+
+def _exact(values):
+    return [exact_fraction(v) for v in values]
+
+
+@given(grid_lps(), st.sampled_from([64, 128]))
+@settings(max_examples=100, deadline=None)
+def test_float_measure_bounds_are_the_exact_optimum_of_their_data(lp, bits):
+    # a float LP is solved exactly on its binary data: the primal oracle on
+    # the exact values of the rounded data, each optimum rounded once,
+    # gives the same bounds, or both sides raise
+    fm = FloatMode(bits)
+    cols, moments, objective = _rounded(fm, lp)
+    try:
+        oracle = tuple(fm.convert(v) for v in _primal_bounds(
+            [_exact(col) for col in cols], _exact(moments), _exact(objective)))
+    except (LpUnbounded, LpInfeasible):
+        oracle = None
+    try:
+        engine = measure_bounds(fm, cols, moments, objective)
+    except (LpUnbounded, LpInfeasible):
+        engine = None
+    assert engine == oracle
+
+
+@pytest.mark.parametrize("bits", [64, 128, 208])
+def test_float_qlattice_log_grid_lp_is_the_rational_optimum(bits):
+    # the grid and the moments are binary, so only phi is rounded into the
+    # mode: the float bounds are the rational optimum over the rounded phi,
+    # rounded once, and within one unit in the last place of the rational
+    # bounds of the unrounded LP
+    fm = FloatMode(bits)
+    grid, _seq, moments, objective = _qlattice_log_grid_lp()
+    cols = _columns(grid, 8)
+    low, high = measure_bounds(fm, cols, moments, objective)
+    rounded = [exact_fraction(fm.convert(f)) for f in objective]
+    assert (low, high) == tuple(fm.convert(v) for v in
+                                measure_bounds(R, cols, moments, rounded))
+    for got, want in zip((low, high), measure_bounds(R, cols, moments, objective)):
+        assert abs(exact_fraction(got) - want) <= abs(want) / 2 ** (bits - 1)
+
+
+def test_lognormal_hyperplane_gap_keeps_its_value_across_precisions():
+    # log-normal s = 1, N = 20: the degree-6 hyperplane LP at 104 bits
+    # agrees with the one at 1664 bits to half its working bits
+    values = []
+    for bits in (104, 1664):
+        fm = FloatMode(bits)
+        seq = generate_moments(LogNormal1D(F(1)), 1, 20, fm)
+        res = gaps.hyperplane_gap(seq, [fm.one()], 6)
+        values.append([exact_fraction(res[k]) for k in ("value_plus", "value_minus")])
+    for low, high in zip(*values):
+        assert high > 0
+        assert abs(low - high) <= high / 2 ** 52
