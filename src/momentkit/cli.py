@@ -13,11 +13,12 @@ rational mode, exactly, whenever its closed-form moments are rational (every
 catalog family but log-normal, and every product of them).  A spec whose
 moment rule raises UnrepresentableInMode in rational mode runs in float mode
 at ``64 + 2N`` bits instead.  Wherever that command raises
-PrecisionExhausted (the verdict, a scan direction, one criterion entry of
-``analyze``), the moments are regenerated at twice the bits and the command
-reruns, up to ``scalars.default_float_bits(N)``; at that cap the error is
-reported.  The provenance "mode" names the mode and precision used.
-Rational runs, explicit modes and interchange files run once.
+PrecisionExhausted (the verdict, a scan direction, a curve lift, one
+criterion entry of ``analyze``), the moments are regenerated at twice the
+bits and the command reruns, up to ``scalars.default_float_bits(N)``; at
+that cap the error is reported.  The provenance "mode" names the mode and
+precision used.  Rational runs, explicit modes and interchange files run
+once.
 """
 
 from __future__ import annotations
@@ -192,24 +193,30 @@ def _modeless_moments(defn, dimension: int, max_degree: int, bits: int | None) -
 
 
 def _with_precision(command):
-    """``command(args, seq, provenance, retry)`` on the loaded input, rerun
-    at twice the bits on PrecisionExhausted while the loader leaves the mode
-    open and the cap allows.  ``retry`` tells the command whether such an
-    error will be retried, so that ``analyze`` raises it out of a criterion
-    entry rather than report it."""
+    """``command(args, seq, provenance, retry)`` on the loaded ``--input``,
+    through ``_rerun``."""
     @functools.wraps(command)
     def run(args) -> int:
-        seq, provenance, cap = load_input(args.input, args.mode, args.degree)
-        while True:
-            retry = cap is not None and seq.mode.precision_bits < cap
-            try:
-                return command(args, seq, provenance, retry)
-            except PrecisionExhausted:
-                if not retry:
-                    raise
-            seq, provenance, cap = load_input(args.input, args.mode, args.degree,
-                                              2 * seq.mode.precision_bits)
+        return _rerun(lambda bits: load_input(args.input, args.mode, args.degree, bits),
+                      functools.partial(command, args))
     return run
+
+
+def _rerun(load, command) -> int:
+    """``command(seq, provenance, retry)`` on ``load(None)``, rerun on
+    ``load(bits)`` at twice the bits on PrecisionExhausted while the loader
+    leaves the mode open and the cap allows.  ``retry`` tells the command
+    whether such an error will be retried, so that ``analyze`` raises it
+    out of a criterion entry rather than report it."""
+    seq, provenance, cap = load(None)
+    while True:
+        retry = cap is not None and seq.mode.precision_bits < cap
+        try:
+            return command(seq, provenance, retry)
+        except PrecisionExhausted:
+            if not retry:
+                raise
+        seq, provenance, cap = load(2 * seq.mode.precision_bits)
 
 
 def _measure_from_json(doc):
@@ -506,30 +513,35 @@ def cmd_curve(args) -> int:
     # an interchange-file lift ignores --mode, so reject a malformed one here
     if args.mode is not None:
         mode_from_string(args.mode)
-    sigma, provenance, _cap = load_input(args.sigma, args.mode, None)
     need = args.degree * curve.max_component_degree
-    if sigma.max_degree < need:
-        # a spec regenerates at the required degree; an interchange file
-        # keeps its own
-        sigma, provenance, _cap = load_input(args.sigma, args.mode, need)
+
+    def load(bits):
+        sigma, provenance, cap = load_input(args.sigma, args.mode, None, bits)
         if sigma.max_degree < need:
-            raise MomentKitError(
-                f"lift degree {sigma.max_degree} below required {need}"
-            )
-    cm = pushforward_to_curve(sigma, curve, args.degree)
-    verdict = lift_and_test(cm, args.weight_exponent)
-    fmt = lambda v: format_value(sigma.mode, v)
-    report = {
-        "schema_version": "1",
-        "provenance": dict(provenance, curve=curve.name,
-                           weight_exponent=args.weight_exponent),
-        "curve": {"name": curve.name, "dimension": curve.dimension,
-                  "weight_degree": len(curve.weight) - 1},
-        "verdict": verdict.as_dict(lambda v: fmt(v)),
-        "errors": [],
-    }
-    _finish_report(report, args.out)
-    return 0
+            # a spec regenerates at the required degree; an interchange file
+            # keeps its own
+            sigma, provenance, cap = load_input(args.sigma, args.mode, need, bits)
+            if sigma.max_degree < need:
+                raise MomentKitError(
+                    f"lift degree {sigma.max_degree} below required {need}"
+                )
+        return sigma, provenance, cap
+
+    def lift(sigma, provenance, _retry):
+        cm = pushforward_to_curve(sigma, curve, args.degree)
+        verdict = lift_and_test(cm, args.weight_exponent)
+        report = {
+            "schema_version": "1",
+            "provenance": dict(provenance, curve=curve.name,
+                               weight_exponent=args.weight_exponent),
+            "curve": {"name": curve.name, "dimension": curve.dimension,
+                      "weight_degree": len(curve.weight) - 1},
+            "verdict": verdict.as_dict(lambda v: format_value(sigma.mode, v)),
+            "errors": [],
+        }
+        _finish_report(report, args.out)
+        return 0
+    return _rerun(load, lift)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,23 @@ def test_modeless_spec_doubles_its_precision_until_the_pivots_have_headroom(tmp_
     assert signature(rep) == signature(wide)
 
 
+def test_curve_modeless_spec_doubles_its_precision(tmp_path):
+    # log-normal s = 1/8, N = 20: the lift's recurrence keeps too few bits
+    # at the starting 104, so curve reruns at 208, as analyze does, and
+    # reports what an explicit float:208 run reports
+    spec = modeless_spec(tmp_path, {"variant": "log_normal", "s": "1/8"}, 20)
+    reports = []
+    for extra in ((), ("--mode", "float:208")):
+        out = tmp_path / "curve.json"
+        rc = main(["curve", "--curve", "catalog:parabola", "--sigma", spec,
+                   "--degree", "6", *extra, "--out", str(out)])
+        assert rc == 0
+        reports.append(json.loads(out.read_text()))
+    modeless, explicit = reports
+    assert not modeless["errors"] and modeless["provenance"]["mode"] == "float:208"
+    assert modeless["verdict"] == explicit["verdict"]
+
+
 def test_explicit_mode_is_not_raised(tmp_path):
     """At an explicit float:128 the recurrence keeps too few bits; the
     error is reported, not a verdict, and no other precision is tried."""

@@ -170,7 +170,49 @@ def test_measure_bounds_negative_drive_out_pivot_and_redundant_row(monkeypatch):
     assert (low, high) == (2, 4)
 
 
-small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+def _beale_lp():
+    """Beale's example of cycling under the largest-coefficient rule (1955),
+    in measure form: the rows 1/4 x4 - 8 x5 - x6 + 9 x7 + x1 = 0, 1/2 x4 -
+    12 x5 - 1/2 x6 + 3 x7 + x2 = 0 and x6 + x3 = 1, plus a mass row sum x +
+    s = 10, one column per variable x4..x7, x1..x3, s, and the objective
+    3/4 x4 - 20 x5 + 1/2 x6 - 6 x7.  Two right-hand sides are zero, so
+    many of its vertices are degenerate."""
+    cols = [[F(1, 4), F(1, 2), 0, 1], [-8, -12, 0, 1], [-1, F(-1, 2), 1, 1], [9, 3, 0, 1],
+            [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    return cols, [0, 0, 1, 10], [F(3, 4), -20, F(1, 2), -6, 0, 0, 0, 0]
+
+
+def test_measure_bounds_beale_degenerate_lp_terminates():
+    # Beale's maximum is 5/4 (x4 = x6 = 1, x1 = 3/4); the mass row bounds
+    # the minimum
+    cols, moments, objective = _beale_lp()
+    oracle = _primal_bounds(cols, moments, objective)
+    assert oracle == (F(-2052, 101), F(5, 4))
+    assert measure_bounds(R, cols, moments, objective) == oracle
+    # the data is binary, so float:64 rounds the same optimum once
+    fm = FloatMode(64)
+    assert measure_bounds(fm, cols, moments, objective) == tuple(map(fm.convert, oracle))
+
+
+def test_measure_bounds_columns_beyond_float_range():
+    # the degree-2 columns at t = +-2**1500 and +-2**-1500 hold entries
+    # from 2**-3000 to 2**3000, and the integer rows the ratio 2**6000
+    # between them: no float holds a pivoting weight here, their
+    # logarithms do
+    big = F(2) ** 1500
+    grid = [F(0), F(1), big, -big, 1 / big, -1 / big]
+    cols = _columns(grid, 2)
+    y = [F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 32), F(1, 32)]
+    moments = [sum(w * col[i] for w, col in zip(y, cols)) for i in range(3)]
+    objective = [F(1), F(0), F(1, 3), F(2), F(-1), F(1, 2)]
+    bounds = measure_bounds(R, cols, moments, objective)
+    assert bounds == _primal_bounds(cols, moments, objective)
+    assert bounds[0] < bounds[1]
+
+
+#: the fractions in [-3, 3] with denominators up to 3, sampled from a list
+#: (as cheap to draw as the many entries of a wide LP need)
+small = st.sampled_from(sorted({F(p, q) for q in (1, 2, 3) for p in range(-3 * q, 3 * q + 1)}))
 #: entries whose denominators make the lcm row scaling and the exact
 #: divisions of the integer tableau work
 odd = st.sampled_from([F(1, 2 ** 20), F(-3, 2 ** 20), F(1, 3), F(-1, 7), F(22, 7)])
@@ -182,8 +224,8 @@ def grid_lps(draw):
     a constant entry (a mass row), zero entries and repeated values for ties
     and degeneracy, and moments that are either a nonnegative combination of
     the columns (feasible) or arbitrary (often infeasible)."""
-    size = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
     entry = st.one_of(st.just(F(0)), st.just(F(1)), small, odd)
     cols = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(size)]
     if draw(st.booleans()):
