@@ -261,8 +261,11 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
     the least and the inf side the greatest sum_g y_g phi(g) over them (see
     ``simplex.measure_bounds``).  Raises LpUnbounded when no such measure
     exists, i.e. the grid is too sparse to pin the polynomials down (the
-    caller should refine the grid); LpInfeasible never for consistent inputs.
+    caller should refine the grid); LpInfeasible never for consistent inputs;
+    InvalidParameter for a negative degree.
     """
+    if degree < 0:
+        raise InvalidParameter(f"LP degree {degree} is negative")
     if degree > seq.max_degree:
         raise DegreeInsufficient("LP degree exceeds the truncation")
     mode = seq.mode
@@ -317,6 +320,8 @@ def poisson_kappa_1d(seq_1d: MomentSequence, x0, t0, n: int):
     t0v = mode.convert(t0)
     if not t0v > 0:
         raise InvalidParameter("t0 must be positive")
+    if n < 0:
+        raise InvalidParameter(f"truncation {n} is negative")
     rec = recurrence_from_moments(seq_1d, seq_1d.max_degree // 2)
     if rec.rank <= n:
         n = rec.rank - 1
@@ -513,6 +518,8 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
     av = [mode.convert(c) for c in a]
     if not dual_interior_contains(seq.support, av):
         raise NotInteriorDirection("a must be strictly interior to the dual cone")
+    if degree < 0:
+        raise InvalidParameter(f"degree {degree} is negative")
     if degree > seq.max_degree:
         raise DegreeInsufficient("degree exceeds the truncation")
     if grid is None:

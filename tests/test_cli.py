@@ -200,6 +200,23 @@ def test_kappa_field_1d(tmp_path):
     assert all(r[3] == "weyl-disk-1d" for r in rows[1:])
 
 
+@pytest.mark.parametrize("variances, extra", [(["1", "1"], []),
+                                             (["1"], ["--sphere-average"])])
+def test_kappa_negative_lp_degree_is_one_structured_error(tmp_path, variances, extra):
+    # a 2D field point solves a grid LP at that degree; a 1D sphere average
+    # takes it as the Weyl-disk truncation
+    spec = write_spec(tmp_path / "gauss.json", {
+        "measure": {"variant": "gaussian_product", "variances": variances},
+        "dimension": len(variances), "max_degree": 8, "mode": "rational"})
+    out = tmp_path / "kappa.csv"
+    rc = main(["kappa", "--input", spec, "--field=0:0:1,1:1:1", "--lp-degree", "-1",
+               *extra, "--out", str(out)])
+    assert rc == 2
+    errors = json.loads(out.read_text())["errors"]
+    assert [e["error"] for e in errors] == ["InvalidParameter"]
+    assert "negative" in errors[0]["detail"]
+
+
 def test_kappa_field_factorizes_once(tmp_path, monkeypatch):
     calls = count_factorizations(monkeypatch)
     out = tmp_path / "kappa.csv"

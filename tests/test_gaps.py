@@ -12,6 +12,7 @@ from momentkit.envelopes import geometric_envelope
 from momentkit.errors import (
     InvalidDirection,
     InvalidH,
+    InvalidParameter,
     LpUnbounded,
     NotInteriorDirection,
     WrongSupport,
@@ -247,6 +248,18 @@ def test_hyperplane_needs_cone_and_interior():
     seq = generate_moments(Exponential1D(), 1, 8, R)
     with pytest.raises(NotInteriorDirection):
         hyperplane_gap(seq, (0,), 2)
+
+
+def test_negative_lp_degree_is_invalid():
+    seq = generate_moments(Exponential1D(), 1, 8, R)
+    with pytest.raises(InvalidParameter):
+        hyperplane_gap(seq, (1,), -1)
+    with pytest.raises(InvalidParameter):
+        grid_gap_lp(seq, Sampled(((F(1),),), (F(1),)), -1, [(F(1),)])
+    with pytest.raises(InvalidParameter):
+        poisson_kappa_estimate(gauss(8, 2), (0, 0), 1, -1)
+    with pytest.raises(InvalidParameter):
+        poisson_kappa_1d(gauss(8), 0, 1, -1)
 
 
 # ---------------------------------------------------------------------------

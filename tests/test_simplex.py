@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentkit import gaps, simplex
-from momentkit.errors import LpInfeasible, LpUnbounded
-from momentkit.moments import LogNormal1D, QLattice1D, generate_moments
+from momentkit.errors import DimensionMismatch, LpInfeasible, LpUnbounded
+from momentkit.moments import (Exponential1D, GaussianProduct, LogNormal1D, Product,
+                               QLattice1D, generate_moments)
 from momentkit.scalars import FloatMode, RationalMode, exact_fraction
 from momentkit.simplex import measure_bounds
 from oracles import maximize, minimize
@@ -154,13 +155,13 @@ def test_measure_bounds_negative_drive_out_pivot_and_redundant_row(monkeypatch):
     # denominator positive), and the copy becomes all zero and is dropped.
     # Then y_c = 0 and y_a + y_b = 2, so y_a + 2 y_b ranges over [2, 4].
     pivots = []
-    real = simplex._Tableau.pivot
+    real = simplex._Basis.pivot
 
-    def pivot(tab, leave, enter):
-        pivots.append(tab.rows[leave][enter])
-        real(tab, leave, enter)
+    def pivot(tab, leave, enter, column, row):
+        pivots.append(column[leave])
+        real(tab, leave, enter, column, row)
 
-    monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
+    monkeypatch.setattr(simplex._Basis, "pivot", pivot)
     cols = [[1, 1, 1], [1, 1, 1], [1, -1, -1]]
     moments, objective = [2, 2, 2], [1, 2, 2]
     assert measure_bounds(R, cols, moments, objective) == (2, 4)
@@ -168,6 +169,60 @@ def test_measure_bounds_negative_drive_out_pivot_and_redundant_row(monkeypatch):
     assert _primal_bounds(cols, moments, objective) == (2, 4)
     low, high = measure_bounds(FloatMode(64), cols, moments, objective)
     assert (low, high) == (2, 4)
+
+
+@pytest.mark.parametrize("columns, moments, objective", [
+    ([[], []], [], [1, 2]),  # no moment rows
+    ([[1, 0], [1]], [1, 0], [1, 2]),  # a short column
+    ([[1, 0], [1, 1]], [1, 0], [1]),  # a short objective
+])
+def test_measure_bounds_rejects_inconsistent_shapes(columns, moments, objective):
+    with pytest.raises(DimensionMismatch):
+        measure_bounds(R, columns, moments, objective)
+
+
+def _gridlp_ql16():
+    grid, _seq, moments, objective = _qlattice_log_grid_lp()
+    return measure_bounds(R, _columns(grid, 8), moments, objective)
+
+
+def _hyperplane(measure, dimension, degree):
+    seq = generate_moments(measure, dimension, degree, R)
+    return gaps.hyperplane_gap(seq, (1,) * dimension, min(6, degree))
+
+
+def _kappa_gauss2d8():
+    seq = generate_moments(GaussianProduct((F(1), F(1))), 2, 8, R)
+    return gaps.poisson_kappa_estimate(seq, (F(0), F(0)), F(1), 2)
+
+
+EXPO2 = Product(((Exponential1D(), 1), (Exponential1D(), 1)))
+
+
+@pytest.mark.parametrize("lp, pivots, unbounded", [
+    (_gridlp_ql16, 86, False),
+    (lambda: _hyperplane(EXPO2, 2, 4), 43, False),
+    (lambda: _hyperplane(EXPO2, 2, 8), 43, True),
+    (_kappa_gauss2d8, 24, False),
+    (lambda: _hyperplane(Exponential1D(), 1, 20), 35, False),
+    (lambda: _hyperplane(QLattice1D(F(2)), 1, 20), 39, False),
+], ids=["gridlp-ql16", "hyperplane-expo2d4", "hyperplane-expo2d8", "kappa-gauss2d8",
+        "hyperplane-expo20", "hyperplane-ql20"])
+def test_benchmark_lps_keep_their_pivot_counts(monkeypatch, lp, pivots, unbounded):
+    # the grid LPs of the perfbench gap-lp workload and two of the 1D
+    # hyperplane LPs of its rational workload, with the pivots taken over
+    # phase 1, the drive-out and both phase-2 runs: pricing that keeps the
+    # bounds but walks a longer path fails here
+    count = []
+    real = simplex._Basis.pivot
+    monkeypatch.setattr(simplex._Basis, "pivot",
+                        lambda tab, *args: count.append(1) or real(tab, *args))
+    if unbounded:
+        with pytest.raises(LpUnbounded):
+            lp()
+    else:
+        lp()
+    assert len(count) == pivots
 
 
 def _beale_lp():
