@@ -16,6 +16,17 @@ only cite certified quantities as rigorous evidence.
 
 One-dimensional Poisson gaps are exact (they are Weyl-disk diameters); the
 multivariate kappa values are grid LP estimates and say so.
+
+A grid LP is assembled in integers.  Its column at a grid point g holds
+w(g) g^alpha for each monomial alpha, w the weight (1, or the hyperplane
+form a.x + 1).  Each grid axis goes over the lcm of its coordinates'
+denominators and the weight values over theirs, so every entry is one
+Fraction of integer monomials, equal to the product of the point's
+coordinates; float scalars enter at their exact binary values and
+``simplex.measure_bounds`` rounds each entry into the mode once.  The
+separating function is prepared once per grid (``_Target``), then
+``evaluate_separating`` reads it at each point.  A grid point whose length
+is not the sequence's dimension raises DimensionMismatch.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from typing import Any, Mapping, Sequence
 from . import simplex
 from .errors import (
     DegreeInsufficient,
+    DimensionMismatch,
     InvalidDirection,
     InvalidH,
     InvalidParameter,
@@ -54,8 +66,8 @@ from .polynomials import (
     multi_indices,
     poly_eval,
 )
-from .scalars import (ComplexScalar, Mode, RationalMode, from_context, half_floor,
-                      to_context, work_context)
+from .scalars import (ComplexScalar, Mode, RationalMode, exact_fraction, from_context,
+                      half_floor, integers, to_context, work_context)
 from .verdicts import Evidence, Flavor, Status, Verdict
 
 RATIONAL_PHI_BITS = 128
@@ -114,41 +126,89 @@ def evaluate_separating(spec, point: Sequence, mode: Mode):
     ``RATIONAL_PHI_BITS``) and converts exactly; the resulting
     rational is an approximation of phi, which is acceptable because grid
     estimates are heuristic by construction.  Rational targets (Fantappie,
-    odd-d Poisson) stay exact.
+    odd-d Poisson) stay exact.  ``spec`` may also be a ``_Target``, the
+    spec prepared for ``mode`` once per grid.
     """
-    if isinstance(spec, Sampled):
-        for p, v in zip(spec.points, spec.values):
-            if tuple(p) == tuple(point):
-                return mode.convert(v)
-        raise InvalidParameter(f"sampled spec has no value at {point}")
-    if isinstance(spec, Fantappie):
-        den = mode.convert(1)
-        for a, x in zip(spec.a, point):
-            den = den + mode.convert(a) * mode.convert(x)
+    if not isinstance(spec, _Target):
+        spec = _Target(spec, mode)
+    return spec.at(point)
+
+
+class _Target:
+    """A separating spec prepared for one mode: what does not depend on the
+    point (the converted parameters, the work context, ``c_d``, the sampled
+    values keyed by point, the first value given for a repeated point) is
+    computed once; ``at(point)`` is phi(point)."""
+
+    def __init__(self, spec, mode: Mode):
+        self.mode = mode
+        if isinstance(spec, Sampled):
+            self.values = {}
+            for p, v in zip(spec.points, spec.values):
+                self.values.setdefault(tuple(p), v)
+            self.at = self._sampled
+        elif isinstance(spec, Fantappie):
+            self.one = mode.convert(1)
+            self.a = [mode.convert(c) for c in spec.a]
+            self.at = self._fantappie
+        elif isinstance(spec, PoissonKernel):
+            d = len(spec.x0)
+            t0 = mode.convert(spec.t0)
+            self.t0_sq = t0 * t0
+            self.x0 = [mode.convert(c) for c in spec.x0]
+            ctx = self.ctx = work_context(mode, RATIONAL_PHI_BITS)
+            cd = to_context(ctx, poisson_constant_float(d))
+            if d % 2 == 1:
+                # (d+1)/2 integral: the kernel is rational except for c_d
+                self.scale, self.power = from_context(mode, cd) * t0, (d + 1) // 2
+                self.at = self._poisson_odd
+            else:
+                self.scale, self.power = cd * to_context(ctx, t0), ctx.mpf(d + 1) / 2
+                self.at = self._poisson_even
+        elif isinstance(spec, Cosine):
+            ctx = self.ctx = work_context(mode, RATIONAL_PHI_BITS)
+            self.xi = [to_context(ctx, mode.convert(c)) for c in spec.xi]
+            self.trig = ctx.cos if spec.phase == "zero" else ctx.sin
+            self.at = self._cosine
+        else:
+            raise InvalidParameter(f"unknown separating spec {type(spec).__name__}")
+
+    def _sampled(self, point):
+        try:
+            v = self.values[tuple(point)]
+        except KeyError:
+            raise InvalidParameter(f"sampled spec has no value at {point}") from None
+        return self.mode.convert(v)
+
+    def _fantappie(self, point):
+        den = self.one
+        for a, x in zip(self.a, point):
+            den = den + a * self.mode.convert(x)
         if not den > 0:
             raise InvalidParameter("1 + a.x must stay positive on the grid")
         return 1 / den
-    if isinstance(spec, PoissonKernel):
-        d = len(spec.x0)
-        t0 = mode.convert(spec.t0)
-        r2 = t0 * t0
-        for x0, x in zip(spec.x0, point):
-            diff = mode.convert(x0) - mode.convert(x)
+
+    def _distance_sq(self, point):
+        r2 = self.t0_sq
+        for x0, x in zip(self.x0, point):
+            diff = x0 - self.mode.convert(x)
             r2 = r2 + diff * diff
-        ctx = work_context(mode, RATIONAL_PHI_BITS)
-        cd = to_context(ctx, poisson_constant_float(d))
-        if d % 2 == 1:
-            # (d+1)/2 integral: the kernel is rational except for c_d
-            return from_context(mode, cd) * t0 / r2 ** ((d + 1) // 2)
-        return from_context(mode, cd * to_context(ctx, t0)
-                            / to_context(ctx, r2) ** (ctx.mpf(d + 1) / 2))
-    if isinstance(spec, Cosine):
-        ctx = work_context(mode, RATIONAL_PHI_BITS)
+        return r2
+
+    def _poisson_odd(self, point):
+        return self.scale / self._distance_sq(point) ** self.power
+
+    def _poisson_even(self, point):
+        ctx = self.ctx
+        return from_context(self.mode, self.scale
+                            / to_context(ctx, self._distance_sq(point)) ** self.power)
+
+    def _cosine(self, point):
+        ctx = self.ctx
         t = ctx.mpf(0)
-        for xi, x in zip(spec.xi, point):
-            t += to_context(ctx, mode.convert(xi)) * to_context(ctx, mode.convert(x))
-        return from_context(mode, ctx.cos(t) if spec.phase == "zero" else ctx.sin(t))
-    raise InvalidParameter(f"unknown separating spec {type(spec).__name__}")
+        for xi, x in zip(self.xi, point):
+            t += xi * to_context(ctx, self.mode.convert(x))
+        return from_context(self.mode, self.trig(t))
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +333,53 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
         grid = default_grid(seq.support, seq.dimension, mode,
                             points_per_axis=(2 * degree + 3
                                              if seq.dimension > 1 else None))
-    grid = [tuple(mode.convert(c) for c in g) for g in grid]
+    grid = _grid_in_mode(grid, seq)
     if not grid:
         raise InvalidParameter("grid must be non-empty")
     monomials = list(multi_indices(seq.dimension, degree))
     c_obj = [seq.entries[alpha] for alpha in monomials]
-    phi_vals = [evaluate_separating(phi, g, mode) for g in grid]
+    target = _Target(phi, mode)
+    phi_vals = [evaluate_separating(target, g, mode) for g in grid]
     sup_side, inf_side = _grid_measure_bounds(mode, grid, monomials, c_obj,
                                               phi_vals, degree)
     return GapEstimate(sup_side, inf_side, False, False, degree,
                        describe_grid(grid, mode))
+
+
+def _grid_in_mode(grid: Sequence, seq: MomentSequence) -> list:
+    """The grid's points in the sequence's mode; DimensionMismatch when a
+    point's length is not the sequence's dimension."""
+    points = [tuple(seq.mode.convert(c) for c in g) for g in grid]
+    for g in points:
+        if len(g) != seq.dimension:
+            raise DimensionMismatch(f"grid point of dimension {len(g)} for a "
+                                    f"{seq.dimension}-dimensional sequence")
+    return points
+
+
+def _grid_columns(mode: Mode, grid: Sequence, monomials: Sequence,
+                  weight: Mapping | None = None) -> list:
+    """The LP column of each grid point g, w(g) g^alpha for each monomial
+    alpha, as exact Fractions (float scalars at their exact binary values).
+
+    Axis i goes over the lcm ``Q_i`` of its coordinates' denominators,
+    which makes each point an integer point ``P_g``, and the weight values
+    over their lcm ``V``, ``W_g = V w(g)``.  Then each entry is one
+    Fraction ``W_g P_g^alpha / (V Q^alpha)``, both monomials taken on
+    integers, and no Fraction product is reduced along the way."""
+    exact = (lambda v: v) if isinstance(mode, RationalMode) else exact_fraction
+    points = [[exact(c) for c in g] for g in grid]
+    axes = [integers(axis) for axis in zip(*points)]
+    integer_points = list(zip(*(nums for nums, _ in axes)))
+    if weight is None:
+        weights, scale = [1] * len(points), 1
+    else:
+        weight = {alpha: exact(c) for alpha, c in weight.items()}
+        weights, scale = integers(mpoly_eval(weight, g) for g in points)
+    q = [den for _, den in axes]
+    dens = [scale * monomial(q, alpha) for alpha in monomials]
+    return [[Fraction(w * monomial(p, alpha), den) for alpha, den in zip(monomials, dens)]
+            for p, w in zip(integer_points, weights)]
 
 
 def _grid_measure_bounds(mode: Mode, grid: Sequence, monomials: Sequence,
@@ -291,10 +388,7 @@ def _grid_measure_bounds(mode: Mode, grid: Sequence, monomials: Sequence,
     """(min, max) of sum_g y_g objective[g] over the nonnegative measures y
     on the grid with sum_g y_g w(g) g^alpha = moments[alpha] for each
     monomial alpha, where w is the polynomial ``weight`` (default 1)."""
-    columns = []
-    for g in grid:
-        w = mode.one() if weight is None else mpoly_eval(weight, g)
-        columns.append([w * monomial(g, alpha) for alpha in monomials])
+    columns = _grid_columns(mode, grid, monomials, weight)
     try:
         return simplex.measure_bounds(mode, columns, moments, objective)
     except LpUnbounded:
@@ -524,7 +618,7 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
         raise DegreeInsufficient("degree exceeds the truncation")
     if grid is None:
         grid = default_grid(seq.support, seq.dimension, mode)
-    grid = [tuple(mode.convert(c) for c in g) for g in grid]
+    grid = _grid_in_mode(grid, seq)
     d = seq.dimension
     # linear form a.x + 1 as a polynomial
     form = {(0,) * d: mode.one()}

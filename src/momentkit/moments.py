@@ -143,8 +143,9 @@ class MomentSequence:
     """Dense truncated moment map; immutable after construction.
 
     ``recurrences`` keeps the factorizations of
-    ``hamburger.recurrence_from_moments``, one per order; it is not part of
-    the value.
+    ``hamburger.recurrence_from_moments``, one per order, and
+    ``integer_tables`` the moment tables ``image_moments`` reads, over one
+    denominator, one per degree reached; neither is part of the value.
     """
 
     dimension: int
@@ -154,6 +155,7 @@ class MomentSequence:
     support: Support = field(default_factory=FullSpace)
     meta: Mapping[str, Any] = field(default_factory=dict)
     recurrences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    integer_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -419,13 +421,15 @@ def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
 
     In rational mode each form is written with integer numerators over one
     denominator ``den_i``, and the moments it reaches (|alpha| <= need) as
-    integers over their lcm ``D``.  Each u**beta is built in integers as
-    u**(beta - e_i) * u_i, i the first axis with beta_i > 0, from the products
-    of the previous degree, over ``den**beta``; only one degree's products
-    are kept at a time.  Then ``L(u**beta)`` is one integer dot product over
-    ``D * den**beta``, reduced once.  In float mode the forms and moments are
-    their own values over 1, and the same loop runs without a division, so
-    every product and sum is taken in the same order as term by term.
+    integers over their lcm ``D``; that table is kept on the sequence
+    (``seq.integer_tables``), so the directions of a scan share it.  Each
+    u**beta is built in integers as u**(beta - e_i) * u_i, i the first axis
+    with beta_i > 0, from the products of the previous degree, over
+    ``den**beta``; only one degree's products are kept at a time.  Then
+    ``L(u**beta)`` is one integer dot product over ``D * den**beta``,
+    reduced once.  In float mode the forms and moments are their own values
+    over 1, and the same loop runs without a division, so every product and
+    sum is taken in the same order as term by term.
     """
     mode = seq.mode
     forms = [{tuple(a): mode.convert(c) for a, c in u.items() if c} for u in forms]
@@ -441,9 +445,11 @@ def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
     for u in forms:
         nums, den = integers(u.values())
         scaled.append((dict(zip(u, nums)), den))
-    reached = [a for a in seq.entries if sum(a) <= need]
-    nums, lcm = integers(seq.entries[a] for a in reached)
-    moments = dict(zip(reached, nums))
+    if need not in seq.integer_tables:
+        reached = [a for a in seq.entries if sum(a) <= need]
+        nums, lcm = integers(seq.entries[a] for a in reached)
+        seq.integer_tables[need] = dict(zip(reached, nums)), lcm
+    moments, lcm = seq.integer_tables[need]
     exact = isinstance(mode, RationalMode)
     k = len(forms)
     # each product with the denominator of its L value, D * den**beta

@@ -49,7 +49,9 @@ def binomial(n: int, k: int) -> int:
 
 def monomial(point: Sequence, alpha: Sequence[int]):
     """point**alpha = prod x_i**alpha_i, the one monomial evaluator; plain
-    repeated multiplication, so exact in rational mode."""
+    repeated multiplication, so exact in rational mode.  Grid-LP rows
+    evaluate it on integer points (the grid over its per-axis denominators,
+    ``gaps._grid_columns``), so their entries take no Fraction product."""
     out = 1
     for x, e in zip(point, alpha):
         for _ in range(e):

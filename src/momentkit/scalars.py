@@ -113,7 +113,9 @@ class RationalMode:
     def convert(self, v: Any) -> Fraction:
         if isinstance(v, bool):
             raise ModeMismatch("bool is not a scalar")
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, Fraction):
+            return v
+        if isinstance(v, int):
             return Fraction(v)
         if isinstance(v, str):
             return self.from_string(v)

@@ -55,6 +55,13 @@ the weighted lift's moments factorized with no base recurrence.
 the lift's own recurrence and the banded modified moments of the weight;
 in rational mode both routes give equal values.
 
+``grid_columns_entrywise`` builds the grid-LP columns entry by entry,
+``w(g) * g^alpha`` as a product of the mode's scalars.  The library writes
+each grid axis and the weight values over one denominator and makes every
+entry one Fraction of integer monomials (``gaps._grid_columns``); the
+values must be equal, and so must the bounds of ``gaps._grid_measure_bounds``
+and the errors it raises.
+
 ``mpoly_pow`` expands a polynomial power by repeated squaring, so
 ``apply_linear_functional(seq, mpoly_pow(form, k, d))`` is the direct
 reference for push-forward moments.  ``image_moments_fractions`` builds
@@ -77,7 +84,7 @@ from momentkit.curves import CurveMeasure, _weighted_lift
 from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEval, Recurrence,
                                  WeylDisk, christoffel, ortho_eval, recurrence_from_moments)
 from momentkit.moments import MomentSequence, NonnegativeOrthant, apply_linear_functional
-from momentkit.polynomials import compositions, mpoly_degree, mpoly_mul
+from momentkit.polynomials import compositions, monomial, mpoly_degree, mpoly_eval, mpoly_mul
 from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
                                half_floor)
 
@@ -458,6 +465,22 @@ def _circumcenter(mode: Mode, w0: ComplexScalar, w1: ComplexScalar,
     if det == 0:
         raise PrecisionExhausted("degenerate circumcircle; boundary points collinear")
     return ComplexScalar((r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det)
+
+
+# ---------------------------------------------------------------------------
+# grid-LP columns
+
+
+def grid_columns_entrywise(mode: Mode, grid, monomials, weight=None) -> list:
+    """``gaps._grid_columns`` entry by entry in the mode's scalars: each
+    entry ``w(g) * monomial(g, alpha)``, with w the polynomial ``weight``
+    (default 1) evaluated at g, a chain of reduced Fraction products in
+    rational mode and of rounded mpf products in float mode."""
+    columns = []
+    for g in grid:
+        w = mode.one() if weight is None else mpoly_eval(weight, g)
+        columns.append([w * monomial(g, alpha) for alpha in monomials])
+    return columns
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ its loop on (value, 1) pairs.  ``oracles.factorize_fractions`` and
 mode's scalars, with the mpf operators in float mode.
 ``moments.image_moments`` builds the image-moment table on integer
 numerators over one denominator, ``oracles.image_moments_fractions`` on the
-mode's scalars.  Every output must be equal and of the same type, every
-error of the same class with the same message, and float values
-bit-identical; the float recurrence is checked at 64, 128 and 512 bits,
-its sigma rows and noise floors included.
+mode's scalars.  ``gaps._grid_columns`` makes each grid-LP column entry one
+Fraction of integer monomials, ``oracles.grid_columns_entrywise`` a product
+of the mode's scalars, and the grid LPs are solved on both.  Every output
+must be equal and of the same type, every error of the same class with the
+same message, and float values bit-identical; the float recurrence is
+checked at 64, 128 and 512 bits, its sigma rows and noise floors included.
 """
 
 import warnings
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from momentkit import hamburger
+from momentkit import gaps, hamburger
 from momentkit.curves import _weighted_lift, catalog, lift_and_test, pushforward_to_curve
 from momentkit.errors import (AtomsOnRamificationWarning, InvalidParameter, MomentKitError,
                               PrecisionExhausted)
@@ -31,7 +33,8 @@ from momentkit.moments import (Atomic, Exponential1D, GaussianProduct, LogNormal
                                generate_moments, image_moments, sequence_from_1d)
 from momentkit.polynomials import multi_indices
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar, exact_fraction
-from oracles import factorize_fractions, forward_pass_fractions, image_moments_fractions
+from oracles import (factorize_fractions, forward_pass_fractions, grid_columns_entrywise,
+                     image_moments_fractions)
 
 R = RationalMode()
 F128 = FloatMode(128)
@@ -386,3 +389,71 @@ def test_image_moments_match_oracle(inputs):
     for mode in (R, FloatMode(64), F128):
         seq = generate_moments(measure, d, truncation, mode)
         check_image(seq, forms, max_degree)
+
+
+@st.composite
+def grid_lp_inputs(draw, dyadic=False):
+    """(grid, weight, monomials, moments, objective): up to 10 points in 1-3
+    dimensions with coordinates in [-12, 12] over denominators up to 16
+    (powers of two only when ``dyadic``), 0 and negative ones included; no
+    weight or a form a.x + c; degree 0-6; the moments of a nonnegative grid
+    measure (feasible) or arbitrary ones (often infeasible)."""
+    d = draw(st.integers(1, 3))
+    coord = st.builds(F, st.integers(-12, 12),
+                      st.sampled_from((1, 2, 4, 8, 16) if dyadic else range(1, 17)))
+    grid = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=10))
+    weight = None
+    if draw(st.booleans()):
+        weight = {alpha: draw(coord) for alpha in multi_indices(d, 1)}
+    monomials = list(multi_indices(d, draw(st.integers(0, 6))))
+    small = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2), F(1, 3)])
+    if draw(st.booleans()):
+        y = draw(st.lists(small, min_size=len(grid), max_size=len(grid)))
+        columns = grid_columns_entrywise(R, grid, monomials, weight)
+        moments = [sum(abs(yg) * col[i] for yg, col in zip(y, columns))
+                   for i in range(len(monomials))]
+    else:
+        moments = draw(st.lists(small, min_size=len(monomials), max_size=len(monomials)))
+    objective = draw(st.lists(small, min_size=len(grid), max_size=len(grid)))
+    return grid, weight, monomials, moments, objective
+
+
+def grid_lp_outcomes(mode, grid, weight, monomials, moments, objective):
+    """(columns, bounds) from ``gaps``, then from the entry-by-entry oracle;
+    the bounds are those of ``gaps._grid_measure_bounds``, or its error."""
+    grid = [tuple(mode.convert(c) for c in g) for g in grid]
+    if weight is not None:
+        weight = {alpha: mode.convert(c) for alpha, c in weight.items()}
+    args = (mode, grid, monomials, moments, objective, max(map(sum, monomials)), weight)
+    got = (gaps._grid_columns(mode, grid, monomials, weight),
+           outcome(gaps._grid_measure_bounds, *args))
+    with mock.patch.object(gaps, "_grid_columns", grid_columns_entrywise):
+        want = (grid_columns_entrywise(mode, grid, monomials, weight),
+                outcome(gaps._grid_measure_bounds, *args))
+    return got, want
+
+
+@SETTINGS
+@given(grid_lp_inputs())
+@example(([(F(-3, 7), F(0)), (F(5, 16), F(-12, 11)), (F(0), F(1, 3))],
+          {(0, 0): F(1), (1, 0): F(2, 9), (0, 1): F(-1, 5)},
+          list(multi_indices(2, 6)), [F(1)] + [F(0)] * 27, [F(1), F(0), F(-1)]))
+def test_grid_columns_match_entrywise_oracle(inputs):
+    """Rational columns equal, with the same types, and the same bounds or
+    the same error."""
+    (got_columns, got), (want_columns, want) = grid_lp_outcomes(R, *inputs)
+    assert same(tuple(map(tuple, got_columns)), tuple(map(tuple, want_columns)))
+    assert same(got, want)
+
+
+@SETTINGS
+@given(grid_lp_inputs(dyadic=True))
+def test_dyadic_grid_columns_float_bit_identical(inputs):
+    """On dyadic grids every float:64 product is exact, so each column
+    entry rounds into the mode to the oracle's value bit for bit, and the
+    bounds are bit-identical."""
+    fm = FloatMode(64)
+    (got_columns, got), (want_columns, want) = grid_lp_outcomes(fm, *inputs)
+    rounded = tuple(tuple(map(fm.convert, col)) for col in got_columns)
+    assert same(rounded, tuple(map(tuple, want_columns)))
+    assert same(got, want)

@@ -10,6 +10,7 @@ import pytest
 from momentkit.cli import main
 from momentkit.envelopes import geometric_envelope
 from momentkit.errors import (
+    DimensionMismatch,
     InvalidDirection,
     InvalidH,
     InvalidParameter,
@@ -18,12 +19,15 @@ from momentkit.errors import (
     WrongSupport,
 )
 from momentkit.gaps import (
+    Cosine,
     Fantappie,
     GapEstimate,
+    PoissonKernel,
     Sampled,
     default_grid,
     direction_scan,
     direction_set,
+    evaluate_separating,
     grid_gap_lp,
     hyperplane_gap,
     orthant_criterion,
@@ -366,15 +370,11 @@ def test_default_grids_shapes():
 def test_cosine_spec_through_lp():
     seq = two_atom()
     grid = [(F(0),), (F(1),), (F(2),)]
-    from momentkit.gaps import Cosine
-
     est = grid_gap_lp(seq, Cosine((F(1),)), 2, grid)
     assert est.gap == 0  # interpolation on the atoms, cos values approximated
 
 
 def test_poisson_kernel_values_by_dimension():
-    from momentkit.gaps import PoissonKernel, evaluate_separating
-
     # odd ambient dimension keeps the kernel rational up to c_d
     v3 = evaluate_separating(PoissonKernel((F(0), F(0), F(0)), F(1)),
                              (F(1), F(0), F(0)), R)
@@ -384,8 +384,6 @@ def test_poisson_kernel_values_by_dimension():
 
 
 def test_fantappie_spec_values():
-    from momentkit.gaps import evaluate_separating
-
     v = evaluate_separating(Fantappie((F(2),)), (F(3),), R)
     assert v == F(1, 7)
 
@@ -413,3 +411,49 @@ def test_poisson_estimate_dirac_origin_2d():
     grid = [(x, y) for x in (F(-1), F(0), F(1)) for y in (F(-1), F(0), F(1))]
     est = poisson_kappa_estimate(seq, (0, 0), 1, 2, grid)
     assert est.gap == 0  # interpolation at the single atom
+
+
+def test_sampled_spec_keeps_the_first_value_of_a_repeated_point():
+    spec = Sampled(((F(1),), (F(2),), (F(1),)), (F(3), F(4), F(5)))
+    assert evaluate_separating(spec, (F(1),), R) == 3
+    assert evaluate_separating(spec, (1,), R) == 3  # looked up by value
+    with pytest.raises(InvalidParameter, match="no value at"):
+        evaluate_separating(spec, (F(3),), R)
+
+
+@pytest.mark.parametrize("spec", [
+    Cosine((F(1), F(-2)), "minus_half_pi"),
+    Fantappie((F(1, 3), F(2))),
+    PoissonKernel((F(1, 2), F(-1)), F(3, 4)),
+    PoissonKernel((F(0), F(0), F(1)), F(2)),
+], ids=["cosine", "fantappie", "poisson-2d", "poisson-3d"])
+def test_grid_targets_match_point_evaluation(spec):
+    # grid_gap_lp prepares the target once for the whole grid; its values
+    # are those of evaluate_separating on each point alone
+    d = len(spec.x0) if isinstance(spec, PoissonKernel) else 2
+    grid = [tuple(F(k + j, 3) for j in range(d)) for k in range(4)]
+    seq = generate_moments(Atomic(tuple(grid[:2]), (F(1, 2), F(1, 2))), d, 4, R)
+    est = grid_gap_lp(seq, spec, 1, grid)
+    oracle = Sampled(tuple(grid), tuple(evaluate_separating(spec, g, R) for g in grid))
+    assert est == grid_gap_lp(seq, oracle, 1, grid)
+
+
+GAUSS2D8 = generate_moments(GaussianProduct((1, 1)), 2, 8, R)
+EXPO8 = generate_moments(Exponential1D(), 1, 8, R)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: poisson_kappa_estimate(GAUSS2D8, (0, 0), 1, 2,
+                                   [(F(i), F(j), F(0)) for i in range(-3, 4)
+                                    for j in range(-3, 4)]),
+    lambda: poisson_kappa_estimate(GAUSS2D8, (0, 0), 1, 2, [(F(i),) for i in range(-3, 4)]),
+    lambda: grid_gap_lp(GAUSS2D8, Fantappie((1, 1)), 2,
+                        [(F(i), F(j)) for i in range(3) for j in range(3)] + [(F(1),)]),
+    lambda: sphere_average_kappa(GAUSS2D8, (0, 0), 1, F(1, 4), 4, 2,
+                                 [(F(i),) for i in range(-3, 4)]),
+    lambda: hyperplane_gap(EXPO8, (1,), 4, [(F(k), F(1)) for k in range(10)]),
+], ids=["kappa-3d-points", "kappa-1d-points", "one-short-point", "sphere-average",
+        "hyperplane-2d-points"])
+def test_grid_points_of_the_wrong_dimension_are_refused(run):
+    with pytest.raises(DimensionMismatch, match="grid point of dimension"):
+        run()

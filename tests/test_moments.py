@@ -142,6 +142,16 @@ def test_pushforward_diagonal_example():
     assert pf.moment((2,)) == 2  # m20 + 2 m11 + m02
 
 
+def test_direction_pushforwards_share_one_integer_table():
+    g3 = gauss(8, 3)
+    directions = [(1, 0, 0), (1, 1, 0), (F(1, 3), F(-2, 7), 1)]
+    shared = [pushforward_direction(g3, xi) for xi in directions]
+    assert list(g3.integer_tables) == [8]
+    assert shared == [pushforward_direction(gauss(8, 3), xi) for xi in directions]
+    # the table is not part of the value
+    assert g3 == gauss(8, 3)
+
+
 def test_pushforward_atomic_brute_force():
     seq = generate_moments(Atomic(((1, 1),), (1,)), 2, 6, R)
     pf = pushforward_direction(seq, (2, 3))

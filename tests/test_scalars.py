@@ -43,6 +43,13 @@ def test_exact_arithmetic_error_free():
     assert mode.convert("22/7") == F(22, 7)
 
 
+def test_rational_convert_returns_a_fraction_unchanged():
+    mode = RationalMode()
+    f = F(-22, 7)
+    assert mode.convert(f) is f
+    assert type(mode.convert(3)) is F and mode.convert(3) == 3
+
+
 def test_rational_mode_rejects_floats():
     mode = RationalMode()
     with pytest.raises(ModeMismatch):
