@@ -18,7 +18,9 @@ indeterminate weighted lift witnesses curve-indeterminateness, and bounded
 point evaluations transfer through u.  Catalog ramification data for the
 quartic and quintic entries was derived by eliminating one variable from the
 coincidence equations (u_i(t) - u_i(s))/(t - s) = 0 (resultants), discarding
-the spurious diagonal factors, and is re-verified exactly at import time.
+the spurious diagonal factors, and is re-verified exactly whenever a
+``PolynomialCurve`` is constructed, so on every ``catalog()`` call, along
+with its implicit equations.
 """
 
 from __future__ import annotations

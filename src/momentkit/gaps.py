@@ -137,15 +137,18 @@ def evaluate_separating(spec, point: Sequence, mode: Mode):
 class _Target:
     """A separating spec prepared for one mode: what does not depend on the
     point (the converted parameters, the work context, ``c_d``, the sampled
-    values keyed by point, the first value given for a repeated point) is
-    computed once; ``at(point)`` is phi(point)."""
+    values keyed by point) is computed once; ``at(point)`` is phi(point).
+    Sampled values are keyed by the point converted to the mode, the way
+    ``grid_gap_lp`` converts its grid, and looked up the same way; of
+    points that convert to the same key (a repeated point, or in float mode
+    two rationals that round to one float) the first value is kept."""
 
     def __init__(self, spec, mode: Mode):
         self.mode = mode
         if isinstance(spec, Sampled):
             self.values = {}
             for p, v in zip(spec.points, spec.values):
-                self.values.setdefault(tuple(p), v)
+                self.values.setdefault(self._key(p), v)
             self.at = self._sampled
         elif isinstance(spec, Fantappie):
             self.one = mode.convert(1)
@@ -173,9 +176,12 @@ class _Target:
         else:
             raise InvalidParameter(f"unknown separating spec {type(spec).__name__}")
 
+    def _key(self, point) -> tuple:
+        return tuple(self.mode.convert(c) for c in point)
+
     def _sampled(self, point):
         try:
-            v = self.values[tuple(point)]
+            v = self.values[self._key(point)]
         except KeyError:
             raise InvalidParameter(f"sampled spec has no value at {point}") from None
         return self.mode.convert(v)

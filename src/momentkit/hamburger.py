@@ -55,20 +55,28 @@ exact.
 The exact engine runs on integers.  Each sigma row of the recurrence is a
 list of integer numerators over one positive denominator, divided by its
 content after every step (a base recurrence's terms join over their common
-denominators); each level of pi_k(z) and Q_k(z) in the forward
-pass is an integer (re, im) pair over one denominator, reduced the way
-``Fraction`` reduces a sum.  ``Fraction``s are built once, for the
-outputs.  That takes one gcd per row where reduced ``Fraction`` entries take
-several per entry, and the content-reduced rows stay smaller than the
-entries of the unreduced (Bareiss) fraction-free form, which grow into
-Hankel determinants.  In float mode the sigma rows and their noise floors
-are raw mpmath mantissa/exponent tuples, run through mpmath's tuple
-arithmetic (``scalars.raw_mul`` and its siblings) at the working precision,
-so every value and every pivot decision is bit-identical to what the
-``mpf`` operators give; only the row arithmetic differs by mode, and one
-block of pivot checks and ratios serves both.  The forward pass runs its
-loop on ``(value, 1)`` pairs in float mode, every denominator 1 and no
-content step, so its arithmetic is that of the plain recurrence.
+denominators, and each row's multipliers are the cofactors of the one gcd
+inside its lcm); each level of pi_k(z) and Q_k(z) in the forward pass is an
+integer (re, im) pair over one denominator, reduced the way ``Fraction``
+reduces a sum, and so is each Wallis level of the Stieltjes convergents,
+its numerator as re and its denominator as im.  ``Fraction``s are built
+once, for the outputs.  Every content goes through one kernel,
+``_content``: after one gcd with the first entry it divides each entry by
+the running gcd and takes a gcd only of a nonzero remainder, so an entry
+that the running gcd divides costs one division and no gcd.  That takes
+about one gcd per row where reduced ``Fraction`` entries take several per
+entry, and the content-reduced rows stay smaller than the entries of the
+unreduced (Bareiss) fraction-free form, which grow into Hankel
+determinants.  In float mode the sigma rows
+and their noise floors are raw mpmath mantissa/exponent tuples, run
+through mpmath's tuple arithmetic (``scalars.raw_mul`` and its siblings)
+at the working precision, so every value and every pivot decision is
+bit-identical to what the ``mpf`` operators give; only the row arithmetic
+differs by mode, and one block of pivot checks and ratios serves both.
+The forward pass and the Wallis loop run on ``(value, 1)`` levels in float
+mode: every denominator is 1, so a level is the plain products, with no
+content step, no product by 1 and no product by a zero imaginary part, and
+the arithmetic is that of the plain recurrences.
 
 In float mode the recurrence measures its own headroom: a positive pivot
 that clears its first-order noise floor by fewer than half the working bits
@@ -201,13 +209,16 @@ def recurrence_from_moments(seq: MomentSequence, n: int, base: tuple | None = No
     denominators (``scalars.integers``), and row k is kept as integers
     ``T_l`` over one denominator ``D``.  With ``alpha_{k-1} = an/ad``,
     ``beta_{k-1} = bn/bd`` and the base terms over their common
-    denominators pd and qd, ``D = lcm(d_{k-1} lcm(ad, pd, qd), d_{k-2}
-    bd)`` and every term of the update has an integer multiplier; the row
-    is then divided by ``gcd(D, T_k, ..., T_hi)``, which stops as soon as it
-    reaches 1.  The outputs are ratios in which the row denominators
-    cancel: ``alpha_k = a_k + T_{k+1}/T_k - S1_k/S1_{k-1}`` and ``beta_k =
-    T_k d_{k-1} / (D S1_{k-1})``.  The pivot tests are integer sign and zero
-    tests.
+    denominator pq = lcm(pd, qd), ``D = lcm(d_{k-1} lcm(ad, pq), d_{k-2}
+    bd)`` and every term of the update has an integer multiplier, a product
+    of the cofactors of the one gcd inside each lcm.  The row and D are
+    then divided by their content ``gcd(D, T_k, ..., T_hi)`` (``_content``:
+    one gcd with the first entry, then a division per entry and a gcd only
+    where the running gcd leaves a remainder; none once it reaches 1).  The
+    outputs are ratios in which
+    the row denominators cancel: ``alpha_k = a_k + T_{k+1}/T_k -
+    S1_k/S1_{k-1}`` and ``beta_k = T_k d_{k-1} / (D S1_{k-1})``.  The pivot
+    tests are integer sign and zero tests.
 
     Rational mode is exact and is mandatory for the acceptance runs on
     integer-moment measures.  Float mode carries first-order noise floors
@@ -256,9 +267,14 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
     noi_prev2: list = []
     d_prev2 = 1
     if exact:
-        row_prev, d_prev = integers(nu)
-        d_prev = _reduce_content(row_prev, 0, 2 * n, d_prev)
-        terms = None if base is None else (*integers(a), *integers(b))
+        nums, den = integers(nu)
+        d_prev, row_prev = _content(den, nums)
+        terms = None
+        if base is not None:
+            # the base terms over pq = lcm(pd, qd), and its cofactors
+            (pn, pd), (qn, qd) = integers(a), integers(b)
+            pq = lcm(pd, qd)
+            terms = (pn, qn, pq, pq // pd, pq // qd)
 
         def cell(l: int) -> tuple:
             return row[l], 0
@@ -360,30 +376,41 @@ def _exact_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, d_prev: i
                row_prev2: list, d_prev2: int, terms: tuple | None) -> tuple:
     """Rational row k: sigma_k = sigma_{k-1} x - alpha_{k-1} sigma_{k-1} -
     beta_{k-1} sigma_{k-2}, plus a_l sigma_{k-1,l} + b_l sigma_{k-1,l-1}
-    when ``terms = (pn, pd, qn, qd)`` holds a base recurrence a_l = pn_l/pd,
-    b_l = qn_l/qd; over d = lcm(d_{k-1} lcm(ad, pd, qd), d_{k-2} bd), with
-    integer multipliers, divided by its content; (the row, d)."""
+    when ``terms = (pn, qn, pq, pq // pd, pq // qd)`` holds a base
+    recurrence a_l = pn_l/pd, b_l = qn_l/qd over pq = lcm(pd, qd); over d =
+    lcm(d_{k-1} e, d_{k-2} bd) with e = lcm(ad, pq), divided by its
+    content; (the row, d).  Each lcm takes one gcd, and every multiplier
+    d / (d_j x) is a product of its cofactors: for g = gcd(x, y),
+    ``lcm(x, y) // x = y // g`` and ``lcm(x, y) // y = x // g``."""
     an, ad = _pair(alpha_prev)
     bn, bd = _pair(beta_prev)
-    e = ad if terms is None else lcm(ad, terms[1], terms[3])
-    d = d_prev * e if k == 1 else lcm(d_prev * e, d_prev2 * bd)
-    a = d // d_prev
-    b = an * (d // (d_prev * ad))
-    row = [0] * len(row_prev)
     if terms is None:
-        for l in range(k, hi + 1):
-            row[l] = a * row_prev[l + 1] - b * row_prev[l]
+        e, e_ad = ad, 1                 # e and e // ad
     else:
-        pn, pd, qn, qd = terms
-        f, g = d // (d_prev * pd), d // (d_prev * qd)
-        for l in range(k, hi + 1):
-            row[l] = (a * row_prev[l + 1] - (b - f * pn[l]) * row_prev[l]
-                      + g * qn[l] * row_prev[l - 1])
-    if k >= 2:
-        c = bn * (d // (d_prev2 * bd))
-        for l in range(k, hi + 1):
-            row[l] -= c * row_prev2[l]
-    return row, _reduce_content(row, k, hi, d)
+        pn, qn, pq, fp, fq = terms
+        h = gcd(ad, pq)
+        e_ad, e_pq = pq // h, ad // h
+        e = ad * e_ad
+    x = d_prev * e
+    if k == 1:
+        # no sigma_{k-2} term: c = 0 (row_prev stands in for the empty row)
+        d, u, c, row_prev2 = x, 1, 0, row_prev
+    else:
+        y = d_prev2 * bd
+        g = gcd(x, y)
+        u = y // g                      # d // x; d // y is x // g
+        d, c = x * u, bn * (x // g)
+    a, b = u * e, an * (u * e_ad)
+    rows = range(k, hi + 1)
+    if terms is None:
+        band = [a * row_prev[l + 1] - b * row_prev[l] - c * row_prev2[l] for l in rows]
+    else:
+        f, g = u * e_pq * fp, u * e_pq * fq
+        band = [a * row_prev[l + 1] - (b - f * pn[l]) * row_prev[l]
+                + g * qn[l] * row_prev[l - 1] - c * row_prev2[l] for l in rows]
+    row = [0] * len(row_prev)
+    d, row[k:hi + 1] = _content(d, band)
+    return row, d
 
 
 def _float_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, noi_prev: list,
@@ -429,29 +456,38 @@ def _float_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, noi_prev:
 
 def _pair(x) -> tuple:
     """(numerator, denominator) of a Fraction; (x, 1) for a float."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return x.numerator, x.denominator
     return x, 1
 
 
-def _reduce_content(row: list, lo: int, hi: int, d: int) -> int:
-    """Divide row[lo..hi] and d by their gcd, in place; the new d."""
-    g = _content(d, *row[lo:hi + 1])
-    if g != 1:
-        for l in range(lo, hi + 1):
-            row[l] //= g
-    return d // g
-
-
-def _content(d: int, *parts) -> int:
-    """gcd(d, *parts), stopping as soon as it reaches 1; 1 at once when
-    d = 1, as in float mode, whose parts are not integers."""
-    g = d
+def _content(d: int, parts) -> tuple:
+    """``(d // g, [v // g for v in parts])`` for g = gcd(d, *parts), d > 0
+    and parts not empty: the one content reduction of the exact engine.
+    The running gcd g starts at gcd(d, parts[0]); then each entry is
+    divided by g once, and only a nonzero remainder r takes a gcd (gcd(g,
+    r) = gcd(g, v)), after which the quotients taken so far are scaled by
+    g / gcd(g, r).  So an entry that g divides costs one division and no
+    gcd, and no entry is divided twice.  ``(d, parts)`` comes back at once
+    when d = 1, as in float mode, whose parts are not integers, and as soon
+    as g reaches 1."""
+    if d == 1:
+        return d, parts
+    g = gcd(d, parts[0])
+    if g == 1:
+        return d, parts
+    out = []
     for v in parts:
-        if g == 1:
-            break
-        g = gcd(g, v)
-    return g
+        q, r = divmod(v, g)
+        if r:
+            h = gcd(g, r)
+            if h == 1:
+                return d, parts
+            f = g // h
+            out = [p * f for p in out]
+            q, g = q * f + r // h, h
+        out.append(q)
+    return d // g, out
 
 
 # ---------------------------------------------------------------------------
@@ -555,24 +591,26 @@ def _norms(rec: Recurrence) -> tuple:
 
 def _next_level(x, y, zd, bn, bd, cur: tuple, prev: tuple) -> tuple:
     """(x + i y)/zd * cur - (bn/bd) * prev, each (re, im, e) meaning (re + i
-    im)/e.  As in Fraction arithmetic, each product is cancelled crosswise
-    before it is formed and the difference is reduced by the gcd of the two
-    denominators only, so no gcd is taken at the size of the result.  In
-    float mode every denominator is 1, so every content is 1."""
+    im)/e; x = None is the multiplier 1 (y = 0, zd = 1).  As in Fraction
+    arithmetic, each product is cancelled crosswise before it is formed and
+    the difference is reduced by the gcd of the two denominators only, so
+    no gcd is taken at the size of the result.  When every denominator is
+    1, as in float mode, the level is the plain products, with no product
+    by 1 or by a zero y."""
     re1, im1, e1 = cur
     re0, im0, e0 = prev
-    g = _content(zd, re1, im1)
-    if g != 1:
-        zd, re1, im1 = zd // g, re1 // g, im1 // g
-    g = _content(e1, x, y)
-    if g != 1:
-        e1, x, y = e1 // g, x // g, y // g
-    g = _content(bd, re0, im0)
-    if g != 1:
-        bd, re0, im0 = bd // g, re0 // g, im0 // g
-    g = _content(e0, bn)
-    if g != 1:
-        e0, bn = e0 // g, bn // g
+    if zd == e1 == bd == e0 == 1:
+        if x is None:
+            return re1 - bn * re0, im1 - bn * im0, 1
+        if not y:
+            return x * re1 - bn * re0, x * im1 - bn * im0, 1
+        return x * re1 - y * im1 - bn * re0, x * im1 + y * re1 - bn * im0, 1
+    if x is None:
+        x, y = 1, 0
+    zd, (re1, im1) = _content(zd, (re1, im1))
+    e1, (x, y) = _content(e1, (x, y))
+    bd, (re0, im0) = _content(bd, (re0, im0))
+    e0, (bn,) = _content(e0, (bn,))
     d1, d0 = zd * e1, bd * e0
     g = gcd(d1, d0)
     s1, s0 = d0 // g, d1 // g
@@ -582,9 +620,8 @@ def _next_level(x, y, zd, bn, bd, cur: tuple, prev: tuple) -> tuple:
         bn = bn * s0
     re = x * re1 - y * im1 - bn * re0
     im = x * im1 + y * re1 - bn * im0
-    h = _content(g, re, im)
-    if h != 1:
-        re, im, d0 = re // h, im // h, d0 // h
+    # the gcd of re, im and the lcm s0 d0 divides g, and g divides d0
+    _, (re, im, d0) = _content(g, (re, im, d0))
     return re, im, s0 * d0
 
 
@@ -812,6 +849,17 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     of q and e.  For Stieltjes-determinate sequences the interval width
     shrinks to 0; in the indeterminate case the two limits differ and the
     width plateaus at the transform gap.
+
+    The loop's numerators and denominators are the (re, im) of integer
+    levels over one denominator, each step one ``_next_level`` of the
+    forward pass (``odd + q even`` and ``s even + e odd``), so in rational
+    mode it takes content gcds where reduced ``Fraction``s take a gcd per
+    product and sum, and one ``Fraction`` is built per reported value.  In
+    float mode the levels are plain ``mpf`` values over 1 and a step rounds
+    the products and sums of the Wallis recurrence, a sum taken as the
+    difference with the negated product (-q and -e are the multipliers),
+    so every value is that of the plain loop bit for bit; a product by s =
+    1 is skipped.
     """
     mode = seq.mode
     if not isinstance(seq.support, NonnegativeOrthant):
@@ -829,21 +877,28 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
         raise DegreeInsufficient(f"recurrence order {rec.order} < level {n}")
     if n < 0:
         raise InvalidParameter("level must be nonnegative")
+    exact = isinstance(mode, RationalMode)
+    ratio = Fraction if exact else operator.truediv
     s = -zv
-    # Wallis numerators and denominators of convergents 2k and 2k + 1
-    even_num, even_den = mode.zero(), mode.one()
-    odd_num, odd_den = rec.beta[0], s
-    e = mode.zero()
+    # Wallis levels of convergents 2k and 2k + 1: (numerator, denominator)
+    # as the (re, im) of a forward-pass level, each step one _next_level
+    zero = mode.zero()
+    (b0, s0), d0 = integers((rec.beta[0], s))
+    even = (0, 1, 1) if exact else (zero, mode.one(), 1)
+    odd, ne = (b0, s0, d0), zero        # ne = -e
+    sn, sd = (None, 1) if s == 1 else _pair(s)      # the verdict's point: s = 1
     for k in range(n):
-        q = rec.alpha[k] - e
-        if not q > 0:
+        q = rec.alpha[k] + ne
+        if not q > zero:
             raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
-        even_num, even_den = odd_num + q * even_num, odd_den + q * even_den
-        e = rec.beta[k + 1] / q
-        if not e > 0:
-            raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
-        odd_num, odd_den = s * even_num + e * odd_num, s * even_den + e * odd_den
-    even, odd = even_num / even_den, odd_num / odd_den
+        nq = -q
+        qn, qd = _pair(nq)
+        even = _next_level(None, 0, 1, qn, qd, odd, even)           # odd + q even
+        # beta_{k+1} > 0 (the factorization checked it), so e > 0 with q
+        ne = rec.beta[k + 1] / nq
+        en, ed = _pair(ne)
+        odd = _next_level(sn, 0, sd, en, ed, even, odd)             # s even + e odd
+    even, odd = (ratio(*level[:2]) for level in (even, odd))
     width = odd - even if odd >= even else even - odd
     return ConvergentPair(zv, n, even, odd, width)
 

@@ -302,6 +302,18 @@ def _gaussian_1d_moments(mode: Mode, variance, N: int) -> list:
     return m[: N + 1]
 
 
+def _product(factors):
+    """The product of the factor values in order, from the first, stopping
+    at a zero, which is then the product."""
+    factors = iter(factors)
+    val = next(factors)
+    for f in factors:
+        if not val:
+            break
+        val = val * f
+    return val
+
+
 def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
                      mode: Mode) -> MomentSequence:
     """Dense moment sequence of a built-in measure, by its documented rule."""
@@ -312,12 +324,9 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
         if len(defn.variances) != dimension:
             raise DimensionMismatch("one variance per axis required")
         per_axis = [_gaussian_1d_moments(mode, v, max_degree) for v in defn.variances]
-        entries = {}
-        for alpha in multi_indices(dimension, max_degree):
-            val = mode.one()
-            for axis, e in enumerate(alpha):
-                val = val * per_axis[axis][e]
-            entries[alpha] = val
+        # entry alpha: the product of per_axis[i][alpha[i]] over the axes
+        entries = {alpha: _product(map(list.__getitem__, per_axis, alpha))
+                   for alpha in multi_indices(dimension, max_degree)}
         return MomentSequence(dimension, max_degree, mode, entries, FullSpace(),
                               meta={"carleman_growth_certified": True,
                                     "description": "gaussian_product"})
@@ -386,13 +395,12 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
             dims.append(f_dim)
         if sum(dims) != dimension:
             raise DimensionMismatch("factor dimensions must sum to the total")
-        entries = {}
-        for alpha in multi_indices(dimension, max_degree):
-            val, pos = mode.one(), 0
-            for s, dim in zip(seqs, dims):
-                val = val * s.entries[tuple(alpha[pos:pos + dim])]
-                pos += dim
-            entries[alpha] = val
+        cuts = [0]
+        for dim in dims:
+            cuts.append(cuts[-1] + dim)
+        entries = {alpha: _product(s.entries[alpha[lo:hi]]
+                                   for s, lo, hi in zip(seqs, cuts, cuts[1:]))
+                   for alpha in multi_indices(dimension, max_degree)}
         support = (NonnegativeOrthant()
                    if all(isinstance(s.support, NonnegativeOrthant) for s in seqs)
                    else FullSpace())

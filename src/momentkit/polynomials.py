@@ -181,13 +181,17 @@ def mpoly_eval(p: Mapping, point: Sequence):
 
 
 def mpoly_compose_univariates(p: Mapping, components: Sequence[Sequence]) -> tuple:
-    """Substitute univariate polynomials u_i(t) for the variables of p."""
+    """Substitute univariate polynomials u_i(t) for the variables of p.
+    The powers of each u_i are built once, one product per degree as the
+    terms first ask for them, and shared by every term."""
+    powers = [[(1,)] for _ in components]
     out: tuple = ()
     for alpha, c in p.items():
         term: tuple = (c,)
-        for u, e in zip(components, alpha):
+        for u, row, e in zip(components, powers, alpha):
             if e:
-                term = poly_mul(term, poly_pow(u, e))
+                while len(row) <= e:
+                    row.append(poly_mul(row[-1], u))
+                term = poly_mul(term, row[e])
         out = poly_add(out, term)
     return out
-

@@ -49,6 +49,13 @@ over the chain sequence q, e for positivity.  The library reads both values
 off one Wallis loop over the Stieltjes continued fraction instead; in
 rational mode the values, the errors and their messages must be equal.
 
+``convergents_wallis`` is the same Wallis loop on four reduced numerators
+and denominators in the mode's scalars (``Fraction``s in rational mode, the
+``mpf`` operators in float mode), updated at every step.  The library runs
+the loop on integer levels through the forward pass's level step and
+builds one ``Fraction`` per reported value; the values, their types, the
+errors and their messages must be equal, and float mode bit-identical.
+
 ``christoffel_on_curve`` is the curve-side Christoffel value the plain way:
 the weighted lift's moments factorized with no base recurrence.
 ``curves.lift_and_test`` factorizes the same lift by modification, from
@@ -61,6 +68,16 @@ each grid axis and the weight values over one denominator and makes every
 entry one Fraction of integer monomials (``gaps._grid_columns``); the
 values must be equal, and so must the bounds of ``gaps._grid_measure_bounds``
 and the errors it raises.
+
+``compose_univariates_termwise`` substitutes univariate polynomials into
+a multivariate one term by term, each power ``u_i**e`` by repeated
+squaring; the library builds each component's powers once, one product
+per degree (``polynomials.mpoly_compose_univariates``), and the results
+must be equal.  ``product_entries`` builds the entries of a product
+measure from its factors' sequences, each entry from ``mode.one()`` through
+every factor, zeros included; ``moments.generate_moments`` starts at the
+first factor and stops at a zero, and the entries must be equal with the
+same types, float mode bit-identical.
 
 ``mpoly_pow`` expands a polynomial power by repeated squaring, so
 ``apply_linear_functional(seq, mpoly_pow(form, k, d))`` is the direct
@@ -84,7 +101,8 @@ from momentkit.curves import CurveMeasure, _weighted_lift
 from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEval, Recurrence,
                                  WeylDisk, christoffel, ortho_eval, recurrence_from_moments)
 from momentkit.moments import MomentSequence, NonnegativeOrthant, apply_linear_functional
-from momentkit.polynomials import compositions, monomial, mpoly_degree, mpoly_eval, mpoly_mul
+from momentkit.polynomials import (compositions, monomial, mpoly_degree, mpoly_eval, mpoly_mul,
+                                   multi_indices, poly_add, poly_mul, poly_pow)
 from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
                                half_floor)
 
@@ -104,6 +122,32 @@ def mpoly_pow(p: dict, n: int, dimension: int) -> dict:
         if n:
             base = mpoly_mul(base, base)
     return out
+
+
+def compose_univariates_termwise(p: dict, components) -> tuple:
+    """p(u_1(t), ..., u_k(t)) term by term, each u_i**e by ``poly_pow``."""
+    out: tuple = ()
+    for alpha, c in p.items():
+        term: tuple = (c,)
+        for u, e in zip(components, alpha):
+            if e:
+                term = poly_mul(term, poly_pow(u, e))
+        out = poly_add(out, term)
+    return out
+
+
+def product_entries(factors, dims, max_degree: int, mode: Mode) -> dict:
+    """The moments of a product measure from its factors' sequences (each
+    of dimension ``dims[i]``): every entry starts at ``mode.one()`` and is
+    multiplied by every factor's moment, zeros included."""
+    entries = {}
+    for alpha in multi_indices(sum(dims), max_degree):
+        val, pos = mode.one(), 0
+        for s, dim in zip(factors, dims):
+            val = val * s.entries[tuple(alpha[pos:pos + dim])]
+            pos += dim
+        entries[alpha] = val
+    return entries
 
 
 def image_moments_fractions(seq: MomentSequence, forms, max_degree: int) -> dict:
@@ -334,6 +378,43 @@ def convergents_radau(seq: MomentSequence, z, n: int) -> ConvergentPair:
     p_top = zk * ev.first[n] - ev.first[n - 1].scale(rec.beta[n])
     q_top = zk * ev.second[n] - ev.second[n - 1].scale(rec.beta[n])
     odd = -(q_top.re / p_top.re)
+    width = odd - even if odd >= even else even - odd
+    return ConvergentPair(zv, n, even, odd, width)
+
+
+def convergents_wallis(seq: MomentSequence, z, n: int) -> ConvergentPair:
+    """``hamburger.stieltjes_convergents`` with its Wallis numerators and
+    denominators as four scalars of the mode, each updated by the mode's
+    operators at every step."""
+    mode = seq.mode
+    if not isinstance(seq.support, NonnegativeOrthant):
+        raise NotStieltjesAdmissible("convergents need support on [0, inf)")
+    zv = mode.convert(z)
+    if not zv < 0:
+        raise InvalidParameter("evaluation point must be a negative real")
+    rec = recurrence_from_moments(seq, seq.max_degree // 2)
+    if rec.rank <= n:
+        ev = ortho_eval(rec, complex_scalar(mode, zv), rec.rank)
+        val = -(ev.second[rec.rank].re / ev.first[rec.rank].re)
+        return ConvergentPair(zv, n, val, val, mode.zero())
+    if rec.order < n:
+        raise DegreeInsufficient(f"recurrence order {rec.order} < level {n}")
+    if n < 0:
+        raise InvalidParameter("level must be nonnegative")
+    s = -zv
+    even_num, even_den = mode.zero(), mode.one()
+    odd_num, odd_den = rec.beta[0], s
+    e = mode.zero()
+    for k in range(n):
+        q = rec.alpha[k] - e
+        if not q > 0:
+            raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
+        even_num, even_den = odd_num + q * even_num, odd_den + q * even_den
+        e = rec.beta[k + 1] / q
+        if not e > 0:
+            raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
+        odd_num, odd_den = s * even_num + e * odd_num, s * even_den + e * odd_den
+    even, odd = even_num / even_den, odd_num / odd_den
     width = odd - even if odd >= even else even - odd
     return ConvergentPair(zv, n, even, odd, width)
 

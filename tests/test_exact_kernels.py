@@ -7,6 +7,10 @@ floors on raw mpmath mantissa/exponent tuples, and ``_forward_pass`` runs
 its loop on (value, 1) pairs.  ``oracles.factorize_fractions`` and
 ``oracles.forward_pass_fractions`` do the arithmetic entry by entry in the
 mode's scalars, with the mpf operators in float mode.
+``hamburger.stieltjes_convergents`` runs its Wallis loop on integer
+levels through the forward pass's level step, ``oracles.convergents_wallis``
+on four scalars of the mode.  ``hamburger._content``, the one content
+reduction of both, is checked against ``math.gcd``.
 ``moments.image_moments`` builds the image-moment table on integer
 numerators over one denominator, ``oracles.image_moments_fractions`` on the
 mode's scalars.  ``gaps._grid_columns`` makes each grid-LP column entry one
@@ -17,6 +21,7 @@ same message, and float values bit-identical; the float recurrence is
 checked at 64, 128 and 512 bits, its sigma rows and noise floors included.
 """
 
+import math
 import warnings
 from fractions import Fraction as F
 from unittest import mock
@@ -29,12 +34,13 @@ from momentkit import gaps, hamburger
 from momentkit.curves import _weighted_lift, catalog, lift_and_test, pushforward_to_curve
 from momentkit.errors import (AtomsOnRamificationWarning, InvalidParameter, MomentKitError,
                               PrecisionExhausted)
-from momentkit.moments import (Atomic, Exponential1D, GaussianProduct, LogNormal1D, QLattice1D,
-                               generate_moments, image_moments, sequence_from_1d)
+from momentkit.moments import (Atomic, Exponential1D, GaussianProduct, LogNormal1D,
+                               NonnegativeOrthant, QLattice1D, generate_moments, image_moments,
+                               sequence_from_1d)
 from momentkit.polynomials import multi_indices
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar, exact_fraction
-from oracles import (factorize_fractions, forward_pass_fractions, grid_columns_entrywise,
-                     image_moments_fractions)
+from oracles import (convergents_wallis, factorize_fractions, forward_pass_fractions,
+                     grid_columns_entrywise, image_moments_fractions)
 
 R = RationalMode()
 F128 = FloatMode(128)
@@ -322,6 +328,104 @@ def test_weighted_lhospital_lift_float_bit_identical():
     rec = lhospital_lift(F128)
     for z in ((0, 1), (-1, 0)):
         check_pass(rec, complex_scalar(F128, *z))
+
+
+# ---------------------------------------------------------------------------
+# Stieltjes convergents and the content kernel
+
+CONVERGENT_POINTS = (-1, F(-1, 3), -7)
+half_line_points = st.builds(F, st.integers(0, 40), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def convergent_sequences(draw):
+    """Half-line data in rational mode or at 64 or 128 bits: a q-lattice (q
+    = 3/2, 2, 3), the exponential, the log-normal s = 1/2 (float only), an
+    atomic measure on [0, inf) (rank below the order or not), or atoms on
+    both sides of 0 under the half-line hint, which is not Stieltjes
+    data."""
+    mode = draw(st.sampled_from((R, FloatMode(64), F128)))
+    kinds = ("lattice", "exponential", "atomic", "two-sided")
+    kind = draw(st.sampled_from(kinds + (() if mode is R else ("log-normal",))))
+    if kind in ("atomic", "two-sided"):
+        xs = draw(st.lists(half_line_points if kind == "atomic" else points,
+                           min_size=1, max_size=8, unique=True))
+        ws = draw(st.lists(weights, min_size=len(xs), max_size=len(xs)))
+        m = generate_moments(Atomic(tuple((x,) for x in xs), tuple(ws)), 1,
+                             draw(st.integers(2, 20)), mode).moments_1d()
+        return sequence_from_1d(m, mode, NonnegativeOrthant())
+    measure = {"lattice": QLattice1D(draw(st.sampled_from((F(3, 2), F(2), F(3))))),
+               "exponential": Exponential1D(), "log-normal": LogNormal1D(F(1, 2))}[kind]
+    return generate_moments(measure, 1, draw(st.integers(2, 40)), mode)
+
+
+def convergents_outcome(fn, seq, z, n):
+    pair = outcome(fn, seq, z, n)
+    if isinstance(pair, tuple):
+        return pair
+    return pair.z, pair.level, pair.even_value, pair.odd_value, pair.interval_width
+
+
+def check_convergents(seq, zs=CONVERGENT_POINTS):
+    """Every level from 0 to one past the order, at each point of ``zs``:
+    the oracle's values with the same types (bit-identical in float mode),
+    or the same error."""
+    for z in zs:
+        for n in range(seq.max_degree // 2 + 2):
+            assert same(convergents_outcome(hamburger.stieltjes_convergents, seq, z, n),
+                        convergents_outcome(convergents_wallis, seq, z, n))
+
+
+@SETTINGS
+@given(convergent_sequences())
+@example(sequence_from_1d([F(4, 3), F(1, 3), F(1, 3)], R, NonnegativeOrthant()))
+@example(sequence_from_1d([F(1), F(0), F(1)], R, NonnegativeOrthant()))     # q_1 = 0
+def test_convergents_match_wallis_oracle(seq):
+    check_convergents(seq)
+
+
+@pytest.mark.parametrize("mode", [R, F128], ids=["rational", "float:128"])
+def test_lhospital_lift_convergents_match_wallis_oracle(mode):
+    """The ql60 l'Hospital lift, the heaviest convergents the benchmark
+    reads, at every level, at the verdict's point and at -1/3."""
+    curve = catalog("lhospital_quintic")
+    cm = pushforward_to_curve(generate_moments(QLattice1D(2), 1, 60, mode), curve, 6)
+    seq = _weighted_lift(cm.lifted_1d, curve.weight, 2)
+    assert isinstance(seq.support, NonnegativeOrthant)
+    check_convergents(seq, (hamburger.STIELTJES_POINT, F(-1, 3)))
+
+
+@st.composite
+def content_inputs(draw):
+    """(d, parts): a positive d and 1 to 12 integers, zero and negative
+    ones included, sharing a drawn common factor (a power of two, a prime
+    power, or a large number) more often than not."""
+    common = draw(st.sampled_from((1, 2 ** 40, 3 ** 25, 10 ** 30 + 57, 7)))
+    d = common * draw(st.integers(1, 10 ** 20))
+    entry = st.one_of(st.just(0), st.integers(-10 ** 40, 10 ** 40))
+    parts = [common * v for v in draw(st.lists(entry, min_size=1, max_size=12))]
+    if draw(st.booleans()):
+        parts[draw(st.integers(0, len(parts) - 1))] += draw(st.integers(-5, 5))
+    return d, parts
+
+
+@SETTINGS
+@given(content_inputs())
+@example((1, [0, -3, 5]))
+@example((12, [0, 0]))
+@example((2 ** 40, [2 ** 41, -(2 ** 39), 3 * 2 ** 38]))
+def test_content_divides_by_the_gcd(inputs):
+    d, parts = inputs
+    g = math.gcd(d, *parts)
+    assert hamburger._content(d, parts) == (d // g, [v // g for v in parts])
+
+
+def test_content_returns_float_parts_at_once():
+    """d = 1 is float mode: the parts are mpf values and come back as they
+    are, with no gcd or division tried on them."""
+    parts = (F128.convert(F(1, 3)), F128.zero(), F128.convert(-2))
+    assert hamburger._content(1, parts) == (1, parts)
+    assert hamburger._content(1, parts)[1] is parts
 
 
 # ---------------------------------------------------------------------------

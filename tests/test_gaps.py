@@ -45,7 +45,7 @@ from momentkit.moments import (
     QLattice1D,
     generate_moments,
 )
-from momentkit.scalars import RationalMode, complex_scalar
+from momentkit.scalars import FloatMode, RationalMode, complex_scalar
 from momentkit.verdicts import Status
 from oracles import maximize
 
@@ -419,6 +419,25 @@ def test_sampled_spec_keeps_the_first_value_of_a_repeated_point():
     assert evaluate_separating(spec, (1,), R) == 3  # looked up by value
     with pytest.raises(InvalidParameter, match="no value at"):
         evaluate_separating(spec, (F(3),), R)
+
+
+@pytest.mark.parametrize("mode", [R, FloatMode(64)], ids=["rational", "float:64"])
+def test_sampled_spec_on_a_non_binary_grid(mode):
+    """The spec's points are looked up the way grid_gap_lp converts the
+    grid, so 1/3 finds its value in float mode too; the gap closes at the
+    two atoms' mean of 1 and 3."""
+    seq = generate_moments(Atomic(((0,), (1,)), (F(1, 2), F(1, 2))), 1, 8, mode)
+    points = ((F(0),), (F(1, 3),), (F(1),))
+    est = grid_gap_lp(seq, Sampled(points, (F(1), F(7), F(3))), 2, list(points))
+    assert est.sup_side == 2 == est.inf_side
+
+
+def test_sampled_points_that_round_together_keep_the_first_value():
+    """1/3 and 1/3 + 2**-80 are one float at 64 bits: the first value
+    given is the one kept, as for a repeated point."""
+    spec = Sampled(((F(1, 3),), (F(1, 3) + F(1, 2 ** 80),)), (F(5), F(6)))
+    assert evaluate_separating(spec, (F(1, 3) + F(1, 2 ** 80),), R) == 6
+    assert evaluate_separating(spec, (F(1, 3) + F(1, 2 ** 80),), FloatMode(64)) == 5
 
 
 @pytest.mark.parametrize("spec", [

@@ -36,7 +36,7 @@ from momentkit.moments import (
 )
 from momentkit.polynomials import mpoly_mul, multi_indices
 from momentkit.scalars import FloatMode, RationalMode
-from oracles import mpoly_pow
+from oracles import mpoly_pow, product_entries
 
 R = RationalMode()
 F256 = FloatMode(256)
@@ -87,6 +87,47 @@ def test_product_matches_factors():
     g, q = gauss(6), generate_moments(QLattice1D(2), 1, 6, R)
     for alpha in multi_indices(2, 6):
         assert prod.moment(alpha) == g.moment((alpha[0],)) * q.moment((alpha[1],))
+
+
+def same_scalar(a, b) -> bool:
+    """Equal with the same type; mpf values equal in their raw tuples."""
+    if hasattr(a, "_mpf_"):
+        return hasattr(b, "_mpf_") and a._mpf_ == b._mpf_
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_product_entries_match_multiplying_from_one(data):
+    """Gaussian and general products start at the first factor and stop at
+    a zero; their entries are those of multiplying every factor into
+    ``mode.one()``: equal with the same types in rational mode, bit for bit
+    at 64 and 256 bits."""
+    variance = st.builds(F, st.integers(1, 9), st.sampled_from((1, 2, 3, 7)))
+    factor = st.one_of(
+        st.builds(lambda v: (GaussianProduct((v,)), 1), variance),
+        st.builds(lambda q: (QLattice1D(q), 1), st.sampled_from((F(3, 2), F(2)))),
+        st.just((Exponential1D(), 1)),
+        st.builds(lambda v, w: (GaussianProduct((v, w)), 2), variance, variance),
+        st.builds(lambda xs: (Atomic(tuple((x,) for x in xs), (F(1),) * len(xs)), 1),
+                  st.lists(st.builds(F, st.integers(-3, 3), st.sampled_from((1, 3))),
+                           min_size=1, max_size=3, unique=True)))
+    gaussian = data.draw(st.booleans())
+    if gaussian:
+        variances = data.draw(st.lists(variance, min_size=1, max_size=3))
+        factors = [(GaussianProduct((v,)), 1) for v in variances]
+        defn = GaussianProduct(tuple(variances))
+    else:
+        factors = data.draw(st.lists(factor, min_size=1, max_size=3))
+        defn = Product(tuple(factors))
+    dims = [dim for _, dim in factors]
+    degree = data.draw(st.integers(0, 12 if sum(dims) < 3 else 8))
+    for mode in (R, FloatMode(64), F256):
+        got = generate_moments(defn, sum(dims), degree, mode).entries
+        want = product_entries([generate_moments(f, dim, degree, mode) for f, dim in factors],
+                               dims, degree, mode)
+        assert list(got) == list(want)
+        assert all(same_scalar(got[alpha], want[alpha]) for alpha in want)
 
 
 def test_weighted_by_definition():

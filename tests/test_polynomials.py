@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from momentkit.polynomials import (
     compositions,
     monomial,
@@ -16,7 +19,7 @@ from momentkit.polynomials import (
     poly_pow,
     poly_trim,
 )
-from oracles import mpoly_pow
+from oracles import compose_univariates_termwise, mpoly_pow
 
 
 def test_multi_indices_grlex_is_strict_total_order():
@@ -84,3 +87,23 @@ def test_mpoly_compose_univariates():
     eq = {(1, 0): F(1), (0, 2): F(-1)}
     out = mpoly_compose_univariates(eq, ((F(0), F(0), F(1)), (F(0), F(1))))
     assert poly_trim(out) == ()
+
+
+coefficient = st.one_of(st.just(F(0)), st.integers(-5, 5),
+                        st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mpoly_compose_univariates_matches_termwise_powers(data):
+    """Random rational curves (components of degree up to 5, zero
+    coefficients and zero components included) and random equations of
+    degree up to 6, in as many variables as components or not: the
+    composition equals the term-by-term one."""
+    d = data.draw(st.integers(1, 3))
+    components = tuple(tuple(data.draw(st.lists(coefficient, max_size=6))) for _ in range(d))
+    variables = data.draw(st.integers(max(d - 1, 1), d + 1))
+    keys = st.tuples(*[st.integers(0, 6)] * variables).filter(lambda a: sum(a) <= 6)
+    eq = data.draw(st.dictionaries(keys, coefficient.filter(bool), max_size=8))
+    assert (mpoly_compose_univariates(eq, components)
+            == compose_univariates_termwise(eq, components))
