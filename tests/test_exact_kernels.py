@@ -360,7 +360,12 @@ def convergent_sequences(draw):
 
 
 def convergents_outcome(fn, seq, z, n):
-    pair = outcome(fn, seq, z, n)
+    # two-sided atoms can put an atom on z itself; the exact transform then
+    # divides by zero, in both versions alike
+    try:
+        pair = outcome(fn, seq, z, n)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
     if isinstance(pair, tuple):
         return pair
     return pair.z, pair.level, pair.even_value, pair.odd_value, pair.interval_width
@@ -380,6 +385,7 @@ def check_convergents(seq, zs=CONVERGENT_POINTS):
 @given(convergent_sequences())
 @example(sequence_from_1d([F(4, 3), F(1, 3), F(1, 3)], R, NonnegativeOrthant()))
 @example(sequence_from_1d([F(1), F(0), F(1)], R, NonnegativeOrthant()))     # q_1 = 0
+@example(sequence_from_1d([F(1), F(-1), F(1)], R, NonnegativeOrthant()))    # atom on z = -1
 def test_convergents_match_wallis_oracle(seq):
     check_convergents(seq)
 
