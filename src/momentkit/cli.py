@@ -77,6 +77,26 @@ ONE_D = {"admissibility", "carleman", "christoffel", "weyl", "fantappie", "cosin
 
 
 def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        if args.command == "analyze":
+            return cmd_analyze(args)
+        if args.command == "scan":
+            return cmd_scan(args)
+        if args.command == "kappa":
+            return cmd_kappa(args)
+        if args.command == "curve":
+            return cmd_curve(args)
+    except (MomentKitError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        _write_error_report(args, exc)
+        return 2
+    return 2
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of ``main`` rather than
+    at import, and kept for every later call."""
     parser = argparse.ArgumentParser(prog="momentkit",
                                      description="moment determinacy analysis")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -110,21 +130,7 @@ def main(argv=None) -> int:
     pc.add_argument("--degree", type=int, default=8)
     pc.add_argument("--weight-exponent", type=int, default=2)
     pc.add_argument("--out", required=True)
-
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "kappa":
-            return cmd_kappa(args)
-        if args.command == "curve":
-            return cmd_curve(args)
-    except (MomentKitError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _write_error_report(args, exc)
-        return 2
-    return 2
+    return parser
 
 
 def _common_input_args(p) -> None:

@@ -52,27 +52,27 @@ irrational (Carleman roots, kappa values) are computed through binary floats
 at a documented precision and converted back, except that exact zeros stay
 exact.
 
-The exact engine runs on integers.  Each sigma row of the recurrence is a
-list of integer numerators over one positive denominator, divided by its
-content after every step (a base recurrence's terms join over their common
-denominators, and each row's multipliers are the cofactors of the one gcd
-inside its lcm); each level of pi_k(z) and Q_k(z) in the forward pass is an
-integer (re, im) pair over one denominator, reduced the way ``Fraction``
-reduces a sum, and so is each Wallis level of the Stieltjes convergents,
-its numerator as re and its denominator as im.  ``Fraction``s are built
-once, for the outputs.  Every content goes through one kernel,
-``_content``: after one gcd with the first entry it divides each entry by
-the running gcd and takes a gcd only of a nonzero remainder, so an entry
-that the running gcd divides costs one division and no gcd.  That takes
-about one gcd per row where reduced ``Fraction`` entries take several per
-entry, and the content-reduced rows stay smaller than the entries of the
-unreduced (Bareiss) fraction-free form, which grow into Hankel
-determinants.  In float mode the sigma rows
-and their noise floors are raw mpmath mantissa/exponent tuples, run
-through mpmath's tuple arithmetic (``scalars.raw_mul`` and its siblings)
-at the working precision, so every value and every pivot decision is
-bit-identical to what the ``mpf`` operators give; only the row arithmetic
-differs by mode, and one block of pivot checks and ratios serves both.
+The exact engine runs on integers and takes only the gcds that
+cancel.  Each sigma row of the recurrence is a list of integer numerators
+over one positive denominator, divided by its content after every step; a
+base recurrence's terms join over their common denominators, each row's
+multipliers are the cofactors of the one gcd inside its lcm, and beta's
+numerator is first cancelled against the row k - 2 denominator it
+holds.  Each level of pi_k(z) and Q_k(z) in the forward pass, and each
+Wallis level of the Stieltjes convergents (numerator as re, denominator as
+im), is an integer (re, im) pair over one denominator, reduced the way
+``Fraction`` reduces a sum but without the crosswise gcds of its products,
+which almost never cancel: a level may keep a rare common factor, which the
+``Fraction``s built once for the outputs drop.  Every content goes through
+``_content``: one gcd with the first entry, then a division per entry and a
+gcd only of a nonzero remainder, about one gcd per row where reduced
+``Fraction`` entries take several each; the rows stay smaller than those of
+the Bareiss form, which grow into Hankel determinants.  In float mode the
+sigma rows and their noise floors are raw mpmath tuples run through
+mpmath's tuple arithmetic (``scalars.raw_mul`` and its siblings) at the
+working precision, so every value and pivot decision is bit-identical to
+the ``mpf`` operators'; only the row arithmetic differs by mode, and one
+block of pivot checks and ratios serves both.
 The forward pass and the Wallis loop run on ``(value, 1)`` levels in float
 mode: every denominator is 1, so a level is the plain products, with no
 content step, no product by 1 and no product by a zero imaginary part, and
@@ -210,15 +210,15 @@ def recurrence_from_moments(seq: MomentSequence, n: int, base: tuple | None = No
     ``T_l`` over one denominator ``D``.  With ``alpha_{k-1} = an/ad``,
     ``beta_{k-1} = bn/bd`` and the base terms over their common
     denominator pq = lcm(pd, qd), ``D = lcm(d_{k-1} lcm(ad, pq), d_{k-2}
-    bd)`` and every term of the update has an integer multiplier, a product
-    of the cofactors of the one gcd inside each lcm.  The row and D are
-    then divided by their content ``gcd(D, T_k, ..., T_hi)`` (``_content``:
-    one gcd with the first entry, then a division per entry and a gcd only
-    where the running gcd leaves a remainder; none once it reaches 1).  The
-    outputs are ratios in which
-    the row denominators cancel: ``alpha_k = a_k + T_{k+1}/T_k -
-    S1_k/S1_{k-1}`` and ``beta_k = T_k d_{k-1} / (D S1_{k-1})``.  The pivot
-    tests are integer sign and zero tests.
+    bd / h)``, where h = gcd(bn, d_{k-2}) cancels the d_{k-2} that beta's
+    numerator carries, and every term of the update has an integer
+    multiplier, a product of the cofactors of the one gcd inside each lcm.
+    The row and D are then divided by their content ``gcd(D, T_k, ...,
+    T_hi)`` (``_content``: one gcd with the first entry, then a division
+    per entry and a gcd only where the running gcd leaves a remainder).
+    The outputs are ratios in which the row denominators cancel: ``alpha_k
+    = a_k + T_{k+1}/T_k - S1_k/S1_{k-1}`` and ``beta_k = T_k d_{k-1} / (D
+    S1_{k-1})``.  The pivot tests are integer sign and zero tests.
 
     Rational mode is exact and is mandatory for the acceptance runs on
     integer-moment measures.  Float mode carries first-order noise floors
@@ -378,10 +378,11 @@ def _exact_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, d_prev: i
     beta_{k-1} sigma_{k-2}, plus a_l sigma_{k-1,l} + b_l sigma_{k-1,l-1}
     when ``terms = (pn, qn, pq, pq // pd, pq // qd)`` holds a base
     recurrence a_l = pn_l/pd, b_l = qn_l/qd over pq = lcm(pd, qd); over d =
-    lcm(d_{k-1} e, d_{k-2} bd) with e = lcm(ad, pq), divided by its
-    content; (the row, d).  Each lcm takes one gcd, and every multiplier
-    d / (d_j x) is a product of its cofactors: for g = gcd(x, y),
-    ``lcm(x, y) // x = y // g`` and ``lcm(x, y) // y = x // g``."""
+    lcm(d_{k-1} e, d_{k-2} bd / h) with e = lcm(ad, pq), divided by its
+    content; (the row, d): beta_{k-1} = piv_{k-1} d_{k-2} / (d_{k-1}
+    piv_{k-2}) keeps d_{k-2} in bn, so h = gcd(bn, d_{k-2}) cancels it.
+    Each lcm takes one gcd, and every multiplier is a product of its
+    cofactors: for g = gcd(x, y), ``lcm(x, y) // x = y // g``."""
     an, ad = _pair(alpha_prev)
     bn, bd = _pair(beta_prev)
     if terms is None:
@@ -396,7 +397,8 @@ def _exact_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, d_prev: i
         # no sigma_{k-2} term: c = 0 (row_prev stands in for the empty row)
         d, u, c, row_prev2 = x, 1, 0, row_prev
     else:
-        y = d_prev2 * bd
+        h = gcd(bn, d_prev2)
+        bn, y = bn // h, d_prev2 // h * bd
         g = gcd(x, y)
         u = y // g                      # d // x; d // y is x // g
         d, c = x * u, bn * (x // g)
@@ -591,12 +593,12 @@ def _norms(rec: Recurrence) -> tuple:
 
 def _next_level(x, y, zd, bn, bd, cur: tuple, prev: tuple) -> tuple:
     """(x + i y)/zd * cur - (bn/bd) * prev, each (re, im, e) meaning (re + i
-    im)/e; x = None is the multiplier 1 (y = 0, zd = 1).  As in Fraction
-    arithmetic, each product is cancelled crosswise before it is formed and
-    the difference is reduced by the gcd of the two denominators only, so
-    no gcd is taken at the size of the result.  When every denominator is
-    1, as in float mode, the level is the plain products, with no product
-    by 1 or by a zero y."""
+    im)/e; x = None is the multiplier 1 (y = 0, zd = 1).  Only gcds that
+    cancel are taken: bn against e0, and the gcd of the two denominators
+    for the difference.  A Fraction product's crosswise gcds almost never
+    cancel: a level may keep a rare common factor, and is read as
+    Fractions.  When every denominator is 1, as in float mode, the level is
+    the plain products, with no product by 1 or by a zero y."""
     re1, im1, e1 = cur
     re0, im0, e0 = prev
     if zd == e1 == bd == e0 == 1:
@@ -607,9 +609,6 @@ def _next_level(x, y, zd, bn, bd, cur: tuple, prev: tuple) -> tuple:
         return x * re1 - y * im1 - bn * re0, x * im1 + y * re1 - bn * im0, 1
     if x is None:
         x, y = 1, 0
-    zd, (re1, im1) = _content(zd, (re1, im1))
-    e1, (x, y) = _content(e1, (x, y))
-    bd, (re0, im0) = _content(bd, (re0, im0))
     e0, (bn,) = _content(e0, (bn,))
     d1, d0 = zd * e1, bd * e0
     g = gcd(d1, d0)
@@ -620,7 +619,7 @@ def _next_level(x, y, zd, bn, bd, cur: tuple, prev: tuple) -> tuple:
         bn = bn * s0
     re = x * re1 - y * im1 - bn * re0
     im = x * im1 + y * re1 - bn * im0
-    # the gcd of re, im and the lcm s0 d0 divides g, and g divides d0
+    # with reduced products the gcd of re, im and the lcm s0 d0 divides g
     _, (re, im, d0) = _content(g, (re, im, d0))
     return re, im, s0 * d0
 
@@ -836,7 +835,11 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     = beta_{k+1} / q_{k+1}``, so ``alpha_k = q_{k+1} + e_k`` and ``beta_k =
     q_k e_k``.  Both Hankel forms, plain and shifted, are positive definite
     iff every q and e is positive (otherwise NotStieltjesAdmissible); the
-    support hint must be the half line.
+    support hint must be the half line.  A sequence of rank r <= n is
+    finitely atomic, and both values are its exact transform once its
+    atoms are on [0, inf), that is q_1 .. q_{r-1} > 0 and q_r >= 0 (an atom
+    at 0; float mode reads q_r within half the working bits of e_{r-1} as
+    0); an atom below 0 is NotStieltjesAdmissible.
 
     Convergent 2n stops before ``e_n``; contracting its pairs of levels
     gives the J-fraction of alpha_0..alpha_{n-1} and beta_1..beta_{n-1},
@@ -853,8 +856,9 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     The loop's numerators and denominators are the (re, im) of integer
     levels over one denominator, each step one ``_next_level`` of the
     forward pass (``odd + q even`` and ``s even + e odd``), so in rational
-    mode it takes content gcds where reduced ``Fraction``s take a gcd per
-    product and sum, and one ``Fraction`` is built per reported value.  In
+    mode it takes the level step's gcds, not a gcd per product and sum as
+    reduced ``Fraction``s do, and builds one ``Fraction`` per reported
+    value; q and e stay ``Fraction``s, whose gcds all cancel.  In
     float mode the levels are plain ``mpf`` values over 1 and a step rounds
     the products and sums of the Wallis recurrence, a sum taken as the
     difference with the negated product (-q and -e are the multipliers),
@@ -868,10 +872,22 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     if not zv < 0:
         raise InvalidParameter("evaluation point must be a negative real")
     rec = recurrence_from_moments(seq, seq.max_degree // 2)
-    if rec.rank <= n:
-        # finitely atomic: both convergents equal the exact transform
-        ev = ortho_eval(rec, complex_scalar(mode, zv), rec.rank)
-        val = -(ev.second[rec.rank].re / ev.first[rec.rank].re)
+    r = rec.rank
+    if r <= n:
+        # finitely atomic: the atoms are the eigenvalues of the Jacobi
+        # matrix of order r, whose LDL^T pivots are q_1 .. q_r, so they lie
+        # on [0, inf) iff q_1 .. q_{r-1} > 0 <= q_r; then z < 0 is no atom
+        # and both convergents equal the exact transform
+        ev = ortho_eval(rec, complex_scalar(mode, zv), r)
+        e = mode.zero()
+        for k in range(r - 1):
+            q = rec.alpha[k] - e
+            if not q > 0:
+                raise NotStieltjesAdmissible("an atom lies below 0")
+            e = rec.beta[k + 1] / q
+        if e - rec.alpha[r - 1] > half_floor(mode, e):
+            raise NotStieltjesAdmissible("an atom lies below 0")
+        val = -(ev.second[r].re / ev.first[r].re)
         return ConvergentPair(zv, n, val, val, mode.zero())
     if rec.order < n:
         raise DegreeInsufficient(f"recurrence order {rec.order} < level {n}")

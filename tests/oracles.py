@@ -36,25 +36,32 @@ moment-to-recurrence transform and the forward pass of the three-term
 recurrence carried out entry by entry in the mode's own scalars (reduced
 ``Fraction``s in rational mode, the ``mpf`` operators in float mode, with
 ``eps * |x|`` an mpf product).  In rational mode the library runs the same
-loops on integer numerators over one content-reduced denominator per row
-or level; in float mode its recurrence rows and noise floors are raw mpmath
-tuples.  The values, the float pivots, the errors and their messages must
-be equal, and float mode bit-identical, noise floors included.
+loops on integer numerators over one denominator per row or level, taking
+only the gcds that cancel: each row is content-reduced, while a level may
+keep a rare common factor that reduced ``Fraction``s cancel at once; in
+float mode its recurrence rows and noise floors are raw mpmath tuples.
+The values, the float pivots, the errors and their messages must be
+equal, and float mode bit-identical, noise floors included.
 
 ``convergents_radau`` is ``hamburger.stieltjes_convergents`` the long way:
 the even value ``-Q_n/pi_n`` from a forward pass at z, a second pass at 0
 for the Gauss-Radau top coefficient ``alpha* = -beta_n pi_{n-1}(0) /
 pi_n(0)``, the odd value from the modified top level, and a separate walk
-over the chain sequence q, e for positivity.  The library reads both values
-off one Wallis loop over the Stieltjes continued fraction instead; in
-rational mode the values, the errors and their messages must be equal.
+over the chain sequence q, e for positivity; for finitely atomic data of
+rank r below the level it checks that pi_r's coefficients alternate in
+sign, so that no atom lies below 0.  The library reads both values off one
+Wallis loop over the Stieltjes continued fraction, and the atoms' sign off
+the chain sequence, instead; in rational mode the values, the errors and
+their messages must be equal.
 
 ``convergents_wallis`` is the same Wallis loop on four reduced numerators
 and denominators in the mode's scalars (``Fraction``s in rational mode, the
-``mpf`` operators in float mode), updated at every step.  The library runs
-the loop on integer levels through the forward pass's level step and
-builds one ``Fraction`` per reported value; the values, their types, the
-errors and their messages must be equal, and float mode bit-identical.
+``mpf`` operators in float mode), updated at every step, and for finitely
+atomic data the chain sequence walked to the rank.  The library runs the
+loop on integer levels through the forward pass's level step, which may
+leave a common factor in a level, and builds one ``Fraction`` per reported
+value; the values, their types, the errors and their messages must be
+equal, and float mode bit-identical.
 
 ``christoffel_on_curve`` is the curve-side Christoffel value the plain way:
 the weighted lift's moments factorized with no base recurrence.
@@ -99,7 +106,8 @@ from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidPara
                               NotStieltjesAdmissible, PrecisionExhausted)
 from momentkit.curves import CurveMeasure, _weighted_lift
 from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEval, Recurrence,
-                                 WeylDisk, christoffel, ortho_eval, recurrence_from_moments)
+                                 WeylDisk, christoffel, monic_coefficients, ortho_eval,
+                                 recurrence_from_moments)
 from momentkit.moments import MomentSequence, NonnegativeOrthant, apply_linear_functional
 from momentkit.polynomials import (compositions, monomial, mpoly_degree, mpoly_eval, mpoly_mul,
                                    multi_indices, poly_add, poly_mul, poly_pow)
@@ -356,9 +364,15 @@ def convergents_radau(seq: MomentSequence, z, n: int) -> ConvergentPair:
     if not zv < 0:
         raise InvalidParameter("evaluation point must be a negative real")
     rec = recurrence_from_moments(seq, seq.max_degree // 2)
-    if rec.rank <= n:
+    r = rec.rank
+    if r <= n:
+        # pi_r = prod (x - x_i) has its roots on [0, inf) iff its
+        # coefficients alternate in sign, zeros allowed (Vieta, Descartes)
         zc = complex_scalar(mode, zv)
         ev = ortho_eval(rec, zc, rec.rank)
+        pi = monic_coefficients(rec, r)[-1]
+        if any((-1) ** (r - j) * c < 0 for j, c in enumerate(pi)):
+            raise NotStieltjesAdmissible("an atom lies below 0")
         val = -(ev.second[rec.rank].re / ev.first[rec.rank].re)
         return ConvergentPair(zv, n, val, val, mode.zero())
     if rec.order < n:
@@ -393,8 +407,22 @@ def convergents_wallis(seq: MomentSequence, z, n: int) -> ConvergentPair:
     if not zv < 0:
         raise InvalidParameter("evaluation point must be a negative real")
     rec = recurrence_from_moments(seq, seq.max_degree // 2)
-    if rec.rank <= n:
+    r = rec.rank
+    if r <= n:
+        # the chain q_1 .. q_r of the r atoms: every q positive, except
+        # that the last may be 0 (an atom at 0), in float mode to within
+        # half the working bits of e
         ev = ortho_eval(rec, complex_scalar(mode, zv), rec.rank)
+        e = mode.zero()
+        for k in range(r):
+            q = rec.alpha[k] - e
+            if k == r - 1:
+                if q < -half_floor(mode, e):
+                    raise NotStieltjesAdmissible("an atom lies below 0")
+            elif not q > 0:
+                raise NotStieltjesAdmissible("an atom lies below 0")
+            else:
+                e = rec.beta[k + 1] / q
         val = -(ev.second[rec.rank].re / ev.first[rec.rank].re)
         return ConvergentPair(zv, n, val, val, mode.zero())
     if rec.order < n:

@@ -1,16 +1,19 @@
 """The integer kernels against their scalar oracles.
 
 ``hamburger._factorize`` and ``hamburger._forward_pass`` keep integer
-numerators over one content-reduced denominator per row or level in
-rational mode.  In float mode ``_factorize`` runs its sigma rows and noise
-floors on raw mpmath mantissa/exponent tuples, and ``_forward_pass`` runs
-its loop on (value, 1) pairs.  ``oracles.factorize_fractions`` and
+numerators over one denominator per row or level in rational mode and take
+only the gcds that cancel: a row is content-reduced, while a level may
+keep a rare common factor, so examples whose levels keep one are pinned.
+In float mode ``_factorize`` runs its sigma rows and noise floors on raw
+mpmath mantissa/exponent tuples, and ``_forward_pass`` runs its loop on
+(value, 1) pairs.  ``oracles.factorize_fractions`` and
 ``oracles.forward_pass_fractions`` do the arithmetic entry by entry in the
 mode's scalars, with the mpf operators in float mode.
 ``hamburger.stieltjes_convergents`` runs its Wallis loop on integer
 levels through the forward pass's level step, ``oracles.convergents_wallis``
-on four scalars of the mode.  ``hamburger._content``, the one content
-reduction of both, is checked against ``math.gcd``.
+on four scalars of the mode; both refuse finitely atomic data with an atom
+below 0.  ``hamburger._content``, the one content reduction of both, is
+checked against ``math.gcd``.
 ``moments.image_moments`` builds the image-moment table on integer
 numerators over one denominator, ``oracles.image_moments_fractions`` on the
 mode's scalars.  ``gaps._grid_columns`` makes each grid-LP column entry one
@@ -132,8 +135,18 @@ def check_pass(rec, z):
                 (want.first, want.second, want.norm_sq))
 
 
+def atoms(points, weights) -> Atomic:
+    return Atomic(tuple((F(x),) for x in points), tuple(map(F, weights)))
+
+
+# small integer data whose levels keep a common factor that the crosswise
+# gcds of a Fraction product would cancel: the level step leaves it in
 @SETTINGS
 @given(measures(), points_z)
+@example((atoms((-1, -6), (1, 1)), 2), (F(2), F(3)))
+@example((atoms((4, -3, 1), (3, 1, 4)), 2), (F(1), F(1)))
+@example((atoms((0, 5, -6), (2, 4, 4)), 3), (F(-1), F(0)))
+@example((atoms((3, -5, -2), (1, 4, 4)), 5), (F(1, 2), F(1)))
 def test_recurrence_and_pass_match_oracles(measure_and_n, z):
     measure, n = measure_and_n
     for mode in MODES:
@@ -359,13 +372,14 @@ def convergent_sequences(draw):
     return generate_moments(measure, 1, draw(st.integers(2, 40)), mode)
 
 
+def half_line(measure, degree):
+    """The rational moments of ``measure`` under the half-line hint."""
+    m = generate_moments(measure, 1, degree, R).moments_1d()
+    return sequence_from_1d(m, R, NonnegativeOrthant())
+
+
 def convergents_outcome(fn, seq, z, n):
-    # two-sided atoms can put an atom on z itself; the exact transform then
-    # divides by zero, in both versions alike
-    try:
-        pair = outcome(fn, seq, z, n)
-    except ZeroDivisionError as exc:
-        return type(exc), str(exc)
+    pair = outcome(fn, seq, z, n)
     if isinstance(pair, tuple):
         return pair
     return pair.z, pair.level, pair.even_value, pair.odd_value, pair.interval_width
@@ -386,6 +400,9 @@ def check_convergents(seq, zs=CONVERGENT_POINTS):
 @example(sequence_from_1d([F(4, 3), F(1, 3), F(1, 3)], R, NonnegativeOrthant()))
 @example(sequence_from_1d([F(1), F(0), F(1)], R, NonnegativeOrthant()))     # q_1 = 0
 @example(sequence_from_1d([F(1), F(-1), F(1)], R, NonnegativeOrthant()))    # atom on z = -1
+@example(half_line(atoms((F(-1, 2), 2), (1, 1)), 4))                       # an atom below 0
+@example(half_line(atoms((0, 2), (1, 1)), 4))                               # an atom at 0
+@example(half_line(atoms((4, 7, 8, 6, 2), (4, 4, 3, 4, 4)), 6))     # levels with a common factor
 def test_convergents_match_wallis_oracle(seq):
     check_convergents(seq)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from momentkit.errors import (
     DegreeInsufficient,
     InvalidParameter,
+    MomentKitError,
     NonpositiveEvenMoment,
     NonRealPointRequired,
     NotAdmissible,
@@ -519,6 +520,40 @@ def test_convergents_need_halfline_support():
         stieltjes_convergents(g, -1, 4)
 
 
+def halfline_atoms(points, degree=4):
+    """Unit-weight atoms at ``points`` under the half-line hint."""
+    m = generate_moments(Atomic(tuple((x,) for x in points), (1,) * len(points)), 1, degree,
+                         R).moments_1d()
+    return sequence_from_1d(m, R, NonnegativeOrthant())
+
+
+@pytest.mark.parametrize("seq", [halfline_atoms((F(-1, 2), 2)), halfline_atoms((-1,), 2)],
+                         ids=["atoms -1/2, 2", "atom -1 at z"])
+def test_atomic_convergents_refuse_an_atom_below_zero(seq):
+    """A finitely atomic sequence below the level gives the exact transform
+    only for atoms on [0, inf): one below 0 is not Stieltjes data, even
+    when it sits at z itself."""
+    for n in range(2, 4):
+        with pytest.raises(NotStieltjesAdmissible, match="an atom lies below 0"):
+            stieltjes_convergents(seq, -1, n)
+
+
+def test_atomic_convergents_keep_an_atom_at_zero():
+    """Atoms 0 and 2: both values are the transform 1/1 + 1/3.  An atom at
+    0 leaves q_r = 0, which float mode may round below 0: at 128 bits the
+    atoms 0, 8/7, 11/3 and 40 give q_4 < 0, within half the bits of e_3."""
+    pair = stieltjes_convergents(halfline_atoms((0, 2)), -1, 2)
+    assert (pair.even_value, pair.odd_value, pair.interval_width) == (F(4, 3), F(4, 3), 0)
+    measure = Atomic(((0,), (F(8, 7),), (F(11, 3),), (40,)),
+                     (F(27, 7), F(1, 7), F(10, 3), F(29, 7)))
+    exact = sum(w / (x[0] + 1) for x, w in zip(measure.points, measure.weights))
+    fm = FloatMode(128)
+    seq = sequence_from_1d(generate_moments(measure, 1, 10, fm).moments_1d(), fm,
+                           NonnegativeOrthant())
+    pair = stieltjes_convergents(seq, -1, 5)
+    assert abs(exact_fraction(pair.even_value) - exact) <= exact / 2 ** 100
+
+
 # moments with mixed denominators, as in test_exact_kernels
 DENOMINATORS = (1, 3, 7, 2 ** 20)
 fractions = st.builds(F, st.integers(-40, 40), st.sampled_from(DENOMINATORS))
@@ -552,7 +587,7 @@ def halfline_sequences(draw):
 def convergent_outcome(fn, seq, z, n):
     try:
         pair = fn(seq, z, n)
-    except Exception as exc:       # an atom at z divides by zero in both
+    except MomentKitError as exc:
         return type(exc), str(exc)
     return pair, tuple(map(type, (pair.even_value, pair.odd_value, pair.interval_width)))
 
@@ -560,6 +595,9 @@ def convergent_outcome(fn, seq, z, n):
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(halfline_sequences())
 @example(sequence_from_1d([F(1), F(0), F(1)], R, NonnegativeOrthant()))     # q_1 = 0
+@example(halfline_atoms((F(-1, 2), 2)))                                      # an atom below 0
+@example(halfline_atoms((-1,), 2))                                           # ... at z = -1
+@example(halfline_atoms((0, 2)))                                             # an atom at 0
 def test_convergents_match_two_pass_radau_oracle(seq):
     """Every level from 1 past the recurrence order: the same Fractions as
     the two forward passes and the Radau step, or the same error."""
