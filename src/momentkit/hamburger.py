@@ -31,12 +31,17 @@ parametrization depends on them):
   Im(pi_n conj pi_{n-1}) / (Im z ||pi_{n-1}||^2)``.  Since ``s / Im z =
   ||pi_n||^2 K_n(z, conj z)``, the Weyl radius equals ``rho_n(z) / (2 |Im
   z|)``: at one point the two are one quantity, not independent evidence.
-* The Stieltjes convergents come from Stieltjes' continued fraction, whose
-  partial numerators q_k, e_k split the recurrence (``alpha_k = q_{k+1} +
-  e_k``, ``beta_k = q_k e_k``): one real loop over them checks both Hankel
-  forms and gives the Gauss and Radau values, with no forward pass.  So a
-  verdict evaluates orthogonal polynomials at z = i only, and a Recurrence
-  keeps the forward pass at its last point only.  The pass builds the
+* The Stieltjes convergents are the Gauss and Gauss-Radau values of
+  Stieltjes' continued fraction, whose partial numerators q_k, e_k split
+  the recurrence (``alpha_k = q_{k+1} + e_k``, ``beta_k = q_k e_k``, and
+  ``q_k = -pi_k(0) / pi_{k-1}(0)``).  In rational mode one real pass over
+  integer levels of pi_k(z), Q_k(z) and pi_k(0) checks both Hankel forms
+  by the signs of pi_k(0) and gives both values, the Radau one by a step
+  off the top two levels; in float mode that step cancels bits, so a real
+  Wallis loop over q and e, which adds positive terms only, gives them.
+  Neither is the forward pass of ``ortho_eval``, so a verdict evaluates
+  orthogonal polynomials at z = i only, and a Recurrence keeps the
+  forward pass at its last point only.  The pass builds the
   second kind only when ``OrthoEval.second`` is first read, which no
   verdict does.
 * The recurrence comes from the mixed moments ``sigma_{k,l} = L(pi_k
@@ -58,12 +63,13 @@ over one positive denominator, divided by its content after every step; a
 base recurrence's terms join over their common denominators, each row's
 multipliers are the cofactors of the one gcd inside its lcm, and beta's
 numerator is first cancelled against the row k - 2 denominator it
-holds.  Each level of pi_k(z) and Q_k(z) in the forward pass, and each
-Wallis level of the Stieltjes convergents (numerator as re, denominator as
-im), is an integer (re, im) pair over one denominator, reduced the way
-``Fraction`` reduces a sum but without the crosswise gcds of its products,
-which almost never cancel: a level may keep a rare common factor, which the
-``Fraction``s built once for the outputs drop.  Every content goes through
+holds.  Each level of the forward pass, pi_k(z) or Q_k(z) as an integer
+(re, im) pair, and each level of the convergents' pass, pi_k(z), Q_k(z)
+and pi_k(0), is integer numerators over one denominator, made by the one
+level step ``_level_step`` and reduced the way ``Fraction`` reduces a sum
+but without the crosswise gcds of its products, which almost never cancel:
+a level may keep a rare common factor, which the ``Fraction``s built once
+for the outputs drop.  Every content goes through
 ``_content``: one gcd with the first entry, then a division per entry and a
 gcd only of a nonzero remainder, about one gcd per row where reduced
 ``Fraction`` entries take several each; the rows stay smaller than those of
@@ -73,10 +79,11 @@ mpmath's tuple arithmetic (``scalars.raw_mul`` and its siblings) at the
 working precision, so every value and pivot decision is bit-identical to
 the ``mpf`` operators'; only the row arithmetic differs by mode, and one
 block of pivot checks and ratios serves both.
-The forward pass and the Wallis loop run on ``(value, 1)`` levels in float
-mode: every denominator is 1, so a level is the plain products, with no
-content step, no product by 1 and no product by a zero imaginary part, and
-the arithmetic is that of the plain recurrences.
+The forward pass runs on ``(value, 1)`` levels in float mode: every
+denominator is 1, so a level is the plain products, with no content step
+and no product by a zero imaginary part, and the arithmetic is that of the
+plain recurrence; the convergents' Wallis loop runs on plain ``mpf``
+values.
 
 In float mode the recurrence measures its own headroom: a positive pivot
 that clears its first-order noise floor by fewer than half the working bits
@@ -504,8 +511,8 @@ class OrthoEval:
 
     ``second`` is built on its first read (a cached property): no verdict
     reads it (the Christoffel values and the Weyl radius read the first
-    kind and the norms), only the Weyl center, the atomic convergents and
-    their oracles do."""
+    kind and the norms), only the Weyl center, the float atomic convergents
+    and their oracles do."""
 
     z: ComplexScalar
     first: tuple          # pi_0(z) .. pi_n(z)
@@ -593,35 +600,46 @@ def _norms(rec: Recurrence) -> tuple:
 
 def _next_level(x, y, zd, bn, bd, cur: tuple, prev: tuple) -> tuple:
     """(x + i y)/zd * cur - (bn/bd) * prev, each (re, im, e) meaning (re + i
-    im)/e; x = None is the multiplier 1 (y = 0, zd = 1).  Only gcds that
-    cancel are taken: bn against e0, and the gcd of the two denominators
-    for the difference.  A Fraction product's crosswise gcds almost never
-    cancel: a level may keep a rare common factor, and is read as
-    Fractions.  When every denominator is 1, as in float mode, the level is
-    the plain products, with no product by 1 or by a zero y."""
+    im)/e: ``_level_step`` on complex products.  When every denominator is
+    1, as in float mode, the level is the plain products, with no product
+    by a zero y."""
     re1, im1, e1 = cur
     re0, im0, e0 = prev
     if zd == e1 == bd == e0 == 1:
-        if x is None:
-            return re1 - bn * re0, im1 - bn * im0, 1
         if not y:
             return x * re1 - bn * re0, x * im1 - bn * im0, 1
         return x * re1 - y * im1 - bn * re0, x * im1 + y * re1 - bn * im0, 1
-    if x is None:
-        x, y = 1, 0
-    e0, (bn,) = _content(e0, (bn,))
-    d1, d0 = zd * e1, bd * e0
+    return _level_step(_complex_products, (x, y), zd, bn, bd, cur, prev)
+
+
+def _complex_products(m: tuple, level: tuple) -> tuple:
+    """The numerators of (x + i y) (re + i im) for m = (x, y)."""
+    (x, y), (re, im, _) = m, level
+    return x * re - y * im, x * im + y * re
+
+
+def _level_step(products: Callable, m: tuple, w: int, bn: int, bd: int,
+                cur: tuple, prev: tuple) -> tuple:
+    """m/w * cur - (bn/bd) * prev on integer levels ``(*numerators, e)``,
+    the numerators over one denominator e > 0, where ``products(m, cur)``
+    gives the numerators of m * cur: the one level step of the exact
+    forward pass and of the convergents' pass.  Only gcds that cancel are
+    taken: bn against prev's denominator, and the gcd of the two
+    denominators for the difference.  A Fraction product's crosswise gcds
+    almost never cancel: a level may keep a rare common factor, and is read
+    as Fractions."""
+    e0, (bn,) = _content(prev[-1], (bn,))
+    d1, d0 = w * cur[-1], bd * e0
     g = gcd(d1, d0)
     s1, s0 = d0 // g, d1 // g
     if s1 != 1:
-        x, y = x * s1, y * s1
+        m = tuple(v * s1 for v in m)
     if s0 != 1:
         bn = bn * s0
-    re = x * re1 - y * im1 - bn * re0
-    im = x * im1 + y * re1 - bn * im0
-    # with reduced products the gcd of re, im and the lcm s0 d0 divides g
-    _, (re, im, d0) = _content(g, (re, im, d0))
-    return re, im, s0 * d0
+    parts = [p - bn * v for p, v in zip(products(m, cur), prev)]
+    # with reduced products the gcd of the parts and the lcm s0 d0 divides g
+    _, (*parts, d0) = _content(g, (*parts, d0))
+    return (*parts, s0 * d0)
 
 
 def _complex_values(levels: list, exact: bool) -> tuple:
@@ -651,14 +669,14 @@ def christoffel(rec: Recurrence, z: ComplexScalar, n: int):
     polynomial vanishes on all atoms while hitting p(z) = 1) and the atom's
     weight at an atom.
     """
-    if n > rec.order and rec.rank > n:
-        raise DegreeInsufficient(f"recurrence order {rec.order} < {n}")
     r = rec.rank
-    if r <= n:
+    if r <= min(n, rec.order):
         ev = ortho_eval(rec, z, r)
         if ev.first[r].abs2() != 0:
             return rec.mode.zero()
         return 1 / ev.kernel_diagonal(r - 1)
+    if n > rec.order:
+        raise DegreeInsufficient(f"recurrence order {rec.order} < {n}")
     ev = ortho_eval(rec, z, n)
     if z.im == 0 or n == 0 or isinstance(rec.mode, FloatMode):
         return 1 / ev.kernel_diagonal(n)
@@ -835,35 +853,40 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     = beta_{k+1} / q_{k+1}``, so ``alpha_k = q_{k+1} + e_k`` and ``beta_k =
     q_k e_k``.  Both Hankel forms, plain and shifted, are positive definite
     iff every q and e is positive (otherwise NotStieltjesAdmissible); the
-    support hint must be the half line.  A sequence of rank r <= n is
-    finitely atomic, and both values are its exact transform once its
-    atoms are on [0, inf), that is q_1 .. q_{r-1} > 0 and q_r >= 0 (an atom
+    support hint must be the half line.  Since ``q_k = -pi_k(0) /
+    pi_{k-1}(0)``, the q are positive to level n iff ``(-1)^k pi_k(0) > 0``
+    for k = 1 .. n.  A finitely atomic sequence of rank r at most n (and
+    at most the order, which a positive-definite one exceeds by 1) has
+    both values equal to its exact transform once its atoms are on [0,
+    inf), that is q_1 .. q_{r-1} > 0 and q_r >= 0 (pi_r(0) = 0 is an atom
     at 0; float mode reads q_r within half the working bits of e_{r-1} as
-    0); an atom below 0 is NotStieltjesAdmissible.
+    0); an atom below 0 is NotStieltjesAdmissible.  Beyond the order a
+    positive-definite sequence is DegreeInsufficient for the level asked.
 
     Convergent 2n stops before ``e_n``; contracting its pairs of levels
     gives the J-fraction of alpha_0..alpha_{n-1} and beta_1..beta_{n-1},
     so it is the n-point Gauss value ``-Q_n(z)/pi_n(z)`` (the even value,
     lower end).  Convergent 2n + 1 stops before ``q_{n+1}``, that is at
-    ``alpha_n = e_n``, the top coefficient that puts a root of pi_{n+1} at
-    0: it is the Gauss-Radau value with a fixed node at the support
-    endpoint (the odd value, upper end).  One real Wallis loop gives both,
-    adding positive terms only, so in float mode the pair keeps the bits
-    of q and e.  For Stieltjes-determinate sequences the interval width
-    shrinks to 0; in the indeterminate case the two limits differ and the
-    width plateaus at the transform gap.
+    ``alpha_n = e_n = -beta_n pi_{n-1}(0) / pi_n(0)``, the top coefficient
+    that puts a root of pi_{n+1} at 0: it is the Gauss-Radau value with a
+    fixed node at the support endpoint (the odd value, upper end).  For
+    Stieltjes-determinate sequences the interval width shrinks to 0; in the
+    indeterminate case the two limits differ and the width plateaus at the
+    transform gap.
 
-    The loop's numerators and denominators are the (re, im) of integer
-    levels over one denominator, each step one ``_next_level`` of the
-    forward pass (``odd + q even`` and ``s even + e odd``), so in rational
-    mode it takes the level step's gcds, not a gcd per product and sum as
-    reduced ``Fraction``s do, and builds one ``Fraction`` per reported
-    value; q and e stay ``Fraction``s, whose gcds all cancel.  In
-    float mode the levels are plain ``mpf`` values over 1 and a step rounds
-    the products and sums of the Wallis recurrence, a sum taken as the
-    difference with the negated product (-q and -e are the multipliers),
-    so every value is that of the plain loop bit for bit; a product by s =
-    1 is skipped.
+    The mode selects the form.  In rational mode one forward pass over
+    integer levels gives everything: level k holds pi_k(z), Q_k(z) and
+    pi_k(0), three numerators over one denominator, each step one
+    ``_level_step`` (the exact forward pass's), so no q or e is formed and
+    one ``Fraction`` is built per reported value; the odd value is one
+    Radau step off levels n and n - 1, and the atomic case reads the same
+    pass to the rank.  In float mode the Radau step's difference cancels
+    (at float:128 on the q = 3 lattice, N = 60, level 29, the odd value
+    keeps 36 of its 128 bits), so the pair comes from the Wallis loop over
+    q and e, which adds positive terms only and keeps all 128; it runs on
+    plain ``mpf`` values.  In rational mode neither branch calls
+    ``ortho_eval``, so the forward pass kept in ``rec.evals`` (a verdict's,
+    at z = i) stays; float mode's atomic case reads the pass at z.
     """
     mode = seq.mode
     if not isinstance(seq.support, NonnegativeOrthant):
@@ -872,51 +895,103 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     if not zv < 0:
         raise InvalidParameter("evaluation point must be a negative real")
     rec = recurrence_from_moments(seq, seq.max_degree // 2)
+    exact = isinstance(mode, RationalMode)
     r = rec.rank
-    if r <= n:
+    if r <= min(n, rec.order):
         # finitely atomic: the atoms are the eigenvalues of the Jacobi
         # matrix of order r, whose LDL^T pivots are q_1 .. q_r, so they lie
         # on [0, inf) iff q_1 .. q_{r-1} > 0 <= q_r; then z < 0 is no atom
         # and both convergents equal the exact transform
-        ev = ortho_eval(rec, complex_scalar(mode, zv), r)
-        e = mode.zero()
-        for k in range(r - 1):
-            q = rec.alpha[k] - e
-            if not q > 0:
+        if exact:
+            _, (p, q, _, _) = _stieltjes_levels(rec, zv, r, "an atom lies below 0")
+            val = Fraction(-q, p)
+        else:
+            ev = ortho_eval(rec, complex_scalar(mode, zv), r)
+            e = mode.zero()
+            for k in range(r - 1):
+                q = rec.alpha[k] - e
+                if not q > 0:
+                    raise NotStieltjesAdmissible("an atom lies below 0")
+                e = rec.beta[k + 1] / q
+            if e - rec.alpha[r - 1] > half_floor(mode, e):
                 raise NotStieltjesAdmissible("an atom lies below 0")
-            e = rec.beta[k + 1] / q
-        if e - rec.alpha[r - 1] > half_floor(mode, e):
-            raise NotStieltjesAdmissible("an atom lies below 0")
-        val = -(ev.second[r].re / ev.first[r].re)
+            val = -(ev.second[r].re / ev.first[r].re)
         return ConvergentPair(zv, n, val, val, mode.zero())
     if rec.order < n:
         raise DegreeInsufficient(f"recurrence order {rec.order} < level {n}")
     if n < 0:
         raise InvalidParameter("level must be nonnegative")
-    exact = isinstance(mode, RationalMode)
-    ratio = Fraction if exact else operator.truediv
-    s = -zv
-    # Wallis levels of convergents 2k and 2k + 1: (numerator, denominator)
-    # as the (re, im) of a forward-pass level, each step one _next_level
-    zero = mode.zero()
-    (b0, s0), d0 = integers((rec.beta[0], s))
-    even = (0, 1, 1) if exact else (zero, mode.one(), 1)
-    odd, ne = (b0, s0, d0), zero        # ne = -e
-    sn, sd = (None, 1) if s == 1 else _pair(s)      # the verdict's point: s = 1
-    for k in range(n):
-        q = rec.alpha[k] + ne
-        if not q > zero:
-            raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
-        nq = -q
-        qn, qd = _pair(nq)
-        even = _next_level(None, 0, 1, qn, qd, odd, even)           # odd + q even
-        # beta_{k+1} > 0 (the factorization checked it), so e > 0 with q
-        ne = rec.beta[k + 1] / nq
-        en, ed = _pair(ne)
-        odd = _next_level(sn, 0, sd, en, ed, even, odd)             # s even + e odd
-    even, odd = (ratio(*level[:2]) for level in (even, odd))
+    even, odd = (_radau_pair if exact else _wallis_pair)(rec, zv, n)
     width = odd - even if odd >= even else even - odd
     return ConvergentPair(zv, n, even, odd, width)
+
+
+def _stieltjes_levels(rec: Recurrence, z: Fraction, n: int,
+                      atoms: str | None = None) -> tuple:
+    """Levels n - 1 and n of (pi_k(z), Q_k(z), pi_k(0)), each three integer
+    numerators over one denominator, from level -1 = (0, -1, 0), since
+    Q_1 = beta_0 = m_0, and level 0 = (1, 0, 1); z - alpha_k and -alpha_k
+    share the denominator of ``_level_step``'s multiplier.  Raises
+    NotStieltjesAdmissible unless ``(-1)^k pi_k(0) > 0`` for k = 1 .. n;
+    ``atoms`` is the message of a rank-n sequence, whose pi_n(0) may
+    vanish (an atom at 0).  A pi_k(0) = 0 below the top needs no test of
+    its own: then pi_{k+1}(0) = -beta_k pi_{k-1}(0) has the wrong sign."""
+    zn, zd = z.numerator, z.denominator
+    prev, cur = (0, -1, 0, 1), (1, 0, 1, 1)
+    for k in range(n):
+        an, ad = _pair(rec.alpha[k])
+        bn, bd = _pair(rec.beta[k])
+        x0 = -an * zd
+        prev, cur = cur, _level_step(_stieltjes_products, (zn * ad + x0, x0), zd * ad,
+                                     bn, bd, cur, prev)
+        sign = cur[2] if k % 2 else -cur[2]        # (-1)^(k+1) pi_{k+1}(0)
+        if sign < 0 or sign == 0 and atoms is None:
+            raise NotStieltjesAdmissible(atoms or "shifted Hankel form is not positive definite")
+    return prev, cur
+
+
+def _stieltjes_products(m: tuple, level: tuple) -> tuple:
+    """The numerators of (x pi_k(z), x Q_k(z), x0 pi_k(0)) for m = (x, x0)."""
+    (x, x0), (p, q, r, _) = m, level
+    return x * p, x * q, x0 * r
+
+
+def _radau_pair(rec: Recurrence, z: Fraction, n: int) -> tuple:
+    """(even, odd) in rational mode: the Gauss value -Q_n(z)/pi_n(z) and
+    the Radau step off levels n and n - 1.  With alpha_n replaced by e_n =
+    -beta_n R_{n-1}/R_n, R_k = pi_k(0), the top level times R_n is ``z R_n
+    pi_n + beta_n (R_{n-1} pi_n - R_n pi_{n-1})``, and so for Q; over the
+    level denominators both are u P_n - v P_{n-1}, and the odd value is
+    their ratio.  As in the level step, beta's numerator is cancelled
+    against level n - 1's denominator, and its denominator against level
+    n's (on the ql60 lifts each holds the whole level denominator)."""
+    (p0, q0, r0, e0), (p1, q1, r1, e1) = _stieltjes_levels(rec, z, n)
+    bn, bd = _pair(rec.beta[n])
+    e0, (bn,) = _content(e0, (bn,))
+    e1, (bd,) = _content(e1, (bd,))
+    c = bn * z.denominator * e1
+    u, v = z.numerator * bd * e0 * r1 + c * r0, c * r1
+    return Fraction(-q1, p1), Fraction(v * q0 - u * q1, u * p1 - v * p0)
+
+
+def _wallis_pair(rec: Recurrence, z, n: int) -> tuple:
+    """(even, odd) in float mode: the Wallis loop of the S-fraction at s =
+    -z, whose numerators and denominators add positive terms only."""
+    s, zero = -z, rec.mode.zero()
+    even_num, even_den = zero, rec.mode.one()
+    odd_num, odd_den = rec.beta[0], s
+    e = zero
+    for k in range(n):
+        q = rec.alpha[k] - e
+        if not q > zero:
+            raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
+        even_num, even_den = odd_num + q * even_num, odd_den + q * even_den
+        # beta_{k+1} > 0 (the factorization checked it), so e > 0 with q
+        e = rec.beta[k + 1] / q
+        # the verdict's point is s = 1: no product by 1
+        sn, sd = (even_num, even_den) if s == 1 else (s * even_num, s * even_den)
+        odd_num, odd_den = sn + e * odd_num, sd + e * odd_den
+    return even_num / even_den, odd_num / odd_den
 
 
 # ---------------------------------------------------------------------------

@@ -48,20 +48,21 @@ the even value ``-Q_n/pi_n`` from a forward pass at z, a second pass at 0
 for the Gauss-Radau top coefficient ``alpha* = -beta_n pi_{n-1}(0) /
 pi_n(0)``, the odd value from the modified top level, and a separate walk
 over the chain sequence q, e for positivity; for finitely atomic data of
-rank r below the level it checks that pi_r's coefficients alternate in
-sign, so that no atom lies below 0.  The library reads both values off one
-Wallis loop over the Stieltjes continued fraction, and the atoms' sign off
-the chain sequence, instead; in rational mode the values, the errors and
-their messages must be equal.
+rank r at most the level it checks that pi_r's coefficients alternate in
+sign, so that no atom lies below 0.  In rational mode the library takes
+the same Radau step off one real pass over integer levels that carry
+pi_k(z), Q_k(z) and pi_k(0) together, and reads positivity and the atoms'
+sign off the signs of pi_k(0) (``q_k = -pi_k(0) / pi_{k-1}(0)``) instead;
+the values, the errors and their messages must be equal.
 
-``convergents_wallis`` is the same Wallis loop on four reduced numerators
-and denominators in the mode's scalars (``Fraction``s in rational mode, the
-``mpf`` operators in float mode), updated at every step, and for finitely
-atomic data the chain sequence walked to the rank.  The library runs the
-loop on integer levels through the forward pass's level step, which may
-leave a common factor in a level, and builds one ``Fraction`` per reported
-value; the values, their types, the errors and their messages must be
-equal, and float mode bit-identical.
+``convergents_wallis`` is the Wallis loop over the Stieltjes continued
+fraction on four reduced numerators and denominators in the mode's scalars
+(``Fraction``s in rational mode, the ``mpf`` operators in float mode),
+updated at every step, and for finitely atomic data the chain sequence
+walked to the rank.  The library runs this loop in float mode only, on
+plain ``mpf`` values (a Radau step cancels bits there), and the one pass
+above in rational mode; the values, their types, the errors and their
+messages must be equal, and float mode bit-identical.
 
 ``christoffel_on_curve`` is the curve-side Christoffel value the plain way:
 the weighted lift's moments factorized with no base recurrence.
@@ -365,7 +366,7 @@ def convergents_radau(seq: MomentSequence, z, n: int) -> ConvergentPair:
         raise InvalidParameter("evaluation point must be a negative real")
     rec = recurrence_from_moments(seq, seq.max_degree // 2)
     r = rec.rank
-    if r <= n:
+    if r <= min(n, rec.order):
         # pi_r = prod (x - x_i) has its roots on [0, inf) iff its
         # coefficients alternate in sign, zeros allowed (Vieta, Descartes)
         zc = complex_scalar(mode, zv)
@@ -384,13 +385,18 @@ def convergents_radau(seq: MomentSequence, z, n: int) -> ConvergentPair:
     # fixed node at 0: modified top diagonal alpha* = 0 - beta_n pi_{n-1}(0)/pi_n(0)
     zero_c = complex_scalar(mode, 0)
     at0 = ortho_eval(rec, zero_c, n)
-    pn0, pn10 = at0.first[n].re, at0.first[n - 1].re
+    if n:
+        p_low, q_low, pn10 = ev.first[n - 1], ev.second[n - 1], at0.first[n - 1].re
+    else:
+        # below level 0 pi_{-1} = 0 and Q_{-1} = -1, which gives Q_1 = beta_0
+        p_low, q_low, pn10 = zero_c, -complex_scalar(mode, 1), mode.zero()
+    pn0 = at0.first[n].re
     if pn0 == 0:
         raise NotStieltjesAdmissible("pi_n(0) = 0; roots touch the endpoint")
     alpha_star = -rec.beta[n] * pn10 / pn0
     zk = zc - complex_scalar(mode, alpha_star)
-    p_top = zk * ev.first[n] - ev.first[n - 1].scale(rec.beta[n])
-    q_top = zk * ev.second[n] - ev.second[n - 1].scale(rec.beta[n])
+    p_top = zk * ev.first[n] - p_low.scale(rec.beta[n])
+    q_top = zk * ev.second[n] - q_low.scale(rec.beta[n])
     odd = -(q_top.re / p_top.re)
     width = odd - even if odd >= even else even - odd
     return ConvergentPair(zv, n, even, odd, width)
@@ -408,7 +414,7 @@ def convergents_wallis(seq: MomentSequence, z, n: int) -> ConvergentPair:
         raise InvalidParameter("evaluation point must be a negative real")
     rec = recurrence_from_moments(seq, seq.max_degree // 2)
     r = rec.rank
-    if r <= n:
+    if r <= min(n, rec.order):
         # the chain q_1 .. q_r of the r atoms: every q positive, except
         # that the last may be 0 (an atom at 0), in float mode to within
         # half the working bits of e

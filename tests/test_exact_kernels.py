@@ -9,10 +9,13 @@ mpmath mantissa/exponent tuples, and ``_forward_pass`` runs its loop on
 (value, 1) pairs.  ``oracles.factorize_fractions`` and
 ``oracles.forward_pass_fractions`` do the arithmetic entry by entry in the
 mode's scalars, with the mpf operators in float mode.
-``hamburger.stieltjes_convergents`` runs its Wallis loop on integer
-levels through the forward pass's level step, ``oracles.convergents_wallis``
-on four scalars of the mode; both refuse finitely atomic data with an atom
-below 0.  ``hamburger._content``, the one content reduction of both, is
+``hamburger.stieltjes_convergents`` runs, in rational mode, one pass over
+integer levels of pi_k(z), Q_k(z) and pi_k(0) through the forward pass's
+level step and takes the Radau step off its top two levels, and in float
+mode the Wallis loop on plain mpf values (a Radau step cancels bits
+there); ``oracles.convergents_wallis`` runs the Wallis loop on four
+scalars of the mode.  Both refuse finitely atomic data with an atom below
+0.  ``hamburger._content``, the one content reduction of the kernels, is
 checked against ``math.gcd``.
 ``moments.image_moments`` builds the image-moment table on integer
 numerators over one denominator, ``oracles.image_moments_fractions`` on the
@@ -372,10 +375,10 @@ def convergent_sequences(draw):
     return generate_moments(measure, 1, draw(st.integers(2, 40)), mode)
 
 
-def half_line(measure, degree):
-    """The rational moments of ``measure`` under the half-line hint."""
-    m = generate_moments(measure, 1, degree, R).moments_1d()
-    return sequence_from_1d(m, R, NonnegativeOrthant())
+def half_line(measure, degree, mode=R):
+    """The moments of ``measure`` under the half-line hint."""
+    m = generate_moments(measure, 1, degree, mode).moments_1d()
+    return sequence_from_1d(m, mode, NonnegativeOrthant())
 
 
 def convergents_outcome(fn, seq, z, n):
@@ -386,11 +389,11 @@ def convergents_outcome(fn, seq, z, n):
 
 
 def check_convergents(seq, zs=CONVERGENT_POINTS):
-    """Every level from 0 to one past the order, at each point of ``zs``:
+    """Every level from 0 to two past the order, at each point of ``zs``:
     the oracle's values with the same types (bit-identical in float mode),
     or the same error."""
     for z in zs:
-        for n in range(seq.max_degree // 2 + 2):
+        for n in range(seq.max_degree // 2 + 3):
             assert same(convergents_outcome(hamburger.stieltjes_convergents, seq, z, n),
                         convergents_outcome(convergents_wallis, seq, z, n))
 
@@ -403,6 +406,17 @@ def check_convergents(seq, zs=CONVERGENT_POINTS):
 @example(half_line(atoms((F(-1, 2), 2), (1, 1)), 4))                       # an atom below 0
 @example(half_line(atoms((0, 2), (1, 1)), 4))                               # an atom at 0
 @example(half_line(atoms((4, 7, 8, 6, 2), (4, 4, 3, 4, 4)), 6))     # levels with a common factor
+@example(sequence_from_1d([F(1), F(1, 2), F(1, 3)], R, NonnegativeOrthant()))  # levels 0, 1
+@example(half_line(atoms((0,), (1,)), 2))               # rank = level 1, with an atom at 0
+@example(half_line(atoms((1, 3), (1, 1)), 4))           # rank = level 2, = level 1 + 1
+@example(half_line(atoms((F(-1, 3), 0, 2), (1, 1, 1)), 6))      # atoms at 0 and below, rank 3
+@example(generate_moments(QLattice1D(3), 1, 20, R))     # levels order + 1, order + 2
+@example(sequence_from_1d([F128.convert(v) for v in (1, F(1, 2), F(1, 3))], F128,
+                          NonnegativeOrthant()))                        # ... in float mode
+@example(half_line(atoms((0,), (1,)), 2, F128))
+@example(half_line(atoms((1, 3), (1, 1)), 4, F128))
+@example(half_line(atoms((F(-1, 3), 0, 2), (1, 1, 1)), 6, F128))
+@example(generate_moments(QLattice1D(3), 1, 20, FloatMode(64)))
 def test_convergents_match_wallis_oracle(seq):
     check_convergents(seq)
 

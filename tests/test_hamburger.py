@@ -274,6 +274,9 @@ def test_christoffel_monotone_in_degree():
     z = complex_scalar(R, 0, 1)
     values = [christoffel(rec, z, n) for n in range(21)]
     assert all(values[k + 1] < values[k] for k in range(20))
+    for n in (21, 22):      # beyond the order, the error names the level asked for
+        with pytest.raises(DegreeInsufficient, match=f"recurrence order 20 < {n}$"):
+            christoffel(rec, z, n)
 
 
 def test_christoffel_beyond_rank():
@@ -598,13 +601,33 @@ def convergent_outcome(fn, seq, z, n):
 @example(halfline_atoms((F(-1, 2), 2)))                                      # an atom below 0
 @example(halfline_atoms((-1,), 2))                                           # ... at z = -1
 @example(halfline_atoms((0, 2)))                                             # an atom at 0
+@example(sequence_from_1d([F(1), F(1, 2), F(1, 3)], R, NonnegativeOrthant()))  # levels 0, 1
+@example(halfline_atoms((0,), 2))                       # rank = level 1, with an atom at 0
+@example(halfline_atoms((1, 3)))                        # rank = level 2, = level 1 + 1
+@example(halfline_atoms((F(-1, 3), 0, 2), 6))           # atoms at 0 and below, rank 3
+@example(qlattice(20, 3))                               # levels order + 1, order + 2
 def test_convergents_match_two_pass_radau_oracle(seq):
-    """Every level from 1 past the recurrence order: the same Fractions as
-    the two forward passes and the Radau step, or the same error."""
+    """Every level from 0 to two past the recurrence order: the same
+    Fractions as the two forward passes and the Radau step, or the same
+    error."""
     for z in (-1, F(-1, 3), -7):
-        for n in range(1, seq.max_degree // 2 + 2):
+        for n in range(seq.max_degree // 2 + 3):
             assert (convergent_outcome(stieltjes_convergents, seq, z, n)
                     == convergent_outcome(convergents_radau, seq, z, n))
+
+
+@pytest.mark.parametrize("seq", [qlattice(20, 3), halfline_atoms((0, 2))],
+                         ids=["positive definite", "finitely atomic"])
+def test_rational_convergents_keep_the_pass_at_i(seq):
+    """A verdict runs its forward pass at z = i before the convergents; in
+    rational mode they run a pass of their own, at every level and in
+    both branches, and leave the one kept in ``rec.evals``."""
+    rec = recurrence_from_moments(seq, seq.max_degree // 2)
+    i = complex_scalar(R, 0, 1)
+    ev = ortho_eval(rec, i)
+    for n in range(rec.order + 1):
+        stieltjes_convergents(seq, -1, n)
+        assert list(rec.evals) == [i] and rec.evals[i] is ev
 
 
 def test_convergents_level_zero_is_the_one_node_radau_value():
