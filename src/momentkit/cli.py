@@ -128,7 +128,6 @@ def _parser() -> argparse.ArgumentParser:
     pc.add_argument("--mode", default=None,
                     help="rational | float:<bits>; spec files may set their own")
     pc.add_argument("--degree", type=int, default=8)
-    pc.add_argument("--weight-exponent", type=int, default=2)
     pc.add_argument("--out", required=True)
     return parser
 
@@ -535,11 +534,11 @@ def cmd_curve(args) -> int:
 
     def lift(sigma, provenance, _retry):
         cm = pushforward_to_curve(sigma, curve, args.degree)
-        verdict = lift_and_test(cm, args.weight_exponent)
+        verdict = lift_and_test(cm)
         report = {
             "schema_version": "1",
-            "provenance": dict(provenance, curve=curve.name,
-                               weight_exponent=args.weight_exponent),
+            # lift_and_test weights the lift by weight**2
+            "provenance": dict(provenance, curve=curve.name, weight_exponent=2),
             "curve": {"name": curve.name, "dimension": curve.dimension,
                       "weight_degree": len(curve.weight) - 1},
             "verdict": verdict.as_dict(lambda v: format_value(sigma.mode, v)),

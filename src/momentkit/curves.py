@@ -302,11 +302,10 @@ def projection_bridge(sigma: MomentSequence, max_degree: int) -> MomentSequence:
                                   sigma.is_certified_carleman()})
 
 
-def lift_and_test(cm: CurveMeasure, weight_exponent: int = 2) -> Verdict:
+def lift_and_test(cm: CurveMeasure) -> Verdict:
     """Curve indeterminateness through the weighted lift.
 
-    Multiplies the lift by weight**weight_exponent (squares keep positivity;
-    the exponent is exposed because deeper descent steps may want 4), runs
+    Multiplies the lift by weight**2 (a square keeps positivity), runs
     the one-variable verdict on the weighted lift, and reports the
     Christoffel value at the parameter i as the bounded-evaluation
     witness: an indeterminate weighted lift admits bounded point evaluations
@@ -318,8 +317,6 @@ def lift_and_test(cm: CurveMeasure, weight_exponent: int = 2) -> Verdict:
     orthogonal polynomial with the weight), in which case the lift is not
     the unique one inducing the curve moments.
     """
-    if weight_exponent % 2 != 0 or weight_exponent < 2:
-        raise InvalidParameter("weight exponent must be a positive even integer")
     sigma = cm.lifted_1d
     mode = sigma.mode
     curve = cm.curve
@@ -328,7 +325,7 @@ def lift_and_test(cm: CurveMeasure, weight_exponent: int = 2) -> Verdict:
         source = _source_recurrence(sigma)
         if isinstance(mode, RationalMode):
             _warn_on_ramified_atoms(source, curve)
-    weighted = _weighted_lift(sigma, curve.weight, weight_exponent)
+    weighted = _weighted_lift(sigma, curve.weight)
     if weighted is not sigma and weighted.entries[(0,)] == 0:
         # the weight annihilated the lift: all mass sits on ramification
         # parameters, so the curve measure is finitely atomic
@@ -341,7 +338,7 @@ def lift_and_test(cm: CurveMeasure, weight_exponent: int = 2) -> Verdict:
                       "all lift mass is atomic on the ramification set")
         return Verdict(Status.DETERMINATE, Flavor.HAMBURGER, (ev,))
     # the weighted lift factorizes from the source recurrence (the banded
-    # modified moments of weight**exponent), unless the source stopped at
+    # modified moments of weight**2), unless the source stopped at
     # its rank; the verdict and the witness share this factorization
     base = None
     if source is not None and source.rank > source.order:
@@ -400,14 +397,13 @@ def _warn_on_ramified_atoms(rec: Recurrence | None, curve: PolynomialCurve) -> N
         )
 
 
-def _weighted_lift(sigma: MomentSequence, weight: tuple,
-                   exponent: int) -> MomentSequence:
-    """The lift times weight**exponent; sigma itself for a constant weight
+def _weighted_lift(sigma: MomentSequence, weight: tuple) -> MomentSequence:
+    """The lift times weight**2; sigma itself for a constant weight
     (a globally injective parametrization)."""
     w = tuple(sigma.mode.convert(c) for c in weight)
     if poly_degree(w) < 1:
         return sigma
-    w_pow = poly_pow(w, exponent)
+    w_pow = poly_pow(w, 2)
     return apply_polynomial_weight(sigma, {(k,): c for k, c in enumerate(w_pow) if c})
 
 

@@ -64,10 +64,6 @@ class NotCompletelyMonotonicCoefficients(MomentKitError):
     pass
 
 
-class NegativeWeightDetected(MomentKitError):
-    pass
-
-
 class LpUnbounded(MomentKitError):
     """The grid is too sparse for the requested degree; refine the grid."""
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Any, Mapping, Sequence
 
 from . import simplex
@@ -413,8 +414,9 @@ def poisson_kappa_1d(seq_1d: MomentSequence, x0, t0, n: int):
     The Poisson values of measures matching the truncated moments fill an
     interval of length (1/pi) * (vertical extent of the Weyl disk at
     z = x0 + i t0) = (2/pi) * radius.  An exactly degenerate disk gives an
-    exact 0; otherwise rational mode returns a 256-bit approximation (the
-    value is an irrational multiple of 1/pi).
+    exact 0, as finitely atomic data of rank r give for every n >= r (their
+    disk at r - 1 is a point); otherwise rational mode returns a 256-bit
+    approximation (the value is an irrational multiple of 1/pi).
     """
     mode = seq_1d.mode
     t0v = mode.convert(t0)
@@ -423,7 +425,7 @@ def poisson_kappa_1d(seq_1d: MomentSequence, x0, t0, n: int):
     if n < 0:
         raise InvalidParameter(f"truncation {n} is negative")
     rec = recurrence_from_moments(seq_1d, seq_1d.max_degree // 2)
-    if rec.rank <= n:
+    if rec.rank <= min(n, rec.order):
         n = rec.rank - 1
     z = ComplexScalar(mode.convert(x0), t0v)
     radius_sq = weyl_radius_sq(rec, z, n)
@@ -504,8 +506,7 @@ def _sphere_nodes(d: int, count: int):
     angles[d - 1] = mids
     weights_per_axis.append([1.0] * n_polar)
     nodes, weights = [], []
-    idx = [0] * d
-    while True:
+    for idx in product(range(n_polar), repeat=d):
         th = [angles[a][idx[a]] for a in range(d)]
         w = 1.0
         for a in range(d):
@@ -518,15 +519,6 @@ def _sphere_nodes(d: int, count: int):
         point.append(s)
         nodes.append(tuple(point))
         weights.append(w)
-        a = d - 1
-        while a >= 0:
-            idx[a] += 1
-            if idx[a] < n_polar:
-                break
-            idx[a] = 0
-            a -= 1
-        if a < 0:
-            break
     return nodes, weights
 
 

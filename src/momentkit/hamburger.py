@@ -80,10 +80,9 @@ working precision, so every value and pivot decision is bit-identical to
 the ``mpf`` operators'; only the row arithmetic differs by mode, and one
 block of pivot checks and ratios serves both.
 The forward pass runs on ``(value, 1)`` levels in float mode: every
-denominator is 1, so a level is the plain products, with no content step
-and no product by a zero imaginary part, and the arithmetic is that of the
-plain recurrence; the convergents' Wallis loop runs on plain ``mpf``
-values.
+denominator is 1, so a level is the plain products, with no content step,
+and the arithmetic is that of the plain recurrence; the convergents'
+Wallis loop runs on plain ``mpf`` values.
 
 In float mode the recurrence measures its own headroom: a positive pivot
 that clears its first-order noise floor by fewer than half the working bits
@@ -99,6 +98,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Any, Callable
 
@@ -151,9 +151,11 @@ class Recurrence:
     the number of atoms when the measure is finitely atomic.
     ``pivot_log`` records the elimination pivots ``sigma_{k,k} = ||pi_k||^2``
     as floats, for diagnostics of the (notoriously unstable) moment-to-
-    recurrence transform.  ``evals`` holds the full-order forward pass of
-    ``ortho_eval`` at the last point it visited (a verdict reads z = i only;
-    a kappa field visits one point at a time); it is not part of the value.
+    recurrence transform.  ``norm_sq`` holds the norms ``||pi_k||^2 =
+    beta_0 ... beta_k``, built on their first read.  ``evals`` holds the
+    forward pass of ``ortho_eval`` at the last point it visited (a verdict
+    reads z = i only; a kappa field visits one point at a time); neither
+    is part of the value.
     """
 
     mode: Mode
@@ -165,6 +167,11 @@ class Recurrence:
     @property
     def order(self) -> int:
         return len(self.alpha)
+
+    @cached_property
+    def norm_sq(self) -> tuple:
+        """||pi_0||^2 .. ||pi_order||^2; they do not depend on z."""
+        return tuple(accumulate(self.beta, operator.mul))
 
     @property
     def rank(self) -> int:
@@ -505,9 +512,10 @@ def _content(d: int, parts) -> tuple:
 
 @dataclass(frozen=True)
 class OrthoEval:
-    """Values of the monic first kind pi_k(z) and second kind Q_k(z) together
-    with the norms; orthonormal values are the monic ones over sqrt(norm_sq),
-    so |p_k(z)|^2 stays exactly representable in rational mode.
+    """Values of the monic first kind pi_k(z) and second kind Q_k(z) for k
+    up to the recurrence order, together with the norms; orthonormal values
+    are the monic ones over sqrt(norm_sq), so |p_k(z)|^2 stays exactly
+    representable in rational mode.
 
     ``second`` is built on its first read (a cached property): no verdict
     reads it (the Christoffel values and the Weyl radius read the first
@@ -515,99 +523,75 @@ class OrthoEval:
     and their oracles do."""
 
     z: ComplexScalar
-    first: tuple          # pi_0(z) .. pi_n(z)
-    norm_sq: tuple        # ||pi_0||^2 .. ||pi_n||^2
+    first: tuple          # pi_0(z) .. pi_order(z)
+    norm_sq: tuple        # ||pi_0||^2 .. ||pi_order||^2
     _build_second: Callable = field(repr=False, compare=False)
 
     @cached_property
     def second(self) -> tuple:
-        """Q_0(z) .. Q_n(z)."""
+        """Q_0(z) .. Q_order(z)."""
         return self._build_second()
 
     def first_normalized_abs2(self, k: int):
         """|p_k(z)|^2 = |pi_k(z)|^2 / ||pi_k||^2."""
         return self.first[k].abs2() / self.norm_sq[k]
 
-    def kernel_diagonal(self, n: int | None = None):
-        """K_n(z, conj z) = sum |p_k(z)|^2."""
-        top = len(self.first) - 1 if n is None else n
+    def kernel_diagonal(self, n: int):
+        """K_n(z, conj z) = sum_{k<=n} |p_k(z)|^2."""
         total = self.first_normalized_abs2(0)
-        for k in range(1, top + 1):
+        for k in range(1, n + 1):
             total = total + self.first_normalized_abs2(k)
         return total
 
 
-def ortho_eval(rec: Recurrence, z: ComplexScalar, n: int | None = None) -> OrthoEval:
-    """pi_k(z) and Q_k(z) for k <= n (default: the full order); total for any
-    recurrence.  Every level asked for at one point shares one full-order
-    forward pass, kept in ``rec.evals`` until the next point; a truncated
-    view slices the full pass's second kind only when it is read."""
-    top = rec.order if n is None else n
-    if top > rec.order:
-        raise DegreeInsufficient(f"recurrence order {rec.order} < requested {top}")
-    full = rec.evals.get(z)
-    if full is None:
-        full = _forward_pass(rec, z)
+def ortho_eval(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
+    """pi_k(z) and Q_k(z) for every k up to the order; total for any
+    recurrence.  The forward pass at z is kept in ``rec.evals`` until the
+    next point, so every level a caller reads at one point comes from one
+    pass; the caller checks its level against ``rec.order``."""
+    ev = rec.evals.get(z)
+    if ev is None:
+        ev = _forward_pass(rec, z)
         rec.evals.clear()
-        rec.evals[z] = full
-    if top == rec.order:
-        return full
-    return OrthoEval(z, full.first[:top + 1], full.norm_sq[:top + 1],
-                     lambda: full.second[:top + 1])
+        rec.evals[z] = ev
+    return ev
 
 
 def _forward_pass(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     """The first kind at z, and the second kind from the same loop started
-    at (Q_0, Q_1) = (0, m_0) when it is first read."""
+    at (Q_{-1}, Q_0) = (-1, 0) when it is first read."""
     # the builder holds the coefficients, not rec, whose evals keep the pass
-    return OrthoEval(z, _levels(rec.mode, rec.alpha, rec.beta, z, True), _norms(rec),
+    return OrthoEval(z, _levels(rec.mode, rec.alpha, rec.beta, z, True), rec.norm_sq,
                      partial(_levels, rec.mode, rec.alpha, rec.beta, z, False))
 
 
 def _levels(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar, first_kind: bool) -> tuple:
-    """pi_k(z) (first kind) or Q_k(z) for k <= len(alpha), the order."""
+    """pi_k(z) (first kind) or Q_k(z) for k <= len(alpha), the order, from
+    levels -1 and 0: (0, 1) for the first kind, (-1, 0) for the second,
+    whose Q_1 is then beta_0 = m_0."""
     exact = isinstance(mode, RationalMode)
     one, zero = (1, 0) if exact else (mode.one(), mode.zero())
     # z = (xr + i xi) / w; level k is (re + i im) / e
     (xr, xi), w = integers((z.re, z.im))
-    levels = [(one, zero, 1) if first_kind else (zero, zero, 1)]
-    if alpha:
-        if first_kind:
-            an, ad = _pair(alpha[0])
-            levels.append((xr * ad - an * w, xi * ad, w * ad))
-        else:
-            bn, bd = _pair(beta[0])
-            levels.append((bn, zero, bd))
-    for k in range(1, len(alpha)):
+    start = (zero, one) if first_kind else (-one, zero)
+    prev, cur = ((v, zero, 1) for v in start)
+    levels = [cur]
+    for a, b in zip(alpha, beta):
         # z - alpha_k = (x + i y) / zd
-        an, ad = _pair(alpha[k])
-        bn, bd = _pair(beta[k])
-        levels.append(_next_level(xr * ad - an * w, xi * ad, w * ad, bn, bd,
-                                  levels[k], levels[k - 1]))
+        an, ad = _pair(a)
+        bn, bd = _pair(b)
+        prev, cur = cur, _next_level(xr * ad - an * w, xi * ad, w * ad, bn, bd, cur, prev)
+        levels.append(cur)
     return _complex_values(levels, exact)
-
-
-def _norms(rec: Recurrence) -> tuple:
-    """||pi_k||^2 = beta_0 ... beta_k; they do not depend on z, so a pass
-    takes them from the point kept in ``rec.evals``."""
-    for ev in rec.evals.values():
-        return ev.norm_sq
-    norms = [rec.beta[0]]
-    for k in range(1, rec.order + 1):
-        norms.append(norms[-1] * rec.beta[k])
-    return tuple(norms)
 
 
 def _next_level(x, y, zd, bn, bd, cur: tuple, prev: tuple) -> tuple:
     """(x + i y)/zd * cur - (bn/bd) * prev, each (re, im, e) meaning (re + i
     im)/e: ``_level_step`` on complex products.  When every denominator is
-    1, as in float mode, the level is the plain products, with no product
-    by a zero y."""
+    1, as in float mode, the level is the plain products."""
     re1, im1, e1 = cur
     re0, im0, e0 = prev
     if zd == e1 == bd == e0 == 1:
-        if not y:
-            return x * re1 - bn * re0, x * im1 - bn * im0, 1
         return x * re1 - y * im1 - bn * re0, x * im1 + y * re1 - bn * im0, 1
     return _level_step(_complex_products, (x, y), zd, bn, bd, cur, prev)
 
@@ -667,17 +651,19 @@ def christoffel(rec: Recurrence, z: ComplexScalar, n: int):
     sum of positive terms keeps them.  For a rank-degenerate (r-atomic)
     recurrence and n >= r the minimum is 0 off the atoms (a degree-r
     polynomial vanishes on all atoms while hitting p(z) = 1) and the atom's
-    weight at an atom.
+    weight at an atom.  A negative level is an InvalidParameter.
     """
+    if n < 0:
+        raise InvalidParameter("level must be nonnegative")
     r = rec.rank
     if r <= min(n, rec.order):
-        ev = ortho_eval(rec, z, r)
+        ev = ortho_eval(rec, z)
         if ev.first[r].abs2() != 0:
             return rec.mode.zero()
         return 1 / ev.kernel_diagonal(r - 1)
     if n > rec.order:
         raise DegreeInsufficient(f"recurrence order {rec.order} < {n}")
-    ev = ortho_eval(rec, z, n)
+    ev = ortho_eval(rec, z)
     if z.im == 0 or n == 0 or isinstance(rec.mode, FloatMode):
         return 1 / ev.kernel_diagonal(n)
     p1, p0 = ev.first[n], ev.first[n - 1]
@@ -731,7 +717,7 @@ def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
     """
     radius_sq = weyl_radius_sq(rec, z, n)
     mode = rec.mode
-    ev = ortho_eval(rec, z, n + 1)
+    ev = ortho_eval(rec, z)
     p_top, p_low = ev.first[n + 1], ev.first[n]
     q_top, q_low = ev.second[n + 1], ev.second[n]
     if rec.beta[n + 1] == 0:
@@ -750,15 +736,18 @@ def weyl_radius_sq(rec: Recurrence, z: ComplexScalar, n: int, rho=None):
     christoffel(rec, z, n)``, which a caller that holds it passes in.  A
     float pass whose ``s / Im z`` is not positive has lost its bits and
     raises PrecisionExhausted; in rational mode Christoffel-Darboux makes it
-    positive, so it is not evaluated."""
+    positive, so it is not evaluated.  A negative level is an
+    InvalidParameter."""
     if z.im == 0:
         raise NonRealPointRequired("Weyl disks need Im z != 0")
+    if n < 0:
+        raise InvalidParameter("level must be nonnegative")
     if n + 1 > rec.order:
         raise DegreeInsufficient(f"disk at {n} needs recurrence order {n + 1}")
     mode = rec.mode
     if rec.beta[n + 1] == 0:
         return mode.zero()
-    if isinstance(mode, FloatMode) and not _casoratian_im(ortho_eval(rec, z, n + 1), n) * z.im > 0:
+    if isinstance(mode, FloatMode) and not _casoratian_im(ortho_eval(rec, z), n) * z.im > 0:
         raise PrecisionExhausted("Weyl disk: Im(pi_{n+1} conj pi_n) lost its sign")
     if rho is None:
         rho = christoffel(rec, z, n)
@@ -906,7 +895,7 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
             _, (p, q, _, _) = _stieltjes_levels(rec, zv, r, "an atom lies below 0")
             val = Fraction(-q, p)
         else:
-            ev = ortho_eval(rec, complex_scalar(mode, zv), r)
+            ev = ortho_eval(rec, complex_scalar(mode, zv))
             e = mode.zero()
             for k in range(r - 1):
                 q = rec.alpha[k] - e

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Any, Mapping, Sequence
 
 from .errors import (
@@ -29,15 +30,12 @@ from .errors import (
     InvalidDirection,
     InvalidParameter,
     ModeMismatch,
-    NegativeWeightDetected,
     UnrepresentableInMode,
 )
 from .polynomials import (
-    binomial,
     compositions,
     monomial,
     mpoly_degree,
-    mpoly_eval,
     mpoly_mul,
     multi_indices,
     poly_trim,
@@ -549,7 +547,7 @@ def convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
         for beta in _boxed_indices(gamma):
             coeff = 1
             for g, bb in zip(gamma, beta):
-                coeff *= binomial(g, bb)
+                coeff *= comb(g, bb)
             rest = tuple(g - bb for g, bb in zip(gamma, beta))
             total = total + coeff * a.entries[beta] * b.entries[rest]
         entries[gamma] = total
@@ -571,14 +569,11 @@ def _boxed_indices(gamma: tuple):
             yield (head,) + rest
 
 
-def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any],
-                            check_nonneg: bool = False) -> MomentSequence:
+def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any]) -> MomentSequence:
     """Moments of the weighted measure w * mu: m'_alpha = L(x**alpha w).
 
-    The caller asserts w >= 0 on the support; with ``check_nonneg`` the
-    assertion is spot-checked on a grid built from the support hint and a
-    violation raises NegativeWeightDetected.  Degree drops by deg w.
-    The growth certificate survives a degree shift.
+    The caller asserts w >= 0 on the support; nothing checks it.  Degree
+    drops by deg w.  The growth certificate survives a degree shift.
     """
     w = {tuple(a): seq.mode.convert(c) for a, c in w.items() if c}
     dw = mpoly_degree(w)
@@ -586,11 +581,6 @@ def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any],
         raise InvalidParameter("weight polynomial is zero")
     if dw > seq.max_degree:
         raise DegreeInsufficient("weight degree exceeds the truncation")
-    if check_nonneg:
-        for point in _weight_check_grid(seq):
-            pt = tuple(seq.mode.convert(x) for x in point)
-            if seq.mode.to_float(mpoly_eval(w, pt)) < 0:
-                raise NegativeWeightDetected(f"w < 0 at grid point {point}")
     N_out = seq.max_degree - dw
     entries = {}
     for alpha in multi_indices(seq.dimension, N_out):
@@ -600,19 +590,6 @@ def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any],
         entries[alpha] = total
     return MomentSequence(seq.dimension, N_out, seq.mode, entries, seq.support,
                           meta={"carleman_growth_certified": seq.is_certified_carleman()})
-
-
-def _weight_check_grid(seq: MomentSequence) -> list:
-    one_d = ([Fraction(j, 4) for j in range(0, 65)]
-             if isinstance(seq.support, NonnegativeOrthant)
-             else [Fraction(j, 4) for j in range(-32, 33)])
-    if seq.dimension == 1:
-        return [(x,) for x in one_d]
-    coarse = one_d[:: max(1, len(one_d) // 9)]
-    grid = [()]
-    for _ in range(seq.dimension):
-        grid = [g + (x,) for g in grid for x in coarse]
-    return grid
 
 
 def affine_map(seq: MomentSequence, matrix: Sequence[Sequence], offset: Sequence,

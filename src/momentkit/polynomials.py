@@ -3,9 +3,7 @@
 Univariate polynomials are coefficient tuples indexed by power, trimmed of
 trailing zeros; ``()`` is the zero polynomial.  Multivariate polynomials are
 dicts mapping exponent tuples (multi-indices) to coefficients.  Integer
-coefficients are allowed everywhere as mode-neutral multipliers; binomial
-factors are always computed in exact integers and then injected into the
-ambient mode.
+coefficients are allowed everywhere as mode-neutral multipliers.
 
 Multi-indices are plain tuples of non-negative ints.  The graded
 lexicographic order (degree first, then tuple comparison) is the canonical
@@ -14,7 +12,6 @@ enumeration used for dense storage and for LP variable layouts.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations_with_replacement
 from operator import add
 from typing import Iterator, Mapping, Sequence
@@ -41,10 +38,6 @@ def compositions(total: int, parts: int) -> Iterator[MultiIndex]:
     for bars in combinations_with_replacement(range(total + 1), parts - 1):
         cuts = (0,) + bars + (total,)
         yield tuple(cuts[i + 1] - cuts[i] for i in range(parts))
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 def monomial(point: Sequence, alpha: Sequence[int]):

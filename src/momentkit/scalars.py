@@ -17,8 +17,9 @@ rejects binary floats outright rather than guessing an intended rational.
 
 Rational mode admits two controlled approximations, both opt-in and
 documented at the call sites: ``sqrt`` (exact when the radicand is a perfect
-square, otherwise correct to ``bits``) and ``pi``.  They never contaminate
-exact results: quantities that are exactly zero stay exactly zero.
+square, otherwise correct to ``RATIONAL_APPROX_BITS``) and ``pi`` (to the
+same bits).  They never contaminate exact results: quantities that are
+exactly zero stay exactly zero.
 
 Every other irrational value (Carleman roots, transcendental kernels on
 grids) goes through one side channel: ``work_context(mode, bits)`` is the
@@ -77,22 +78,6 @@ RAW_ZERO, NEAREST = fzero, round_nearest
 _INTEGER = re.compile(r"[+-]?\d+")
 
 
-def _isqrt_scaled(x: Fraction, bits: int) -> Fraction:
-    """sqrt(x) as a Fraction, exact for perfect squares, else within 2**-bits."""
-    if x < 0:
-        raise InvalidParameter("square root of a negative value")
-    if x == 0:
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    # scale so the integer square root carries >= bits fractional bits
-    shift = 2 * bits + max(0, -(p.bit_length() - q.bit_length()))
-    scaled = (p << shift) // q
-    return Fraction(math.isqrt(scaled), 1 << (shift // 2))
-
-
 class RationalMode:
     """Exact rational arithmetic; all instances are interchangeable."""
 
@@ -130,11 +115,26 @@ class RationalMode:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def sqrt(self, v: Fraction, bits: int = RATIONAL_APPROX_BITS) -> Fraction:
-        return _isqrt_scaled(Fraction(v), bits)
+    def sqrt(self, v: Fraction) -> Fraction:
+        """sqrt(v), exact for perfect squares, else within
+        2**-RATIONAL_APPROX_BITS."""
+        x = Fraction(v)
+        if x < 0:
+            raise InvalidParameter("square root of a negative value")
+        if x == 0:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        rp, rq = math.isqrt(p), math.isqrt(q)
+        if rp * rp == p and rq * rq == q:
+            return Fraction(rp, rq)
+        # scale so the integer square root carries enough fractional bits
+        shift = 2 * RATIONAL_APPROX_BITS + max(0, -(p.bit_length() - q.bit_length()))
+        scaled = (p << shift) // q
+        return Fraction(math.isqrt(scaled), 1 << (shift // 2))
 
-    def pi(self, bits: int = RATIONAL_APPROX_BITS) -> Fraction:
-        return from_context(self, +work_context(self, bits).pi)
+    def pi(self) -> Fraction:
+        """pi to RATIONAL_APPROX_BITS bits."""
+        return from_context(self, +work_context(self).pi)
 
     def to_float(self, v: Fraction) -> float:
         return ratio_to_float(v.numerator, v.denominator)
@@ -206,10 +206,10 @@ class FloatMode:
     def one(self):
         return self.ctx.mpf(1)
 
-    def sqrt(self, v, bits: int | None = None):
+    def sqrt(self, v):
         return self.ctx.sqrt(self.convert(v))
 
-    def pi(self, bits: int | None = None):
+    def pi(self):
         return +self.ctx.pi
 
     def to_float(self, v) -> float:

@@ -342,12 +342,11 @@ def forward_pass_fractions(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     return OrthoEval(z, tuple(first), tuple(norms), lambda: tuple(second))
 
 
-def christoffel_on_curve(cm: CurveMeasure, alpha: ComplexScalar, n: int,
-                         weight_exponent: int = 2):
-    """Christoffel value of the weight**exponent-weighted lift at alpha,
+def christoffel_on_curve(cm: CurveMeasure, alpha: ComplexScalar, n: int):
+    """Christoffel value of the weight**2-weighted lift at alpha,
     the curve-side evaluation-bound surrogate at the point u(alpha), from
     the plain factorization of the weighted moments."""
-    weighted = _weighted_lift(cm.lifted_1d, cm.curve.weight, weight_exponent)
+    weighted = _weighted_lift(cm.lifted_1d, cm.curve.weight)
     if 2 * n > weighted.max_degree:
         raise DegreeInsufficient(f"level {n} needs weighted degree {2 * n}")
     rec = recurrence_from_moments(weighted, max(n, 1))
@@ -370,7 +369,7 @@ def convergents_radau(seq: MomentSequence, z, n: int) -> ConvergentPair:
         # pi_r = prod (x - x_i) has its roots on [0, inf) iff its
         # coefficients alternate in sign, zeros allowed (Vieta, Descartes)
         zc = complex_scalar(mode, zv)
-        ev = ortho_eval(rec, zc, rec.rank)
+        ev = ortho_eval(rec, zc)
         pi = monic_coefficients(rec, r)[-1]
         if any((-1) ** (r - j) * c < 0 for j, c in enumerate(pi)):
             raise NotStieltjesAdmissible("an atom lies below 0")
@@ -380,11 +379,11 @@ def convergents_radau(seq: MomentSequence, z, n: int) -> ConvergentPair:
         raise DegreeInsufficient(f"recurrence order {rec.order} < level {n}")
     _assert_stieltjes_positive(seq, rec, n)
     zc = complex_scalar(mode, zv)
-    ev = ortho_eval(rec, zc, n)
+    ev = ortho_eval(rec, zc)
     even = -(ev.second[n].re / ev.first[n].re)
     # fixed node at 0: modified top diagonal alpha* = 0 - beta_n pi_{n-1}(0)/pi_n(0)
     zero_c = complex_scalar(mode, 0)
-    at0 = ortho_eval(rec, zero_c, n)
+    at0 = ortho_eval(rec, zero_c)
     if n:
         p_low, q_low, pn10 = ev.first[n - 1], ev.second[n - 1], at0.first[n - 1].re
     else:
@@ -418,7 +417,7 @@ def convergents_wallis(seq: MomentSequence, z, n: int) -> ConvergentPair:
         # the chain q_1 .. q_r of the r atoms: every q positive, except
         # that the last may be 0 (an atom at 0), in float mode to within
         # half the working bits of e
-        ev = ortho_eval(rec, complex_scalar(mode, zv), rec.rank)
+        ev = ortho_eval(rec, complex_scalar(mode, zv))
         e = mode.zero()
         for k in range(r):
             q = rec.alpha[k] - e
@@ -557,7 +556,7 @@ def weyl_disk_circumcircle(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDis
     """Disk at truncation n as the circumcircle of the pencil values at
     parameters {0, 1, inf}; the caller ensures Im z != 0 and n < rec.order."""
     mode = rec.mode
-    ev = ortho_eval(rec, z, n + 1)
+    ev = ortho_eval(rec, z)
     p_top, p_low = ev.first[n + 1], ev.first[n]
     q_top, q_low = ev.second[n + 1], ev.second[n]
     if rec.beta[n + 1] == 0:

@@ -319,6 +319,22 @@ def test_curve_subcommand(tmp_path):
     assert rep["curve"]["name"] == "parabola"
 
 
+def test_curve_provenance_records_the_square_weight(tmp_path):
+    """The lift is weighted by weight**2, which the report's provenance
+    records; no flag chooses another power."""
+    out = tmp_path / "curve.json"
+    args = ["curve", "--curve", "catalog:parabola", "--sigma", qlattice_spec(tmp_path, 60),
+            "--degree", "6", "--out", str(out)]
+    assert main(args) == 0
+    prov = json.loads(out.read_text())["provenance"]
+    assert sorted(prov) == ["curve", "input_path", "input_sha256", "max_degree", "mode",
+                            "toolkit_version", "weight_exponent"]
+    assert (prov["curve"], prov["mode"], prov["weight_exponent"]) == ("parabola", "rational", 2)
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--weight-exponent", "4"])
+    assert exc.value.code == 2
+
+
 def test_curve_gaussian_determinate(tmp_path):
     out = tmp_path / "curve.json"
     rc = main(["curve", "--curve", "catalog:parabola",

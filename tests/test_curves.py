@@ -325,12 +325,6 @@ def test_bounded_evaluation_witness_lets_a_kernel_bug_through(monkeypatch):
         lift_and_test(cm)
 
 
-def test_weight_exponent_must_be_even():
-    cm = pushforward_to_curve(qlattice(60), catalog("parabola"), 10)
-    with pytest.raises(InvalidParameter):
-        lift_and_test(cm, weight_exponent=3)
-
-
 # ---------------------------------------------------------------------------
 # christoffel on curves
 

@@ -15,6 +15,7 @@ from momentkit.errors import (
     NotStieltjesAdmissible,
     PrecisionExhausted,
 )
+from momentkit.gaps import poisson_kappa_1d
 from momentkit.hamburger import (
     Recurrence,
     carleman,
@@ -189,7 +190,7 @@ def test_ortho_eval_satisfies_recurrence_exactly():
     seq, _, _ = random_atomic(rng, 8, 24)
     rec = recurrence_from_moments(seq, 6)
     z = complex_scalar(R, F(1, 3), F(2, 7))
-    ev = ortho_eval(rec, z, 6)
+    ev = ortho_eval(rec, z)
     for k in range(1, 6):
         lhs = ev.first[k + 1]
         rhs = (z - complex_scalar(R, rec.alpha[k])) * ev.first[k] \
@@ -209,7 +210,7 @@ def test_gram_schmidt_oracle_for_normalized_values():
     seq = gauss(12)
     rec = recurrence_from_moments(seq, 4)
     z = complex_scalar(R, F(0), F(1))
-    ev = ortho_eval(rec, z, 4)
+    ev = ortho_eval(rec, z)
     # Gram-Schmidt: pi_k = t^k - sum proj; computed directly on coefficients
     from momentkit.moments import apply_linear_functional_1d
 
@@ -242,7 +243,7 @@ def test_atoms_are_roots():
     two = generate_moments(Atomic(((0,), (1,)), (F(1, 3), F(2, 3))), 1, 8, R)
     rec = recurrence_from_moments(two, 3)
     for atom in (0, 1):
-        ev = ortho_eval(rec, complex_scalar(R, atom), 2)
+        ev = ortho_eval(rec, complex_scalar(R, atom))
         assert ev.first[2].abs2() == 0
 
 
@@ -288,6 +289,31 @@ def test_christoffel_beyond_rank():
     assert at_atom == F(2, 3)                    # the atom's weight
 
 
+def test_poisson_kappa_beyond_the_order_names_the_level_asked():
+    """poisson_kappa_1d reads a finitely atomic disk only at rank <=
+    min(n, order), as christoffel does: beyond the order, positive-definite
+    data raise for the truncation asked, and atomic data give an exact 0 at
+    every n >= rank."""
+    seq = qlattice(20, 3)
+    for n in (10, 11, 12):
+        message = f"disk at {n} needs recurrence order {n + 1}$"
+        with pytest.raises(DegreeInsufficient, match=message):
+            poisson_kappa_1d(seq, 0, 1, n)
+    two = generate_moments(Atomic(((0,), (1,)), (F(1, 3), F(2, 3))), 1, 12, R)
+    for n in (2, 3, 6, 9):
+        value = poisson_kappa_1d(two, 0, 1, n)
+        assert value == 0 and type(value) is F
+
+
+def test_negative_levels_are_refused():
+    rec = recurrence_from_moments(qlattice(20, 3), 10)
+    z = complex_scalar(R, 0, 1)
+    for n in (-1, -2, -3):
+        for kernel in (christoffel, weyl_disk, weyl_radius_sq):
+            with pytest.raises(InvalidParameter, match="level must be nonnegative"):
+                kernel(rec, z, n)
+
+
 # ---------------------------------------------------------------------------
 # Weyl disks
 
@@ -328,7 +354,7 @@ def test_disk_radius_monotone_and_closed_form():
         assert disk.radius_sq * 4 * z.im * z.im == rho * rho
         assert weyl_radius_sq(rec, z, n, rho) == weyl_radius_sq(rec, z, n) == disk.radius_sq
         # and = ||pi_n||^2 / (2 |s|) with s = Im(pi_{n+1} conj pi_n) (Casoratian)
-        ev = ortho_eval(rec, z, n + 1)
+        ev = ortho_eval(rec, z)
         p1, p0 = ev.first[n + 1], ev.first[n]
         s = p1.im * p0.re - p1.re * p0.im
         assert disk.radius_sq == ev.norm_sq[n] ** 2 / (4 * s * s)
@@ -411,17 +437,17 @@ def test_closed_forms_match_oracles(case):
     for n in range(min(rec.order, rec.rank - 1) + 1):
         rho = christoffel(rec, z, n)
         assert rho == christoffel_direct(seq, z, n)
-        assert rho == 1 / ortho_eval(rec, z, n).kernel_diagonal(n)
+        assert rho == 1 / ortho_eval(rec, z).kernel_diagonal(n)
 
 
 def test_ortho_memo_stays_bounded():
     rec = recurrence_from_moments(gauss(20), 10)
     for k in range(200):
-        ortho_eval(rec, complex_scalar(R, F(k, 7), 1), 5)
+        ortho_eval(rec, complex_scalar(R, F(k, 7), 1))
     assert len(rec.evals) == 1
-    # the newest point is kept, and answers every level
+    # the newest point is kept
     z = complex_scalar(R, F(199, 7), 1)
-    assert ortho_eval(rec, z, 3).first == rec.evals[z].first[:4]
+    assert ortho_eval(rec, z) is rec.evals[z]
     assert rec == recurrence_from_moments(gauss(20), 10)   # the memo is not part of the value
 
 

@@ -10,7 +10,6 @@ from momentkit.errors import (
     InvalidDirection,
     InvalidParameter,
     ModeMismatch,
-    NegativeWeightDetected,
     UnrepresentableInMode,
 )
 from momentkit.moments import (
@@ -346,12 +345,6 @@ def test_weight_composition_property():
     both = apply_polynomial_weight(g, mpoly_mul(w1, w2))
     stepped = apply_polynomial_weight(apply_polynomial_weight(g, w1), w2)
     assert both.entries == stepped.entries
-
-
-def test_weight_grid_check():
-    g = gauss(8)
-    with pytest.raises(NegativeWeightDetected):
-        apply_polynomial_weight(g, {(1,): F(1)}, check_nonneg=True)
 
 
 def test_affine_identities():

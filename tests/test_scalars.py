@@ -127,7 +127,7 @@ def test_rational_sqrt():
 
 def test_rational_pi_brackets():
     mode = RationalMode()
-    pi = mode.pi(128)
+    pi = mode.pi()
     assert F(314159, 100000) < pi < F(314160, 100000)
 
 
