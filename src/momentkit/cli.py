@@ -159,7 +159,8 @@ def load_input(path: str, mode_arg: str | None, degree_arg: int | None,
     cap = None
     if "measure" in doc:
         dimension = read_field(doc, "dimension", int, 1)
-        max_degree = degree_arg or read_field(doc, "max_degree", int, 20)
+        max_degree = (degree_arg if degree_arg is not None
+                      else read_field(doc, "max_degree", int, 20))
         check_moment_count(dimension, max_degree)
         mode_str = mode_arg or doc.get("mode")
         mode = None if mode_str is None else mode_from_string(mode_str)
@@ -421,7 +422,8 @@ def cmd_scan(args, seq: MomentSequence, _provenance: dict, _retry: bool) -> int:
         directions = direction_set(seq.dimension, count, mode)
     except ValueError:
         with open(args.directions) as fh:
-            directions = [tuple(Fraction(c) for c in row) for row in json.load(fh)]
+            directions = read_field({"directions": json.load(fh)}, "directions",
+                                    lambda rows: [rationals(row) for row in json_list(rows)])
     scan = direction_scan(seq, directions)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

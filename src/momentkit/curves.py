@@ -29,7 +29,6 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import (
     AtomsOnRamificationWarning,
@@ -57,7 +56,6 @@ from .polynomials import (
     poly_gcd,
     poly_is_squarefree,
     poly_mod,
-    poly_mul,
     poly_pow,
     poly_trim,
 )
@@ -78,7 +76,10 @@ class PolynomialCurve:
     simple zeros exactly at the ramification parameters; ``(1,)`` when the
     parametrization is globally injective.  ``pairing``: optional involution
     sigma (as a coefficient tuple) with u(sigma(t)) = u(t) mod weight, used
-    to verify non-real ramification exactly.
+    to verify non-real ramification exactly: for each component, the
+    difference u_i(sigma(t)) - u_i(t), composed by
+    ``mpoly_compose_univariates``, must leave no ``poly_mod`` remainder by
+    the weight.
     """
 
     name: str
@@ -110,17 +111,16 @@ class PolynomialCurve:
         object.__setattr__(self, "weight", w)
 
     def _verify_ramification(self):
-        w = poly_trim(self.weight)
+        w = tuple(Fraction(c) for c in poly_trim(self.weight))
         if poly_degree(w) < 1:
             return
-        if not poly_is_squarefree(tuple(Fraction(c) for c in w)):
+        if not poly_is_squarefree(w):
             raise InvalidParameter("weight must have simple zeros")
         if self.pairing is not None:
             for comp in self.components:
-                shifted = _compose_mod(comp, self.pairing, w)
-                direct = _reduce_mod(comp, w)
-                if poly_trim(tuple(a - b for a, b in
-                                   _pad_pair(shifted, direct))):
+                shifted = mpoly_compose_univariates(
+                    {(k,): c for k, c in enumerate(comp)}, (self.pairing,))
+                if poly_mod(poly_add(shifted, tuple(-c for c in comp)), w):
                     raise InvalidParameter(
                         f"pairing does not glue the parametrization mod weight "
                         f"for curve {self.name}"
@@ -145,28 +145,6 @@ class PolynomialCurve:
                 acc = acc * t + ComplexScalar(mode.convert(c), mode.zero())
             out.append(acc)
         return tuple(out)
-
-
-def _pad_pair(a: tuple, b: tuple):
-    n = max(len(a), len(b))
-    return zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))
-
-
-def _reduce_mod(p: Sequence, m: tuple) -> tuple:
-    p = tuple(Fraction(c) for c in poly_trim(p))
-    m = tuple(Fraction(c) for c in m)
-    return poly_mod(p, m)
-
-
-def _compose_mod(p: Sequence, inner: Sequence, m: tuple) -> tuple:
-    """p(inner(t)) mod m(t), coefficients in exact rationals."""
-    p = tuple(Fraction(c) for c in poly_trim(p))
-    inner = tuple(Fraction(c) for c in poly_trim(inner))
-    m = tuple(Fraction(c) for c in m)
-    out: tuple = ()
-    for c in reversed(p):
-        out = poly_mod(poly_add(poly_mul(out, inner), (c,)), m)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -538,7 +538,8 @@ def orthant_criterion(seq: MomentSequence, a: Sequence,
     where H(x) = prod h(x_j) and H_I flips the signs of the coordinates in I.
     An indeterminate functional must show slack > 0 at some corner, so
     persistent slack <= 0 over a corner scan is determinate-side evidence
-    (necessary-condition probe only).
+    (necessary-condition probe only).  The 2^d patterns sum to one product,
+    prod_j (h(t) + h(-t)) at t = x_j - a_j, so L is applied once, to it.
 
     h must satisfy h >= 1 on [0, inf) and h >= 0 on R; the default
     t^2 + t + 1 is certified by calculus (min on the half line is h(0) = 1,
@@ -556,22 +557,15 @@ def orthant_criterion(seq: MomentSequence, a: Sequence,
     av = [mode.convert(c) for c in a]
     if len(av) != d:
         raise InvalidParameter("corner dimension mismatch")
-    h_flip = tuple(c if k % 2 == 0 else -c for k, c in enumerate(h))
-    # the moments of x - a: L(H_I(x - a)) is H_I applied to them
+    # the moments of x - a, to which the product is applied
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
     translated = affine_map(seq, identity, [-c for c in av], deg_h * d)
-    total = mode.zero()
-    for pattern in range(1 << d):
-        factors = [h_flip if (pattern >> j) & 1 else h for j in range(d)]
-        poly = {(0,) * d: mode.one()}
-        for j, fac in enumerate(factors):
-            axis_poly = {}
-            for k, c in enumerate(fac):
-                if c:
-                    key = tuple(k if jj == j else 0 for jj in range(d))
-                    axis_poly[key] = c
-            poly = mpoly_mul(poly, axis_poly)
-        total = total + apply_linear_functional(translated, poly)
+    # sum_I H_I = prod_j (h + h(-.))(x_j), and h + h(-.) is twice h's even part
+    poly = {(0,) * d: mode.one()}
+    for j in range(d):
+        poly = mpoly_mul(poly, {tuple(k if i == j else 0 for i in range(d)): 2 * c
+                                for k, c in enumerate(h) if c and k % 2 == 0})
+    total = apply_linear_functional(translated, poly)
     m0 = seq.entries[(0,) * d]
     return {"slack": total - m0, "corner": tuple(av)}
 
@@ -738,26 +732,23 @@ def _contains_basis(mode: Mode, vectors: list, dimension: int) -> bool:
     if len(vectors) < dimension:
         return False
     rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = dimension
     tol = half_floor(mode, mode.one())
     col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
+    rank = 0
+    while rank < len(rows) and col < dimension:
         piv = None
-        for i in range(r, len(rows)):
+        for i in range(rank, len(rows)):
             if abs(rows[i][col]) > tol:
                 piv = i
                 break
         if piv is None:
             col += 1
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][col] / rows[r][col]
-            for j in range(col, ncols):
-                rows[i][j] = rows[i][j] - f * rows[r][j]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            for j in range(col, dimension):
+                rows[i][j] = rows[i][j] - f * rows[rank][j]
         rank += 1
-        r += 1
         col += 1
     return rank == dimension

@@ -79,10 +79,10 @@ mpmath's tuple arithmetic (``scalars.raw_mul`` and its siblings) at the
 working precision, so every value and pivot decision is bit-identical to
 the ``mpf`` operators'; only the row arithmetic differs by mode, and one
 block of pivot checks and ratios serves both.
-The forward pass runs on ``(value, 1)`` levels in float mode: every
-denominator is 1, so a level is the plain products, with no content step,
-and the arithmetic is that of the plain recurrence; the convergents'
-Wallis loop runs on plain ``mpf`` values.
+The forward pass runs on ``(value, 1)`` levels in float mode, through
+the same ``_level_step``: every denominator is 1, so no gcd is taken and a
+level is the plain products, in the order of the plain recurrence; the
+convergents' Wallis loop runs on plain ``mpf`` values.
 
 In float mode the recurrence measures its own headroom: a positive pivot
 that clears its first-order noise floor by fewer than half the working bits
@@ -577,23 +577,13 @@ def _levels(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar, first_kind:
     prev, cur = ((v, zero, 1) for v in start)
     levels = [cur]
     for a, b in zip(alpha, beta):
-        # z - alpha_k = (x + i y) / zd
+        # z - alpha_k = (xr ad - an w + i xi ad) / (w ad)
         an, ad = _pair(a)
         bn, bd = _pair(b)
-        prev, cur = cur, _next_level(xr * ad - an * w, xi * ad, w * ad, bn, bd, cur, prev)
+        prev, cur = cur, _level_step(_complex_products, (xr * ad - an * w, xi * ad), w * ad,
+                                     bn, bd, cur, prev)
         levels.append(cur)
     return _complex_values(levels, exact)
-
-
-def _next_level(x, y, zd, bn, bd, cur: tuple, prev: tuple) -> tuple:
-    """(x + i y)/zd * cur - (bn/bd) * prev, each (re, im, e) meaning (re + i
-    im)/e: ``_level_step`` on complex products.  When every denominator is
-    1, as in float mode, the level is the plain products."""
-    re1, im1, e1 = cur
-    re0, im0, e0 = prev
-    if zd == e1 == bd == e0 == 1:
-        return x * re1 - y * im1 - bn * re0, x * im1 + y * re1 - bn * im0, 1
-    return _level_step(_complex_products, (x, y), zd, bn, bd, cur, prev)
 
 
 def _complex_products(m: tuple, level: tuple) -> tuple:
@@ -606,12 +596,13 @@ def _level_step(products: Callable, m: tuple, w: int, bn: int, bd: int,
                 cur: tuple, prev: tuple) -> tuple:
     """m/w * cur - (bn/bd) * prev on integer levels ``(*numerators, e)``,
     the numerators over one denominator e > 0, where ``products(m, cur)``
-    gives the numerators of m * cur: the one level step of the exact
-    forward pass and of the convergents' pass.  Only gcds that cancel are
-    taken: bn against prev's denominator, and the gcd of the two
+    gives the numerators of m * cur: the one level step of the forward
+    pass, in both modes, and of the convergents' pass.  Only gcds that
+    cancel are taken: bn against prev's denominator, and the gcd of the two
     denominators for the difference.  A Fraction product's crosswise gcds
     almost never cancel: a level may keep a rare common factor, and is read
-    as Fractions."""
+    as Fractions.  Float levels have every denominator 1, so ``_content``
+    returns at once and the level is the plain products."""
     e0, (bn,) = _content(prev[-1], (bn,))
     d1, d0 = w * cur[-1], bd * e0
     g = gcd(d1, d0)
@@ -770,7 +761,6 @@ class CarlemanResult:
     diverging: bool            # heuristic slope test; see ``carleman``
     horizon: int
     flavor: Flavor
-    terms_tail: tuple = ()     # last-quarter terms, for evidence records
 
 
 def carleman(seq: MomentSequence, flavor: Flavor, horizon: int) -> CarlemanResult:
@@ -811,7 +801,6 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int) -> CarlemanResul
         diverging=diverging,
         horizon=K,
         flavor=flavor,
-        terms_tail=tuple(float(t) for t in tail[:8]),
     )
 
 
@@ -866,7 +855,7 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     The mode selects the form.  In rational mode one forward pass over
     integer levels gives everything: level k holds pi_k(z), Q_k(z) and
     pi_k(0), three numerators over one denominator, each step one
-    ``_level_step`` (the exact forward pass's), so no q or e is formed and
+    ``_level_step`` (the forward pass's), so no q or e is formed and
     one ``Fraction`` is built per reported value; the odd value is one
     Radau step off levels n and n - 1, and the atomic case reads the same
     pass to the rank.  In float mode the Radau step's difference cancels
@@ -977,9 +966,7 @@ def _wallis_pair(rec: Recurrence, z, n: int) -> tuple:
         even_num, even_den = odd_num + q * even_num, odd_den + q * even_den
         # beta_{k+1} > 0 (the factorization checked it), so e > 0 with q
         e = rec.beta[k + 1] / q
-        # the verdict's point is s = 1: no product by 1
-        sn, sd = (even_num, even_den) if s == 1 else (s * even_num, s * even_den)
-        odd_num, odd_den = sn + e * odd_num, sd + e * odd_den
+        odd_num, odd_den = s * even_num + e * odd_num, s * even_den + e * odd_den
     return even_num / even_den, odd_num / odd_den
 
 

@@ -505,26 +505,18 @@ def pushforward_direction(seq: MomentSequence, xi: Sequence) -> MomentSequence:
 
 
 def marginal(seq: MomentSequence, axes: Sequence[int]) -> MomentSequence:
-    """Marginal onto the selected axes (0-based): zeros inserted elsewhere.
-
-    Orthant support projects to the orthant; other hints degrade to full
-    space.  The growth certificate survives (marginal moments are a subset).
+    """Marginal onto the selected axes (0-based): the ``affine_map`` image
+    under the rows of the identity that select them, so its support hint and
+    growth certificate follow that map (the orthant projects to the
+    orthant, other hints degrade to full space, the certificate survives).
     """
     axes = tuple(axes)
     if not axes:
         raise InvalidParameter("axes must be non-empty")
     if len(set(axes)) != len(axes) or any(a < 0 or a >= seq.dimension for a in axes):
         raise InvalidParameter("axes must be distinct and in range")
-    d_out = len(axes)
-    entries = {}
-    for beta in multi_indices(d_out, seq.max_degree):
-        alpha = [0] * seq.dimension
-        for pos, axis in enumerate(axes):
-            alpha[axis] = beta[pos]
-        entries[beta] = seq.entries[tuple(alpha)]
-    support = NonnegativeOrthant() if isinstance(seq.support, NonnegativeOrthant) else FullSpace()
-    return MomentSequence(d_out, seq.max_degree, seq.mode, entries, support,
-                          meta={"carleman_growth_certified": seq.is_certified_carleman()})
+    rows = [[int(j == a) for j in range(seq.dimension)] for a in axes]
+    return affine_map(seq, rows, [0] * len(axes))
 
 
 def convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:

@@ -51,9 +51,9 @@ def rationals(value) -> tuple:
 def read_field(doc: dict, name: str, convert=None, default=_REQUIRED):
     """``convert(doc[name])``, with ``default`` standing in for an absent
     field.  A missing field without a default, or a value ``convert``
-    rejects (a null, a number where a list belongs, "1/0"), raises
-    InvalidParameter naming the field.  Converters read the document only,
-    so no kernel error is renamed here."""
+    rejects (a null, a number where a list belongs, "1/0", an infinite
+    number), raises InvalidParameter naming the field.  Converters read the
+    document only, so no kernel error is renamed here."""
     if name not in doc and default is _REQUIRED:
         raise InvalidParameter(f"missing field {name!r}")
     value = doc.get(name, default)
@@ -61,7 +61,7 @@ def read_field(doc: dict, name: str, convert=None, default=_REQUIRED):
         return value
     try:
         return convert(value)
-    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError, OverflowError) as exc:
         raise InvalidParameter(f"field {name!r}: {exc}") from exc
 
 

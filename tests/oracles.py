@@ -95,6 +95,13 @@ mode's scalars, and applies L one scalar term at a time.  The library runs
 the same products on integer numerators over one denominator
 (``moments.image_moments``); the values, the errors and their messages must
 be equal, and float mode bit-identical.
+
+``orthant_slack_patterns`` is the translated-orthant slack summed one
+sign pattern at a time: for each of the 2^d patterns I it builds H_I(x -
+a) = prod_j h(+-(x_j - a_j)) and applies L to it.  The library applies L
+once, to the product prod_j (h(t) + h(-t)) that the patterns sum to
+(``gaps.orthant_criterion``); rational values must be equal, float values
+agree to rounding.
 """
 
 from __future__ import annotations
@@ -109,7 +116,8 @@ from momentkit.curves import CurveMeasure, _weighted_lift
 from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEval, Recurrence,
                                  WeylDisk, christoffel, monic_coefficients, ortho_eval,
                                  recurrence_from_moments)
-from momentkit.moments import MomentSequence, NonnegativeOrthant, apply_linear_functional
+from momentkit.moments import (MomentSequence, NonnegativeOrthant, affine_map,
+                               apply_linear_functional)
 from momentkit.polynomials import (compositions, monomial, mpoly_degree, mpoly_eval, mpoly_mul,
                                    multi_indices, poly_add, poly_mul, poly_pow)
 from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
@@ -157,6 +165,25 @@ def product_entries(factors, dims, max_degree: int, mode: Mode) -> dict:
             pos += dim
         entries[alpha] = val
     return entries
+
+
+def orthant_slack_patterns(seq: MomentSequence, a, h=(1, 1, 1)):
+    """sum over sign patterns I of L(H_I(x - a)) - m_0, one pattern at a
+    time, h given by its coefficients."""
+    mode, d = seq.mode, seq.dimension
+    h = tuple(mode.convert(c) for c in h)
+    h_flip = tuple(c if k % 2 == 0 else -c for k, c in enumerate(h))
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    translated = affine_map(seq, identity, [-mode.convert(c) for c in a], (len(h) - 1) * d)
+    total = mode.zero()
+    for pattern in range(1 << d):
+        poly = {(0,) * d: mode.one()}
+        for j in range(d):
+            fac = h_flip if (pattern >> j) & 1 else h
+            poly = mpoly_mul(poly, {tuple(k if i == j else 0 for i in range(d)): c
+                                    for k, c in enumerate(fac) if c})
+        total = total + apply_linear_functional(translated, poly)
+    return total - seq.entries[(0,) * d]
 
 
 def image_moments_fractions(seq: MomentSequence, forms, max_degree: int) -> dict:

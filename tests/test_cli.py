@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import signal
 from fractions import Fraction as F
 
@@ -647,6 +648,11 @@ GAUSS_SPEC = {"measure": {"variant": "gaussian_product", "variances": ["1"]},
     ([1], ("curve",), "a curve document"),
     (dict(interchange(), support_hint={"kind": "cone", "generators": [["1", "2"]]}), (),
      "'generators'"),
+    (5, ("scan",), "'directions'"),
+    ([1, 2], ("scan",), "'directions'"),
+    ([[1, None]], ("scan",), "'directions'"),
+    ([[math.inf, 1]], ("scan",), "'directions'"),
+    (dict(GAUSS_SPEC, max_degree=math.inf), (), "'max_degree'"),
 ])
 def test_malformed_documents_give_one_structured_error(tmp_path, doc, extra, detail):
     """A document no reader can take is one InvalidParameter entry naming
@@ -655,12 +661,29 @@ def test_malformed_documents_give_one_structured_error(tmp_path, doc, extra, det
     out = tmp_path / "report.json"
     if extra == ("curve",):
         argv = ["curve", "--curve", path, "--sigma", gaussian_spec(tmp_path, 8)]
+    elif extra == ("scan",):
+        spec = write_spec(tmp_path / "gauss2.json", dict(GAUSS_SPEC, dimension=2, measure={
+            "variant": "gaussian_product", "variances": ["1", "1"]}))
+        argv = ["scan", "--input", spec, "--directions", path]
     else:
         argv = ["analyze", "--input", path, *extra]
     assert main([*argv, "--out", str(out)]) == 2
     errors = json.loads(out.read_text())["errors"]
     assert [e["error"] for e in errors] == ["InvalidParameter"]
     assert detail in errors[0]["detail"]
+
+
+def test_degree_zero_is_honoured_for_a_spec(tmp_path):
+    """``--degree 0`` truncates a measure spec to degree 0 as it does an
+    interchange file, which no recurrence can run on: one structured
+    error, exit code 2."""
+    spec = gaussian_spec(tmp_path, 8)
+    _seq, provenance, _cap = cli.load_input(spec, None, 0)
+    assert provenance["max_degree"] == 0
+    rc, rep = analyze_report(spec, tmp_path, "--degree", "0")
+    assert rc == 2
+    assert rep["errors"] == [{"error": "InvalidParameter",
+                              "detail": "recurrence order must be at least 1"}]
 
 
 @pytest.mark.parametrize("doc, detail", [

@@ -6,6 +6,8 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from momentkit.cli import main
 from momentkit.envelopes import geometric_envelope
@@ -45,9 +47,9 @@ from momentkit.moments import (
     QLattice1D,
     generate_moments,
 )
-from momentkit.scalars import FloatMode, RationalMode, complex_scalar
+from momentkit.scalars import FloatMode, RationalMode, complex_scalar, exact_fraction
 from momentkit.verdicts import Status
-from oracles import maximize
+from oracles import maximize, orthant_slack_patterns
 
 R = RationalMode()
 
@@ -212,6 +214,41 @@ def test_orthant_2d_consistency():
     # product structure: sum over patterns factorizes to (L h + L h_flip)^2 - 1
     one_d = orthant_criterion(gauss(8), (0,))["slack"] + 1
     assert res["slack"] == one_d * one_d - 1
+
+
+orthant_parts = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7)))
+
+
+@st.composite
+def orthant_inputs(draw):
+    """(atomic measure, dimension, corner, h): 1 to 4 atoms in d = 1..3 with
+    positive rational weights, a rational corner, and an h the criterion
+    accepts (the default or one passing its spot check)."""
+    d = draw(st.integers(1, 3))
+    atoms = draw(st.integers(1, 4))
+    xs = draw(st.lists(st.tuples(*[orthant_parts] * d), min_size=atoms, max_size=atoms))
+    ws = draw(st.lists(st.builds(F, st.integers(1, 30), st.sampled_from((1, 3, 7))),
+                       min_size=atoms, max_size=atoms))
+    corner = draw(st.tuples(*[orthant_parts] * d))
+    h = draw(st.sampled_from(((1, 1, 1), (2, F(1, 2), 1), (1, 0, F(1, 3), 0, 1),
+                              (F(3, 2), 1, 1, F(1, 5), F(1, 7)))))
+    return Atomic(tuple(xs), tuple(ws)), d, corner, h
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(orthant_inputs())
+def test_orthant_matches_the_per_pattern_sum(inputs):
+    """The one product prod_j (h + h(-.))(x_j - a_j) gives the slack of the
+    2^d sign patterns summed one by one: equal in rational mode, within
+    2^-64 relative at float:128."""
+    measure, d, corner, h = inputs
+    degree = (len(h) - 1) * d
+    seq = generate_moments(measure, d, degree, R)
+    assert orthant_criterion(seq, corner, h)["slack"] == orthant_slack_patterns(seq, corner, h)
+    seq = generate_moments(measure, d, degree, FloatMode(128))
+    got = exact_fraction(orthant_criterion(seq, corner, h)["slack"])
+    want = exact_fraction(orthant_slack_patterns(seq, corner, h))
+    assert abs(got - want) <= abs(want) * F(1, 2 ** 64)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,22 @@ def test_marginal_identity_and_projection():
     at = generate_moments(Atomic(((1, 2),), (1,)), 2, 5, R)
     m2 = marginal(at, (1,))
     assert m2.moments_1d() == [F(2) ** k for k in range(6)]
+    # the selection map at float:128 hands out the entries bit for bit
+    g3 = generate_moments(GaussianProduct((1, F(1, 3), F(2, 7))), 3, 6, FloatMode(128))
+    for axes in ((2,), (1, 0), (0, 1, 2)):
+        m = marginal(g3, axes)
+        assert (m.dimension, m.max_degree) == (len(axes), 6)
+        for beta, v in m.entries.items():
+            alpha = [0, 0, 0]
+            for pos, axis in enumerate(axes):
+                alpha[axis] = beta[pos]
+            assert v._mpf_ == g3.entries[tuple(alpha)]._mpf_
+    for axes, detail in (((), "axes must be non-empty"),
+                         ((0, 0), "axes must be distinct and in range"),
+                         ((2,), "axes must be distinct and in range"),
+                         ((-1,), "axes must be distinct and in range")):
+        with pytest.raises(InvalidParameter, match=detail):
+            marginal(g2, axes)
 
 
 def test_convolution_identities():
