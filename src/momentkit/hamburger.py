@@ -69,16 +69,20 @@ and pi_k(0), is integer numerators over one denominator, made by the one
 level step ``_level_step`` and reduced the way ``Fraction`` reduces a sum
 but without the crosswise gcds of its products, which almost never cancel:
 a level may keep a rare common factor, which the ``Fraction``s built once
-for the outputs drop.  Every content goes through
-``_content``: one gcd with the first entry, then a division per entry and a
-gcd only of a nonzero remainder, about one gcd per row where reduced
-``Fraction`` entries take several each; the rows stay smaller than those of
-the Bareiss form, which grow into Hankel determinants.  In float mode the
-sigma rows and their noise floors are raw mpmath tuples run through
-mpmath's tuple arithmetic (``scalars.raw_mul`` and its siblings) at the
-working precision, so every value and pivot decision is bit-identical to
-the ``mpf`` operators'; only the row arithmetic differs by mode, and one
-block of pivot checks and ratios serves both.
+for the outputs drop.  Every content goes through ``_divide_out``, a
+division per entry by a running gcd and a gcd only of a nonzero remainder,
+started by a row (``_content``) at one gcd with its first entry, about one
+gcd per row where reduced ``Fraction`` entries take several each, and by a
+level at the gcd of its two denominators, often all of its content.  The
+rows stay smaller than those of the Bareiss form, which grow into Hankel
+determinants.  In float mode the sigma rows are raw mpmath tuples run
+through mpmath's tuple arithmetic (``scalars.raw_mul`` and its siblings)
+at the working precision, so every value is bit-identical to the ``mpf``
+operators'.  Their noise floors, estimates that need no working
+precision, are binary64 ``log2`` magnitudes within about 1e-12 of the
+``mpf`` floors' logs, and on a precision sweep of seven families every
+pivot decision and message is theirs.  Only the row arithmetic and the
+pivot checks differ by mode.
 The forward pass runs on ``(value, 1)`` levels in float mode, through
 the same ``_level_step``: every denominator is 1, so no gcd is taken and a
 level is the plain products, in the order of the plain recurrence; the
@@ -99,7 +103,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, inf, lcm, log2
 from typing import Any, Callable
 
 from .errors import (
@@ -115,8 +119,7 @@ from .errors import (
 from .moments import MomentSequence, NonnegativeOrthant
 from .scalars import (NEAREST, RATIONAL_APPROX_BITS, RAW_ZERO, ComplexScalar, FloatMode, Mode,
                       RationalMode, complex_scalar, fixed_context, from_context, half_floor,
-                      integers, ratio_to_float, raw_abs, raw_add, raw_mul, raw_shift,
-                      raw_sub, to_context)
+                      integers, ratio_to_float, raw_add, raw_mul, raw_sub, to_context)
 from .verdicts import Evidence, Flavor, Leaning, Sufficiency, Verdict, synthesize
 
 #: float-mode pivots within 2**(-prec + guard) of zero are undecidable
@@ -236,16 +239,16 @@ def recurrence_from_moments(seq: MomentSequence, n: int, base: tuple | None = No
 
     Rational mode is exact and is mandatory for the acceptance runs on
     integer-moment measures.  Float mode carries first-order noise floors
-    (for nu_l, that of the terms it sums) and cannot tell a surviving row
-    from lost bits, so there a pivot that is neither clearly signed nor
-    part of a vanished row raises PrecisionExhausted rather than returning
-    garbage.  So does a positive pivot that clears its floor ``tol`` by
-    fewer than half the working bits (``tol < piv`` and ``half_floor(mode,
-    piv) <= tol``, that is ``piv <= tol * 2**(prec // 2)``): the headroom
-    ``log2(piv / tol)`` tracks the correct bits of alpha and beta, and a
-    recurrence that keeps fewer than half of them is not worth reading a
-    verdict from.  The floors carry no error of a float base: its zeros
-    beyond the band are taken as exact.
+    (for nu_l, that of the terms it sums) as ``log2`` magnitudes and cannot
+    tell a surviving row from lost bits, so there a pivot that is neither
+    clearly signed nor part of a vanished row raises PrecisionExhausted
+    rather than returning garbage.  So does a positive pivot that clears
+    its floor ``tol`` by fewer than half the working bits (``tol < piv``
+    and ``half_floor(mode, piv) <= tol``, that is ``log2 piv - prec // 2
+    <= log2 tol``): the headroom ``log2(piv / tol)`` tracks the correct
+    bits of alpha and beta, and a recurrence that keeps fewer than half of
+    them is not worth reading a verdict from.  The floors carry no error of
+    a float base: its zeros beyond the band are taken as exact.
     """
     rec = seq.recurrences.get(n)
     if rec is None:
@@ -274,9 +277,7 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
     pivots = [mode.to_float(m[0])]
     # row k holds sigma_{k,l} = row[l] / d for k <= l <= hi: integers over
     # one positive denominator in rational mode; in float mode raw mpf
-    # tuples over d = 1, with their first-order noise floors in noi.
-    # cell(l) is (sigma_{k,l}, its floor) as scalars of the mode, for the
-    # checks and ratios both modes share
+    # tuples over d = 1, with log2 of their first-order noise floors in noi
     row_prev2: list = []
     noi_prev2: list = []
     d_prev2 = 1
@@ -289,36 +290,33 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
             (pn, pd), (qn, qd) = integers(a), integers(b)
             pq = lcm(pd, qd)
             terms = (pn, qn, pq, pq // pd, pq // qd)
-
-        def cell(l: int) -> tuple:
-            return row[l], 0
     else:
-        value = mode.ctx.make_mpf
+        value, prec = mode.ctx.make_mpf, mode.precision_bits
         row_prev, d_prev = [x._mpf_ for x in nu], 1
-        eps_shift = FLOAT_PIVOT_GUARD_BITS - mode.precision_bits
-        noi_prev = [raw_shift(raw_abs(x._mpf_, mode.precision_bits, NEAREST), eps_shift)
-                    for x in scale]
+        noi_prev = [_log2(x._mpf_) + FLOAT_PIVOT_GUARD_BITS - prec for x in scale]
         terms = None if base is None else ([x._mpf_ for x in a], [x._mpf_ for x in b])
-
-        def cell(l: int) -> tuple:
-            return value(row[l]), value(noi[l])
     piv_prev = row_prev[0] if exact else nu[0]
     for k in range(1, n + 1):
         hi = min(2 * n - k, k + width)
         if exact:
             row, d = _exact_row(k, hi, alpha[k - 1], beta[k - 1],
                                 row_prev, d_prev, row_prev2, d_prev2, terms)
+            piv, above = row[k], row[k + 1]
+            negative, dead = piv < 0, piv == 0
         else:
             d = 1
             row, noi = _float_row(k, hi, alpha[k - 1], beta[k - 1], row_prev, noi_prev,
-                                  row_prev2, noi_prev2, mode.precision_bits, terms)
-        piv, tol = cell(k)
+                                  row_prev2, noi_prev2, prec, terms)
+            piv, above, size = value(row[k]), value(row[k + 1]), _log2(row[k])
+            # |piv| clear of its floor, or at or under it
+            negative, dead = piv < 0 and size > noi[k], size <= noi[k]
         pivots.append(ratio_to_float(piv, d))
-        if piv < -tol:
+        if negative:
             raise NotAdmissible(f"functional is not positive on squares: ||pi_{k}||^2 < 0")
-        if piv <= tol:
+        if dead:
             # rank degeneracy only if the whole row died with the pivot
-            if any(abs(x) > t for x, t in map(cell, range(k, hi + 1))):
+            if (any(row[k:hi + 1]) if exact else
+                    any(_log2(row[l]) > noi[l] for l in range(k, hi + 1))):
                 if not exact:
                     raise PrecisionExhausted(
                         f"pivot at step {k} lost all significant bits"
@@ -329,14 +327,15 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
                 )
             beta.append(mode.zero())
             return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
-        if not exact and half_floor(mode, piv) <= tol:
+        if not exact and size - prec // 2 <= noi[k]:
+            # half_floor(mode, piv) <= floor, in log2
             raise PrecisionExhausted(
                 f"pivot at step {k} keeps fewer than half the working bits"
             )
         # the row denominators cancel from both ratios
         beta.append(ratio(piv * d_prev, d * piv_prev))
         if k < n:
-            nxt = ratio(cell(k + 1)[0], piv)
+            nxt = ratio(above, piv)
             alpha.append(nxt - lead if a is None else a[k] + (nxt - lead))
             lead = nxt
         row_prev2, row_prev, d_prev2, d_prev = row_prev, row, d_prev, d
@@ -431,43 +430,49 @@ def _exact_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, d_prev: i
 
 def _float_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, noi_prev: list,
                row_prev2: list, noi_prev2: list, prec: int, terms: tuple | None = None) -> tuple:
-    """Float row k on raw mpf tuples, with its first-order noise floors;
-    (the row, the floors).  ``terms = (a, b)`` holds the raw base terms,
-    which replace alpha_{k-1} by alpha_{k-1} - a_l and add b_l
-    sigma_{k-1,l-1}.  Every operation is the one the mpf operators of a
-    ``prec``-bit context perform, in the same order, so every value is
-    theirs bit for bit; eps * |x| is the exact shift of |x| by the
-    power-of-two eps = 2**(guard - prec)."""
-    mul, add, sub, shift = raw_mul, raw_add, raw_sub, raw_shift
-    absolute, rnd = raw_abs, NEAREST
-    eps_shift = FLOAT_PIVOT_GUARD_BITS - prec
+    """Float row k on raw mpf tuples, with log2 of its first-order noise
+    floors (-inf for 0); (the row, the floors).  ``terms = (a, b)`` holds
+    the raw base terms, which replace alpha_{k-1} by alpha_{k-1} - a_l and
+    add b_l sigma_{k-1,l-1}.  Every operation on a value is the one the mpf
+    operators of a ``prec``-bit context perform, in the same order, so
+    every value is theirs bit for bit.  A floor is an estimate and needs no
+    working precision: |c| * floor is log2|c| + floor, eps * |x| is
+    log2|x| + log2(eps) with eps = 2**(guard - prec), and a sum is a
+    log-add in binary64."""
+    mul, add, sub, rnd = raw_mul, raw_add, raw_sub, NEAREST
+    eps = FLOAT_PIVOT_GUARD_BITS - prec
     an, bn = alpha_prev._mpf_, beta_prev._mpf_
-    abs_an, abs_bn = absolute(an, prec, rnd), absolute(bn, prec, rnd)
+    log_an, log_bn = _log2(an), _log2(bn)
     row = [RAW_ZERO] * len(row_prev)
-    noi = [RAW_ZERO] * len(row_prev)
+    noi = [-inf] * len(row_prev)
     for l in range(k, hi + 1):
-        a_l, abs_a_l = an, abs_an               # alpha_{k-1} - a_l
+        a_l, log_a = an, log_an                 # alpha_{k-1} - a_l
         if terms is not None:
             a_l = sub(an, terms[0][l], prec, rnd)
-            abs_a_l = absolute(a_l, prec, rnd)
+            log_a = _log2(a_l)
         bs = mul(a_l, row_prev[l], prec, rnd)
         v = sub(row_prev[l + 1], bs, prec, rnd)
-        carried = add(add(noi_prev[l + 1], mul(abs_a_l, noi_prev[l], prec, rnd), prec, rnd),
-                      shift(absolute(bs, prec, rnd), eps_shift), prec, rnd)
+        parts = [noi_prev[l + 1], log_a + noi_prev[l], _log2(bs) + eps]
         if k >= 2:
             cs = mul(bn, row_prev2[l], prec, rnd)
             v = sub(v, cs, prec, rnd)
-            carried = add(add(carried, mul(abs_bn, noi_prev2[l], prec, rnd), prec, rnd),
-                          shift(absolute(cs, prec, rnd), eps_shift), prec, rnd)
+            parts += log_bn + noi_prev2[l], _log2(cs) + eps
         if terms is not None:
             b_l = terms[1][l]
             es = mul(b_l, row_prev[l - 1], prec, rnd)
             v = add(v, es, prec, rnd)
-            carried = add(add(carried, mul(absolute(b_l, prec, rnd), noi_prev[l - 1], prec, rnd),
-                              prec, rnd), shift(absolute(es, prec, rnd), eps_shift), prec, rnd)
+            parts += _log2(b_l) + noi_prev[l - 1], _log2(es) + eps
         row[l] = v
-        noi[l] = add(carried, shift(absolute(v, prec, rnd), eps_shift), prec, rnd)
+        parts.append(_log2(v) + eps)
+        top = max(parts)                        # the log-add of the parts
+        noi[l] = top if top == -inf else top + log2(sum([2.0 ** (t - top) for t in parts]))
     return row, noi
+
+
+def _log2(x: tuple) -> float:
+    """log2|x| of a raw mpf tuple; -inf for 0."""
+    _, man, exp, _ = x
+    return log2(man) + exp if man else -inf
 
 
 def _pair(x) -> tuple:
@@ -480,30 +485,36 @@ def _pair(x) -> tuple:
 def _content(d: int, parts) -> tuple:
     """``(d // g, [v // g for v in parts])`` for g = gcd(d, *parts), d > 0
     and parts not empty: the one content reduction of the exact engine.
-    The running gcd g starts at gcd(d, parts[0]); then each entry is
-    divided by g once, and only a nonzero remainder r takes a gcd (gcd(g,
-    r) = gcd(g, v)), after which the quotients taken so far are scaled by
-    g / gcd(g, r).  So an entry that g divides costs one division and no
-    gcd, and no entry is divided twice.  ``(d, parts)`` comes back at once
-    when d = 1, as in float mode, whose parts are not integers, and as soon
-    as g reaches 1."""
+    The running gcd starts at gcd(d, parts[0]), then ``_divide_out``.
+    ``(d, parts)`` comes back at once when d = 1, as in float mode, whose
+    parts are not integers, and as soon as the gcd reaches 1."""
     if d == 1:
         return d, parts
-    g = gcd(d, parts[0])
+    g, parts = _divide_out(gcd(d, parts[0]), parts)
+    return d // g, parts
+
+
+def _divide_out(g: int, parts) -> tuple:
+    """``(h, [v // h for v in parts])`` for h = gcd(g, *parts), g > 0: each
+    entry is divided by the running gcd once, and only a nonzero remainder
+    r takes a gcd (gcd(g, r) = gcd(g, v)), after which the quotients taken
+    so far are scaled by g / gcd(g, r).  So an entry that g divides costs
+    one division and no gcd, and no entry is divided twice.  ``(1,
+    parts)`` comes back as soon as the gcd reaches 1."""
     if g == 1:
-        return d, parts
+        return g, parts
     out = []
     for v in parts:
         q, r = divmod(v, g)
         if r:
             h = gcd(g, r)
             if h == 1:
-                return d, parts
+                return h, parts
             f = g // h
             out = [p * f for p in out]
             q, g = q * f + r // h, h
         out.append(q)
-    return d // g, out
+    return g, out
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +613,7 @@ def _level_step(products: Callable, m: tuple, w: int, bn: int, bd: int,
     denominators for the difference.  A Fraction product's crosswise gcds
     almost never cancel: a level may keep a rare common factor, and is read
     as Fractions.  Float levels have every denominator 1, so ``_content``
-    returns at once and the level is the plain products."""
+    and ``_divide_out`` return at once and the level is the plain products."""
     e0, (bn,) = _content(prev[-1], (bn,))
     d1, d0 = w * cur[-1], bd * e0
     g = gcd(d1, d0)
@@ -612,9 +623,10 @@ def _level_step(products: Callable, m: tuple, w: int, bn: int, bd: int,
     if s0 != 1:
         bn = bn * s0
     parts = [p - bn * v for p, v in zip(products(m, cur), prev)]
-    # with reduced products the gcd of the parts and the lcm s0 d0 divides g
-    _, (*parts, d0) = _content(g, (*parts, d0))
-    return (*parts, s0 * d0)
+    # with reduced products the gcd of the parts and the lcm s0 d0 divides
+    # g, and is often all of it: divide by g first, take gcds on a remainder
+    h, parts = _divide_out(g, parts)
+    return (*parts, s0 * (d0 // h))
 
 
 def _complex_values(levels: list, exact: bool) -> tuple:

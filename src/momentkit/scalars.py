@@ -37,14 +37,15 @@ the exact values of float data too) and hands float values back as they
 are; ``half_floor`` is the float noise floor that keeps half the working
 bits; ``ratio_to_float`` converts an integer ratio, saturating to +-inf.
 
-The float recurrence runs on raw ``(sign, man, exp, bc)`` tuples rather
-than ``mpf`` objects, which saves mpmath's object layer on every
-operation.  This module hands out the tuple arithmetic it needs:
-``raw_mul``, ``raw_add``, ``raw_sub`` and ``raw_abs``, which at ``(prec,
-NEAREST)`` are the ``mpf`` operators of a ``prec``-bit context bit for bit,
-``raw_shift`` (an exact product by a power of two) and ``RAW_ZERO``; a
-float scalar's tuple is ``v._mpf_`` and ``mode.ctx.make_mpf`` wraps one
-back.
+The float recurrence runs its values on raw ``(sign, man, exp, bc)``
+tuples rather than ``mpf`` objects, which saves mpmath's object layer on
+every operation.  This module hands out the tuple arithmetic it needs:
+``raw_mul``, ``raw_add`` and ``raw_sub``, which at ``(prec, NEAREST)`` are
+the ``mpf`` operators of a ``prec``-bit context bit for bit, and
+``RAW_ZERO``; a float scalar's tuple is ``v._mpf_`` and
+``mode.ctx.make_mpf`` wraps one back.  Its noise floors are not values:
+they are binary64 ``log2`` magnitudes, and ``half_floor``'s rule reads
+``log2 x - prec // 2 <= log2 t`` there.
 
 A float precision for degree-N data is the caller's choice; the CLI runs a
 measure spec with no mode in rational mode when its moments are rational,
@@ -63,8 +64,7 @@ from fractions import Fraction
 from typing import Any, Union
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (from_rational, fzero, mpf_abs, mpf_add, mpf_mul, mpf_shift, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import from_rational, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 from .errors import InvalidParameter, ModeMismatch
 
@@ -72,7 +72,7 @@ from .errors import InvalidParameter, ModeMismatch
 RATIONAL_APPROX_BITS = 256
 
 #: mpmath's arithmetic on raw tuples (see the module docstring)
-raw_mul, raw_add, raw_sub, raw_abs, raw_shift = mpf_mul, mpf_add, mpf_sub, mpf_abs, mpf_shift
+raw_mul, raw_add, raw_sub = mpf_mul, mpf_add, mpf_sub
 RAW_ZERO, NEAREST = fzero, round_nearest
 
 _INTEGER = re.compile(r"[+-]?\d+")

@@ -39,9 +39,11 @@ recurrence carried out entry by entry in the mode's own scalars (reduced
 loops on integer numerators over one denominator per row or level, taking
 only the gcds that cancel: each row is content-reduced, while a level may
 keep a rare common factor that reduced ``Fraction``s cancel at once; in
-float mode its recurrence rows and noise floors are raw mpmath tuples.
-The values, the float pivots, the errors and their messages must be
-equal, and float mode bit-identical, noise floors included.
+float mode its recurrence rows are raw mpmath tuples and its noise floors
+binary64 ``log2`` magnitudes.  The values, the float pivots, the errors
+and their messages must be equal, and float values bit-identical; the
+floors here are ``mpf`` values, which the library's ``log2`` floors must
+match to within 1e-9 relative in ``log2``.
 
 ``convergents_radau`` is ``hamburger.stieltjes_convergents`` the long way:
 the even value ``-Q_n/pi_n`` from a forward pass at z, a second pass at 0

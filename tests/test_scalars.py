@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import momentkit
 from momentkit.errors import InvalidParameter, ModeMismatch
-from momentkit.hamburger import carleman
+from momentkit.hamburger import _log2, carleman
 from momentkit.moments import GaussianProduct, generate_moments
 from momentkit.scalars import (
     FloatMode,
@@ -266,3 +266,9 @@ def test_half_floor_keeps_half_the_working_bits(pm, pe, k, bits):
     exact = exact_fraction(p) <= exact_fraction(t) * 2 ** (bits // 2)
     assert (half_floor(mode, p) <= t) == exact
     assert half_floor(RationalMode(), F(pm, 3)) == 0
+    if p > 0:
+        # the float recurrence's rule on log2 magnitudes: the same verdict
+        # unless p's floor and t are within 2**-30 relative
+        in_log2 = _log2(p._mpf_) - bits // 2 <= _log2(t._mpf_)
+        gap = abs(exact_fraction(half_floor(mode, p)) - exact_fraction(t))
+        assert in_log2 == exact or gap <= exact_fraction(t) / 2 ** 30
