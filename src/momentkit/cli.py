@@ -29,6 +29,7 @@ import datetime
 import functools
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any
@@ -36,7 +37,8 @@ from typing import Any
 from . import __version__
 from .curves import catalog, curve_from_json, lift_and_test, pushforward_to_curve
 from .envelopes import cosine_envelope, geometric_envelope
-from .errors import MomentKitError, NotAdmissible, PrecisionExhausted, UnrepresentableInMode
+from .errors import (InvalidParameter, MomentKitError, NotAdmissible, PrecisionExhausted,
+                     UnrepresentableInMode)
 from .gaps import (
     GapEstimate,
     direction_scan,
@@ -491,17 +493,26 @@ def cmd_kappa(args, seq: MomentSequence, _provenance: dict, _retry: bool) -> int
 
 
 def _parse_field(spec: str) -> tuple:
-    xs_spec, ts_spec = spec.split(",")
-    xs = _parse_range(xs_spec)
-    ts = _parse_range(ts_spec)
-    if any(t <= 0 for t in ts):
-        raise MomentKitError("kappa field needs t > 0")
+    """``--field XMIN:XMAX:NX,TMIN:TMAX:NT`` as the x and the t values; one
+    InvalidParameter naming the spec for any other form, a count below 1, a
+    bound that is not finite or a t that is not positive."""
+    try:
+        xs, ts = map(_parse_range, spec.split(","))
+        if any(t <= 0 for t in ts):
+            raise ValueError(spec)
+    except ValueError:
+        raise InvalidParameter(f"--field {spec!r} is not XMIN:XMAX:NX,TMIN:TMAX:NT "
+                               "with finite bounds, counts of at least 1 and t > 0") from None
     return xs, ts
 
 
 def _parse_range(spec: str) -> list:
+    """``LO:HI:N`` as N evenly spaced values from LO to HI; ValueError for
+    any other form, N < 1 or a bound that is not finite."""
     lo, hi, n = spec.split(":")
     lo, hi, n = float(lo), float(hi), int(n)
+    if n < 1 or not math.isfinite(lo) or not math.isfinite(hi):
+        raise ValueError(spec)
     if n == 1:
         return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]

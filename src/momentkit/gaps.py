@@ -20,10 +20,12 @@ multivariate kappa values are grid LP estimates and say so.
 A grid LP is assembled in integers.  Its column at a grid point g holds
 w(g) g^alpha for each monomial alpha, w the weight (1, or the hyperplane
 form a.x + 1).  Each grid axis goes over the lcm of its coordinates'
-denominators and the weight values over theirs, so every entry is one
-Fraction of integer monomials, equal to the product of the point's
-coordinates; float scalars enter at their exact binary values and
-``simplex.measure_bounds`` rounds each entry into the mode once.  The
+denominators and the weight values over theirs, so every entry is an
+integer of integer monomials over its row's denominator; the LP takes the
+integers, each moment times its row's denominator, and builds no Fraction
+per entry.  Float scalars enter at their exact binary values, the row
+denominators are powers of two, and ``simplex.measure_bounds`` rounds each
+integer entry into the mode once, which rounds w(g) g^alpha itself.  The
 separating function is prepared once per grid (``_Target``), then
 ``evaluate_separating`` reads it at each point.  A grid point whose length
 is not the sequence's dimension raises DimensionMismatch.
@@ -365,15 +367,18 @@ def _grid_in_mode(grid: Sequence, seq: MomentSequence) -> list:
 
 
 def _grid_columns(mode: Mode, grid: Sequence, monomials: Sequence,
-                  weight: Mapping | None = None) -> list:
-    """The LP column of each grid point g, w(g) g^alpha for each monomial
-    alpha, as exact Fractions (float scalars at their exact binary values).
+                  weight: Mapping | None = None) -> tuple:
+    """The LP columns of the grid in integers: (the column of each grid
+    point g, the denominator of each monomial's row), so that the alpha
+    entry of g's column over the alpha denominator is w(g) g^alpha, float
+    scalars at their exact binary values.
 
     Axis i goes over the lcm ``Q_i`` of its coordinates' denominators,
     which makes each point an integer point ``P_g``, and the weight values
-    over their lcm ``V``, ``W_g = V w(g)``.  Then each entry is one
-    Fraction ``W_g P_g^alpha / (V Q^alpha)``, both monomials taken on
-    integers, and no Fraction product is reduced along the way."""
+    over their lcm ``V``, ``W_g = V w(g)``.  Then the alpha entry is the
+    integer ``W_g P_g^alpha`` and its row's denominator ``V Q^alpha``, both
+    monomials taken on integers; in float mode ``V Q^alpha`` is a power of
+    two."""
     exact = (lambda v: v) if isinstance(mode, RationalMode) else exact_fraction
     points = [[exact(c) for c in g] for g in grid]
     axes = [integers(axis) for axis in zip(*points)]
@@ -385,8 +390,8 @@ def _grid_columns(mode: Mode, grid: Sequence, monomials: Sequence,
         weights, scale = integers(mpoly_eval(weight, g) for g in points)
     q = [den for _, den in axes]
     dens = [scale * monomial(q, alpha) for alpha in monomials]
-    return [[Fraction(w * monomial(p, alpha), den) for alpha, den in zip(monomials, dens)]
-            for p, w in zip(integer_points, weights)]
+    return ([[w * monomial(p, alpha) for alpha in monomials]
+             for p, w in zip(integer_points, weights)], dens)
 
 
 def _grid_measure_bounds(mode: Mode, grid: Sequence, monomials: Sequence,
@@ -394,8 +399,16 @@ def _grid_measure_bounds(mode: Mode, grid: Sequence, monomials: Sequence,
                          weight: Mapping | None = None) -> tuple:
     """(min, max) of sum_g y_g objective[g] over the nonnegative measures y
     on the grid with sum_g y_g w(g) g^alpha = moments[alpha] for each
-    monomial alpha, where w is the polynomial ``weight`` (default 1)."""
-    columns = _grid_columns(mode, grid, monomials, weight)
+    monomial alpha, where w is the polynomial ``weight`` (default 1).
+
+    The LP takes the integer columns of ``_grid_columns`` and each moment
+    times its row's denominator: the same constraints, each row scaled by a
+    positive integer.  In rational mode no entry becomes a Fraction; in
+    float mode ``measure_bounds`` rounds each integer entry into the mode
+    once, which rounds ``w(g) g^alpha`` itself, the denominator being a
+    power of two, and scales each moment exactly."""
+    columns, dens = _grid_columns(mode, grid, monomials, weight)
+    moments = [m * den for m, den in zip(moments, dens)]
     try:
         return simplex.measure_bounds(mode, columns, moments, objective)
     except LpUnbounded:

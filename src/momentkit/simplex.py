@@ -22,7 +22,10 @@ no tolerance is needed and none is kept.  The moments go over their lcm
 ``y' = delta * y``, so the right-hand side is integral and the moments'
 denominators do not widen the rows; ``delta = 1`` for integer moments.
 Each moment row is then scaled to integers by the lcm of its column
-denominators and the objective by the lcm ``den`` of its own.
+denominators and the objective by the lcm ``den`` of its own.  Integer
+columns, as the grid LPs of ``gaps`` pass them (each moment scaled by its
+row's denominator instead), go to the rows as they are in rational mode;
+in float mode each entry is rounded into the mode once, like any other.
 
 The simplex is revised and fraction-free (Chvatal, *Linear Programming*,
 1983, ch. 7, with Edmonds' integer pivots, the Bareiss idea applied to
@@ -58,6 +61,12 @@ weights ``w_j`` approximate the squared norms of the edge directions and
 are updated from the pivot row.  They are kept as base-2 logarithms, so
 they neither overflow nor underflow however wide the integers get; they
 steer the choice only, while the ratio test and the arithmetic stay exact.
+Phase 1 starts from B = I, where the edge of column j is (e_j, -a_j), so
+its exact steepest-edge weight ``1 + |a_j|^2`` (Forrest and Goldfarb,
+"Steepest-edge simplex algorithms for linear programming", *Math.
+Programming* 57, 1992) seeds the reference weight; the drive-out pivots
+update the weights as the other pivots do, and both phase-2 runs start
+from copies of the weights phase 1 left, which describe the same basis.
 When the chosen step is degenerate (its leaving row's right-hand side is
 0), Bland's pivot is taken instead ("New finite pivoting rules for the
 simplex method", *Math. Oper. Res.* 2, 1977): the least improving
@@ -94,9 +103,12 @@ def measure_bounds(mode: Mode, columns: Sequence[Sequence], moments: Sequence,
     and DimensionMismatch when there are no moments or a column or the
     objective does not match them in length.
     """
+    rational = isinstance(mode, RationalMode)
+
     def exact(v):
-        v = mode.convert(v)
-        return v if isinstance(mode, RationalMode) else exact_fraction(v)
+        if rational:  # an int goes to the rows as it is
+            return v if type(v) is int else mode.convert(v)
+        return exact_fraction(mode.convert(v))
     cols = [[exact(v) for v in col] for col in columns]
     rhs = [exact(v) for v in moments]
     obj = [exact(v) for v in objective]
@@ -125,14 +137,18 @@ def measure_bounds(mode: Mode, columns: Sequence[Sequence], moments: Sequence,
 
     # phase 1: maximize minus the artificial mass; with every artificial
     # basic, the reduced profits are the column sums and profit[-1] is the
-    # mass still carried by the artificials
+    # mass still carried by the artificials.  At B = I the edge of column j
+    # is (e_j, -a_j), so the steepest-edge weight 1 + |a_j|^2 is exact there
+    # and seeds its Devex weight; an artificial never enters, so its weight
+    # is never read
     tab.profit = [sum(entries) for entries in zip(*rows)]
-    _run(tab)
+    weights = [log2(1 + sum(v * v for v in col)) for col in tab.columns] + [0.0] * n
+    _run(tab, weights)
     if tab.profit[-1] > 0:
         raise LpUnbounded(f"no nonnegative measure on the {size}-point grid "
                           "reproduces the moments")
     tab.profit = None
-    _drive_out_artificials(tab)
+    _drive_out_artificials(tab, weights)
 
     bounds = []
     for sign in (-1, 1):  # maximize -objective, then objective
@@ -147,7 +163,8 @@ def measure_bounds(mode: Mode, columns: Sequence[Sequence], moments: Sequence,
         t.profit = [sign * t.det * obj[g] - sum(map(mul, y, t.columns[g]))
                     for g in t.nonbasic]
         t.profit.append(-sum(sign * obj[var] * v for var, v in zip(t.basis, t.rhs)))
-        _run(t)
+        # the weights phase 1 left describe the edges of this same basis
+        _run(t, list(weights))
         bounds.append(mode.convert(sign * Fraction(-t.profit[-1], t.det * den * delta)))
     return bounds[0], bounds[1]
 
@@ -213,45 +230,51 @@ class _Basis:
             self.nonbasic[enter] = left
 
 
-def _run(tab: _Basis) -> None:
+def _run(tab: _Basis, weights: list) -> None:
     """Maximize the objective whose reduced profits are ``tab.profit`` (its
     last entry is minus the current value); pivots update it in place.
-    Devex weights start at 1 (log 0) for every column."""
-    weights = {}  # log2 Devex reference weight by variable
+    ``weights`` holds the log2 Devex reference weight of every variable, as
+    the caller seeded or an earlier run left it, and is updated in place."""
     while True:
-        profit = tab.profit
+        profit, nonbasic = tab.profit, tab.nonbasic
         best, enter = None, None
         for k, d in enumerate(profit[:-1]):
             if d > 0:
-                score = 2 * log2(d) - weights.get(tab.nonbasic[k], 0)
+                score = 2 * log2(d) - weights[nonbasic[k]]
                 if best is None or score > best:
                     best, enter = score, k
         if enter is None:
             return
-        column = tab.column(tab.nonbasic[enter])
+        column = tab.column(nonbasic[enter])
         leave = _ratio_test(tab, column)
         if leave is not None and tab.rhs[leave] == 0:
             # a degenerate step: Bland's pivot instead, the least improving
             # variable
-            enter = min((var, k) for k, var in enumerate(tab.nonbasic) if profit[k] > 0)[1]
-            column = tab.column(tab.nonbasic[enter])
+            enter = min((var, k) for k, var in enumerate(nonbasic) if profit[k] > 0)[1]
+            column = tab.column(nonbasic[enter])
             leave = _ratio_test(tab, column)
         if leave is None:
             raise LpInfeasible("the objective is unbounded over the grid measures")
+        _devex_pivot(tab, weights, leave, enter, column, tab.row(leave))
 
-        # Devex update from the pivot row: w_j = max(w_j, (a_rj / a_rk)^2 w_k)
-        # for the other columns, and w = max(w_k / alpha_rk^2, 1) for the
-        # leaving variable, alpha_rk = a_rk / det the pivot's true value
-        row, nonbasic = tab.row(leave), tab.nonbasic
-        w_enter = weights.get(nonbasic[enter], 0)
-        log_p = log2(column[leave])
-        for k, a in enumerate(row):
-            if a and k != enter:
-                w = 2 * (log2(abs(a)) - log_p) + w_enter
-                if w > weights.get(nonbasic[k], 0):
-                    weights[nonbasic[k]] = w
-        weights[tab.basis[leave]] = max(w_enter - 2 * (log_p - log2(tab.det)), 0)
-        tab.pivot(leave, enter, column, row)
+
+def _devex_pivot(tab: _Basis, weights: list, leave: int, enter: int, column: list,
+                 row: list) -> None:
+    """Pivot on row ``leave`` at nonbasic position ``enter`` after the Devex
+    update from the pivot row: w_j = max(w_j, (a_rj / a_rk)^2 w_k) for the
+    other columns, and w = max(w_k / alpha_rk^2, 1) for the leaving
+    variable, alpha_rk = a_rk / det the pivot's true value.  ``column`` and
+    ``row`` are as ``_Basis.pivot`` takes them."""
+    nonbasic = tab.nonbasic
+    w_enter = weights[nonbasic[enter]]
+    log_p = log2(abs(column[leave]))
+    for k, a in enumerate(row):
+        if a and k != enter:
+            w = 2 * (log2(abs(a)) - log_p) + w_enter
+            if w > weights[nonbasic[k]]:
+                weights[nonbasic[k]] = w
+    weights[tab.basis[leave]] = max(w_enter - 2 * (log_p - log2(tab.det)), 0)
+    tab.pivot(leave, enter, column, row)
 
 
 def _ratio_test(tab: _Basis, column: list):
@@ -270,10 +293,10 @@ def _ratio_test(tab: _Basis, column: list):
     return leave
 
 
-def _drive_out_artificials(tab: _Basis) -> None:
+def _drive_out_artificials(tab: _Basis, weights: list) -> None:
     """Pivot every artificial still basic (at level zero) out on a grid
-    column; a row with no such column is a redundant equality and is
-    dropped."""
+    column, keeping the Devex ``weights`` current; a row with no such
+    column is a redundant equality and is dropped."""
     redundant = set()
     for i in range(len(tab.basis)):
         if tab.basis[i] >= tab.size:
@@ -282,7 +305,7 @@ def _drive_out_artificials(tab: _Basis) -> None:
             if enter is None:
                 redundant.add(i)
             else:
-                tab.pivot(i, enter, tab.column(tab.nonbasic[enter]), row)
+                _devex_pivot(tab, weights, i, enter, tab.column(tab.nonbasic[enter]), row)
     keep = [i for i in range(len(tab.basis)) if i not in redundant]
     tab.inv = [tab.inv[i] for i in keep]
     tab.rhs = [tab.rhs[i] for i in keep]

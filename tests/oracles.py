@@ -73,11 +73,12 @@ the lift's own recurrence and the banded modified moments of the weight;
 in rational mode both routes give equal values.
 
 ``grid_columns_entrywise`` builds the grid-LP columns entry by entry,
-``w(g) * g^alpha`` as a product of the mode's scalars.  The library writes
-each grid axis and the weight values over one denominator and makes every
-entry one Fraction of integer monomials (``gaps._grid_columns``); the
-values must be equal, and so must the bounds of ``gaps._grid_measure_bounds``
-and the errors it raises.
+``w(g) * g^alpha`` as a product of the mode's scalars, each row over 1.
+The library writes each grid axis and the weight values over one
+denominator and makes every entry an integer of integer monomials over its
+row's denominator (``gaps._grid_columns``); each entry over its denominator
+must equal the oracle's, and the bounds of ``gaps._grid_measure_bounds``
+and the errors it raises must be the same on both.
 
 ``compose_univariates_termwise`` substitutes univariate polynomials into
 a multivariate one term by term, each power ``u_i**e`` by repeated
@@ -614,16 +615,17 @@ def _circumcenter(mode: Mode, w0: ComplexScalar, w1: ComplexScalar,
 # grid-LP columns
 
 
-def grid_columns_entrywise(mode: Mode, grid, monomials, weight=None) -> list:
+def grid_columns_entrywise(mode: Mode, grid, monomials, weight=None) -> tuple:
     """``gaps._grid_columns`` entry by entry in the mode's scalars: each
     entry ``w(g) * monomial(g, alpha)``, with w the polynomial ``weight``
     (default 1) evaluated at g, a chain of reduced Fraction products in
-    rational mode and of rounded mpf products in float mode."""
+    rational mode and of rounded mpf products in float mode.  Returned in
+    the library's shape, (columns, row denominators), every denominator 1."""
     columns = []
     for g in grid:
         w = mode.one() if weight is None else mpoly_eval(weight, g)
         columns.append([w * monomial(g, alpha) for alpha in monomials])
-    return columns
+    return columns, [1] * len(monomials)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,29 @@ def test_kappa_negative_lp_degree_is_one_structured_error(tmp_path, variances, e
     assert "negative" in errors[0]["detail"]
 
 
+@pytest.mark.parametrize("field", [
+    "0:0:0,1:1:1",  # a count of 0
+    "0:0:-3,1:1:1",  # a negative count
+    "a:b,1:1:1",  # two parts
+    "0:1:2:3,1:1:1",  # four parts
+    "0:1:2.5,1:1:1",  # a count that is not an integer
+    "nan:1:2,1:1:1",  # a NaN bound
+    "0:1:2,nan:nan:1",  # a NaN t
+    "0:inf:2,1:1:1",  # an infinite bound
+    "0:1:2",  # no t range
+    "0:1:2,1:2:2,3:4:5",  # a third range
+    "0:1:2,-1:1:3",  # a t <= 0
+])
+def test_kappa_malformed_field_is_one_structured_error(tmp_path, field):
+    out = tmp_path / "kappa.csv"
+    rc = main(["kappa", "--input", gaussian_spec(tmp_path, 8), f"--field={field}",
+               "--out", str(out)])
+    assert rc == 2
+    errors = json.loads(out.read_text())["errors"]
+    assert [e["error"] for e in errors] == ["InvalidParameter"]
+    assert repr(field) in errors[0]["detail"]
+
+
 def test_kappa_field_factorizes_once(tmp_path, monkeypatch):
     calls = count_factorizations(monkeypatch)
     out = tmp_path / "kappa.csv"

@@ -20,9 +20,10 @@ scalars of the mode.  Both refuse finitely atomic data with an atom below
 reduction of the kernels, are checked against ``math.gcd``.
 ``moments.image_moments`` builds the image-moment table on integer
 numerators over one denominator, ``oracles.image_moments_fractions`` on the
-mode's scalars.  ``gaps._grid_columns`` makes each grid-LP column entry one
-Fraction of integer monomials, ``oracles.grid_columns_entrywise`` a product
-of the mode's scalars, and the grid LPs are solved on both.  Every output
+mode's scalars.  ``gaps._grid_columns`` makes each grid-LP column entry an
+integer over its row's denominator, ``oracles.grid_columns_entrywise`` a
+product of the mode's scalars, and the grid LPs are solved on both; wide
+float entries round once.  Every output
 must be equal and of the same type, every error of the same class with the
 same message, and float values bit-identical; the float recurrence is
 checked at 64, 128 and 512 bits, its sigma rows included, and its noise
@@ -49,6 +50,7 @@ from momentkit.moments import (Atomic, Exponential1D, GaussianProduct, LogNormal
                                sequence_from_1d)
 from momentkit.polynomials import multi_indices
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar, exact_fraction
+from momentkit.simplex import measure_bounds
 from oracles import (convergents_wallis, factorize_fractions, forward_pass_fractions,
                      grid_columns_entrywise, image_moments_fractions)
 
@@ -584,7 +586,7 @@ def grid_lp_inputs(draw, dyadic=False):
     small = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2), F(1, 3)])
     if draw(st.booleans()):
         y = draw(st.lists(small, min_size=len(grid), max_size=len(grid)))
-        columns = grid_columns_entrywise(R, grid, monomials, weight)
+        columns = grid_columns_entrywise(R, grid, monomials, weight)[0]
         moments = [sum(abs(yg) * col[i] for yg, col in zip(y, columns))
                    for i in range(len(monomials))]
     else:
@@ -594,16 +596,20 @@ def grid_lp_inputs(draw, dyadic=False):
 
 
 def grid_lp_outcomes(mode, grid, weight, monomials, moments, objective):
-    """(columns, bounds) from ``gaps``, then from the entry-by-entry oracle;
-    the bounds are those of ``gaps._grid_measure_bounds``, or its error."""
+    """(entries, bounds) from ``gaps``, then from the entry-by-entry oracle:
+    the library's integer entries over their rows' denominators, and the
+    bounds of ``gaps._grid_measure_bounds``, or its error.  Every library
+    entry is an int, never a Fraction."""
     grid = [tuple(mode.convert(c) for c in g) for g in grid]
     if weight is not None:
         weight = {alpha: mode.convert(c) for alpha, c in weight.items()}
     args = (mode, grid, monomials, moments, objective, max(map(sum, monomials)), weight)
-    got = (gaps._grid_columns(mode, grid, monomials, weight),
+    columns, dens = gaps._grid_columns(mode, grid, monomials, weight)
+    assert all(type(v) is int for col in columns for v in col)
+    got = ([[F(v, den) for v, den in zip(col, dens)] for col in columns],
            outcome(gaps._grid_measure_bounds, *args))
     with mock.patch.object(gaps, "_grid_columns", grid_columns_entrywise):
-        want = (grid_columns_entrywise(mode, grid, monomials, weight),
+        want = (grid_columns_entrywise(mode, grid, monomials, weight)[0],
                 outcome(gaps._grid_measure_bounds, *args))
     return got, want
 
@@ -614,8 +620,7 @@ def grid_lp_outcomes(mode, grid, weight, monomials, moments, objective):
           {(0, 0): F(1), (1, 0): F(2, 9), (0, 1): F(-1, 5)},
           list(multi_indices(2, 6)), [F(1)] + [F(0)] * 27, [F(1), F(0), F(-1)]))
 def test_grid_columns_match_entrywise_oracle(inputs):
-    """Rational columns equal, with the same types, and the same bounds or
-    the same error."""
+    """Rational entries equal, and the same bounds or the same error."""
     (got_columns, got), (want_columns, want) = grid_lp_outcomes(R, *inputs)
     assert same(tuple(map(tuple, got_columns)), tuple(map(tuple, want_columns)))
     assert same(got, want)
@@ -632,3 +637,28 @@ def test_dyadic_grid_columns_float_bit_identical(inputs):
     rounded = tuple(tuple(map(fm.convert, col)) for col in got_columns)
     assert same(rounded, tuple(map(tuple, want_columns)))
     assert same(got, want)
+
+
+@pytest.mark.parametrize("weight", [None, {(0,): F(1), (1,): F(1, 2)}])
+def test_wide_float_grid_entries_round_once(weight):
+    """A dyadic float:64 grid whose degree-4 monomials outgrow the mantissa:
+    the grid-LP bounds are those of ``measure_bounds`` on the columns
+    rounded into the mode once per entry from ``w(g) g^alpha`` as an exact
+    Fraction, and some of those entries do round."""
+    fm = FloatMode(64)
+    big = 2 ** 40 + 1
+    grid = [(fm.convert(c),) for c in (0, 1, F(-3, 4), big, F(-big, 2), 3)]
+    monomials = list(multi_indices(1, 4))
+    form = None if weight is None else {a: fm.convert(c) for a, c in weight.items()}
+    columns, dens = gaps._grid_columns(fm, grid, monomials, form)
+    rounded = [[fm.convert(F(v, den)) for v, den in zip(col, dens)] for col in columns]
+    assert any(exact_fraction(r) != F(v, den) for col, row in zip(columns, rounded)
+               for v, den, r in zip(col, dens, row))
+    # the moments of the unit masses at 0 and at 2**40 + 1 on the rounded
+    # columns, each a float:64 value, so the LP is feasible; the rounding
+    # decides which grid measures have them
+    moments = [a + b for a, b in zip(rounded[0], rounded[3])]
+    objective = [fm.convert(c) for c in (1, -2, F(1, 3), 5, F(-7, 2), 0)]
+    got = gaps._grid_measure_bounds(fm, grid, monomials, moments, objective, 4, form)
+    assert same(got, measure_bounds(fm, rounded, moments, objective))
+    assert got[0] <= got[1]

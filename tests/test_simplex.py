@@ -199,30 +199,64 @@ def _kappa_gauss2d8():
 EXPO2 = Product(((Exponential1D(), 1), (Exponential1D(), 1)))
 
 
-@pytest.mark.parametrize("lp, pivots, unbounded", [
-    (_gridlp_ql16, 86, False),
-    (lambda: _hyperplane(EXPO2, 2, 4), 43, False),
-    (lambda: _hyperplane(EXPO2, 2, 8), 43, True),
-    (_kappa_gauss2d8, 24, False),
-    (lambda: _hyperplane(Exponential1D(), 1, 20), 35, False),
-    (lambda: _hyperplane(QLattice1D(F(2)), 1, 20), 39, False),
+@pytest.mark.parametrize("lp, pivots", [
+    (_gridlp_ql16, [38, 11, 10]),
+    (lambda: _hyperplane(EXPO2, 2, 4), [16, 6, 5]),
+    (lambda: _hyperplane(EXPO2, 2, 8), [39]),
+    (_kappa_gauss2d8, [10, 19, 11]),
+    (lambda: _hyperplane(Exponential1D(), 1, 20), [16, 3, 1]),
+    (lambda: _hyperplane(QLattice1D(F(2)), 1, 20), [15, 9, 0]),
 ], ids=["gridlp-ql16", "hyperplane-expo2d4", "hyperplane-expo2d8", "kappa-gauss2d8",
         "hyperplane-expo20", "hyperplane-ql20"])
-def test_benchmark_lps_keep_their_pivot_counts(monkeypatch, lp, pivots, unbounded):
+def test_benchmark_lps_keep_their_pivot_counts(monkeypatch, lp, pivots):
     # the grid LPs of the perfbench gap-lp workload and two of the 1D
-    # hyperplane LPs of its rational workload, with the pivots taken over
-    # phase 1, the drive-out and both phase-2 runs: pricing that keeps the
-    # bounds but walks a longer path fails here
-    count = []
-    real = simplex._Basis.pivot
-    monkeypatch.setattr(simplex._Basis, "pivot",
-                        lambda tab, *args: count.append(1) or real(tab, *args))
-    if unbounded:
+    # hyperplane LPs of its rational workload, with the pivots counted per
+    # run: phase 1 with the drive-out, then the min and the max run; a
+    # phase 1 alone has no grid measure (LpUnbounded).  Pricing that keeps
+    # the bounds but walks a longer path fails here, and names its run
+    runs = []
+    real_run, real_pivot = simplex._run, simplex._Basis.pivot
+
+    def run(tab, weights):
+        runs.append(0)
+        real_run(tab, weights)
+
+    def pivot(tab, *args):
+        runs[-1] += 1
+        real_pivot(tab, *args)
+
+    monkeypatch.setattr(simplex, "_run", run)
+    monkeypatch.setattr(simplex._Basis, "pivot", pivot)
+    if len(pivots) == 1:
         with pytest.raises(LpUnbounded):
             lp()
     else:
         lp()
-    assert len(count) == pivots
+    assert runs == pivots
+
+
+def test_phase_one_enters_the_steepest_edge(monkeypatch):
+    # at B = I the edge of column j is (e_j, -a_j): the first entering
+    # column maximizes profit^2 / (1 + |a_j|^2), profit the column sum,
+    # over columns whose norms differ by orders of magnitude (the greatest
+    # profit alone would enter the last one)
+    cols = [[1, 0, 1], [1, 1, 0], [1, 1, 1], [1, 100, 3], [1, 2000, 1000]]
+    moments, objective = [4, 102, 5], [0, 1, 2, 3, 4]  # y = (1, 1, 1, 1, 0)
+    entered = []
+    real = simplex._Basis.pivot
+
+    def pivot(tab, leave, enter, column, row):
+        entered.append(tab.nonbasic[enter])
+        real(tab, leave, enter, column, row)
+
+    def score(col):
+        return F(sum(col) ** 2, 1 + sum(v * v for v in col))
+
+    monkeypatch.setattr(simplex._Basis, "pivot", pivot)
+    bounds = measure_bounds(R, cols, moments, objective)
+    assert entered[0] == max(range(len(cols)), key=lambda g: score(cols[g]))
+    assert max(range(len(cols)), key=lambda g: sum(cols[g])) != entered[0]
+    assert bounds == _primal_bounds(cols, moments, objective)
 
 
 def _beale_lp():
