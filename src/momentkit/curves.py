@@ -5,11 +5,11 @@ A curve here is an affine curve with a proper polynomial parametrization
 ``u : R -> R^d`` that is injective away from finitely many parameter values.
 The finitely many parameter values where the complexified parametrization
 glues points together form the ramification set G; ``weight`` is the real
-polynomial with simple zeros exactly at G.  The toolkit stores the weight
-polynomial as the exact object (its coefficients are rational for every
-catalog entry) and keeps G itself as approximate complex values for display;
-for catalog entries the gluing is verified exactly at construction through a
-stored pairing involution: u_i(t) - u_i(sigma(t)) == 0 mod weight(t).
+polynomial with simple zeros exactly at G.  The toolkit stores only the
+weight polynomial, the exact object (its coefficients are rational for every
+catalog entry), not G itself; for catalog entries the gluing is verified
+exactly at construction through a stored pairing involution: u_i(t) -
+u_i(sigma(t)) == 0 mod weight(t).
 
 Measures on such a curve correspond to measures on the line through the
 parametrization, and one-variable determinacy machinery transfers: weighting
@@ -87,7 +87,6 @@ class PolynomialCurve:
     components: tuple | None
     implicit_equations: tuple = ()
     weight: tuple = (1,)
-    ramification_approx: tuple = ()
     pairing: tuple | None = None
 
     def __post_init__(self):
@@ -153,16 +152,15 @@ class PolynomialCurve:
 _F = Fraction
 
 
-def catalog(name: str, a=1) -> PolynomialCurve:
+def catalog(name: str) -> PolynomialCurve:
     """Stock curves by name: ``parabola``, ``nodal_cubic``, ``kampyle``,
     ``ramphoid_quartic``, ``lhospital_quintic``.
 
-    The scale parameter ``a`` (rational, default 1) applies where the curve
-    family has one.  The Kampyle entry is implicit-only: a polynomial
-    parametrization exists abstractly but no polynomial one is stored, so
-    parametrization-dependent operations reject it.
+    The curve families with a scale parameter are stored at scale 1; a curve
+    file describes any other scale.  The Kampyle entry is implicit-only: a
+    polynomial parametrization exists abstractly but no polynomial one is
+    stored, so parametrization-dependent operations reject it.
     """
-    a = _F(a)
     if name == "parabola":
         # u = (t^2, t); x - y^2 = 0; globally injective
         return PolynomialCurve(
@@ -178,53 +176,38 @@ def catalog(name: str, a=1) -> PolynomialCurve:
             components=((-1, 0, 1), (0, -1, 0, 1)),
             implicit_equations=({(0, 2): _F(1), (3, 0): _F(-1), (2, 0): _F(-1)},),
             weight=(-1, 0, 1),                      # t^2 - 1
-            ramification_approx=((-1.0, 0.0), (1.0, 0.0)),
             pairing=(0, -1),                        # sigma(t) = -t
         )
     if name == "kampyle":
-        if not a > 0:
-            raise InvalidParameter("kampyle needs a > 0")
-        # x^4 - a^2 (x^2 + y^2) = 0; implicit-only (no stored parametrization)
+        # x^4 - x^2 - y^2 = 0; implicit-only (no stored parametrization)
         return PolynomialCurve(
             name="kampyle", dimension=2, components=None,
-            implicit_equations=({(4, 0): _F(1), (2, 0): -a * a, (0, 2): -a * a},),
+            implicit_equations=({(4, 0): _F(1), (2, 0): _F(-1), (0, 2): _F(-1)},),
         )
     if name == "ramphoid_quartic":
-        if not a > 0:
-            raise InvalidParameter("ramphoid_quartic needs a > 0")
-        # u = (a t^4, a (t^2 + t^3));
-        # y^4 - 2 a x y^2 - 4 a x^2 y - a x^3 + a^2 x^2 = 0;
+        # u = (t^4, t^2 + t^3); y^4 - 2 x y^2 - 4 x^2 y - x^3 + x^2 = 0;
         # one non-real double point, glued from the roots of t^2 + 2t + 2
         return PolynomialCurve(
             name="ramphoid_quartic", dimension=2,
-            components=((0, 0, 0, 0, a), (0, 0, a, a)),
-            implicit_equations=({(0, 4): _F(1), (1, 2): -2 * a, (2, 1): -4 * a,
-                                 (3, 0): -a, (2, 0): a * a},),
+            components=((0, 0, 0, 0, 1), (0, 0, 1, 1)),
+            implicit_equations=({(0, 4): _F(1), (1, 2): _F(-2), (2, 1): _F(-4),
+                                 (3, 0): _F(-1), (2, 0): _F(1)},),
             weight=(2, 2, 1),                       # t^2 + 2t + 2
-            ramification_approx=((-1.0, 1.0), (-1.0, -1.0)),
             pairing=(-2, -1),                       # sigma(t) = -2 - t
         )
     if name == "lhospital_quintic":
-        if not a > 0:
-            raise InvalidParameter("lhospital_quintic needs a > 0")
-        # u = (a/2 (t - t^5/5), a/4 (1 + t^2)^2);
-        # 64 y^5 - a (25 x^2 + 20 y^2 - 20 a y + 4 a^2)^2 = 0;
+        # u = ((t - t^5/5) / 2, (1 + t^2)^2 / 4);
+        # 64 y^5 - (25 x^2 + 20 y^2 - 20 y + 4)^2 = 0;
         # the four roots of t^4 - 5 glue in +- pairs
-        x_comp = (0, a / 2, 0, 0, 0, -a / 10)
-        y_comp = (a / 4, 0, a / 2, 0, a / 4)
-        inner = {(2, 0): _F(25), (0, 2): _F(20), (0, 1): -20 * a, (0, 0): 4 * a * a}
-        sq = mpoly_mul(inner, inner)
+        inner = {(2, 0): _F(25), (0, 2): _F(20), (0, 1): _F(-20), (0, 0): _F(4)}
         implicit = {(0, 5): _F(64)}
-        for k, v in sq.items():
-            implicit[k] = implicit.get(k, _F(0)) - a * v
-        fourth_root = 5 ** 0.25
+        implicit.update((k, -v) for k, v in mpoly_mul(inner, inner).items())
         return PolynomialCurve(
             name="lhospital_quintic", dimension=2,
-            components=(x_comp, y_comp),
+            components=((0, _F(1, 2), 0, 0, 0, _F(-1, 10)),
+                        (_F(1, 4), 0, _F(1, 2), 0, _F(1, 4))),
             implicit_equations=(implicit,),
             weight=(-5, 0, 0, 0, 1),                # t^4 - 5
-            ramification_approx=((fourth_root, 0.0), (-fourth_root, 0.0),
-                                 (0.0, fourth_root), (0.0, -fourth_root)),
             pairing=(0, -1),                        # sigma(t) = -t
         )
     raise UnknownCurve(f"no catalog curve named {name!r}")
@@ -389,22 +372,6 @@ def _weighted_lift(sigma: MomentSequence, weight: tuple) -> MomentSequence:
 # curve description files
 
 
-def curve_to_json(curve: PolynomialCurve) -> str:
-    doc = {
-        "name": curve.name,
-        "dimension": curve.dimension,
-        "components": ([[_frac_str(c) for c in comp] for comp in curve.components]
-                       if curve.components is not None else None),
-        "implicit": [{_key_str(k): _frac_str(v) for k, v in eq.items()}
-                     for eq in curve.implicit_equations],
-        "ramification": [[re, im] for re, im in curve.ramification_approx],
-        "weight": [_frac_str(c) for c in curve.weight],
-        "pairing": ([_frac_str(c) for c in curve.pairing]
-                    if curve.pairing is not None else None),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def curve_from_json(text: str) -> PolynomialCurve:
     doc = json_object(json.loads(text), "a curve document")
     comps = read_field(doc, "components",
@@ -419,19 +386,8 @@ def curve_from_json(text: str) -> PolynomialCurve:
         components=comps,
         implicit_equations=implicit,
         weight=read_field(doc, "weight", rationals, ["1"]),
-        ramification_approx=read_field(doc, "ramification", lambda rs: tuple(
-            (float(re), float(im)) for re, im in json_list(rs)), []),
         pairing=read_field(doc, "pairing", lambda p: rationals(p) if p else None, None),
     )
-
-
-def _frac_str(v) -> str:
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-def _key_str(alpha: tuple) -> str:
-    return ",".join(str(e) for e in alpha)
 
 
 def _key_parse(s: str) -> tuple:

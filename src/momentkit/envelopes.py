@@ -52,28 +52,19 @@ class PolynomialEnvelope:
     gap_functional: Any
 
 
-def cosine_envelope(seq_1d: MomentSequence, order: int,
-                    phase_shifted: bool = False) -> PolynomialEnvelope:
-    """Bracket of cos t (or of sin t with ``phase_shifted``) by consecutive
-    power-series truncations.
-
-    The cosine bracket is valid on all of R; the phase-shifted (sine) stream
-    alternates only for t >= 0, so that envelope is certified on the half
-    line and demands matching support.  ``order`` = M means the bracket pair
-    differs by the degree-2M term; gap functional = m_{2M} / (2M)!
-    (cosine) or m_{2M+1} / (2M+1)! (sine).
+def cosine_envelope(seq_1d: MomentSequence, order: int) -> PolynomialEnvelope:
+    """Bracket of cos t by consecutive power-series truncations, valid on
+    all of R.  ``order`` = M means the bracket pair differs by the
+    degree-2M term; gap functional = m_{2M} / (2M)!.
     """
-    parity = 1 if phase_shifted else 0      # the stream's degrees are 2j + parity
-    top_deg = _top_degree(seq_1d, order, "cosine envelope", parity,
-                          "the phase-shifted envelope is certified on [0, inf) only"
-                          if phase_shifted else None)
+    top_deg = _top_degree(seq_1d, order, "cosine envelope", None)
     mode = seq_1d.mode
     coeffs = [mode.zero()] * (top_deg + 1)
     for j in range(order + 1):
-        coeffs[2 * j + parity] = mode.convert((-1) ** j) / math.factorial(2 * j + parity)
+        coeffs[2 * j] = mode.convert((-1) ** j) / math.factorial(2 * j)
     # m_top / top! rounds once in float mode; (1 / top!) * m_top would round twice
     gap = seq_1d.moment((top_deg,)) / math.factorial(top_deg)
-    return _bracket(coeffs, "half_line" if phase_shifted else "real_line", gap)
+    return _bracket(coeffs, "real_line", gap)
 
 
 def geometric_envelope(seq_1d: MomentSequence, order: int) -> PolynomialEnvelope:
@@ -84,9 +75,9 @@ def geometric_envelope(seq_1d: MomentSequence, order: int) -> PolynomialEnvelope
     return maclaurin_envelope(CompletelyMonotonic.geometric(), seq_1d, order)
 
 
-def _top_degree(seq_1d: MomentSequence, order: int, name: str, parity: int,
+def _top_degree(seq_1d: MomentSequence, order: int, name: str,
                 half_line: str | None) -> int:
-    """The bracket's top degree 2 * order + parity, after the checks every
+    """The bracket's top degree 2 * order, after the checks every
     envelope makes, in this order: the order, the dimension, the support
     (``half_line`` is the WrongSupport message of an envelope certified on
     [0, inf) only) and the truncation degree."""
@@ -96,7 +87,7 @@ def _top_degree(seq_1d: MomentSequence, order: int, name: str, parity: int,
         raise InvalidParameter(f"{name} needs a 1D sequence")
     if half_line is not None and not isinstance(seq_1d.support, NonnegativeOrthant):
         raise WrongSupport(half_line)
-    top_deg = 2 * order + parity
+    top_deg = 2 * order
     if top_deg > seq_1d.max_degree:
         raise DegreeInsufficient(f"order {order} needs degree {top_deg}")
     return top_deg
@@ -119,28 +110,26 @@ class CompletelyMonotonic:
     ``derivatives(k)`` returns phi^(k)(0) as an exact value (int or
     ``Fraction``); the stream must alternate: (-1)^k phi^(k)(0) >= 0.
     Envelopes divide it by k! exactly and convert each coefficient once.
-    ``description`` feeds reports.
     """
 
     derivatives: Callable[[int], Any]
-    description: str = "completely-monotonic"
 
     @staticmethod
     def exponential_decay() -> "CompletelyMonotonic":
         """phi(s) = exp(-s): derivative stream (-1)^k."""
-        return CompletelyMonotonic(lambda k: (-1) ** k, "exp(-s)")
+        return CompletelyMonotonic(lambda k: (-1) ** k)
 
     @staticmethod
     def geometric() -> "CompletelyMonotonic":
         """phi(s) = 1/(1+s): derivative stream (-1)^k k!."""
-        return CompletelyMonotonic(lambda k: (-1) ** k * math.factorial(k), "1/(1+s)")
+        return CompletelyMonotonic(lambda k: (-1) ** k * math.factorial(k))
 
 
 def maclaurin_envelope(phi: CompletelyMonotonic, seq_1d: MomentSequence,
                        order: int) -> PolynomialEnvelope:
     """Power-series bracket M_{2n-1} <= phi <= M_{2n} on s >= 0 for a
     completely monotonic phi; gap = phi^(2n)(0)/(2n)! * L(s^{2n})."""
-    top_deg = _top_degree(seq_1d, order, "maclaurin envelope", 0,
+    top_deg = _top_degree(seq_1d, order, "maclaurin envelope",
                           "the bracket holds on [0, inf) only")
     mode = seq_1d.mode
     coeffs = []

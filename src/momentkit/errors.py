@@ -72,10 +72,6 @@ class LpInfeasible(MomentKitError):
     """Cannot occur with consistent data; signals malformed input."""
 
 
-class InvalidH(MomentKitError):
-    """The orthant-criterion polynomial h violates h >= 1 on [0, inf) or h >= 0 on R."""
-
-
 class NotInteriorDirection(MomentKitError):
     pass
 

@@ -27,8 +27,9 @@ per entry.  Float scalars enter at their exact binary values, the row
 denominators are powers of two, and ``simplex.measure_bounds`` rounds each
 integer entry into the mode once, which rounds w(g) g^alpha itself.  The
 separating function is prepared once per grid (``_Target``), then
-``evaluate_separating`` reads it at each point.  A grid point whose length
-is not the sequence's dimension raises DimensionMismatch.
+``evaluate_separating`` reads it at each point.  A grid point, a direction,
+a corner or a spec's vector whose length is not the sequence's dimension
+raises DimensionMismatch naming both, before any LP runs.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .errors import (
     DegreeInsufficient,
     DimensionMismatch,
     InvalidDirection,
-    InvalidH,
     InvalidParameter,
     LpUnbounded,
     NotInteriorDirection,
@@ -67,7 +67,6 @@ from .polynomials import (
     mpoly_eval,
     mpoly_mul,
     multi_indices,
-    poly_eval,
 )
 from .scalars import (ComplexScalar, Mode, RationalMode, exact_fraction, from_context,
                       half_floor, integers, to_context, work_context)
@@ -82,11 +81,9 @@ RATIONAL_PHI_BITS = 128
 
 @dataclass(frozen=True)
 class Cosine:
-    """cos(x . xi) for phase "zero", or its quarter-period shift sin(x . xi)
-    for phase "minus_half_pi"; the two phases share one coefficient stream."""
+    """cos(x . xi)."""
 
     xi: tuple
-    phase: str = "zero"  # "zero" | "minus_half_pi"
 
 
 @dataclass(frozen=True)
@@ -133,31 +130,44 @@ def evaluate_separating(spec, point: Sequence, mode: Mode):
     spec prepared for ``mode`` once per grid.
     """
     if not isinstance(spec, _Target):
-        spec = _Target(spec, mode)
+        spec = _Target(spec, mode, len(point))
     return spec.at(point)
 
 
-class _Target:
-    """A separating spec prepared for one mode: what does not depend on the
-    point (the converted parameters, the work context, ``c_d``, the sampled
-    values keyed by point) is computed once; ``at(point)`` is phi(point).
-    Sampled values are keyed by the point converted to the mode, the way
-    ``grid_gap_lp`` converts its grid, and looked up the same way; of
-    points that convert to the same key (a repeated point, or in float mode
-    two rationals that round to one float) the first value is kept."""
+def _check_dimension(name: str, vector: Sequence, dimension: int) -> None:
+    if len(vector) != dimension:
+        raise DimensionMismatch(f"{name} of dimension {len(vector)} for a "
+                                f"{dimension}-dimensional sequence")
 
-    def __init__(self, spec, mode: Mode):
+
+class _Target:
+    """A separating spec prepared for one mode and dimension: what does not
+    depend on the point (the converted parameters, the work context,
+    ``c_d``, the sampled values keyed by point) is computed once;
+    ``at(point)`` is phi(point).  Sampled values are keyed by the point
+    converted to the mode, the way ``grid_gap_lp`` converts its grid, and
+    looked up the same way; of points that convert to the same key (a
+    repeated point, or in float mode two rationals that round to one float)
+    the first value is kept.  A sampled spec needs one value per point, and
+    a kernel's vector the given dimension."""
+
+    def __init__(self, spec, mode: Mode, dimension: int):
         self.mode = mode
         if isinstance(spec, Sampled):
+            if len(spec.points) != len(spec.values):
+                raise InvalidParameter(f"sampled spec has {len(spec.points)} points "
+                                       f"and {len(spec.values)} values")
             self.values = {}
             for p, v in zip(spec.points, spec.values):
                 self.values.setdefault(self._key(p), v)
             self.at = self._sampled
         elif isinstance(spec, Fantappie):
+            _check_dimension("Fantappie a", spec.a, dimension)
             self.one = mode.convert(1)
             self.a = [mode.convert(c) for c in spec.a]
             self.at = self._fantappie
         elif isinstance(spec, PoissonKernel):
+            _check_dimension("Poisson x0", spec.x0, dimension)
             d = len(spec.x0)
             t0 = mode.convert(spec.t0)
             self.t0_sq = t0 * t0
@@ -172,9 +182,9 @@ class _Target:
                 self.scale, self.power = cd * to_context(ctx, t0), ctx.mpf(d + 1) / 2
                 self.at = self._poisson_even
         elif isinstance(spec, Cosine):
+            _check_dimension("cosine xi", spec.xi, dimension)
             ctx = self.ctx = work_context(mode, RATIONAL_PHI_BITS)
             self.xi = [to_context(ctx, mode.convert(c)) for c in spec.xi]
-            self.trig = ctx.cos if spec.phase == "zero" else ctx.sin
             self.at = self._cosine
         else:
             raise InvalidParameter(f"unknown separating spec {type(spec).__name__}")
@@ -217,7 +227,7 @@ class _Target:
         t = ctx.mpf(0)
         for xi, x in zip(self.xi, point):
             t += xi * to_context(ctx, self.mode.convert(x))
-        return from_context(self.mode, self.trig(t))
+        return from_context(self.mode, ctx.cos(t))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +357,7 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
         raise InvalidParameter("grid must be non-empty")
     monomials = list(multi_indices(seq.dimension, degree))
     c_obj = [seq.entries[alpha] for alpha in monomials]
-    target = _Target(phi, mode)
+    target = _Target(phi, mode, seq.dimension)
     phi_vals = [evaluate_separating(target, g, mode) for g in grid]
     sup_side, inf_side = _grid_measure_bounds(mode, grid, monomials, c_obj,
                                               phi_vals, degree)
@@ -360,9 +370,7 @@ def _grid_in_mode(grid: Sequence, seq: MomentSequence) -> list:
     point's length is not the sequence's dimension."""
     points = [tuple(seq.mode.convert(c) for c in g) for g in grid]
     for g in points:
-        if len(g) != seq.dimension:
-            raise DimensionMismatch(f"grid point of dimension {len(g)} for a "
-                                    f"{seq.dimension}-dimensional sequence")
+        _check_dimension("grid point", g, seq.dimension)
     return points
 
 
@@ -471,6 +479,7 @@ def sphere_average_kappa(seq: MomentSequence, x0: Sequence, t0, radius,
     t0v, rv = mode.convert(t0), mode.convert(radius)
     if not (t0v > 0 and rv > 0 and rv < t0v):
         raise InvalidParameter("need 0 < radius < t0 so the sphere stays in t > 0")
+    _check_dimension("x0", x0, seq.dimension)
     nodes, weights = _sphere_nodes(seq.dimension, node_count)
     total, wsum = 0.0, 0.0
     x0v = [mode.to_float(mode.convert(c)) for c in x0]
@@ -539,60 +548,36 @@ def _sphere_nodes(d: int, count: int):
 # orthant criterion
 
 
-DEFAULT_ORTHANT_H = (1, 1, 1)  # h(t) = t^2 + t + 1
-
-
-def orthant_criterion(seq: MomentSequence, a: Sequence,
-                      h: Sequence = DEFAULT_ORTHANT_H) -> dict:
+def orthant_criterion(seq: MomentSequence, a: Sequence) -> dict:
     """Slack of the translated-orthant step-function bracket at corner a:
 
         slack = sum over all sign-flip patterns I of L(H_I(x - a)) - m_0,
 
-    where H(x) = prod h(x_j) and H_I flips the signs of the coordinates in I.
-    An indeterminate functional must show slack > 0 at some corner, so
-    persistent slack <= 0 over a corner scan is determinate-side evidence
-    (necessary-condition probe only).  The 2^d patterns sum to one product,
-    prod_j (h(t) + h(-t)) at t = x_j - a_j, so L is applied once, to it.
-
-    h must satisfy h >= 1 on [0, inf) and h >= 0 on R; the default
-    t^2 + t + 1 is certified by calculus (min on the half line is h(0) = 1,
-    discriminant -3 < 0), custom h is spot-checked on the grid j/4, |j| <= 64.
+    where H(x) = prod h(x_j) with h(t) = t^2 + t + 1 and H_I flips the signs
+    of the coordinates in I.  An indeterminate functional must show slack > 0
+    at some corner, so persistent slack <= 0 over a corner scan is
+    determinate-side evidence (necessary-condition probe only).  The bracket
+    needs h >= 1 on [0, inf) and h >= 0 on R, which this h meets by calculus
+    (its minimum on the half line is h(0) = 1, its discriminant -3 < 0).
+    The 2^d patterns sum to one product, prod_j (h(t) + h(-t)) = prod_j 2 (t^2
+    + 1) at t = x_j - a_j, so L is applied once, to it.
     """
     mode = seq.mode
-    h = tuple(mode.convert(c) for c in h)
-    _validate_orthant_h(mode, h)
     d = seq.dimension
-    deg_h = len(h) - 1
-    if deg_h * d > seq.max_degree:
-        raise DegreeInsufficient(
-            f"needs degree {deg_h * d}, truncation is {seq.max_degree}"
-        )
+    if 2 * d > seq.max_degree:
+        raise DegreeInsufficient(f"needs degree {2 * d}, truncation is {seq.max_degree}")
     av = [mode.convert(c) for c in a]
-    if len(av) != d:
-        raise InvalidParameter("corner dimension mismatch")
+    _check_dimension("corner", av, d)
     # the moments of x - a, to which the product is applied
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
-    translated = affine_map(seq, identity, [-c for c in av], deg_h * d)
-    # sum_I H_I = prod_j (h + h(-.))(x_j), and h + h(-.) is twice h's even part
+    translated = affine_map(seq, identity, [-c for c in av], 2 * d)
+    two = 2 * mode.one()
     poly = {(0,) * d: mode.one()}
     for j in range(d):
-        poly = mpoly_mul(poly, {tuple(k if i == j else 0 for i in range(d)): 2 * c
-                                for k, c in enumerate(h) if c and k % 2 == 0})
+        poly = mpoly_mul(poly, {(0,) * d: two, tuple(2 if i == j else 0 for i in range(d)): two})
     total = apply_linear_functional(translated, poly)
     m0 = seq.entries[(0,) * d]
     return {"slack": total - m0, "corner": tuple(av)}
-
-
-def _validate_orthant_h(mode, h: tuple) -> None:
-    if list(h) == [mode.convert(c) for c in DEFAULT_ORTHANT_H]:
-        return  # certified symbolically; see docstring
-    for t in [Fraction(j, 4) for j in range(-64, 65)]:
-        tv = mode.convert(t)
-        val = poly_eval(h, tv)
-        if mode.to_float(val) < 0:
-            raise InvalidH(f"h({t}) < 0")
-        if tv >= 0 and mode.to_float(val) < 1:
-            raise InvalidH(f"h({t}) < 1 on the half line")
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +600,7 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
     if not support_is_cone(seq.support):
         raise WrongSupport("hyperplane gaps need cone-supported sequences")
     av = [mode.convert(c) for c in a]
+    _check_dimension("direction", av, seq.dimension)
     if not dual_interior_contains(seq.support, av):
         raise NotInteriorDirection("a must be strictly interior to the dual cone")
     if degree < 0:

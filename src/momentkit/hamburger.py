@@ -682,24 +682,14 @@ def christoffel(rec: Recurrence, z: ComplexScalar, n: int):
 class WeylDisk:
     """Closed disk of truncated Cauchy-transform values at a non-real point.
 
-    ``radius_sq`` is the exact in-mode quantity; ``radius`` takes a square
-    root and is therefore approximate in rational mode unless the square is
-    perfect (in particular an exact 0 stays exact)."""
+    ``radius_sq`` is the exact in-mode square of the radius; the radius
+    itself would take a square root, approximate in rational mode."""
 
     z: ComplexScalar
     degree: int
     center: ComplexScalar
     radius_sq: Any
-    mode: Mode
     degenerate: bool = False
-
-    @property
-    def radius(self):
-        return self.mode.sqrt(self.radius_sq)
-
-    @property
-    def diameter(self):
-        return 2 * self.radius
 
     def contains(self, value: ComplexScalar) -> bool:
         return (value - self.center).abs2() <= self.radius_sq
@@ -719,18 +709,17 @@ def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
     sum of positive terms keeps the bits that ``s`` cancels away.
     """
     radius_sq = weyl_radius_sq(rec, z, n)
-    mode = rec.mode
     ev = ortho_eval(rec, z)
     p_top, p_low = ev.first[n + 1], ev.first[n]
     q_top, q_low = ev.second[n + 1], ev.second[n]
     if rec.beta[n + 1] == 0:
         # degenerate pencil: every parameter gives the same point, the
         # Cauchy transform of the unique (atomic) representing measure
-        return WeylDisk(z, n, -(q_top / p_top), radius_sq, mode, degenerate=True)
+        return WeylDisk(z, n, -(q_top / p_top), radius_sq, degenerate=True)
     s = _casoratian_im(ev, n)
     num = q_top * p_low.conj() - q_low * p_top.conj()
     center = ComplexScalar(-num.im / (2 * s), num.re / (2 * s))
-    return WeylDisk(z, n, center, radius_sq, mode)
+    return WeylDisk(z, n, center, radius_sq)
 
 
 def weyl_radius_sq(rec: Recurrence, z: ComplexScalar, n: int, rho=None):

@@ -326,8 +326,7 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
         entries = {alpha: _product(map(list.__getitem__, per_axis, alpha))
                    for alpha in multi_indices(dimension, max_degree)}
         return MomentSequence(dimension, max_degree, mode, entries, FullSpace(),
-                              meta={"carleman_growth_certified": True,
-                                    "description": "gaussian_product"})
+                              meta={"carleman_growth_certified": True})
 
     if isinstance(defn, Exponential1D):
         if dimension != 1:
@@ -337,8 +336,7 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
             m.append(f)
             f = f * (k + 1)
         return sequence_from_1d(m, mode, NonnegativeOrthant(),
-                                meta={"carleman_growth_certified": True,
-                                      "description": "exponential"})
+                                meta={"carleman_growth_certified": True})
 
     if isinstance(defn, LogNormal1D):
         if dimension != 1:
@@ -352,8 +350,7 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
             raise InvalidParameter("shape s must be positive")
         ctx = mode.ctx
         m = [ctx.exp(k * k * s * s / 2) for k in range(max_degree + 1)]
-        return sequence_from_1d(m, mode, NonnegativeOrthant(),
-                                meta={"description": "log_normal"})
+        return sequence_from_1d(m, mode, NonnegativeOrthant())
 
     if isinstance(defn, QLattice1D):
         if dimension != 1:
@@ -362,8 +359,7 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
         if not q > 1:
             raise InvalidParameter("q must exceed 1")
         m = [q ** (k * k) for k in range(max_degree + 1)]
-        return sequence_from_1d(m, mode, NonnegativeOrthant(),
-                                meta={"description": "q_lattice"})
+        return sequence_from_1d(m, mode, NonnegativeOrthant())
 
     if isinstance(defn, Atomic):
         if not defn.points or len(defn.points) != len(defn.weights):
@@ -383,8 +379,7 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
         on_orthant = all(all(c >= 0 for c in p) for p in pts)
         support = NonnegativeOrthant() if on_orthant else FullSpace()
         return MomentSequence(dimension, max_degree, mode, entries, support,
-                              meta={"carleman_growth_certified": True,
-                                    "description": "atomic"})
+                              meta={"carleman_growth_certified": True})
 
     if isinstance(defn, Product):
         dims, seqs = [], []
@@ -404,8 +399,7 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
                    else FullSpace())
         certified = all(s.is_certified_carleman() for s in seqs)
         return MomentSequence(dimension, max_degree, mode, entries, support,
-                              meta={"carleman_growth_certified": certified,
-                                    "description": "product"})
+                              meta={"carleman_growth_certified": certified})
 
     if isinstance(defn, WeightedBy):
         w = {tuple(a): v for a, v in defn.weight.items()}

@@ -170,11 +170,11 @@ def product_entries(factors, dims, max_degree: int, mode: Mode) -> dict:
     return entries
 
 
-def orthant_slack_patterns(seq: MomentSequence, a, h=(1, 1, 1)):
+def orthant_slack_patterns(seq: MomentSequence, a):
     """sum over sign patterns I of L(H_I(x - a)) - m_0, one pattern at a
-    time, h given by its coefficients."""
+    time, with h(t) = t^2 + t + 1."""
     mode, d = seq.mode, seq.dimension
-    h = tuple(mode.convert(c) for c in h)
+    h = (mode.one(),) * 3
     h_flip = tuple(c if k % 2 == 0 else -c for k, c in enumerate(h))
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
     translated = affine_map(seq, identity, [-mode.convert(c) for c in a], (len(h) - 1) * d)
@@ -591,12 +591,12 @@ def weyl_disk_circumcircle(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDis
     q_top, q_low = ev.second[n + 1], ev.second[n]
     if rec.beta[n + 1] == 0:
         center = -(q_top / p_top)
-        return WeylDisk(z, n, center, mode.zero(), mode, degenerate=True)
+        return WeylDisk(z, n, center, mode.zero(), degenerate=True)
     w0 = -(q_top / p_top)
     w1 = -((q_top + q_low) / (p_top + p_low))
     winf = -(q_low / p_low)
     center = _circumcenter(mode, w0, w1, winf)
-    return WeylDisk(z, n, center, (w0 - center).abs2(), mode)
+    return WeylDisk(z, n, center, (w0 - center).abs2())
 
 
 def _circumcenter(mode: Mode, w0: ComplexScalar, w1: ComplexScalar,

@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 from fractions import Fraction as F
@@ -9,7 +10,6 @@ from momentkit.curves import (
     PolynomialCurve,
     catalog,
     curve_from_json,
-    curve_to_json,
     lift_and_test,
     projection_bridge,
     pushforward_to_curve,
@@ -57,16 +57,13 @@ def qlattice(n):
 
 
 def test_catalog_implicit_identities_hold_exactly():
-    # construction re-checks them; also assert directly, including scaled a
+    # construction re-checks them; also assert directly
     for name in CATALOG_NAMES:
-        for a in (1, F(3, 2)):
-            if name in ("parabola", "nodal_cubic") and a != 1:
-                continue
-            curve = catalog(name, a)
-            if curve.components is None:
-                continue
-            for eq in curve.implicit_equations:
-                assert poly_trim(mpoly_compose_univariates(eq, curve.components)) == ()
+        curve = catalog(name)
+        if curve.components is None:
+            continue
+        for eq in curve.implicit_equations:
+            assert poly_trim(mpoly_compose_univariates(eq, curve.components)) == ()
 
 
 def test_catalog_parabola_and_cubic_forms():
@@ -75,7 +72,6 @@ def test_catalog_parabola_and_cubic_forms():
     assert par.weight == (1,)
     cubic = catalog("nodal_cubic")
     assert cubic.weight == (-1, 0, 1)
-    assert set(cubic.ramification_approx) == {(-1.0, 0.0), (1.0, 0.0)}
 
 
 def test_catalog_ramification_weights():
@@ -356,10 +352,23 @@ def test_nodal_curve_christoffel_against_gram_oracle():
 # files
 
 
+def _curve_document(curve) -> str:
+    """A curve file describing ``curve``: values as "p/q" strings, monomial
+    keys as comma-joined exponents."""
+    return json.dumps({
+        "name": curve.name,
+        "dimension": curve.dimension,
+        "components": (None if curve.components is None
+                       else [[str(F(c)) for c in comp] for comp in curve.components]),
+        "implicit": [{",".join(map(str, k)): str(v) for k, v in eq.items()}
+                     for eq in curve.implicit_equations],
+        "weight": [str(F(c)) for c in curve.weight],
+        "pairing": None if curve.pairing is None else [str(F(c)) for c in curve.pairing],
+    })
+
+
 def test_curve_json_round_trip():
     for name in CATALOG_NAMES:
         curve = catalog(name)
-        back = curve_from_json(curve_to_json(curve))
-        assert back.components == curve.components
-        assert back.weight == curve.weight
-        assert back.implicit_equations == curve.implicit_equations
+        back = curve_from_json(_curve_document(curve))
+        assert back == curve

@@ -62,18 +62,6 @@ def test_cosine_gap_blows_up_for_qlattice():
     assert gaps[2] > gaps[1] > gaps[0] > 0  # envelope family too weak to decide
 
 
-def test_sine_phase_needs_halfline():
-    with pytest.raises(WrongSupport):
-        cosine_envelope(gauss(12), 2, phase_shifted=True)
-    seq = generate_moments(Exponential1D(), 1, 12, R)
-    env = cosine_envelope(seq, 2, phase_shifted=True)
-    assert env.domain == "half_line"
-    for t in HALF_POINTS:
-        s = math.sin(float(t))
-        assert float(poly_eval(env.lower, t)) <= s + 1e-12
-        assert float(poly_eval(env.upper, t)) >= s - 1e-12
-
-
 def test_geometric_first_bracket_identity():
     seq = generate_moments(Exponential1D(), 1, 12, R)
     env = geometric_envelope(seq, 1)
@@ -131,7 +119,7 @@ def test_geometric_coefficients_stay_exact_in_float_mode():
 
 def test_maclaurin_rejects_non_alternating_stream():
     seq = generate_moments(Exponential1D(), 1, 12, R)
-    bad = CompletelyMonotonic(lambda k: 1, "exp(+s)")  # all derivatives +1
+    bad = CompletelyMonotonic(lambda k: 1)  # all derivatives +1
     with pytest.raises(NotCompletelyMonotonicCoefficients):
         maclaurin_envelope(bad, seq, 1)
 
@@ -146,8 +134,7 @@ def test_cm_criterion_exponential_constant_one():
 
 def test_cm_criterion_gaussian_cosine_stream_decays():
     seq = gauss(24)
-    cos_stream = CompletelyMonotonic(
-        lambda k: 0 if k % 2 else (-1) ** (k // 2), "cos-stream")
+    cos_stream = CompletelyMonotonic(lambda k: 0 if k % 2 else (-1) ** (k // 2))
     res = cm_gap_criterion(cos_stream, seq, (0, 1), 12)
     expect = [F(1, 2 ** n * math.factorial(n)) for n in range(1, 13)]
     assert list(res.values) == expect

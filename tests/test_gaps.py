@@ -9,12 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from momentkit import simplex
 from momentkit.cli import main
 from momentkit.envelopes import geometric_envelope
 from momentkit.errors import (
     DimensionMismatch,
     InvalidDirection,
-    InvalidH,
     InvalidParameter,
     LpUnbounded,
     NotInteriorDirection,
@@ -201,13 +201,6 @@ def test_orthant_dirac_slack():
     assert orthant_criterion(seq, (0,))["slack"] == 1
 
 
-def test_orthant_custom_h_validation():
-    with pytest.raises(InvalidH):
-        orthant_criterion(gauss(4), (0,), h=(F(1, 2), 0, 1))  # h(0) < 1
-    with pytest.raises(InvalidH):
-        orthant_criterion(gauss(4), (0,), h=(1, -3, 1))       # dips negative
-
-
 def test_orthant_2d_consistency():
     g2 = gauss(8, 2)
     res = orthant_criterion(g2, (0, 0))
@@ -221,18 +214,15 @@ orthant_parts = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7)))
 
 @st.composite
 def orthant_inputs(draw):
-    """(atomic measure, dimension, corner, h): 1 to 4 atoms in d = 1..3 with
-    positive rational weights, a rational corner, and an h the criterion
-    accepts (the default or one passing its spot check)."""
+    """(atomic measure, dimension, corner): 1 to 4 atoms in d = 1..3 with
+    positive rational weights, and a rational corner."""
     d = draw(st.integers(1, 3))
     atoms = draw(st.integers(1, 4))
     xs = draw(st.lists(st.tuples(*[orthant_parts] * d), min_size=atoms, max_size=atoms))
     ws = draw(st.lists(st.builds(F, st.integers(1, 30), st.sampled_from((1, 3, 7))),
                        min_size=atoms, max_size=atoms))
     corner = draw(st.tuples(*[orthant_parts] * d))
-    h = draw(st.sampled_from(((1, 1, 1), (2, F(1, 2), 1), (1, 0, F(1, 3), 0, 1),
-                              (F(3, 2), 1, 1, F(1, 5), F(1, 7)))))
-    return Atomic(tuple(xs), tuple(ws)), d, corner, h
+    return Atomic(tuple(xs), tuple(ws)), d, corner
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -241,13 +231,12 @@ def test_orthant_matches_the_per_pattern_sum(inputs):
     """The one product prod_j (h + h(-.))(x_j - a_j) gives the slack of the
     2^d sign patterns summed one by one: equal in rational mode, within
     2^-64 relative at float:128."""
-    measure, d, corner, h = inputs
-    degree = (len(h) - 1) * d
-    seq = generate_moments(measure, d, degree, R)
-    assert orthant_criterion(seq, corner, h)["slack"] == orthant_slack_patterns(seq, corner, h)
-    seq = generate_moments(measure, d, degree, FloatMode(128))
-    got = exact_fraction(orthant_criterion(seq, corner, h)["slack"])
-    want = exact_fraction(orthant_slack_patterns(seq, corner, h))
+    measure, d, corner = inputs
+    seq = generate_moments(measure, d, 2 * d, R)
+    assert orthant_criterion(seq, corner)["slack"] == orthant_slack_patterns(seq, corner)
+    seq = generate_moments(measure, d, 2 * d, FloatMode(128))
+    got = exact_fraction(orthant_criterion(seq, corner)["slack"])
+    want = exact_fraction(orthant_slack_patterns(seq, corner))
     assert abs(got - want) <= abs(want) * F(1, 2 ** 64)
 
 
@@ -478,7 +467,7 @@ def test_sampled_points_that_round_together_keep_the_first_value():
 
 
 @pytest.mark.parametrize("spec", [
-    Cosine((F(1), F(-2)), "minus_half_pi"),
+    Cosine((F(1), F(-2))),
     Fantappie((F(1, 3), F(2))),
     PoissonKernel((F(1, 2), F(-1)), F(3, 4)),
     PoissonKernel((F(0), F(0), F(1)), F(2)),
@@ -513,3 +502,41 @@ EXPO8 = generate_moments(Exponential1D(), 1, 8, R)
 def test_grid_points_of_the_wrong_dimension_are_refused(run):
     with pytest.raises(DimensionMismatch, match="grid point of dimension"):
         run()
+
+
+EXPO2D4 = generate_moments(Product(((Exponential1D(), 1), (Exponential1D(), 1))), 2, 4, R)
+GAUSS2D4 = generate_moments(GaussianProduct((1, 1)), 2, 4, R)
+GRID2D = [(F(i), F(j)) for i in range(-2, 3) for j in range(-2, 3)]
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: hyperplane_gap(EXPO2D4, (1,), 4), "direction of dimension 1 "),
+    (lambda: hyperplane_gap(EXPO2D4, (1, 1, 2), 4), "direction of dimension 3 "),
+    (lambda: grid_gap_lp(GAUSS2D4, Fantappie((1,)), 2, GRID2D), "Fantappie a of dimension 1 "),
+    (lambda: grid_gap_lp(GAUSS2D4, Cosine((1,)), 2, GRID2D), "cosine xi of dimension 1 "),
+    (lambda: grid_gap_lp(GAUSS2D4, PoissonKernel((0,), 1), 2, GRID2D),
+     "Poisson x0 of dimension 1 "),
+    (lambda: poisson_kappa_estimate(GAUSS2D4, (0,), 1, 2), "Poisson x0 of dimension 1 "),
+    (lambda: sphere_average_kappa(GAUSS2D4, (0,), 1, F(1, 4), 4, 2), "x0 of dimension 1 "),
+    (lambda: sphere_average_kappa(GAUSS2D4, (0, 0, 0), 1, F(1, 4), 4, 2),
+     "x0 of dimension 3 "),
+    (lambda: orthant_criterion(GAUSS2D4, (0,)), "corner of dimension 1 "),
+], ids=["hyperplane-short", "hyperplane-long", "fantappie", "cosine", "poisson",
+        "kappa-estimate", "sphere-average-short", "sphere-average-long", "orthant-corner"])
+def test_vectors_of_the_wrong_dimension_are_refused(run, message, monkeypatch):
+    """A direction, a kernel's vector, a centre or a corner whose length is
+    not the sequence's dimension is refused, naming both lengths, before
+    any LP runs."""
+    def no_lp(*args):
+        raise AssertionError("an LP ran")
+    monkeypatch.setattr(simplex, "measure_bounds", no_lp)
+    with pytest.raises(DimensionMismatch, match=message + "for a 2-dimensional sequence"):
+        run()
+
+
+def test_sampled_spec_needs_one_value_per_point():
+    spec = Sampled(((F(0), F(0)),), (F(1), F(2), F(3)))
+    with pytest.raises(InvalidParameter, match="1 points and 3 values"):
+        grid_gap_lp(GAUSS2D4, spec, 0, [(F(0), F(0))])
+    with pytest.raises(InvalidParameter, match="1 points and 3 values"):
+        evaluate_separating(spec, (F(0), F(0)), R)
