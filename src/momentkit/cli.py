@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import __version__
-from .curves import catalog, curve_from_json, lift_and_test, pushforward_to_curve
+from .curves import catalog, curve_from_json, lift_and_test
 from .envelopes import cosine_envelope, geometric_envelope
 from .errors import (InvalidParameter, MomentKitError, NotAdmissible, PrecisionExhausted,
                      UnrepresentableInMode)
@@ -546,8 +546,7 @@ def cmd_curve(args) -> int:
         return sigma, provenance, cap
 
     def lift(sigma, provenance, _retry):
-        cm = pushforward_to_curve(sigma, curve, args.degree)
-        verdict = lift_and_test(cm)
+        verdict = lift_and_test(sigma, curve)
         report = {
             "schema_version": "1",
             # lift_and_test weights the lift by weight**2

@@ -15,12 +15,15 @@ Measures on such a curve correspond to measures on the line through the
 parametrization, and one-variable determinacy machinery transfers: weighting
 the lift by weight**2 makes line polynomials descend to the curve, so an
 indeterminate weighted lift witnesses curve-indeterminateness, and bounded
-point evaluations transfer through u.  Catalog ramification data for the
-quartic and quintic entries was derived by eliminating one variable from the
-coincidence equations (u_i(t) - u_i(s))/(t - s) = 0 (resultants), discarding
-the spurious diagonal factors, and is re-verified exactly whenever a
-``PolynomialCurve`` is constructed, so on every ``catalog()`` call, along
-with its implicit equations.
+point evaluations transfer through u.  The test, ``lift_and_test(sigma,
+curve)``, reads the lift and the curve only; ``pushforward_to_curve`` gives
+the curve measure's own moments where they are wanted.
+
+Catalog ramification data for the quartic and quintic entries was derived by
+eliminating one variable from the coincidence equations (u_i(t) -
+u_i(s))/(t - s) = 0 (resultants), discarding the spurious diagonal factors,
+and is re-verified exactly whenever a ``PolynomialCurve`` is constructed, so
+on every ``catalog()`` call, along with its implicit equations.
 """
 
 from __future__ import annotations
@@ -221,19 +224,9 @@ CATALOG_NAMES = ("parabola", "nodal_cubic", "kampyle", "ramphoid_quartic",
 # measures on curves
 
 
-@dataclass(frozen=True)
-class CurveMeasure:
-    """A curve together with a 1D lift sigma and the push-forward moments:
-    curve_moments[alpha] = L_sigma( prod u_i(t)**alpha_i )."""
-
-    curve: PolynomialCurve
-    lifted_1d: MomentSequence
-    curve_moments: MomentSequence
-
-
 def pushforward_to_curve(sigma: MomentSequence, curve: PolynomialCurve,
-                         max_degree: int) -> CurveMeasure:
-    """Push a 1D measure onto the curve: L_sigma(u**alpha) from
+                         max_degree: int) -> MomentSequence:
+    """Push a 1D measure onto the curve: the moments L_sigma(u**alpha), from
     ``image_moments`` with the components as the map."""
     if sigma.dimension != 1:
         raise InvalidParameter("the lift must be one-dimensional")
@@ -244,10 +237,9 @@ def pushforward_to_curve(sigma: MomentSequence, curve: PolynomialCurve,
         )
     forms = [{(k,): c for k, c in enumerate(comp)} for comp in curve.components]
     entries = image_moments(sigma, forms, max_degree)
-    cm = MomentSequence(curve.dimension, max_degree, sigma.mode, entries,
-                        CurveSupport(curve.name),
-                        meta={"carleman_growth_certified": False})
-    return CurveMeasure(curve, sigma, cm)
+    return MomentSequence(curve.dimension, max_degree, sigma.mode, entries,
+                          CurveSupport(curve.name),
+                          meta={"carleman_growth_certified": False})
 
 
 def projection_bridge(sigma: MomentSequence, max_degree: int) -> MomentSequence:
@@ -263,8 +255,9 @@ def projection_bridge(sigma: MomentSequence, max_degree: int) -> MomentSequence:
                                   sigma.is_certified_carleman()})
 
 
-def lift_and_test(cm: CurveMeasure) -> Verdict:
-    """Curve indeterminateness through the weighted lift.
+def lift_and_test(sigma: MomentSequence, curve: PolynomialCurve) -> Verdict:
+    """Curve indeterminateness through the weighted lift sigma, a 1D
+    measure whose push-forward onto the curve is the curve measure.
 
     Multiplies the lift by weight**2 (a square keeps positivity), runs
     the one-variable verdict on the weighted lift, and reports the
@@ -278,9 +271,11 @@ def lift_and_test(cm: CurveMeasure) -> Verdict:
     orthogonal polynomial with the weight), in which case the lift is not
     the unique one inducing the curve moments.
     """
-    sigma = cm.lifted_1d
+    if sigma.dimension != 1:
+        raise InvalidParameter("the lift must be one-dimensional")
+    if curve.components is None:
+        raise InvalidParameter(f"curve {curve.name} has no stored parametrization")
     mode = sigma.mode
-    curve = cm.curve
     source = None
     if poly_degree(curve.weight) >= 1:
         source = _source_recurrence(sigma)
@@ -311,11 +306,8 @@ def lift_and_test(cm: CurveMeasure) -> Verdict:
     try:
         top = min(rec.order, rec.rank - 1)
         rho = christoffel(rec, alpha, top)
-        beta = (curve.point_at_complex(mode, alpha)
-                if curve.components is not None else None)
-        detail = "bounded-evaluation surrogate at the curve point over alpha"
-        if beta is not None:
-            detail += f" ({beta[0].to_complex():.6g}, {beta[1].to_complex():.6g})"
+        point = ", ".join(f"{c.to_complex():.6g}" for c in curve.point_at_complex(mode, alpha))
+        detail = f"bounded-evaluation surrogate at the curve point over alpha ({point})"
         extra.append(Evidence("curve-bounded-evaluation", top, rho,
                               Sufficiency.LIMIT_RIGOROUS_NUMERIC
                               if verdict.status is Status.INDETERMINATE

@@ -1039,9 +1039,11 @@ def verdict_1d(seq: MomentSequence, flavor: Flavor | None = None) -> Verdict:
 
 
 def _christoffel_weyl_evidence(rec: Recurrence) -> list:
+    """Christoffel and Weyl-radius evidence at levels order - 1 and half of
+    it, for a positive definite recurrence (rank = order + 1)."""
     mode = rec.mode
     out: list[Evidence] = []
-    top = min(rec.order - 1, rec.rank - 1)
+    top = rec.order - 1
     half = top // 2
     if half < 1:
         return out
@@ -1062,33 +1064,28 @@ def _christoffel_weyl_evidence(rec: Recurrence) -> list:
         out.append(Evidence("christoffel", top, rho_top,
                             Sufficiency.HEURISTIC, Leaning.NEUTRAL,
                             f"rho ratio {ratio:.6f} in the indecisive band"))
-    # radius = rho / (2 |Im z|), so this ratio is the rho ratio above
+    # radius = rho / (2 |Im z|), so this ratio is the rho ratio above; both
+    # radii are positive, since beta_{n+1} != 0 for every n < rank
     radius_sq = weyl_radius_sq(rec, z, top, rho_top)
     radius_sq_half = weyl_radius_sq(rec, z, half, rho_half)
-    if radius_sq_half > 0:
-        rratio = mode.to_float(radius_sq / radius_sq_half) ** 0.5
-        if rratio > PLATEAU_RATIO:
-            out.append(Evidence("weyl-radius-plateau", top, radius_sq,
-                                Sufficiency.LIMIT_RIGOROUS_NUMERIC, Leaning.INDETERMINATE,
-                                f"radius ratio {rratio:.6f} > {PLATEAU_RATIO}"))
-        else:
-            out.append(Evidence("weyl-radius", top, radius_sq,
-                                Sufficiency.HEURISTIC,
-                                Leaning.DETERMINATE if rratio < DECAY_RATIO
-                                else Leaning.NEUTRAL,
-                                f"radius ratio {rratio:.6f}"))
+    rratio = mode.to_float(radius_sq / radius_sq_half) ** 0.5
+    if rratio > PLATEAU_RATIO:
+        out.append(Evidence("weyl-radius-plateau", top, radius_sq,
+                            Sufficiency.LIMIT_RIGOROUS_NUMERIC, Leaning.INDETERMINATE,
+                            f"radius ratio {rratio:.6f} > {PLATEAU_RATIO}"))
     else:
-        out.append(Evidence("weyl-radius", top, mode.zero(),
-                            Sufficiency.RIGOROUS_SUFFICIENT if isinstance(mode, RationalMode)
-                            else Sufficiency.LIMIT_RIGOROUS_NUMERIC,
-                            Leaning.DETERMINATE, "degenerate point disk"))
+        out.append(Evidence("weyl-radius", top, radius_sq,
+                            Sufficiency.HEURISTIC,
+                            Leaning.DETERMINATE if rratio < DECAY_RATIO
+                            else Leaning.NEUTRAL,
+                            f"radius ratio {rratio:.6f}"))
     return out
 
 
 def _convergent_evidence(seq: MomentSequence, rec: Recurrence) -> list:
     mode = seq.mode
     out: list[Evidence] = []
-    top = min(rec.order - 1, rec.rank - 1)
+    top = rec.order - 1
     if top < 4:
         return out
     low = max(2, top // 2)

@@ -15,13 +15,20 @@ even moments satisfy ``m_{2k}**(1/(2k)) = O(k)``, the growth class in which
 the Carleman sum provably diverges.  The built-in generators set it where the
 closed-form moment laws justify it, and the preserver operations propagate it
 exactly where the growth class is stable (see each operation's docstring).
+
+Every affine moment map is one image: ``affine_map`` computes L((A x +
+b)**alpha) through ``image_moments``, and push-forwards along a direction,
+marginals and convolutions (the image of the product functional under
+(x, y) -> x + y) are its special cases, so one rule gives every affine
+image's support hint: the orthant when the source lies on a cone, every row
+of A pairs nonnegatively with every generator and b >= 0.  Float moments
+must be finite, with binary exponents of at most MAX_EXPONENT_BITS bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Any, Mapping, Sequence
 
 from .errors import (
@@ -104,6 +111,11 @@ def _generator_pairings(s: Support, xi: Sequence) -> list | None:
 MAX_MOMENT_ENTRIES = 10 ** 6
 #: an error detail prints at most this many entries of a multi-index
 INDEX_PREFIX = 8
+#: the most bits the binary exponent of a float moment may have: the float
+#: recurrence takes log2 of its values as binary64 floats (its noise
+#: floors), which overflows once an exponent reaches 2**1024; the bound
+#: keeps a factor 2**24 for the products of moments the recurrence forms
+MAX_EXPONENT_BITS = 1000
 
 
 def check_moment_count(dimension: int, max_degree: int) -> None:
@@ -170,6 +182,11 @@ class MomentSequence:
             for alpha, v in converted.items():
                 if not isfinite(v):
                     raise InvalidParameter(f"moment {_index_str(alpha)} is not finite: {v}")
+                _, _, exp, bc = v._mpf_
+                if abs(exp + bc).bit_length() > MAX_EXPONENT_BITS:
+                    raise InvalidParameter(f"moment {_index_str(alpha)} is out of range: its "
+                                           f"binary exponent has more than "
+                                           f"{MAX_EXPONENT_BITS} bits")
         if len(self.entries) != len(converted):
             raise InvalidParameter("entries beyond max_degree or wrong dimension")
         # m_0 > 0 for genuine measures; m_0 = 0 is tolerated so that weighting
@@ -312,6 +329,26 @@ def _product(factors):
     return val
 
 
+def _tensor_product(seqs: Sequence[MomentSequence], max_degree: int,
+                    mode: Mode) -> MomentSequence:
+    """The product functional L_1 x ... x L_k to ``max_degree``: entry alpha
+    is the product, in factor order, of each factor's moment at its slice
+    of alpha.  On the orthant when every factor is, certified when every
+    factor is (the growth class of a product is that of its worst axis)."""
+    cuts = [0]
+    for s in seqs:
+        cuts.append(cuts[-1] + s.dimension)
+    entries = {alpha: _product(s.entries[alpha[lo:hi]]
+                               for s, lo, hi in zip(seqs, cuts, cuts[1:]))
+               for alpha in multi_indices(cuts[-1], max_degree)}
+    support = (NonnegativeOrthant()
+               if all(isinstance(s.support, NonnegativeOrthant) for s in seqs)
+               else FullSpace())
+    certified = all(s.is_certified_carleman() for s in seqs)
+    return MomentSequence(cuts[-1], max_degree, mode, entries, support,
+                          meta={"carleman_growth_certified": certified})
+
+
 def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
                      mode: Mode) -> MomentSequence:
     """Dense moment sequence of a built-in measure, by its documented rule."""
@@ -382,24 +419,11 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
                               meta={"carleman_growth_certified": True})
 
     if isinstance(defn, Product):
-        dims, seqs = [], []
-        for f_defn, f_dim in defn.factors:
-            seqs.append(generate_moments(f_defn, f_dim, max_degree, mode))
-            dims.append(f_dim)
-        if sum(dims) != dimension:
+        seqs = [generate_moments(f_defn, f_dim, max_degree, mode)
+                for f_defn, f_dim in defn.factors]
+        if sum(s.dimension for s in seqs) != dimension:
             raise DimensionMismatch("factor dimensions must sum to the total")
-        cuts = [0]
-        for dim in dims:
-            cuts.append(cuts[-1] + dim)
-        entries = {alpha: _product(s.entries[alpha[lo:hi]]
-                                   for s, lo, hi in zip(seqs, cuts, cuts[1:]))
-                   for alpha in multi_indices(dimension, max_degree)}
-        support = (NonnegativeOrthant()
-                   if all(isinstance(s.support, NonnegativeOrthant) for s in seqs)
-                   else FullSpace())
-        certified = all(s.is_certified_carleman() for s in seqs)
-        return MomentSequence(dimension, max_degree, mode, entries, support,
-                              meta={"carleman_growth_certified": certified})
+        return _tensor_product(seqs, max_degree, mode)
 
     if isinstance(defn, WeightedBy):
         w = {tuple(a): v for a, v in defn.weight.items()}
@@ -470,28 +494,19 @@ def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
 
 
 def pushforward_direction(seq: MomentSequence, xi: Sequence) -> MomentSequence:
-    """Moments of the image under x -> x . xi: s_k = L((x . xi)**k).
-
-    The result lives on [0, inf) when the source support is a cone and xi
-    lies in its closed dual cone, xi . g >= 0 on every generator g, so
-    boundary directions such as an axis of the orthant count.  Carleman growth
-    certification survives: the directional even moments are dominated by a
-    fixed multiple of the axis moments, which preserves the O(k) root-growth
-    class.
+    """Moments of the image under x -> x . xi: s_k = L((x . xi)**k), the
+    ``affine_map`` image under the one row xi, so its support hint and
+    growth certificate follow that map: it lives on [0, inf) when the
+    source support is a cone and xi lies in its closed dual cone, xi . g >= 0
+    on every generator g, so boundary directions such as an axis of the
+    orthant count.
     """
     xiv = [seq.mode.convert(c) for c in xi]
     if len(xiv) != seq.dimension:
         raise DimensionMismatch("direction dimension mismatch")
     if all(not c for c in xiv):
         raise InvalidDirection("direction must be non-zero")
-    form = {tuple(int(i == j) for i in range(seq.dimension)): c for j, c in enumerate(xiv)}
-    image = image_moments(seq, [form], seq.max_degree)
-    out = [image[(k,)] for k in range(seq.max_degree + 1)]
-    pairings = _generator_pairings(seq.support, xiv)
-    stieltjes = pairings is not None and all(p >= 0 for p in pairings)
-    support = NonnegativeOrthant() if stieltjes else FullSpace()
-    meta = {"carleman_growth_certified": seq.is_certified_carleman()}
-    image = sequence_from_1d(out, seq.mode, support, meta)
+    image = affine_map(seq, [xiv], [0])
     if seq.dimension == 1 and xiv[0] == 1:
         # the identity: same moments, so the same recurrences
         object.__setattr__(image, "recurrences", seq.recurrences)
@@ -514,45 +529,21 @@ def marginal(seq: MomentSequence, axes: Sequence[int]) -> MomentSequence:
 
 
 def convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
-    """Moments of the additive convolution:
-    m_gamma = sum_{beta <= gamma} C(gamma, beta) m_beta(a) m_{gamma-beta}(b),
-    the moment expansion of integrating p(x + y).
+    """Moments of the additive convolution, L_a x L_b (p(x + y)): the
+    ``affine_map`` image of the product functional under (x, y) -> x + y.
 
-    Result degree is min of the truncations.  Certified iff both inputs are
-    (root growth is sub-additive under convolution).
+    Result degree is min of the truncations.  On the orthant when both
+    inputs are; certified iff both inputs are (root growth is sub-additive
+    under convolution).
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch("convolution needs equal dimensions")
     if a.mode != b.mode:
         raise ModeMismatch("convolution needs one shared mode")
     N = min(a.max_degree, b.max_degree)
-    mode = a.mode
-    entries = {}
-    for gamma in multi_indices(a.dimension, N):
-        total = mode.zero()
-        for beta in _boxed_indices(gamma):
-            coeff = 1
-            for g, bb in zip(gamma, beta):
-                coeff *= comb(g, bb)
-            rest = tuple(g - bb for g, bb in zip(gamma, beta))
-            total = total + coeff * a.entries[beta] * b.entries[rest]
-        entries[gamma] = total
-    both_orthant = (isinstance(a.support, NonnegativeOrthant)
-                    and isinstance(b.support, NonnegativeOrthant))
-    support = NonnegativeOrthant() if both_orthant else FullSpace()
-    certified = a.is_certified_carleman() and b.is_certified_carleman()
-    return MomentSequence(a.dimension, N, mode, entries, support,
-                          meta={"carleman_growth_certified": certified})
-
-
-def _boxed_indices(gamma: tuple):
-    if len(gamma) == 1:
-        for i in range(gamma[0] + 1):
-            yield (i,)
-        return
-    for head in range(gamma[0] + 1):
-        for rest in _boxed_indices(gamma[1:]):
-            yield (head,) + rest
+    d = a.dimension
+    rows = [[int(j % d == i) for j in range(2 * d)] for i in range(d)]
+    return affine_map(_tensor_product([a, b], N, a.mode), rows, [0] * d)
 
 
 def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any]) -> MomentSequence:
@@ -582,7 +573,10 @@ def affine_map(seq: MomentSequence, matrix: Sequence[Sequence], offset: Sequence
                out_degree: int | None = None) -> MomentSequence:
     """Moments of the image under x -> A x + b, L((A x + b)**alpha) from
     ``image_moments``.  Degree is preserved; the certificate survives (an
-    affine image rescales the growth class by constants)."""
+    affine image rescales the growth class by constants).  The image lies
+    on the orthant when the source support is a cone, every row of A pairs
+    nonnegatively with every generator (lies in the closed dual cone) and
+    b >= 0; otherwise its hint is the full space."""
     N = seq.max_degree if out_degree is None else out_degree
     if N > seq.max_degree:
         raise DegreeInsufficient("requested output degree exceeds the truncation")
@@ -600,9 +594,9 @@ def affine_map(seq: MomentSequence, matrix: Sequence[Sequence], offset: Sequence
         form[(0,) * seq.dimension] = b[i]
         forms.append(form)
     entries = image_moments(seq, forms, N)
-    keeps_orthant = (isinstance(seq.support, NonnegativeOrthant)
-                     and all(c >= 0 for row in rows for c in row)
-                     and all(c >= 0 for c in b))
-    support = NonnegativeOrthant() if keeps_orthant else FullSpace()
+    on_orthant = (support_is_cone(seq.support) and all(c >= 0 for c in b)
+                  and all(p >= 0 for row in rows
+                          for p in _generator_pairings(seq.support, row)))
+    support = NonnegativeOrthant() if on_orthant else FullSpace()
     return MomentSequence(d_out, N, seq.mode, entries, support,
                           meta={"carleman_growth_certified": seq.is_certified_carleman()})

@@ -71,6 +71,13 @@ from .errors import InvalidParameter, ModeMismatch
 #: bits used for the controlled approximations available in rational mode
 RATIONAL_APPROX_BITS = 256
 
+#: the most mantissa bits a float mode may have: with mpmath's pure-Python
+#: integers one division takes seconds at 2**20 bits and minutes at 2**22,
+#: and a precision near 2**63 overflows mpmath's shifts ("too many digits
+#: in integer"); the CLI's own cap, default_float_bits(N), stays below it
+#: up to N = 2047
+MAX_FLOAT_BITS = 2 ** 24
+
 #: mpmath's arithmetic on raw tuples (see the module docstring)
 raw_mul, raw_add, raw_sub = mpf_mul, mpf_add, mpf_sub
 RAW_ZERO, NEAREST = fzero, round_nearest
@@ -252,7 +259,10 @@ def mode_from_string(s: str) -> Mode:
     if s == "rational":
         return RationalMode()
     if isinstance(s, str) and s.startswith("float:") and _INTEGER.fullmatch(s[6:]):
-        return FloatMode(int(s[6:]))
+        bits = int(s[6:])
+        if bits > MAX_FLOAT_BITS:
+            raise InvalidParameter(f"mode {s!r}: precision above {MAX_FLOAT_BITS} bits")
+        return FloatMode(bits)
     raise InvalidParameter(f"unknown mode {s!r}; expected 'rational' or 'float:<bits>'")
 
 

@@ -105,21 +105,29 @@ a) = prod_j h(+-(x_j - a_j)) and applies L to it.  The library applies L
 once, to the product prod_j (h(t) + h(-t)) that the patterns sum to
 (``gaps.orthant_criterion``); rational values must be equal, float values
 agree to rounding.
+
+``convolve_binomial`` is the additive convolution by the binomial
+expansion of ``(x + y)**gamma``, one box of indices at a time.  The
+library takes the ``affine_map`` image of the product functional under
+``(x, y) -> x + y`` instead (``moments.convolve``); rational entries must
+be equal, float entries agree to rounding, and the support, certificate
+and errors must be the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidParameter,
-                              LpInfeasible, LpUnbounded, NotAdmissible, NotPositiveDefinite,
-                              NotStieltjesAdmissible, PrecisionExhausted)
-from momentkit.curves import CurveMeasure, _weighted_lift
+                              LpInfeasible, LpUnbounded, ModeMismatch, NotAdmissible,
+                              NotPositiveDefinite, NotStieltjesAdmissible, PrecisionExhausted)
+from momentkit.curves import PolynomialCurve, _weighted_lift
 from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEval, Recurrence,
                                  WeylDisk, christoffel, monic_coefficients, ortho_eval,
                                  recurrence_from_moments)
-from momentkit.moments import (MomentSequence, NonnegativeOrthant, affine_map,
+from momentkit.moments import (FullSpace, MomentSequence, NonnegativeOrthant, affine_map,
                                apply_linear_functional)
 from momentkit.polynomials import (compositions, monomial, mpoly_degree, mpoly_eval, mpoly_mul,
                                    multi_indices, poly_add, poly_mul, poly_pow)
@@ -168,6 +176,46 @@ def product_entries(factors, dims, max_degree: int, mode: Mode) -> dict:
             pos += dim
         entries[alpha] = val
     return entries
+
+
+def convolve_binomial(a: MomentSequence, b: MomentSequence) -> MomentSequence:
+    """Moments of the additive convolution by the binomial expansion
+    m_gamma = sum_{beta <= gamma} C(gamma, beta) m_beta(a) m_{gamma-beta}(b),
+    one box of beta at a time, with ``moments.convolve``'s degree, support
+    and certificate rules and its errors."""
+    if a.dimension != b.dimension:
+        raise DimensionMismatch("convolution needs equal dimensions")
+    if a.mode != b.mode:
+        raise ModeMismatch("convolution needs one shared mode")
+    N = min(a.max_degree, b.max_degree)
+    mode = a.mode
+    entries = {}
+    for gamma in multi_indices(a.dimension, N):
+        total = mode.zero()
+        for beta in _boxed_indices(gamma):
+            coeff = 1
+            for g, bb in zip(gamma, beta):
+                coeff *= comb(g, bb)
+            rest = tuple(g - bb for g, bb in zip(gamma, beta))
+            total = total + coeff * a.entries[beta] * b.entries[rest]
+        entries[gamma] = total
+    both_orthant = (isinstance(a.support, NonnegativeOrthant)
+                    and isinstance(b.support, NonnegativeOrthant))
+    support = NonnegativeOrthant() if both_orthant else FullSpace()
+    certified = a.is_certified_carleman() and b.is_certified_carleman()
+    return MomentSequence(a.dimension, N, mode, entries, support,
+                          meta={"carleman_growth_certified": certified})
+
+
+def _boxed_indices(gamma: tuple):
+    """Every beta with 0 <= beta <= gamma, lexicographically."""
+    if len(gamma) == 1:
+        for i in range(gamma[0] + 1):
+            yield (i,)
+        return
+    for head in range(gamma[0] + 1):
+        for rest in _boxed_indices(gamma[1:]):
+            yield (head,) + rest
 
 
 def orthant_slack_patterns(seq: MomentSequence, a):
@@ -372,11 +420,12 @@ def forward_pass_fractions(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     return OrthoEval(z, tuple(first), tuple(norms), lambda: tuple(second))
 
 
-def christoffel_on_curve(cm: CurveMeasure, alpha: ComplexScalar, n: int):
-    """Christoffel value of the weight**2-weighted lift at alpha,
+def christoffel_on_curve(sigma: MomentSequence, curve: PolynomialCurve, alpha: ComplexScalar,
+                         n: int):
+    """Christoffel value of the weight**2-weighted lift sigma at alpha,
     the curve-side evaluation-bound surrogate at the point u(alpha), from
     the plain factorization of the weighted moments."""
-    weighted = _weighted_lift(cm.lifted_1d, cm.curve.weight)
+    weighted = _weighted_lift(sigma, curve.weight)
     if 2 * n > weighted.max_degree:
         raise DegreeInsufficient(f"level {n} needs weighted degree {2 * n}")
     rec = recurrence_from_moments(weighted, max(n, 1))

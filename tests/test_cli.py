@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentkit import cli, gaps, hamburger
+from momentkit import cli, curves, gaps, hamburger
 from momentkit.cli import main
 from momentkit.moments import sequence_from_1d
 from momentkit.scalars import RationalMode, default_float_bits
@@ -143,6 +143,54 @@ def test_analyze_nan_moment_exits_2(tmp_path):
     rep = json.loads(out.read_text())
     assert [e["error"] for e in rep["errors"]] == ["InvalidParameter"]
     assert "verdict" not in rep
+
+
+def single_error(rc, report):
+    """The (error, detail) of a report that exits 2 with one error entry."""
+    assert rc == 2
+    assert "verdict" not in report
+    [error] = report["errors"]
+    return error["error"], error["detail"]
+
+
+@pytest.mark.parametrize("criteria", ["verdict", "carleman", "admissibility"])
+def test_analyze_moment_beyond_the_exponent_range_exits_2(tmp_path, criteria):
+    """A float moment whose binary exponent does not fit a binary64 is
+    refused where the data enters, naming the first such moment."""
+    huge = "0x1p+" + "9" * 320
+    path = write_spec(tmp_path / "huge.json", {
+        "dimension": 1, "max_degree": 4, "mode": "float:64",
+        "support_hint": {"kind": "full_space"},
+        "entries": [{"alpha": [k], "value": v}
+                    for k, v in enumerate(["1", "0", huge, "0", huge])]})
+    error, detail = single_error(*analyze_report(path, tmp_path, "--criteria", criteria))
+    assert error == "InvalidParameter"
+    assert "moment (2,) is out of range" in detail
+
+
+@pytest.mark.parametrize("mode", [None, "float:128"])
+def test_analyze_log_normal_beyond_the_exponent_range_exits_2(tmp_path, mode):
+    doc = {"measure": {"variant": "log_normal", "s": "1e400"},
+           "dimension": 1, "max_degree": 8}
+    if mode is not None:
+        doc["mode"] = mode
+    path = write_spec(tmp_path / "ln.json", doc)
+    error, detail = single_error(*analyze_report(path, tmp_path))
+    assert error == "InvalidParameter"
+    assert "moment (1,) is out of range" in detail
+
+
+def test_precision_beyond_the_bound_is_one_structured_error(tmp_path):
+    """A precision too large to compute with is refused when the mode is
+    read, from a spec or from --mode; nothing runs at it."""
+    mode = "float:99999999999999999999"
+    spec = write_spec(tmp_path / "gauss.json", {
+        "measure": {"variant": "gaussian_product", "variances": ["1"]},
+        "dimension": 1, "max_degree": 8, "mode": mode})
+    for extra in ((), ("--mode", mode)):
+        error, detail = single_error(*analyze_report(spec, tmp_path, *extra))
+        assert error == "InvalidParameter"
+        assert repr(mode) in detail
 
 
 def test_analyze_rejects_cone_criteria_on_full_space(tmp_path):
@@ -393,6 +441,28 @@ def test_curve_short_interchange_lift_is_an_error(tmp_path):
     rep = json.loads(out.read_text())
     assert [e["error"] for e in rep["errors"]] == ["MomentKitError"]
     assert "below required 6" in rep["errors"][0]["detail"]
+
+
+def test_curve_does_not_push_the_lift_onto_the_curve(tmp_path, monkeypatch):
+    """The lift test reads the lift and the curve only, so the curve
+    command never builds the curve's own moments (under either name)."""
+    def refused(*args):
+        raise AssertionError("pushforward_to_curve called")
+    monkeypatch.setattr(curves, "pushforward_to_curve", refused)
+    monkeypatch.setattr(cli, "pushforward_to_curve", refused, raising=False)
+    out = tmp_path / "curve.json"
+    rc = main(["curve", "--curve", "catalog:nodal_cubic",
+               "--sigma", qlattice_spec(tmp_path, 60), "--degree", "6", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["verdict"]["status"] == "indeterminate"
+
+
+def test_curve_two_dimensional_lift_is_one_structured_error(tmp_path):
+    out = tmp_path / "curve.json"
+    rc = main(["curve", "--curve", "catalog:parabola", "--sigma", mixed_spec(tmp_path, 12),
+               "--degree", "6", "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert single_error(rc, rep) == ("InvalidParameter", "the lift must be one-dimensional")
 
 
 def test_curve_rejects_bad_mode_with_interchange_sigma(tmp_path):

@@ -84,6 +84,8 @@ def test_kampyle_is_implicit_only():
     assert k.components is None
     with pytest.raises(InvalidParameter):
         pushforward_to_curve(gauss(8), k, 2)
+    with pytest.raises(InvalidParameter, match="no stored parametrization"):
+        lift_and_test(gauss(8), k)
 
 
 def test_unknown_curve():
@@ -110,14 +112,14 @@ def test_pairing_verification_rejects_wrong_weight():
 
 def test_parabola_pushforward_gaussian():
     cm = pushforward_to_curve(gauss(40), catalog("parabola"), 10)
-    assert cm.curve_moments.moment((1, 0)) == 1   # L(t^2)
-    assert cm.curve_moments.moment((0, 1)) == 0
-    assert cm.curve_moments.moment((2, 1)) == 0   # odd in t
+    assert cm.moment((1, 0)) == 1   # L(t^2)
+    assert cm.moment((0, 1)) == 0
+    assert cm.moment((2, 1)) == 0   # odd in t
 
 
 def test_nodal_cubic_pushforward_gaussian():
     cm = pushforward_to_curve(gauss(40), catalog("nodal_cubic"), 8)
-    assert cm.curve_moments.moment((1, 0)) == 0   # L(t^2 - 1) = 0
+    assert cm.moment((1, 0)) == 0   # L(t^2 - 1) = 0
 
 
 def test_dirac_lift_gives_point_monomials():
@@ -129,7 +131,7 @@ def test_dirac_lift_gives_point_monomials():
         point = curve.point_at(R, t0)
         for alpha in multi_indices(2, 6):
             expect = point[0] ** alpha[0] * point[1] ** alpha[1]
-            assert cm.curve_moments.moment(alpha) == expect
+            assert cm.moment(alpha) == expect
 
 
 def test_functoriality_random_polynomials():
@@ -146,7 +148,7 @@ def test_functoriality_random_polynomials():
                 f[alpha] = F(rng.randint(-5, 5), rng.randint(1, 3))
         if not f:
             continue
-        lhs = apply_linear_functional(cm.curve_moments, f)
+        lhs = apply_linear_functional(cm, f)
         composed = mpoly_compose_univariates(f, curve.components)
         rhs = apply_linear_functional_1d(sigma, composed)
         assert lhs == rhs
@@ -186,7 +188,7 @@ def test_bridge_is_parabola_marginal():
     sigma = qlattice(20)
     cm = pushforward_to_curve(sigma, catalog("parabola"), 10)
     assert projection_bridge(sigma, 10).moments_1d() == \
-        marginal(cm.curve_moments, (0,)).moments_1d()
+        marginal(cm, (0,)).moments_1d()
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +210,8 @@ def test_nodal_cubic_weight_descends_to_curve():
 
     for alpha in multi_indices(2, 8):
         on_curve = apply_linear_functional(
-            cm.curve_moments, {(alpha[0] + 2, alpha[1]): F(1)})
-        assert lifted_again.curve_moments.moment(alpha) == on_curve
+            cm, {(alpha[0] + 2, alpha[1]): F(1)})
+        assert lifted_again.moment(alpha) == on_curve
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +219,22 @@ def test_nodal_cubic_weight_descends_to_curve():
 
 
 def test_parabola_transfers_qlattice_indeterminacy():
-    cm = pushforward_to_curve(qlattice(60), catalog("parabola"), 10)
-    v = lift_and_test(cm)
+    v = lift_and_test(qlattice(60), catalog("parabola"))
     assert v.status is Status.INDETERMINATE
     assert v.numeric_flagged
     assert any(e.criterion == "curve-bounded-evaluation" for e in v.evidence)
+
+
+def test_bounded_evaluation_names_every_coordinate_of_the_curve_point():
+    """The witness names u(i) in every ambient coordinate, for a curve of
+    one or of three coordinates as for the plane catalog curves."""
+    for curve, point in ((PolynomialCurve("line", 1, ((0, 1),)), "(0+1j)"),
+                         (PolynomialCurve("twisted", 3, ((0, 1), (0, 0, 1), (0, 0, 0, 1))),
+                          "(0+1j, -1+0j, 0-1j)"),
+                         (catalog("parabola"), "(-1+0j, 0+1j)")):
+        item = lift_and_test(gauss(20), curve).evidence[-1]
+        assert item.criterion == "curve-bounded-evaluation"
+        assert item.detail == f"bounded-evaluation surrogate at the curve point over alpha {point}"
 
 
 def test_lift_factorizes_the_weighted_lift_once(monkeypatch):
@@ -236,37 +249,32 @@ def test_lift_factorizes_the_weighted_lift_once(monkeypatch):
     monkeypatch.setattr(hamburger, "_factorize",
                         lambda seq, n, base=None: calls.append((n, base is not None))
                         or real(seq, n, base))
-    cm = pushforward_to_curve(gauss(40), catalog("parabola"), 10)
-    lift_and_test(cm)
+    lift_and_test(gauss(40), catalog("parabola"))
     assert calls == [(20, False)]
     calls.clear()
-    cm = pushforward_to_curve(qlattice(60), catalog("lhospital_quintic"), 6)
-    lift_and_test(cm)
+    lift_and_test(qlattice(60), catalog("lhospital_quintic"))
     assert calls == [(30, False), (26, True)]
 
 
 def test_parabola_transfers_gaussian_determinacy():
-    cm = pushforward_to_curve(gauss(80), catalog("parabola"), 10)
-    v = lift_and_test(cm)
+    v = lift_and_test(gauss(80), catalog("parabola"))
     assert v.status is Status.DETERMINATE
 
 
 def test_nodal_cubic_dirac_off_ramification():
     sigma = generate_moments(Atomic(((0,),), (1,)), 1, 30, R)
-    cm = pushforward_to_curve(sigma, catalog("nodal_cubic"), 6)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        v = lift_and_test(cm)
+        v = lift_and_test(sigma, catalog("nodal_cubic"))
     assert v.status is Status.DETERMINATE
     assert not [w for w in wlist if issubclass(w.category, AtomsOnRamificationWarning)]
 
 
 def test_nodal_cubic_atom_on_ramification_warns():
     sigma = generate_moments(Atomic(((1,), (3,)), (F(1, 2), F(1, 2))), 1, 30, R)
-    cm = pushforward_to_curve(sigma, catalog("nodal_cubic"), 6)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        v = lift_and_test(cm)
+        v = lift_and_test(sigma, catalog("nodal_cubic"))
     assert [w for w in wlist if issubclass(w.category, AtomsOnRamificationWarning)]
     assert v.status is Status.DETERMINATE
 
@@ -276,7 +284,6 @@ def test_ramified_atom_check_lets_a_kernel_bug_through(monkeypatch):
     recurrence: a bug (here a TypeError) propagates instead of silently
     dropping the warning, which fires again once the kernel works."""
     sigma = generate_moments(Atomic(((1,), (3,)), (F(1, 2), F(1, 2))), 1, 30, R)
-    cm = pushforward_to_curve(sigma, catalog("nodal_cubic"), 6)
     real = curves.recurrence_from_moments
 
     def failing_on_the_lift(exc):
@@ -290,14 +297,14 @@ def test_ramified_atom_check_lets_a_kernel_bug_through(monkeypatch):
                         failing_on_the_lift(NotAdmissible("no measure")))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert lift_and_test(cm).status is Status.DETERMINATE
+        assert lift_and_test(sigma, catalog("nodal_cubic")).status is Status.DETERMINATE
     monkeypatch.setattr(curves, "recurrence_from_moments",
                         failing_on_the_lift(TypeError("kernel bug")))
     with pytest.raises(TypeError, match="kernel bug"):
-        lift_and_test(cm)
+        lift_and_test(sigma, catalog("nodal_cubic"))
     monkeypatch.undo()
     with pytest.warns(AtomsOnRamificationWarning):
-        lift_and_test(cm)
+        lift_and_test(sigma, catalog("nodal_cubic"))
 
 
 def test_bounded_evaluation_witness_lets_a_kernel_bug_through(monkeypatch):
@@ -305,7 +312,6 @@ def test_bounded_evaluation_witness_lets_a_kernel_bug_through(monkeypatch):
     MomentKitError: a bug in the kernel (here a TypeError) propagates
     instead of turning into a "skipped" item next to the verdict."""
     sigma = generate_moments(Atomic(((2,), (3,)), (F(1, 2), F(1, 2))), 1, 30, R)
-    cm = pushforward_to_curve(sigma, catalog("nodal_cubic"), 6)
 
     def failing(exc):
         def christoffel(rec, z, n):
@@ -313,12 +319,12 @@ def test_bounded_evaluation_witness_lets_a_kernel_bug_through(monkeypatch):
         return christoffel
 
     monkeypatch.setattr(curves, "christoffel", failing(DegreeInsufficient("too short")))
-    item = lift_and_test(cm).evidence[-1]
+    item = lift_and_test(sigma, catalog("nodal_cubic")).evidence[-1]
     assert item.criterion == "curve-bounded-evaluation"
     assert item.detail == "skipped: too short"
     monkeypatch.setattr(curves, "christoffel", failing(TypeError("kernel bug")))
     with pytest.raises(TypeError, match="kernel bug"):
-        lift_and_test(cm)
+        lift_and_test(sigma, catalog("nodal_cubic"))
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +332,24 @@ def test_bounded_evaluation_witness_lets_a_kernel_bug_through(monkeypatch):
 
 
 def test_curve_christoffel_level_zero_is_mass():
-    cm = pushforward_to_curve(qlattice(40), catalog("parabola"), 10)
     z = complex_scalar(R, 0, 1)
-    assert christoffel_on_curve(cm, z, 0) == 1
+    assert christoffel_on_curve(qlattice(40), catalog("parabola"), z, 0) == 1
 
 
 def test_parabola_curve_christoffel_equals_plain():
     sigma = qlattice(40)
-    cm = pushforward_to_curve(sigma, catalog("parabola"), 10)
     z = complex_scalar(R, 0, 1)
     rec = recurrence_from_moments(sigma, 10)
-    assert christoffel_on_curve(cm, z, 10) == christoffel(rec, z, 10)
+    assert christoffel_on_curve(sigma, catalog("parabola"), z, 10) == christoffel(rec, z, 10)
 
 
 def test_nodal_curve_christoffel_against_gram_oracle():
     sigma = qlattice(44)
-    cm = pushforward_to_curve(sigma, catalog("nodal_cubic"), 10)
     z = complex_scalar(R, 0, 1)
     weighted = apply_polynomial_weight(sigma, {(0,): F(1), (2,): F(-2), (4,): F(1)})
     for n in (4, 8):
-        assert christoffel_on_curve(cm, z, n) == christoffel_direct(weighted, z, n)
+        assert (christoffel_on_curve(sigma, catalog("nodal_cubic"), z, n)
+                == christoffel_direct(weighted, z, n))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from momentkit import gaps, hamburger
-from momentkit.curves import _weighted_lift, catalog, lift_and_test, pushforward_to_curve
+from momentkit.curves import _weighted_lift, catalog, lift_and_test
 from momentkit.errors import (AtomsOnRamificationWarning, InvalidParameter, MomentKitError,
                               PrecisionExhausted)
 from momentkit.moments import (Atomic, Exponential1D, GaussianProduct, LogNormal1D,
@@ -244,11 +244,11 @@ def test_float_decisions_match_the_mpf_floor_oracle(measure, degree):
 
 
 def lhospital_lift(mode):
-    """The q = 2 lattice to degree 60 pushed onto the l'Hospital quintic and
-    weighted by the square of its ramification weight: ~48k-bit moments."""
+    """The q = 2 lattice to degree 60, the lift of a measure on the
+    l'Hospital quintic, weighted by the square of its ramification weight:
+    ~48k-bit moments."""
     curve = catalog("lhospital_quintic")
-    cm = pushforward_to_curve(generate_moments(QLattice1D(2), 1, 60, mode), curve, 6)
-    seq = _weighted_lift(cm.lifted_1d, curve.weight)
+    seq = _weighted_lift(generate_moments(QLattice1D(2), 1, 60, mode), curve.weight)
     return check_recurrence(seq, seq.max_degree // 2)
 
 
@@ -259,8 +259,8 @@ def lhospital_rec():
     return lhospital_lift(R)
 
 
-def lift_factorizations(monkeypatch, sigma, curve_name, degree=6) -> tuple:
-    """The verdict of ``lift_and_test`` on the push-forward of sigma onto a
+def lift_factorizations(monkeypatch, sigma, curve_name) -> tuple:
+    """The verdict of ``lift_and_test`` on the lift sigma of a measure on a
     catalog curve, and the (seq, n, base, recurrence) of every
     factorization it makes."""
     made = []
@@ -272,7 +272,7 @@ def lift_factorizations(monkeypatch, sigma, curve_name, degree=6) -> tuple:
     monkeypatch.setattr(hamburger, "_factorize", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AtomsOnRamificationWarning)
-        verdict = lift_and_test(pushforward_to_curve(sigma, catalog(curve_name), degree))
+        verdict = lift_and_test(sigma, catalog(curve_name))
     monkeypatch.undo()
     return verdict, made
 
@@ -459,8 +459,7 @@ def test_lhospital_lift_convergents_match_wallis_oracle(mode):
     """The ql60 l'Hospital lift, the heaviest convergents the benchmark
     reads, at every level, at the verdict's point and at -1/3."""
     curve = catalog("lhospital_quintic")
-    cm = pushforward_to_curve(generate_moments(QLattice1D(2), 1, 60, mode), curve, 6)
-    seq = _weighted_lift(cm.lifted_1d, curve.weight)
+    seq = _weighted_lift(generate_moments(QLattice1D(2), 1, 60, mode), curve.weight)
     assert isinstance(seq.support, NonnegativeOrthant)
     check_convergents(seq, (hamburger.STIELTJES_POINT, F(-1, 3)))
 

@@ -13,6 +13,7 @@ from momentkit.errors import InvalidParameter, ModeMismatch
 from momentkit.hamburger import _log2, carleman
 from momentkit.moments import GaussianProduct, generate_moments
 from momentkit.scalars import (
+    MAX_FLOAT_BITS,
     FloatMode,
     RationalMode,
     complex_scalar,
@@ -113,6 +114,10 @@ def test_mode_strings():
     with pytest.raises(InvalidParameter):
         mode_from_string("decimal")
     assert default_float_bits(10) == 64 + 400
+    # the precision is bounded; the bound itself is parsed, never run
+    assert mode_from_string(f"float:{MAX_FLOAT_BITS}").precision_bits == MAX_FLOAT_BITS
+    with pytest.raises(InvalidParameter, match=f"'float:{MAX_FLOAT_BITS + 1}': precision above"):
+        mode_from_string(f"float:{MAX_FLOAT_BITS + 1}")
 
 
 def test_rational_sqrt():
