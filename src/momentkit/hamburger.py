@@ -27,10 +27,13 @@ parametrization depends on them):
   point ``-Q_{n+1}(z)/pi_{n+1}(z)``, the Cauchy transform of the finitely
   atomic representing measure.
 * The Christoffel function at non-real z comes, in rational mode, from the
-  Christoffel-Darboux identity ``sum_{k<n} |pi_k(z)|^2 / ||pi_k||^2 =
-  Im(pi_n conj pi_{n-1}) / (Im z ||pi_{n-1}||^2)``.  Since ``s / Im z =
-  ||pi_n||^2 K_n(z, conj z)``, the Weyl radius equals ``rho_n(z) / (2 |Im
-  z|)``: at one point the two are one quantity, not independent evidence.
+  Christoffel-Darboux identity ``sum_{k<=n} |pi_k(z)|^2 / ||pi_k||^2 =
+  Im(pi_{n+1} conj pi_n) / (Im z ||pi_n||^2)``: below the order rho_n is
+  one quotient of levels n and n + 1 and the norm, and at the order, which
+  has no next level, the identity at n - 1 plus the top term.  Since ``s /
+  Im z = ||pi_n||^2 K_n(z, conj z)``, the Weyl radius equals ``rho_n(z) /
+  (2 |Im z|)``: at one point the two are one quantity, not independent
+  evidence.
 * The Stieltjes convergents are the Gauss and Gauss-Radau values of
   Stieltjes' continued fraction, whose partial numerators q_k, e_k split
   the recurrence (``alpha_k = q_{k+1} + e_k``, ``beta_k = q_k e_k``, and
@@ -41,9 +44,10 @@ parametrization depends on them):
   Wallis loop over q and e, which adds positive terms only, gives them.
   Neither is the forward pass of ``ortho_eval``, so a verdict evaluates
   orthogonal polynomials at z = i only, and a Recurrence keeps the
-  forward pass at its last point only.  The pass builds the
-  second kind only when ``OrthoEval.second`` is first read, which no
-  verdict does.
+  forward pass at its last point only, and the convergents' pass beside
+  it, so that the verdict's lower level reads the levels its top level
+  made.  The pass builds the second kind only when ``OrthoEval.second`` is
+  first read, which no verdict does.
 * The recurrence comes from the mixed moments ``sigma_{k,l} = L(pi_k
   p_l)`` (the modified Chebyshev algorithm), where the p_l are the monic
   polynomials of an optional base recurrence ``(a_l, b_l)``: the monomials
@@ -69,11 +73,20 @@ and pi_k(0), is integer numerators over one denominator, made by the one
 level step ``_level_step`` and reduced the way ``Fraction`` reduces a sum
 but without the crosswise gcds of its products, which almost never cancel:
 a level may keep a rare common factor, which the ``Fraction``s built once
-for the outputs drop.  Every content goes through ``_divide_out``, a
-division per entry by a running gcd and a gcd only of a nonzero remainder,
-started by a row (``_content``) at one gcd with its first entry, about one
-gcd per row where reduced ``Fraction`` entries take several each, and by a
-level at the gcd of its two denominators, often all of its content.  The
+for the outputs drop.  Rational mode builds one ``Fraction`` per reported
+value, from integers: the norms ||pi_k||^2 are the exact pivots ``T_k /
+d_k`` of the factorization, kept as integer pairs; the forward pass keeps
+its integer levels and builds a level's values only when it is read; a
+Christoffel value (and so a Weyl radius) is one quotient of levels and
+pivots, after the factors that cancel on the lifts are divided out; each
+convergent is one quotient off the top levels of its pass; and the
+verdict reads its ratios as the correctly rounded quotients of integer
+cross products, which ``to_float`` of the reduced quotient equals.
+Every content goes through ``_divide_out``, a division per entry by a
+running gcd and a gcd only of a nonzero remainder, started by a row
+(``_content``) at one gcd with its first entry, about one gcd per row
+where reduced ``Fraction`` entries take several each, and by a level at
+the gcd of its two denominators, often all of its content.  The
 rows stay smaller than those of the Bareiss form, which grow into Hankel
 determinants.  In float mode the sigma rows are raw mpmath tuples run
 through mpmath's tuple arithmetic (``scalars.raw_mul`` and its siblings)
@@ -99,6 +112,7 @@ doubling the precision.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
@@ -154,26 +168,35 @@ class Recurrence:
     the number of atoms when the measure is finitely atomic.
     ``pivot_log`` records the elimination pivots ``sigma_{k,k} = ||pi_k||^2``
     as floats, for diagnostics of the (notoriously unstable) moment-to-
-    recurrence transform.  ``norm_sq`` holds the norms ``||pi_k||^2 =
-    beta_0 ... beta_k``, built on their first read.  ``evals`` holds the
-    forward pass of ``ortho_eval`` at the last point it visited (a verdict
-    reads z = i only; a kappa field visits one point at a time); neither
-    is part of the value.
+    recurrence transform.  In rational mode ``_pivots`` keeps them exact,
+    as the integer pairs ``(T_k, d_k)`` of the factorization's rows, for
+    the exact Christoffel values.  ``norm_sq`` holds the norms ``||pi_k||^2
+    = beta_0 ... beta_k``: in rational mode each pivot's ``Fraction``,
+    built on its first read, in float mode the products, built on the
+    first read of any.  ``evals`` holds the forward pass of ``ortho_eval``
+    at the last point it visited (a verdict reads z = i only; a kappa field
+    visits one point at a time), and ``_convergents`` the integer levels of
+    the convergents' pass at the last point they were read at; none of
+    these is part of the value.
     """
 
     mode: Mode
     alpha: tuple
     beta: tuple
     pivot_log: tuple = ()
+    _pivots: tuple = field(default=(), repr=False, compare=False)
     evals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _convergents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.alpha)
 
     @cached_property
-    def norm_sq(self) -> tuple:
+    def norm_sq(self) -> Sequence:
         """||pi_0||^2 .. ||pi_order||^2; they do not depend on z."""
+        if self._pivots:
+            return _Values(self._pivots, _fraction)
         return tuple(accumulate(self.beta, operator.mul))
 
     @property
@@ -275,6 +298,7 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
     alpha = [lead if a is None else a[0] + lead]
     beta = [m[0]]
     pivots = [mode.to_float(m[0])]
+    norms: list = []                # the exact pivots (T_k, d_k) in rational mode
     # row k holds sigma_{k,l} = row[l] / d for k <= l <= hi: integers over
     # one positive denominator in rational mode; in float mode raw mpf
     # tuples over d = 1, with log2 of their first-order noise floors in noi
@@ -284,6 +308,7 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
     if exact:
         nums, den = integers(nu)
         d_prev, row_prev = _content(den, nums)
+        norms.append((row_prev[0], d_prev))
         terms = None
         if base is not None:
             # the base terms over pq = lcm(pd, qd), and its cofactors
@@ -303,6 +328,7 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
                                 row_prev, d_prev, row_prev2, d_prev2, terms)
             piv, above = row[k], row[k + 1]
             negative, dead = piv < 0, piv == 0
+            norms.append((piv, d))
         else:
             d = 1
             row, noi = _float_row(k, hi, alpha[k - 1], beta[k - 1], row_prev, noi_prev,
@@ -326,7 +352,7 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
                     "no flat extension, so no representing measure"
                 )
             beta.append(mode.zero())
-            return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
+            return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots), tuple(norms))
         if not exact and size - prec // 2 <= noi[k]:
             # half_floor(mode, piv) <= floor, in log2
             raise PrecisionExhausted(
@@ -342,7 +368,7 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
         if not exact:
             noi_prev2, noi_prev = noi_prev, noi
         piv_prev = piv
-    return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
+    return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots), tuple(norms))
 
 
 def _modified_moments(m: list, n: int, rec: Recurrence, width: int) -> tuple:
@@ -521,6 +547,51 @@ def _divide_out(g: int, parts) -> tuple:
 # orthogonal polynomial evaluation (first and second kind)
 
 
+class _Values(Sequence):
+    """A tuple kept as its raw entries, each value built by ``build`` on
+    its first read and kept: the ComplexScalars of a pass's integer levels
+    and the Fractions of the exact pivots, so that a caller that reads two
+    levels builds two."""
+
+    __slots__ = ("raw", "_build", "_built")
+
+    def __init__(self, raw: Sequence, build: Callable):
+        self.raw, self._build, self._built = raw, build, {}
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self.raw))[k]))
+        k = range(len(self.raw))[k]         # counts a negative k from the end
+        v = self._built.get(k)
+        if v is None:
+            v = self._built[k] = self._build(self.raw[k])
+        return v
+
+    def __eq__(self, other) -> bool:
+        # equal to the tuple of its values, as the tuple it stands for
+        return tuple(self) == (tuple(other) if isinstance(other, _Values) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+def _fraction(pair: tuple) -> Fraction:
+    return Fraction(*pair)
+
+
+def _exact_level(level: tuple) -> ComplexScalar:
+    re, im, e = level
+    return ComplexScalar(Fraction(re, e), Fraction(im, e))
+
+
+def _float_level(level: tuple) -> ComplexScalar:
+    """A float level's values; its denominator is 1."""
+    return ComplexScalar(level[0], level[1])
+
+
 @dataclass(frozen=True)
 class OrthoEval:
     """Values of the monic first kind pi_k(z) and second kind Q_k(z) for k
@@ -528,18 +599,20 @@ class OrthoEval:
     are the monic ones over sqrt(norm_sq), so |p_k(z)|^2 stays exactly
     representable in rational mode.
 
-    ``second`` is built on its first read (a cached property): no verdict
-    reads it (the Christoffel values and the Weyl radius read the first
-    kind and the norms), only the Weyl center, the float atomic convergents
-    and their oracles do."""
+    ``first`` holds the integer levels of the forward pass (``first.raw``)
+    and builds a level's values on its first read, as ``norm_sq`` does from
+    the exact pivots: an exact Christoffel value reads the integers and
+    builds neither.  ``second`` is built on its first read (a cached
+    property): no verdict reads it, only the Weyl center, the float atomic
+    convergents and their oracles do."""
 
     z: ComplexScalar
-    first: tuple          # pi_0(z) .. pi_order(z)
-    norm_sq: tuple        # ||pi_0||^2 .. ||pi_order||^2
+    first: Sequence       # pi_0(z) .. pi_order(z)
+    norm_sq: Sequence     # ||pi_0||^2 .. ||pi_order||^2
     _build_second: Callable = field(repr=False, compare=False)
 
     @cached_property
-    def second(self) -> tuple:
+    def second(self) -> Sequence:
         """Q_0(z) .. Q_order(z)."""
         return self._build_second()
 
@@ -572,16 +645,23 @@ def _forward_pass(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     """The first kind at z, and the second kind from the same loop started
     at (Q_{-1}, Q_0) = (-1, 0) when it is first read."""
     # the builder holds the coefficients, not rec, whose evals keep the pass
-    return OrthoEval(z, _levels(rec.mode, rec.alpha, rec.beta, z, True), rec.norm_sq,
-                     partial(_levels, rec.mode, rec.alpha, rec.beta, z, False))
+    return OrthoEval(z, _level_values(rec.mode, rec.alpha, rec.beta, z, True), rec.norm_sq,
+                     partial(_level_values, rec.mode, rec.alpha, rec.beta, z, False))
 
 
-def _levels(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar, first_kind: bool) -> tuple:
+def _level_values(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar,
+                  first_kind: bool) -> _Values:
+    """The levels of ``_levels``, read as ComplexScalars: Fractions in
+    rational mode; in float mode every denominator is 1."""
+    build = _exact_level if isinstance(mode, RationalMode) else _float_level
+    return _Values(_levels(mode, alpha, beta, z, first_kind), build)
+
+
+def _levels(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar, first_kind: bool) -> list:
     """pi_k(z) (first kind) or Q_k(z) for k <= len(alpha), the order, from
     levels -1 and 0: (0, 1) for the first kind, (-1, 0) for the second,
-    whose Q_1 is then beta_0 = m_0."""
-    exact = isinstance(mode, RationalMode)
-    one, zero = (1, 0) if exact else (mode.one(), mode.zero())
+    whose Q_1 is then beta_0 = m_0; each an integer level (re, im, e)."""
+    one, zero = (1, 0) if isinstance(mode, RationalMode) else (mode.one(), mode.zero())
     # z = (xr + i xi) / w; level k is (re + i im) / e
     (xr, xi), w = integers((z.re, z.im))
     start = (zero, one) if first_kind else (-one, zero)
@@ -594,7 +674,7 @@ def _levels(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar, first_kind:
         prev, cur = cur, _level_step(_complex_products, (xr * ad - an * w, xi * ad), w * ad,
                                      bn, bd, cur, prev)
         levels.append(cur)
-    return _complex_values(levels, exact)
+    return levels
 
 
 def _complex_products(m: tuple, level: tuple) -> tuple:
@@ -629,14 +709,6 @@ def _level_step(products: Callable, m: tuple, w: int, bn: int, bd: int,
     return (*parts, s0 * (d0 // h))
 
 
-def _complex_values(levels: list, exact: bool) -> tuple:
-    """The levels as ComplexScalars: Fractions in rational mode; in float
-    mode every denominator is 1."""
-    if exact:
-        return tuple(ComplexScalar(Fraction(re, e), Fraction(im, e)) for re, im, e in levels)
-    return tuple(ComplexScalar(re, im) for re, im, _ in levels)
-
-
 # ---------------------------------------------------------------------------
 # Christoffel function
 
@@ -645,16 +717,21 @@ def christoffel(rec: Recurrence, z: ComplexScalar, n: int):
     """rho_n(z) = 1 / sum_{k<=n} |p_k(z)|^2, the minimum of L(|p|^2) over
     polynomials of degree <= n with p(z) = 1.
 
-    In rational mode, for non-real z and n >= 1, the sum below n is the
-    Christoffel-Darboux closed form ``Im(pi_n conj pi_{n-1}) / (Im z
-    ||pi_{n-1}||^2)``, so only pi_{n-1} and pi_n are read.  At real z (where
-    the atoms are) and in float mode the sum is taken term by term: in
-    floats the closed form's difference cancels the leading bits the two
-    values share (about 57 of 100 on the q = 3 lattice at N = 40), while a
-    sum of positive terms keeps them.  For a rank-degenerate (r-atomic)
-    recurrence and n >= r the minimum is 0 off the atoms (a degree-r
-    polynomial vanishes on all atoms while hitting p(z) = 1) and the atom's
-    weight at an atom.  A negative level is an InvalidParameter.
+    In rational mode, at non-real z, the value is one Fraction of the
+    integer levels of the forward pass and the exact pivots ||pi_k||^2 =
+    T_k / d_k of the factorization.  Below the order it is the
+    Christoffel-Darboux closed form with the next level, ``rho_n = Im z
+    ||pi_n||^2 / Im(pi_{n+1} conj pi_n)``; at the order, which has no next
+    level, the sum below n is that form at n - 1 and the top term is
+    added, ``1/rho_n = Im(pi_n conj pi_{n-1}) / (Im z ||pi_{n-1}||^2) +
+    |pi_n|^2 / ||pi_n||^2``.  At real z (where the atoms are) and in float
+    mode the sum is taken term by term: in floats the closed form's
+    difference cancels the leading bits the two values share (about 57 of
+    100 on the q = 3 lattice at N = 40), while a sum of positive terms
+    keeps them.  For a rank-degenerate (r-atomic) recurrence and n >= r the
+    minimum is 0 off the atoms (a degree-r polynomial vanishes on all atoms
+    while hitting p(z) = 1) and the atom's weight at an atom.  A negative
+    level is an InvalidParameter.
     """
     if n < 0:
         raise InvalidParameter("level must be nonnegative")
@@ -667,11 +744,32 @@ def christoffel(rec: Recurrence, z: ComplexScalar, n: int):
     if n > rec.order:
         raise DegreeInsufficient(f"recurrence order {rec.order} < {n}")
     ev = ortho_eval(rec, z)
-    if z.im == 0 or n == 0 or isinstance(rec.mode, FloatMode):
+    if z.im == 0 or not rec._pivots:        # float mode keeps no exact pivots
         return 1 / ev.kernel_diagonal(n)
-    p1, p0 = ev.first[n], ev.first[n - 1]
-    cross = p1.im * p0.re - p1.re * p0.im
-    return 1 / (cross / (z.im * ev.norm_sq[n - 1]) + ev.first_normalized_abs2(n))
+    # Im z = xi / w, level k = (re + i im) / e and ||pi_k||^2 = t / d.  A
+    # factor that may cancel is divided out first by _content, one division
+    # where it divides, as on the lifts (d_k divides e_k, and e_{n+1} the
+    # cross product), so the Fraction's one gcd runs on about half the bits
+    (_, xi), w = integers((z.re, z.im))
+    levels, pivots = ev.first.raw, rec._pivots
+    if n < rec.order:
+        (re1, im1, e1), (re0, im0, e0), (t, d) = levels[n + 1], levels[n], pivots[n]
+        e1, (s,) = _content(e1, (im1 * re0 - re1 * im0,))
+        d, (e0,) = _content(d, (e0,))
+        return Fraction(xi * t * e1 * e0, w * d * s)
+    # at the order, rho_n = Im z h_{n-1} h_n / (Im z h_{n-1} |pi_n|^2 + h_n
+    # Im(pi_n conj pi_{n-1})) for h_k = ||pi_k||^2; Christoffel-Darboux at
+    # n - 1 makes the denominator a multiple of Im z h_{n-1}, and on the
+    # lifts t_{n-1} and e_n divide it
+    (re1, im1, e1), (re0, im0, e0) = levels[n], levels[n - 1]
+    (t1, d1), (t0, d0) = pivots[n], pivots[n - 1]
+    d0, (e0,) = _content(d0, (e0,))
+    d1, (f1,) = _content(d1, (e1,))
+    den = (xi * t0 * (re1 * re1 + im1 * im1) * d1 * e0
+           + w * t1 * (im1 * re0 - re1 * im0) * d0 * f1)
+    t0, (den,) = _content(t0, (den,))
+    e1, (den,) = _content(e1, (den,))
+    return Fraction(xi * t1 * t0 * e1 * f1 * e0, den)
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +822,10 @@ def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
 
 def weyl_radius_sq(rec: Recurrence, z: ComplexScalar, n: int, rho=None):
     """``radius_sq`` of ``weyl_disk(rec, z, n)`` without its center: 0 for a
-    degenerate pencil, else ``rho^2 / (4 Im z^2)`` with ``rho =
-    christoffel(rec, z, n)``, which a caller that holds it passes in.  A
+    degenerate pencil, else ``rho ** 2 / (4 Im z^2)`` with ``rho =
+    christoffel(rec, z, n)``, which a caller that holds it passes in.  The
+    square of a reduced Fraction is reduced, so it takes no gcd, and an
+    mpf square rounds the exact product once, as ``rho * rho`` does.  A
     float pass whose ``s / Im z`` is not positive has lost its bits and
     raises PrecisionExhausted; in rational mode Christoffel-Darboux makes it
     positive, so it is not evaluated.  A negative level is an
@@ -743,7 +843,7 @@ def weyl_radius_sq(rec: Recurrence, z: ComplexScalar, n: int, rho=None):
         raise PrecisionExhausted("Weyl disk: Im(pi_{n+1} conj pi_n) lost its sign")
     if rho is None:
         rho = christoffel(rec, z, n)
-    return rho * rho / (4 * z.im * z.im)
+    return rho ** 2 / (4 * z.im * z.im)
 
 
 def _casoratian_im(ev: OrthoEval, n: int):
@@ -859,13 +959,17 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     ``_level_step`` (the forward pass's), so no q or e is formed and
     one ``Fraction`` is built per reported value; the odd value is one
     Radau step off levels n and n - 1, and the atomic case reads the same
-    pass to the rank.  In float mode the Radau step's difference cancels
+    pass to the rank.  The pass is kept on the recurrence at its last
+    point and extended on demand, so a lower level at the same point (the
+    verdict's second call) reads the levels of the first; the sign tests
+    rerun on every call.  In float mode the Radau step's difference cancels
     (at float:128 on the q = 3 lattice, N = 60, level 29, the odd value
     keeps 36 of its 128 bits), so the pair comes from the Wallis loop over
     q and e, which adds positive terms only and keeps all 128; it runs on
     plain ``mpf`` values.  In rational mode neither branch calls
     ``ortho_eval``, so the forward pass kept in ``rec.evals`` (a verdict's,
-    at z = i) stays; float mode's atomic case reads the pass at z.
+    at z = i) stays beside the convergents' own; float mode's atomic case
+    reads the pass at z.
     """
     mode = seq.mode
     if not isinstance(seq.support, NonnegativeOrthant):
@@ -910,23 +1014,32 @@ def _stieltjes_levels(rec: Recurrence, z: Fraction, n: int,
     """Levels n - 1 and n of (pi_k(z), Q_k(z), pi_k(0)), each three integer
     numerators over one denominator, from level -1 = (0, -1, 0), since
     Q_1 = beta_0 = m_0, and level 0 = (1, 0, 1); z - alpha_k and -alpha_k
-    share the denominator of ``_level_step``'s multiplier.  Raises
-    NotStieltjesAdmissible unless ``(-1)^k pi_k(0) > 0`` for k = 1 .. n;
+    share the denominator of ``_level_step``'s multiplier.  The levels are
+    kept in ``rec._convergents`` until the next point, so a lower level at
+    the same z (a verdict's second call) reads the pass a higher one made,
+    and a higher one extends it.  Raises NotStieltjesAdmissible unless
+    ``(-1)^k pi_k(0) > 0`` for k = 1 .. n, at the first level that fails;
     ``atoms`` is the message of a rank-n sequence, whose pi_n(0) may
     vanish (an atom at 0).  A pi_k(0) = 0 below the top needs no test of
     its own: then pi_{k+1}(0) = -beta_k pi_{k-1}(0) has the wrong sign."""
+    levels = rec._convergents.get(z)
+    if levels is None:
+        rec._convergents.clear()
+        levels = rec._convergents[z] = [(0, -1, 0, 1), (1, 0, 1, 1)]
     zn, zd = z.numerator, z.denominator
-    prev, cur = (0, -1, 0, 1), (1, 0, 1, 1)
     for k in range(n):
-        an, ad = _pair(rec.alpha[k])
-        bn, bd = _pair(rec.beta[k])
-        x0 = -an * zd
-        prev, cur = cur, _level_step(_stieltjes_products, (zn * ad + x0, x0), zd * ad,
-                                     bn, bd, cur, prev)
-        sign = cur[2] if k % 2 else -cur[2]        # (-1)^(k+1) pi_{k+1}(0)
+        # levels[k + 1] is level k
+        if len(levels) == k + 2:
+            an, ad = _pair(rec.alpha[k])
+            bn, bd = _pair(rec.beta[k])
+            x0 = -an * zd
+            levels.append(_level_step(_stieltjes_products, (zn * ad + x0, x0), zd * ad,
+                                      bn, bd, levels[k + 1], levels[k]))
+        r = levels[k + 2][2]
+        sign = r if k % 2 else -r                   # (-1)^(k+1) pi_{k+1}(0)
         if sign < 0 or sign == 0 and atoms is None:
             raise NotStieltjesAdmissible(atoms or "shifted Hankel form is not positive definite")
-    return prev, cur
+    return levels[n], levels[n + 1]
 
 
 def _stieltjes_products(m: tuple, level: tuple) -> tuple:
@@ -1050,7 +1163,7 @@ def _christoffel_weyl_evidence(rec: Recurrence) -> list:
     z = complex_scalar(mode, 0, 1)
     rho_top = christoffel(rec, z, top)
     rho_half = christoffel(rec, z, half)
-    ratio = mode.to_float(rho_top / rho_half)
+    ratio = _float_ratio(mode, rho_top, rho_half)
     if ratio > PLATEAU_RATIO:
         out.append(Evidence("christoffel-plateau", top, rho_top,
                             Sufficiency.LIMIT_RIGOROUS_NUMERIC, Leaning.INDETERMINATE,
@@ -1068,7 +1181,7 @@ def _christoffel_weyl_evidence(rec: Recurrence) -> list:
     # radii are positive, since beta_{n+1} != 0 for every n < rank
     radius_sq = weyl_radius_sq(rec, z, top, rho_top)
     radius_sq_half = weyl_radius_sq(rec, z, half, rho_half)
-    rratio = mode.to_float(radius_sq / radius_sq_half) ** 0.5
+    rratio = _float_ratio(mode, radius_sq, radius_sq_half) ** 0.5
     if rratio > PLATEAU_RATIO:
         out.append(Evidence("weyl-radius-plateau", top, radius_sq,
                             Sufficiency.LIMIT_RIGOROUS_NUMERIC, Leaning.INDETERMINATE,
@@ -1098,7 +1211,7 @@ def _convergent_evidence(seq: MomentSequence, rec: Recurrence) -> list:
         return out
     w_top, w_low = pair_top.interval_width, pair_low.interval_width
     if w_low > 0 and w_top > 0:
-        ratio = mode.to_float(w_top / w_low)
+        ratio = _float_ratio(mode, w_top, w_low)
         if ratio > WIDTH_PLATEAU_RATIO:
             out.append(Evidence("stieltjes-width-plateau", top, w_top,
                                 Sufficiency.LIMIT_RIGOROUS_NUMERIC, Leaning.INDETERMINATE,
@@ -1113,3 +1226,12 @@ def _convergent_evidence(seq: MomentSequence, rec: Recurrence) -> list:
                             Sufficiency.HEURISTIC, Leaning.DETERMINATE,
                             "interval width vanished"))
     return out
+
+
+def _float_ratio(mode: Mode, a, b) -> float:
+    """a / b for b > 0 as a float: in rational mode the correctly rounded
+    quotient of the integer cross products, as ``to_float(a / b)`` but with
+    no gcd; else ``to_float(a / b)``."""
+    if isinstance(mode, RationalMode):
+        return ratio_to_float(a.numerator * b.denominator, a.denominator * b.numerator)
+    return mode.to_float(a / b)

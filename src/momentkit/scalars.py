@@ -259,7 +259,14 @@ def mode_from_string(s: str) -> Mode:
     if s == "rational":
         return RationalMode()
     if isinstance(s, str) and s.startswith("float:") and _INTEGER.fullmatch(s[6:]):
-        bits = int(s[6:])
+        text = s[6:]
+        # more significant digits than the bound has are out of range either
+        # way and are not read; the rest go through Decimal, as int(text)
+        # would refuse leading zeros past its digit limit with a ValueError
+        if len(text.lstrip("+-").lstrip("0")) > len(str(MAX_FLOAT_BITS)):
+            bits = -math.inf if text.startswith("-") else math.inf
+        else:
+            bits = int(Decimal(text))
         if bits > MAX_FLOAT_BITS:
             raise InvalidParameter(f"mode {s!r}: precision above {MAX_FLOAT_BITS} bits")
         return FloatMode(bits)

@@ -45,6 +45,16 @@ and their messages must be equal, and float values bit-identical; the
 floors here are ``mpf`` values, which the library's ``log2`` floors must
 match to within 1e-9 relative in ``log2``.
 
+``christoffel_fractions`` and ``weyl_radius_sq_fractions`` are the
+Christoffel value and the Weyl radius as chains of the mode's scalar
+operations on a ``forward_pass_fractions`` pass: the Christoffel-Darboux
+form of the sum below n plus the top term, in reduced ``Fraction``s, at
+non-real z in rational mode, the sum of |p_k(z)|^2 elsewhere, and ``rho *
+rho / (4 Im z^2)``.  The library builds one ``Fraction`` per value from the
+integer levels and exact pivots, with Christoffel-Darboux at the next
+level below the order; rational values must be equal, float values
+bit-identical, and the errors and messages the same.
+
 ``convergents_radau`` is ``hamburger.stieltjes_convergents`` the long way:
 the even value ``-Q_n/pi_n`` from a forward pass at z, a second pass at 0
 for the Gauss-Radau top coefficient ``alpha* = -beta_n pi_{n-1}(0) /
@@ -121,8 +131,9 @@ from math import comb
 from typing import Sequence
 
 from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidParameter,
-                              LpInfeasible, LpUnbounded, ModeMismatch, NotAdmissible,
-                              NotPositiveDefinite, NotStieltjesAdmissible, PrecisionExhausted)
+                              LpInfeasible, LpUnbounded, ModeMismatch, NonRealPointRequired,
+                              NotAdmissible, NotPositiveDefinite, NotStieltjesAdmissible,
+                              PrecisionExhausted)
 from momentkit.curves import PolynomialCurve, _weighted_lift
 from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEval, Recurrence,
                                  WeylDisk, christoffel, monic_coefficients, ortho_eval,
@@ -418,6 +429,51 @@ def forward_pass_fractions(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     for k in range(1, rec.order + 1):
         norms.append(norms[-1] * rec.beta[k])
     return OrthoEval(z, tuple(first), tuple(norms), lambda: tuple(second))
+
+
+def christoffel_fractions(rec: Recurrence, ev: OrthoEval, n: int):
+    """``hamburger.christoffel(rec, ev.z, n)`` as a chain of the mode's
+    scalar operations on the pass ``ev = forward_pass_fractions(rec, z)``:
+    the sum of |p_k(z)|^2 at real z and in float mode, else the
+    Christoffel-Darboux form of the sum below n plus the top term, with the
+    same errors and messages."""
+    z = ev.z
+    if n < 0:
+        raise InvalidParameter("level must be nonnegative")
+    r = rec.rank
+    if r <= min(n, rec.order):
+        if ev.first[r].abs2() != 0:
+            return rec.mode.zero()
+        return 1 / ev.kernel_diagonal(r - 1)
+    if n > rec.order:
+        raise DegreeInsufficient(f"recurrence order {rec.order} < {n}")
+    if z.im == 0 or n == 0 or isinstance(rec.mode, FloatMode):
+        return 1 / ev.kernel_diagonal(n)
+    p1, p0 = ev.first[n], ev.first[n - 1]
+    cross = p1.im * p0.re - p1.re * p0.im
+    return 1 / (cross / (z.im * ev.norm_sq[n - 1]) + ev.first_normalized_abs2(n))
+
+
+def weyl_radius_sq_fractions(rec: Recurrence, ev: OrthoEval, n: int, rho=None):
+    """``hamburger.weyl_radius_sq(rec, ev.z, n, rho)`` as ``rho * rho / (4
+    Im z^2)`` with rho from ``christoffel_fractions`` on the same pass
+    unless given, with the same errors and messages."""
+    z = ev.z
+    if z.im == 0:
+        raise NonRealPointRequired("Weyl disks need Im z != 0")
+    if n < 0:
+        raise InvalidParameter("level must be nonnegative")
+    if n + 1 > rec.order:
+        raise DegreeInsufficient(f"disk at {n} needs recurrence order {n + 1}")
+    mode = rec.mode
+    if rec.beta[n + 1] == 0:
+        return mode.zero()
+    p_top, p_low = ev.first[n + 1], ev.first[n]
+    if isinstance(mode, FloatMode) and not (p_top.im * p_low.re - p_top.re * p_low.im) * z.im > 0:
+        raise PrecisionExhausted("Weyl disk: Im(pi_{n+1} conj pi_n) lost its sign")
+    if rho is None:
+        rho = christoffel_fractions(rec, ev, n)
+    return rho * rho / (4 * z.im * z.im)
 
 
 def christoffel_on_curve(sigma: MomentSequence, curve: PolynomialCurve, alpha: ComplexScalar,

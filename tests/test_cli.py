@@ -193,6 +193,19 @@ def test_precision_beyond_the_bound_is_one_structured_error(tmp_path):
         assert repr(mode) in detail
 
 
+def test_precision_past_the_int_digit_limit_is_one_structured_error(tmp_path):
+    """A precision of 5000 digits, past Python's int<->str digit limit, is
+    the same structured InvalidParameter, from a spec and from --mode."""
+    mode = "float:" + "9" * 5000
+    spec = write_spec(tmp_path / "huge.json", {
+        "measure": {"variant": "gaussian_product", "variances": ["1"]},
+        "dimension": 1, "max_degree": 8, "mode": mode})
+    for spec, extra in ((spec, ()), (gaussian_spec(tmp_path, 8), ("--mode", mode))):
+        error, detail = single_error(*analyze_report(spec, tmp_path, *extra))
+        assert error == "InvalidParameter"
+        assert repr(mode) in detail and "precision above" in detail
+
+
 def test_analyze_rejects_cone_criteria_on_full_space(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["analyze", "--input", gaussian_spec(tmp_path, 20),

@@ -16,7 +16,15 @@ level step and takes the Radau step off its top two levels, and in float
 mode the Wallis loop on plain mpf values (a Radau step cancels bits
 there); ``oracles.convergents_wallis`` runs the Wallis loop on four
 scalars of the mode.  Both refuse finitely atomic data with an atom below
-0.  ``hamburger._content`` and ``hamburger._divide_out``, the one content
+0.  The rational recurrence keeps its exact pivots, whose ``Fraction``s are
+the norms ``beta_0 ... beta_k``, on the plain route, the base route and at
+an early-stop rank.  ``hamburger.christoffel`` and
+``hamburger.weyl_radius_sq`` build one ``Fraction`` from the integer
+levels and pivots; ``oracles.christoffel_fractions`` and
+``oracles.weyl_radius_sq_fractions`` take a chain of ``Fraction``
+operations on the oracle's pass.  The convergents' pass kept on the
+recurrence gives the pairs of fresh passes in any call order.
+``hamburger._content`` and ``hamburger._divide_out``, the one content
 reduction of the kernels, are checked against ``math.gcd``.
 ``moments.image_moments`` builds the image-moment table on integer
 numerators over one denominator, ``oracles.image_moments_fractions`` on the
@@ -33,8 +41,10 @@ Its decisions are swept over seven families at 48 to 200 bits.
 """
 
 import math
+import operator
 import warnings
 from fractions import Fraction as F
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -51,8 +61,9 @@ from momentkit.moments import (Atomic, Exponential1D, GaussianProduct, LogNormal
 from momentkit.polynomials import multi_indices
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar, exact_fraction
 from momentkit.simplex import measure_bounds
-from oracles import (convergents_wallis, factorize_fractions, forward_pass_fractions,
-                     grid_columns_entrywise, image_moments_fractions)
+from oracles import (christoffel_direct, christoffel_fractions, convergents_wallis,
+                     factorize_fractions, forward_pass_fractions, grid_columns_entrywise,
+                     image_moments_fractions, weyl_radius_sq_fractions)
 
 R = RationalMode()
 F128 = FloatMode(128)
@@ -153,10 +164,14 @@ def check_recurrence(seq, n):
 
 
 def check_pass(rec, z):
+    """The pass's values, each sequence read whole as a tuple (the engine
+    builds its entries on read), against the oracle's; the passes compare
+    equal as values."""
     got = hamburger._forward_pass(rec, z)
     want = forward_pass_fractions(rec, z)
-    assert same((got.first, got.second, got.norm_sq),
+    assert same(tuple(map(tuple, (got.first, got.second, got.norm_sq))),
                 (want.first, want.second, want.norm_sq))
+    assert got == want and got.second == want.second
 
 
 def atoms(points, weights) -> Atomic:
@@ -364,7 +379,7 @@ def test_verdict_leaves_the_second_kind_unbuilt(monkeypatch):
     (z, ev), = rec.evals.items()
     assert kinds == [True]
     want = forward_pass_fractions(rec, z)
-    assert same(ev.second, want.second)
+    assert same(tuple(ev.second), want.second)
     assert kinds == [True, False]
 
 
@@ -377,6 +392,125 @@ def test_weighted_lhospital_lift_float_bit_identical():
     rec = lhospital_lift(F128)
     for z in ((0, 1), (-1, 0)):
         check_pass(rec, complex_scalar(F128, *z))
+
+
+# ---------------------------------------------------------------------------
+# Christoffel values, Weyl radii and the exact pivot norms
+
+#: the non-real points of the Christoffel and Weyl checks
+CHRISTOFFEL_POINTS = ((0, 1), (F(1, 3), F(2, 7)), (-5, F(1, 2)))
+
+
+def check_christoffel(rec, z, seq=None):
+    """``christoffel`` and ``weyl_radius_sq`` at every level from 0 to one
+    past the order against the Fraction chains of the oracles on the
+    oracle's pass: equal with the same types (bit-identical in float
+    mode), or the same error.  Given ``seq``, rational values below the
+    rank are also the Hankel solve of ``christoffel_direct``.  The
+    verdict's ratios of rational values, at n and n // 2, are their
+    quotients read by ``to_float``."""
+    mode = rec.mode
+    ev = forward_pass_fractions(rec, z)
+    values = []
+    for n in range(rec.order + 2):
+        rho = outcome(hamburger.christoffel, rec, z, n)
+        want = outcome(christoffel_fractions, rec, ev, n)
+        assert same(rho, want)
+        radius_sq = outcome(hamburger.weyl_radius_sq, rec, z, n)
+        assert same(radius_sq, outcome(weyl_radius_sq_fractions, rec, ev, n,
+                                       None if isinstance(want, tuple) else want))
+        if seq is not None and not isinstance(rho, tuple) and n < rec.rank:
+            assert rho == christoffel_direct(seq, z, n)
+        values.append((rho, radius_sq))
+    if isinstance(mode, RationalMode):
+        for n, pair in enumerate(values):
+            for a, b in zip(pair, values[n // 2]):
+                if not isinstance(a, tuple) and not isinstance(b, tuple) and a > 0 < b:
+                    assert hamburger._float_ratio(mode, a, b) == mode.to_float(a / b)
+
+
+def check_norms(rec):
+    """The norms read off the exact pivots are the products beta_0 ...
+    beta_k, equal with the same types."""
+    assert len(rec._pivots) == len(rec.beta)
+    assert same(tuple(rec.norm_sq), tuple(accumulate(rec.beta, operator.mul)))
+
+
+@SETTINGS
+@given(measures())
+@example((atoms((-1, -6), (1, 1)), 2))                  # rank 2 = order
+@example((atoms((4, -3, 1), (3, 1, 4)), 5))             # rank 3 below order 5
+@example((atoms((3, -5, -2, 7), (1, 4, 4, 1)), 3))      # positive definite
+def test_christoffel_and_weyl_match_the_fraction_chain(measure_and_n):
+    """Atomic data in rational mode and at 64 to 512 bits, positive
+    definite or stopping at its rank, at the three points."""
+    measure, n = measure_and_n
+    for mode in MODES:
+        seq = generate_moments(measure, 1, 2 * n, mode)
+        rec = outcome(hamburger.recurrence_from_moments, seq, n)
+        if isinstance(rec, tuple):
+            # a float recurrence without headroom; check_recurrence compares its error
+            continue
+        if mode is R:
+            check_norms(rec)
+        for z in CHRISTOFFEL_POINTS:
+            check_christoffel(rec, complex_scalar(mode, *z), seq if mode is R else None)
+
+
+@pytest.mark.parametrize("measure, degree", [(GAUSS, 40), (QL2, 30), (Exponential1D(), 24)],
+                         ids=["gauss40", "ql30", "expo24"])
+def test_christoffel_and_weyl_of_families_match_the_fraction_chain(measure, degree):
+    """Positive definite families in rational mode and at 128 and 512 bits
+    (at 64 the Gaussian and the exponential keep too few pivot bits)."""
+    for mode in (R, F128, FloatMode(512)):
+        seq = generate_moments(measure, 1, degree, mode)
+        rec = hamburger.recurrence_from_moments(seq, degree // 2)
+        for z in CHRISTOFFEL_POINTS:
+            check_christoffel(rec, complex_scalar(mode, *z), seq if mode is R and degree < 30
+                              else None)
+
+
+@pytest.mark.parametrize("z", CHRISTOFFEL_POINTS)
+def test_lhospital_lift_christoffel_and_weyl_match_the_fraction_chain(z, lhospital_rec):
+    """The ql60 l'Hospital lift at every level: the verdict's two
+    Christoffel values and radii below the order, and the lift's witness
+    at the order.  (``christoffel_direct``'s Hankel solve on its
+    ~48k-bit moments would take minutes.)"""
+    check_christoffel(lhospital_rec, complex_scalar(R, *z))
+
+
+def base_route(sigma, curve):
+    """The factorization of the lift sigma weighted by the square of the
+    curve's weight, from sigma's own recurrence, as ``lift_and_test``
+    makes it."""
+    seq = _weighted_lift(sigma, catalog(curve).weight)
+    source = hamburger._factorize(sigma, sigma.max_degree // 2)
+    return hamburger._factorize(seq, seq.max_degree // 2,
+                                (source, sigma.max_degree - seq.max_degree))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hamburger._factorize(generate_moments(GAUSS, 1, 40, R), 20),
+    lambda: hamburger._factorize(generate_moments(QL2, 1, 60, R), 30),
+    lambda: hamburger._factorize(generate_moments(atoms((1, 2, 5), (1, 1, 3)), 1, 10, R), 5),
+    lambda: base_route(generate_moments(GAUSS, 1, 30, R), "nodal_cubic"),
+    lambda: base_route(generate_moments(QL2, 1, 60, R), "lhospital_quintic"),
+], ids=["plain gauss40", "plain ql60", "rank 3 of order 5", "base nodal gauss30",
+        "base lhospital ql60"])
+def test_pivot_norms_are_the_beta_products(make):
+    check_norms(make())
+
+
+def test_verdict_builds_no_level_or_norm():
+    """A rational verdict reads its Christoffel values and Weyl radii off
+    the integer levels and pivots: it builds no level's values and no
+    norm."""
+    seq = _weighted_lift(generate_moments(GAUSS, 1, 80, R), catalog("nodal_cubic").weight)
+    hamburger.verdict_1d(seq)
+    rec = seq.recurrences[seq.max_degree // 2]
+    (_, ev), = rec.evals.items()
+    assert ev.first._built == {} and rec.norm_sq._built == {}
+    assert ev.norm_sq is rec.norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +586,25 @@ def check_convergents(seq, zs=CONVERGENT_POINTS):
 @example(generate_moments(QLattice1D(3), 1, 20, FloatMode(64)))
 def test_convergents_match_wallis_oracle(seq):
     check_convergents(seq)
+
+
+@SETTINGS
+@given(convergent_sequences(),
+       st.lists(st.tuples(st.sampled_from(CONVERGENT_POINTS), st.integers(0, 22)),
+                min_size=1, max_size=8))
+@example(generate_moments(QLattice1D(3), 1, 20, R),
+         [(-1, 9), (-1, 4), (-1, 10), (F(-1, 3), 2), (-1, 3), (-1, 12)])
+@example(half_line(atoms((-1, 7, -2, -3), (5, 5, 3, 2)), 6),  # pi_2(0) fails, pi_3(0) does not
+         [(-1, 3), (-1, 1), (-1, 0), (-1, 3)])
+@example(half_line(atoms((F(-1, 3), 0, 2), (1, 1, 1)), 6), [(-1, 3), (-1, 1), (-7, 3)])
+def test_kept_convergents_pass_matches_fresh_passes(seq, calls):
+    """Calls at any points and levels, in any order, on one sequence, whose
+    recurrence keeps the convergents' pass at its last point, give the
+    pairs or the errors of a fresh sequence per call."""
+    for z, n in calls:
+        fresh = sequence_from_1d(seq.moments_1d(), seq.mode, seq.support)
+        assert same(convergents_outcome(hamburger.stieltjes_convergents, seq, z, n),
+                    convergents_outcome(hamburger.stieltjes_convergents, fresh, z, n))
 
 
 @pytest.mark.parametrize("mode", [R, F128], ids=["rational", "float:128"])

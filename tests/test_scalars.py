@@ -120,6 +120,18 @@ def test_mode_strings():
         mode_from_string(f"float:{MAX_FLOAT_BITS + 1}")
 
 
+def test_mode_strings_past_the_int_digit_limit():
+    """A precision of more digits than Python's int<->str limit (4300) is
+    out of range, refused as an InvalidParameter naming the mode, never
+    read by int(); leading zeros do not count."""
+    above = "float:" + "9" * 5000
+    with pytest.raises(InvalidParameter, match=f"mode {above!r}: precision above"):
+        mode_from_string(above)
+    with pytest.raises(InvalidParameter, match="at least 8 bits"):
+        mode_from_string("float:-" + "9" * 5000)
+    assert mode_from_string("float:" + "0" * 5000 + "64").precision_bits == 64
+
+
 def test_rational_sqrt():
     mode = RationalMode()
     assert mode.sqrt(F(9, 4)) == F(3, 2)
