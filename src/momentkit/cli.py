@@ -38,7 +38,7 @@ from . import __version__
 from .curves import catalog, curve_from_json, lift_and_test
 from .envelopes import cosine_envelope, geometric_envelope
 from .errors import (InvalidParameter, MomentKitError, NotAdmissible, PrecisionExhausted,
-                     UnrepresentableInMode)
+                     UnrepresentableInMode, WrongSupport)
 from .gaps import (
     GapEstimate,
     direction_scan,
@@ -259,9 +259,8 @@ def cmd_analyze(args, seq: MomentSequence, provenance: dict, retry: bool) -> int
         if name not in CRITERIA and name != "verdict":
             raise MomentKitError(f"unknown criterion {name!r}")
         if name in CONE_ONLY and not isinstance(seq.support, NonnegativeOrthant):
-            raise MomentKitError(
-                f"criterion {name!r} needs cone support; input is full-space"
-            )
+            raise WrongSupport(f"criterion {name!r} needs the nonnegative orthant; "
+                               f"input support is {seq.support.kind}")
     report: dict[str, Any] = {
         "schema_version": "1",
         "provenance": dict(provenance, criteria=wanted),
@@ -438,7 +437,7 @@ def cmd_scan(args, seq: MomentSequence, _provenance: dict, _retry: bool) -> int:
             writer.writerow([_csv_value(mode, c) for c in row["direction"]]
                             + [v.status.value, v.numeric_flagged, crits])
         agg = scan["aggregate"]
-        writer.writerow(["aggregate", "", ""][: max(seq.dimension, 1)]
+        writer.writerow(["aggregate"] + [""] * (seq.dimension - 1)
                         + [agg.status.value, agg.numeric_flagged,
                            f"basis_covered={scan['basis_covered']}"])
     return 0

@@ -18,18 +18,23 @@ One-dimensional Poisson gaps are exact (they are Weyl-disk diameters); the
 multivariate kappa values are grid LP estimates and say so.
 
 A grid LP is assembled in integers.  Its column at a grid point g holds
-w(g) g^alpha for each monomial alpha, w the weight (1, or the hyperplane
-form a.x + 1).  Each grid axis goes over the lcm of its coordinates'
-denominators and the weight values over theirs, so every entry is an
-integer of integer monomials over its row's denominator; the LP takes the
-integers, each moment times its row's denominator, and builds no Fraction
-per entry.  Float scalars enter at their exact binary values, the row
-denominators are powers of two, and ``simplex.measure_bounds`` rounds each
-integer entry into the mode once, which rounds w(g) g^alpha itself.  The
-separating function is prepared once per grid (``_Target``), then
-``evaluate_separating`` reads it at each point.  A grid point, a direction,
-a corner or a spec's vector whose length is not the sequence's dimension
-raises DimensionMismatch naming both, before any LP runs.
+g^alpha for each monomial alpha.  Each grid axis goes over the lcm of its
+coordinates' denominators, so every entry is an integer monomial of an
+integer point over its row's denominator; the LP takes the integers, each
+moment times its row's denominator, and builds no Fraction per entry.  Float
+scalars enter at their exact binary values, the row denominators are powers
+of two, and ``simplex.measure_bounds`` rounds each integer entry into the
+mode once, which rounds g^alpha itself.  The separating function is
+prepared once per grid (``_Target``), then ``evaluate_separating`` reads it
+at each point.  A grid point, a direction, a corner or a spec's vector whose
+length is not the sequence's dimension raises DimensionMismatch naming
+both, before any LP runs.
+
+The hyperplane gaps on a cone are the Fantappie grid LP of the weighted
+functional nu = (a.x + 1) L at one degree lower: a grid measure y with
+sum_g y_g (a.g + 1) g^alpha = nu(x^alpha) is, through y'_g = (a.g + 1) y_g,
+a grid measure with the moments of nu, and its mass sum_g y_g is sum_g y'_g
+/ (a.g + 1).
 """
 
 from __future__ import annotations
@@ -62,12 +67,7 @@ from .moments import (
     pushforward_direction,
     support_is_cone,
 )
-from .polynomials import (
-    monomial,
-    mpoly_eval,
-    mpoly_mul,
-    multi_indices,
-)
+from .polynomials import monomial, mpoly_mul, multi_indices
 from .scalars import (ComplexScalar, Mode, RationalMode, exact_fraction, from_context,
                       half_floor, integers, to_context, work_context)
 from .verdicts import Evidence, Flavor, Status, Verdict
@@ -341,7 +341,8 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
     ``simplex.measure_bounds``).  Raises LpUnbounded when no such measure
     exists, i.e. the grid is too sparse to pin the polynomials down (the
     caller should refine the grid); LpInfeasible never for consistent inputs;
-    InvalidParameter for a negative degree.
+    InvalidParameter for a negative degree or an empty grid; DimensionMismatch
+    for a grid point whose length is not the sequence's dimension.
     """
     if degree < 0:
         raise InvalidParameter(f"LP degree {degree} is negative")
@@ -352,77 +353,47 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
         grid = default_grid(seq.support, seq.dimension, mode,
                             points_per_axis=(2 * degree + 3
                                              if seq.dimension > 1 else None))
-    grid = _grid_in_mode(grid, seq)
+    grid = [tuple(mode.convert(c) for c in g) for g in grid]
+    for g in grid:
+        _check_dimension("grid point", g, seq.dimension)
     if not grid:
         raise InvalidParameter("grid must be non-empty")
     monomials = list(multi_indices(seq.dimension, degree))
-    c_obj = [seq.entries[alpha] for alpha in monomials]
     target = _Target(phi, mode, seq.dimension)
     phi_vals = [evaluate_separating(target, g, mode) for g in grid]
-    sup_side, inf_side = _grid_measure_bounds(mode, grid, monomials, c_obj,
-                                              phi_vals, degree)
-    return GapEstimate(sup_side, inf_side, False, False, degree,
-                       describe_grid(grid, mode))
-
-
-def _grid_in_mode(grid: Sequence, seq: MomentSequence) -> list:
-    """The grid's points in the sequence's mode; DimensionMismatch when a
-    point's length is not the sequence's dimension."""
-    points = [tuple(seq.mode.convert(c) for c in g) for g in grid]
-    for g in points:
-        _check_dimension("grid point", g, seq.dimension)
-    return points
-
-
-def _grid_columns(mode: Mode, grid: Sequence, monomials: Sequence,
-                  weight: Mapping | None = None) -> tuple:
-    """The LP columns of the grid in integers: (the column of each grid
-    point g, the denominator of each monomial's row), so that the alpha
-    entry of g's column over the alpha denominator is w(g) g^alpha, float
-    scalars at their exact binary values.
-
-    Axis i goes over the lcm ``Q_i`` of its coordinates' denominators,
-    which makes each point an integer point ``P_g``, and the weight values
-    over their lcm ``V``, ``W_g = V w(g)``.  Then the alpha entry is the
-    integer ``W_g P_g^alpha`` and its row's denominator ``V Q^alpha``, both
-    monomials taken on integers; in float mode ``V Q^alpha`` is a power of
-    two."""
-    exact = (lambda v: v) if isinstance(mode, RationalMode) else exact_fraction
-    points = [[exact(c) for c in g] for g in grid]
-    axes = [integers(axis) for axis in zip(*points)]
-    integer_points = list(zip(*(nums for nums, _ in axes)))
-    if weight is None:
-        weights, scale = [1] * len(points), 1
-    else:
-        weight = {alpha: exact(c) for alpha, c in weight.items()}
-        weights, scale = integers(mpoly_eval(weight, g) for g in points)
-    q = [den for _, den in axes]
-    dens = [scale * monomial(q, alpha) for alpha in monomials]
-    return ([[w * monomial(p, alpha) for alpha in monomials]
-             for p, w in zip(integer_points, weights)], dens)
-
-
-def _grid_measure_bounds(mode: Mode, grid: Sequence, monomials: Sequence,
-                         moments: Sequence, objective: Sequence, degree: int,
-                         weight: Mapping | None = None) -> tuple:
-    """(min, max) of sum_g y_g objective[g] over the nonnegative measures y
-    on the grid with sum_g y_g w(g) g^alpha = moments[alpha] for each
-    monomial alpha, where w is the polynomial ``weight`` (default 1).
-
-    The LP takes the integer columns of ``_grid_columns`` and each moment
-    times its row's denominator: the same constraints, each row scaled by a
-    positive integer.  In rational mode no entry becomes a Fraction; in
-    float mode ``measure_bounds`` rounds each integer entry into the mode
-    once, which rounds ``w(g) g^alpha`` itself, the denominator being a
-    power of two, and scales each moment exactly."""
-    columns, dens = _grid_columns(mode, grid, monomials, weight)
-    moments = [m * den for m, den in zip(moments, dens)]
+    # the integer columns and each moment times its row's denominator: the
+    # same constraints, each row scaled by a positive integer
+    columns, dens = _grid_columns(mode, grid, monomials)
+    moments = [seq.entries[alpha] * den for alpha, den in zip(monomials, dens)]
     try:
-        return simplex.measure_bounds(mode, columns, moments, objective)
+        sup_side, inf_side = simplex.measure_bounds(mode, columns, moments, phi_vals)
     except LpUnbounded:
         raise LpUnbounded(f"no nonnegative measure on the {len(grid)}-point grid "
                           f"reproduces the moments up to degree {degree}; "
                           "refine the grid") from None
+    return GapEstimate(sup_side, inf_side, False, False, degree,
+                       describe_grid(grid, mode))
+
+
+def _grid_columns(mode: Mode, grid: Sequence, monomials: Sequence) -> tuple:
+    """The LP columns of the grid in integers: (the column of each grid
+    point g, the denominator of each monomial's row), so that the alpha
+    entry of g's column over the alpha denominator is g^alpha, float scalars
+    at their exact binary values.
+
+    Axis i goes over the lcm ``Q_i`` of its coordinates' denominators,
+    which makes each point an integer point ``P_g``.  Then the alpha entry
+    is the integer ``P_g^alpha`` and its row's denominator ``Q^alpha``, both
+    monomials taken on integers; in float mode ``Q^alpha`` is a power of
+    two.  In rational mode no entry becomes a Fraction; in float mode
+    ``measure_bounds`` rounds each integer entry into the mode once, which
+    rounds g^alpha itself."""
+    exact = (lambda v: v) if isinstance(mode, RationalMode) else exact_fraction
+    axes = [integers(exact(c) for c in axis) for axis in zip(*grid)]
+    q = [den for _, den in axes]
+    return ([[monomial(p, alpha) for alpha in monomials]
+             for p in zip(*(nums for nums, _ in axes))],
+            [monomial(q, alpha) for alpha in monomials])
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +566,17 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
     same-degree exact-constraint minimum, while the degree cap raises it
     above the unrestricted infimum, so the numbers are heuristic probes and
     are flagged as such.
+
+    The values are m_0 minus the sup side and the inf side minus m_0 of the
+    Fantappie grid LP of nu = (a.x + 1) L at degree D - 1 (see the module
+    docstring).  The default grid is ``default_grid`` without a per-axis
+    count (7 points per axis in d = 2), not the degree-sized one of
+    ``grid_gap_lp``.
     """
     mode = seq.mode
     if not support_is_cone(seq.support):
         raise WrongSupport("hyperplane gaps need cone-supported sequences")
-    av = [mode.convert(c) for c in a]
+    av = tuple(mode.convert(c) for c in a)
     _check_dimension("direction", av, seq.dimension)
     if not dual_interior_contains(seq.support, av):
         raise NotInteriorDirection("a must be strictly interior to the dual cone")
@@ -607,33 +584,20 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
         raise InvalidParameter(f"degree {degree} is negative")
     if degree > seq.max_degree:
         raise DegreeInsufficient("degree exceeds the truncation")
-    if grid is None:
-        grid = default_grid(seq.support, seq.dimension, mode)
-    grid = _grid_in_mode(grid, seq)
     d = seq.dimension
-    # linear form a.x + 1 as a polynomial
-    form = {(0,) * d: mode.one()}
-    for j, c in enumerate(av):
-        if c:
-            form[tuple(1 if jj == j else 0 for jj in range(d))] = c
-    p_monomials = list(multi_indices(d, max(degree - 1, 0)))
-    # objective: L(r) = m_0 -+ L((a.x+1) p); variables are the coefficients
-    # of p, and L((a.x+1) x^alpha) is the alpha moment of (a.x+1) L
-    weighted = apply_polynomial_weight(seq, form)
-    lin_coeffs = [weighted.entries[alpha] for alpha in p_monomials]
-    # L(r) = +-(m_0 - L((a.x+1) p)).  By LP duality, max L((a.x+1) p) over
-    # (a.g+1) p(g) <= 1 is the least, and min L((a.x+1) p) over
-    # (a.g+1) p(g) >= 1 the greatest, mass of the nonnegative grid measures
-    # y with sum_g y_g (a.g+1) g^alpha = lin_coeffs[alpha]
-    low, high = _grid_measure_bounds(mode, grid, p_monomials, lin_coeffs,
-                                     [mode.one()] * len(grid), degree, weight=form)
+    form = {tuple(int(i == j) for i in range(d)): c for j, c in enumerate(av)}
+    form[(0,) * d] = mode.one()
+    if grid is None:
+        grid = default_grid(seq.support, d, mode)
+    est = grid_gap_lp(apply_polynomial_weight(seq, form), Fantappie(av),
+                      max(degree - 1, 0), grid)
     m0 = seq.entries[(0,) * d]
     return {
-        "value_plus": m0 - low,
-        "value_minus": high - m0,
+        "value_plus": m0 - est.sup_side,
+        "value_minus": est.inf_side - m0,
         "certified": False,
         "degree": degree,
-        "grid": describe_grid(grid, mode),
+        "grid": est.grid,
     }
 
 

@@ -166,13 +166,6 @@ def mpoly_mul(p: Mapping, q: Mapping) -> dict:
     return out
 
 
-def mpoly_eval(p: Mapping, point: Sequence):
-    out = 0
-    for alpha, c in p.items():
-        out = out + c * monomial(point, alpha)
-    return out
-
-
 def mpoly_compose_univariates(p: Mapping, components: Sequence[Sequence]) -> tuple:
     """Substitute univariate polynomials u_i(t) for the variables of p.
     The powers of each u_i are built once, one product per degree as the

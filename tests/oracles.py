@@ -83,12 +83,15 @@ the lift's own recurrence and the banded modified moments of the weight;
 in rational mode both routes give equal values.
 
 ``grid_columns_entrywise`` builds the grid-LP columns entry by entry,
-``w(g) * g^alpha`` as a product of the mode's scalars, each row over 1.
-The library writes each grid axis and the weight values over one
-denominator and makes every entry an integer of integer monomials over its
-row's denominator (``gaps._grid_columns``); each entry over its denominator
-must equal the oracle's, and the bounds of ``gaps._grid_measure_bounds``
-and the errors it raises must be the same on both.
+``g^alpha`` as a product of the mode's scalars, each row over 1.  The
+library writes each grid axis over one denominator and makes every entry
+an integer monomial over its row's denominator (``gaps._grid_columns``);
+each entry over its denominator must equal the oracle's, and the bounds of
+``gaps.grid_gap_lp`` and the errors it raises must be the same on both.
+Given the weight ``a.x + 1``, its columns with ``simplex.measure_bounds``
+are the hyperplane LP as written, over grid measures of mass sum_g y_g;
+``gaps.hyperplane_gap`` solves it as a Fantappie grid LP (see the ``gaps``
+module docstring), and rational values must be equal.
 
 ``compose_univariates_termwise`` substitutes univariate polynomials into
 a multivariate one term by term, each power ``u_i**e`` by repeated
@@ -140,7 +143,7 @@ from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEv
                                  recurrence_from_moments)
 from momentkit.moments import (FullSpace, MomentSequence, NonnegativeOrthant, affine_map,
                                apply_linear_functional)
-from momentkit.polynomials import (compositions, monomial, mpoly_degree, mpoly_eval, mpoly_mul,
+from momentkit.polynomials import (compositions, monomial, mpoly_degree, mpoly_mul,
                                    multi_indices, poly_add, poly_mul, poly_pow)
 from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
                                half_floor)
@@ -728,7 +731,9 @@ def grid_columns_entrywise(mode: Mode, grid, monomials, weight=None) -> tuple:
     the library's shape, (columns, row denominators), every denominator 1."""
     columns = []
     for g in grid:
-        w = mode.one() if weight is None else mpoly_eval(weight, g)
+        w = mode.one()
+        if weight is not None:
+            w = sum((c * monomial(g, alpha) for alpha, c in weight.items()), mode.zero())
         columns.append([w * monomial(g, alpha) for alpha in monomials])
     return columns, [1] * len(monomials)
 

@@ -12,7 +12,7 @@ from momentkit import cli, curves, gaps, hamburger
 from momentkit.cli import main
 from momentkit.moments import sequence_from_1d
 from momentkit.scalars import RationalMode, default_float_bits
-from momentkit.serialization import save_moment_sequence
+from momentkit.serialization import format_value, save_moment_sequence
 
 R = RationalMode()
 
@@ -821,3 +821,105 @@ def test_unbounded_documents_give_one_short_structured_error(tmp_path, doc, deta
     errors = json.loads(out.read_text())["errors"]
     assert [e["error"] for e in errors] == ["InvalidParameter"]
     assert detail in errors[0]["detail"] and len(errors[0]["detail"]) < 200
+
+
+def gauss_spec(tmp_path, dimension, degree, mode="rational"):
+    return write_spec(tmp_path / f"gauss{dimension}.json", {
+        "measure": {"variant": "gaussian_product", "variances": ["1"] * dimension},
+        "dimension": dimension, "max_degree": degree, "mode": mode})
+
+
+def csv_rows(path):
+    return list(csv.reader(path.read_text().splitlines()))
+
+
+def test_scan_4d_rows_have_as_many_fields_as_the_header(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--input", gauss_spec(tmp_path, 4, 4), "--directions", "3",
+                 "--out", str(out)]) == 0
+    rows = csv_rows(out)
+    assert rows[0] == ["xi_0", "xi_1", "xi_2", "xi_3", "status", "numeric_flagged",
+                       "criteria"]
+    assert [len(r) for r in rows] == [7] * 5
+    assert rows[-1][:4] == ["aggregate", "", "", ""]
+    assert rows[-1][4] in ("determinate", "indeterminate", "inconclusive")
+
+
+def test_scan_on_a_1d_input_is_one_structured_error(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--input", gaussian_spec(tmp_path, 8), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["errors"] == [
+        {"error": "MomentKitError", "detail": "scan needs a multivariate input"}]
+
+
+def test_float_scan_writes_directions_as_shortest_decimals(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--input", gauss_spec(tmp_path, 2, 8, "float:128"),
+                 "--directions", "2", "--out", str(out)]) == 0
+    rows = csv_rows(out)
+    assert rows[1][:2] == ["1.0", "0.0"]
+    assert all(repr(float(c)) == c for row in rows[1:-1] for c in row[:2])
+    assert rows[-1][:3] == ["aggregate", "", "determinate"]
+
+
+# a measure on the cone spanned by (1, 0) and (1, 1): the image of two
+# independent unit exponentials s, t under (s, t) -> (s + t, t)
+CONE_2D = {"dimension": 2, "max_degree": 2, "mode": "rational",
+           "support_hint": {"kind": "cone", "generators": [["1", "0"], ["1", "1"]]},
+           "entries": [{"alpha": [i, j], "value": v} for (i, j), v in
+                       (((0, 0), "1"), ((1, 0), "2"), ((0, 1), "1"),
+                        ((2, 0), "6"), ((1, 1), "3"), ((0, 2), "2"))]}
+
+
+@pytest.mark.parametrize("criterion", ["fantappie", "hyperplane"])
+def test_cone_criteria_off_the_orthant_name_the_support(tmp_path, criterion):
+    rc, rep = analyze_report(write_spec(tmp_path / "cone.json", CONE_2D), tmp_path,
+                             "--criteria", criterion)
+    assert rc == 2
+    assert rep["errors"] == [{"error": "WrongSupport",
+                              "detail": f"criterion '{criterion}' needs the nonnegative "
+                                        "orthant; input support is cone"}]
+
+
+def test_analyze_poisson_on_a_2d_input_is_the_grid_lp_estimate(tmp_path):
+    spec = gauss_spec(tmp_path, 2, 4)
+    rc, rep = analyze_report(spec, tmp_path, "--criteria", "poisson")
+    assert rc == 0 and not rep["errors"]
+    seq, _provenance, _cap = cli.load_input(spec, None, None)
+    est = gaps.poisson_kappa_estimate(seq, (0, 0), 1, 2)
+    [entry] = rep["criteria"]
+    assert entry["gap"] == format_value(R, est.gap)
+    assert (entry["certified"], entry["degree"], entry["sufficiency"]) == (False, 2, "heuristic")
+    assert entry["grid"]["size"] == est.grid["size"] == 49
+
+
+def test_degree_truncates_an_interchange_file(tmp_path):
+    """``--degree 2`` on a degree-4 interchange file reads the file's
+    entries up to degree 2, as a degree-2 file of the same entries."""
+    def doc(degree):
+        values = ("1", "0", "1", "0", "3")[: degree + 1]
+        return {"dimension": 1, "max_degree": degree, "mode": "rational",
+                "entries": [{"alpha": [k], "value": v} for k, v in enumerate(values)]}
+
+    rc, rep = analyze_report(write_spec(tmp_path / "d4.json", doc(4)), tmp_path,
+                             "--degree", "2", "--criteria", "verdict,admissibility")
+    rc2, rep2 = analyze_report(write_spec(tmp_path / "d2.json", doc(2)), tmp_path,
+                               "--criteria", "verdict,admissibility")
+    assert rc == rc2 == 0
+    assert rep["provenance"]["max_degree"] == rep["input_summary"]["max_degree"] == 2
+    assert (rep["verdict"], rep["criteria"]) == (rep2["verdict"], rep2["criteria"])
+
+
+def test_float_kappa_field_agrees_with_rational(tmp_path):
+    """The exact 1D Poisson gap at float:128 (its square root and pi in
+    the float mode) agrees with the rational run's to 1e-12 relative."""
+    fields = []
+    for mode in ("float:128", "rational"):
+        out = tmp_path / f"kappa-{mode}.csv"
+        assert main(["kappa", "--input", gauss_spec(tmp_path, 1, 12, mode),
+                     "--field=-1:1:3,1:2:2", "--out", str(out)]) == 0
+        fields.append(csv_rows(out)[1:])
+    for got, want in zip(*fields):
+        assert got[3] == want[3] == "weyl-disk-1d"
+        assert math.isclose(float(got[2]), float(want[2]), rel_tol=1e-12)
+        assert float(got[2]) > 0

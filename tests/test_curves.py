@@ -38,7 +38,7 @@ from momentkit.polynomials import (
     poly_trim,
 )
 from momentkit.scalars import RationalMode, complex_scalar
-from momentkit.verdicts import Status
+from momentkit.verdicts import Status, Sufficiency
 from oracles import christoffel_direct, christoffel_on_curve
 
 R = RationalMode()
@@ -277,6 +277,18 @@ def test_nodal_cubic_atom_on_ramification_warns():
         v = lift_and_test(sigma, catalog("nodal_cubic"))
     assert [w for w in wlist if issubclass(w.category, AtomsOnRamificationWarning)]
     assert v.status is Status.DETERMINATE
+
+
+def test_lift_annihilated_by_the_weight_is_determinate():
+    """Atoms at t = +-1, the zeros of the nodal cubic's weight t^2 - 1: the
+    weighted lift has no mass, so the curve measure is finitely atomic and
+    the verdict rests on that one rigorous item."""
+    sigma = generate_moments(Atomic(((-1,), (1,)), (F(1, 2), F(1, 2))), 1, 12, R)
+    with pytest.warns(AtomsOnRamificationWarning):
+        v = lift_and_test(sigma, catalog("nodal_cubic"))
+    assert v.status is Status.DETERMINATE
+    assert [(e.criterion, e.sufficiency) for e in v.evidence] == [
+        ("weighted-lift-annihilated", Sufficiency.RIGOROUS_SUFFICIENT)]
 
 
 def test_ramified_atom_check_lets_a_kernel_bug_through(monkeypatch):

@@ -30,8 +30,8 @@ reduction of the kernels, are checked against ``math.gcd``.
 numerators over one denominator, ``oracles.image_moments_fractions`` on the
 mode's scalars.  ``gaps._grid_columns`` makes each grid-LP column entry an
 integer over its row's denominator, ``oracles.grid_columns_entrywise`` a
-product of the mode's scalars, and the grid LPs are solved on both; wide
-float entries round once.  Every output
+product of the mode's scalars, and ``gaps.grid_gap_lp`` is solved on both;
+wide float entries round once.  Every output
 must be equal and of the same type, every error of the same class with the
 same message, and float values bit-identical; the float recurrence is
 checked at 64, 128 and 512 bits, its sigma rows included, and its noise
@@ -56,8 +56,8 @@ from momentkit.curves import _weighted_lift, catalog, lift_and_test
 from momentkit.errors import (AtomsOnRamificationWarning, InvalidParameter, MomentKitError,
                               PrecisionExhausted)
 from momentkit.moments import (Atomic, Exponential1D, GaussianProduct, LogNormal1D,
-                               NonnegativeOrthant, QLattice1D, generate_moments, image_moments,
-                               sequence_from_1d)
+                               MomentSequence, NonnegativeOrthant, QLattice1D, generate_moments,
+                               image_moments, sequence_from_1d)
 from momentkit.polynomials import multi_indices
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar, exact_fraction
 from momentkit.simplex import measure_bounds
@@ -722,54 +722,61 @@ def test_image_moments_match_oracle(inputs):
 
 @st.composite
 def grid_lp_inputs(draw, dyadic=False):
-    """(grid, weight, monomials, moments, objective): up to 10 points in 1-3
+    """(grid, monomials, moments, objective): up to 10 points in 1-3
     dimensions with coordinates in [-12, 12] over denominators up to 16
-    (powers of two only when ``dyadic``), 0 and negative ones included; no
-    weight or a form a.x + c; degree 0-6; the moments of a nonnegative grid
-    measure (feasible) or arbitrary ones (often infeasible)."""
+    (powers of two only when ``dyadic``), 0 and negative ones included;
+    degree 0-6; the moments of a nonnegative grid measure (feasible) or
+    arbitrary ones with a nonnegative mass, as every moment sequence has
+    (often infeasible)."""
     d = draw(st.integers(1, 3))
     coord = st.builds(F, st.integers(-12, 12),
                       st.sampled_from((1, 2, 4, 8, 16) if dyadic else range(1, 17)))
     grid = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=10))
-    weight = None
-    if draw(st.booleans()):
-        weight = {alpha: draw(coord) for alpha in multi_indices(d, 1)}
     monomials = list(multi_indices(d, draw(st.integers(0, 6))))
     small = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2), F(1, 3)])
     if draw(st.booleans()):
         y = draw(st.lists(small, min_size=len(grid), max_size=len(grid)))
-        columns = grid_columns_entrywise(R, grid, monomials, weight)[0]
+        columns = grid_columns_entrywise(R, grid, monomials)[0]
         moments = [sum(abs(yg) * col[i] for yg, col in zip(y, columns))
                    for i in range(len(monomials))]
     else:
-        moments = draw(st.lists(small, min_size=len(monomials), max_size=len(monomials)))
+        moments = [abs(draw(small))] + draw(st.lists(small, min_size=len(monomials) - 1,
+                                                     max_size=len(monomials) - 1))
     objective = draw(st.lists(small, min_size=len(grid), max_size=len(grid)))
-    return grid, weight, monomials, moments, objective
+    return grid, monomials, moments, objective
 
 
-def grid_lp_outcomes(mode, grid, weight, monomials, moments, objective):
+def grid_lp_bounds(mode, grid, monomials, moments, objective) -> tuple:
+    """(sup side, inf side) of ``gaps.grid_gap_lp`` on the sequence with
+    these moments and the objective sampled on the grid; a repeated point
+    takes its first objective value."""
+    seq = MomentSequence(len(grid[0]), max(map(sum, monomials)), mode,
+                         dict(zip(monomials, moments)))
+    est = gaps.grid_gap_lp(seq, gaps.Sampled(tuple(grid), tuple(objective)),
+                           seq.max_degree, grid)
+    return est.sup_side, est.inf_side
+
+
+def grid_lp_outcomes(mode, grid, monomials, moments, objective):
     """(entries, bounds) from ``gaps``, then from the entry-by-entry oracle:
     the library's integer entries over their rows' denominators, and the
-    bounds of ``gaps._grid_measure_bounds``, or its error.  Every library
-    entry is an int, never a Fraction."""
+    bounds of ``gaps.grid_gap_lp``, or its error.  Every library entry is
+    an int, never a Fraction."""
     grid = [tuple(mode.convert(c) for c in g) for g in grid]
-    if weight is not None:
-        weight = {alpha: mode.convert(c) for alpha, c in weight.items()}
-    args = (mode, grid, monomials, moments, objective, max(map(sum, monomials)), weight)
-    columns, dens = gaps._grid_columns(mode, grid, monomials, weight)
+    args = (mode, grid, monomials, moments, objective)
+    columns, dens = gaps._grid_columns(mode, grid, monomials)
     assert all(type(v) is int for col in columns for v in col)
     got = ([[F(v, den) for v, den in zip(col, dens)] for col in columns],
-           outcome(gaps._grid_measure_bounds, *args))
+           outcome(grid_lp_bounds, *args))
     with mock.patch.object(gaps, "_grid_columns", grid_columns_entrywise):
-        want = (grid_columns_entrywise(mode, grid, monomials, weight)[0],
-                outcome(gaps._grid_measure_bounds, *args))
+        want = (grid_columns_entrywise(mode, grid, monomials)[0],
+                outcome(grid_lp_bounds, *args))
     return got, want
 
 
 @SETTINGS
 @given(grid_lp_inputs())
 @example(([(F(-3, 7), F(0)), (F(5, 16), F(-12, 11)), (F(0), F(1, 3))],
-          {(0, 0): F(1), (1, 0): F(2, 9), (0, 1): F(-1, 5)},
           list(multi_indices(2, 6)), [F(1)] + [F(0)] * 27, [F(1), F(0), F(-1)]))
 def test_grid_columns_match_entrywise_oracle(inputs):
     """Rational entries equal, and the same bounds or the same error."""
@@ -791,18 +798,16 @@ def test_dyadic_grid_columns_float_bit_identical(inputs):
     assert same(got, want)
 
 
-@pytest.mark.parametrize("weight", [None, {(0,): F(1), (1,): F(1, 2)}])
-def test_wide_float_grid_entries_round_once(weight):
+def test_wide_float_grid_entries_round_once():
     """A dyadic float:64 grid whose degree-4 monomials outgrow the mantissa:
     the grid-LP bounds are those of ``measure_bounds`` on the columns
-    rounded into the mode once per entry from ``w(g) g^alpha`` as an exact
+    rounded into the mode once per entry from ``g^alpha`` as an exact
     Fraction, and some of those entries do round."""
     fm = FloatMode(64)
     big = 2 ** 40 + 1
     grid = [(fm.convert(c),) for c in (0, 1, F(-3, 4), big, F(-big, 2), 3)]
     monomials = list(multi_indices(1, 4))
-    form = None if weight is None else {a: fm.convert(c) for a, c in weight.items()}
-    columns, dens = gaps._grid_columns(fm, grid, monomials, form)
+    columns, dens = gaps._grid_columns(fm, grid, monomials)
     rounded = [[fm.convert(F(v, den)) for v, den in zip(col, dens)] for col in columns]
     assert any(exact_fraction(r) != F(v, den) for col, row in zip(columns, rounded)
                for v, den, r in zip(col, dens, row))
@@ -811,6 +816,6 @@ def test_wide_float_grid_entries_round_once(weight):
     # decides which grid measures have them
     moments = [a + b for a, b in zip(rounded[0], rounded[3])]
     objective = [fm.convert(c) for c in (1, -2, F(1, 3), 5, F(-7, 2), 0)]
-    got = gaps._grid_measure_bounds(fm, grid, monomials, moments, objective, 4, form)
+    got = grid_lp_bounds(fm, grid, monomials, moments, objective)
     assert same(got, measure_bounds(fm, rounded, moments, objective))
     assert got[0] <= got[1]

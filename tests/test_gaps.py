@@ -17,6 +17,7 @@ from momentkit.errors import (
     InvalidDirection,
     InvalidParameter,
     LpUnbounded,
+    MomentKitError,
     NotInteriorDirection,
     WrongSupport,
 )
@@ -45,11 +46,13 @@ from momentkit.moments import (
     GaussianProduct,
     Product,
     QLattice1D,
+    apply_polynomial_weight,
     generate_moments,
 )
+from momentkit.polynomials import multi_indices
 from momentkit.scalars import FloatMode, RationalMode, complex_scalar, exact_fraction
 from momentkit.verdicts import Status
-from oracles import maximize, orthant_slack_patterns
+from oracles import grid_columns_entrywise, maximize, orthant_slack_patterns
 
 R = RationalMode()
 
@@ -270,6 +273,58 @@ def test_hyperplane_values_match_primal_oracle():
         rows = [[sign * (g + 1) * g ** k for k in range(4)] for g in grid]
         best = maximize(R, [sign * c for c in lin], rows, [sign] * len(grid))
         assert res[key] == sign * seq.entries[(0,)] - best.value
+
+
+def weighted_column_hyperplane(seq, a, degree) -> tuple:
+    """(value_plus, value_minus) from the hyperplane LP as written: grid
+    measures y >= 0 on the default grid with sum_g y_g (a.g + 1) g^alpha =
+    L((a.x + 1) x^alpha) for |alpha| <= max(degree - 1, 0), bounding the
+    mass sum_g y_g."""
+    d = seq.dimension
+    form = {(0,) * d: F(1)}
+    form.update({tuple(int(i == j) for i in range(d)): F(c) for j, c in enumerate(a)})
+    monomials = list(multi_indices(d, max(degree - 1, 0)))
+    weighted = apply_polynomial_weight(seq, form)
+    grid = default_grid(seq.support, d, R)
+    columns = grid_columns_entrywise(R, grid, monomials, form)[0]
+    low, high = simplex.measure_bounds(R, columns, [weighted.entries[m] for m in monomials],
+                                       [F(1)] * len(grid))
+    m0 = seq.entries[(0,) * d]
+    return m0 - low, high - m0
+
+
+@st.composite
+def hyperplane_inputs(draw):
+    """(sequence, direction, degree): 1 to 4 atoms with nonnegative
+    rational coordinates and positive rational weights in d = 1 or 2,
+    truncation 1 <= N <= 8 (N <= 5 in d = 2), degree 0..N and a direction
+    with positive rational entries."""
+    d = draw(st.integers(1, 2))
+    coord = st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 7)))
+    atoms = draw(st.integers(1, 4))
+    xs = draw(st.lists(st.tuples(*[coord] * d), min_size=atoms, max_size=atoms))
+    ws = draw(st.lists(st.builds(F, st.integers(1, 30), st.sampled_from((1, 3, 7))),
+                       min_size=atoms, max_size=atoms))
+    n = draw(st.integers(1, 8 if d == 1 else 5))
+    a = draw(st.tuples(*[st.builds(F, st.integers(1, 9), st.sampled_from((1, 2, 5)))] * d))
+    seq = generate_moments(Atomic(tuple(xs), tuple(ws)), d, n, R)
+    return seq, a, draw(st.integers(0, n))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hyperplane_inputs())
+def test_hyperplane_matches_the_weighted_column_lp(inputs):
+    """The Fantappie LP of (a.x + 1) L gives the weighted-column LP's
+    values exactly, or an error of the same class."""
+    seq, a, degree = inputs
+    try:
+        want = weighted_column_hyperplane(seq, a, degree)
+    except MomentKitError as exc:
+        with pytest.raises(type(exc)):
+            hyperplane_gap(seq, a, degree)
+        return
+    res = hyperplane_gap(seq, a, degree)
+    assert (res["value_plus"], res["value_minus"]) == want
 
 
 def test_hyperplane_needs_cone_and_interior():
