@@ -572,14 +572,15 @@ def _finish_report(report: dict, out_path: str) -> None:
 
 
 def _write_error_report(args, exc: Exception) -> None:
-    out = getattr(args, "out", None)
+    """The structured error report, written to ``--out`` or, when that
+    cannot be written, to stderr."""
     report = {
         "schema_version": "1",
         "errors": [{"error": type(exc).__name__, "detail": str(exc)}],
     }
-    if out:
-        _finish_report(report, out)
-    else:
+    try:
+        _finish_report(report, args.out)
+    except OSError:
         json.dump(report, sys.stderr, indent=2)
 
 

@@ -320,8 +320,7 @@ def lift_and_test(sigma: MomentSequence, curve: PolynomialCurve) -> Verdict:
         extra.append(Evidence("curve-bounded-evaluation", 0, None,
                               Sufficiency.HEURISTIC, Leaning.NEUTRAL,
                               f"skipped: {exc}"))
-    return Verdict(verdict.status, verdict.flavor, verdict.evidence + tuple(extra),
-                   verdict.numeric_flagged)
+    return Verdict(verdict.status, verdict.flavor, verdict.evidence + tuple(extra))
 
 
 def _source_recurrence(sigma: MomentSequence) -> Recurrence | None:

@@ -24,11 +24,13 @@ integer point over its row's denominator; the LP takes the integers, each
 moment times its row's denominator, and builds no Fraction per entry.  Float
 scalars enter at their exact binary values, the row denominators are powers
 of two, and ``simplex.measure_bounds`` rounds each integer entry into the
-mode once, which rounds g^alpha itself.  The separating function is
-prepared once per grid (``_Target``), then ``evaluate_separating`` reads it
-at each point.  A grid point, a direction, a corner or a spec's vector whose
-length is not the sequence's dimension raises DimensionMismatch naming
-both, before any LP runs.
+mode once, which rounds g^alpha itself.  The separating function is made
+once per grid into a closure over its prepared constants (``_target``),
+which ``evaluate_separating`` calls at each point.  Multivariate default
+grids and the sphere-average nodes are ``itertools.product``s of one axis
+or of per-axis (angle, weight) pairs.  A grid point, a direction, a corner
+or a spec's vector whose length is not the sequence's dimension raises
+DimensionMismatch naming both, before any LP runs.
 
 The hyperplane gaps on a cone are the Fantappie grid LP of the weighted
 functional nu = (a.x + 1) L at one degree lower: a grid measure y with
@@ -40,7 +42,7 @@ a grid measure with the moments of nu, and its mass sum_g y_g is sum_g y'_g
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Any, Mapping, Sequence
@@ -57,6 +59,7 @@ from .errors import (
 )
 from .hamburger import recurrence_from_moments, verdict_1d, weyl_radius_sq
 from .moments import (
+    ConeSupport,
     MomentSequence,
     NonnegativeOrthant,
     affine_map,
@@ -70,7 +73,7 @@ from .moments import (
 from .polynomials import monomial, mpoly_mul, multi_indices
 from .scalars import (ComplexScalar, Mode, RationalMode, exact_fraction, from_context,
                       half_floor, integers, to_context, work_context)
-from .verdicts import Evidence, Flavor, Status, Verdict
+from .verdicts import Flavor, Status, Verdict
 
 RATIONAL_PHI_BITS = 128
 
@@ -126,12 +129,11 @@ def evaluate_separating(spec, point: Sequence, mode: Mode):
     ``RATIONAL_PHI_BITS``) and converts exactly; the resulting
     rational is an approximation of phi, which is acceptable because grid
     estimates are heuristic by construction.  Rational targets (Fantappie,
-    odd-d Poisson) stay exact.  ``spec`` may also be a ``_Target``, the
-    spec prepared for ``mode`` once per grid.
+    odd-d Poisson) stay exact.  ``spec`` may also be the point function
+    ``_target`` made of a spec for ``mode`` once per grid.
     """
-    if not isinstance(spec, _Target):
-        spec = _Target(spec, mode, len(point))
-    return spec.at(point)
+    phi = spec if callable(spec) else _target(spec, mode, len(point))
+    return phi(point)
 
 
 def _check_dimension(name: str, vector: Sequence, dimension: int) -> None:
@@ -140,94 +142,75 @@ def _check_dimension(name: str, vector: Sequence, dimension: int) -> None:
                                 f"{dimension}-dimensional sequence")
 
 
-class _Target:
-    """A separating spec prepared for one mode and dimension: what does not
-    depend on the point (the converted parameters, the work context,
-    ``c_d``, the sampled values keyed by point) is computed once;
-    ``at(point)`` is phi(point).  Sampled values are keyed by the point
+def _target(spec, mode: Mode, dimension: int):
+    """phi as a function of the point, for one mode and dimension.  What does
+    not depend on the point (the converted parameters, the work context,
+    ``c_d``, the sampled values keyed by point) is computed once, and the
+    function closes over it.  Sampled values are keyed by the point
     converted to the mode, the way ``grid_gap_lp`` converts its grid, and
     looked up the same way; of points that convert to the same key (a
     repeated point, or in float mode two rationals that round to one float)
     the first value is kept.  A sampled spec needs one value per point, and
     a kernel's vector the given dimension."""
+    convert = mode.convert
+    if isinstance(spec, Sampled):
+        if len(spec.points) != len(spec.values):
+            raise InvalidParameter(f"sampled spec has {len(spec.points)} points "
+                                   f"and {len(spec.values)} values")
+        values: dict = {}
+        for p, v in zip(spec.points, spec.values):
+            values.setdefault(tuple(map(convert, p)), v)
 
-    def __init__(self, spec, mode: Mode, dimension: int):
-        self.mode = mode
-        if isinstance(spec, Sampled):
-            if len(spec.points) != len(spec.values):
-                raise InvalidParameter(f"sampled spec has {len(spec.points)} points "
-                                       f"and {len(spec.values)} values")
-            self.values = {}
-            for p, v in zip(spec.points, spec.values):
-                self.values.setdefault(self._key(p), v)
-            self.at = self._sampled
-        elif isinstance(spec, Fantappie):
-            _check_dimension("Fantappie a", spec.a, dimension)
-            self.one = mode.convert(1)
-            self.a = [mode.convert(c) for c in spec.a]
-            self.at = self._fantappie
-        elif isinstance(spec, PoissonKernel):
-            _check_dimension("Poisson x0", spec.x0, dimension)
-            d = len(spec.x0)
-            t0 = mode.convert(spec.t0)
-            self.t0_sq = t0 * t0
-            self.x0 = [mode.convert(c) for c in spec.x0]
-            ctx = self.ctx = work_context(mode, RATIONAL_PHI_BITS)
-            cd = to_context(ctx, poisson_constant_float(d))
-            if d % 2 == 1:
-                # (d+1)/2 integral: the kernel is rational except for c_d
-                self.scale, self.power = from_context(mode, cd) * t0, (d + 1) // 2
-                self.at = self._poisson_odd
-            else:
-                self.scale, self.power = cd * to_context(ctx, t0), ctx.mpf(d + 1) / 2
-                self.at = self._poisson_even
-        elif isinstance(spec, Cosine):
-            _check_dimension("cosine xi", spec.xi, dimension)
-            ctx = self.ctx = work_context(mode, RATIONAL_PHI_BITS)
-            self.xi = [to_context(ctx, mode.convert(c)) for c in spec.xi]
-            self.at = self._cosine
-        else:
-            raise InvalidParameter(f"unknown separating spec {type(spec).__name__}")
+        def sampled(point):
+            key = tuple(map(convert, point))
+            if key not in values:
+                raise InvalidParameter(f"sampled spec has no value at {point}")
+            return convert(values[key])
+        return sampled
+    if isinstance(spec, Fantappie):
+        _check_dimension("Fantappie a", spec.a, dimension)
+        one, a = convert(1), [convert(c) for c in spec.a]
 
-    def _key(self, point) -> tuple:
-        return tuple(self.mode.convert(c) for c in point)
+        def fantappie(point):
+            den = one
+            for c, x in zip(a, point):
+                den = den + c * convert(x)
+            if not den > 0:
+                raise InvalidParameter("1 + a.x must stay positive on the grid")
+            return 1 / den
+        return fantappie
+    if isinstance(spec, PoissonKernel):
+        _check_dimension("Poisson x0", spec.x0, dimension)
+        t0 = convert(spec.t0)
+        t0_sq, x0 = t0 * t0, [convert(c) for c in spec.x0]
+        ctx = work_context(mode, RATIONAL_PHI_BITS)
+        cd = to_context(ctx, poisson_constant_float(dimension))
 
-    def _sampled(self, point):
-        try:
-            v = self.values[self._key(point)]
-        except KeyError:
-            raise InvalidParameter(f"sampled spec has no value at {point}") from None
-        return self.mode.convert(v)
+        def distance_sq(point):
+            r2 = t0_sq
+            for c, x in zip(x0, point):
+                diff = c - convert(x)
+                r2 = r2 + diff * diff
+            return r2
+        if dimension % 2 == 1:
+            # (d+1)/2 integral: the kernel is rational except for c_d
+            scale, power = from_context(mode, cd) * t0, (dimension + 1) // 2
+            return lambda point: scale / distance_sq(point) ** power
+        scale, power = cd * to_context(ctx, t0), ctx.mpf(dimension + 1) / 2
+        return lambda point: from_context(
+            mode, scale / to_context(ctx, distance_sq(point)) ** power)
+    if isinstance(spec, Cosine):
+        _check_dimension("cosine xi", spec.xi, dimension)
+        ctx = work_context(mode, RATIONAL_PHI_BITS)
+        xi = [to_context(ctx, convert(c)) for c in spec.xi]
 
-    def _fantappie(self, point):
-        den = self.one
-        for a, x in zip(self.a, point):
-            den = den + a * self.mode.convert(x)
-        if not den > 0:
-            raise InvalidParameter("1 + a.x must stay positive on the grid")
-        return 1 / den
-
-    def _distance_sq(self, point):
-        r2 = self.t0_sq
-        for x0, x in zip(self.x0, point):
-            diff = x0 - self.mode.convert(x)
-            r2 = r2 + diff * diff
-        return r2
-
-    def _poisson_odd(self, point):
-        return self.scale / self._distance_sq(point) ** self.power
-
-    def _poisson_even(self, point):
-        ctx = self.ctx
-        return from_context(self.mode, self.scale
-                            / to_context(ctx, self._distance_sq(point)) ** self.power)
-
-    def _cosine(self, point):
-        ctx = self.ctx
-        t = ctx.mpf(0)
-        for xi, x in zip(self.xi, point):
-            t += xi * to_context(ctx, self.mode.convert(x))
-        return from_context(self.mode, ctx.cos(t))
+        def cosine(point):
+            t = ctx.mpf(0)
+            for c, x in zip(xi, point):
+                t += c * to_context(ctx, convert(x))
+            return from_context(mode, ctx.cos(t))
+        return cosine
+    raise InvalidParameter(f"unknown separating spec {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +233,15 @@ def default_grid(support, dimension: int, mode: Mode,
     drives moment growth).  Full line: a symmetric uniform grid on
     [-UNIFORM_SPAN, UNIFORM_SPAN] plus geometric tail points on both sides.
     Multivariate grids are the tensor product of a thinned 1D grid, capped
-    to keep LP sizes at desk scale.
+    to keep LP sizes at desk scale.  A ``ConeSupport`` gets the orthant grid
+    of its generator weights, each weight vector sent through the
+    generators.
     """
+    if isinstance(support, ConeSupport):
+        gens = [[mode.convert(c) for c in g] for g in support.generators]
+        weights = default_grid(NonnegativeOrthant(), len(gens), mode, points_per_axis)
+        return tuple(tuple(sum((x * g[i] for x, g in zip(w, gens)), mode.zero())
+                           for i in range(dimension)) for w in weights)
     if dimension == 1:
         return tuple((x,) for x in _grid_1d(support, mode))
     # multivariate: tensor product of a uniform axis grid; the per-axis count
@@ -264,10 +254,7 @@ def default_grid(support, dimension: int, mode: Mode,
         lo, hi = Fraction(-UNIFORM_SPAN), Fraction(UNIFORM_SPAN)
     axis = [mode.convert(lo + Fraction((hi - lo) * k, per_axis - 1))
             for k in range(per_axis)]
-    grid = [()]
-    for _ in range(dimension):
-        grid = [g + (x,) for g in grid for x in axis]
-    return tuple(grid)
+    return tuple(product(axis, repeat=dimension))
 
 
 def _grid_1d(support, mode: Mode):
@@ -359,7 +346,7 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
     if not grid:
         raise InvalidParameter("grid must be non-empty")
     monomials = list(multi_indices(seq.dimension, degree))
-    target = _Target(phi, mode, seq.dimension)
+    target = _target(phi, mode, seq.dimension)
     phi_vals = [evaluate_separating(target, g, mode) for g in grid]
     # the integer columns and each moment times its row's denominator: the
     # same constraints, each row scaled by a positive integer
@@ -486,31 +473,21 @@ def _sphere_nodes(d: int, count: int):
             th = 2 * math.pi * j / count
             nodes.append((math.cos(th), math.sin(th)))
         return nodes, [1.0] * count
-    # midpoint product rule over spherical angles of S^d
+    # midpoint product rule over spherical angles of S^d: (angle, weight)
+    # pairs per axis, polar axes weighted by sin^(d-1-axis)
     n_polar = max(2, int(round(count ** (1 / d))))
-    angles = [[] for _ in range(d)]
-    weights_per_axis = []
-    for axis in range(d - 1):
-        power = d - 1 - axis
-        mids = [(j + 0.5) * math.pi / n_polar for j in range(n_polar)]
-        angles[axis] = mids
-        weights_per_axis.append([math.sin(t) ** power for t in mids])
-    mids = [(j + 0.5) * 2 * math.pi / n_polar for j in range(n_polar)]
-    angles[d - 1] = mids
-    weights_per_axis.append([1.0] * n_polar)
+    axes = [[(t, math.sin(t) ** (d - 1 - axis))
+             for t in ((j + 0.5) * math.pi / n_polar for j in range(n_polar))]
+            for axis in range(d - 1)]
+    axes.append([((j + 0.5) * 2 * math.pi / n_polar, 1.0) for j in range(n_polar)])
     nodes, weights = [], []
-    for idx in product(range(n_polar), repeat=d):
-        th = [angles[a][idx[a]] for a in range(d)]
-        w = 1.0
-        for a in range(d):
-            w *= weights_per_axis[a][idx[a]]
-        point = []
-        s = 1.0
-        for a in range(d):
-            point.append(s * math.cos(th[a]))
-            s *= math.sin(th[a])
-        point.append(s)
-        nodes.append(tuple(point))
+    for pairs in product(*axes):
+        point, s, w = [], 1.0, 1.0
+        for th, wa in pairs:
+            w *= wa
+            point.append(s * math.cos(th))
+            s *= math.sin(th)
+        nodes.append(tuple(point) + (s,))
         weights.append(w)
     return nodes, weights
 
@@ -674,44 +651,26 @@ def direction_scan(seq: MomentSequence, directions: Sequence) -> dict:
     det_dirs = [r["direction"] for r in rows if r["verdict"].status is Status.DETERMINATE]
     has_basis = _contains_basis(seq.mode, det_dirs, seq.dimension)
     any_indet = any(r["verdict"].status is Status.INDETERMINATE for r in rows)
-    evidence = []
-    for r in rows:
-        for e in r["verdict"].evidence:
-            evidence.append(Evidence(
-                criterion=f"direction{tuple(seq.mode.to_float(c) for c in r['direction'])}:{e.criterion}",
-                degree=e.degree, value=e.value, sufficiency=e.sufficiency,
-                leaning=e.leaning, detail=e.detail))
-    if has_basis and not any_indet:
-        aggregate = Verdict(Status.DETERMINATE, Flavor.HAMBURGER, tuple(evidence))
-    elif any_indet:
-        aggregate = Verdict(Status.INDETERMINATE, Flavor.HAMBURGER, tuple(evidence),
-                            numeric_flagged=True)
-    else:
-        aggregate = Verdict(Status.INCONCLUSIVE, Flavor.HAMBURGER, tuple(evidence))
-    return {"rows": rows, "aggregate": aggregate, "basis_covered": has_basis}
+    evidence = tuple(
+        replace(e, criterion=f"direction{tuple(seq.mode.to_float(c) for c in r['direction'])}"
+                             f":{e.criterion}")
+        for r in rows for e in r["verdict"].evidence)
+    status = (Status.INDETERMINATE if any_indet
+              else Status.DETERMINATE if has_basis else Status.INCONCLUSIVE)
+    return {"rows": rows, "aggregate": Verdict(status, Flavor.HAMBURGER, evidence),
+            "basis_covered": has_basis}
 
 
 def _contains_basis(mode: Mode, vectors: list, dimension: int) -> bool:
-    if len(vectors) < dimension:
-        return False
-    rows = [list(v) for v in vectors]
+    """Whether the vectors span the space: each is reduced against the rows
+    kept so far and kept when an entry clears ``half_floor(mode, 1)``."""
     tol = half_floor(mode, mode.one())
-    col = 0
-    rank = 0
-    while rank < len(rows) and col < dimension:
-        piv = None
-        for i in range(rank, len(rows)):
-            if abs(rows[i][col]) > tol:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] / rows[rank][col]
-            for j in range(col, dimension):
-                rows[i][j] = rows[i][j] - f * rows[rank][j]
-        rank += 1
-        col += 1
-    return rank == dimension
+    kept: list = []  # (pivot column, reduced row)
+    for row in vectors:
+        for col, pivot_row in kept:
+            f = row[col] / pivot_row[col]
+            row = [x - f * y for x, y in zip(row, pivot_row)]
+        col = next((j for j, x in enumerate(row) if abs(x) > tol), None)
+        if col is not None:
+            kept.append((col, row))
+    return len(kept) >= dimension

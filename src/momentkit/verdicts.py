@@ -14,8 +14,9 @@ into a bare boolean.  Each evidence item carries a *sufficiency class*:
 
 Status rules: ``DETERMINATE`` requires at least one rigorous-sufficient item
 supporting it; ``INDETERMINATE`` requires at least one limit-rigorous-numeric
-item and carries ``numeric_flagged=True``; conflicting or insufficient
-evidence yields ``INCONCLUSIVE``.
+item, so an indeterminate verdict is always numeric-flagged
+(``Verdict.numeric_flagged`` is read off the status); conflicting or
+insufficient evidence yields ``INCONCLUSIVE``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,10 @@ class Verdict:
     status: Status
     flavor: Flavor
     evidence: tuple
-    numeric_flagged: bool = False
+
+    @property
+    def numeric_flagged(self) -> bool:
+        return self.status is Status.INDETERMINATE
 
     def as_dict(self, value_formatter=str) -> dict:
         return {
@@ -97,5 +101,5 @@ def synthesize(flavor: Flavor, evidence: list) -> Verdict:
     if det_rigorous and not ind_limit:
         return Verdict(Status.DETERMINATE, flavor, ev)
     if ind_limit and not det_rigorous:
-        return Verdict(Status.INDETERMINATE, flavor, ev, numeric_flagged=True)
+        return Verdict(Status.INDETERMINATE, flavor, ev)
     return Verdict(Status.INCONCLUSIVE, flavor, ev)

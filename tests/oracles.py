@@ -119,6 +119,13 @@ once, to the product prod_j (h(t) + h(-t)) that the patterns sum to
 (``gaps.orthant_criterion``); rational values must be equal, float values
 agree to rounding.
 
+``contains_basis_elimination`` decides whether vectors span the space by
+Gaussian elimination with a column search and row swaps: in each column
+the first remaining row whose entry clears ``half_floor(mode, 1)`` is
+swapped up and eliminated below.  The library reduces each vector once
+against the rows kept so far, with no search and no swap
+(``gaps._contains_basis``); the answers must be the same.
+
 ``convolve_binomial`` is the additive convolution by the binomial
 expansion of ``(x + y)**gamma``, one box of indices at a time.  The
 library takes the ``affine_map`` image of the product functional under
@@ -736,6 +743,39 @@ def grid_columns_entrywise(mode: Mode, grid, monomials, weight=None) -> tuple:
             w = sum((c * monomial(g, alpha) for alpha, c in weight.items()), mode.zero())
         columns.append([w * monomial(g, alpha) for alpha in monomials])
     return columns, [1] * len(monomials)
+
+
+# ---------------------------------------------------------------------------
+# span test by elimination
+
+
+def contains_basis_elimination(mode: Mode, vectors: list, dimension: int) -> bool:
+    """Whether the vectors span the space: the rank by column-pivoted
+    Gaussian elimination, entries at most ``half_floor(mode, 1)`` counting
+    as zero."""
+    if len(vectors) < dimension:
+        return False
+    rows = [list(v) for v in vectors]
+    tol = half_floor(mode, mode.one())
+    col = 0
+    rank = 0
+    while rank < len(rows) and col < dimension:
+        piv = None
+        for i in range(rank, len(rows)):
+            if abs(rows[i][col]) > tol:
+                piv = i
+                break
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            for j in range(col, dimension):
+                rows[i][j] = rows[i][j] - f * rows[rank][j]
+        rank += 1
+        col += 1
+    return rank == dimension
 
 
 # ---------------------------------------------------------------------------

@@ -779,6 +779,38 @@ def test_malformed_documents_give_one_structured_error(tmp_path, doc, extra, det
     assert detail in errors[0]["detail"]
 
 
+@pytest.mark.parametrize("measure, dimension, error", [
+    ({"variant": "exponential"}, 2, "DimensionMismatch"),
+    ({"variant": "q_lattice", "q": "1"}, 1, "InvalidParameter"),
+    ({"variant": "log_normal", "s": "0"}, 1, "InvalidParameter"),
+    ({"variant": "gaussian_product", "variances": ["1"]}, 2, "DimensionMismatch"),
+    ({"variant": "atomic", "points": [["0"], ["1"]], "weights": ["1"]}, 1,
+     "InvalidParameter"),
+], ids=["exponential-2d", "q-lattice-q1", "log-normal-s0", "gaussian-one-variance",
+        "atomic-two-points-one-weight"])
+def test_specs_no_measure_fits_give_one_structured_error(tmp_path, measure, dimension,
+                                                         error):
+    """A spec whose parameters describe no measure of its dimension is one
+    structured error with exit code 2 (the log-normal one is mode-less,
+    since rational mode refuses it as irrational first)."""
+    path = write_spec(tmp_path / "spec.json", {"measure": measure, "dimension": dimension,
+                                               "max_degree": 4})
+    rc, rep = analyze_report(path, tmp_path)
+    assert rc == 2
+    assert [e["error"] for e in rep["errors"]] == [error]
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_an_unwritable_out_reports_to_stderr(tmp_path, capsys, command):
+    """When ``--out`` cannot be written, the JSON report of ``analyze`` or
+    the CSV of ``scan`` becomes one structured error on stderr, exit 2."""
+    out = tmp_path / "missing" / "report"
+    assert main([command, "--input", gauss_spec(tmp_path, 2, 4), "--out", str(out)]) == 2
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert [e["error"] for e in errors] == ["FileNotFoundError"]
+    assert str(out) in errors[0]["detail"]
+
+
 def test_degree_zero_is_honoured_for_a_spec(tmp_path):
     """``--degree 0`` truncates a measure spec to degree 0 as it does an
     interchange file, which no recurrence can run on: one structured

@@ -3,6 +3,7 @@ import math
 import random
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from momentkit import simplex
 from momentkit.cli import main
 from momentkit.envelopes import geometric_envelope
 from momentkit.errors import (
+    DegreeInsufficient,
     DimensionMismatch,
     InvalidDirection,
     InvalidParameter,
@@ -27,6 +29,7 @@ from momentkit.gaps import (
     GapEstimate,
     PoissonKernel,
     Sampled,
+    _contains_basis,
     default_grid,
     direction_scan,
     direction_set,
@@ -42,6 +45,7 @@ from momentkit.gaps import (
 from momentkit.hamburger import recurrence_from_moments, weyl_disk
 from momentkit.moments import (
     Atomic,
+    ConeSupport,
     Exponential1D,
     GaussianProduct,
     Product,
@@ -52,7 +56,8 @@ from momentkit.moments import (
 from momentkit.polynomials import multi_indices
 from momentkit.scalars import FloatMode, RationalMode, complex_scalar, exact_fraction
 from momentkit.verdicts import Status
-from oracles import grid_columns_entrywise, maximize, orthant_slack_patterns
+from oracles import (contains_basis_elimination, grid_columns_entrywise, maximize,
+                     orthant_slack_patterns)
 
 R = RationalMode()
 
@@ -327,6 +332,28 @@ def test_hyperplane_matches_the_weighted_column_lp(inputs):
     assert (res["value_plus"], res["value_minus"]) == want
 
 
+@pytest.mark.parametrize("orthant, generators, a", [
+    (generate_moments(Exponential1D(), 1, 8, R), ((1,),), (1,)),
+    (generate_moments(Product(((Exponential1D(), 1), (Exponential1D(), 1))), 2, 4, R),
+     ((1, 0), (0, 1)), (1, 1)),
+], ids=["expo-1d", "expo-2d"])
+def test_cone_default_grid_is_the_orthant_grid_through_the_generators(orthant, generators,
+                                                                      a):
+    """Generators that span the orthant give its default grid, so the
+    hyperplane values and grid under the cone hint are the orthant's."""
+    cone = replace(orthant, support=ConeSupport(generators))
+    assert hyperplane_gap(cone, a, 4) == hyperplane_gap(orthant, a, 4)
+
+
+def test_degrees_above_the_truncation_and_empty_grids_are_refused():
+    with pytest.raises(DegreeInsufficient, match="degree exceeds the truncation"):
+        hyperplane_gap(EXPO8, (1,), 9)
+    with pytest.raises(DegreeInsufficient, match="LP degree exceeds the truncation"):
+        grid_gap_lp(EXPO8, Fantappie((1,)), 9, [(F(1),)])
+    with pytest.raises(InvalidParameter, match="grid must be non-empty"):
+        grid_gap_lp(EXPO8, Fantappie((1,)), 2, [])
+
+
 def test_hyperplane_needs_cone_and_interior():
     with pytest.raises(WrongSupport):
         hyperplane_gap(gauss(8), (1,), 2)
@@ -381,6 +408,40 @@ def test_scan_never_determinate_without_basis():
     assert scan["aggregate"].status is not Status.DETERMINATE
     with pytest.raises(InvalidDirection):
         direction_scan(g2, [])
+
+
+@st.composite
+def span_inputs(draw):
+    """(mode, dimension, vectors): up to 6 directions of ``direction_set``
+    in d = 1..4, and perhaps one more vector near their span, a rational
+    combination of them with one entry moved by 2**-k.  The move is 2**10
+    to 2**20 times above or below the mode's half floor: within a few bits
+    of the floor, whether a reduced entry clears it depends on the
+    elimination order, for any method."""
+    mode = draw(st.sampled_from([R, FloatMode(24), FloatMode(64), FloatMode(128)]))
+    d = draw(st.integers(1, 4))
+    dirs = direction_set(d, 12, mode)
+    vectors = draw(st.lists(st.sampled_from(dirs), max_size=6))
+    if vectors and draw(st.booleans()):
+        coeffs = draw(st.lists(st.builds(F, st.integers(-5, 5), st.integers(1, 4)),
+                               min_size=len(vectors), max_size=len(vectors)))
+        near = [sum((mode.convert(c) * v[i] for c, v in zip(coeffs, vectors)), mode.zero())
+                for i in range(d)]
+        half_bits = 20 if isinstance(mode, RationalMode) else mode.precision_bits // 2
+        shift = draw(st.sampled_from((1, -1))) * draw(st.integers(10, 20))
+        j = draw(st.integers(0, d - 1))
+        near[j] += draw(st.sampled_from((1, -1))) * mode.convert(F(1, 2) ** (half_bits + shift))
+        vectors.insert(draw(st.integers(0, len(vectors))), tuple(near))
+    return mode, d, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_inputs())
+def test_span_test_matches_the_elimination_oracle(inputs):
+    """Reducing each vector once against the rows kept gives the rank
+    decision of column-pivoted elimination with row swaps."""
+    mode, d, vectors = inputs
+    assert _contains_basis(mode, vectors, d) == contains_basis_elimination(mode, vectors, d)
 
 
 def test_direction_sets():

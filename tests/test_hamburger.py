@@ -38,7 +38,7 @@ from momentkit.moments import (
 )
 from momentkit.scalars import (ComplexScalar, FloatMode, RationalMode, complex_scalar,
                                exact_fraction)
-from momentkit.verdicts import Flavor, Status, Sufficiency
+from momentkit.verdicts import Flavor, Leaning, Status, Sufficiency
 from oracles import (
     admissibility_check,
     christoffel_direct,
@@ -516,6 +516,11 @@ def test_carleman_rejects_nonpositive_even_moment():
         carleman(bad, Flavor.HAMBURGER, 2)
 
 
+def test_carleman_needs_a_positive_horizon():
+    with pytest.raises(InvalidParameter, match="horizon must be at least 1"):
+        carleman(gauss(8), Flavor.HAMBURGER, 0)
+
+
 # ---------------------------------------------------------------------------
 # Stieltjes convergents
 
@@ -695,6 +700,25 @@ def test_qlattice_verdict_indeterminate_numeric():
     assert v.status is Status.INDETERMINATE
     assert v.numeric_flagged
     assert any(e.criterion == "christoffel-plateau" for e in v.evidence)
+
+
+def test_gaussian_under_a_half_line_hint_skips_carleman_and_convergents():
+    """The Gaussian's odd moments vanish, so on the half line the Stieltjes
+    Carleman terms and the shifted Hankel form fail: both items are
+    skipped as heuristic, and nothing decides the status."""
+    v = verdict_1d(sequence_from_1d(gauss(16).moments_1d(), R, NonnegativeOrthant()))
+    assert v.status is Status.INCONCLUSIVE and not v.numeric_flagged
+    skipped = {e.criterion: e for e in v.evidence if e.detail.startswith("skipped: ")}
+    assert sorted(skipped) == ["carleman", "stieltjes-convergents"]
+    assert all(e.sufficiency is Sufficiency.HEURISTIC for e in skipped.values())
+
+
+def test_qlattice_three_halves_christoffel_is_in_the_indecisive_band():
+    v = verdict_1d(qlattice(12, F(3, 2)))
+    items = {e.criterion: e for e in v.evidence}
+    assert items["christoffel"].detail == "rho ratio 0.805632 in the indecisive band"
+    assert items["christoffel"].sufficiency is Sufficiency.HEURISTIC
+    assert items["weyl-radius"].leaning is Leaning.NEUTRAL
 
 
 def test_indefinite_raises_not_admissible():
