@@ -40,7 +40,6 @@ from .envelopes import cosine_envelope, geometric_envelope
 from .errors import (InvalidParameter, MomentKitError, NotAdmissible, PrecisionExhausted,
                      UnrepresentableInMode, WrongSupport)
 from .gaps import (
-    GapEstimate,
     direction_scan,
     direction_set,
     hyperplane_gap,
@@ -59,6 +58,7 @@ from .moments import (
     NonnegativeOrthant,
     Product,
     QLattice1D,
+    apply_linear_functional_1d,
     check_moment_count,
     generate_moments,
     pushforward_direction,
@@ -73,6 +73,9 @@ from .verdicts import Flavor
 CRITERIA = ("admissibility", "carleman", "christoffel", "weyl", "fantappie",
             "cosine", "poisson", "orthant", "hyperplane", "scan")
 CONE_ONLY = {"fantappie", "hyperplane"}
+#: the largest denominator of the rationals a kappa field's x and t values
+#: are read as
+FIELD_DENOMINATOR = 10 ** 6
 #: criteria read off a 1D sequence: the input itself, or the first-axis
 #: push-forward of a multivariate input
 ONE_D = {"admissibility", "carleman", "christoffel", "weyl", "fantappie", "cosine"}
@@ -324,9 +327,10 @@ def _run_criterion(name: str, seq: MomentSequence, s1: MomentSequence | None,
     if name == "carleman":
         flavor = (Flavor.STIELTJES if isinstance(s1.support, NonnegativeOrthant)
                   else Flavor.HAMBURGER)
-        res = carleman(s1, flavor, max(s1.max_degree // 2, 1))
+        horizon = max(s1.max_degree // 2, 1)
+        res = carleman(s1, flavor, horizon)
         out.update(partial_sum=fmt(res.partial_sum), diverging=res.diverging,
-                   horizon=res.horizon, flavor=res.flavor.value,
+                   horizon=horizon, flavor=flavor.value,
                    sufficiency=("rigorous-sufficient" if res.diverging and
                                 s1.is_certified_carleman() else "limit-rigorous-numeric"))
         return out
@@ -348,9 +352,9 @@ def _run_criterion(name: str, seq: MomentSequence, s1: MomentSequence | None,
         return out
     if name == "fantappie":
         env = geometric_envelope(s1, min(4, s1.max_degree // 2))
-        est = GapEstimate.from_envelope(env, s1)
         out.update(envelope_gap=fmt(env.gap_functional), order=env.order,
-                   sup_side=fmt(est.sup_side), inf_side=fmt(est.inf_side),
+                   sup_side=fmt(apply_linear_functional_1d(s1, env.lower)),
+                   inf_side=fmt(apply_linear_functional_1d(s1, env.upper)),
                    certified=True, sufficiency="necessary-only")
         return out
     if name == "cosine":
@@ -458,6 +462,8 @@ def _csv_value(mode: Mode, v) -> str:
 @_with_precision
 def cmd_kappa(args, seq: MomentSequence, _provenance: dict, _retry: bool) -> int:
     xs, ts = _parse_field(args.field)
+    if args.lp_degree < 0:
+        raise InvalidParameter(f"--lp-degree {args.lp_degree} is negative")
     mode = seq.mode
     rows = []
     max_level = max((seq.max_degree - 2) // 2, 1)
@@ -467,10 +473,8 @@ def cmd_kappa(args, seq: MomentSequence, _provenance: dict, _retry: bool) -> int
     # point then reuses this factorization
     s1 = _as_1d(seq)
     recurrence_from_moments(s1, s1.max_degree // 2)
-    for t in ts:
-        for x in xs:
-            xq = Fraction(x).limit_denominator(10 ** 6)
-            tq = Fraction(t).limit_denominator(10 ** 6)
+    for t, tq in ts:
+        for x, xq in xs:
             if seq.dimension == 1:
                 k = poisson_kappa_1d(seq, xq, tq, max_level)
                 rows.append([x, t, mode.to_float(k), "weyl-disk-1d", True, ""])
@@ -492,16 +496,20 @@ def cmd_kappa(args, seq: MomentSequence, _provenance: dict, _retry: bool) -> int
 
 
 def _parse_field(spec: str) -> tuple:
-    """``--field XMIN:XMAX:NX,TMIN:TMAX:NT`` as the x and the t values; one
-    InvalidParameter naming the spec for any other form, a count below 1, a
-    bound that is not finite or a t that is not positive."""
+    """``--field XMIN:XMAX:NX,TMIN:TMAX:NT`` as the x and the t values, each
+    a pair (value, its rational with a denominator of at most
+    ``FIELD_DENOMINATOR``); one InvalidParameter naming the spec for any
+    other form, a count below 1, a bound that is not finite or a t whose
+    rational is not positive."""
     try:
-        xs, ts = map(_parse_range, spec.split(","))
-        if any(t <= 0 for t in ts):
+        xs, ts = ([(v, Fraction(v).limit_denominator(FIELD_DENOMINATOR))
+                   for v in _parse_range(part)] for part in spec.split(","))
+        if any(tq <= 0 for _, tq in ts):
             raise ValueError(spec)
     except ValueError:
-        raise InvalidParameter(f"--field {spec!r} is not XMIN:XMAX:NX,TMIN:TMAX:NT "
-                               "with finite bounds, counts of at least 1 and t > 0") from None
+        raise InvalidParameter(f"--field {spec!r} is not XMIN:XMAX:NX,TMIN:TMAX:NT with "
+                               "finite bounds, counts of at least 1 and t > 0 as a rational "
+                               f"of denominator at most {FIELD_DENOMINATOR}") from None
     return xs, ts
 
 
@@ -522,6 +530,8 @@ def _parse_range(spec: str) -> list:
 
 
 def cmd_curve(args) -> int:
+    if args.degree < 0:
+        raise InvalidParameter(f"--degree {args.degree} is negative")
     if args.curve.startswith("catalog:"):
         curve = catalog(args.curve.split(":", 1)[1])
     else:

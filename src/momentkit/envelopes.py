@@ -38,16 +38,17 @@ PLATEAU_RATIO = 0.9
 
 @dataclass(frozen=True)
 class PolynomialEnvelope:
-    """A certified bracket  lower(t) <= phi(t) <= upper(t)  on ``domain``.
+    """A certified bracket  lower(t) <= phi(t) <= upper(t)  on the domain
+    of its builder: all of R for ``cosine_envelope``, [0, inf) for
+    ``maclaurin_envelope`` and ``geometric_envelope``.
 
-    ``domain`` is "real_line" or "half_line"; ``order`` is the degree of the
-    single monomial making up upper - lower; ``gap_functional`` is
-    L(upper - lower) against the sequence the envelope was built for.
+    ``order`` is the degree of the single monomial making up upper - lower;
+    ``gap_functional`` is L(upper - lower) against the sequence the
+    envelope was built for.
     """
 
     lower: tuple
     upper: tuple
-    domain: str
     order: int
     gap_functional: Any
 
@@ -64,7 +65,7 @@ def cosine_envelope(seq_1d: MomentSequence, order: int) -> PolynomialEnvelope:
         coeffs[2 * j] = mode.convert((-1) ** j) / math.factorial(2 * j)
     # m_top / top! rounds once in float mode; (1 / top!) * m_top would round twice
     gap = seq_1d.moment((top_deg,)) / math.factorial(top_deg)
-    return _bracket(coeffs, "real_line", gap)
+    return _bracket(coeffs, gap)
 
 
 def geometric_envelope(seq_1d: MomentSequence, order: int) -> PolynomialEnvelope:
@@ -93,14 +94,14 @@ def _top_degree(seq_1d: MomentSequence, order: int, name: str,
     return top_deg
 
 
-def _bracket(coeffs: list, domain: str, gap) -> PolynomialEnvelope:
+def _bracket(coeffs: list, gap) -> PolynomialEnvelope:
     """The last two partial sums of an alternating coefficient stream, the
     one that ends on a positive term as the upper side; they differ by the
     top term, whose value under L is ``gap``."""
     top_deg = len(coeffs) - 1
     s_prev, s_top = poly_trim(coeffs[:top_deg]), poly_trim(coeffs)
     lower, upper = (s_prev, s_top) if coeffs[top_deg] > 0 else (s_top, s_prev)
-    return PolynomialEnvelope(lower, upper, domain, top_deg, gap)
+    return PolynomialEnvelope(lower, upper, top_deg, gap)
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def maclaurin_envelope(phi: CompletelyMonotonic, seq_1d: MomentSequence,
                 f"derivative stream fails alternation at k={k}"
             )
         coeffs.append(mode.convert(Fraction(dk, math.factorial(k))))
-    return _bracket(coeffs, "half_line", coeffs[top_deg] * seq_1d.moment((top_deg,)))
+    return _bracket(coeffs, coeffs[top_deg] * seq_1d.moment((top_deg,)))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ more than one representing measure.  Finite computation relaxes this twice:
 polynomial degrees are truncated, and the pointwise constraints are imposed
 on a finite grid only.  Degree truncation moves the two values toward each
 other's rigorous side; grid relaxation moves them apart again, so neither
-side of a grid estimate is a certified bound.  Every estimate therefore
-carries per-side ``certified`` flags (grid LPs: always False) and the grid
-itself travels inside the result for reproducibility.  Verdict synthesis may
-only cite certified quantities as rigorous evidence.
+side of a grid estimate is a certified bound, and the grid itself travels
+inside the result for reproducibility.  Verdict synthesis may only cite
+certified quantities as rigorous evidence; the globally valid envelope
+brackets of ``envelopes`` are certified, a grid estimate never is.
 
 One-dimensional Poisson gaps are exact (they are Weyl-disk diameters); the
 multivariate kappa values are grid LP estimates and say so.
@@ -64,7 +64,6 @@ from .moments import (
     NonnegativeOrthant,
     affine_map,
     apply_linear_functional,
-    apply_linear_functional_1d,
     apply_polynomial_weight,
     dual_interior_contains,
     pushforward_direction,
@@ -150,8 +149,9 @@ def _target(spec, mode: Mode, dimension: int):
     converted to the mode, the way ``grid_gap_lp`` converts its grid, and
     looked up the same way; of points that convert to the same key (a
     repeated point, or in float mode two rationals that round to one float)
-    the first value is kept.  A sampled spec needs one value per point, and
-    a kernel's vector the given dimension."""
+    the first value is kept.  A sampled spec needs one value per point, a
+    kernel's vector the given dimension, and a Poisson kernel t0 > 0 (at t0
+    = 0 its denominator vanishes at x0)."""
     convert = mode.convert
     if isinstance(spec, Sampled):
         if len(spec.points) != len(spec.values):
@@ -182,6 +182,8 @@ def _target(spec, mode: Mode, dimension: int):
     if isinstance(spec, PoissonKernel):
         _check_dimension("Poisson x0", spec.x0, dimension)
         t0 = convert(spec.t0)
+        if not t0 > 0:
+            raise InvalidParameter("t0 must be positive")
         t0_sq, x0 = t0 * t0, [convert(c) for c in spec.x0]
         ctx = work_context(mode, RATIONAL_PHI_BITS)
         cd = to_context(ctx, poisson_constant_float(dimension))
@@ -275,13 +277,6 @@ def _grid_1d(support, mode: Mode):
     return sorted(pts)
 
 
-def describe_grid(grid: Sequence, mode: Mode) -> dict:
-    return {
-        "size": len(grid),
-        "points": [[mode.to_float(c) for c in p] for p in grid],
-    }
-
-
 # ---------------------------------------------------------------------------
 # the two-sided grid LP
 
@@ -293,29 +288,20 @@ class GapEstimate:
     ``sup_side`` is the best L(p) over grid-feasible p <= phi, ``inf_side``
     the best L(q) over grid-feasible q >= phi.  With only grid constraints
     the sup side can overshoot the true supremum and the inf side undershoot
-    the true infimum, hence ``certified`` is False for both unless the values
-    came from globally valid envelope polynomials.  ``gap`` <= 0 is evidence
-    in the determinate direction; a positive gap is never by itself a
-    certificate of indeterminateness.
+    the true infimum, so neither side is certified.  ``gap`` <= 0 is
+    evidence in the determinate direction; a positive gap is never by
+    itself a certificate of indeterminateness.  ``grid`` holds the grid's
+    ``size`` and its ``points`` as floats.
     """
 
     sup_side: Any
     inf_side: Any
-    certified_sup: bool
-    certified_inf: bool
     degree: int
     grid: Mapping[str, Any]
 
     @property
     def gap(self):
         return self.inf_side - self.sup_side
-
-    @staticmethod
-    def from_envelope(envelope, seq: MomentSequence) -> "GapEstimate":
-        lo = apply_linear_functional_1d(seq, envelope.lower)
-        hi = apply_linear_functional_1d(seq, envelope.upper)
-        return GapEstimate(lo, hi, True, True, envelope.order,
-                           {"kind": "envelope", "domain": envelope.domain})
 
 
 def grid_gap_lp(seq: MomentSequence, phi, degree: int,
@@ -358,8 +344,8 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
         raise LpUnbounded(f"no nonnegative measure on the {len(grid)}-point grid "
                           f"reproduces the moments up to degree {degree}; "
                           "refine the grid") from None
-    return GapEstimate(sup_side, inf_side, False, False, degree,
-                       describe_grid(grid, mode))
+    points = [[mode.to_float(c) for c in p] for p in grid]
+    return GapEstimate(sup_side, inf_side, degree, {"size": len(grid), "points": points})
 
 
 def _grid_columns(mode: Mode, grid: Sequence, monomials: Sequence) -> tuple:
@@ -415,7 +401,7 @@ def poisson_kappa_1d(seq_1d: MomentSequence, x0, t0, n: int):
 
 def poisson_kappa_estimate(seq: MomentSequence, x0: Sequence, t0, degree: int,
                            grid: Sequence | None = None) -> GapEstimate:
-    """Grid LP estimate of the Poisson gap in d >= 2 (heuristic, flagged)."""
+    """Grid LP estimate of the Poisson gap in d >= 2 (heuristic)."""
     if seq.dimension < 2:
         raise InvalidParameter("use poisson_kappa_1d in one dimension")
     spec = PoissonKernel(tuple(x0), t0)
@@ -541,8 +527,8 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
     Positive values at some interior direction a are the necessary condition
     for cone-indeterminateness.  Grid relaxation lowers each value below the
     same-degree exact-constraint minimum, while the degree cap raises it
-    above the unrestricted infimum, so the numbers are heuristic probes and
-    are flagged as such.
+    above the unrestricted infimum, so the numbers are heuristic probes,
+    never certified bounds.
 
     The values are m_0 minus the sup side and the inf side minus m_0 of the
     Fantappie grid LP of nu = (a.x + 1) L at degree D - 1 (see the module
@@ -572,7 +558,6 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
     return {
         "value_plus": m0 - est.sup_side,
         "value_minus": est.inf_side - m0,
-        "certified": False,
         "degree": degree,
         "grid": est.grid,
     }

@@ -42,12 +42,14 @@ parametrization depends on them):
   by the signs of pi_k(0) and gives both values, the Radau one by a step
   off the top two levels; in float mode that step cancels bits, so a real
   Wallis loop over q and e, which adds positive terms only, gives them.
+  Each route also gives a finitely atomic sequence's exact transform, run
+  to its rank, so each mode computes every convergent one way.
   Neither is the forward pass of ``ortho_eval``, so a verdict evaluates
   orthogonal polynomials at z = i only, and a Recurrence keeps the
   forward pass at its last point only, and the convergents' pass beside
   it, so that the verdict's lower level reads the levels its top level
   made.  The pass builds the second kind only when ``OrthoEval.second`` is
-  first read, which no verdict does.
+  first read, which only the Weyl center does, never a verdict.
 * The recurrence comes from the mixed moments ``sigma_{k,l} = L(pi_k
   p_l)`` (the modified Chebyshev algorithm), where the p_l are the monic
   polynomials of an optional base recurrence ``(a_l, b_l)``: the monomials
@@ -603,8 +605,8 @@ class OrthoEval:
     and builds a level's values on its first read, as ``norm_sq`` does from
     the exact pivots: an exact Christoffel value reads the integers and
     builds neither.  ``second`` is built on its first read (a cached
-    property): no verdict reads it, only the Weyl center, the float atomic
-    convergents and their oracles do."""
+    property): no verdict reads it, only the Weyl center and the oracles
+    do."""
 
     z: ComplexScalar
     first: Sequence       # pi_0(z) .. pi_order(z)
@@ -616,15 +618,12 @@ class OrthoEval:
         """Q_0(z) .. Q_order(z)."""
         return self._build_second()
 
-    def first_normalized_abs2(self, k: int):
-        """|p_k(z)|^2 = |pi_k(z)|^2 / ||pi_k||^2."""
-        return self.first[k].abs2() / self.norm_sq[k]
-
     def kernel_diagonal(self, n: int):
-        """K_n(z, conj z) = sum_{k<=n} |p_k(z)|^2."""
-        total = self.first_normalized_abs2(0)
+        """K_n(z, conj z) = sum_{k<=n} |p_k(z)|^2, with |p_k(z)|^2 =
+        |pi_k(z)|^2 / ||pi_k||^2."""
+        total = self.first[0].abs2() / self.norm_sq[0]
         for k in range(1, n + 1):
-            total = total + self.first_normalized_abs2(k)
+            total = total + self.first[k].abs2() / self.norm_sq[k]
         return total
 
 
@@ -645,26 +644,21 @@ def _forward_pass(rec: Recurrence, z: ComplexScalar) -> OrthoEval:
     """The first kind at z, and the second kind from the same loop started
     at (Q_{-1}, Q_0) = (-1, 0) when it is first read."""
     # the builder holds the coefficients, not rec, whose evals keep the pass
-    return OrthoEval(z, _level_values(rec.mode, rec.alpha, rec.beta, z, True), rec.norm_sq,
-                     partial(_level_values, rec.mode, rec.alpha, rec.beta, z, False))
+    return OrthoEval(z, _levels(rec.mode, rec.alpha, rec.beta, z, True), rec.norm_sq,
+                     partial(_levels, rec.mode, rec.alpha, rec.beta, z, False))
 
 
-def _level_values(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar,
-                  first_kind: bool) -> _Values:
-    """The levels of ``_levels``, read as ComplexScalars: Fractions in
-    rational mode; in float mode every denominator is 1."""
-    build = _exact_level if isinstance(mode, RationalMode) else _float_level
-    return _Values(_levels(mode, alpha, beta, z, first_kind), build)
-
-
-def _levels(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar, first_kind: bool) -> list:
+def _levels(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar, first: bool) -> _Values:
     """pi_k(z) (first kind) or Q_k(z) for k <= len(alpha), the order, from
     levels -1 and 0: (0, 1) for the first kind, (-1, 0) for the second,
-    whose Q_1 is then beta_0 = m_0; each an integer level (re, im, e)."""
-    one, zero = (1, 0) if isinstance(mode, RationalMode) else (mode.one(), mode.zero())
+    whose Q_1 is then beta_0 = m_0; each an integer level (re, im, e),
+    read as ComplexScalars: Fractions in rational mode; in float mode
+    every denominator is 1."""
+    exact = isinstance(mode, RationalMode)
+    one, zero = (1, 0) if exact else (mode.one(), mode.zero())
     # z = (xr + i xi) / w; level k is (re + i im) / e
     (xr, xi), w = integers((z.re, z.im))
-    start = (zero, one) if first_kind else (-one, zero)
+    start = (zero, one) if first else (-one, zero)
     prev, cur = ((v, zero, 1) for v in start)
     levels = [cur]
     for a, b in zip(alpha, beta):
@@ -674,7 +668,7 @@ def _levels(mode: Mode, alpha: tuple, beta: tuple, z: ComplexScalar, first_kind:
         prev, cur = cur, _level_step(_complex_products, (xr * ad - an * w, xi * ad), w * ad,
                                      bn, bd, cur, prev)
         levels.append(cur)
-    return levels
+    return _Values(levels, _exact_level if exact else _float_level)
 
 
 def _complex_products(m: tuple, level: tuple) -> tuple:
@@ -783,14 +777,9 @@ class WeylDisk:
     ``radius_sq`` is the exact in-mode square of the radius; the radius
     itself would take a square root, approximate in rational mode."""
 
-    z: ComplexScalar
-    degree: int
     center: ComplexScalar
     radius_sq: Any
     degenerate: bool = False
-
-    def contains(self, value: ComplexScalar) -> bool:
-        return (value - self.center).abs2() <= self.radius_sq
 
 
 def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
@@ -813,11 +802,11 @@ def weyl_disk(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDisk:
     if rec.beta[n + 1] == 0:
         # degenerate pencil: every parameter gives the same point, the
         # Cauchy transform of the unique (atomic) representing measure
-        return WeylDisk(z, n, -(q_top / p_top), radius_sq, degenerate=True)
+        return WeylDisk(-(q_top / p_top), radius_sq, degenerate=True)
     s = _casoratian_im(ev, n)
     num = q_top * p_low.conj() - q_low * p_top.conj()
     center = ComplexScalar(-num.im / (2 * s), num.re / (2 * s))
-    return WeylDisk(z, n, center, radius_sq)
+    return WeylDisk(center, radius_sq)
 
 
 def weyl_radius_sq(rec: Recurrence, z: ComplexScalar, n: int, rho=None):
@@ -860,8 +849,6 @@ def _casoratian_im(ev: OrthoEval, n: int):
 class CarlemanResult:
     partial_sum: Any
     diverging: bool            # heuristic slope test; see ``carleman``
-    horizon: int
-    flavor: Flavor
 
 
 def carleman(seq: MomentSequence, flavor: Flavor, horizon: int) -> CarlemanResult:
@@ -897,12 +884,7 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int) -> CarlemanResul
     tail = terms[tail_start:]
     c = ctx.mpf(CARLEMAN_SLOPE)
     diverging = all(t * (tail_start + 1 + i) >= c for i, t in enumerate(tail))
-    return CarlemanResult(
-        partial_sum=from_context(seq.mode, total),
-        diverging=diverging,
-        horizon=K,
-        flavor=flavor,
-    )
+    return CarlemanResult(from_context(seq.mode, total), diverging)
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +896,6 @@ class ConvergentPair:
     """Even/odd convergents of the Stieltjes transform integral of
     1/(x - z) dmu(x) at a negative real z, and the bracketing interval."""
 
-    z: Any
-    level: int
     even_value: Any            # n-point quadrature value (lower end, observed)
     odd_value: Any             # value with an extra fixed node at 0 (upper end)
     interval_width: Any
@@ -953,23 +933,23 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     indeterminate case the two limits differ and the width plateaus at the
     transform gap.
 
-    The mode selects the form.  In rational mode one forward pass over
+    The mode selects the form, and each mode computes every convergent,
+    the atomic ones included, one way: run to level r, the atomic case
+    returns its Gauss value twice.  In rational mode one forward pass over
     integer levels gives everything: level k holds pi_k(z), Q_k(z) and
     pi_k(0), three numerators over one denominator, each step one
     ``_level_step`` (the forward pass's), so no q or e is formed and
     one ``Fraction`` is built per reported value; the odd value is one
-    Radau step off levels n and n - 1, and the atomic case reads the same
-    pass to the rank.  The pass is kept on the recurrence at its last
-    point and extended on demand, so a lower level at the same point (the
-    verdict's second call) reads the levels of the first; the sign tests
-    rerun on every call.  In float mode the Radau step's difference cancels
-    (at float:128 on the q = 3 lattice, N = 60, level 29, the odd value
-    keeps 36 of its 128 bits), so the pair comes from the Wallis loop over
-    q and e, which adds positive terms only and keeps all 128; it runs on
-    plain ``mpf`` values.  In rational mode neither branch calls
+    Radau step off levels n and n - 1.  The pass is kept on the recurrence
+    at its last point and extended on demand, so a lower level at the same
+    point (the verdict's second call) reads the levels of the first; the
+    sign tests rerun on every call.  In float mode the Radau step's
+    difference cancels (at float:128 on the q = 3 lattice, N = 60, level
+    29, the odd value keeps 36 of its 128 bits), so the pair comes from the
+    Wallis loop over q and e, which adds positive terms only and keeps all
+    128; it runs on plain ``mpf`` values.  Neither mode calls
     ``ortho_eval``, so the forward pass kept in ``rec.evals`` (a verdict's,
-    at z = i) stays beside the convergents' own; float mode's atomic case
-    reads the pass at z.
+    at z = i) stays beside the convergents' own.
     """
     mode = seq.mode
     if not isinstance(seq.support, NonnegativeOrthant):
@@ -978,35 +958,19 @@ def stieltjes_convergents(seq: MomentSequence, z, n: int) -> ConvergentPair:
     if not zv < 0:
         raise InvalidParameter("evaluation point must be a negative real")
     rec = recurrence_from_moments(seq, seq.max_degree // 2)
-    exact = isinstance(mode, RationalMode)
-    r = rec.rank
-    if r <= min(n, rec.order):
-        # finitely atomic: the atoms are the eigenvalues of the Jacobi
-        # matrix of order r, whose LDL^T pivots are q_1 .. q_r, so they lie
-        # on [0, inf) iff q_1 .. q_{r-1} > 0 <= q_r; then z < 0 is no atom
-        # and both convergents equal the exact transform
-        if exact:
-            _, (p, q, _, _) = _stieltjes_levels(rec, zv, r, "an atom lies below 0")
-            val = Fraction(-q, p)
-        else:
-            ev = ortho_eval(rec, complex_scalar(mode, zv))
-            e = mode.zero()
-            for k in range(r - 1):
-                q = rec.alpha[k] - e
-                if not q > 0:
-                    raise NotStieltjesAdmissible("an atom lies below 0")
-                e = rec.beta[k + 1] / q
-            if e - rec.alpha[r - 1] > half_floor(mode, e):
-                raise NotStieltjesAdmissible("an atom lies below 0")
-            val = -(ev.second[r].re / ev.first[r].re)
-        return ConvergentPair(zv, n, val, val, mode.zero())
-    if rec.order < n:
+    # finitely atomic: the atoms are the eigenvalues of the Jacobi matrix of
+    # order r, whose LDL^T pivots are q_1 .. q_r, so they lie on [0, inf)
+    # iff q_1 .. q_{r-1} > 0 <= q_r; then z < 0 is no atom and both
+    # convergents equal the exact transform, the Gauss value at level r
+    atomic = rec.rank <= min(n, rec.order)
+    if not atomic and rec.order < n:
         raise DegreeInsufficient(f"recurrence order {rec.order} < level {n}")
     if n < 0:
         raise InvalidParameter("level must be nonnegative")
-    even, odd = (_radau_pair if exact else _wallis_pair)(rec, zv, n)
+    pair = _radau_pair if isinstance(mode, RationalMode) else _wallis_pair
+    even, odd = pair(rec, zv, rec.rank if atomic else n, atomic)
     width = odd - even if odd >= even else even - odd
-    return ConvergentPair(zv, n, even, odd, width)
+    return ConvergentPair(even, odd, width)
 
 
 def _stieltjes_levels(rec: Recurrence, z: Fraction, n: int,
@@ -1048,36 +1012,49 @@ def _stieltjes_products(m: tuple, level: tuple) -> tuple:
     return x * p, x * q, x0 * r
 
 
-def _radau_pair(rec: Recurrence, z: Fraction, n: int) -> tuple:
+def _radau_pair(rec: Recurrence, z: Fraction, n: int, atomic: bool) -> tuple:
     """(even, odd) in rational mode: the Gauss value -Q_n(z)/pi_n(z) and
-    the Radau step off levels n and n - 1.  With alpha_n replaced by e_n =
-    -beta_n R_{n-1}/R_n, R_k = pi_k(0), the top level times R_n is ``z R_n
-    pi_n + beta_n (R_{n-1} pi_n - R_n pi_{n-1})``, and so for Q; over the
-    level denominators both are u P_n - v P_{n-1}, and the odd value is
-    their ratio.  As in the level step, beta's numerator is cancelled
+    the Radau step off levels n and n - 1; for ``atomic`` data of rank n
+    the Gauss value twice, whose pi_n(0) may vanish (an atom at 0).  With
+    alpha_n replaced by e_n = -beta_n R_{n-1}/R_n, R_k = pi_k(0), the top
+    level times R_n is ``z R_n pi_n + beta_n (R_{n-1} pi_n - R_n
+    pi_{n-1})``, and so for Q; over the level denominators both are u P_n
+    - v P_{n-1}, and the odd value is their ratio.  As in the level step, beta's numerator is cancelled
     against level n - 1's denominator, and its denominator against level
     n's (on the ql60 lifts each holds the whole level denominator)."""
-    (p0, q0, r0, e0), (p1, q1, r1, e1) = _stieltjes_levels(rec, z, n)
+    (p0, q0, r0, e0), (p1, q1, r1, e1) = _stieltjes_levels(
+        rec, z, n, "an atom lies below 0" if atomic else None)
+    even = Fraction(-q1, p1)
+    if atomic:
+        return even, even
     bn, bd = _pair(rec.beta[n])
     e0, (bn,) = _content(e0, (bn,))
     e1, (bd,) = _content(e1, (bd,))
     c = bn * z.denominator * e1
     u, v = z.numerator * bd * e0 * r1 + c * r0, c * r1
-    return Fraction(-q1, p1), Fraction(v * q0 - u * q1, u * p1 - v * p0)
+    return even, Fraction(v * q0 - u * q1, u * p1 - v * p0)
 
 
-def _wallis_pair(rec: Recurrence, z, n: int) -> tuple:
+def _wallis_pair(rec: Recurrence, z, n: int, atomic: bool) -> tuple:
     """(even, odd) in float mode: the Wallis loop of the S-fraction at s =
-    -z, whose numerators and denominators add positive terms only."""
+    -z, whose numerators and denominators add positive terms only.  For
+    ``atomic`` data of rank n the even value twice, before the division by
+    q_n, which may be 0 (an atom at 0) or round below it by up to half the
+    working bits of e_{n-1}."""
     s, zero = -z, rec.mode.zero()
     even_num, even_den = zero, rec.mode.one()
     odd_num, odd_den = rec.beta[0], s
     e = zero
     for k in range(n):
         q = rec.alpha[k] - e
-        if not q > zero:
-            raise NotStieltjesAdmissible("shifted Hankel form is not positive definite")
+        top = atomic and k == n - 1
+        if not (q >= -half_floor(rec.mode, e) if top else q > zero):
+            raise NotStieltjesAdmissible("an atom lies below 0" if atomic else
+                                         "shifted Hankel form is not positive definite")
         even_num, even_den = odd_num + q * even_num, odd_den + q * even_den
+        if top:
+            even = even_num / even_den
+            return even, even
         # beta_{k+1} > 0 (the factorization checked it), so e > 0 with q
         e = rec.beta[k + 1] / q
         odd_num, odd_den = s * even_num + e * odd_num, s * even_den + e * odd_den

@@ -70,11 +70,12 @@ the values, the errors and their messages must be equal.
 ``convergents_wallis`` is the Wallis loop over the Stieltjes continued
 fraction on four reduced numerators and denominators in the mode's scalars
 (``Fraction``s in rational mode, the ``mpf`` operators in float mode),
-updated at every step, and for finitely atomic data the chain sequence
-walked to the rank.  The library runs this loop in float mode only, on
-plain ``mpf`` values (a Radau step cancels bits there), and the one pass
-above in rational mode; the values, their types, the errors and their
-messages must be equal, and float mode bit-identical.
+updated at every step, and for finitely atomic data a loop of its own to
+the rank r, whose even value is the transform.  The library runs this loop
+in float mode only, on plain ``mpf`` values (a Radau step cancels bits
+there), the finitely atomic case included, and the one pass above in
+rational mode; the values, their types, the errors and their messages must
+be equal, and float mode bit-identical.
 
 ``christoffel_on_curve`` is the curve-side Christoffel value the plain way:
 the weighted lift's moments factorized with no base recurrence.
@@ -461,7 +462,7 @@ def christoffel_fractions(rec: Recurrence, ev: OrthoEval, n: int):
         return 1 / ev.kernel_diagonal(n)
     p1, p0 = ev.first[n], ev.first[n - 1]
     cross = p1.im * p0.re - p1.re * p0.im
-    return 1 / (cross / (z.im * ev.norm_sq[n - 1]) + ev.first_normalized_abs2(n))
+    return 1 / (cross / (z.im * ev.norm_sq[n - 1]) + ev.first[n].abs2() / ev.norm_sq[n])
 
 
 def weyl_radius_sq_fractions(rec: Recurrence, ev: OrthoEval, n: int, rho=None):
@@ -519,7 +520,7 @@ def convergents_radau(seq: MomentSequence, z, n: int) -> ConvergentPair:
         if any((-1) ** (r - j) * c < 0 for j, c in enumerate(pi)):
             raise NotStieltjesAdmissible("an atom lies below 0")
         val = -(ev.second[rec.rank].re / ev.first[rec.rank].re)
-        return ConvergentPair(zv, n, val, val, mode.zero())
+        return ConvergentPair(val, val, mode.zero())
     if rec.order < n:
         raise DegreeInsufficient(f"recurrence order {rec.order} < level {n}")
     _assert_stieltjes_positive(seq, rec, n)
@@ -543,7 +544,7 @@ def convergents_radau(seq: MomentSequence, z, n: int) -> ConvergentPair:
     q_top = zk * ev.second[n] - q_low.scale(rec.beta[n])
     odd = -(q_top.re / p_top.re)
     width = odd - even if odd >= even else even - odd
-    return ConvergentPair(zv, n, even, odd, width)
+    return ConvergentPair(even, odd, width)
 
 
 def convergents_wallis(seq: MomentSequence, z, n: int) -> ConvergentPair:
@@ -558,28 +559,31 @@ def convergents_wallis(seq: MomentSequence, z, n: int) -> ConvergentPair:
         raise InvalidParameter("evaluation point must be a negative real")
     rec = recurrence_from_moments(seq, seq.max_degree // 2)
     r = rec.rank
+    s = -zv
     if r <= min(n, rec.order):
         # the chain q_1 .. q_r of the r atoms: every q positive, except
         # that the last may be 0 (an atom at 0), in float mode to within
-        # half the working bits of e
-        ev = ortho_eval(rec, complex_scalar(mode, zv))
+        # half the working bits of e; the even value at level r is the
+        # transform
+        even_num, even_den = mode.zero(), mode.one()
+        odd_num, odd_den = rec.beta[0], s
         e = mode.zero()
-        for k in range(r):
+        for k in range(r - 1):
             q = rec.alpha[k] - e
-            if k == r - 1:
-                if q < -half_floor(mode, e):
-                    raise NotStieltjesAdmissible("an atom lies below 0")
-            elif not q > 0:
+            if not q > 0:
                 raise NotStieltjesAdmissible("an atom lies below 0")
-            else:
-                e = rec.beta[k + 1] / q
-        val = -(ev.second[rec.rank].re / ev.first[rec.rank].re)
-        return ConvergentPair(zv, n, val, val, mode.zero())
+            even_num, even_den = odd_num + q * even_num, odd_den + q * even_den
+            e = rec.beta[k + 1] / q
+            odd_num, odd_den = s * even_num + e * odd_num, s * even_den + e * odd_den
+        q = rec.alpha[r - 1] - e
+        if q < -half_floor(mode, e):
+            raise NotStieltjesAdmissible("an atom lies below 0")
+        val = (odd_num + q * even_num) / (odd_den + q * even_den)
+        return ConvergentPair(val, val, mode.zero())
     if rec.order < n:
         raise DegreeInsufficient(f"recurrence order {rec.order} < level {n}")
     if n < 0:
         raise InvalidParameter("level must be nonnegative")
-    s = -zv
     even_num, even_den = mode.zero(), mode.one()
     odd_num, odd_den = rec.beta[0], s
     e = mode.zero()
@@ -594,7 +598,7 @@ def convergents_wallis(seq: MomentSequence, z, n: int) -> ConvergentPair:
         odd_num, odd_den = s * even_num + e * odd_num, s * even_den + e * odd_den
     even, odd = even_num / even_den, odd_num / odd_den
     width = odd - even if odd >= even else even - odd
-    return ConvergentPair(zv, n, even, odd, width)
+    return ConvergentPair(even, odd, width)
 
 
 def _assert_stieltjes_positive(seq: MomentSequence, rec: Recurrence, n: int) -> None:
@@ -706,12 +710,12 @@ def weyl_disk_circumcircle(rec: Recurrence, z: ComplexScalar, n: int) -> WeylDis
     q_top, q_low = ev.second[n + 1], ev.second[n]
     if rec.beta[n + 1] == 0:
         center = -(q_top / p_top)
-        return WeylDisk(z, n, center, mode.zero(), degenerate=True)
+        return WeylDisk(center, mode.zero(), degenerate=True)
     w0 = -(q_top / p_top)
     w1 = -((q_top + q_low) / (p_top + p_low))
     winf = -(q_low / p_low)
     center = _circumcenter(mode, w0, w1, winf)
-    return WeylDisk(z, n, center, (w0 - center).abs2())
+    return WeylDisk(center, (w0 - center).abs2())
 
 
 def _circumcenter(mode: Mode, w0: ComplexScalar, w1: ComplexScalar,

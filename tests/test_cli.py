@@ -263,10 +263,12 @@ def test_kappa_field_1d(tmp_path):
 
 
 @pytest.mark.parametrize("variances, extra", [(["1", "1"], []),
-                                             (["1"], ["--sphere-average"])])
+                                             (["1"], ["--sphere-average"]),
+                                             (["1"], [])])
 def test_kappa_negative_lp_degree_is_one_structured_error(tmp_path, variances, extra):
-    # a 2D field point solves a grid LP at that degree; a 1D sphere average
-    # takes it as the Weyl-disk truncation
+    # a 2D field point solves a grid LP at that degree and a 1D sphere
+    # average takes it as the Weyl-disk truncation; a 1D field reads no LP
+    # degree, and a negative one is refused all the same
     spec = write_spec(tmp_path / "gauss.json", {
         "measure": {"variant": "gaussian_product", "variances": variances},
         "dimension": len(variances), "max_degree": 8, "mode": "rational"})
@@ -300,6 +302,21 @@ def test_kappa_malformed_field_is_one_structured_error(tmp_path, field):
     errors = json.loads(out.read_text())["errors"]
     assert [e["error"] for e in errors] == ["InvalidParameter"]
     assert repr(field) in errors[0]["detail"]
+
+
+@pytest.mark.parametrize("variances", [["1"], ["1", "1"]], ids=["1d", "2d"])
+def test_kappa_t_that_rationalizes_to_zero_is_one_structured_error(tmp_path, variances):
+    """t = 1e-7 is positive, but the field reads it as the nearest rational
+    of denominator at most 10**6, which is 0: a kernel with t0 = 0 divides
+    by 0 at x0, so the field is refused."""
+    spec = write_spec(tmp_path / "gauss.json", {
+        "measure": {"variant": "gaussian_product", "variances": variances},
+        "dimension": len(variances), "max_degree": 8, "mode": "rational"})
+    out = tmp_path / "kappa.csv"
+    field = "0:0:1,1e-7:1e-7:1"
+    rc = main(["kappa", "--input", spec, f"--field={field}", "--out", str(out)])
+    error, detail = single_error(rc, json.loads(out.read_text()))
+    assert error == "InvalidParameter" and repr(field) in detail
 
 
 def test_kappa_field_factorizes_once(tmp_path, monkeypatch):
@@ -468,6 +485,14 @@ def test_curve_does_not_push_the_lift_onto_the_curve(tmp_path, monkeypatch):
                "--sigma", qlattice_spec(tmp_path, 60), "--degree", "6", "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["verdict"]["status"] == "indeterminate"
+
+
+def test_curve_negative_degree_is_one_structured_error(tmp_path):
+    out = tmp_path / "curve.json"
+    rc = main(["curve", "--curve", "catalog:parabola", "--sigma", qlattice_spec(tmp_path, 20),
+               "--degree", "-2", "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert single_error(rc, rep) == ("InvalidParameter", "--degree -2 is negative")
 
 
 def test_curve_two_dimensional_lift_is_one_structured_error(tmp_path):

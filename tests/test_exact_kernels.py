@@ -552,7 +552,7 @@ def convergents_outcome(fn, seq, z, n):
     pair = outcome(fn, seq, z, n)
     if isinstance(pair, tuple):
         return pair
-    return pair.z, pair.level, pair.even_value, pair.odd_value, pair.interval_width
+    return pair.even_value, pair.odd_value, pair.interval_width
 
 
 def check_convergents(seq, zs=CONVERGENT_POINTS):

@@ -26,7 +26,6 @@ from momentkit.errors import (
 from momentkit.gaps import (
     Cosine,
     Fantappie,
-    GapEstimate,
     PoissonKernel,
     Sampled,
     _contains_basis,
@@ -50,6 +49,7 @@ from momentkit.moments import (
     GaussianProduct,
     Product,
     QLattice1D,
+    apply_linear_functional_1d,
     apply_polynomial_weight,
     generate_moments,
 )
@@ -90,7 +90,7 @@ def test_dirac_interpolation_gap_zero():
     est = grid_gap_lp(seq, phi, 1, grid)
     assert est.sup_side == 1 == est.inf_side
     assert est.gap == 0
-    assert not est.certified_sup and not est.certified_inf
+    assert (est.degree, est.grid["size"]) == (1, 3)
 
 
 def test_two_atom_interpolation_by_degree():
@@ -126,10 +126,11 @@ def test_envelope_gap_dominates_grid_lp():
     grid = [(F(k, 2),) for k in range(0, 17)] + [(F(2) ** j,) for j in range(4, 9)]
     phi = Fantappie((F(1),))
     est = grid_gap_lp(seq, phi, 4, grid)
-    cert = GapEstimate.from_envelope(env, seq)
-    assert cert.certified_sup and cert.certified_inf
-    assert est.gap <= cert.gap
-    assert cert.sup_side <= cert.inf_side
+    lower = apply_linear_functional_1d(seq, env.lower)
+    upper = apply_linear_functional_1d(seq, env.upper)
+    assert upper - lower == env.gap_functional
+    assert est.gap <= upper - lower
+    assert lower <= upper
 
 
 def test_unbounded_grid_reported():
@@ -258,7 +259,7 @@ def test_hyperplane_dirac_values_shrink():
     res4 = hyperplane_gap(seq, (1,), 4)
     assert res4["value_plus"] <= res2["value_plus"] + 0
     assert res4["value_plus"] == 0  # interpolant 1/(a.x*+1) reachable
-    assert not res4["certified"]
+    assert sorted(res4) == ["degree", "grid", "value_minus", "value_plus"]   # no certified claim
 
 
 def test_hyperplane_qlattice_positive_baseline():
@@ -648,6 +649,22 @@ def test_vectors_of_the_wrong_dimension_are_refused(run, message, monkeypatch):
     monkeypatch.setattr(simplex, "measure_bounds", no_lp)
     with pytest.raises(DimensionMismatch, match=message + "for a 2-dimensional sequence"):
         run()
+
+
+@pytest.mark.parametrize("mode", [R, FloatMode(64)], ids=["rational", "float:64"])
+@pytest.mark.parametrize("t0", [0, -1])
+def test_poisson_kernel_needs_a_positive_t0(mode, t0, monkeypatch):
+    """At t0 = 0 the kernel's denominator vanishes at x0, a grid point here;
+    at t0 < 0 the kernel is no kernel.  Either is refused before any LP
+    runs."""
+    def no_lp(*args):
+        raise AssertionError("an LP ran")
+    monkeypatch.setattr(simplex, "measure_bounds", no_lp)
+    seq = generate_moments(GaussianProduct((1, 1)), 2, 4, mode)
+    with pytest.raises(InvalidParameter, match="t0 must be positive"):
+        grid_gap_lp(seq, PoissonKernel((0, 0), t0), 2, GRID2D)
+    with pytest.raises(InvalidParameter, match="t0 must be positive"):
+        poisson_kappa_estimate(seq, (0, 0), t0, 2)
 
 
 def test_sampled_spec_needs_one_value_per_point():
