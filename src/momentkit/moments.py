@@ -17,18 +17,24 @@ closed-form moment laws justify it, and the preserver operations propagate it
 exactly where the growth class is stable (see each operation's docstring).
 
 Every affine moment map is one image: ``affine_map`` computes L((A x +
-b)**alpha) through ``image_moments``, and push-forwards along a direction,
-marginals and convolutions (the image of the product functional under
-(x, y) -> x + y) are its special cases, so one rule gives every affine
-image's support hint: the orthant when the source lies on a cone, every row
-of A pairs nonnegatively with every generator and b >= 0.  Float moments
-must be finite, with binary exponents of at most MAX_EXPONENT_BITS bits.
+b)**alpha), and push-forwards along a direction, marginals and convolutions
+(the image of the product functional under (x, y) -> x + y) are its special
+cases, so one rule gives every affine image's support hint: the orthant when
+the source lies on a cone, every row of A pairs nonnegatively with every
+generator and b >= 0.  The map's shape picks the computation: one row with
+b = 0 (every direction of a scan) reads the sequence's multinomial table,
+s_n = sum_{|alpha| = n} (n! / alpha!) xi**alpha m_alpha, built once for
+all directions; every other map goes through ``image_moments``.  Float
+moments must be finite, with binary exponents of at most MAX_EXPONENT_BITS
+bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial, prod
+from operator import mul
 from typing import Any, Mapping, Sequence
 
 from .errors import (
@@ -154,8 +160,10 @@ class MomentSequence:
 
     ``recurrences`` keeps the factorizations of
     ``hamburger.recurrence_from_moments``, one per order, and
-    ``integer_tables`` the moment tables ``image_moments`` reads, over one
-    denominator, one per degree reached; neither is part of the value.
+    ``integer_tables`` the moment tables over one denominator: those
+    ``image_moments`` reads, one per degree reached, and under
+    "multinomial" the one that push-forwards along directions read, to the
+    highest degree reached; neither is part of the value.
     """
 
     dimension: int
@@ -446,10 +454,12 @@ def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
     In rational mode each form is written with integer numerators over one
     denominator ``den_i``, and the moments it reaches (|alpha| <= need) as
     integers over their lcm ``D``; that table is kept on the sequence
-    (``seq.integer_tables``), so the directions of a scan share it.  Each
-    u**beta is built in integers as u**(beta - e_i) * u_i, i the first axis
-    with beta_i > 0, from the products of the previous degree, over
-    ``den**beta``; only one degree's products are kept at a time.  Then
+    (``seq.integer_tables``), so later images of the same degree share it.
+    Push-forwards along one direction do not come here (``affine_map``
+    reads the multinomial table for them); the tests hold them against this
+    loop.  Each u**beta is built in integers as u**(beta - e_i) * u_i, i the
+    first axis with beta_i > 0, from the products of the previous degree,
+    over ``den**beta``; only one degree's products are kept at a time.  Then
     ``L(u**beta)`` is one integer dot product over ``D * den**beta``,
     reduced once.  In float mode the forms and moments are their own values
     over 1, and the same loop runs without a division, so every product and
@@ -490,6 +500,58 @@ def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
             total = sum(c * moments[alpha] for alpha, c in power.items())
             out[beta] = Fraction(total, den) if exact else mode.convert(total)
         level = products
+    return out
+
+
+def _multinomial_table(seq: MomentSequence, max_degree: int) -> tuple:
+    """(slices, D), the direction-independent table of ``_direction_moments``
+    to at least ``max_degree``, kept in ``seq.integer_tables`` under
+    "multinomial" and rebuilt only for a higher degree.  ``slices[n]``
+    holds, over the slice |alpha| = n in ``compositions`` order, the weights
+    W_alpha = (n! / alpha!) M_alpha, with M_alpha the moment numerators over
+    their lcm D (the values over 1 in float mode), and for each alpha the
+    index of alpha - e_i in the slice before and the axis i, i the first
+    with alpha_i > 0."""
+    table = seq.integer_tables.get("multinomial")
+    if table is None or len(table[0]) <= max_degree:
+        reached = list(multi_indices(seq.dimension, max_degree))
+        nums, lcm = integers(seq.entries[a] for a in reached)
+        numerators = dict(zip(reached, nums))
+        slices = [([nums[0]], [], [])]
+        for n in range(1, max_degree + 1):
+            index = {alpha: j for j, alpha in enumerate(compositions(n - 1, seq.dimension))}
+            weights, prev, axes = [], [], []
+            for alpha in compositions(n, seq.dimension):
+                i = alpha.index(next(filter(None, alpha)))
+                lower = list(alpha)
+                lower[i] -= 1
+                prev.append(index[tuple(lower)])
+                axes.append(i)
+                weights.append(factorial(n) // prod(map(factorial, alpha)) * numerators[alpha])
+            slices.append((weights, prev, axes))
+        table = seq.integer_tables["multinomial"] = slices, lcm
+    return table
+
+
+def _direction_moments(seq: MomentSequence, xi: Sequence, max_degree: int) -> dict:
+    """s_n = L((xi . x)**n) for n <= max_degree, keyed by (n,), from the
+    sequence's multinomial table: with xi = p / q in integers, s_n is
+    sum_{|alpha| = n} W_alpha p**alpha over D q**n.  Each p**alpha is
+    p**(alpha - e_i) p_i, one small-integer product on the previous
+    degree's powers; then one dot product and one Fraction per degree.  In
+    float mode xi and the table are their values over 1, and the same loop
+    runs without a division."""
+    slices, lcm = _multinomial_table(seq, max_degree)
+    p, q = integers(xi)
+    exact = isinstance(seq.mode, RationalMode)
+    powers, den, out = [1], lcm, {}
+    for n in range(max_degree + 1):
+        weights, prev, axes = slices[n]
+        if n:
+            powers = list(map(mul, map(powers.__getitem__, prev), map(p.__getitem__, axes)))
+            den *= q
+        total = sum(map(mul, weights, powers))
+        out[(n,)] = Fraction(total, den) if exact else seq.mode.convert(total)
     return out
 
 
@@ -571,12 +633,14 @@ def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any]) -> Mome
 
 def affine_map(seq: MomentSequence, matrix: Sequence[Sequence], offset: Sequence,
                out_degree: int | None = None) -> MomentSequence:
-    """Moments of the image under x -> A x + b, L((A x + b)**alpha) from
-    ``image_moments``.  Degree is preserved; the certificate survives (an
-    affine image rescales the growth class by constants).  The image lies
-    on the orthant when the source support is a cone, every row of A pairs
-    nonnegatively with every generator (lies in the closed dual cone) and
-    b >= 0; otherwise its hint is the full space."""
+    """Moments of the image under x -> A x + b, L((A x + b)**alpha): from
+    the sequence's multinomial table (``_direction_moments``) for one row
+    and b = 0, from ``image_moments`` for any other shape.  Degree is
+    preserved; the certificate survives (an affine image rescales the
+    growth class by constants).  The image lies on the orthant when the
+    source support is a cone, every row of A pairs nonnegatively with every
+    generator (lies in the closed dual cone) and b >= 0; otherwise its hint
+    is the full space."""
     N = seq.max_degree if out_degree is None else out_degree
     if N > seq.max_degree:
         raise DegreeInsufficient("requested output degree exceeds the truncation")
@@ -586,14 +650,17 @@ def affine_map(seq: MomentSequence, matrix: Sequence[Sequence], offset: Sequence
     d_out = len(rows)
     if len(b) != d_out or any(len(r) != seq.dimension for r in rows):
         raise DimensionMismatch("matrix/offset shapes are inconsistent")
-    # linear forms (A x + b)_i as multivariate polynomials in x
-    forms = []
-    for i in range(d_out):
-        form = {tuple(int(jj == j) for jj in range(seq.dimension)): c
-                for j, c in enumerate(rows[i])}
-        form[(0,) * seq.dimension] = b[i]
-        forms.append(form)
-    entries = image_moments(seq, forms, N)
+    if d_out == 1 and not b[0]:
+        entries = _direction_moments(seq, rows[0], N)
+    else:
+        # linear forms (A x + b)_i as multivariate polynomials in x
+        forms = []
+        for i in range(d_out):
+            form = {tuple(int(jj == j) for jj in range(seq.dimension)): c
+                    for j, c in enumerate(rows[i])}
+            form[(0,) * seq.dimension] = b[i]
+            forms.append(form)
+        entries = image_moments(seq, forms, N)
     on_orthant = (support_is_cone(seq.support) and all(c >= 0 for c in b)
                   and all(p >= 0 for row in rows
                           for p in _generator_pairings(seq.support, row)))

@@ -7,11 +7,15 @@ coefficients are allowed everywhere as mode-neutral multipliers.
 
 Multi-indices are plain tuples of non-negative ints.  The graded
 lexicographic order (degree first, then tuple comparison) is the canonical
-enumeration used for dense storage and for LP variable layouts.
+enumeration used for dense storage and for LP variable layouts.  Each slice
+|alpha| == total is enumerated once: ``compositions`` keeps one tuple per
+(total, parts), for the 256 most recently used pairs, so a long-lived
+process holds at most 256 slices.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import add
 from typing import Iterator, Mapping, Sequence
@@ -25,19 +29,18 @@ MultiIndex = tuple
 def multi_indices(dimension: int, max_degree: int) -> Iterator[MultiIndex]:
     """All alpha with |alpha| <= max_degree, in graded lexicographic order."""
     for total in range(max_degree + 1):
-        for alpha in compositions(total, dimension):
-            yield alpha
+        yield from compositions(total, dimension)
 
 
-def compositions(total: int, parts: int) -> Iterator[MultiIndex]:
+@lru_cache(maxsize=256)
+def compositions(total: int, parts: int) -> tuple:
     """All alpha with ``parts`` entries and |alpha| == total, in the order
-    ``multi_indices`` lists them."""
-    if parts == 1:
-        yield (total,)
-        return
+    ``multi_indices`` lists them; one shared tuple per (total, parts)."""
+    out = []
     for bars in combinations_with_replacement(range(total + 1), parts - 1):
         cuts = (0,) + bars + (total,)
-        yield tuple(cuts[i + 1] - cuts[i] for i in range(parts))
+        out.append(tuple(cuts[i + 1] - cuts[i] for i in range(parts)))
+    return tuple(out)
 
 
 def monomial(point: Sequence, alpha: Sequence[int]):

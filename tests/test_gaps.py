@@ -2,6 +2,7 @@ import json
 import math
 import random
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
@@ -409,6 +410,38 @@ def test_scan_never_determinate_without_basis():
     assert scan["aggregate"].status is not Status.DETERMINATE
     with pytest.raises(InvalidDirection):
         direction_scan(g2, [])
+
+
+GAUSS_ROW = ("determinate", {("carleman", "rigorous-sufficient"): 1,
+                              ("christoffel-decay", "heuristic"): 1,
+                              ("hankel-admissibility", "necessary-only"): 1,
+                              ("weyl-radius", "heuristic"): 1})
+PLATEAU_ROW = ("indeterminate", {("carleman", "necessary-only"): 1,
+                                 ("christoffel-plateau", "limit-rigorous-numeric"): 1,
+                                 ("hankel-admissibility", "necessary-only"): 1,
+                                 ("weyl-radius-plateau", "limit-rigorous-numeric"): 1})
+
+
+@pytest.mark.parametrize("defn, d, n, count, rows, aggregate", [
+    (GaussianProduct((1, 2, F(1, 2))), 3, 24, 6, [GAUSS_ROW] * 6, "determinate"),
+    (Product(((GaussianProduct((1,)), 1), (QLattice1D(2), 1))), 2, 32, 4,
+     [("inconclusive", {("carleman", "limit-rigorous-numeric"): 1,
+                        ("christoffel-decay", "heuristic"): 1,
+                        ("hankel-admissibility", "necessary-only"): 1,
+                        ("weyl-radius", "heuristic"): 1})] + [PLATEAU_ROW] * 3,
+     "indeterminate"),
+])
+def test_float_scan_statuses_and_evidence_classes(defn, d, n, count, rows, aggregate):
+    """The scans of the benchmark's 3D Gaussian and Gaussian x (q = 2
+    lattice) at float:128: each direction's status and multiset of
+    (criterion, sufficiency), the ones the term-by-term ``image_moments``
+    push-forwards give, so a summation order that moves a verdict shows."""
+    mode = FloatMode(128)
+    scan = direction_scan(generate_moments(defn, d, n, mode), direction_set(d, count, mode))
+    assert [(r["verdict"].status.value,
+             dict(Counter((e.criterion, e.sufficiency.value) for e in r["verdict"].evidence)))
+            for r in scan["rows"]] == rows
+    assert scan["aggregate"].status.value == aggregate
 
 
 @st.composite

@@ -36,6 +36,16 @@ def test_compositions_are_the_exact_degree_slice():
                                                 if sum(a) == k]
 
 
+def test_compositions_share_one_slice_and_keep_a_bounded_cache():
+    assert compositions(7, 3) is compositions(7, 3)
+    bound = compositions.cache_info().maxsize
+    assert bound == 256  # the bound the module docstring states
+    for total in range(bound + 50):
+        compositions(total, 1)
+    assert compositions.cache_info().currsize == bound
+    assert list(multi_indices(2, 2)) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
 def test_monomial():
     point = (F(2, 3), F(-1, 2), F(5))
     assert monomial(point, (0, 0, 0)) == 1
