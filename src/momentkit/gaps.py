@@ -18,10 +18,11 @@ One-dimensional Poisson gaps are exact (they are Weyl-disk diameters); the
 multivariate kappa values are grid LP estimates and say so.
 
 A grid LP is assembled in integers.  Its column at a grid point g holds
-g^alpha for each monomial alpha.  Each grid axis goes over the lcm of its
-coordinates' denominators, so every entry is an integer monomial of an
-integer point over its row's denominator; the LP takes the integers, each
-moment times its row's denominator, and builds no Fraction per entry.  Float
+g^alpha for each monomial alpha (``polynomials.power_slices``).  Each grid
+axis goes over the lcm of its coordinates' denominators, so every entry is
+an integer monomial of an integer point over its row's denominator; the LP
+takes the integers, each moment times its row's denominator, and builds no
+Fraction per entry.  Float
 scalars enter at their exact binary values, the row denominators are powers
 of two, and ``simplex.measure_bounds`` rounds each integer entry into the
 mode once, which rounds g^alpha itself.  The separating function is made
@@ -37,6 +38,10 @@ functional nu = (a.x + 1) L at one degree lower: a grid measure y with
 sum_g y_g (a.g + 1) g^alpha = nu(x^alpha) is, through y'_g = (a.g + 1) y_g,
 a grid measure with the moments of nu, and its mass sum_g y_g is sum_g y'_g
 / (a.g + 1).
+
+The translated-orthant bracket at a corner a is one polynomial in x,
+prod_j 2((x_j - a_j)^2 + 1), so the criterion applies L once, to the
+sequence itself, and builds no translated sequence.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Any, Mapping, Sequence
 
 from . import simplex
@@ -62,14 +67,13 @@ from .moments import (
     ConeSupport,
     MomentSequence,
     NonnegativeOrthant,
-    affine_map,
     apply_linear_functional,
     apply_polynomial_weight,
     dual_interior_contains,
     pushforward_direction,
     support_is_cone,
 )
-from .polynomials import monomial, mpoly_mul, multi_indices
+from .polynomials import mpoly_mul, multi_indices, power_slices
 from .scalars import (ComplexScalar, Mode, RationalMode, exact_fraction, from_context,
                       half_floor, integers, to_context, work_context)
 from .verdicts import Flavor, Status, Verdict
@@ -336,7 +340,7 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
     phi_vals = [evaluate_separating(target, g, mode) for g in grid]
     # the integer columns and each moment times its row's denominator: the
     # same constraints, each row scaled by a positive integer
-    columns, dens = _grid_columns(mode, grid, monomials)
+    columns, dens = _grid_columns(mode, grid, degree)
     moments = [seq.entries[alpha] * den for alpha, den in zip(monomials, dens)]
     try:
         sup_side, inf_side = simplex.measure_bounds(mode, columns, moments, phi_vals)
@@ -348,25 +352,27 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
     return GapEstimate(sup_side, inf_side, degree, {"size": len(grid), "points": points})
 
 
-def _grid_columns(mode: Mode, grid: Sequence, monomials: Sequence) -> tuple:
+def _grid_columns(mode: Mode, grid: Sequence, degree: int) -> tuple:
     """The LP columns of the grid in integers: (the column of each grid
-    point g, the denominator of each monomial's row), so that the alpha
-    entry of g's column over the alpha denominator is g^alpha, float scalars
-    at their exact binary values.
+    point g, the denominator of each monomial's row), over the monomials
+    |alpha| <= degree in ``multi_indices`` order, so that the alpha entry
+    of g's column over the alpha denominator is g^alpha, float scalars at
+    their exact binary values.
 
     Axis i goes over the lcm ``Q_i`` of its coordinates' denominators,
     which makes each point an integer point ``P_g``.  Then the alpha entry
     is the integer ``P_g^alpha`` and its row's denominator ``Q^alpha``, both
-    monomials taken on integers; in float mode ``Q^alpha`` is a power of
-    two.  In rational mode no entry becomes a Fraction; in float mode
+    from ``power_slices`` on integers; in float mode ``Q^alpha`` is a power
+    of two.  In rational mode no entry becomes a Fraction; in float mode
     ``measure_bounds`` rounds each integer entry into the mode once, which
     rounds g^alpha itself."""
     exact = (lambda v: v) if isinstance(mode, RationalMode) else exact_fraction
     axes = [integers(exact(c) for c in axis) for axis in zip(*grid)]
-    q = [den for _, den in axes]
-    return ([[monomial(p, alpha) for alpha in monomials]
-             for p in zip(*(nums for nums, _ in axes))],
-            [monomial(q, alpha) for alpha in monomials])
+
+    def monomials(point):
+        return list(chain.from_iterable(power_slices(point, degree)))
+    return ([monomials(p) for p in zip(*(nums for nums, _ in axes))],
+            monomials([den for _, den in axes]))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +500,8 @@ def orthant_criterion(seq: MomentSequence, a: Sequence) -> dict:
     needs h >= 1 on [0, inf) and h >= 0 on R, which this h meets by calculus
     (its minimum on the half line is h(0) = 1, its discriminant -3 < 0).
     The 2^d patterns sum to one product, prod_j (h(t) + h(-t)) = prod_j 2 (t^2
-    + 1) at t = x_j - a_j, so L is applied once, to it.
+    + 1) at t = x_j - a_j; it is expanded in x, each factor 2 x_j^2 - 4 a_j
+    x_j + 2 (a_j^2 + 1), so L is applied once, to the sequence itself.
     """
     mode = seq.mode
     d = seq.dimension
@@ -502,14 +509,12 @@ def orthant_criterion(seq: MomentSequence, a: Sequence) -> dict:
         raise DegreeInsufficient(f"needs degree {2 * d}, truncation is {seq.max_degree}")
     av = [mode.convert(c) for c in a]
     _check_dimension("corner", av, d)
-    # the moments of x - a, to which the product is applied
-    identity = [[int(i == j) for j in range(d)] for i in range(d)]
-    translated = affine_map(seq, identity, [-c for c in av], 2 * d)
-    two = 2 * mode.one()
     poly = {(0,) * d: mode.one()}
-    for j in range(d):
-        poly = mpoly_mul(poly, {(0,) * d: two, tuple(2 if i == j else 0 for i in range(d)): two})
-    total = apply_linear_functional(translated, poly)
+    for j, c in enumerate(av):
+        # a zero coefficient (c = 0) adds no term: mpoly_mul drops zero sums
+        poly = mpoly_mul(poly, {tuple(k if i == j else 0 for i in range(d)): v
+                                for k, v in enumerate((2 * (c * c + 1), -4 * c, 2 * mode.one()))})
+    total = apply_linear_functional(seq, poly)
     m0 = seq.entries[(0,) * d]
     return {"slack": total - m0, "corner": tuple(av)}
 
@@ -571,11 +576,13 @@ def direction_set(dimension: int, count: int, mode: Mode) -> list:
     """Deterministic unit directions.
 
     Rational mode uses tan-half-angle rational circle points (exactly unit
-    length); float mode uses uniform angles.  Dimensions above 2 lift
-    rational points of the (d-1)-cube through the inverse stereographic
-    map: round ``b`` visits seven points of the grid ``c / (4 + b)``, ``|c|
-    <= 3``, and the lift is injective, so there are as many distinct
-    directions as asked for (a prime ``4 + b`` gives seven new ones).
+    length); float mode uses uniform angles, their cosines and sines taken
+    at the mode's precision (``cospi``/``sinpi``, so the angle pi/2 gives
+    exactly (0, 1)).  Dimensions above 2 lift rational points of the
+    (d-1)-cube through the inverse stereographic map: round ``b`` visits
+    seven points of the grid ``c / (4 + b)``, ``|c| <= 3``, and the lift is
+    injective, so there are as many distinct directions as asked for (a
+    prime ``4 + b`` gives seven new ones); each is kept once, by hashing.
     """
     if count < 1:
         raise InvalidParameter("need at least one direction")
@@ -592,25 +599,24 @@ def direction_set(dimension: int, count: int, mode: Mode) -> list:
                 # cover the left half circle by alternating sign flips
             out = out[: count // 2] + [(-x, y) for (x, y) in out[count // 2:]]
         else:
+            ctx = mode.ctx
             for j in range(count):
-                th = math.pi * j / count
-                out.append((mode.convert(math.cos(th)), mode.convert(math.sin(th))))
+                turn = ctx.mpf(j) / count
+                out.append((ctx.cospi(turn), ctx.sinpi(turn)))
         return out
     # d >= 3: the inverse stereographic map lands on the unit sphere with
     # rational coords
-    out = []
+    found: dict = {}  # the directions in order of first appearance, as keys
     k = 0
-    while len(out) < count:
+    while len(found) < count:
         u = [Fraction((k * (i + 3) + 2 * i + 1) % 7 - 3, 4 + k // 7)
              for i in range(dimension - 1)]
         s = sum(c * c for c in u)
         den = s + 1
         point = tuple(2 * c / den for c in u) + ((s - 1) / den,)
-        vec = tuple(mode.convert(c) for c in point)
-        if vec not in out:
-            out.append(vec)
+        found.setdefault(tuple(mode.convert(c) for c in point))
         k += 1
-    return out
+    return list(found)
 
 
 def direction_scan(seq: MomentSequence, directions: Sequence) -> dict:

@@ -23,16 +23,19 @@ cases, so one rule gives every affine image's support hint: the orthant when
 the source lies on a cone, every row of A pairs nonnegatively with every
 generator and b >= 0.  The map's shape picks the computation: one row with
 b = 0 (every direction of a scan) reads the sequence's multinomial table,
-s_n = sum_{|alpha| = n} (n! / alpha!) xi**alpha m_alpha, built once for
-all directions; every other map goes through ``image_moments``.  Float
-moments must be finite, with binary exponents of at most MAX_EXPONENT_BITS
-bits.
+s_n = sum_{|alpha| = n} (n! / alpha!) xi**alpha m_alpha, built once, to
+the sequence's degree, for all directions; every other map goes through
+``image_moments``.  Every graded power here (an atom's x**alpha, a
+direction's p**alpha, an image's u**beta) is one product on the slice
+below, along the links of ``polynomials.lowerings``.  Float moments must be
+finite, with binary exponents of at most MAX_EXPONENT_BITS bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import factorial, prod
 from operator import mul
 from typing import Any, Mapping, Sequence
@@ -47,11 +50,12 @@ from .errors import (
 )
 from .polynomials import (
     compositions,
-    monomial,
+    lowerings,
     mpoly_degree,
     mpoly_mul,
     multi_indices,
     poly_trim,
+    power_slices,
 )
 from .scalars import FloatMode, Mode, RationalMode, integers
 
@@ -160,10 +164,9 @@ class MomentSequence:
 
     ``recurrences`` keeps the factorizations of
     ``hamburger.recurrence_from_moments``, one per order, and
-    ``integer_tables`` the moment tables over one denominator: those
-    ``image_moments`` reads, one per degree reached, and under
-    "multinomial" the one that push-forwards along directions read, to the
-    highest degree reached; neither is part of the value.
+    ``integer_tables`` under "multinomial" the moment table over one
+    denominator that push-forwards along directions read, built once;
+    neither is part of the value.
     """
 
     dimension: int
@@ -415,12 +418,10 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
             raise DimensionMismatch("atom dimension mismatch")
         if any(not w > 0 for w in wts):
             raise InvalidParameter("weights must be positive")
-        entries = {}
-        for alpha in multi_indices(dimension, max_degree):
-            total = mode.zero()
-            for p, w in zip(pts, wts):
-                total = total + w * monomial(p, alpha)
-            entries[alpha] = total
+        # column alpha: x**alpha at each atom, summed from zero in atom order
+        columns = zip(*(chain.from_iterable(power_slices(p, max_degree)) for p in pts))
+        entries = {alpha: sum(map(mul, wts, column), mode.zero())
+                   for alpha, column in zip(multi_indices(dimension, max_degree), columns)}
         on_orthant = all(all(c >= 0 for c in p) for p in pts)
         support = NonnegativeOrthant() if on_orthant else FullSpace()
         return MomentSequence(dimension, max_degree, mode, entries, support,
@@ -453,12 +454,11 @@ def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
 
     In rational mode each form is written with integer numerators over one
     denominator ``den_i``, and the moments it reaches (|alpha| <= need) as
-    integers over their lcm ``D``; that table is kept on the sequence
-    (``seq.integer_tables``), so later images of the same degree share it.
-    Push-forwards along one direction do not come here (``affine_map``
-    reads the multinomial table for them); the tests hold them against this
-    loop.  Each u**beta is built in integers as u**(beta - e_i) * u_i, i the
-    first axis with beta_i > 0, from the products of the previous degree,
+    integers over their lcm ``D``.  Push-forwards along one direction do
+    not come here (``affine_map`` reads the multinomial table for them);
+    the tests hold them against this loop.  Each u**beta is built in
+    integers as u**(beta - e_i) * u_i along the links of
+    ``polynomials.lowerings``, from the products of the previous degree,
     over ``den**beta``; only one degree's products are kept at a time.  Then
     ``L(u**beta)`` is one integer dot product over ``D * den**beta``,
     reduced once.  In float mode the forms and moments are their own values
@@ -479,79 +479,61 @@ def image_moments(seq: MomentSequence, forms: Sequence[Mapping[tuple, Any]],
     for u in forms:
         nums, den = integers(u.values())
         scaled.append((dict(zip(u, nums)), den))
-    if need not in seq.integer_tables:
-        reached = [a for a in seq.entries if sum(a) <= need]
-        nums, lcm = integers(seq.entries[a] for a in reached)
-        seq.integer_tables[need] = dict(zip(reached, nums)), lcm
-    moments, lcm = seq.integer_tables[need]
+    reached = list(multi_indices(seq.dimension, need))
+    nums, lcm = integers(seq.entries[a] for a in reached)
+    moments = dict(zip(reached, nums))
     exact = isinstance(mode, RationalMode)
     k = len(forms)
     # each product with the denominator of its L value, D * den**beta
-    level = {(0,) * k: ({(0,) * seq.dimension: 1}, lcm)}
+    level = [({(0,) * seq.dimension: 1}, lcm)]
     out = {(0,) * k: seq.entries[(0,) * seq.dimension]}
     for n in range(1, max_degree + 1):
-        products = {}
-        for beta in compositions(n, k):
-            i = next(j for j, e in enumerate(beta) if e)
-            prev, prev_den = level[beta[:i] + (beta[i] - 1,) + beta[i + 1:]]
+        products = []
+        for beta, j, i in zip(compositions(n, k), *lowerings(n, k)):
+            prev, prev_den = level[j]
             form, form_den = scaled[i]
             power, den = mpoly_mul(prev, form), prev_den * form_den
-            products[beta] = power, den
+            products.append((power, den))
             total = sum(c * moments[alpha] for alpha, c in power.items())
             out[beta] = Fraction(total, den) if exact else mode.convert(total)
         level = products
     return out
 
 
-def _multinomial_table(seq: MomentSequence, max_degree: int) -> tuple:
-    """(slices, D), the direction-independent table of ``_direction_moments``
-    to at least ``max_degree``, kept in ``seq.integer_tables`` under
-    "multinomial" and rebuilt only for a higher degree.  ``slices[n]``
-    holds, over the slice |alpha| = n in ``compositions`` order, the weights
-    W_alpha = (n! / alpha!) M_alpha, with M_alpha the moment numerators over
-    their lcm D (the values over 1 in float mode), and for each alpha the
-    index of alpha - e_i in the slice before and the axis i, i the first
-    with alpha_i > 0."""
+def _multinomial_table(seq: MomentSequence) -> tuple:
+    """(weights, D), the direction-independent table of
+    ``_direction_moments``, built once and kept in ``seq.integer_tables``
+    under "multinomial": ``weights[n]`` holds, over the slice |alpha| = n in
+    ``compositions`` order, W_alpha = (n! / alpha!) M_alpha, with M_alpha
+    the moment numerators over their lcm D (the values over 1 in float
+    mode)."""
     table = seq.integer_tables.get("multinomial")
-    if table is None or len(table[0]) <= max_degree:
-        reached = list(multi_indices(seq.dimension, max_degree))
-        nums, lcm = integers(seq.entries[a] for a in reached)
-        numerators = dict(zip(reached, nums))
-        slices = [([nums[0]], [], [])]
-        for n in range(1, max_degree + 1):
-            index = {alpha: j for j, alpha in enumerate(compositions(n - 1, seq.dimension))}
-            weights, prev, axes = [], [], []
-            for alpha in compositions(n, seq.dimension):
-                i = alpha.index(next(filter(None, alpha)))
-                lower = list(alpha)
-                lower[i] -= 1
-                prev.append(index[tuple(lower)])
-                axes.append(i)
-                weights.append(factorial(n) // prod(map(factorial, alpha)) * numerators[alpha])
-            slices.append((weights, prev, axes))
-        table = seq.integer_tables["multinomial"] = slices, lcm
+    if table is None:
+        nums, lcm = integers(seq.entries[a]
+                             for a in multi_indices(seq.dimension, seq.max_degree))
+        nums = iter(nums)
+        weights = [[factorial(n) // prod(map(factorial, alpha)) * next(nums)
+                    for alpha in compositions(n, seq.dimension)]
+                   for n in range(seq.max_degree + 1)]
+        table = seq.integer_tables["multinomial"] = weights, lcm
     return table
 
 
-def _direction_moments(seq: MomentSequence, xi: Sequence, max_degree: int) -> dict:
-    """s_n = L((xi . x)**n) for n <= max_degree, keyed by (n,), from the
+def _direction_moments(seq: MomentSequence, xi: Sequence) -> dict:
+    """s_n = L((xi . x)**n) for n <= seq.max_degree, keyed by (n,), from the
     sequence's multinomial table: with xi = p / q in integers, s_n is
-    sum_{|alpha| = n} W_alpha p**alpha over D q**n.  Each p**alpha is
-    p**(alpha - e_i) p_i, one small-integer product on the previous
-    degree's powers; then one dot product and one Fraction per degree.  In
-    float mode xi and the table are their values over 1, and the same loop
-    runs without a division."""
-    slices, lcm = _multinomial_table(seq, max_degree)
+    sum_{|alpha| = n} W_alpha p**alpha over D q**n, the powers p**alpha
+    from ``power_slices``, small-integer products; then one dot product and
+    one Fraction per degree.  In float mode xi and the table are their
+    values over 1, and the same loop runs without a division."""
+    weights, den = _multinomial_table(seq)
     p, q = integers(xi)
     exact = isinstance(seq.mode, RationalMode)
-    powers, den, out = [1], lcm, {}
-    for n in range(max_degree + 1):
-        weights, prev, axes = slices[n]
-        if n:
-            powers = list(map(mul, map(powers.__getitem__, prev), map(p.__getitem__, axes)))
-            den *= q
-        total = sum(map(mul, weights, powers))
+    out = {}
+    for n, (w, powers) in enumerate(zip(weights, power_slices(p, seq.max_degree))):
+        total = sum(map(mul, w, powers))
         out[(n,)] = Fraction(total, den) if exact else seq.mode.convert(total)
+        den *= q
     return out
 
 
@@ -631,8 +613,8 @@ def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any]) -> Mome
                           meta={"carleman_growth_certified": seq.is_certified_carleman()})
 
 
-def affine_map(seq: MomentSequence, matrix: Sequence[Sequence], offset: Sequence,
-               out_degree: int | None = None) -> MomentSequence:
+def affine_map(seq: MomentSequence, matrix: Sequence[Sequence],
+               offset: Sequence) -> MomentSequence:
     """Moments of the image under x -> A x + b, L((A x + b)**alpha): from
     the sequence's multinomial table (``_direction_moments``) for one row
     and b = 0, from ``image_moments`` for any other shape.  Degree is
@@ -641,9 +623,6 @@ def affine_map(seq: MomentSequence, matrix: Sequence[Sequence], offset: Sequence
     source support is a cone, every row of A pairs nonnegatively with every
     generator (lies in the closed dual cone) and b >= 0; otherwise its hint
     is the full space."""
-    N = seq.max_degree if out_degree is None else out_degree
-    if N > seq.max_degree:
-        raise DegreeInsufficient("requested output degree exceeds the truncation")
     mode = seq.mode
     rows = [[mode.convert(c) for c in row] for row in matrix]
     b = [mode.convert(c) for c in offset]
@@ -651,19 +630,17 @@ def affine_map(seq: MomentSequence, matrix: Sequence[Sequence], offset: Sequence
     if len(b) != d_out or any(len(r) != seq.dimension for r in rows):
         raise DimensionMismatch("matrix/offset shapes are inconsistent")
     if d_out == 1 and not b[0]:
-        entries = _direction_moments(seq, rows[0], N)
+        entries = _direction_moments(seq, rows[0])
     else:
-        # linear forms (A x + b)_i as multivariate polynomials in x
-        forms = []
-        for i in range(d_out):
-            form = {tuple(int(jj == j) for jj in range(seq.dimension)): c
-                    for j, c in enumerate(rows[i])}
-            form[(0,) * seq.dimension] = b[i]
-            forms.append(form)
-        entries = image_moments(seq, forms, N)
+        # linear forms (A x + b)_i as multivariate polynomials in x: the
+        # unit monomials, then the constant
+        keys = [tuple(int(i == j) for i in range(seq.dimension))
+                for j in range(seq.dimension)] + [(0,) * seq.dimension]
+        forms = [dict(zip(keys, row + [c])) for row, c in zip(rows, b)]
+        entries = image_moments(seq, forms, seq.max_degree)
     on_orthant = (support_is_cone(seq.support) and all(c >= 0 for c in b)
                   and all(p >= 0 for row in rows
                           for p in _generator_pairings(seq.support, row)))
     support = NonnegativeOrthant() if on_orthant else FullSpace()
-    return MomentSequence(d_out, N, seq.mode, entries, support,
+    return MomentSequence(d_out, seq.max_degree, seq.mode, entries, support,
                           meta={"carleman_growth_certified": seq.is_certified_carleman()})

@@ -9,15 +9,18 @@ Multi-indices are plain tuples of non-negative ints.  The graded
 lexicographic order (degree first, then tuple comparison) is the canonical
 enumeration used for dense storage and for LP variable layouts.  Each slice
 |alpha| == total is enumerated once: ``compositions`` keeps one tuple per
-(total, parts), for the 256 most recently used pairs, so a long-lived
-process holds at most 256 slices.
+(total, parts), and ``lowerings`` each slice's links to the slice below,
+for the 256 most recently used pairs each, so a long-lived process holds
+at most 256 of either.  Every graded power x**alpha (atomic moments, grid
+columns, push-forward powers, image products) is built along those links,
+by ``power_slices`` or by the same links on polynomials.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 # ---------------------------------------------------------------------------
@@ -43,16 +46,31 @@ def compositions(total: int, parts: int) -> tuple:
     return tuple(out)
 
 
-def monomial(point: Sequence, alpha: Sequence[int]):
-    """point**alpha = prod x_i**alpha_i, the one monomial evaluator; plain
-    repeated multiplication, so exact in rational mode.  Grid-LP rows
-    evaluate it on integer points (the grid over its per-axis denominators,
-    ``gaps._grid_columns``), so their entries take no Fraction product."""
-    out = 1
-    for x, e in zip(point, alpha):
-        for _ in range(e):
-            out = out * x
-    return out
+@lru_cache(maxsize=256)
+def lowerings(total: int, parts: int) -> tuple:
+    """(positions, axes) for the slice ``compositions(total, parts)``, total
+    >= 1: alpha's link alpha - e_i, with i = ``axes[j]`` the first axis
+    with alpha_i > 0, sits at ``positions[j]`` in the slice below."""
+    below = {alpha: j for j, alpha in enumerate(compositions(total - 1, parts))}
+    links = []
+    for alpha in compositions(total, parts):
+        i = alpha.index(next(filter(None, alpha)))
+        links.append((below[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]], i))
+    return tuple(zip(*links))
+
+
+def power_slices(point: Sequence, max_degree: int) -> list:
+    """The one monomial evaluator: ``slices[n][j]`` is point**alpha for the
+    j-th alpha of ``compositions(n, len(point))``, n <= max_degree, each
+    entry one product x**(alpha - e_i) * x_i on the slice below (see
+    ``lowerings``), so exact in rational mode.  Chained, the slices list
+    the monomials in ``multi_indices`` order."""
+    slices = [[1]]
+    for n in range(1, max_degree + 1):
+        positions, axes = lowerings(n, len(point))
+        slices.append(list(map(mul, map(slices[-1].__getitem__, positions),
+                               map(point.__getitem__, axes))))
+    return slices
 
 
 # ---------------------------------------------------------------------------

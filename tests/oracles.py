@@ -104,6 +104,11 @@ every factor, zeros included; ``moments.generate_moments`` starts at the
 first factor and stops at a zero, and the entries must be equal with the
 same types, float mode bit-identical.
 
+``monomial`` is x**alpha by plain repeated multiplication, from 1, axis
+by axis.  The library builds every graded power as one product on the
+slice below, along the links of ``polynomials.lowerings``
+(``polynomials.power_slices``); rational values must be equal.
+
 ``mpoly_pow`` expands a polynomial power by repeated squaring, so
 ``apply_linear_functional(seq, mpoly_pow(form, k, d))`` is the direct
 reference for push-forward moments.  ``image_moments_fractions`` builds
@@ -115,10 +120,11 @@ be equal, and float mode bit-identical.
 
 ``orthant_slack_patterns`` is the translated-orthant slack summed one
 sign pattern at a time: for each of the 2^d patterns I it builds H_I(x -
-a) = prod_j h(+-(x_j - a_j)) and applies L to it.  The library applies L
-once, to the product prod_j (h(t) + h(-t)) that the patterns sum to
-(``gaps.orthant_criterion``); rational values must be equal, float values
-agree to rounding.
+a) = prod_j h(+-(x_j - a_j)) and applies the functional of the translated
+sequence (``affine_map`` by x -> x - a) to it.  The library applies L once,
+to the product prod_j (h(t) + h(-t)) that the patterns sum to, expanded in
+x (``gaps.orthant_criterion``); rational values must be equal, float
+values agree to rounding.
 
 ``contains_basis_elimination`` decides whether vectors span the space by
 Gaussian elimination with a column search and row swaps: in each column
@@ -151,14 +157,24 @@ from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEv
                                  recurrence_from_moments)
 from momentkit.moments import (FullSpace, MomentSequence, NonnegativeOrthant, affine_map,
                                apply_linear_functional)
-from momentkit.polynomials import (compositions, monomial, mpoly_degree, mpoly_mul,
-                                   multi_indices, poly_add, poly_mul, poly_pow)
+from momentkit.polynomials import (compositions, mpoly_degree, mpoly_mul, multi_indices,
+                                   poly_add, poly_mul, poly_pow)
 from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
                                half_floor)
 
 
 # ---------------------------------------------------------------------------
 # polynomial powers
+
+
+def monomial(point, alpha):
+    """point**alpha = prod x_i**alpha_i by plain repeated multiplication,
+    from 1, axis by axis."""
+    out = 1
+    for x, e in zip(point, alpha):
+        for _ in range(e):
+            out = out * x
+    return out
 
 
 def mpoly_pow(p: dict, n: int, dimension: int) -> dict:
@@ -247,7 +263,7 @@ def orthant_slack_patterns(seq: MomentSequence, a):
     h = (mode.one(),) * 3
     h_flip = tuple(c if k % 2 == 0 else -c for k, c in enumerate(h))
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
-    translated = affine_map(seq, identity, [-mode.convert(c) for c in a], (len(h) - 1) * d)
+    translated = affine_map(seq, identity, [-mode.convert(c) for c in a])
     total = mode.zero()
     for pattern in range(1 << d):
         poly = {(0,) * d: mode.one()}
@@ -734,12 +750,14 @@ def _circumcenter(mode: Mode, w0: ComplexScalar, w1: ComplexScalar,
 # grid-LP columns
 
 
-def grid_columns_entrywise(mode: Mode, grid, monomials, weight=None) -> tuple:
+def grid_columns_entrywise(mode: Mode, grid, degree: int, weight=None) -> tuple:
     """``gaps._grid_columns`` entry by entry in the mode's scalars: each
-    entry ``w(g) * monomial(g, alpha)``, with w the polynomial ``weight``
-    (default 1) evaluated at g, a chain of reduced Fraction products in
-    rational mode and of rounded mpf products in float mode.  Returned in
-    the library's shape, (columns, row denominators), every denominator 1."""
+    entry ``w(g) * monomial(g, alpha)`` for |alpha| <= degree, with w the
+    polynomial ``weight`` (default 1) evaluated at g, a chain of reduced
+    Fraction products in rational mode and of rounded mpf products in float
+    mode.  Returned in the library's shape, (columns, row denominators),
+    every denominator 1."""
+    monomials = list(multi_indices(len(grid[0]), degree))
     columns = []
     for g in grid:
         w = mode.one()

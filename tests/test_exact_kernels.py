@@ -732,11 +732,12 @@ def grid_lp_inputs(draw, dyadic=False):
     coord = st.builds(F, st.integers(-12, 12),
                       st.sampled_from((1, 2, 4, 8, 16) if dyadic else range(1, 17)))
     grid = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=10))
-    monomials = list(multi_indices(d, draw(st.integers(0, 6))))
+    degree = draw(st.integers(0, 6))
+    monomials = list(multi_indices(d, degree))
     small = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2), F(1, 3)])
     if draw(st.booleans()):
         y = draw(st.lists(small, min_size=len(grid), max_size=len(grid)))
-        columns = grid_columns_entrywise(R, grid, monomials)[0]
+        columns = grid_columns_entrywise(R, grid, degree)[0]
         moments = [sum(abs(yg) * col[i] for yg, col in zip(y, columns))
                    for i in range(len(monomials))]
     else:
@@ -764,12 +765,13 @@ def grid_lp_outcomes(mode, grid, monomials, moments, objective):
     an int, never a Fraction."""
     grid = [tuple(mode.convert(c) for c in g) for g in grid]
     args = (mode, grid, monomials, moments, objective)
-    columns, dens = gaps._grid_columns(mode, grid, monomials)
+    degree = max(map(sum, monomials))
+    columns, dens = gaps._grid_columns(mode, grid, degree)
     assert all(type(v) is int for col in columns for v in col)
     got = ([[F(v, den) for v, den in zip(col, dens)] for col in columns],
            outcome(grid_lp_bounds, *args))
     with mock.patch.object(gaps, "_grid_columns", grid_columns_entrywise):
-        want = (grid_columns_entrywise(mode, grid, monomials)[0],
+        want = (grid_columns_entrywise(mode, grid, degree)[0],
                 outcome(grid_lp_bounds, *args))
     return got, want
 
@@ -807,7 +809,7 @@ def test_wide_float_grid_entries_round_once():
     big = 2 ** 40 + 1
     grid = [(fm.convert(c),) for c in (0, 1, F(-3, 4), big, F(-big, 2), 3)]
     monomials = list(multi_indices(1, 4))
-    columns, dens = gaps._grid_columns(fm, grid, monomials)
+    columns, dens = gaps._grid_columns(fm, grid, 4)
     rounded = [[fm.convert(F(v, den)) for v, den in zip(col, dens)] for col in columns]
     assert any(exact_fraction(r) != F(v, den) for col, row in zip(columns, rounded)
                for v, den, r in zip(col, dens, row))

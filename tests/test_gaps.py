@@ -293,7 +293,7 @@ def weighted_column_hyperplane(seq, a, degree) -> tuple:
     monomials = list(multi_indices(d, max(degree - 1, 0)))
     weighted = apply_polynomial_weight(seq, form)
     grid = default_grid(seq.support, d, R)
-    columns = grid_columns_entrywise(R, grid, monomials, form)[0]
+    columns = grid_columns_entrywise(R, grid, max(degree - 1, 0), form)[0]
     low, high = simplex.measure_bounds(R, columns, [weighted.entries[m] for m in monomials],
                                        [F(1)] * len(grid))
     m0 = seq.entries[(0,) * d]
@@ -511,7 +511,32 @@ def test_direction_set_has_no_period_in_higher_dimensions():
     assert len(set(dirs)) == 12
     assert all(sum(c * c for c in d) == 1 for d in dirs)
     assert direction_set(3, 7, R)[:6] == direction_set(3, 6, R)
-    assert direction_set(3, 6, R)[0] == (F(-4, 5), 0, F(-3, 5))
+    assert direction_set(3, 7, R) == [
+        (F(-4, 5), 0, F(-3, 5)), (F(4, 13), F(-12, 13), F(-3, 13)),
+        (F(-12, 13), F(4, 13), F(-3, 13)), (0, F(-4, 5), F(-3, 5)),
+        (F(24, 29), F(16, 29), F(-3, 29)), (F(-4, 9), F(-4, 9), F(-7, 9)),
+        (F(16, 29), F(24, 29), F(-3, 29))]
+
+
+def test_direction_set_is_linear_in_the_count():
+    """2000 distinct directions in 3D come back quickly (each candidate is
+    checked against the directions kept by hashing, not by a list scan)."""
+    with deadline(10):
+        dirs = direction_set(3, 2000, R)
+    assert len(set(dirs)) == 2000
+    assert dirs[:7] == direction_set(3, 7, R)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_float_2d_directions_at_the_mode_precision(bits):
+    """The float angles j pi / count are taken at the mode's precision: the
+    vertical direction is exactly (0, 1) and the diagonal's entries are
+    cos(pi/4) to the last bit of the mode."""
+    mode = FloatMode(bits)
+    dirs = direction_set(2, 4, mode)
+    assert dirs[0] == (1, 0) and dirs[2] == (0, 1)
+    half = mode.ctx.sqrt(mode.convert(F(1, 2)))
+    assert dirs[1] == (half, half) and dirs[3] == (-half, half)
 
 
 def test_analyze_4d_runs_its_eight_direction_scan(tmp_path):

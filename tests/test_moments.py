@@ -187,15 +187,11 @@ def test_pushforward_diagonal_example():
 
 def test_direction_pushforwards_share_one_integer_table():
     g3 = gauss(8, 3)
-    # a low-degree image builds the table only that far
-    low = affine_map(g3, [(1, 1, 0)], [0], 2)
-    assert len(g3.integer_tables["multinomial"][0]) == 3
     directions = [(1, 0, 0), (1, 1, 0), (F(1, 3), F(-2, 7), 1)]
     shared = [pushforward_direction(g3, xi) for xi in directions]
     assert list(g3.integer_tables) == ["multinomial"]
     table = g3.integer_tables["multinomial"]
     assert len(table[0]) == 9
-    assert low.moments_1d() == shared[1].moments_1d()[:3]
     # a fourth direction reads the same table and builds none
     pushforward_direction(g3, (0, -2, F(5, 3)))
     assert list(g3.integer_tables) == ["multinomial"]

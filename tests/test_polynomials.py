@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from momentkit.polynomials import (
     compositions,
-    monomial,
+    lowerings,
     mpoly_compose_univariates,
     mpoly_mul,
     multi_indices,
@@ -17,8 +17,9 @@ from momentkit.polynomials import (
     poly_mul,
     poly_pow,
     poly_trim,
+    power_slices,
 )
-from oracles import compose_univariates_termwise, mpoly_pow
+from oracles import compose_univariates_termwise, monomial, mpoly_pow
 
 
 def test_multi_indices_grlex_is_strict_total_order():
@@ -46,11 +47,36 @@ def test_compositions_share_one_slice_and_keep_a_bounded_cache():
     assert list(multi_indices(2, 2)) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
-def test_monomial():
+def test_power_slices():
     point = (F(2, 3), F(-1, 2), F(5))
-    assert monomial(point, (0, 0, 0)) == 1
-    assert monomial(point, (2, 1, 0)) == F(4, 9) * F(-1, 2)
-    assert monomial(point, (1, 0, 3)) == F(2, 3) * 125
+    slices = power_slices(point, 4)
+    assert [len(s) for s in slices] == [len(compositions(n, 3)) for n in range(5)]
+    powers = dict(zip(multi_indices(3, 4), (v for s in slices for v in s)))
+    assert powers[(0, 0, 0)] == 1
+    assert powers[(2, 1, 0)] == F(4, 9) * F(-1, 2)
+    assert powers[(1, 0, 3)] == F(2, 3) * 125
+    # each link is alpha - e_i, i the first axis with alpha_i > 0
+    positions, axes = lowerings(3, 3)
+    for alpha, j, i in zip(compositions(3, 3), positions, axes):
+        assert alpha[:i] == (0,) * i and alpha[i] > 0
+        assert compositions(2, 3)[j] == alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+
+
+power_entry = st.one_of(st.just(F(0)), st.integers(-7, 7),
+                        st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.tuples(*[power_entry] * d),
+                                                     st.integers(0, 8))))
+def test_power_slices_match_repeated_multiplication(inputs):
+    """Points in d = 1..4 with zero, negative and non-integer entries, to
+    degree 8: every x**alpha equals the plain product, slice by slice."""
+    point, degree = inputs
+    slices = power_slices(point, degree)
+    assert len(slices) == degree + 1
+    for n, values in enumerate(slices):
+        assert values == [monomial(point, alpha) for alpha in compositions(n, len(point))]
 
 
 def test_poly_mul_eval_consistency():
