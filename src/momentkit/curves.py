@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -62,13 +61,12 @@ from .polynomials import (
     poly_pow,
     poly_trim,
 )
-from .scalars import ComplexScalar, Mode, RationalMode, complex_scalar
+from .scalars import ComplexScalar, Mode, RationalMode, Record, complex_scalar
 from .serialization import json_list, json_object, rationals, read_field
 from .verdicts import Evidence, Flavor, Leaning, Status, Sufficiency, Verdict
 
 
-@dataclass(frozen=True)
-class PolynomialCurve:
+class PolynomialCurve(Record):
     """Polynomial parametrization with optional implicit equations.
 
     ``components``: tuple of univariate coefficient tuples (None for
@@ -85,32 +83,30 @@ class PolynomialCurve:
     the weight.
     """
 
-    name: str
-    dimension: int
-    components: tuple | None
-    implicit_equations: tuple = ()
-    weight: tuple = (1,)
-    pairing: tuple | None = None
+    _fields = ("name", "dimension", "components", "implicit_equations", "weight", "pairing")
 
-    def __post_init__(self):
-        if self.components is not None:
-            comps = tuple(poly_trim(c) for c in self.components)
-            object.__setattr__(self, "components", comps)
-            if len(comps) != self.dimension:
+    def __init__(self, name: str, dimension: int, components: tuple | None,
+                 implicit_equations: tuple = (), weight: tuple = (1,),
+                 pairing: tuple | None = None):
+        if components is not None:
+            components = tuple(poly_trim(c) for c in components)
+            if len(components) != dimension:
                 raise InvalidParameter("one component per ambient coordinate")
-            if all(poly_degree(c) < 1 for c in comps):
+            if all(poly_degree(c) < 1 for c in components):
                 raise InvalidParameter("parametrization must be non-constant")
-            for eq in self.implicit_equations:
-                composed = mpoly_compose_univariates(eq, comps)
+            for eq in implicit_equations:
+                composed = mpoly_compose_univariates(eq, components)
                 if poly_trim(composed):
                     raise InvalidParameter(
-                        f"implicit equation does not vanish on the curve {self.name}"
+                        f"implicit equation does not vanish on the curve {name}"
                     )
-            self._verify_ramification()
-        w = poly_trim(self.weight)
+        w = poly_trim(weight)
         if not w:
             raise InvalidParameter("weight must be non-zero")
-        object.__setattr__(self, "weight", w)
+        vars(self).update(name=name, dimension=dimension, components=components,
+                          implicit_equations=implicit_equations, weight=w, pairing=pairing)
+        if components is not None:
+            self._verify_ramification()
 
     def _verify_ramification(self):
         w = tuple(Fraction(c) for c in poly_trim(self.weight))

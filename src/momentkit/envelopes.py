@@ -17,9 +17,8 @@ gap that blows up simply means the envelope family is too weak to decide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import (
     DegreeInsufficient,
@@ -36,8 +35,7 @@ ZERO_RATIO = 0.1
 PLATEAU_RATIO = 0.9
 
 
-@dataclass(frozen=True)
-class PolynomialEnvelope:
+class PolynomialEnvelope(NamedTuple):
     """A certified bracket  lower(t) <= phi(t) <= upper(t)  on the domain
     of its builder: all of R for ``cosine_envelope``, [0, inf) for
     ``maclaurin_envelope`` and ``geometric_envelope``.
@@ -104,8 +102,7 @@ def _bracket(coeffs: list, gap) -> PolynomialEnvelope:
     return PolynomialEnvelope(lower, upper, top_deg, gap)
 
 
-@dataclass(frozen=True)
-class CompletelyMonotonic:
+class CompletelyMonotonic(NamedTuple):
     """A completely monotonic target given by its derivative stream at 0.
 
     ``derivatives(k)`` returns phi^(k)(0) as an exact value (int or
@@ -144,8 +141,7 @@ def maclaurin_envelope(phi: CompletelyMonotonic, seq_1d: MomentSequence,
     return _bracket(coeffs, coeffs[top_deg] * seq_1d.moment((top_deg,)))
 
 
-@dataclass(frozen=True)
-class CmGapResult:
+class CmGapResult(NamedTuple):
     values: tuple            # v_n = |phi^(2n)(0)|/(2n)! * L(omega^{2n})
     infimum: Any
     trend: str               # "zero-trend" | "positive-plateau" | "indecisive"

@@ -47,10 +47,9 @@ sequence itself, and builds no translated sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, product
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from . import simplex
 from .errors import (
@@ -85,30 +84,26 @@ RATIONAL_PHI_BITS = 128
 # separating-function specifications
 
 
-@dataclass(frozen=True)
-class Cosine:
+class Cosine(NamedTuple):
     """cos(x . xi)."""
 
     xi: tuple
 
 
-@dataclass(frozen=True)
-class Fantappie:
+class Fantappie(NamedTuple):
     """1/(a . x + 1) on a cone with a strictly interior to the dual cone."""
 
     a: tuple
 
 
-@dataclass(frozen=True)
-class PoissonKernel:
+class PoissonKernel(NamedTuple):
     """Unit-mass Poisson kernel translate at (x0, t0), t0 > 0."""
 
     x0: tuple
     t0: Any
 
 
-@dataclass(frozen=True)
-class Sampled:
+class Sampled(NamedTuple):
     """Explicit values on explicit points (the fully general escape hatch)."""
 
     points: tuple
@@ -285,8 +280,7 @@ def _grid_1d(support, mode: Mode):
 # the two-sided grid LP
 
 
-@dataclass(frozen=True)
-class GapEstimate:
+class GapEstimate(NamedTuple):
     """Two-sided estimate of the separating gap of phi at a fixed degree.
 
     ``sup_side`` is the best L(p) over grid-feasible p <= phi, ``inf_side``
@@ -643,7 +637,7 @@ def direction_scan(seq: MomentSequence, directions: Sequence) -> dict:
     has_basis = _contains_basis(seq.mode, det_dirs, seq.dimension)
     any_indet = any(r["verdict"].status is Status.INDETERMINATE for r in rows)
     evidence = tuple(
-        replace(e, criterion=f"direction{tuple(seq.mode.to_float(c) for c in r['direction'])}"
+        e._replace(criterion=f"direction{tuple(seq.mode.to_float(c) for c in r['direction'])}"
                              f":{e.criterion}")
         for r in rows for e in r["verdict"].evidence)
     status = (Status.INDETERMINATE if any_indet

@@ -115,12 +115,11 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, inf, lcm, log2
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import (
     DegreeInsufficient,
@@ -134,8 +133,9 @@ from .errors import (
 )
 from .moments import MomentSequence, NonnegativeOrthant
 from .scalars import (NEAREST, RATIONAL_APPROX_BITS, RAW_ZERO, ComplexScalar, FloatMode, Mode,
-                      RationalMode, complex_scalar, fixed_context, from_context, half_floor,
-                      integers, ratio_to_float, raw_add, raw_mul, raw_sub, to_context)
+                      RationalMode, Record, complex_scalar, fixed_context, from_context,
+                      half_floor, integers, ratio_to_float, raw_add, raw_mul, raw_sub,
+                      to_context)
 from .verdicts import Evidence, Flavor, Leaning, Sufficiency, Verdict, synthesize
 
 #: float-mode pivots within 2**(-prec + guard) of zero are undecidable
@@ -160,8 +160,7 @@ STIELTJES_POINT = -1
 # recurrence (moments -> monic three-term coefficients)
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(Record):
     """Monic recurrence data to a given order.
 
     ``alpha[k]`` for k < order, ``beta[k]`` for k <= order (``beta[0] = m_0``,
@@ -182,13 +181,12 @@ class Recurrence:
     these is part of the value.
     """
 
-    mode: Mode
-    alpha: tuple
-    beta: tuple
-    pivot_log: tuple = ()
-    _pivots: tuple = field(default=(), repr=False, compare=False)
-    evals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _convergents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("mode", "alpha", "beta", "pivot_log")
+
+    def __init__(self, mode: Mode, alpha: tuple, beta: tuple, pivot_log: tuple = (),
+                 _pivots: tuple = ()):
+        vars(self).update(mode=mode, alpha=alpha, beta=beta, pivot_log=pivot_log,
+                          _pivots=_pivots, evals={}, _convergents={})
 
     @property
     def order(self) -> int:
@@ -594,8 +592,7 @@ def _float_level(level: tuple) -> ComplexScalar:
     return ComplexScalar(level[0], level[1])
 
 
-@dataclass(frozen=True)
-class OrthoEval:
+class OrthoEval(Record):
     """Values of the monic first kind pi_k(z) and second kind Q_k(z) for k
     up to the recurrence order, together with the norms; orthonormal values
     are the monic ones over sqrt(norm_sq), so |p_k(z)|^2 stays exactly
@@ -608,10 +605,12 @@ class OrthoEval:
     property): no verdict reads it, only the Weyl center and the oracles
     do."""
 
-    z: ComplexScalar
-    first: Sequence       # pi_0(z) .. pi_order(z)
-    norm_sq: Sequence     # ||pi_0||^2 .. ||pi_order||^2
-    _build_second: Callable = field(repr=False, compare=False)
+    _fields = ("z", "first", "norm_sq")
+
+    def __init__(self, z: ComplexScalar, first: Sequence, norm_sq: Sequence,
+                 _build_second: Callable):
+        # first: pi_0(z) .. pi_order(z); norm_sq: ||pi_0||^2 .. ||pi_order||^2
+        vars(self).update(z=z, first=first, norm_sq=norm_sq, _build_second=_build_second)
 
     @cached_property
     def second(self) -> Sequence:
@@ -770,8 +769,7 @@ def christoffel(rec: Recurrence, z: ComplexScalar, n: int):
 # Weyl disks
 
 
-@dataclass(frozen=True)
-class WeylDisk:
+class WeylDisk(NamedTuple):
     """Closed disk of truncated Cauchy-transform values at a non-real point.
 
     ``radius_sq`` is the exact in-mode square of the radius; the radius
@@ -845,8 +843,7 @@ def _casoratian_im(ev: OrthoEval, n: int):
 # Carleman sums
 
 
-@dataclass(frozen=True)
-class CarlemanResult:
+class CarlemanResult(NamedTuple):
     partial_sum: Any
     diverging: bool            # heuristic slope test; see ``carleman``
 
@@ -862,8 +859,13 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int) -> CarlemanResul
     The roots are irrational, so the terms are evaluated in the shared
     256-bit binary-float context (``RATIONAL_APPROX_BITS``) in both modes:
     a slope heuristic and a sum of positive terms need no more, whatever
-    the working precision.
+    the working precision.  The result is kept on the sequence
+    (``seq.carlemans``), so a verdict and an ``analyze`` entry on one
+    sequence share one sum.
     """
+    kept = seq.carlemans.get((flavor, horizon))
+    if kept is not None:
+        return kept
     K = horizon
     if K < 1:
         raise InvalidParameter("Carleman horizon must be at least 1")
@@ -884,15 +886,15 @@ def carleman(seq: MomentSequence, flavor: Flavor, horizon: int) -> CarlemanResul
     tail = terms[tail_start:]
     c = ctx.mpf(CARLEMAN_SLOPE)
     diverging = all(t * (tail_start + 1 + i) >= c for i, t in enumerate(tail))
-    return CarlemanResult(from_context(seq.mode, total), diverging)
+    res = seq.carlemans[flavor, horizon] = CarlemanResult(from_context(seq.mode, total), diverging)
+    return res
 
 
 # ---------------------------------------------------------------------------
 # Stieltjes continued-fraction convergents
 
 
-@dataclass(frozen=True)
-class ConvergentPair:
+class ConvergentPair(NamedTuple):
     """Even/odd convergents of the Stieltjes transform integral of
     1/(x - z) dmu(x) at a negative real z, and the bracketing interval."""
 

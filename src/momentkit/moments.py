@@ -33,12 +33,11 @@ finite, with binary exponents of at most MAX_EXPONENT_BITS bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import factorial, prod
 from operator import mul
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegreeInsufficient,
@@ -57,32 +56,30 @@ from .polynomials import (
     poly_trim,
     power_slices,
 )
-from .scalars import FloatMode, Mode, RationalMode, integers
+from .scalars import FloatMode, Mode, RationalMode, Record, integers
 
 # ---------------------------------------------------------------------------
 # support hints
 
 
-@dataclass(frozen=True)
-class FullSpace:
+class FullSpace(Record):
+    __slots__ = ()
     kind = "full_space"
 
 
-@dataclass(frozen=True)
-class NonnegativeOrthant:
+class NonnegativeOrthant(Record):
+    __slots__ = ()
     kind = "nonnegative_orthant"
 
 
-@dataclass(frozen=True)
-class ConeSupport:
+class ConeSupport(NamedTuple):
     """Finitely generated cone; ``generators`` are the extreme rays (rows)."""
 
     generators: tuple
     kind = "cone"
 
 
-@dataclass(frozen=True)
-class CurveSupport:
+class CurveSupport(NamedTuple):
     curve_id: str
     kind = "curve"
 
@@ -158,38 +155,33 @@ def _index_str(alpha: tuple) -> str:
     return f"({head}, ... {len(alpha)} entries)"
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(Record):
     """Dense truncated moment map; immutable after construction.
 
     ``recurrences`` keeps the factorizations of
-    ``hamburger.recurrence_from_moments``, one per order, and
+    ``hamburger.recurrence_from_moments``, one per order, ``carlemans`` the
+    results of ``hamburger.carleman``, one per flavor and horizon, and
     ``integer_tables`` under "multinomial" the moment table over one
     denominator that push-forwards along directions read, built once;
-    neither is part of the value.
+    none of them is part of the value.
     """
 
-    dimension: int
-    max_degree: int
-    mode: Mode
-    entries: Mapping[tuple, Any]
-    support: Support = field(default_factory=FullSpace)
-    meta: Mapping[str, Any] = field(default_factory=dict)
-    recurrences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    integer_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("dimension", "max_degree", "mode", "entries", "support", "meta")
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(self, dimension: int, max_degree: int, mode: Mode,
+                 entries: Mapping[tuple, Any], support: Support = FullSpace(),
+                 meta: Mapping[str, Any] | None = None):
+        if dimension < 1:
             raise InvalidParameter("dimension must be positive")
-        if self.max_degree < 0:
+        if max_degree < 0:
             raise InvalidParameter("max_degree must be non-negative")
         converted = {}
-        for alpha in multi_indices(self.dimension, self.max_degree):
-            if alpha not in self.entries:
+        for alpha in multi_indices(dimension, max_degree):
+            if alpha not in entries:
                 raise InvalidParameter(f"missing entry for multi-index {_index_str(alpha)}")
-            converted[alpha] = self.mode.convert(self.entries[alpha])
-        if isinstance(self.mode, FloatMode):
-            isfinite = self.mode.ctx.isfinite
+            converted[alpha] = mode.convert(entries[alpha])
+        if isinstance(mode, FloatMode):
+            isfinite = mode.ctx.isfinite
             for alpha, v in converted.items():
                 if not isfinite(v):
                     raise InvalidParameter(f"moment {_index_str(alpha)} is not finite: {v}")
@@ -198,14 +190,15 @@ class MomentSequence:
                     raise InvalidParameter(f"moment {_index_str(alpha)} is out of range: its "
                                            f"binary exponent has more than "
                                            f"{MAX_EXPONENT_BITS} bits")
-        if len(self.entries) != len(converted):
+        if len(entries) != len(converted):
             raise InvalidParameter("entries beyond max_degree or wrong dimension")
         # m_0 > 0 for genuine measures; m_0 = 0 is tolerated so that weighting
         # can annihilate an atomic measure, m_0 < 0 never is
-        if converted[(0,) * self.dimension] < 0:
+        if converted[(0,) * dimension] < 0:
             raise InvalidParameter("total mass m_0 must be non-negative")
-        object.__setattr__(self, "entries", converted)
-        object.__setattr__(self, "meta", dict(self.meta))
+        vars(self).update(dimension=dimension, max_degree=max_degree, mode=mode,
+                          entries=converted, support=support, meta=dict(meta or {}),
+                          recurrences={}, carlemans={}, integer_tables={})
 
     def moment(self, alpha: Sequence[int]):
         """m_alpha; raises DegreeInsufficient beyond the truncation."""
@@ -264,51 +257,46 @@ def apply_linear_functional_1d(seq: MomentSequence, coeffs: Sequence):
 # measure definitions with closed-form or finitely computable moment rules
 
 
-@dataclass(frozen=True)
-class GaussianProduct:
+class GaussianProduct(NamedTuple):
     """Centered product Gaussian; per-axis moments m_{2k} = (2k-1)!! v**k
     via the recursion m_{2k} = (2k-1) v m_{2k-2}."""
 
     variances: tuple
 
 
-@dataclass(frozen=True)
-class Exponential1D:
+class Exponential1D(Record):
     """Unit-rate exponential on [0, inf); m_k = k!."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class LogNormal1D:
+
+class LogNormal1D(NamedTuple):
     """Log-normal with shape s; m_k = exp(k^2 s^2 / 2).  Not rational."""
 
     s: Any
 
 
-@dataclass(frozen=True)
-class QLattice1D:
+class QLattice1D(NamedTuple):
     """Geometric-lattice reference with m_k = q**(k*k), q > 1; the classical
     strongly indeterminate Stieltjes example."""
 
     q: Any
 
 
-@dataclass(frozen=True)
-class Atomic:
+class Atomic(NamedTuple):
     """Finite atomic measure: points (tuples) with positive weights."""
 
     points: tuple
     weights: tuple
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     """Independent product of lower-dimensional factors."""
 
     factors: tuple
 
 
-@dataclass(frozen=True)
-class WeightedBy:
+class WeightedBy(NamedTuple):
     """Base measure multiplied by a polynomial weight w >= 0."""
 
     base: Any

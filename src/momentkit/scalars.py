@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Union
@@ -359,16 +358,55 @@ def from_context(mode: Mode, v):
     return exact_fraction(v)
 
 
-@dataclass(frozen=True)
-class ComplexScalar:
+class Record:
+    """Base of the records a tuple cannot model: records that validate or
+    cache, records without fields (as empty tuples they would all be equal)
+    and ``ComplexScalar`` (a tuple adds ``+``, ``*``, ``len`` and
+    unpacking).  ``__init__`` sets each field once, bypassing
+    ``__setattr__``, which raises AttributeError.  Equality, the hash and
+    the repr read the ``_fields`` in order; records of different classes
+    are never equal."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class ComplexScalar(Record):
     """Complex number with mode-scalar real and imaginary parts.
 
     One representation serves both modes; ``fractions.Fraction`` has no
     complex counterpart and keeping mpf pairs here avoids a second code path.
     """
 
-    re: Any
-    im: Any
+    __slots__ = _fields = ("re", "im")
+
+    def __init__(self, re, im):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __reduce__(self):
+        # copy and pickle would set the slots through __setattr__
+        return ComplexScalar, (self.re, self.im)
 
     def __add__(self, other: "ComplexScalar") -> "ComplexScalar":
         return ComplexScalar(self.re + other.re, self.im + other.im)

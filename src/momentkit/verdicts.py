@@ -22,8 +22,7 @@ insufficient evidence yields ``INCONCLUSIVE``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class Status(enum.Enum):
@@ -52,8 +51,7 @@ class Leaning(enum.Enum):
     NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     criterion: str
     degree: int
     value: Any
@@ -72,8 +70,7 @@ class Evidence:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: Status
     flavor: Flavor
     evidence: tuple

@@ -77,11 +77,11 @@ def canonical(value):
     if isinstance(value, dict):
         items = [[canonical(k), canonical(v)] for k, v in value.items()]
         return sorted(items, key=lambda kv: json.dumps(kv[0]))
-    if isinstance(value, (list, tuple)):
-        return [canonical(v) for v in value]
-    if hasattr(value, "sup_side"):  # gaps.GapEstimate
+    if hasattr(value, "sup_side"):  # gaps.GapEstimate, a NamedTuple: before the tuples
         return {"sup": canonical(value.sup_side), "inf": canonical(value.inf_side),
                 "degree": value.degree, "grid": canonical(value.grid)}
+    if isinstance(value, (list, tuple)):
+        return [canonical(v) for v in value]
     raise TypeError(f"no canonical form for {type(value).__name__}")
 
 

@@ -83,6 +83,20 @@ def test_analyze_gaussian_determinate(tmp_path):
     assert all("sufficiency" in c for c in rep["criteria"])
 
 
+def test_analyze_sums_the_carleman_series_once(tmp_path, monkeypatch):
+    """The verdict's Carleman item and the carleman entry read one sum,
+    kept on the sequence."""
+    made = []
+    real = hamburger.CarlemanResult
+    monkeypatch.setattr(hamburger, "CarlemanResult", lambda *a: made.append(a) or real(*a))
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--input", gaussian_spec(tmp_path),
+                 "--criteria", "verdict,carleman", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    item = next(e for e in rep["verdict"]["evidence"] if e["criterion"] == "carleman")
+    assert len(made) == 1 and item["value"] == rep["criteria"][0]["partial_sum"]
+
+
 def test_weyl_criterion_degree_matches_verdict(tmp_path):
     """The weyl criterion and the verdict's weyl-radius item use one degree."""
     for spec in (gaussian_spec(tmp_path), qlattice_spec(tmp_path),

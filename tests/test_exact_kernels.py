@@ -548,21 +548,14 @@ def half_line(measure, degree, mode=R):
     return sequence_from_1d(m, mode, NonnegativeOrthant())
 
 
-def convergents_outcome(fn, seq, z, n):
-    pair = outcome(fn, seq, z, n)
-    if isinstance(pair, tuple):
-        return pair
-    return pair.even_value, pair.odd_value, pair.interval_width
-
-
 def check_convergents(seq, zs=CONVERGENT_POINTS):
     """Every level from 0 to two past the order, at each point of ``zs``:
     the oracle's values with the same types (bit-identical in float mode),
     or the same error."""
     for z in zs:
         for n in range(seq.max_degree // 2 + 3):
-            assert same(convergents_outcome(hamburger.stieltjes_convergents, seq, z, n),
-                        convergents_outcome(convergents_wallis, seq, z, n))
+            assert same(outcome(hamburger.stieltjes_convergents, seq, z, n),
+                        outcome(convergents_wallis, seq, z, n))
 
 
 @SETTINGS
@@ -603,8 +596,8 @@ def test_kept_convergents_pass_matches_fresh_passes(seq, calls):
     pairs or the errors of a fresh sequence per call."""
     for z, n in calls:
         fresh = sequence_from_1d(seq.moments_1d(), seq.mode, seq.support)
-        assert same(convergents_outcome(hamburger.stieltjes_convergents, seq, z, n),
-                    convergents_outcome(hamburger.stieltjes_convergents, fresh, z, n))
+        assert same(outcome(hamburger.stieltjes_convergents, seq, z, n),
+                    outcome(hamburger.stieltjes_convergents, fresh, z, n))
 
 
 @pytest.mark.parametrize("mode", [R, F128], ids=["rational", "float:128"])

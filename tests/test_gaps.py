@@ -4,7 +4,6 @@ import random
 import signal
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -48,6 +47,7 @@ from momentkit.moments import (
     ConeSupport,
     Exponential1D,
     GaussianProduct,
+    MomentSequence,
     Product,
     QLattice1D,
     apply_linear_functional_1d,
@@ -343,7 +343,8 @@ def test_cone_default_grid_is_the_orthant_grid_through_the_generators(orthant, g
                                                                       a):
     """Generators that span the orthant give its default grid, so the
     hyperplane values and grid under the cone hint are the orthant's."""
-    cone = replace(orthant, support=ConeSupport(generators))
+    cone = MomentSequence(orthant.dimension, orthant.max_degree, orthant.mode, orthant.entries,
+                          ConeSupport(generators), orthant.meta)
     assert hyperplane_gap(cone, a, 4) == hyperplane_gap(orthant, a, 4)
 
 

@@ -464,6 +464,26 @@ def test_sequence_keeps_one_recurrence_per_order():
     assert seq == qlattice(24) and repr(seq) == repr(qlattice(24))
 
 
+def test_recurrence_equality_ignores_its_caches():
+    """Filled caches (the forward pass, the exact pivots, the norms) leave
+    the value alone; a different beta does not."""
+    rec = recurrence_from_moments(qlattice(8), 4)
+    ortho_eval(rec, complex_scalar(R, 0, 1))
+    assert rec.evals and rec._pivots and rec.norm_sq
+    bare = Recurrence(rec.mode, rec.alpha, rec.beta, rec.pivot_log)
+    assert rec == bare and hash(rec) == hash(bare)
+    assert rec != Recurrence(rec.mode, rec.alpha, rec.beta[:-1] + (F(1),), rec.pivot_log)
+
+
+def test_carleman_sum_is_kept_per_flavor_and_horizon():
+    seq = gauss(12)
+    res = carleman(seq, Flavor.HAMBURGER, 6)
+    assert carleman(seq, Flavor.HAMBURGER, 6) is res
+    assert carleman(seq, Flavor.HAMBURGER, 3) is not res
+    assert sorted(h for _, h in seq.carlemans) == [3, 6]
+    assert carleman(gauss(12), Flavor.HAMBURGER, 6) == res
+
+
 def test_disk_requires_nonreal_point():
     rec = recurrence_from_moments(gauss(10), 4)
     with pytest.raises(NonRealPointRequired):

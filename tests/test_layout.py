@@ -9,12 +9,19 @@
   module it imported: a helper two modules share is public.
 * An import inside a function is kept only to break a cycle: the imported
   module imports this one at top level.  Every other import sits at the top.
+* No module imports ``dataclasses``: it loads ``inspect`` (and ``ast``,
+  ``dis``, ``tokenize``) at every CLI start, and each decorated class
+  execs its generated methods.  Records are NamedTuples or
+  ``scalars.Record`` classes; a fresh ``import momentkit.cli`` is checked
+  to load neither module.
 
 (That ``scalars.py`` is the only module importing ``mpmath`` is checked in
 ``test_scalars.py``.)
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "momentkit"
@@ -129,3 +136,18 @@ def test_function_local_imports_only_break_cycles():
                     local.update(f"{name}.{fn.name}: {target}" for target in _targets(n)
                                  if name not in top_level.get(target, ()))
     assert sorted(local) == []
+
+
+def test_no_module_imports_dataclasses():
+    importers = [name for name, tree in _modules().items() for n in ast.walk(tree)
+                 if isinstance(n, (ast.Import, ast.ImportFrom))
+                 and any(t.split(".")[0] == "dataclasses" for t in _targets(n))]
+    assert importers == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import momentkit.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"

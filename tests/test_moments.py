@@ -153,6 +153,29 @@ def test_sequence_invariants():
         seq.moment((5,))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 2, R, {}), "dimension must be positive"),
+    ((1, -1, R, {}), "max_degree must be non-negative"),
+    ((1, 2, R, {(0,): 1, (1,): 0}), "missing entry for multi-index (2,)"),
+    ((1, 1, R, {(0,): 1, (1,): 0, (2,): 0}), "entries beyond max_degree or wrong dimension"),
+    ((1, 1, R, {(0,): -1, (1,): 0}), "total mass m_0 must be non-negative"),
+])
+def test_sequence_validation_errors(args, message):
+    with pytest.raises(InvalidParameter) as info:
+        MomentSequence(*args)
+    assert type(info.value) is InvalidParameter and str(info.value) == message
+
+
+def test_records_without_fields_are_equal_by_class():
+    """Supports compare with ==, so two classes may never be equal, nor
+    equal to the empty tuple."""
+    assert FullSpace() == FullSpace() and hash(FullSpace()) == hash(FullSpace())
+    assert FullSpace() != NonnegativeOrthant() and NonnegativeOrthant() != ()
+    assert Exponential1D() == Exponential1D() and Exponential1D() != ()
+    assert repr(NonnegativeOrthant()) == "NonnegativeOrthant()"
+    assert ConeSupport(((1,),)) != NonnegativeOrthant()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_sequence_rejects_non_finite_values(bad):
     fm = FloatMode(128)

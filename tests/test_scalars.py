@@ -1,5 +1,7 @@
 import ast
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentkit
+from momentkit import curves, envelopes, gaps, hamburger, moments, verdicts
 from momentkit.errors import InvalidParameter, ModeMismatch
 from momentkit.hamburger import _log2, carleman
 from momentkit.moments import GaussianProduct, generate_moments
 from momentkit.scalars import (
     MAX_FLOAT_BITS,
+    ComplexScalar,
     FloatMode,
     RationalMode,
     complex_scalar,
@@ -230,6 +234,49 @@ def test_complex_scalar_field_ops():
     assert z.conj().im == -z.im
     one = (z / z)
     assert one.re == 1 and one.im == 0
+
+
+def test_complex_scalar_is_a_value_not_a_tuple():
+    """A dict key by value (``Recurrence.evals`` is keyed by the point),
+    with none of a tuple's operators; copies and pickles are equal."""
+    z = ComplexScalar(F(1, 3), F(-1, 2))
+    assert {z: "kept"}[complex_scalar(RationalMode(), F(1, 3), F(-1, 2))] == "kept"
+    assert copy.copy(z) == z == pickle.loads(pickle.dumps(z))
+    assert z != (F(1, 3), F(-1, 2)) and z != ComplexScalar(F(1, 3), F(1, 2))
+    for op in (lambda: 2 * z, lambda: len(z), lambda: tuple(z)):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_records_are_frozen():
+    """Assigning a field of any of the 29 record types raises
+    AttributeError; a record without fields takes no attribute at all."""
+    R = RationalMode()
+    z = complex_scalar(R, 0, 1)
+    E = moments.Exponential1D()
+    records = [
+        z,
+        moments.FullSpace(), moments.NonnegativeOrthant(), moments.ConeSupport(((1,),)),
+        moments.CurveSupport("parabola"), moments.MomentSequence(1, 0, R, {(0,): 1}),
+        moments.GaussianProduct((1,)), E, moments.LogNormal1D(F(1, 2)),
+        moments.QLattice1D(2), moments.Atomic(((0,),), (1,)), moments.Product(((E, 1),)),
+        moments.WeightedBy(E, {(1,): 1}),
+        hamburger.Recurrence(R, (), (F(1),)), hamburger.OrthoEval(z, (), (), tuple),
+        hamburger.WeylDisk(z, 0), hamburger.CarlemanResult(0, False),
+        hamburger.ConvergentPair(0, 0, 0),
+        gaps.Cosine((1,)), gaps.Fantappie((1,)), gaps.PoissonKernel((0,), 1),
+        gaps.Sampled(((0,),), (1,)), gaps.GapEstimate(0, 0, 1, {}),
+        envelopes.PolynomialEnvelope((0,), (1,), 1, 1), envelopes.CompletelyMonotonic.geometric(),
+        envelopes.CmGapResult((), 0, "indecisive"),
+        curves.catalog("parabola"),
+        verdicts.Evidence("carleman", 1, 0, verdicts.Sufficiency.HEURISTIC),
+        verdicts.Verdict(verdicts.Status.INCONCLUSIVE, verdicts.Flavor.HAMBURGER, ()),
+    ]
+    assert len({type(r) for r in records}) == 29
+    for record in records:
+        name = record._fields[0] if record._fields else "kind"
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 HELPER_SETTINGS = settings(max_examples=80, deadline=None)
