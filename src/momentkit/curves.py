@@ -31,6 +31,8 @@ from __future__ import annotations
 import json
 import warnings
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 from .errors import (
     AtomsOnRamificationWarning,
@@ -51,7 +53,6 @@ from .moments import (
 )
 from .polynomials import (
     mpoly_compose_univariates,
-    mpoly_mul,
     poly_add,
     poly_degree,
     poly_eval,
@@ -61,7 +62,7 @@ from .polynomials import (
     poly_pow,
     poly_trim,
 )
-from .scalars import ComplexScalar, Mode, RationalMode, Record, complex_scalar
+from .scalars import ComplexScalar, Mode, RationalMode, Record, complex_scalar, integers
 from .serialization import json_list, json_object, rationals, read_field
 from .verdicts import Evidence, Flavor, Leaning, Status, Sufficiency, Verdict
 
@@ -73,7 +74,8 @@ class PolynomialCurve(Record):
     implicit-only catalog entries, which parametrization-dependent
     operations reject).  ``implicit_equations``: multivariate polynomials in
     the ambient coordinates vanishing on the curve; checked exactly against
-    the parametrization at construction.  ``weight``: real polynomial with
+    the parametrization at construction, at integer points
+    (``_vanishes_on``).  ``weight``: real polynomial with
     simple zeros exactly at the ramification parameters; ``(1,)`` when the
     parametrization is globally injective.  ``pairing``: optional involution
     sigma (as a coefficient tuple) with u(sigma(t)) = u(t) mod weight, used
@@ -95,8 +97,7 @@ class PolynomialCurve(Record):
             if all(poly_degree(c) < 1 for c in components):
                 raise InvalidParameter("parametrization must be non-constant")
             for eq in implicit_equations:
-                composed = mpoly_compose_univariates(eq, components)
-                if poly_trim(composed):
+                if not _vanishes_on(eq, components):
                     raise InvalidParameter(
                         f"implicit equation does not vanish on the curve {name}"
                     )
@@ -143,6 +144,30 @@ class PolynomialCurve(Record):
                 acc = acc * t + ComplexScalar(mode.convert(c), mode.zero())
             out.append(acc)
         return tuple(out)
+
+
+def _vanishes_on(eq: dict, components: tuple) -> bool:
+    """Whether eq(u_1(t), ..., u_k(t)) is the zero polynomial.  Its degree
+    is at most D, the largest sum_i alpha_i deg u_i over the terms, so it
+    is zero iff it vanishes at the D + 1 integers t = 0, ..., D.  Each
+    value is taken in integers: with u_i = P_i / q_i, the coefficients
+    c_alpha over one denominator and E_i the largest exponent of x_i, the
+    value times a positive integer is sum_alpha c_alpha prod_i
+    P_i(t)**alpha_i q_i**(E_i - alpha_i).  An exponent past the k-th
+    variable is ignored and a missing one is 0, as in
+    ``mpoly_compose_univariates``."""
+    k = len(components)
+    exponents = [tuple(alpha[i] if i < len(alpha) else 0 for i in range(k)) for alpha in eq]
+    coeffs, _ = integers(map(Fraction, eq.values()))
+    scaled = [integers(map(Fraction, u)) for u in components]
+    degrees = [max(poly_degree(u), 0) for u in components]
+    top = [max(column, default=0) for column in zip(*exponents)]
+    for t in range(max((sum(map(mul, e, degrees)) for e in exponents), default=0) + 1):
+        values = [poly_eval(nums, t) for nums, _ in scaled]
+        if sum(c * prod(v ** a * q ** (m - a) for v, (_, q), a, m in zip(values, scaled, e, top))
+               for e, c in zip(exponents, coeffs)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +223,15 @@ def catalog(name: str) -> PolynomialCurve:
         # u = ((t - t^5/5) / 2, (1 + t^2)^2 / 4);
         # 64 y^5 - (25 x^2 + 20 y^2 - 20 y + 4)^2 = 0;
         # the four roots of t^4 - 5 glue in +- pairs
-        inner = {(2, 0): _F(25), (0, 2): _F(20), (0, 1): _F(-20), (0, 0): _F(4)}
-        implicit = {(0, 5): _F(64)}
-        implicit.update((k, -v) for k, v in mpoly_mul(inner, inner).items())
         return PolynomialCurve(
             name="lhospital_quintic", dimension=2,
             components=((0, _F(1, 2), 0, 0, 0, _F(-1, 10)),
                         (_F(1, 4), 0, _F(1, 2), 0, _F(1, 4))),
-            implicit_equations=(implicit,),
+            # the equation above, expanded
+            implicit_equations=({(0, 5): _F(64), (4, 0): _F(-625), (2, 2): _F(-1000),
+                                 (2, 1): _F(1000), (2, 0): _F(-200), (0, 4): _F(-400),
+                                 (0, 3): _F(800), (0, 2): _F(-560), (0, 1): _F(160),
+                                 (0, 0): _F(-16)},),
             weight=(-5, 0, 0, 0, 1),                # t^4 - 5
             pairing=(0, -1),                        # sigma(t) = -t
         )

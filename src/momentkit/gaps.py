@@ -68,6 +68,7 @@ from .moments import (
     NonnegativeOrthant,
     apply_linear_functional,
     apply_polynomial_weight,
+    dual_contains,
     dual_interior_contains,
     pushforward_direction,
     support_is_cone,
@@ -531,8 +532,9 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
 
     The values are m_0 minus the sup side and the inf side minus m_0 of the
     Fantappie grid LP of nu = (a.x + 1) L at degree D - 1 (see the module
-    docstring).  The default grid is ``default_grid`` without a per-axis
-    count (7 points per axis in d = 2), not the degree-sized one of
+    docstring); nu is weighted only up to that degree, which the LP reads.
+    The default grid is ``default_grid`` without a per-axis count (7
+    points per axis in d = 2), not the degree-sized one of
     ``grid_gap_lp``.
     """
     mode = seq.mode
@@ -551,8 +553,9 @@ def hyperplane_gap(seq: MomentSequence, a: Sequence, degree: int,
     form[(0,) * d] = mode.one()
     if grid is None:
         grid = default_grid(seq.support, d, mode)
-    est = grid_gap_lp(apply_polynomial_weight(seq, form), Fantappie(av),
-                      max(degree - 1, 0), grid)
+    lp_degree = max(degree - 1, 0)
+    est = grid_gap_lp(apply_polynomial_weight(seq, form, lp_degree), Fantappie(av),
+                      lp_degree, grid)
     m0 = seq.entries[(0,) * d]
     return {
         "value_plus": m0 - est.sup_side,
@@ -570,13 +573,18 @@ def direction_set(dimension: int, count: int, mode: Mode) -> list:
     """Deterministic unit directions.
 
     Rational mode uses tan-half-angle rational circle points (exactly unit
-    length); float mode uses uniform angles, their cosines and sines taken
-    at the mode's precision (``cospi``/``sinpi``, so the angle pi/2 gives
-    exactly (0, 1)).  Dimensions above 2 lift rational points of the
-    (d-1)-cube through the inverse stereographic map: round ``b`` visits
-    seven points of the grid ``c / (4 + b)``, ``|c| <= 3``, and the lift is
-    injective, so there are as many distinct directions as asked for (a
-    prime ``4 + b`` gives seven new ones); each is kept once, by hashing.
+    length) at tau_j = (2j + 1 - count) / (count + 1): the first count // 2
+    lie in the open fourth quadrant, and the rest are their negations in
+    reverse order, led by (-1, 0) for an odd count.  So every line has
+    slope <= 0, and an even count gives count / 2 lines, each in both
+    directions.  Float mode uses the uniform angles j pi / count, count
+    distinct lines, their cosines and sines taken at the mode's precision
+    (``cospi``/``sinpi``, so the angle pi/2 gives exactly (0, 1)).
+    Dimensions above 2 lift rational points of the (d-1)-cube through the
+    inverse stereographic map: round ``b`` visits seven points of the grid
+    ``c / (4 + b)``, ``|c| <= 3``, and the lift is injective, so there are
+    as many distinct directions as asked for (a prime ``4 + b`` gives seven
+    new ones); each is kept once, by hashing.
     """
     if count < 1:
         raise InvalidParameter("need at least one direction")
@@ -626,18 +634,41 @@ def direction_scan(seq: MomentSequence, directions: Sequence) -> dict:
     Each push-forward gets its own flavor (Stieltjes for directions in the
     closed dual cone of a cone support, boundary directions such as the
     axes of the orthant included); the aggregate is a Hamburger verdict.
+
+    One verdict per line: a direction equal to one already scanned takes
+    its verdict, and so does the negation of one already scanned when
+    neither lies in the closed dual cone, so that both images carry the
+    full-space hint and both verdicts are Hamburger verdicts; a Stieltjes
+    verdict is never shared with a Hamburger one.  The image along -xi is
+    the reflection x -> -x of the image along xi, s_n -> (-1)**n s_n,
+    which sends alpha_k to -alpha_k and keeps beta_k, every m_{2k}, the
+    rank and |pi_k(i)|; so every evidence value is the same, ``==`` in
+    rational mode, and float rounding is symmetric under sign, so each
+    float operation on the reflected data rounds to the negation of the
+    same operation or to the same value, and the float verdicts are ``==``
+    as well.  Each requested direction keeps its own row.
     """
     if not directions:
         raise InvalidDirection("no directions supplied")
+    mode = seq.mode
     rows = []
+    verdicts: dict = {}  # direction -> its verdict, for the directions scanned
     for xi in directions:
-        v = verdict_1d(pushforward_direction(seq, xi))
-        rows.append({"direction": tuple(seq.mode.convert(c) for c in xi), "verdict": v})
+        direction = tuple(mode.convert(c) for c in xi)
+        v = verdicts.get(direction)
+        if v is None:
+            negation = tuple(-c for c in direction)
+            if negation in verdicts and not (dual_contains(seq.support, direction)
+                                             or dual_contains(seq.support, negation)):
+                v = verdicts[negation]
+            else:
+                v = verdicts[direction] = verdict_1d(pushforward_direction(seq, xi))
+        rows.append({"direction": direction, "verdict": v})
     det_dirs = [r["direction"] for r in rows if r["verdict"].status is Status.DETERMINATE]
-    has_basis = _contains_basis(seq.mode, det_dirs, seq.dimension)
+    has_basis = _contains_basis(mode, det_dirs, seq.dimension)
     any_indet = any(r["verdict"].status is Status.INDETERMINATE for r in rows)
     evidence = tuple(
-        e._replace(criterion=f"direction{tuple(seq.mode.to_float(c) for c in r['direction'])}"
+        e._replace(criterion=f"direction{tuple(mode.to_float(c) for c in r['direction'])}"
                              f":{e.criterion}")
         for r in rows for e in r["verdict"].evidence)
     status = (Status.INDETERMINATE if any_indet

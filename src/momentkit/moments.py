@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import factorial, prod
-from operator import mul
+from operator import add, mul
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -98,6 +98,14 @@ def dual_interior_contains(s: Support, xi: Sequence) -> bool:
     """
     pairings = _generator_pairings(s, xi)
     return pairings is not None and all(p > 0 for p in pairings)
+
+
+def dual_contains(s: Support, xi: Sequence) -> bool:
+    """Closed dual cone: xi pairs nonnegatively with every generator, so
+    the image of a cone under x -> xi . x lies on [0, inf); False off a
+    cone."""
+    pairings = _generator_pairings(s, xi)
+    return pairings is not None and all(p >= 0 for p in pairings)
 
 
 def _generator_pairings(s: Support, xi: Sequence) -> list | None:
@@ -578,26 +586,44 @@ def convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
     return affine_map(_tensor_product([a, b], N, a.mode), rows, [0] * d)
 
 
-def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any]) -> MomentSequence:
-    """Moments of the weighted measure w * mu: m'_alpha = L(x**alpha w).
+def apply_polynomial_weight(seq: MomentSequence, w: Mapping[tuple, Any],
+                            max_degree: int | None = None) -> MomentSequence:
+    """Moments of the weighted measure w * mu: m'_alpha = L(x**alpha w),
+    for |alpha| <= max_degree, by default all the truncation allows.
 
     The caller asserts w >= 0 on the support; nothing checks it.  Degree
-    drops by deg w.  The growth certificate survives a degree shift.
+    drops by deg w.  The growth certificate survives a degree shift.  In
+    rational mode the weight's coefficients are integers over one
+    denominator and the moments it reaches integers over their lcm, so each
+    entry is one integer dot product and one Fraction; float mode sums
+    c * m term by term, in the weight's order.
     """
-    w = {tuple(a): seq.mode.convert(c) for a, c in w.items() if c}
+    mode = seq.mode
+    w = {tuple(a): mode.convert(c) for a, c in w.items() if c}
     dw = mpoly_degree(w)
     if dw < 0:
         raise InvalidParameter("weight polynomial is zero")
-    if dw > seq.max_degree:
+    N_out = seq.max_degree - dw if max_degree is None else max_degree
+    if dw + N_out > seq.max_degree or N_out < 0:
         raise DegreeInsufficient("weight degree exceeds the truncation")
-    N_out = seq.max_degree - dw
-    entries = {}
-    for alpha in multi_indices(seq.dimension, N_out):
-        total = seq.mode.zero()
-        for beta, c in w.items():
-            total = total + c * seq.entries[tuple(x + y for x, y in zip(alpha, beta))]
-        entries[alpha] = total
-    return MomentSequence(seq.dimension, N_out, seq.mode, entries, seq.support,
+    shifts = [(alpha, [tuple(map(add, alpha, beta)) for beta in w])
+              for alpha in multi_indices(seq.dimension, N_out)]
+    if isinstance(mode, RationalMode):
+        coeffs, den = integers(w.values())
+        reached = list(multi_indices(seq.dimension, N_out + dw))
+        nums, lcm = integers(seq.entries[a] for a in reached)
+        moments = dict(zip(reached, nums))
+        den *= lcm
+        entries = {alpha: Fraction(sum(map(mul, coeffs, map(moments.__getitem__, keys))), den)
+                   for alpha, keys in shifts}
+    else:
+        entries = {}
+        for alpha, keys in shifts:
+            total = mode.zero()
+            for c, key in zip(w.values(), keys):
+                total = total + c * seq.entries[key]
+            entries[alpha] = total
+    return MomentSequence(seq.dimension, N_out, mode, entries, seq.support,
                           meta={"carleman_growth_certified": seq.is_certified_carleman()})
 
 
@@ -627,8 +653,7 @@ def affine_map(seq: MomentSequence, matrix: Sequence[Sequence],
         forms = [dict(zip(keys, row + [c])) for row, c in zip(rows, b)]
         entries = image_moments(seq, forms, seq.max_degree)
     on_orthant = (support_is_cone(seq.support) and all(c >= 0 for c in b)
-                  and all(p >= 0 for row in rows
-                          for p in _generator_pairings(seq.support, row)))
+                  and all(dual_contains(seq.support, row) for row in rows))
     support = NonnegativeOrthant() if on_orthant else FullSpace()
     return MomentSequence(d_out, seq.max_degree, seq.mode, entries, support,
                           meta={"carleman_growth_certified": seq.is_certified_carleman()})

@@ -133,6 +133,20 @@ swapped up and eliminated below.  The library reduces each vector once
 against the rows kept so far, with no search and no swap
 (``gaps._contains_basis``); the answers must be the same.
 
+``weight_termwise`` is the weighted moments L(x**alpha w) summed term by
+term in the mode's scalars.  The library writes the weight over one
+denominator and the moments over their lcm in rational mode, one integer
+dot product and one ``Fraction`` per entry, and runs this loop in float
+mode (``moments.apply_polynomial_weight``); rational entries must be
+equal, float entries bit-identical.
+
+``scan_verdicts_fresh`` is the direction scan's rows the long way: every
+push-forward and its ``verdict_1d`` from a fresh copy of the sequence.  The
+library runs one verdict per line and gives a repeated direction, and the
+negation of a direction when neither lies in the closed dual cone, the
+verdict already computed (``gaps.direction_scan``); every row's verdict
+must be equal to the oracle's, in rational and float mode alike.
+
 ``convolve_binomial`` is the additive convolution by the binomial
 expansion of ``(x + y)**gamma``, one box of indices at a time.  The
 library takes the ``affine_map`` image of the product functional under
@@ -154,9 +168,9 @@ from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidPara
 from momentkit.curves import PolynomialCurve, _weighted_lift
 from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEval, Recurrence,
                                  WeylDisk, christoffel, monic_coefficients, ortho_eval,
-                                 recurrence_from_moments)
+                                 recurrence_from_moments, verdict_1d)
 from momentkit.moments import (FullSpace, MomentSequence, NonnegativeOrthant, affine_map,
-                               apply_linear_functional)
+                               apply_linear_functional, pushforward_direction)
 from momentkit.polynomials import (compositions, mpoly_degree, mpoly_mul, multi_indices,
                                    poly_add, poly_mul, poly_pow)
 from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
@@ -199,6 +213,33 @@ def compose_univariates_termwise(p: dict, components) -> tuple:
             if e:
                 term = poly_mul(term, poly_pow(u, e))
         out = poly_add(out, term)
+    return out
+
+
+def weight_termwise(seq: MomentSequence, w: dict, max_degree: int) -> dict:
+    """The moments L(x**alpha w) for |alpha| <= max_degree, each summed
+    from ``mode.zero()`` one term c * m_{alpha + beta} at a time, in the
+    weight's order."""
+    mode = seq.mode
+    w = {tuple(a): mode.convert(c) for a, c in w.items() if c}
+    entries = {}
+    for alpha in multi_indices(seq.dimension, max_degree):
+        total = mode.zero()
+        for beta, c in w.items():
+            total = total + c * seq.entries[tuple(x + y for x, y in zip(alpha, beta))]
+        entries[alpha] = total
+    return entries
+
+
+def scan_verdicts_fresh(seq: MomentSequence, directions) -> list:
+    """``verdict_1d`` of the push-forward along each direction, each from a
+    fresh copy of the sequence, so that no table, factorization or verdict
+    is shared between directions."""
+    out = []
+    for xi in directions:
+        fresh = MomentSequence(seq.dimension, seq.max_degree, seq.mode, seq.entries,
+                               seq.support, seq.meta)
+        out.append(verdict_1d(pushforward_direction(fresh, xi)))
     return out
 
 

@@ -352,8 +352,10 @@ def test_kappa_sphere_average_shares_the_field_factorization(tmp_path, monkeypat
 
 
 def test_analyze_2d_scans_once_and_pushes_forward_once(tmp_path, monkeypatch):
-    """One direction scan serves the verdict and the scan entry; one
-    first-axis push-forward, factorized once, serves every 1D criterion."""
+    """One direction scan serves the verdict and the scan entry, with one
+    1D verdict per line (the rational 2D set holds two lines, each with
+    both of its directions); one first-axis push-forward, factorized once,
+    serves every 1D criterion."""
     spec = write_spec(tmp_path / "gauss2d.json", {
         "measure": {"variant": "gaussian_product", "variances": ["1", "1"]},
         "dimension": 2, "max_degree": 24, "mode": "rational"})
@@ -369,14 +371,14 @@ def test_analyze_2d_scans_once_and_pushes_forward_once(tmp_path, monkeypatch):
         verdicts.clear()
         assert main(["analyze", "--input", spec, "--criteria", criteria,
                      "--out", str(out)]) == 0
-        assert len(verdicts) == 4                   # 2 * dimension directions, once each
+        assert len(verdicts) == 2                   # 2 * dimension directions on 2 lines
         assert not pushed
     factorized.clear()
     assert main(["analyze", "--input", spec, "--criteria",
                  "verdict,admissibility,carleman,christoffel,weyl,cosine",
                  "--out", str(out)]) == 0
     assert pushed == [(1, 0)]
-    assert factorized == [12] * 5                   # 4 scan directions + e_1
+    assert factorized == [12] * 3                   # 2 scanned lines + e_1
 
 
 def test_analyze_cone_input_reads_1d_criteria_on_the_half_line(tmp_path):

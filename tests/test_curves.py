@@ -4,6 +4,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentkit.curves import (
     CATALOG_NAMES,
@@ -34,12 +36,13 @@ from momentkit.moments import (
 )
 from momentkit.polynomials import (
     mpoly_compose_univariates,
+    mpoly_mul,
     multi_indices,
     poly_trim,
 )
 from momentkit.scalars import RationalMode, complex_scalar
 from momentkit.verdicts import Status, Sufficiency
-from oracles import christoffel_direct, christoffel_on_curve
+from oracles import christoffel_direct, christoffel_on_curve, compose_univariates_termwise
 
 R = RationalMode()
 
@@ -104,6 +107,70 @@ def test_pairing_verification_rejects_wrong_weight():
         PolynomialCurve("wrong", 2, ((-1, 0, 1), (0, -1, 0, 1)),
                         weight=(-4, 0, 1),  # t^2 - 4: not the gluing locus
                         pairing=(0, -1))
+
+
+def _quintic(**change):
+    """The l'Hospital quintic of the catalog with some fields replaced."""
+    curve = catalog("lhospital_quintic")
+    fields = dict(implicit_equations=curve.implicit_equations, weight=curve.weight,
+                  pairing=curve.pairing)
+    fields.update(change)
+    return PolynomialCurve(curve.name, 2, curve.components, **fields)
+
+
+def poly_sum(p, q):
+    """p + q as {alpha: coefficient}, zero terms dropped."""
+    out = dict(p)
+    for k, v in q.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _falling_factorial(k):
+    """y (y - 1) ... (y - k + 1) in the second of two variables."""
+    out = {(0, 0): F(1)}
+    for j in range(k):
+        out = mpoly_mul(out, {(0, 1): F(1), (0, 0): F(-j)})
+    return out
+
+
+@pytest.mark.parametrize("make, message", [
+    # the equation moved by its constant term
+    (lambda: _quintic(implicit_equations=(
+        {**catalog("lhospital_quintic").implicit_equations[0], (0, 0): F(-15)},)),
+     "implicit equation does not vanish on the curve lhospital_quintic"),
+    # x - y^2 plus a term that vanishes at t = 0, ..., 5 but not at t = 6,
+    # where the degree bound of the composition is 6
+    (lambda: PolynomialCurve("parabola", 2, ((0, 0, 1), (0, 1)), implicit_equations=(
+        poly_sum({(1, 0): F(1), (0, 2): F(-1)}, _falling_factorial(6)),)),
+     "implicit equation does not vanish on the curve parabola"),
+    # sigma(t) = 1 - t does not glue the roots of t^4 - 5
+    (lambda: _quintic(pairing=(1, -1)), "pairing does not glue"),
+    # (t^2 - 5)^2: the gluing locus with double zeros
+    (lambda: _quintic(weight=(25, 0, -10, 0, 1), pairing=None), "simple zeros"),
+])
+def test_catalog_checks_still_refuse(make, message):
+    with pytest.raises(InvalidParameter, match=message):
+        make()
+    assert _quintic() == catalog("lhospital_quintic")
+
+
+small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([c for c in CATALOG_NAMES if c != "kampyle"]),
+       st.dictionaries(st.sampled_from(list(multi_indices(2, 2))), small_coeffs, max_size=3),
+       st.dictionaries(st.sampled_from(list(multi_indices(2, 3))), small_coeffs, max_size=2))
+def test_vanishing_at_points_matches_the_composition(name, factor, perturbation):
+    """The integer-point test decides what the composed polynomial decides:
+    a catalog equation times a random factor, perhaps plus a small
+    perturbation, on the catalog parametrization."""
+    curve = catalog(name)
+    eq = mpoly_mul(curve.implicit_equations[0], factor or {(0, 0): F(1)})
+    eq = poly_sum(eq, perturbation)
+    composed = poly_trim(compose_univariates_termwise(eq, curve.components))
+    assert curves._vanishes_on(eq, curve.components) == (composed == ())
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import signal
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction as F
+from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from momentkit import simplex
+from momentkit import gaps, simplex
 from momentkit.cli import main
 from momentkit.envelopes import geometric_envelope
 from momentkit.errors import (
@@ -52,13 +54,14 @@ from momentkit.moments import (
     QLattice1D,
     apply_linear_functional_1d,
     apply_polynomial_weight,
+    dual_contains,
     generate_moments,
 )
 from momentkit.polynomials import multi_indices
 from momentkit.scalars import FloatMode, RationalMode, complex_scalar, exact_fraction
 from momentkit.verdicts import Status
 from oracles import (contains_basis_elimination, grid_columns_entrywise, maximize,
-                     orthant_slack_patterns)
+                     orthant_slack_patterns, scan_verdicts_fresh)
 
 R = RationalMode()
 
@@ -477,6 +480,111 @@ def test_span_test_matches_the_elimination_oracle(inputs):
     decision of column-pivoted elimination with row swaps."""
     mode, d, vectors = inputs
     assert _contains_basis(mode, vectors, d) == contains_basis_elimination(mode, vectors, d)
+
+
+def line_key(seq, xi):
+    """The verdict a scan direction may share: its line when neither xi nor
+    -xi lies in the closed dual cone (both images on R), else xi itself."""
+    neg = tuple(-c for c in xi)
+    if dual_contains(seq.support, xi) or dual_contains(seq.support, neg):
+        return xi
+    return max(xi, neg)
+
+
+positive_weights = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+
+
+@st.composite
+def scan_inputs(draw):
+    """(sequence, directions): a 2D or 3D Gaussian, Gaussian x (q = 2
+    lattice), orthant product (exponential and lattice factors) or atomic
+    measure (on the orthant or not), at degree 6 to 10, in rational or
+    float:128 mode; the directions hold some xi, -xi and xi again, and
+    more directions, negations and repeats, in any order.  The pool holds
+    ``direction_set``'s directions, the axes (on the boundary of the
+    orthant's dual cone, their negations outside it) and (1, ..., 1) (in
+    its interior)."""
+    mode = draw(st.sampled_from([R, FloatMode(128)]))
+    d = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["gauss", "mixed", "orthant", "atoms"]))
+    if kind == "gauss":
+        defn = GaussianProduct(tuple(draw(st.sampled_from([1, 2, F(1, 2)])) for _ in range(d)))
+    elif kind == "mixed":
+        defn = Product(((GaussianProduct((1,) * (d - 1)), d - 1), (QLattice1D(2), 1)))
+    elif kind == "orthant":
+        defn = Product(tuple((draw(st.sampled_from([Exponential1D(), QLattice1D(2)])), 1)
+                             for _ in range(d)))
+    else:
+        low = draw(st.sampled_from([0, -2]))
+        points = draw(st.lists(st.tuples(*[st.integers(low, 2)] * d), min_size=1, max_size=4,
+                               unique=True))
+        defn = Atomic(tuple(points), tuple(draw(positive_weights) for _ in points))
+    seq = generate_moments(defn, d, 2 * draw(st.integers(3, 5)), mode)
+    pool = (direction_set(d, 6, mode) + [(1,) * d]
+            + [tuple(int(i == j) for i in range(d)) for j in range(d)])
+    pool = [tuple(mode.convert(c) for c in xi) for xi in pool]
+    xi = draw(st.sampled_from(pool))
+    directions = [xi, tuple(-c for c in xi), xi]
+    for extra in draw(st.lists(st.sampled_from(pool), max_size=3)):
+        directions += [extra] * draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            directions.append(tuple(-c for c in extra))
+    return seq, draw(st.permutations(directions))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scan_inputs())
+def test_shared_scan_verdicts_match_fresh_verdicts(inputs):
+    """Each row's verdict is ``==`` to the verdict of its own push-forward
+    built from scratch, in rational and float:128 mode, the rows sharing a
+    verdict included; the scan runs one verdict per line, and a verdict is
+    never shared between a direction in the closed dual cone (a Stieltjes
+    verdict) and one outside it (a Hamburger verdict)."""
+    seq, directions = inputs
+    try:
+        expected = scan_verdicts_fresh(seq, directions)
+    except MomentKitError as exc:
+        with pytest.raises(type(exc)):
+            direction_scan(seq, directions)
+        return
+    with mock.patch.object(gaps, "verdict_1d", wraps=gaps.verdict_1d) as spy:
+        scan = direction_scan(seq, directions)
+    rows = scan["rows"]
+    assert [r["direction"] for r in rows] == list(directions)
+    assert [r["verdict"] for r in rows] == expected
+    assert spy.call_count == len({line_key(seq, xi) for xi in directions})
+    for i, j in combinations(range(len(rows)), 2):
+        if rows[i]["verdict"] is rows[j]["verdict"]:
+            assert expected[i].flavor is expected[j].flavor
+            assert (dual_contains(seq.support, directions[i])
+                    == dual_contains(seq.support, directions[j]))
+
+
+def test_scan_shares_no_verdict_across_flavors():
+    """On the orthant an axis and (3/5, 4/5) lie in the closed dual cone
+    and their negations do not: four directions, four verdicts, Stieltjes
+    and Hamburger in turn; on R^2 the same list runs two."""
+    dirs = [(1, 0), (-1, 0), (F(3, 5), F(4, 5)), (F(-3, 5), F(-4, 5))]
+    expo2 = generate_moments(Product(((Exponential1D(), 1), (Exponential1D(), 1))), 2, 12, R)
+    with mock.patch.object(gaps, "verdict_1d", wraps=gaps.verdict_1d) as spy:
+        rows = direction_scan(expo2, dirs)["rows"]
+    assert spy.call_count == 4
+    assert [r["verdict"].flavor.value for r in rows] == ["stieltjes", "hamburger"] * 2
+    with mock.patch.object(gaps, "verdict_1d", wraps=gaps.verdict_1d) as spy:
+        rows = direction_scan(gauss(12, 2), dirs)["rows"]
+    assert spy.call_count == 2
+    assert rows[0]["verdict"] is rows[1]["verdict"] and rows[2]["verdict"] is rows[3]["verdict"]
+
+
+@pytest.mark.xfail(strict=True, reason="rational 2D direction sets pair each line with its "
+                                       "negation: count / 2 lines for an even count")
+def test_rational_2d_direction_sets_span_count_distinct_lines():
+    """Float mode gives count lines (angles j pi / count); rational mode
+    gives its first count // 2 points and their negations, all of negative
+    slope."""
+    for count in (2, 4, 8, 9):
+        dirs = direction_set(2, count, R)
+        assert len({max(xi, tuple(-c for c in xi)) for xi in dirs}) == count
 
 
 def test_direction_sets():

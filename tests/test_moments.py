@@ -38,7 +38,7 @@ from momentkit.moments import (
 )
 from momentkit.polynomials import compositions, mpoly_mul, multi_indices
 from momentkit.scalars import FloatMode, RationalMode, exact_fraction
-from oracles import convolve_binomial, mpoly_pow, product_entries
+from oracles import convolve_binomial, mpoly_pow, product_entries, weight_termwise
 
 R = RationalMode()
 F256 = FloatMode(256)
@@ -544,6 +544,42 @@ def test_weight_composition_property():
     both = apply_polynomial_weight(g, mpoly_mul(w1, w2))
     stepped = apply_polynomial_weight(apply_polynomial_weight(g, w1), w2)
     assert both.entries == stepped.entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_weight_matches_the_termwise_sum(data):
+    """Rational entries from one integer dot product each are equal to the
+    term-by-term Fraction sums, float:256 entries bit-identical to them,
+    at the full depth and at any shallower one."""
+    defn, d = data.draw(rational_measures())
+    w = data.draw(st.dictionaries(st.sampled_from(list(multi_indices(d, 3))), small,
+                                  min_size=1, max_size=4))
+    if not any(w.values()):
+        w[(0,) * d] = F(1)
+    depth = 8 - max(sum(a) for a, c in w.items() if c)
+    max_degree = data.draw(st.one_of(st.none(), st.integers(0, depth)))
+    for mode in (R, F256):
+        seq = generate_moments(defn, d, 8, mode)
+        expected = weight_termwise(seq, w, depth if max_degree is None else max_degree)
+        if expected[(0,) * d] < 0:              # a weight negative on the measure
+            with pytest.raises(InvalidParameter, match="m_0 must be non-negative"):
+                apply_polynomial_weight(seq, w, max_degree)
+            continue
+        weighted = apply_polynomial_weight(seq, w, max_degree)
+        assert weighted.entries == expected
+        assert all(type(v) is type(expected[a]) for a, v in weighted.entries.items())
+        assert weighted.support == seq.support and weighted.meta == seq.meta
+
+
+def test_weight_depth_guard():
+    g = gauss(8, 2)
+    w = {(1, 0): F(1, 3), (0, 0): F(1)}
+    assert apply_polynomial_weight(g, w, 7).max_degree == 7
+    assert apply_polynomial_weight(g, w, 0).entries == {(0, 0): F(1)}
+    for depth in (8, -1):
+        with pytest.raises(DegreeInsufficient, match="weight degree exceeds the truncation"):
+            apply_polynomial_weight(g, w, depth)
 
 
 def test_affine_identities():
