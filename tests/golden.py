@@ -13,7 +13,8 @@ that moved.
 Float inputs are the rational inputs converted into the mode entry by
 entry, not generated in float mode, so that a kernel's digest moves only
 when that kernel's own arithmetic moves; the generators have kernels of
-their own.
+their own.  The log-normal moments of ``recurrences``, which are not
+rational, are the one float input generated in its mode.
 
 A change that moves values on purpose re-records only the digests it names
 and says why:
@@ -34,7 +35,9 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+from momentkit.curves import _weighted_lift, catalog
 from momentkit.gaps import Fantappie, direction_set, grid_gap_lp, orthant_criterion
+from momentkit.hamburger import recurrence_from_moments
 from momentkit.moments import (Atomic, Exponential1D, GaussianProduct,
                                LogNormal1D, MomentSequence, Product, QLattice1D, WeightedBy,
                                affine_map, convolve, generate_moments, image_moments, marginal,
@@ -134,13 +137,18 @@ DATA = {
 }
 
 
+def in_mode(seq: MomentSequence, mode) -> MomentSequence:
+    """A rational sequence, its entries converted to mode."""
+    if isinstance(mode, RationalMode):
+        return seq
+    return MomentSequence(seq.dimension, seq.max_degree, mode, seq.entries, seq.support,
+                          seq.meta)
+
+
 def data(name: str, mode) -> MomentSequence:
     """The rational sequence of DATA[name], its entries converted to mode."""
     defn, d, n = DATA[name]
-    seq = generate_moments(defn, d, n, MODES["rational"])
-    if isinstance(mode, RationalMode):
-        return seq
-    return MomentSequence(d, n, mode, seq.entries, seq.support, seq.meta)
+    return in_mode(generate_moments(defn, d, n, MODES["rational"]), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +290,53 @@ def directions(mode):
         yield f"d={d} count={count}", lambda d=d, count=count: direction_set(d, count, mode)
 
 
+def recurrence_outputs(seq: MomentSequence, base: tuple | None = None) -> tuple:
+    rec = recurrence_from_moments(seq, seq.max_degree // 2, base)
+    return rec.alpha, rec.beta, rec.pivot_log, rec.rank
+
+
+def lift_recurrence(sigma: MomentSequence, curve: str, mode) -> tuple:
+    """The weighted lift of sigma on a catalog curve, factorized on the base
+    route from sigma's own recurrence, as ``curves.lift_and_test`` does."""
+    lift = in_mode(_weighted_lift(sigma, catalog(curve).weight), mode)
+    sigma = in_mode(sigma, mode)
+    source = recurrence_from_moments(sigma, sigma.max_degree // 2)
+    return recurrence_outputs(lift, (source, sigma.max_degree - lift.max_degree))
+
+
+SYMMETRIC = Atomic(((F(-3),), (F(-1, 2),), (F(0),), (F(1, 2),), (F(3),)),
+                   (F(2), F(1, 3), F(5), F(1, 3), F(2)))
+#: alpha_0 = 0 but m_3 != 0: not symmetric
+ZERO_MEAN = Atomic(((F(-1),), (F(2),)), (F(2), F(1)))
+
+
+def recurrences(mode):
+    """alpha, beta, the pivot log and the rank of the recurrence to order
+    max_degree // 2, or the error; the log-normal moments, which are not
+    rational, are generated in the float modes."""
+    R = MODES["rational"]
+    specs = [
+        ("gaussian", GAUSS1, 24),
+        ("exponential", Exponential1D(), 20),
+        ("q-lattice", QLattice1D(2), 20),
+        ("q-lattice 3/2", QLattice1D(F(3, 2)), 16),
+        ("atomic seed=1", seeded_atomic(1, 1), 12),
+        ("atomic seed=4", seeded_atomic(4, 1), 8),
+        ("symmetric atomic", SYMMETRIC, 14),
+        ("zero mean, two atoms", ZERO_MEAN, 8),
+    ]
+    for label, defn, n in specs:
+        yield label, lambda defn=defn, n=n: recurrence_outputs(
+            in_mode(generate_moments(defn, 1, n, R), mode))
+    yield "log-normal", lambda: recurrence_outputs(
+        generate_moments(LogNormal1D(F(1, 2)), 1, 16, mode))
+    gauss, expo = generate_moments(GAUSS1, 1, 32, R), generate_moments(Exponential1D(), 1, 24, R)
+    for label, sigma, curve in (("gaussian", gauss, "nodal_cubic"),
+                                ("gaussian", gauss, "lhospital_quintic"),
+                                ("exponential", expo, "ramphoid_quartic")):
+        yield (f"{label} lift on {curve}",
+               lambda sigma=sigma, curve=curve: lift_recurrence(sigma, curve, mode))
+
 KERNELS = {
     "generate_catalog": generate_catalog,
     "generate_atomic": generate_atomic,
@@ -293,6 +348,7 @@ KERNELS = {
     "orthant_criterion": orthant,
     "grid_gap_lp": grid_lps,
     "direction_set": directions,
+    "recurrences": recurrences,
 }
 
 # ---------------------------------------------------------------------------
