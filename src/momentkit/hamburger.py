@@ -96,8 +96,17 @@ at the working precision, so every value is bit-identical to the ``mpf``
 operators'.  Their noise floors, estimates that need no working
 precision, are binary64 ``log2`` magnitudes within about 1e-12 of the
 ``mpf`` floors' logs, and on a precision sweep of seven families every
-pivot decision and message is theirs.  Only the row arithmetic and the
-pivot checks differ by mode.
+pivot decision and message is theirs.  Each entry's floor is the
+log-add of a fixed list of terms, summed left to right in one unrolled
+binary64 sum in which an absent term is -inf and adds exactly 0.0, so it
+equals the sum of the terms present.  A product by an exact zero
+multiplier alpha_{k-1} - a_l is skipped: it is 0, and an entry already
+rounded to the working precision minus 0 is that entry.  Symmetric data
+(every odd row-0 entry an exact zero, the base's a_l all 0, which
+``_factorize`` tests once on the data, never on an alpha that happens to
+vanish) keep every alpha at 0 and every sigma_{k,l} with k + l odd at 0
+with floor -inf, by induction on k, so a row computes every second entry
+only.  Only the row arithmetic and the pivot checks differ by mode.
 The forward pass runs on ``(value, 1)`` levels in float mode, through
 the same ``_level_step``: every denominator is 1, so no gcd is taken and a
 level is the plain products, in the order of the plain recurrence; the
@@ -320,6 +329,9 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
         row_prev, d_prev = [x._mpf_ for x in nu], 1
         noi_prev = [_log2(x._mpf_) + FLOAT_PIVOT_GUARD_BITS - prec for x in scale]
         terms = None if base is None else ([x._mpf_ for x in a], [x._mpf_ for x in b])
+        # symmetric data: odd row-0 entries exact zeros, every a_l = 0; then
+        # every alpha is 0 and sigma_{k,l} = 0 with floor -inf for k + l odd
+        step = 1 if any(scale[1::2]) or (a is not None and any(a)) else 2
     piv_prev = row_prev[0] if exact else nu[0]
     for k in range(1, n + 1):
         hi = min(2 * n - k, k + width)
@@ -332,7 +344,7 @@ def _factorize(seq: MomentSequence, n: int, base: tuple | None = None) -> Recurr
         else:
             d = 1
             row, noi = _float_row(k, hi, alpha[k - 1], beta[k - 1], row_prev, noi_prev,
-                                  row_prev2, noi_prev2, prec, terms)
+                                  row_prev2, noi_prev2, prec, terms, step)
             piv, above, size = value(row[k]), value(row[k + 1]), _log2(row[k])
             # |piv| clear of its floor, or at or under it
             negative, dead = piv < 0 and size > noi[k], size <= noi[k]
@@ -455,43 +467,70 @@ def _exact_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, d_prev: i
 
 
 def _float_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, noi_prev: list,
-               row_prev2: list, noi_prev2: list, prec: int, terms: tuple | None = None) -> tuple:
+               row_prev2: list, noi_prev2: list, prec: int, terms: tuple | None = None,
+               step: int = 1) -> tuple:
     """Float row k on raw mpf tuples, with log2 of its first-order noise
     floors (-inf for 0); (the row, the floors).  ``terms = (a, b)`` holds
     the raw base terms, which replace alpha_{k-1} by alpha_{k-1} - a_l and
     add b_l sigma_{k-1,l-1}.  Every operation on a value is the one the mpf
     operators of a ``prec``-bit context perform, in the same order, so
-    every value is theirs bit for bit.  A floor is an estimate and needs no
-    working precision: |c| * floor is log2|c| + floor, eps * |x| is
-    log2|x| + log2(eps) with eps = 2**(guard - prec), and a sum is a
-    log-add in binary64."""
+    every value is theirs bit for bit, except that a product by an exact
+    zero multiplier alpha_{k-1} - a_l is not taken: it is 0, and an entry
+    minus 0 is the entry, since every row entry is already rounded to
+    ``prec`` bits.  A floor is an estimate and needs no working precision:
+    |c| * floor is log2|c| + floor, eps * |x| is log2|x| + log2(eps) with
+    eps = 2**(guard - prec), and a sum is a log-add in binary64 over the
+    fixed terms sigma_{k-1,l+1}, (alpha - a_l) sigma_{k-1,l}, beta
+    sigma_{k-2,l}, b_l sigma_{k-1,l-1}, each a floor and a rounding, then
+    the entry's own rounding, summed left to right; an absent term is
+    -inf, and 2.0 ** -inf adds exactly 0.0.  ``step = 2`` computes only
+    the entries with k + l even, for data whose entries with k + l odd are
+    exact zeros with floor -inf (``_factorize`` tests the data); the others
+    stay at their prefilled 0 and -inf."""
     mul, add, sub, rnd = raw_mul, raw_add, raw_sub, NEAREST
     eps = FLOAT_PIVOT_GUARD_BITS - prec
     an, bn = alpha_prev._mpf_, beta_prev._mpf_
     log_an, log_bn = _log2(an), _log2(bn)
+    a, b = (None, None) if terms is None else terms
     row = [RAW_ZERO] * len(row_prev)
     noi = [-inf] * len(row_prev)
-    for l in range(k, hi + 1):
+    t3 = t4 = t5 = t6 = -inf                    # the terms a row may lack
+    for l in range(k, hi + 1, step):
         a_l, log_a = an, log_an                 # alpha_{k-1} - a_l
-        if terms is not None:
-            a_l = sub(an, terms[0][l], prec, rnd)
-            log_a = _log2(a_l)
-        bs = mul(a_l, row_prev[l], prec, rnd)
-        v = sub(row_prev[l + 1], bs, prec, rnd)
-        parts = [noi_prev[l + 1], log_a + noi_prev[l], _log2(bs) + eps]
+        if a is not None:
+            a_l = sub(an, a[l], prec, rnd)
+            _, man, exp, _ = a_l
+            log_a = log2(man) + exp if man else -inf
+        v, t0 = row_prev[l + 1], noi_prev[l + 1]
+        t1 = t2 = -inf
+        if a_l[1]:
+            x = mul(a_l, row_prev[l], prec, rnd)
+            v = sub(v, x, prec, rnd)
+            _, man, exp, _ = x
+            t1 = log_a + noi_prev[l]
+            if man:
+                t2 = log2(man) + exp + eps
         if k >= 2:
-            cs = mul(bn, row_prev2[l], prec, rnd)
-            v = sub(v, cs, prec, rnd)
-            parts += log_bn + noi_prev2[l], _log2(cs) + eps
-        if terms is not None:
-            b_l = terms[1][l]
-            es = mul(b_l, row_prev[l - 1], prec, rnd)
-            v = add(v, es, prec, rnd)
-            parts += _log2(b_l) + noi_prev[l - 1], _log2(es) + eps
+            x = mul(bn, row_prev2[l], prec, rnd)
+            v = sub(v, x, prec, rnd)
+            _, man, exp, _ = x
+            t3, t4 = log_bn + noi_prev2[l], log2(man) + exp + eps if man else -inf
+        if b is not None:
+            b_l = b[l]
+            x = mul(b_l, row_prev[l - 1], prec, rnd)
+            v = add(v, x, prec, rnd)
+            _, man, exp, _ = b_l
+            t5 = (log2(man) + exp if man else -inf) + noi_prev[l - 1]
+            _, man, exp, _ = x
+            t6 = log2(man) + exp + eps if man else -inf
         row[l] = v
-        parts.append(_log2(v) + eps)
-        top = max(parts)                        # the log-add of the parts
-        noi[l] = top if top == -inf else top + log2(sum([2.0 ** (t - top) for t in parts]))
+        _, man, exp, _ = v
+        t7 = log2(man) + exp + eps if man else -inf
+        top = max(t0, t1, t2, t3, t4, t5, t6, t7)     # the log-add of the terms
+        if top != -inf:
+            noi[l] = top + log2(2.0 ** (t0 - top) + 2.0 ** (t1 - top) + 2.0 ** (t2 - top)
+                                + 2.0 ** (t3 - top) + 2.0 ** (t4 - top) + 2.0 ** (t5 - top)
+                                + 2.0 ** (t6 - top) + 2.0 ** (t7 - top))
     return row, noi
 
 

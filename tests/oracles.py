@@ -45,6 +45,17 @@ and their messages must be equal, and float values bit-identical; the
 floors here are ``mpf`` values, which the library's ``log2`` floors must
 match to within 1e-9 relative in ``log2``.
 
+``float_row_termwise`` is the float sigma row entry by entry on raw mpf
+tuples: every product taken, a zero multiplier's too, and each noise floor
+the log-add of a list of the terms that are present, by ``max`` and
+``sum``.  The library skips the products by an exact zero multiplier,
+sums a fixed list of terms, an absent one as -inf, in the same order, and
+on symmetric data computes only the entries with k + l even
+(``hamburger._float_row``); the rows, the floors and the recurrence must
+be equal, ``==`` on binary64 floors too.  That holds where ``sum`` adds
+floats left to right, as through Python 3.11; from 3.12 it compensates,
+and a floor may then differ in its last bit.
+
 ``christoffel_fractions`` and ``weyl_radius_sq_fractions`` are the
 Christoffel value and the Weyl radius as chains of the mode's scalar
 operations on a ``forward_pass_fractions`` pass: the Christoffel-Darboux
@@ -158,7 +169,7 @@ and errors must be the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf, log2
 from typing import Sequence
 
 from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidParameter,
@@ -167,14 +178,14 @@ from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidPara
                               PrecisionExhausted)
 from momentkit.curves import PolynomialCurve, _weighted_lift
 from momentkit.hamburger import (FLOAT_PIVOT_GUARD_BITS, ConvergentPair, OrthoEval, Recurrence,
-                                 WeylDisk, christoffel, monic_coefficients, ortho_eval,
+                                 WeylDisk, _log2, christoffel, monic_coefficients, ortho_eval,
                                  recurrence_from_moments, verdict_1d)
 from momentkit.moments import (FullSpace, MomentSequence, NonnegativeOrthant, affine_map,
                                apply_linear_functional, pushforward_direction)
 from momentkit.polynomials import (compositions, mpoly_degree, mpoly_mul, multi_indices,
                                    poly_add, poly_mul, poly_pow)
-from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
-                               half_floor)
+from momentkit.scalars import (NEAREST, RAW_ZERO, ComplexScalar, FloatMode, Mode, RationalMode,
+                               complex_scalar, half_floor, raw_add, raw_mul, raw_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +488,48 @@ def factorize_fractions(seq: MomentSequence, n: int, rows: list | None = None) -
         sig_prev2, sig_prev = sig_prev, sig
         noi_prev2, noi_prev = noi_prev, noi
     return Recurrence(mode, tuple(alpha), tuple(beta), tuple(pivots))
+
+
+def float_row_termwise(k: int, hi: int, alpha_prev, beta_prev, row_prev: list,
+                       noi_prev: list, row_prev2: list, noi_prev2: list, prec: int,
+                       terms: tuple | None = None) -> tuple:
+    """Float row k on raw mpf tuples, with log2 of its first-order noise
+    floors (-inf for 0); (the row, the floors).  ``terms = (a, b)`` holds
+    the raw base terms, which replace alpha_{k-1} by alpha_{k-1} - a_l and
+    add b_l sigma_{k-1,l-1}.  Every operation on a value is the one the mpf
+    operators of a ``prec``-bit context perform, in the same order, so
+    every value is theirs bit for bit.  A floor is an estimate and needs no
+    working precision: |c| * floor is log2|c| + floor, eps * |x| is
+    log2|x| + log2(eps) with eps = 2**(guard - prec), and a sum is a
+    log-add in binary64."""
+    mul, add, sub, rnd = raw_mul, raw_add, raw_sub, NEAREST
+    eps = FLOAT_PIVOT_GUARD_BITS - prec
+    an, bn = alpha_prev._mpf_, beta_prev._mpf_
+    log_an, log_bn = _log2(an), _log2(bn)
+    row = [RAW_ZERO] * len(row_prev)
+    noi = [-inf] * len(row_prev)
+    for l in range(k, hi + 1):
+        a_l, log_a = an, log_an                 # alpha_{k-1} - a_l
+        if terms is not None:
+            a_l = sub(an, terms[0][l], prec, rnd)
+            log_a = _log2(a_l)
+        bs = mul(a_l, row_prev[l], prec, rnd)
+        v = sub(row_prev[l + 1], bs, prec, rnd)
+        parts = [noi_prev[l + 1], log_a + noi_prev[l], _log2(bs) + eps]
+        if k >= 2:
+            cs = mul(bn, row_prev2[l], prec, rnd)
+            v = sub(v, cs, prec, rnd)
+            parts += log_bn + noi_prev2[l], _log2(cs) + eps
+        if terms is not None:
+            b_l = terms[1][l]
+            es = mul(b_l, row_prev[l - 1], prec, rnd)
+            v = add(v, es, prec, rnd)
+            parts += _log2(b_l) + noi_prev[l - 1], _log2(es) + eps
+        row[l] = v
+        parts.append(_log2(v) + eps)
+        top = max(parts)                        # the log-add of the parts
+        noi[l] = top if top == -inf else top + log2(sum([2.0 ** (t - top) for t in parts]))
+    return row, noi
 
 
 def forward_pass_fractions(rec: Recurrence, z: ComplexScalar) -> OrthoEval:

@@ -37,7 +37,10 @@ same message, and float values bit-identical; the float recurrence is
 checked at 64, 128 and 512 bits, its sigma rows included, and its noise
 floors as ``log2`` magnitudes within 1e-9 relative of the oracle's ``mpf``
 floors (at 40 bits and up; below, the oracle's floors round off more).
-Its decisions are swept over seven families at 48 to 200 bits.
+Its decisions are swept over seven families at 48 to 200 bits.  The float
+row kernel, which skips products by an exact zero and runs every second
+entry on symmetric data, is held ``==`` to ``oracles.float_row_termwise``,
+the entry-by-entry kernel it replaced, rows and binary64 floors alike.
 """
 
 import math
@@ -62,8 +65,8 @@ from momentkit.polynomials import multi_indices
 from momentkit.scalars import ComplexScalar, FloatMode, RationalMode, complex_scalar, exact_fraction
 from momentkit.simplex import measure_bounds
 from oracles import (christoffel_direct, christoffel_fractions, convergents_wallis,
-                     factorize_fractions, forward_pass_fractions, grid_columns_entrywise,
-                     image_moments_fractions, weyl_radius_sq_fractions)
+                     factorize_fractions, float_row_termwise, forward_pass_fractions,
+                     grid_columns_entrywise, image_moments_fractions, weyl_radius_sq_fractions)
 
 R = RationalMode()
 F128 = FloatMode(128)
@@ -114,17 +117,18 @@ def same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def factorize_recorded(seq, n) -> tuple:
-    """The outcome of ``hamburger._factorize`` and the (sigma row, noise row)
-    pairs its float rows returned: raw tuples and log2 floors."""
-    rows = []
-    float_row = hamburger._float_row
+def factorize_with(kernel, factorize) -> tuple:
+    """The outcome of ``factorize()`` with ``kernel`` as its float row
+    kernel, the (sigma row, noise row) pairs the kernel returned (raw
+    tuples and log2 floors) and the steps it was asked for."""
+    rows, steps = [], []
 
     def recording(*args):
-        rows.append(float_row(*args))
+        steps.append(args[-1])
+        rows.append(kernel(*args))
         return rows[-1]
     with mock.patch.object(hamburger, "_float_row", recording):
-        return outcome(hamburger._factorize, seq, n), rows
+        return outcome(factorize), rows, steps
 
 
 def log2_abs(x) -> float:
@@ -146,7 +150,7 @@ def check_recurrence(seq, n):
     for bit and the same noise floors as log2 magnitudes within ``same_floor``:
     a floor decides nothing unless a pivot sits near it, so the floors are
     compared themselves."""
-    got, rows = factorize_recorded(seq, n)
+    got, rows, _ = factorize_with(hamburger._float_row, lambda: hamburger._factorize(seq, n))
     want_rows = []
     want = outcome(factorize_fractions, seq, n, want_rows)
     if isinstance(seq.mode, FloatMode):
@@ -235,10 +239,14 @@ QL2 = QLattice1D(F(2))
                        "pivot at step 42 keeps fewer than half the working bits")),
 ])
 def test_float_families_bit_identical(measure, degree, bits, error):
-    """The ``analyze-float`` benchmark families at their working precisions
-    (a spec without a mode starts at 64 + 2N bits): alpha, beta, the pivot
-    log, the sigma rows and their noise floors bit-identical to the oracle,
-    or the same error."""
+    """Alpha, beta, the pivot log, the sigma rows and their noise floors
+    bit-identical to the oracle, or the same error.  Three cases are the
+    float runs of the ``analyze-float`` benchmark: gauss120 at float:512,
+    ql62 at float:128 and lognormal40 at 144 bits, where a spec without a
+    mode starts (64 + 2N bits).  The others are sweep points: ql48 at 160
+    and gauss60 at 184 bits, the precisions their mode-less specs would
+    start at, though rational specs without a mode run exactly, and
+    gauss120 at 128 bits, which runs out of headroom."""
     seq = generate_moments(measure, 1, degree, FloatMode(bits))
     rec = check_recurrence(seq, degree // 2)
     assert (outcome(hamburger._factorize, seq, degree // 2) if rec is None else None) == error
@@ -256,6 +264,100 @@ def test_float_decisions_match_the_mpf_floor_oracle(measure, degree):
     oracle's own floors round off more than that."""
     for bits in range(48, 201, 8):
         check_recurrence(generate_moments(measure, 1, degree, FloatMode(bits)), degree // 2)
+
+
+def check_float_rows(factorize) -> set:
+    """``factorize()`` run once with ``hamburger._float_row`` and once with
+    ``oracles.float_row_termwise``, which computes every entry whatever the
+    step: the rows and floors ``==``, binary64 floors included, and the
+    same recurrence or the same error; the steps the kernel ran."""
+    got, rows, steps = factorize_with(hamburger._float_row, factorize)
+    want, want_rows, _ = factorize_with(lambda *args: float_row_termwise(*args[:-1]), factorize)
+    assert rows == want_rows
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert same((got.alpha, got.beta, got.pivot_log, got.rank),
+                    (want.alpha, want.beta, want.pivot_log, want.rank))
+    return set(steps)
+
+
+@pytest.mark.parametrize("measure, degree, bits", [
+    (GAUSS, 120, 512), (QL2, 62, 128), (LogNormal1D(F(1, 2)), 40, 144),
+    *((GAUSS, 60, bits) for bits in range(48, 201, 8)),
+])
+def test_float_rows_match_the_termwise_kernel(measure, degree, bits):
+    """The float row kernel, which skips products by an exact zero, sums a
+    fixed list of floor terms and runs every second entry on symmetric
+    data, against the entry-by-entry kernel it replaced: rows and floors
+    ``==``, on the float runs of the ``analyze-float`` benchmark and a
+    sweep of the Gaussian at 48 to 200 bits."""
+    seq = generate_moments(measure, 1, degree, FloatMode(bits))
+    assert check_float_rows(lambda: hamburger._factorize(seq, degree // 2)) == {
+        2 if measure is GAUSS else 1}
+
+
+@st.composite
+def symmetric_measures(draw):
+    """(measure, order): atoms +-x with equal weights, with or without an
+    atom at 0."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.integers(1, (n + 3) // 2))
+    xs = draw(st.lists(st.builds(F, st.integers(1, 40), st.sampled_from(DENOMINATORS)),
+                       min_size=pairs, max_size=pairs, unique=True))
+    ws = draw(st.lists(weights, min_size=pairs, max_size=pairs))
+    points, masses = [-x for x in xs] + xs, ws + ws
+    if draw(st.booleans()):
+        points, masses = points + [F(0)], masses + [draw(weights)]
+    return atoms(points, masses), n
+
+
+@SETTINGS
+@given(symmetric_measures())
+def test_float_rows_match_the_termwise_kernel_on_symmetric_atoms(measure_and_n):
+    """The exact moments rounded into each float mode, so that the odd
+    ones are exact zeros (a float sum over the atoms may leave a rounding
+    there); the early stop at the rank included."""
+    measure, n = measure_and_n
+    m = generate_moments(measure, 1, 2 * n, R).moments_1d()
+    for mode in MODES[1:]:
+        seq = sequence_from_1d([mode.convert(x) for x in m], mode)
+        assert check_float_rows(lambda: hamburger._factorize(seq, n)) == {2}
+
+
+def test_a_zero_alpha_alone_runs_every_entry():
+    """Atoms -1 and 2 with weights 2 and 1: alpha_0 = 0, so row 1 skips its
+    products by alpha_0, but m_3 != 0 and every entry runs."""
+    for mode in MODES[1:]:
+        seq = generate_moments(atoms((-1, 2), (2, 1)), 1, 8, mode)
+        assert seq.moments_1d()[1] == 0 != seq.moments_1d()[3]
+        assert check_float_rows(lambda: hamburger._factorize(seq, 4)) == {1}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("curve, step", [
+    ("nodal_cubic", 2), ("lhospital_quintic", 2), ("ramphoid_quartic", 1),
+])
+def test_float_lift_rows_match_the_termwise_kernel(curve, step, bits):
+    """Float weighted lifts of a Gaussian sigma on the base route, sigma's
+    own factorization included: an even weight keeps the lift symmetric and
+    every a_l = 0, so every second entry runs; the ramphoid weight is not
+    even."""
+    sigma = generate_moments(GAUSS, 1, 40, FloatMode(bits))
+    assert check_float_rows(lambda: base_route(sigma, curve)) == {2, step}
+
+
+def test_a_base_with_a_nonzero_a_l_runs_every_entry():
+    """Gaussian moments to degree 20 but m_9 = 1/10**4: alpha_0 .. alpha_3
+    are 0 and alpha_4 is not.  The nodal lift's odd modified moments nu_1
+    and nu_3 read moments to degree 7 only and vanish, so only the base's
+    a_l keep every entry running."""
+    m = generate_moments(GAUSS, 1, 20, R).moments_1d()
+    m[9] = F(1, 10 ** 4)
+    for bits in (128, 256):
+        mode = FloatMode(bits)
+        sigma = sequence_from_1d([mode.convert(x) for x in m], mode)
+        assert check_float_rows(lambda: base_route(sigma, "nodal_cubic")) == {1}
 
 
 def lhospital_lift(mode):
