@@ -33,6 +33,21 @@ or of per-axis (angle, weight) pairs.  A grid point, a direction, a corner
 or a spec's vector whose length is not the sequence's dimension raises
 DimensionMismatch naming both, before any LP runs.
 
+A grid LP is solved over the orbits of its symmetries (Gatermann and
+Parrilo, *J. Pure Appl. Algebra* 192, 2004; Bodi, Herr and Joswig, *Math.
+Program.* 137, 2013).  A signed coordinate permutation sigma: x_j -> s_j
+x_{pi(j)} is a symmetry when it passes three exact tests: it fixes the
+moments through the LP degree, it maps the grid onto itself as an index
+permutation (a repeated point to copies of its image), and it keeps phi's
+value at every grid point.  Then sigma maps each grid measure with the
+moments to another with the same objective, and averaging a measure over
+the symmetry group keeps both, so the LP has the same feasibility and the
+same optima over the measures constant on orbits: one column per orbit,
+the sum of its points' columns, and one row per orbit of monomials.  The
+reported grid, and the grid an LpUnbounded names, stay the full grid.
+Symmetric data, such as the centred Gaussian at x0 = 0 or a product of
+equal marginals on x <-> y, so solve smaller LPs with the same bounds.
+
 The hyperplane gaps on a cone are the Fantappie grid LP of the weighted
 functional nu = (a.x + 1) L at one degree lower: a grid measure y with
 sum_g y_g (a.g + 1) g^alpha = nu(x^alpha) is, through y'_g = (a.g + 1) y_g,
@@ -315,6 +330,15 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
     caller should refine the grid); LpInfeasible never for consistent inputs;
     InvalidParameter for a negative degree or an empty grid; DimensionMismatch
     for a grid point whose length is not the sequence's dimension.
+
+    The LP is solved over the orbits of the signed coordinate permutations
+    that fix the moments through ``degree``, map the grid onto itself and
+    keep phi's grid values (``_symmetries``, ``_orbit_lp``): a grid measure
+    averaged over that group keeps its moments and its objective, so the
+    orbit LP has the same feasibility and the same optima.  Rational
+    bounds are ``==`` to the full grid's; float bounds are the same exact
+    optimum of the float data, rounded once.  The result's ``grid`` and the
+    LpUnbounded message keep the full grid.
     """
     if degree < 0:
         raise InvalidParameter(f"LP degree {degree} is negative")
@@ -337,14 +361,145 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
     # same constraints, each row scaled by a positive integer
     columns, dens = _grid_columns(mode, grid, degree)
     moments = [seq.entries[alpha] * den for alpha, den in zip(monomials, dens)]
+    lp_mode = mode
+    symmetries = _symmetries(seq, monomials, grid, phi_vals)
+    if len(symmetries) > 1:
+        lp_mode = RationalMode()
+        columns, moments, phi_vals = _orbit_lp(mode, symmetries, monomials, columns,
+                                               moments, phi_vals)
     try:
-        sup_side, inf_side = simplex.measure_bounds(mode, columns, moments, phi_vals)
+        sup_side, inf_side = simplex.measure_bounds(lp_mode, columns, moments, phi_vals)
     except LpUnbounded:
         raise LpUnbounded(f"no nonnegative measure on the {len(grid)}-point grid "
                           f"reproduces the moments up to degree {degree}; "
                           "refine the grid") from None
     points = [[mode.to_float(c) for c in p] for p in grid]
-    return GapEstimate(sup_side, inf_side, degree, {"size": len(grid), "points": points})
+    return GapEstimate(mode.convert(sup_side), mode.convert(inf_side), degree,
+                       {"size": len(grid), "points": points})
+
+
+def _symmetries(seq: MomentSequence, monomials: list, grid: list, phi_vals: list) -> list:
+    """The signed coordinate permutations sigma: x_j -> s_j x_{pi(j)} that
+    fix the grid LP, as (pi, s, grid index permutation), the identity
+    first.
+
+    sigma fixes the LP when it passes three exact tests, in this order: it
+    fixes every moment through the LP degree, s^alpha m_{pi.alpha} =
+    m_alpha, where (pi.alpha)_{pi(j)} = alpha_j; it maps the grid onto
+    itself, the k-th copy of a point to the k-th copy of its image; and it
+    keeps phi's value at every grid point.  The 2^d d! candidates are built
+    one coordinate at a time, and a partial sigma is dropped at the first
+    moment it moves: a monomial is tested once sigma is fixed on the last
+    coordinate it uses.  Each test is a group's membership test, so the
+    sigmas kept form a group, and so do their index permutations."""
+    d, entries = seq.dimension, seq.entries
+    tested: list = [[] for _ in range(d)]
+    for alpha in monomials:
+        used = [j for j, a in enumerate(alpha) if a]
+        if used:
+            tested[used[-1]].append(alpha)
+    candidates: list = [((), ())]
+    for j in range(d):
+        candidates = [
+            (perm + (k,), signs + (s,))
+            for perm, signs in candidates for k in range(d) if k not in perm
+            for s in (1, -1)
+            if all(_signed_moment(entries, alpha, perm + (k,), signs + (s,)) == entries[alpha]
+                   for alpha in tested[j])]
+    identity = (tuple(range(d)), (1,) * d)
+    found = [identity + (list(range(len(grid))),)]
+    candidates = [c for c in candidates if c != identity]
+    if not candidates:
+        return found
+    # the grid with each coordinate value as an int id, cheaper to hash
+    values = {c for g in grid for c in g}
+    ids = {c: n for n, c in enumerate(values | {-c for c in values})}
+    negated = [0] * len(ids)
+    for c, n in ids.items():
+        negated[n] = ids[-c]
+    points = [tuple(ids[c] for c in g) for g in grid]
+    index: dict = {}  # a point -> the indices of its copies
+    for i, g in enumerate(points):
+        index.setdefault(g, []).append(i)
+    for perm, signs in candidates:
+        images = _grid_permutation(points, index, negated, perm, signs)
+        if images is not None and all(phi_vals[q] == v for q, v in zip(images, phi_vals)):
+            found.append((perm, signs, images))
+    return found
+
+
+def _signed_moment(entries: Mapping, alpha: tuple, perm: tuple, signs: tuple):
+    """s^alpha m_{pi.alpha} for a sigma fixed on the first len(perm)
+    coordinates, which are all that alpha uses."""
+    beta = [0] * len(alpha)
+    negate = False
+    for a, k, s in zip(alpha, perm, signs):
+        beta[k] = a
+        if s < 0 and a % 2:
+            negate = not negate
+    value = entries[tuple(beta)]
+    return -value if negate else value
+
+
+def _grid_permutation(points: list, index: dict, negated: list, perm: tuple,
+                      signs: tuple):
+    """The grid index permutation of sigma, on the grid's coordinate ids
+    (``negated`` maps the id of c to the id of -c): the k-th copy of each
+    point goes to the k-th copy of its image; None when sigma does not map
+    the grid onto itself."""
+    taken: dict = {}
+    images = []
+    for g in points:
+        image = tuple(negated[g[k]] if s < 0 else g[k] for k, s in zip(perm, signs))
+        copies = index.get(image, ())
+        if len(copies) != len(index[g]):
+            return None
+        n = taken.get(image, 0)
+        taken[image] = n + 1
+        images.append(copies[n])
+    return images
+
+
+def _orbit_lp(mode: Mode, symmetries: list, monomials: list, columns: list,
+              moments: list, phi_vals: list) -> tuple:
+    """The grid LP over the grid measures that the symmetry group fixes:
+    (columns, moments, objective), exact, for ``measure_bounds`` in rational
+    mode.  Averaging a grid measure over the group keeps its moments and
+    its objective, so this LP has the same feasibility and optima.
+
+    One column per orbit O of grid points, the sum of its points' columns,
+    with objective |O| phi(O's first point); one row per orbit of
+    monomials, its first monomial's, since the rows of one orbit agree on
+    these columns up to the sign s^alpha, as their moments do; a row is
+    dropped when it vanishes on every column and its moment is 0.  Float
+    entries are first rounded into the mode as ``measure_bounds`` rounds
+    them in float mode, so the data are the float LP's own, exactly; the
+    caller rounds each bound into the mode once."""
+    if not isinstance(mode, RationalMode):
+        def exact(v):
+            return exact_fraction(mode.convert(v))
+        columns = [list(map(exact, col)) for col in columns]
+        moments, phi_vals = list(map(exact, moments)), list(map(exact, phi_vals))
+    orbits, placed = [], set()
+    for i in range(len(columns)):
+        if i not in placed:
+            orbit = sorted({images[i] for _, _, images in symmetries})
+            placed.update(orbit)
+            orbits.append(orbit)
+    rows, seen = [], set()
+    for k, alpha in enumerate(monomials):
+        if alpha not in seen:
+            rows.append(k)
+            for perm, _, _ in symmetries:
+                beta = [0] * len(alpha)
+                for a, j in zip(alpha, perm):
+                    beta[j] = a
+                seen.add(tuple(beta))
+    cols = [[sum(columns[i][k] for i in orbit) for k in rows] for orbit in orbits]
+    rhs = [moments[k] for k in rows]
+    keep = [r for r, m in enumerate(rhs) if m or any(col[r] for col in cols)]
+    return ([[col[r] for r in keep] for col in cols], [rhs[r] for r in keep],
+            [len(orbit) * phi_vals[orbit[0]] for orbit in orbits])
 
 
 def _grid_columns(mode: Mode, grid: Sequence, degree: int) -> tuple:

@@ -56,7 +56,7 @@ from .polynomials import (
     poly_trim,
     power_slices,
 )
-from .scalars import FloatMode, Mode, RationalMode, Record, integers
+from .scalars import FloatMode, Mode, RationalMode, Record, exact_fraction, integers
 
 # ---------------------------------------------------------------------------
 # support hints
@@ -414,10 +414,29 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
             raise DimensionMismatch("atom dimension mismatch")
         if any(not w > 0 for w in wts):
             raise InvalidParameter("weights must be positive")
-        # column alpha: x**alpha at each atom, summed from zero in atom order
-        columns = zip(*(chain.from_iterable(power_slices(p, max_degree)) for p in pts))
-        entries = {alpha: sum(map(mul, wts, column), mode.zero())
-                   for alpha, column in zip(multi_indices(dimension, max_degree), columns)}
+        # each moment summed exactly over the atoms' values in the mode (a
+        # float at its binary value), then rounded once: every axis over
+        # the lcm Q_i of its denominators and the weights over theirs, W,
+        # make each term an integer, and moment alpha is the integer sum
+        # over W Q^alpha.  So equal exact sums round alike, and a symmetric
+        # measure's odd moments are exactly 0.  In float mode W Q^alpha is
+        # a power of two: the sum, its trailing zero bits shifted off
+        # (mpmath strips them slowly), is rounded, then shifted exactly
+        if isinstance(mode, RationalMode):
+            exact, moment = (lambda v: v), Fraction
+        else:
+            def moment(num, den):
+                zeros = (num & -num).bit_length() - 1 if num else 0
+                return mode.ctx.ldexp(mode.convert(num >> zeros), zeros + 1 - den.bit_length())
+            exact = exact_fraction
+        axes = [integers(map(exact, axis)) for axis in zip(*pts)]
+        nums, den = integers(map(exact, wts))
+        columns = zip(*(chain.from_iterable(power_slices(p, max_degree))
+                        for p in zip(*(a for a, _ in axes))))
+        dens = chain.from_iterable(power_slices([q for _, q in axes], max_degree))
+        entries = {alpha: moment(sum(map(mul, nums, column)), den * q)
+                   for alpha, column, q in zip(multi_indices(dimension, max_degree),
+                                               columns, dens)}
         on_orthant = all(all(c >= 0 for c in p) for p in pts)
         support = NonnegativeOrthant() if on_orthant else FullSpace()
         return MomentSequence(dimension, max_degree, mode, entries, support,

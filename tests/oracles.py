@@ -105,6 +105,17 @@ are the hyperplane LP as written, over grid measures of mass sum_g y_g;
 ``gaps.hyperplane_gap`` solves it as a Fantappie grid LP (see the ``gaps``
 module docstring), and rational values must be equal.
 
+``grid_lp_unreduced`` solves the grid LP of ``gaps.grid_gap_lp`` with
+one column per grid point, as ``simplex.measure_bounds`` takes it, and no
+symmetry reduction; ``grid_orbit_count`` tries every one of the 2^d d!
+signed coordinate permutations on every moment, on the grid as a multiset
+and on every value of phi, and counts the orbits of grid points (each
+copy of a repeated point apart) under those that fix all three.  The
+library builds its candidates one coordinate at a time, drops one at the
+first moment it moves and solves the LP over orbits; its bounds, or its
+error, must be those of the whole grid, and it must hand the engine one
+column per orbit.
+
 ``compose_univariates_termwise`` substitutes univariate polynomials into
 a multivariate one term by term, each power ``u_i**e`` by repeated
 squaring; the library builds each component's powers once, one product
@@ -168,10 +179,13 @@ and errors must be the same.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations, product
 from math import comb, inf, log2
 from typing import Sequence
 
+from momentkit import gaps, simplex
 from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidParameter,
                               LpInfeasible, LpUnbounded, ModeMismatch, NonRealPointRequired,
                               NotAdmissible, NotPositiveDefinite, NotStieltjesAdmissible,
@@ -859,6 +873,59 @@ def grid_columns_entrywise(mode: Mode, grid, degree: int, weight=None) -> tuple:
             w = sum((c * monomial(g, alpha) for alpha, c in weight.items()), mode.zero())
         columns.append([w * monomial(g, alpha) for alpha in monomials])
     return columns, [1] * len(monomials)
+
+
+# ---------------------------------------------------------------------------
+# grid LPs on the whole grid
+
+
+def grid_lp_unreduced(seq: MomentSequence, phi, degree: int, grid) -> tuple:
+    """(sup side, inf side) of ``gaps.grid_gap_lp``'s LP, solved by
+    ``simplex.measure_bounds`` with one column per grid point."""
+    mode = seq.mode
+    grid = [tuple(mode.convert(c) for c in g) for g in grid]
+    columns, dens = gaps._grid_columns(mode, grid, degree)
+    moments = [seq.entries[alpha] * den
+               for alpha, den in zip(multi_indices(seq.dimension, degree), dens)]
+    objective = [gaps.evaluate_separating(phi, g, mode) for g in grid]
+    return simplex.measure_bounds(mode, columns, moments, objective)
+
+
+def grid_orbit_count(seq: MomentSequence, degree: int, grid, phi) -> int:
+    """The number of orbits of grid points, each copy of a repeated point
+    apart, under the signed coordinate permutations sigma(x)_j = s_j
+    x_{pi(j)} that fix every moment through ``degree`` (L((sigma x)^alpha)
+    = m_alpha), the grid as a multiset and every value of phi, found by
+    trying all 2^d d! of them."""
+    mode, d = seq.mode, seq.dimension
+    grid = [tuple(mode.convert(c) for c in g) for g in grid]
+    copies = Counter(grid)
+    value = {g: gaps.evaluate_separating(phi, g, mode) for g in copies}
+    group = []
+    for perm in permutations(range(d)):
+        for signs in product((1, -1), repeat=d):
+            def act(x, perm=perm, signs=signs):
+                return tuple(s * x[k] for k, s in zip(perm, signs))
+            if (all(_applied_to_image(seq, alpha, perm, signs) == seq.entries[alpha]
+                    for alpha in multi_indices(d, degree))
+                    and Counter(map(act, grid)) == copies
+                    and all(value[act(g)] == value[g] for g in copies)):
+                group.append(act)
+    orbits, placed = 0, set()
+    for g in copies:
+        if g not in placed:
+            placed.update(act(g) for act in group)
+            orbits += copies[g]
+    return orbits
+
+
+def _applied_to_image(seq: MomentSequence, alpha, perm, signs):
+    """L((sigma x)^alpha), where (sigma x)^alpha = prod_j (s_j x_{pi(j)})^alpha_j."""
+    beta, c = [0] * len(alpha), 1
+    for j, a in enumerate(alpha):
+        beta[perm[j]] += a
+        c *= signs[j] ** a
+    return c * seq.entries[tuple(beta)]
 
 
 # ---------------------------------------------------------------------------

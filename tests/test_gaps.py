@@ -5,7 +5,7 @@ import signal
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations, product
 from unittest import mock
 
 import pytest
@@ -60,8 +60,8 @@ from momentkit.moments import (
 from momentkit.polynomials import multi_indices
 from momentkit.scalars import FloatMode, RationalMode, complex_scalar, exact_fraction
 from momentkit.verdicts import Status
-from oracles import (contains_basis_elimination, grid_columns_entrywise, maximize,
-                     orthant_slack_patterns, scan_verdicts_fresh)
+from oracles import (contains_basis_elimination, grid_columns_entrywise, grid_lp_unreduced,
+                     grid_orbit_count, maximize, orthant_slack_patterns, scan_verdicts_fresh)
 
 R = RationalMode()
 
@@ -335,6 +335,164 @@ def test_hyperplane_matches_the_weighted_column_lp(inputs):
         return
     res = hyperplane_gap(seq, a, degree)
     assert (res["value_plus"], res["value_minus"]) == want
+
+
+def signed_permutation(perm, signs):
+    """x -> (s_j x_{pi(j)})_j, with its (pi, s)."""
+    def act(x):
+        return tuple(s * x[k] for k, s in zip(perm, signs))
+    act.perm, act.signs = perm, signs
+    return act
+
+
+def generated_group(d, generators) -> list:
+    """The signed permutations of R^d that the generators generate, by
+    closing the identity under composition with each generator."""
+    identity = signed_permutation(tuple(range(d)), (1,) * d)
+    group = {(identity.perm, identity.signs): identity}
+    frontier = [identity]
+    while frontier:
+        sigma = frontier.pop()
+        for tau in generators:
+            # (tau sigma x)_j = t_j (sigma x)_{rho(j)} = t_j s_{rho(j)} x_{pi(rho(j))}
+            key = (tuple(sigma.perm[k] for k in tau.perm),
+                   tuple(t * sigma.signs[k] for k, t in zip(tau.perm, tau.signs)))
+            if key not in group:
+                group[key] = signed_permutation(*key)
+                frontier.append(group[key])
+    return list(group.values())
+
+
+#: the absolute values of the atoms' and the grid points' coordinates
+COORDS = (F(0), F(1, 2), F(1), F(2))
+
+
+@st.composite
+def symmetric_grid_lps(draw):
+    """(sequence, phi, degree, grid, perturbed): a rational atomic measure in
+    d = 2 or 3, summed over the signed permutations of a drawn subgroup H
+    (integer weights), in rational mode or at float:64; a grid that every
+    signed permutation fixes, the orbits of 0, of one to three drawn points
+    and, unless the LP is to be often unbounded, of the atoms, plus, maybe,
+    copies of one point's H-orbit; and phi one of the Poisson kernel at x0
+    = 0, the Poisson kernel at an x0 of coordinates 0 and +-1 (fixed by a
+    subgroup only), a Fantappie function and a sampled function constant
+    on H-orbits.  When ``perturbed``, the first atom, whose coordinates are
+    nonzero with distinct absolute values, so that only the identity fixes
+    it, gains the weight 1/7.  Every other weight is an integer and every
+    coordinate dyadic, so a sigma that fixes the mean moves the first atom
+    by a dyadic vector over 7, which is 0: only the identity fixes the
+    degree-1 moments (at float:64 too, where the gap left is at least
+    1/14)."""
+    d = draw(st.integers(2, 3))
+    perms = [signed_permutation(p, s) for p in permutations(range(d))
+             for s in product((1, -1), repeat=d)]
+    group = generated_group(d, draw(st.lists(st.sampled_from(perms), max_size=2)))
+    first = tuple(c * s for c, s in zip(draw(st.permutations(COORDS[1:]))[:d],
+                                        draw(st.tuples(*[st.sampled_from((1, -1))] * d))))
+    signed = st.builds(lambda c, s: c * s, st.sampled_from(COORDS), st.sampled_from((1, -1)))
+    atoms = [first] + draw(st.lists(st.tuples(*[signed] * d), max_size=2 if d == 2 else 1))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(atoms), max_size=len(atoms)))
+    measure: dict = {}
+    for atom, w in zip(atoms, weights):
+        for sigma in group:
+            measure[sigma(atom)] = measure.get(sigma(atom), 0) + w
+    perturbed = draw(st.booleans())
+    if perturbed:
+        measure[first] += F(1, 7)
+    degree = draw(st.integers(1, 3 if d == 2 else 2))
+    mode = draw(st.sampled_from([R, FloatMode(64)]))
+    seq = generate_moments(Atomic(tuple(measure), tuple(measure.values())), d, degree, mode)
+    seeds = [(F(0),) * d] + draw(st.lists(st.tuples(*[signed] * d), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        seeds += atoms
+    grid = sorted({sigma(g) for g in seeds for sigma in perms})
+    if draw(st.booleans()):
+        point = draw(st.sampled_from(grid))
+        grid += sorted({sigma(point) for sigma in group})
+    kind = draw(st.sampled_from(["poisson-0", "poisson-x0", "fantappie", "sampled"]))
+    if kind == "poisson-0":
+        phi = PoissonKernel((F(0),) * d, draw(st.sampled_from((F(1, 2), F(1), F(2)))))
+    elif kind == "poisson-x0":
+        x0 = draw(st.tuples(*[st.sampled_from((F(0), F(1), F(-1)))] * d))
+        phi = PoissonKernel(x0, F(1))
+    elif kind == "fantappie":
+        phi = Fantappie(draw(st.tuples(*[st.sampled_from((F(0), F(1, 16), F(-1, 16)))] * d)))
+    else:
+        seed = draw(st.integers(0, 2 ** 16))
+        orbit_value = {}
+        for g in grid:
+            key = min(sigma(g) for sigma in group)
+            orbit_value.setdefault(key, F(random.Random(f"{seed} {key}").randint(-9, 9), 4))
+        phi = Sampled(tuple(grid), tuple(orbit_value[min(sigma(g) for sigma in group)]
+                                          for g in grid))
+    return seq, phi, degree, grid, perturbed
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(symmetric_grid_lps())
+def test_grid_lp_on_orbits_matches_the_whole_grid(inputs):
+    """grid_gap_lp's bounds, or its LpUnbounded, are those of
+    measure_bounds on the whole grid, ``==``; it hands measure_bounds one
+    column per orbit of the signed permutations that fix the moments, the
+    grid and phi, as the brute-force oracle finds them, and the whole grid
+    after an asymmetric perturbation."""
+    seq, phi, degree, grid, perturbed = inputs
+    sizes = []
+    real = simplex.measure_bounds
+
+    def counted(mode, columns, moments, objective):
+        sizes.append(len(columns))
+        return real(mode, columns, moments, objective)
+    try:
+        want = grid_lp_unreduced(seq, phi, degree, grid)
+    except LpUnbounded:
+        want = LpUnbounded
+    with mock.patch.object(simplex, "measure_bounds", counted):
+        try:
+            est = grid_gap_lp(seq, phi, degree, grid)
+            got = est.sup_side, est.inf_side
+            assert est.grid["size"] == len(grid)
+        except LpUnbounded as exc:
+            got = LpUnbounded
+            assert f"on the {len(grid)}-point grid" in str(exc)
+    assert got == want
+    orbits = grid_orbit_count(seq, degree, grid, phi)
+    assert sizes == [orbits]
+    if perturbed:
+        assert orbits == len(grid)
+
+
+EXPO2 = Product(((Exponential1D(), 1), (Exponential1D(), 1)))
+
+
+@pytest.mark.parametrize("lp, shape", [
+    (lambda: poisson_kappa_estimate(generate_moments(GaussianProduct((1, 1)), 2, 8, R),
+                                    (0, 0), 1, 2), (10, 2)),
+    (lambda: hyperplane_gap(generate_moments(EXPO2, 2, 4, R), (1, 1), 4), (28, 6)),
+    (lambda: hyperplane_gap(generate_moments(EXPO2, 2, 8, R), (1, 1), 6), (28, 12)),
+    (lambda: grid_gap_lp(generate_moments(QLattice1D(F(2)), 1, 16, R),
+                         Sampled(QL_LOG_GRID, tuple(t[0] / (t[0] * t[0] + 1)
+                                                    for t in QL_LOG_GRID)),
+                         8, QL_LOG_GRID), (43, 9)),
+], ids=["kappa-gauss2d8", "hyperplane-expo2d4", "hyperplane-expo2d8", "gridlp-ql16"])
+def test_benchmark_lps_are_solved_on_orbits(lp, shape):
+    """The grid LPs of the gap-lp benchmark reach measure_bounds as (orbit
+    columns, rows): x <-> y and every signed permutation of the centred
+    Gaussian at x0 = 0 fold the 49-point grids; the q-lattice data have no
+    symmetry (x -> -x moves m_1)."""
+    shapes = []
+    real = simplex.measure_bounds
+
+    def counted(mode, columns, moments, objective):
+        shapes.append((len(columns), len(moments)))
+        return real(mode, columns, moments, objective)
+    with mock.patch.object(simplex, "measure_bounds", counted):
+        try:
+            lp()
+        except LpUnbounded:
+            pass
+    assert shapes == [shape]
 
 
 @pytest.mark.parametrize("orthant, generators, a", [

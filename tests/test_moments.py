@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,6 +38,8 @@ from momentkit.moments import (
     marginal,
     pushforward_direction,
 )
+from momentkit import hamburger
+from momentkit.hamburger import recurrence_from_moments
 from momentkit.polynomials import compositions, mpoly_mul, multi_indices
 from momentkit.scalars import FloatMode, RationalMode, exact_fraction
 from oracles import convolve_binomial, mpoly_pow, product_entries, weight_termwise
@@ -55,6 +59,53 @@ def gauss(n, d=1):
 def test_dirac_at_origin():
     seq = generate_moments(Atomic(((0,),), (1,)), 1, 4, R)
     assert seq.moments_1d() == [1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+def test_float_atomic_moments_of_a_symmetric_measure_are_exactly_symmetric(bits):
+    """Atoms +-1 and +-1/3 with equal weights: each float moment is the
+    exact sum over the atoms' binary values rounded once, so m_1 = m_3 = 0
+    exactly (summed atom by atom, m_1 was the rounding residue -2.7e-20 at
+    float:64), and so is every recurrence alpha; the float rows take the
+    every-second-entry path of symmetric data."""
+    mode = FloatMode(bits)
+    atoms = Atomic(((F(-1),), (F(-1, 3),), (F(1),), (F(1, 3),)), (1, 1, 1, 1))
+    seq = generate_moments(atoms, 1, 8, mode)
+    assert seq.entries[(1,)] == 0 and seq.entries[(3,)] == 0
+    points = [exact_fraction(mode.convert(F(c))) for c in (-1, F(-1, 3), 1, F(1, 3))]
+    for k in range(9):
+        assert seq.entries[(k,)] == mode.convert(sum(x ** k for x in points))
+    steps = []
+    real = hamburger._float_row
+
+    def row(*args):
+        steps.append(args[-1])
+        return real(*args)
+    with mock.patch.object(hamburger, "_float_row", row):
+        rec = recurrence_from_moments(seq, 4)
+    assert rec.rank == 4
+    assert all(a == 0 for a in rec.alpha)
+    assert steps and set(steps) == {2}  # the every-second-entry rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_float_atomic_moments_are_the_exact_sums_rounded_once(data):
+    """Every float:64 moment of an atomic measure in d = 1..3 is the exact
+    weighted sum of the atoms' monomials at their float values, rounded
+    into the mode once."""
+    mode = FloatMode(64)
+    d = data.draw(st.integers(1, 3))
+    coord = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 3, 7)))
+    atoms = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=5))
+    weights = data.draw(st.lists(st.builds(F, st.integers(1, 30), st.sampled_from((1, 3, 7))),
+                                 min_size=len(atoms), max_size=len(atoms)))
+    seq = generate_moments(Atomic(tuple(atoms), tuple(weights)), d, 4, mode)
+    points = [[exact_fraction(mode.convert(c)) for c in p] for p in atoms]
+    masses = [exact_fraction(mode.convert(w)) for w in weights]
+    for alpha in multi_indices(d, 4):
+        exact = sum(w * prod(x ** a for x, a in zip(p, alpha)) for p, w in zip(points, masses))
+        assert seq.entries[alpha] == mode.convert(exact)
 
 
 def test_qlattice_rule():

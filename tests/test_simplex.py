@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from momentkit import gaps, simplex
 from momentkit.errors import DimensionMismatch, LpInfeasible, LpUnbounded
 from momentkit.moments import (Exponential1D, GaussianProduct, LogNormal1D, Product,
-                               QLattice1D, generate_moments)
+                               QLattice1D, apply_polynomial_weight, generate_moments)
 from momentkit.scalars import FloatMode, RationalMode, exact_fraction
 from momentkit.simplex import measure_bounds
-from oracles import maximize, minimize
+from oracles import grid_lp_unreduced, maximize, minimize
 
 R = RationalMode()
 
@@ -191,9 +191,27 @@ def _hyperplane(measure, dimension, degree):
     return gaps.hyperplane_gap(seq, (1,) * dimension, min(6, degree))
 
 
+def _hyperplane_whole_grid(measure, dimension, degree):
+    """``_hyperplane``'s LP with one column per point of its default grid:
+    the Fantappie LP of nu = (1.x + 1) L at degree min(6, N) - 1."""
+    seq = generate_moments(measure, dimension, degree, R)
+    lp_degree = min(6, degree) - 1
+    form = {tuple(int(i == j) for i in range(dimension)): 1 for j in range(dimension)}
+    form[(0,) * dimension] = 1
+    return grid_lp_unreduced(apply_polynomial_weight(seq, form, lp_degree),
+                             gaps.Fantappie((1,) * dimension), lp_degree,
+                             gaps.default_grid(seq.support, dimension, R))
+
+
 def _kappa_gauss2d8():
     seq = generate_moments(GaussianProduct((F(1), F(1))), 2, 8, R)
     return gaps.poisson_kappa_estimate(seq, (F(0), F(0)), F(1), 2)
+
+
+def _kappa_gauss2d8_whole_grid():
+    seq = generate_moments(GaussianProduct((F(1), F(1))), 2, 8, R)
+    return grid_lp_unreduced(seq, gaps.PoissonKernel((F(0), F(0)), F(1)), 2,
+                             gaps.default_grid(seq.support, 2, R, points_per_axis=7))
 
 
 EXPO2 = Product(((Exponential1D(), 1), (Exponential1D(), 1)))
@@ -201,19 +219,25 @@ EXPO2 = Product(((Exponential1D(), 1), (Exponential1D(), 1)))
 
 @pytest.mark.parametrize("lp, pivots", [
     (_gridlp_ql16, [38, 11, 10]),
-    (lambda: _hyperplane(EXPO2, 2, 4), [16, 6, 5]),
-    (lambda: _hyperplane(EXPO2, 2, 8), [39]),
-    (_kappa_gauss2d8, [10, 19, 11]),
+    (lambda: _hyperplane_whole_grid(EXPO2, 2, 4), [16, 6, 5]),
+    (lambda: _hyperplane_whole_grid(EXPO2, 2, 8), [39]),
+    (_kappa_gauss2d8_whole_grid, [10, 19, 11]),
+    (lambda: _hyperplane(EXPO2, 2, 4), [7, 4, 3]),
+    (lambda: _hyperplane(EXPO2, 2, 8), [18]),
+    (_kappa_gauss2d8, [2, 0, 1]),
     (lambda: _hyperplane(Exponential1D(), 1, 20), [16, 3, 1]),
     (lambda: _hyperplane(QLattice1D(F(2)), 1, 20), [15, 9, 0]),
 ], ids=["gridlp-ql16", "hyperplane-expo2d4", "hyperplane-expo2d8", "kappa-gauss2d8",
+        "hyperplane-expo2d4-orbits", "hyperplane-expo2d8-orbits", "kappa-gauss2d8-orbits",
         "hyperplane-expo20", "hyperplane-ql20"])
 def test_benchmark_lps_keep_their_pivot_counts(monkeypatch, lp, pivots):
-    # the grid LPs of the perfbench gap-lp workload and two of the 1D
-    # hyperplane LPs of its rational workload, with the pivots counted per
-    # run: phase 1 with the drive-out, then the min and the max run; a
-    # phase 1 alone has no grid measure (LpUnbounded).  Pricing that keeps
-    # the bounds but walks a longer path fails here, and names its run
+    # the grid LPs of the perfbench gap-lp workload, each symmetric one
+    # both on its whole grid and on the orbits that grid_gap_lp solves it
+    # on, and two of the 1D hyperplane LPs of its rational workload, with
+    # the pivots counted per run: phase 1 with the drive-out, then the min
+    # and the max run; a phase 1 alone has no grid measure (LpUnbounded).
+    # Pricing that keeps the bounds but walks a longer path fails here, and
+    # names its run
     runs = []
     real_run, real_pivot = simplex._run, simplex._Basis.pivot
 
