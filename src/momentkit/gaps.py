@@ -22,10 +22,11 @@ g^alpha for each monomial alpha (``polynomials.power_slices``).  Each grid
 axis goes over the lcm of its coordinates' denominators, so every entry is
 an integer monomial of an integer point over its row's denominator; the LP
 takes the integers, each moment times its row's denominator, and builds no
-Fraction per entry.  Float
-scalars enter at their exact binary values, the row denominators are powers
-of two, and ``simplex.measure_bounds`` rounds each integer entry into the
-mode once, which rounds g^alpha itself.  The separating function is made
+Fraction per entry.  Float scalars enter at their exact binary values, the
+row denominators are powers of two, and each integer entry is rounded into
+the mode once, which rounds g^alpha itself; ``simplex.measure_bounds``
+solves the exact LP of these data in rational mode, and each bound is
+rounded into the mode once.  The separating function is made
 once per grid into a closure over its prepared constants (``_target``),
 which ``evaluate_separating`` calls at each point.  Multivariate default
 grids and the sphere-average nodes are ``itertools.product``s of one axis
@@ -357,31 +358,34 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
     monomials = list(multi_indices(seq.dimension, degree))
     target = _target(phi, mode, seq.dimension)
     phi_vals = [evaluate_separating(target, g, mode) for g in grid]
+    generators = _symmetries(seq, monomials, grid, phi_vals)
     # the integer columns and each moment times its row's denominator: the
-    # same constraints, each row scaled by a positive integer
+    # same constraints, each row scaled by a positive integer.  Float data
+    # enter at their exact binary values, each entry g^alpha rounded into
+    # the mode once, so the exact LP below is the float LP's own
     columns, dens = _grid_columns(mode, grid, degree)
-    moments = [seq.entries[alpha] * den for alpha, den in zip(monomials, dens)]
-    lp_mode = mode
-    symmetries = _symmetries(seq, monomials, grid, phi_vals)
-    if len(symmetries) > 1:
-        lp_mode = RationalMode()
-        columns, moments, phi_vals = _orbit_lp(mode, symmetries, monomials, columns,
-                                               moments, phi_vals)
+    rational = isinstance(mode, RationalMode)
+    exact = (lambda v: v) if rational else exact_fraction
+    if not rational:
+        columns = [[exact(mode.convert(v)) for v in col] for col in columns]
+    moments = [exact(seq.entries[alpha]) * den for alpha, den in zip(monomials, dens)]
+    columns, moments, objective = _orbit_lp(generators, monomials, columns, moments,
+                                            list(map(exact, phi_vals)))
     try:
-        sup_side, inf_side = simplex.measure_bounds(lp_mode, columns, moments, phi_vals)
+        bounds = simplex.measure_bounds(RationalMode(), columns, moments, objective)
     except LpUnbounded:
         raise LpUnbounded(f"no nonnegative measure on the {len(grid)}-point grid "
                           f"reproduces the moments up to degree {degree}; "
                           "refine the grid") from None
+    sup_side, inf_side = (mode.convert(b) for b in bounds)
     points = [[mode.to_float(c) for c in p] for p in grid]
-    return GapEstimate(mode.convert(sup_side), mode.convert(inf_side), degree,
-                       {"size": len(grid), "points": points})
+    return GapEstimate(sup_side, inf_side, degree, {"size": len(grid), "points": points})
 
 
 def _symmetries(seq: MomentSequence, monomials: list, grid: list, phi_vals: list) -> list:
-    """The signed coordinate permutations sigma: x_j -> s_j x_{pi(j)} that
-    fix the grid LP, as (pi, s, grid index permutation), the identity
-    first.
+    """Generators of the group of signed coordinate permutations sigma: x_j
+    -> s_j x_{pi(j)} that fix the grid LP, each as (pi, its grid index
+    permutation); none when only the identity does.
 
     sigma fixes the LP when it passes three exact tests, in this order: it
     fixes every moment through the LP degree, s^alpha m_{pi.alpha} =
@@ -390,8 +394,12 @@ def _symmetries(seq: MomentSequence, monomials: list, grid: list, phi_vals: list
     keeps phi's value at every grid point.  The 2^d d! candidates are built
     one coordinate at a time, and a partial sigma is dropped at the first
     moment it moves: a monomial is tested once sigma is fixed on the last
-    coordinate it uses.  Each test is a group's membership test, so the
-    sigmas kept form a group, and so do their index permutations."""
+    coordinate it uses.  The sigmas that pass all three tests form a group
+    G, so only a candidate outside the group H generated so far is mapped
+    over the grid, point by point up to the first miss: when it passes it
+    joins the generators, and when it fails so does every sigma h, h in H.
+    The grid is mapped at most once per generator and per failed coset,
+    not once per element of G."""
     d, entries = seq.dimension, seq.entries
     tested: list = [[] for _ in range(d)]
     for alpha in monomials:
@@ -406,11 +414,8 @@ def _symmetries(seq: MomentSequence, monomials: list, grid: list, phi_vals: list
             for s in (1, -1)
             if all(_signed_moment(entries, alpha, perm + (k,), signs + (s,)) == entries[alpha]
                    for alpha in tested[j])]
-    identity = (tuple(range(d)), (1,) * d)
-    found = [identity + (list(range(len(grid))),)]
-    candidates = [c for c in candidates if c != identity]
-    if not candidates:
-        return found
+    if len(candidates) == 1:  # the identity
+        return []
     # the grid with each coordinate value as an int id, cheaper to hash
     values = {c for g in grid for c in g}
     ids = {c: n for n, c in enumerate(values | {-c for c in values})}
@@ -421,11 +426,31 @@ def _symmetries(seq: MomentSequence, monomials: list, grid: list, phi_vals: list
     index: dict = {}  # a point -> the indices of its copies
     for i, g in enumerate(points):
         index.setdefault(g, []).append(i)
+    # sigma as the tuple of s_j (pi(j) + 1), which _compose multiplies
+    group, failed, generators, signed = {tuple(range(1, d + 1))}, set(), [], []
     for perm, signs in candidates:
-        images = _grid_permutation(points, index, negated, perm, signs)
-        if images is not None and all(phi_vals[q] == v for q, v in zip(images, phi_vals)):
-            found.append((perm, signs, images))
-    return found
+        sigma = tuple(s * (k + 1) for k, s in zip(perm, signs))
+        if sigma in group or sigma in failed:
+            continue
+        images = _grid_permutation(points, index, negated, perm, signs, phi_vals)
+        if images is None:
+            failed.update(_compose(sigma, h) for h in group)
+            continue
+        generators.append((perm, images))
+        signed.append(sigma)
+        # close the group under the generators, the new one first
+        queue = [_compose(h, sigma) for h in group]
+        for h in queue:
+            if h not in group:
+                group.add(h)
+                queue.extend(_compose(h, g) for g in signed)
+    return generators
+
+
+def _compose(sigma: tuple, tau: tuple) -> tuple:
+    """sigma after tau, both as tuples of s_j (pi(j) + 1): (sigma tau x)_j =
+    s_j (tau x)_{pi(j)}."""
+    return tuple(tau[k - 1] if k > 0 else -tau[-k - 1] for k in sigma)
 
 
 def _signed_moment(entries: Mapping, alpha: tuple, perm: tuple, signs: tuple):
@@ -442,64 +467,77 @@ def _signed_moment(entries: Mapping, alpha: tuple, perm: tuple, signs: tuple):
 
 
 def _grid_permutation(points: list, index: dict, negated: list, perm: tuple,
-                      signs: tuple):
+                      signs: tuple, phi_vals: list):
     """The grid index permutation of sigma, on the grid's coordinate ids
     (``negated`` maps the id of c to the id of -c): the k-th copy of each
-    point goes to the k-th copy of its image; None when sigma does not map
-    the grid onto itself."""
+    point goes to the k-th copy of its image; None at the first point whose
+    image is not on the grid as often as the point, or has another value
+    of phi."""
     taken: dict = {}
     images = []
-    for g in points:
+    for g, value in zip(points, phi_vals):
         image = tuple(negated[g[k]] if s < 0 else g[k] for k, s in zip(perm, signs))
         copies = index.get(image, ())
         if len(copies) != len(index[g]):
             return None
         n = taken.get(image, 0)
+        if phi_vals[copies[n]] != value:
+            return None
         taken[image] = n + 1
         images.append(copies[n])
     return images
 
 
-def _orbit_lp(mode: Mode, symmetries: list, monomials: list, columns: list,
-              moments: list, phi_vals: list) -> tuple:
-    """The grid LP over the grid measures that the symmetry group fixes:
-    (columns, moments, objective), exact, for ``measure_bounds`` in rational
-    mode.  Averaging a grid measure over the group keeps its moments and
-    its objective, so this LP has the same feasibility and optima.
+def _orbits(size: int, maps: list) -> list:
+    """The orbits of 0..size-1 under the group the index maps generate,
+    each sorted, in the order of their least elements."""
+    orbit_of: list = [None] * size
+    orbits = []
+    for i in range(size):
+        if orbit_of[i] is None:
+            orbit = [i]
+            orbit_of[i] = orbit
+            for p in orbit:
+                for images in maps:
+                    q = images[p]
+                    if orbit_of[q] is None:
+                        orbit_of[q] = orbit
+                        orbit.append(q)
+            orbit.sort()
+            orbits.append(orbit)
+    return orbits
+
+
+def _orbit_lp(generators: list, monomials: list, columns: list, moments: list,
+              objective: list) -> tuple:
+    """The exact grid LP over the grid measures that the symmetry group
+    fixes: (columns, moments, objective) for ``measure_bounds``.  Averaging
+    a grid measure over the group keeps its moments and its objective, so
+    this LP has the same feasibility and optima.
 
     One column per orbit O of grid points, the sum of its points' columns,
     with objective |O| phi(O's first point); one row per orbit of
     monomials, its first monomial's, since the rows of one orbit agree on
     these columns up to the sign s^alpha, as their moments do; a row is
-    dropped when it vanishes on every column and its moment is 0.  Float
-    entries are first rounded into the mode as ``measure_bounds`` rounds
-    them in float mode, so the data are the float LP's own, exactly; the
-    caller rounds each bound into the mode once."""
-    if not isinstance(mode, RationalMode):
-        def exact(v):
-            return exact_fraction(mode.convert(v))
-        columns = [list(map(exact, col)) for col in columns]
-        moments, phi_vals = list(map(exact, moments)), list(map(exact, phi_vals))
-    orbits, placed = [], set()
-    for i in range(len(columns)):
-        if i not in placed:
-            orbit = sorted({images[i] for _, _, images in symmetries})
-            placed.update(orbit)
-            orbits.append(orbit)
-    rows, seen = [], set()
-    for k, alpha in enumerate(monomials):
-        if alpha not in seen:
-            rows.append(k)
-            for perm, _, _ in symmetries:
-                beta = [0] * len(alpha)
-                for a, j in zip(alpha, perm):
-                    beta[j] = a
-                seen.add(tuple(beta))
+    dropped when it vanishes on every column and its moment is 0.  With no
+    generators every orbit is one point or one monomial."""
+    orbits = _orbits(len(columns), [images for _, images in generators])
+    position = {alpha: k for k, alpha in enumerate(monomials)}
+    monomial_maps = []
+    for perm, _ in generators:
+        images = []
+        for alpha in monomials:
+            beta = [0] * len(alpha)
+            for a, j in zip(alpha, perm):
+                beta[j] = a
+            images.append(position[tuple(beta)])
+        monomial_maps.append(images)
+    rows = [orbit[0] for orbit in _orbits(len(monomials), monomial_maps)]
     cols = [[sum(columns[i][k] for i in orbit) for k in rows] for orbit in orbits]
     rhs = [moments[k] for k in rows]
     keep = [r for r, m in enumerate(rhs) if m or any(col[r] for col in cols)]
     return ([[col[r] for r in keep] for col in cols], [rhs[r] for r in keep],
-            [len(orbit) * phi_vals[orbit[0]] for orbit in orbits])
+            [len(orbit) * objective[orbit[0]] for orbit in orbits])
 
 
 def _grid_columns(mode: Mode, grid: Sequence, degree: int) -> tuple:
@@ -513,9 +551,9 @@ def _grid_columns(mode: Mode, grid: Sequence, degree: int) -> tuple:
     which makes each point an integer point ``P_g``.  Then the alpha entry
     is the integer ``P_g^alpha`` and its row's denominator ``Q^alpha``, both
     from ``power_slices`` on integers; in float mode ``Q^alpha`` is a power
-    of two.  In rational mode no entry becomes a Fraction; in float mode
-    ``measure_bounds`` rounds each integer entry into the mode once, which
-    rounds g^alpha itself."""
+    of two.  No entry becomes a Fraction; in float mode ``grid_gap_lp``
+    rounds each integer entry into the mode once, which rounds g^alpha
+    itself."""
     exact = (lambda v: v) if isinstance(mode, RationalMode) else exact_fraction
     axes = [integers(exact(c) for c in axis) for axis in zip(*grid)]
 

@@ -420,8 +420,10 @@ def generate_moments(defn: MeasureDefinition, dimension: int, max_degree: int,
         # make each term an integer, and moment alpha is the integer sum
         # over W Q^alpha.  So equal exact sums round alike, and a symmetric
         # measure's odd moments are exactly 0.  In float mode W Q^alpha is
-        # a power of two: the sum, its trailing zero bits shifted off
-        # (mpmath strips them slowly), is rounded, then shifted exactly
+        # a power of two: the sum, its trailing zero bits shifted off, is
+        # rounded, then shifted exactly.  Rounding num/den in one step
+        # (``FloatMode._ratio``) gives the same value but made a 5-atom 3D
+        # measure's float:512 moments through degree 8 about 7x slower
         if isinstance(mode, RationalMode):
             exact, moment = (lambda v: v), Fraction
         else:

@@ -495,6 +495,40 @@ def test_benchmark_lps_are_solved_on_orbits(lp, shape):
     assert shapes == [shape]
 
 
+@pytest.mark.parametrize("d, x0, order, shape", [
+    (3, (0, 0, 0), 48, (20, 2)),
+    (3, (F(1, 2), 0, 0), 8, (70, 4)),
+    (4, (0, 0, 0, 0), 384, (35, 2)),
+    (4, (F(1, 2), 0, 0, 0), 48, (140, 4)),
+])
+def test_symmetry_search_maps_the_grid_per_generator_and_failed_coset(d, x0, order, shape):
+    """Every one of the 2^d d! signed permutations fixes the centred
+    Gaussian's moments, but the default 7^d-point kappa grid is mapped only
+    by a candidate outside the group generated so far: a passing one at
+    least doubles that group, and a failing one rules out its coset of it.
+    Off centre, phi keeps only the permutations that fix x0.  The orbit LP
+    has one column per multiset of coordinate magnitudes (per magnitude of
+    x_1 and multiset of the others off centre)."""
+    seq = generate_moments(GaussianProduct((1,) * d), d, 2, R)
+    maps, shapes = [], []
+    mapped, solve = gaps._grid_permutation, simplex.measure_bounds
+
+    def counted_map(*args):
+        images = mapped(*args)
+        maps.append(images is not None)
+        return images
+
+    def counted_solve(mode, columns, moments, objective):
+        shapes.append((len(columns), len(moments)))
+        return solve(mode, columns, moments, objective)
+    with mock.patch.object(gaps, "_grid_permutation", counted_map), \
+            mock.patch.object(simplex, "measure_bounds", counted_solve):
+        poisson_kappa_estimate(seq, x0, 1, 2)
+    assert shapes == [shape]
+    assert 2 ** maps.count(True) <= order
+    assert maps.count(False) < 2 ** d * math.factorial(d) // order
+
+
 @pytest.mark.parametrize("orthant, generators, a", [
     (generate_moments(Exponential1D(), 1, 8, R), ((1,),), (1,)),
     (generate_moments(Product(((Exponential1D(), 1), (Exponential1D(), 1))), 2, 4, R),
