@@ -28,11 +28,12 @@ the mode once, which rounds g^alpha itself; ``simplex.measure_bounds``
 solves the exact LP of these data in rational mode, and each bound is
 rounded into the mode once.  The separating function is made
 once per grid into a closure over its prepared constants (``_target``),
-which ``evaluate_separating`` calls at each point.  Multivariate default
-grids and the sphere-average nodes are ``itertools.product``s of one axis
-or of per-axis (angle, weight) pairs.  A grid point, a direction, a corner
-or a spec's vector whose length is not the sequence's dimension raises
-DimensionMismatch naming both, before any LP runs.
+which ``evaluate_separating`` calls at the points the LP reads.
+Multivariate default grids and the sphere-average nodes are
+``itertools.product``s of one axis or of per-axis (angle, weight) pairs.
+A grid point, a direction, a corner or a spec's vector whose length is
+not the sequence's dimension raises DimensionMismatch naming both, before
+any LP runs.
 
 A grid LP is solved over the orbits of its symmetries (Gatermann and
 Parrilo, *J. Pure Appl. Algebra* 192, 2004; Bodi, Herr and Joswig, *Math.
@@ -40,11 +41,14 @@ Program.* 137, 2013).  A signed coordinate permutation sigma: x_j -> s_j
 x_{pi(j)} is a symmetry when it passes three exact tests: it fixes the
 moments through the LP degree, it maps the grid onto itself as an index
 permutation (a repeated point to copies of its image), and it keeps phi's
-value at every grid point.  Then sigma maps each grid measure with the
-moments to another with the same objective, and averaging a measure over
-the symmetry group keeps both, so the LP has the same feasibility and the
-same optima over the measures constant on orbits: one column per orbit,
-the sum of its points' columns, and one row per orbit of monomials.  The
+value at every grid point.  A Fantappie or Poisson kernel's own parameters
+prove the last test; phi's values are compared only for a sampled or
+cosine phi and for a sigma the parameters do not prove.  Then sigma maps
+each grid measure with the moments to another with the same objective,
+and averaging a measure over the symmetry group keeps both, so the LP has
+the same feasibility and the same optima over the measures constant on
+orbits: one column per orbit, the sum of its points' columns, with phi
+read at one point of it, and one row per orbit of monomials.  The
 reported grid, and the grid an LpUnbounded names, stay the full grid.
 Symmetric data, such as the centred Gaussian at x0 = 0 or a product of
 equal marginals on x <-> y, so solve smaller LPs with the same bounds.
@@ -62,9 +66,11 @@ sequence itself, and builds no translated sequence.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, permutations, product
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from . import simplex
@@ -167,8 +173,16 @@ def _target(spec, mode: Mode, dimension: int):
     repeated point, or in float mode two rationals that round to one float)
     the first value is kept.  A sampled spec needs one value per point, a
     kernel's vector the given dimension, and a Poisson kernel t0 > 0 (at t0
-    = 0 its denominator vanishes at x0)."""
+    = 0 its denominator vanishes at x0).
+
+    The Fantappie denominator 1 + a.x and the Poisson t0^2 + |x - x0|^2 are
+    summed exactly, over the binary values in float mode
+    (``exact_fraction``), and rounded into the mode once, so both kernels
+    keep every signed coordinate permutation that keeps their parameters
+    (``_fixes_parameters``) bit for bit, in either mode."""
     convert = mode.convert
+    exact = convert if isinstance(mode, RationalMode) else (
+        lambda v: exact_fraction(convert(v)))
     if isinstance(spec, Sampled):
         if len(spec.points) != len(spec.values):
             raise InvalidParameter(f"sampled spec has {len(spec.points)} points "
@@ -185,31 +199,25 @@ def _target(spec, mode: Mode, dimension: int):
         return sampled
     if isinstance(spec, Fantappie):
         _check_dimension("Fantappie a", spec.a, dimension)
-        one, a = convert(1), [convert(c) for c in spec.a]
+        one, a = Fraction(1), [exact(c) for c in spec.a]
 
         def fantappie(point):
-            den = one
-            for c, x in zip(a, point):
-                den = den + c * convert(x)
+            den = sum((c * exact(x) for c, x in zip(a, point)), one)
             if not den > 0:
                 raise InvalidParameter("1 + a.x must stay positive on the grid")
-            return 1 / den
+            return 1 / convert(den)
         return fantappie
     if isinstance(spec, PoissonKernel):
         _check_dimension("Poisson x0", spec.x0, dimension)
         t0 = convert(spec.t0)
         if not t0 > 0:
             raise InvalidParameter("t0 must be positive")
-        t0_sq, x0 = t0 * t0, [convert(c) for c in spec.x0]
+        t0_sq, x0 = exact(t0) ** 2, [exact(c) for c in spec.x0]
         ctx = work_context(mode, RATIONAL_PHI_BITS)
         cd = to_context(ctx, poisson_constant_float(dimension))
 
         def distance_sq(point):
-            r2 = t0_sq
-            for c, x in zip(x0, point):
-                diff = c - convert(x)
-                r2 = r2 + diff * diff
-            return r2
+            return convert(sum(((c - exact(x)) ** 2 for c, x in zip(x0, point)), t0_sq))
         if dimension % 2 == 1:
             # (d+1)/2 integral: the kernel is rational except for c_d
             scale, power = from_context(mode, cd) * t0, (dimension + 1) // 2
@@ -229,6 +237,25 @@ def _target(spec, mode: Mode, dimension: int):
             return from_context(mode, ctx.cos(t))
         return cosine
     raise InvalidParameter(f"unknown separating spec {type(spec).__name__}")
+
+
+def _fixes_parameters(spec, mode: Mode):
+    """The exact test of a signed coordinate permutation sigma: x_j -> s_j
+    x_{pi(j)}, given as (pi, s), on a kernel's own parameters: v_{pi(j)} =
+    s_j v_j for Fantappie's a (so a.sigma(x) = a.x) and Poisson's x0 (so
+    |sigma(x) - x0| = |x - x0|), each converted into the mode as ``_target``
+    converts it.  Such a sigma keeps the kernel's value at every point bit
+    for bit (see ``_target``).  None for a sampled or cosine spec, whose
+    values are compared point by point."""
+    if isinstance(spec, Fantappie):
+        vector = spec.a
+    elif isinstance(spec, PoissonKernel):
+        vector = spec.x0
+    else:
+        return None
+    v = [mode.convert(c) for c in vector]
+    return lambda perm, signs: all(v[k] == (c if s > 0 else -c)
+                                   for k, s, c in zip(perm, signs, v))
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +363,16 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
     that fix the moments through ``degree``, map the grid onto itself and
     keep phi's grid values (``_symmetries``, ``_orbit_lp``): a grid measure
     averaged over that group keeps its moments and its objective, so the
-    orbit LP has the same feasibility and the same optima.  Rational
-    bounds are ``==`` to the full grid's; float bounds are the same exact
-    optimum of the float data, rounded once.  The result's ``grid`` and the
-    LpUnbounded message keep the full grid.
+    orbit LP has the same feasibility and the same optima.  A Fantappie or
+    Poisson kernel's parameters prove that it keeps phi
+    (``_fixes_parameters``); phi's values are compared only for a sampled
+    or cosine spec and for a permutation the parameters do not prove.  phi
+    is read lazily, once per grid point at most, and the LP reads it once
+    per orbit; a sampled spec is read at every point, so a point it has no
+    value at is refused.  Rational bounds are ``==`` to the full grid's;
+    float bounds are the same exact optimum of the float data, rounded
+    once.  The result's ``grid`` and the LpUnbounded message keep the full
+    grid.
     """
     if degree < 0:
         raise InvalidParameter(f"LP degree {degree} is negative")
@@ -357,8 +390,11 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
         raise InvalidParameter("grid must be non-empty")
     monomials = list(multi_indices(seq.dimension, degree))
     target = _target(phi, mode, seq.dimension)
-    phi_vals = [evaluate_separating(target, g, mode) for g in grid]
-    generators = _symmetries(seq, monomials, grid, phi_vals)
+    value = functools.cache(lambda i: evaluate_separating(target, grid[i], mode))
+    if isinstance(phi, Sampled):
+        for i in range(len(grid)):
+            value(i)
+    generators = _symmetries(seq, monomials, grid, value, _fixes_parameters(phi, mode))
     # the integer columns and each moment times its row's denominator: the
     # same constraints, each row scaled by a positive integer.  Float data
     # enter at their exact binary values, each entry g^alpha rounded into
@@ -370,9 +406,9 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
         columns = [[exact(mode.convert(v)) for v in col] for col in columns]
     moments = [exact(seq.entries[alpha]) * den for alpha, den in zip(monomials, dens)]
     columns, moments, objective = _orbit_lp(generators, monomials, columns, moments,
-                                            list(map(exact, phi_vals)))
+                                            lambda i: exact(value(i)))
     try:
-        bounds = simplex.measure_bounds(RationalMode(), columns, moments, objective)
+        bounds = simplex.measure_bounds(columns, moments, objective)
     except LpUnbounded:
         raise LpUnbounded(f"no nonnegative measure on the {len(grid)}-point grid "
                           f"reproduces the moments up to degree {degree}; "
@@ -382,24 +418,32 @@ def grid_gap_lp(seq: MomentSequence, phi, degree: int,
     return GapEstimate(sup_side, inf_side, degree, {"size": len(grid), "points": points})
 
 
-def _symmetries(seq: MomentSequence, monomials: list, grid: list, phi_vals: list) -> list:
+def _symmetries(seq: MomentSequence, monomials: list, grid: list, value,
+                proves) -> list:
     """Generators of the group of signed coordinate permutations sigma: x_j
     -> s_j x_{pi(j)} that fix the grid LP, each as (pi, its grid index
-    permutation); none when only the identity does.
+    permutation); none when only the identity does.  ``value(i)`` is phi at
+    grid point i, ``proves(pi, s)`` the test of sigma on the kernel's
+    parameters (``_fixes_parameters``), or None.
 
     sigma fixes the LP when it passes three exact tests, in this order: it
     fixes every moment through the LP degree, s^alpha m_{pi.alpha} =
     m_alpha, where (pi.alpha)_{pi(j)} = alpha_j; it maps the grid onto
     itself, the k-th copy of a point to the k-th copy of its image; and it
-    keeps phi's value at every grid point.  The 2^d d! candidates are built
-    one coordinate at a time, and a partial sigma is dropped at the first
-    moment it moves: a monomial is tested once sigma is fixed on the last
-    coordinate it uses.  The sigmas that pass all three tests form a group
-    G, so only a candidate outside the group H generated so far is mapped
-    over the grid, point by point up to the first miss: when it passes it
-    joins the generators, and when it fails so does every sigma h, h in H.
-    The grid is mapped at most once per generator and per failed coset,
-    not once per element of G."""
+    keeps phi's value at every grid point, which the kernel's parameters
+    prove, or else a comparison of phi's values point by point.  The 2^d
+    d! candidates are built one coordinate at a time, and a partial sigma
+    is dropped at the first moment it moves: a monomial is tested once
+    sigma is fixed on the last coordinate it uses.  The sigmas that pass
+    all three tests form a group G, so only a candidate outside the group H
+    generated so far is mapped over the grid, point by point up to the
+    first miss: when it passes it joins the generators, and when it fails
+    so does every sigma h, h in H.  The grid is mapped at most once per
+    generator and per failed coset, not once per element of G.  Once a map
+    has failed, each later one starts where a sigma that moves the grid
+    must fail: at the holes of the orbits under all signed permutations
+    that the grid holds only in part, then at those orbits' points
+    (``_orbit_breaks``); a grid that every candidate maps needs neither."""
     d, entries = seq.dimension, seq.entries
     tested: list = [[] for _ in range(d)]
     for alpha in monomials:
@@ -428,13 +472,18 @@ def _symmetries(seq: MomentSequence, monomials: list, grid: list, phi_vals: list
         index.setdefault(g, []).append(i)
     # sigma as the tuple of s_j (pi(j) + 1), which _compose multiplies
     group, failed, generators, signed = {tuple(range(1, d + 1))}, set(), [], []
+    # no holes and the grid order until a map fails, then _orbit_breaks
+    breaks, grid_order = None, ((), range(len(points)))
     for perm, signs in candidates:
         sigma = tuple(s * (k + 1) for k, s in zip(perm, signs))
         if sigma in group or sigma in failed:
             continue
-        images = _grid_permutation(points, index, negated, perm, signs, phi_vals)
+        compared = None if proves and proves(perm, signs) else value
+        images = _grid_permutation(points, index, negated, perm, signs, compared,
+                                   *(breaks or grid_order))
         if images is None:
             failed.update(_compose(sigma, h) for h in group)
+            breaks = breaks or _orbit_breaks(points, index, negated)
             continue
         generators.append((perm, images))
         signed.append(sigma)
@@ -445,6 +494,38 @@ def _symmetries(seq: MomentSequence, monomials: list, grid: list, phi_vals: list
                 group.add(h)
                 queue.extend(_compose(h, g) for g in signed)
     return generators
+
+
+def _orbit_breaks(points: list, index: dict, negated: list) -> tuple:
+    """(holes, order) of a grid, on its coordinate ids: the orbit of a point
+    under all signed coordinate permutations is that of the multiset of its
+    coordinates' magnitudes (an id and its negation's least), with d! /
+    prod_m mult_m! * 2^(nonzero magnitudes) points, and it is broken when
+    not all of them are on the grid, each as often.  ``order`` lists the
+    grid indices of the points of broken orbits first, then the rest, each
+    part in grid order.  ``holes`` are the points missing from each broken
+    orbit that has fewer of them than grid points: a sigma that maps the
+    grid onto itself maps every hole off the grid."""
+    magnitude = [min(n, m) for n, m in enumerate(negated)]
+    key = {g: tuple(sorted(magnitude[c] for c in g)) for g in index}
+    orbits: dict = {}  # a multiset of magnitudes -> its distinct grid points
+    for g, k in key.items():
+        orbits.setdefault(k, []).append(g)
+    broken, holes = set(), []
+    for mags, on_grid in orbits.items():
+        size = math.factorial(len(mags)) * 2 ** sum(negated[m] != m for m in mags)
+        for mult in Counter(mags).values():
+            size //= math.factorial(mult)
+        if len(on_grid) == size and len({len(index[g]) for g in on_grid}) == 1:
+            continue
+        broken.add(mags)
+        if 2 * len(on_grid) > size:
+            holes.extend(g for arrangement in set(permutations(mags))
+                         for g in product(*({m, negated[m]} for m in arrangement))
+                         if g not in index)
+    first = [key[g] in broken for g in points]
+    return holes, ([i for i, b in enumerate(first) if b]
+                   + [i for i, b in enumerate(first) if not b])
 
 
 def _compose(sigma: tuple, tau: tuple) -> tuple:
@@ -467,24 +548,31 @@ def _signed_moment(entries: Mapping, alpha: tuple, perm: tuple, signs: tuple):
 
 
 def _grid_permutation(points: list, index: dict, negated: list, perm: tuple,
-                      signs: tuple, phi_vals: list):
+                      signs: tuple, value, holes: Sequence, order: Sequence):
     """The grid index permutation of sigma, on the grid's coordinate ids
-    (``negated`` maps the id of c to the id of -c): the k-th copy of each
-    point goes to the k-th copy of its image; None at the first point whose
-    image is not on the grid as often as the point, or has another value
-    of phi."""
+    (``negated`` maps the id of c to the id of -c), visiting the grid
+    indices in ``order`` (the copies of a point in grid order): the k-th
+    copy of each point goes to the k-th copy of its image.  None at the
+    first of the ``holes`` that sigma maps onto the grid, then at the first
+    point whose image is not on the grid as often as the point, or, unless
+    ``value`` is None (the kernel's parameters prove sigma), where
+    ``value`` reads another phi at the image."""
+    if any(tuple(negated[h[k]] if s < 0 else h[k] for k, s in zip(perm, signs)) in index
+           for h in holes):
+        return None
     taken: dict = {}
-    images = []
-    for g, value in zip(points, phi_vals):
+    images = [0] * len(points)
+    for i in order:
+        g = points[i]
         image = tuple(negated[g[k]] if s < 0 else g[k] for k, s in zip(perm, signs))
         copies = index.get(image, ())
         if len(copies) != len(index[g]):
             return None
         n = taken.get(image, 0)
-        if phi_vals[copies[n]] != value:
+        if value is not None and value(copies[n]) != value(i):
             return None
         taken[image] = n + 1
-        images.append(copies[n])
+        images[i] = copies[n]
     return images
 
 
@@ -509,18 +597,22 @@ def _orbits(size: int, maps: list) -> list:
 
 
 def _orbit_lp(generators: list, monomials: list, columns: list, moments: list,
-              objective: list) -> tuple:
+              value) -> tuple:
     """The exact grid LP over the grid measures that the symmetry group
-    fixes: (columns, moments, objective) for ``measure_bounds``.  Averaging
-    a grid measure over the group keeps its moments and its objective, so
-    this LP has the same feasibility and optima.
+    fixes: (columns, moments, objective) for ``measure_bounds``, where
+    ``value(i)`` is the objective at grid point i.  Averaging a grid
+    measure over the group keeps its moments and its objective, so this LP
+    has the same feasibility and optima.
 
     One column per orbit O of grid points, the sum of its points' columns,
-    with objective |O| phi(O's first point); one row per orbit of
-    monomials, its first monomial's, since the rows of one orbit agree on
-    these columns up to the sign s^alpha, as their moments do; a row is
-    dropped when it vanishes on every column and its moment is 0.  With no
-    generators every orbit is one point or one monomial."""
+    with objective |O| value(O's first point), the one point of O where
+    phi is read; one row per orbit of monomials, its first monomial's,
+    since the rows of one orbit agree on these columns up to the sign
+    s^alpha, as their moments do; a row is dropped when it vanishes on
+    every column and its moment is 0.  With no generators the columns and
+    moments pass through as they are, with the objective at every point."""
+    if not generators:
+        return columns, moments, [value(i) for i in range(len(columns))]
     orbits = _orbits(len(columns), [images for _, images in generators])
     position = {alpha: k for k, alpha in enumerate(monomials)}
     monomial_maps = []
@@ -537,7 +629,7 @@ def _orbit_lp(generators: list, monomials: list, columns: list, moments: list,
     rhs = [moments[k] for k in rows]
     keep = [r for r, m in enumerate(rhs) if m or any(col[r] for col in cols)]
     return ([[col[r] for r in keep] for col in cols], [rhs[r] for r in keep],
-            [len(orbit) * objective[orbit[0]] for orbit in orbits])
+            [len(orbit) * value(orbit[0]) for orbit in orbits])
 
 
 def _grid_columns(mode: Mode, grid: Sequence, degree: int) -> tuple:

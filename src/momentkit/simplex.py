@@ -1,4 +1,4 @@
-"""Moment-space LP engine over grid measures, exact in both scalar modes.
+"""Moment-space LP engine over grid measures, exact on rational data.
 
 On a finite grid both sides of the variational gap,
 ``sup { L(p) : p <= phi }`` and ``inf { L(q) : q >= phi }``, are linear
@@ -14,18 +14,19 @@ standard form, one row per moment, one variable per grid point and one
 artificial per row: phase 1 finds a vertex of Y once, then two phase-2
 runs from copies of it give the min and the max.
 
-There is one arithmetic.  Every float scalar is a dyadic rational, so a
-float-mode LP is solved exactly on the data it is given
-(``scalars.exact_fraction``) and each bound is rounded into the mode once;
-no tolerance is needed and none is kept.  The moments go over their lcm
-``delta`` (``scalars.integers``) and the grid measure is scaled by it,
-``y' = delta * y``, so the right-hand side is integral and the moments'
-denominators do not widen the rows; ``delta = 1`` for integer moments.
-Each moment row is then scaled to integers by the lcm of its column
-denominators and the objective by the lcm ``den`` of its own.  Integer
-columns, as the grid LPs of ``gaps`` pass them (each moment scaled by its
-row's denominator instead), go to the rows as they are in rational mode;
-in float mode each entry is rounded into the mode once, like any other.
+There is one arithmetic: the data are rationals and the bounds exact
+Fractions.  Every float scalar is a dyadic rational, so a float-mode
+caller hands over the exact values of its data
+(``scalars.exact_fraction``) and rounds each bound into its mode once, as
+``gaps.grid_gap_lp`` does; no tolerance is needed and none is kept.  The
+moments go over their lcm ``delta`` (``scalars.integers``) and the grid
+measure is scaled by it, ``y' = delta * y``, so the right-hand side is
+integral and the moments' denominators do not widen the rows; ``delta =
+1`` for integer moments.  Each moment row is then scaled to integers by
+the lcm of its column denominators and the objective by the lcm ``den``
+of its own.  Integer columns, as the grid LPs of ``gaps`` pass them (each
+moment scaled by its row's denominator instead), go to the rows as they
+are.
 
 The simplex is revised and fraction-free (Chvatal, *Linear Programming*,
 1983, ch. 7, with Edmonds' integer pivots, the Bareiss idea applied to
@@ -87,14 +88,15 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, LpInfeasible, LpUnbounded
-from .scalars import Mode, RationalMode, exact_fraction, integers
+from .scalars import integers
 
 
-def measure_bounds(mode: Mode, columns: Sequence[Sequence], moments: Sequence,
+def measure_bounds(columns: Sequence[Sequence], moments: Sequence,
                    objective: Sequence) -> tuple:
     """(min, max) of sum_g y_g objective[g] over y >= 0 with
-    sum_g y_g columns[g] = moments, each the exact optimum over the data
-    as the mode holds it, rounded once into the mode.
+    sum_g y_g columns[g] = moments, each the exact optimum as a Fraction.
+    The data are rationals, ints or Fractions (a binary float's exact
+    value is ``scalars.exact_fraction``).
 
     Raises LpUnbounded when no such y exists (the primal polynomial LPs are
     then unbounded: the grid is too sparse for the moments), LpInfeasible
@@ -103,12 +105,8 @@ def measure_bounds(mode: Mode, columns: Sequence[Sequence], moments: Sequence,
     and DimensionMismatch when there are no moments or a column or the
     objective does not match them in length.
     """
-    rational = isinstance(mode, RationalMode)
-
-    def exact(v):
-        if rational:  # an int goes to the rows as it is
-            return v if type(v) is int else mode.convert(v)
-        return exact_fraction(mode.convert(v))
+    def exact(v):  # an int goes to the rows as it is
+        return v if type(v) is int else Fraction(v)
     cols = [[exact(v) for v in col] for col in columns]
     rhs = [exact(v) for v in moments]
     obj = [exact(v) for v in objective]
@@ -165,7 +163,7 @@ def measure_bounds(mode: Mode, columns: Sequence[Sequence], moments: Sequence,
         t.profit.append(-sum(sign * obj[var] * v for var, v in zip(t.basis, t.rhs)))
         # the weights phase 1 left describe the edges of this same basis
         _run(t, list(weights))
-        bounds.append(mode.convert(sign * Fraction(-t.profit[-1], t.det * den * delta)))
+        bounds.append(sign * Fraction(-t.profit[-1], t.det * den * delta))
     return bounds[0], bounds[1]
 
 

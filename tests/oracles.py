@@ -199,7 +199,8 @@ from momentkit.moments import (FullSpace, MomentSequence, NonnegativeOrthant, af
 from momentkit.polynomials import (compositions, mpoly_degree, mpoly_mul, multi_indices,
                                    poly_add, poly_mul, poly_pow)
 from momentkit.scalars import (NEAREST, RAW_ZERO, ComplexScalar, FloatMode, Mode, RationalMode,
-                               complex_scalar, half_floor, raw_add, raw_mul, raw_sub)
+                               complex_scalar, exact_fraction, half_floor, raw_add, raw_mul,
+                               raw_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -881,14 +882,20 @@ def grid_columns_entrywise(mode: Mode, grid, degree: int, weight=None) -> tuple:
 
 def grid_lp_unreduced(seq: MomentSequence, phi, degree: int, grid) -> tuple:
     """(sup side, inf side) of ``gaps.grid_gap_lp``'s LP, solved by
-    ``simplex.measure_bounds`` with one column per grid point."""
+    ``simplex.measure_bounds`` with one column per grid point; in float
+    mode on the exact values of the data, each entry rounded into the mode
+    once, and each bound rounded into the mode once."""
     mode = seq.mode
     grid = [tuple(mode.convert(c) for c in g) for g in grid]
     columns, dens = gaps._grid_columns(mode, grid, degree)
     moments = [seq.entries[alpha] * den
                for alpha, den in zip(multi_indices(seq.dimension, degree), dens)]
     objective = [gaps.evaluate_separating(phi, g, mode) for g in grid]
-    return simplex.measure_bounds(mode, columns, moments, objective)
+    exact = (lambda v: v) if isinstance(mode, RationalMode) else (
+        lambda v: exact_fraction(mode.convert(v)))
+    bounds = simplex.measure_bounds([list(map(exact, col)) for col in columns],
+                                    list(map(exact, moments)), list(map(exact, objective)))
+    return tuple(map(mode.convert, bounds))
 
 
 def grid_orbit_count(seq: MomentSequence, degree: int, grid, phi) -> int:

@@ -899,7 +899,8 @@ def test_wide_float_grid_entries_round_once():
     """A dyadic float:64 grid whose degree-4 monomials outgrow the mantissa:
     the grid-LP bounds are those of ``measure_bounds`` on the columns
     rounded into the mode once per entry from ``g^alpha`` as an exact
-    Fraction, and some of those entries do round."""
+    Fraction, each bound rounded into the mode once, and some of those
+    entries do round."""
     fm = FloatMode(64)
     big = 2 ** 40 + 1
     grid = [(fm.convert(c),) for c in (0, 1, F(-3, 4), big, F(-big, 2), 3)]
@@ -914,5 +915,7 @@ def test_wide_float_grid_entries_round_once():
     moments = [a + b for a, b in zip(rounded[0], rounded[3])]
     objective = [fm.convert(c) for c in (1, -2, F(1, 3), 5, F(-7, 2), 0)]
     got = grid_lp_bounds(fm, grid, monomials, moments, objective)
-    assert same(got, measure_bounds(fm, rounded, moments, objective))
+    exact = [[exact_fraction(v) for v in values] for values in (moments, objective)]
+    want = measure_bounds([[exact_fraction(v) for v in col] for col in rounded], *exact)
+    assert same(got, tuple(map(fm.convert, want)))
     assert got[0] <= got[1]

@@ -297,7 +297,7 @@ def weighted_column_hyperplane(seq, a, degree) -> tuple:
     weighted = apply_polynomial_weight(seq, form)
     grid = default_grid(seq.support, d, R)
     columns = grid_columns_entrywise(R, grid, max(degree - 1, 0), form)[0]
-    low, high = simplex.measure_bounds(R, columns, [weighted.entries[m] for m in monomials],
+    low, high = simplex.measure_bounds(columns, [weighted.entries[m] for m in monomials],
                                        [F(1)] * len(grid))
     m0 = seq.entries[(0,) * d]
     return m0 - low, high - m0
@@ -441,9 +441,9 @@ def test_grid_lp_on_orbits_matches_the_whole_grid(inputs):
     sizes = []
     real = simplex.measure_bounds
 
-    def counted(mode, columns, moments, objective):
+    def counted(columns, moments, objective):
         sizes.append(len(columns))
-        return real(mode, columns, moments, objective)
+        return real(columns, moments, objective)
     try:
         want = grid_lp_unreduced(seq, phi, degree, grid)
     except LpUnbounded:
@@ -484,9 +484,9 @@ def test_benchmark_lps_are_solved_on_orbits(lp, shape):
     shapes = []
     real = simplex.measure_bounds
 
-    def counted(mode, columns, moments, objective):
+    def counted(columns, moments, objective):
         shapes.append((len(columns), len(moments)))
-        return real(mode, columns, moments, objective)
+        return real(columns, moments, objective)
     with mock.patch.object(simplex, "measure_bounds", counted):
         try:
             lp()
@@ -518,15 +518,175 @@ def test_symmetry_search_maps_the_grid_per_generator_and_failed_coset(d, x0, ord
         maps.append(images is not None)
         return images
 
-    def counted_solve(mode, columns, moments, objective):
+    def counted_solve(columns, moments, objective):
         shapes.append((len(columns), len(moments)))
-        return solve(mode, columns, moments, objective)
+        return solve(columns, moments, objective)
     with mock.patch.object(gaps, "_grid_permutation", counted_map), \
             mock.patch.object(simplex, "measure_bounds", counted_solve):
         poisson_kappa_estimate(seq, x0, 1, 2)
     assert shapes == [shape]
     assert 2 ** maps.count(True) <= order
     assert maps.count(False) < 2 ** d * math.factorial(d) // order
+
+
+
+@pytest.mark.parametrize("lp, mode, shape", [
+    (lambda m: poisson_kappa_estimate(generate_moments(GaussianProduct((1, 1)), 2, 8, m),
+                                      (0, 0), 1, 2), FloatMode(64), (10, 2)),
+    (lambda m: hyperplane_gap(generate_moments(EXPO2, 2, 4, m), (1, 1), 4), FloatMode(64),
+     (28, 6)),
+    (lambda m: hyperplane_gap(generate_moments(EXPO2, 2, 4, m), (1, 1), 4), FloatMode(128),
+     (28, 6)),
+], ids=["kappa-gauss2d8-float:64", "hyperplane-expo2d4-float:64",
+        "hyperplane-expo2d4-float:128"])
+def test_float_kernels_keep_the_rational_orbits(lp, mode, shape):
+    """Float kernels round 1 + a.x and t0^2 + |x - x0|^2 once from their
+    exact sums, so they keep x <-> y bit for bit and their LPs fold as in
+    rational mode (16 x 3 and 49 x 10 when the sums were taken coordinate
+    by coordinate)."""
+    shapes = []
+    real = simplex.measure_bounds
+
+    def counted(columns, moments, objective):
+        shapes.append((len(columns), len(moments)))
+        return real(columns, moments, objective)
+    with mock.patch.object(simplex, "measure_bounds", counted):
+        lp(mode)
+    assert shapes == [shape]
+
+#: the grid LPs of the gap-lp benchmark
+GAP_LP_JOBS = {
+    "kappa-gauss2d8": lambda: poisson_kappa_estimate(
+        generate_moments(GaussianProduct((1, 1)), 2, 8, R), (0, 0), 1, 2),
+    "hyperplane-expo2d4": lambda: hyperplane_gap(generate_moments(EXPO2, 2, 4, R), (1, 1), 4),
+    "hyperplane-expo2d8": lambda: hyperplane_gap(generate_moments(EXPO2, 2, 8, R), (1, 1), 6),
+    "gridlp-ql16": lambda: grid_gap_lp(
+        generate_moments(QLattice1D(F(2)), 1, 16, R),
+        Sampled(QL_LOG_GRID, tuple(t[0] / (t[0] * t[0] + 1) for t in QL_LOG_GRID)),
+        8, QL_LOG_GRID),
+}
+
+
+@pytest.mark.parametrize("job, reads", [
+    ("kappa-gauss2d8", 10), ("hyperplane-expo2d4", 28), ("hyperplane-expo2d8", 28),
+    ("gridlp-ql16", 43)])
+def test_benchmark_lps_read_phi_once_per_orbit(job, reads):
+    """The kernels' parameters prove the symmetries of the 49-point
+    benchmark grids, so phi is read once per orbit, at its first point: 10
+    Poisson values for the centred Gaussian, 28 Fantappie values for a = (1,
+    1) on the x <-> y orbits.  The sampled spec is read at each of its 43
+    points, and its LP has no symmetry."""
+    points = []
+    real = gaps._target
+
+    def target(*args):
+        phi = real(*args)
+
+        def counted(point):
+            points.append(point)
+            return phi(point)
+        return counted
+    with mock.patch.object(gaps, "_target", target):
+        try:
+            GAP_LP_JOBS[job]()
+        except LpUnbounded:
+            assert job == "hyperplane-expo2d8"
+    assert len(points) == len(set(points)) == reads
+
+
+#: kernel parameters and grid coordinates: binary and not, so that float
+#: sums of them round
+KERNEL_COORDS = (F(0), F(1, 3), F(-1, 3), F(1, 7), F(-2, 7), F(1, 5), F(1, 2), F(-1))
+
+
+@st.composite
+def kernels_and_symmetries(draw):
+    """(mode, spec, sigma as (pi, s), grid): a signed permutation of R^d, d
+    = 1..4, a Fantappie a (entries at most 1/5) or a Poisson x0 and t0,
+    made to satisfy v_{pi(j)} = s_j v_j along each cycle of pi (0 on a
+    cycle whose signs multiply to -1) and then, maybe, changed in one
+    entry, and up to 8 grid points in [-1, 1]^d."""
+    d = draw(st.integers(1, 4))
+    perm = tuple(draw(st.permutations(range(d))))
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * d))
+    kind = draw(st.sampled_from(["fantappie", "poisson"]))
+    pool = ([c / 5 for c in KERNEL_COORDS if abs(c) <= 1] if kind == "fantappie"
+            else KERNEL_COORDS)
+    v: list = [None] * d
+    for start in range(d):
+        if v[start] is None:
+            cycle, j = [], start
+            while j not in cycle:
+                cycle.append(j)
+                j = perm[j]
+            c = draw(st.sampled_from(pool)) if math.prod(signs[j] for j in cycle) > 0 else F(0)
+            for j in cycle:
+                v[j], c = c, signs[j] * c
+    if draw(st.booleans()):
+        v[draw(st.integers(0, d - 1))] = draw(st.sampled_from(pool))
+    spec = (Fantappie(tuple(v)) if kind == "fantappie"
+            else PoissonKernel(tuple(v), draw(st.sampled_from((F(1, 2), F(1), F(3, 7))))))
+    coord = st.sampled_from([c for c in KERNEL_COORDS if abs(c) <= 1] + [F(5, 9), F(-3, 11)])
+    grid = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8))
+    return draw(st.sampled_from([R, FloatMode(64)])), spec, (perm, signs), grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernels_and_symmetries())
+def test_kernel_parameters_prove_the_symmetry_they_claim(inputs):
+    """Where ``_fixes_parameters`` proves sigma, phi(sigma g) == phi(g) at
+    every grid point g, bit for bit at float:64 too, where 1 + a.x and t0^2
+    + |x - x0|^2 are rounded once from their exact sums; the proof is the
+    parameter test itself, v_{pi(j)} = s_j v_j."""
+    mode, spec, (perm, signs), grid = inputs
+    vector = spec.a if isinstance(spec, Fantappie) else spec.x0
+    proves = gaps._fixes_parameters(spec, mode)
+    claimed = proves(perm, signs)
+    assert claimed == all(vector[k] == s * c for k, s, c in zip(perm, signs, vector))
+    if claimed:
+        phi = gaps._target(spec, mode, len(perm))
+        for g in grid:
+            g = tuple(map(mode.convert, g))
+            assert phi(tuple(s * g[k] for k, s in zip(perm, signs))) == phi(g)
+
+
+@pytest.mark.parametrize("removed, added, per_candidate", [
+    ({(-8, 0, F(8, 3), F(-16, 3), F(-8, 3)), (F(8, 3), -8, F(16, 3), 0, 8)}, [], 2),
+    (set(), [(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 9))], 1),
+], ids=["two-removed", "one-added"])
+def test_symmetry_search_fails_at_once_on_a_broken_grid(removed, added, per_candidate):
+    """Every signed permutation fixes the centred 5D Gaussian's moments,
+    but none fixes its default degree-2 kappa grid (7^5 points) once two
+    points with different multisets of magnitudes and no common stabilizer
+    are removed, or once a point with five distinct nonzero magnitudes is
+    added: after the first, which maps the grid in its own order up to
+    its first miss, each of the 3839 candidates fails at one of the two
+    holes, or at the added point, mapped first, so it maps at most 2 or 1
+    points (a whole-grid map per candidate took about 30 s).  The LP is not
+    solved here."""
+    seq = gauss(2, 5)
+    grid = [g for g in default_grid(seq.support, 5, R, points_per_axis=7)
+            if g not in removed] + added
+    assert len(grid) == 7 ** 5 - len(removed) + len(added)
+    spec = PoissonKernel((0,) * 5, 1)
+    target = gaps._target(spec, R, 5)
+    mapped = []  # the points each call maps
+    real = gaps._grid_permutation
+
+    def counted(points, index, negated, perm, signs, value, holes, order):
+        def visit(items):
+            for item in items:
+                mapped[-1] += 1
+                yield item
+        mapped.append(0)
+        return real(points, index, negated, perm, signs, value, visit(holes), visit(order))
+    with mock.patch.object(gaps, "_grid_permutation", counted):
+        generators = gaps._symmetries(seq, list(multi_indices(5, 2)), grid,
+                                      lambda i: target(grid[i]),
+                                      gaps._fixes_parameters(spec, R))
+    assert generators == []
+    assert len(mapped) == 2 ** 5 * math.factorial(5) - 1
+    assert max(mapped[1:]) <= per_candidate
 
 
 @pytest.mark.parametrize("orthant, generators, a", [

@@ -76,23 +76,33 @@ def _columns(grid, degree):
     return [[F(g) ** k for k in range(degree + 1)] for g in grid]
 
 
+def _float_bounds(fm, cols, moments, objective):
+    """The bounds of the LP on the data rounded into ``fm`` entry by entry,
+    as ``gaps.grid_gap_lp`` solves a float LP: measure_bounds on the exact
+    values of the rounded data, each bound rounded into ``fm`` once."""
+    def exact(values):
+        return [exact_fraction(fm.convert(v)) for v in values]
+    return tuple(map(fm.convert, measure_bounds([exact(col) for col in cols], exact(moments),
+                                                exact(objective))))
+
+
 def test_measure_bounds_known_polytope():
     # probability measures on {0, 1, 2} with mean 1: the second moment ranges
     # from 1 (the point mass at 1) to 2 (half at 0, half at 2)
     grid = [0, 1, 2]
-    assert measure_bounds(R, _columns(grid, 1), [1, 1], [g * g for g in grid]) == (1, 2)
+    assert measure_bounds(_columns(grid, 1), [1, 1], [g * g for g in grid]) == (1, 2)
 
 
 def test_measure_bounds_empty_set_raises_unbounded():
     # no probability measure on {0, 1} has mean 2
     with pytest.raises(LpUnbounded, match="2-point grid"):
-        measure_bounds(R, _columns([0, 1], 1), [1, 2], [0, 1])
+        measure_bounds(_columns([0, 1], 1), [1, 2], [0, 1])
 
 
 def test_measure_bounds_unbounded_objective_raises_infeasible():
     # y_0 - y_1 = 0 leaves the mass free, so y_0 grows without bound
     with pytest.raises(LpInfeasible):
-        measure_bounds(R, [[1], [-1]], [0], [1, 0])
+        measure_bounds([[1], [-1]], [0], [1, 0])
 
 
 def test_measure_bounds_redundant_rows():
@@ -101,7 +111,7 @@ def test_measure_bounds_redundant_rows():
     grid = [0, 1, 2]
     moments = [F(1)] + [F(1, 2)] * 4
     values = [F(math.cos(g)).limit_denominator(10 ** 15) for g in grid]
-    low, high = measure_bounds(R, _columns(grid, 4), moments, values)
+    low, high = measure_bounds(_columns(grid, 4), moments, values)
     assert low == high == (values[0] + values[1]) / 2
 
 
@@ -110,8 +120,8 @@ def test_measure_bounds_float_agrees_with_rational():
     grid = [F(k, 3) for k in range(-6, 7)]
     moments = [F(1), F(0), F(1, 2), F(0), F(3, 8)]
     objective = [1 / (1 + g * g) for g in grid]
-    exact = measure_bounds(R, _columns(grid, 4), moments, objective)
-    approx = measure_bounds(fm, _columns(grid, 4), moments, objective)
+    exact = measure_bounds(_columns(grid, 4), moments, objective)
+    approx = _float_bounds(fm, _columns(grid, 4), moments, objective)
     assert exact[0] < exact[1]
     for e, a in zip(exact, approx):
         assert fm.to_float(a) == pytest.approx(float(e), rel=1e-12)
@@ -139,7 +149,7 @@ def _qlattice_log_grid_lp():
 
 def test_measure_bounds_qlattice_log_grid_matches_primal_oracle():
     grid, seq, moments, objective = _qlattice_log_grid_lp()
-    bounds = measure_bounds(R, _columns(grid, 8), moments, objective)
+    bounds = measure_bounds(_columns(grid, 8), moments, objective)
     assert bounds == _primal_bounds(_columns(grid, 8), moments, objective)
     phi = gaps.Sampled(tuple((t,) for t in grid), tuple(objective))
     est = gaps.grid_gap_lp(seq, phi, 8, [(t,) for t in grid])
@@ -164,10 +174,10 @@ def test_measure_bounds_negative_drive_out_pivot_and_redundant_row(monkeypatch):
     monkeypatch.setattr(simplex._Basis, "pivot", pivot)
     cols = [[1, 1, 1], [1, 1, 1], [1, -1, -1]]
     moments, objective = [2, 2, 2], [1, 2, 2]
-    assert measure_bounds(R, cols, moments, objective) == (2, 4)
+    assert measure_bounds(cols, moments, objective) == (2, 4)
     assert pivots[:2] == [1, -2]
     assert _primal_bounds(cols, moments, objective) == (2, 4)
-    low, high = measure_bounds(FloatMode(64), cols, moments, objective)
+    low, high = _float_bounds(FloatMode(64), cols, moments, objective)
     assert (low, high) == (2, 4)
 
 
@@ -178,12 +188,12 @@ def test_measure_bounds_negative_drive_out_pivot_and_redundant_row(monkeypatch):
 ])
 def test_measure_bounds_rejects_inconsistent_shapes(columns, moments, objective):
     with pytest.raises(DimensionMismatch):
-        measure_bounds(R, columns, moments, objective)
+        measure_bounds(columns, moments, objective)
 
 
 def _gridlp_ql16():
     grid, _seq, moments, objective = _qlattice_log_grid_lp()
-    return measure_bounds(R, _columns(grid, 8), moments, objective)
+    return measure_bounds(_columns(grid, 8), moments, objective)
 
 
 def _hyperplane(measure, dimension, degree):
@@ -277,7 +287,7 @@ def test_phase_one_enters_the_steepest_edge(monkeypatch):
         return F(sum(col) ** 2, 1 + sum(v * v for v in col))
 
     monkeypatch.setattr(simplex._Basis, "pivot", pivot)
-    bounds = measure_bounds(R, cols, moments, objective)
+    bounds = measure_bounds(cols, moments, objective)
     assert entered[0] == max(range(len(cols)), key=lambda g: score(cols[g]))
     assert max(range(len(cols)), key=lambda g: sum(cols[g])) != entered[0]
     assert bounds == _primal_bounds(cols, moments, objective)
@@ -301,10 +311,10 @@ def test_measure_bounds_beale_degenerate_lp_terminates():
     cols, moments, objective = _beale_lp()
     oracle = _primal_bounds(cols, moments, objective)
     assert oracle == (F(-2052, 101), F(5, 4))
-    assert measure_bounds(R, cols, moments, objective) == oracle
+    assert measure_bounds(cols, moments, objective) == oracle
     # the data is binary, so float:64 rounds the same optimum once
     fm = FloatMode(64)
-    assert measure_bounds(fm, cols, moments, objective) == tuple(map(fm.convert, oracle))
+    assert _float_bounds(fm, cols, moments, objective) == tuple(map(fm.convert, oracle))
 
 
 def test_measure_bounds_columns_beyond_float_range():
@@ -318,7 +328,7 @@ def test_measure_bounds_columns_beyond_float_range():
     y = [F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 32), F(1, 32)]
     moments = [sum(w * col[i] for w, col in zip(y, cols)) for i in range(3)]
     objective = [F(1), F(0), F(1, 3), F(2), F(-1), F(1, 2)]
-    bounds = measure_bounds(R, cols, moments, objective)
+    bounds = measure_bounds(cols, moments, objective)
     assert bounds == _primal_bounds(cols, moments, objective)
     assert bounds[0] < bounds[1]
 
@@ -367,7 +377,7 @@ def test_measure_bounds_match_primal_oracle(lp):
     except (LpUnbounded, LpInfeasible):
         oracle = None
     try:
-        engine = measure_bounds(R, cols, moments, objective)
+        engine = measure_bounds(cols, moments, objective)
     except (LpUnbounded, LpInfeasible):
         engine = None
     assert engine == oracle
@@ -397,7 +407,7 @@ def test_float_measure_bounds_are_the_exact_optimum_of_their_data(lp, bits):
     except (LpUnbounded, LpInfeasible):
         oracle = None
     try:
-        engine = measure_bounds(fm, cols, moments, objective)
+        engine = _float_bounds(fm, cols, moments, objective)
     except (LpUnbounded, LpInfeasible):
         engine = None
     assert engine == oracle
@@ -412,11 +422,11 @@ def test_float_qlattice_log_grid_lp_is_the_rational_optimum(bits):
     fm = FloatMode(bits)
     grid, _seq, moments, objective = _qlattice_log_grid_lp()
     cols = _columns(grid, 8)
-    low, high = measure_bounds(fm, cols, moments, objective)
+    low, high = _float_bounds(fm, cols, moments, objective)
     rounded = [exact_fraction(fm.convert(f)) for f in objective]
     assert (low, high) == tuple(fm.convert(v) for v in
-                                measure_bounds(R, cols, moments, rounded))
-    for got, want in zip((low, high), measure_bounds(R, cols, moments, objective)):
+                                measure_bounds(cols, moments, rounded))
+    for got, want in zip((low, high), measure_bounds(cols, moments, objective)):
         assert abs(exact_fraction(got) - want) <= abs(want) / 2 ** (bits - 1)
 
 
