@@ -91,12 +91,13 @@ where reduced ``Fraction`` entries take several each, and by a level at
 the gcd of its two denominators, often all of its content.  The
 rows stay smaller than those of the Bareiss form, which grow into Hankel
 determinants.  In float mode the sigma rows are raw mpmath tuples run
-through mpmath's tuple arithmetic (``scalars.raw_mul`` and its siblings)
-at the working precision, so every value is bit-identical to the ``mpf``
-operators'.  Their noise floors, estimates that need no working
-precision, are binary64 ``log2`` magnitudes within about 1e-12 of the
-``mpf`` floors' logs, and on a precision sweep of seven families every
-pivot decision and message is theirs.  Each entry's floor is the
+through ``scalars.raw_mul`` and its siblings, which round to nearest on
+the integer mantissas at the working precision as mpmath's tuple
+functions do, so every value is bit-identical to the ``mpf`` operators'.
+Their noise floors, estimates that need no working precision, are
+binary64 ``log2`` magnitudes within about 1e-12 of the ``mpf`` floors'
+logs, and on a precision sweep of seven families every pivot decision
+and message is theirs.  Each entry's floor is the
 log-add of a fixed list of terms, summed left to right in one unrolled
 binary64 sum in which an absent term is -inf and adds exactly 0.0, so it
 equals the sum of the terms present.  A product by an exact zero
@@ -141,7 +142,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .moments import MomentSequence, NonnegativeOrthant
-from .scalars import (NEAREST, RATIONAL_APPROX_BITS, RAW_ZERO, ComplexScalar, FloatMode, Mode,
+from .scalars import (RATIONAL_APPROX_BITS, RAW_ZERO, ComplexScalar, FloatMode, Mode,
                       RationalMode, Record, complex_scalar, fixed_context, from_context,
                       half_floor, integers, ratio_to_float, raw_add, raw_mul, raw_sub,
                       to_context)
@@ -487,7 +488,7 @@ def _float_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, noi_prev:
     the entries with k + l even, for data whose entries with k + l odd are
     exact zeros with floor -inf (``_factorize`` tests the data); the others
     stay at their prefilled 0 and -inf."""
-    mul, add, sub, rnd = raw_mul, raw_add, raw_sub, NEAREST
+    mul, add, sub = raw_mul, raw_add, raw_sub
     eps = FLOAT_PIVOT_GUARD_BITS - prec
     an, bn = alpha_prev._mpf_, beta_prev._mpf_
     log_an, log_bn = _log2(an), _log2(bn)
@@ -498,27 +499,27 @@ def _float_row(k: int, hi: int, alpha_prev, beta_prev, row_prev: list, noi_prev:
     for l in range(k, hi + 1, step):
         a_l, log_a = an, log_an                 # alpha_{k-1} - a_l
         if a is not None:
-            a_l = sub(an, a[l], prec, rnd)
+            a_l = sub(an, a[l], prec)
             _, man, exp, _ = a_l
             log_a = log2(man) + exp if man else -inf
         v, t0 = row_prev[l + 1], noi_prev[l + 1]
         t1 = t2 = -inf
         if a_l[1]:
-            x = mul(a_l, row_prev[l], prec, rnd)
-            v = sub(v, x, prec, rnd)
+            x = mul(a_l, row_prev[l], prec)
+            v = sub(v, x, prec)
             _, man, exp, _ = x
             t1 = log_a + noi_prev[l]
             if man:
                 t2 = log2(man) + exp + eps
         if k >= 2:
-            x = mul(bn, row_prev2[l], prec, rnd)
-            v = sub(v, x, prec, rnd)
+            x = mul(bn, row_prev2[l], prec)
+            v = sub(v, x, prec)
             _, man, exp, _ = x
             t3, t4 = log_bn + noi_prev2[l], log2(man) + exp + eps if man else -inf
         if b is not None:
             b_l = b[l]
-            x = mul(b_l, row_prev[l - 1], prec, rnd)
-            v = add(v, x, prec, rnd)
+            x = mul(b_l, row_prev[l - 1], prec)
+            v = add(v, x, prec)
             _, man, exp, _ = b_l
             t5 = (log2(man) + exp if man else -inf) + noi_prev[l - 1]
             _, man, exp, _ = x

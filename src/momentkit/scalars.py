@@ -5,9 +5,10 @@ Every numeric kernel in the toolkit is generic over an arithmetic *mode*:
 * :class:`RationalMode` -- exact ``fractions.Fraction`` arithmetic.  Needed
   because Hankel and recurrence computations on moment scales like ``2**(k*k)``
   are hopelessly ill-conditioned in any fixed precision.
-* :class:`FloatMode` -- binary floats at a configurable precision, backed by a
-  private ``mpmath`` context, so two float modes with different precisions are
-  distinct modes.
+* :class:`FloatMode` -- binary floats at a configurable precision, backed by
+  the one shared ``mpmath`` context of that precision (``fixed_context``), so
+  two float modes with different precisions are distinct modes and two with
+  the same precision share their values.
 
 A "scalar" is a plain ``Fraction`` or an ``mpf`` of the mode's own context;
 the mode object is the factory, validator and serializer for its values.
@@ -40,12 +41,20 @@ bits; ``ratio_to_float`` converts an integer ratio, saturating to +-inf.
 The float recurrence runs its values on raw ``(sign, man, exp, bc)``
 tuples rather than ``mpf`` objects, which saves mpmath's object layer on
 every operation.  This module hands out the tuple arithmetic it needs:
-``raw_mul``, ``raw_add`` and ``raw_sub``, which at ``(prec, NEAREST)`` are
-the ``mpf`` operators of a ``prec``-bit context bit for bit, and
-``RAW_ZERO``; a float scalar's tuple is ``v._mpf_`` and
-``mode.ctx.make_mpf`` wraps one back.  Its noise floors are not values:
-they are binary64 ``log2`` magnitudes, and ``half_floor``'s rule reads
-``log2 x - prec // 2 <= log2 t`` there.
+``raw_mul``, ``raw_add`` and ``raw_sub`` take two finite raw tuples (zeros
+included) and a precision ``prec > 0``, and round the exact result to
+nearest, ties to even, on the integer mantissas, in one call each.  They
+return what mpmath's ``mpf_mul``, ``mpf_add`` and ``mpf_sub`` return at
+``(prec, round_nearest)``, bit for bit, and so what the ``mpf`` operators
+of a ``prec``-bit context return: a carry that rounds up to a power of two
+leaves mantissa 1 (``bc = 1``), and where the exponents differ by more
+than 100 and the smaller operand lies wholly more than ``prec + 4`` bits
+below the larger one's leading bit, a sum is the larger one nudged by a
+unit ``prec + 4`` bits down, as mpmath's is.  ``RAW_ZERO`` is 0; a
+float scalar's tuple is ``v._mpf_`` and ``mode.ctx.make_mpf`` wraps one
+back.  Its noise floors are not values: they are binary64 ``log2``
+magnitudes, and ``half_floor``'s rule reads ``log2 x - prec // 2 <= log2
+t`` there.
 
 A float precision for degree-N data is the caller's choice; the CLI runs a
 measure spec with no mode in rational mode when its moments are rational,
@@ -63,7 +72,7 @@ from fractions import Fraction
 from typing import Any, Union
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_rational, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import from_rational, fzero, round_nearest
 
 from .errors import InvalidParameter, ModeMismatch
 
@@ -77,9 +86,14 @@ RATIONAL_APPROX_BITS = 256
 #: up to N = 2047
 MAX_FLOAT_BITS = 2 ** 24
 
-#: mpmath's arithmetic on raw tuples (see the module docstring)
-raw_mul, raw_add, raw_sub = mpf_mul, mpf_add, mpf_sub
-RAW_ZERO, NEAREST = fzero, round_nearest
+#: the raw tuple of 0 (see the module docstring)
+RAW_ZERO = fzero
+
+#: the most shared contexts ``fixed_context`` keeps, one per precision, at
+#: about 40 KiB each; a precision used again after its context was dropped
+#: gets a new one, and modes holding the old one refuse the new one's values
+#: as values of another mode, as two private contexts would
+MAX_SHARED_CONTEXTS = 64
 
 _INTEGER = re.compile(r"[+-]?\d+")
 
@@ -162,7 +176,8 @@ class RationalMode:
 
 
 class FloatMode:
-    """Binary floats at ``precision_bits`` of mantissa, in a private context."""
+    """Binary floats at ``precision_bits`` of mantissa, in the shared
+    context of that precision (``fixed_context``)."""
 
     kind = "float"
 
@@ -170,8 +185,7 @@ class FloatMode:
         if precision_bits < 8:
             raise InvalidParameter("float precision must be at least 8 bits")
         self.precision_bits = int(precision_bits)
-        self.ctx = MPContext()
-        self.ctx.prec = self.precision_bits
+        self.ctx = fixed_context(self.precision_bits)
 
     def __repr__(self) -> str:
         return f"FloatMode({self.precision_bits})"
@@ -305,6 +319,90 @@ def half_floor(mode: Mode, scale):
     return mode.ctx.ldexp(scale, -(mode.precision_bits // 2))
 
 
+def raw_mul(s: tuple, t: tuple, prec: int) -> tuple:
+    """s * t for finite raw tuples s and t, rounded to nearest at ``prec``
+    bits: ``mpf_mul(s, t, prec, round_nearest)`` bit for bit."""
+    man = s[1] * t[1]
+    if not man:
+        return RAW_ZERO
+    exp = s[2] + t[2]
+    # a product of odd mantissas is odd: only a rounded one has zeros to strip
+    n = man.bit_length() - prec
+    if n > 0:
+        half = man >> (n - 1)
+        exp += n
+        if half & 1 and (half & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (half >> 1) + 1
+        else:
+            man = half >> 1
+        if not man & 1:
+            zeros = (man & -man).bit_length() - 1
+            man >>= zeros
+            exp += zeros
+    return s[0] ^ t[0], man, exp, man.bit_length()
+
+
+def raw_add(s: tuple, t: tuple, prec: int) -> tuple:
+    """s + t for finite raw tuples s and t, rounded to nearest at ``prec``
+    bits: ``mpf_add(s, t, prec, round_nearest)`` bit for bit."""
+    return _add(s, t[0], t, prec)
+
+
+def raw_sub(s: tuple, t: tuple, prec: int) -> tuple:
+    """s - t for finite raw tuples s and t, rounded to nearest at ``prec``
+    bits: ``mpf_sub(s, t, prec, round_nearest)`` bit for bit."""
+    return _add(s, t[0] ^ 1, t, prec)
+
+
+def _add(s: tuple, tsign: int, t: tuple, prec: int) -> tuple:
+    """s + t with t's sign bit read as ``tsign``, as ``mpf_add``: a zero
+    operand leaves the other rounded, and an exact sum is rounded once.
+    Where the exponents differ by more than 100 and the smaller operand
+    lies wholly more than ``prec + 4`` bits below the larger one's leading
+    bit, the larger one's mantissa takes ``prec + 4`` zero bits and a unit
+    added or taken off by the smaller one's sign: that rounds as the exact
+    sum does, without a shift by the whole gap."""
+    ssign, sman, sexp, sbc = s
+    _, tman, texp, tbc = t
+    if not tman:
+        if not sman:
+            return RAW_ZERO
+        man, exp = sman, sexp
+    elif not sman:
+        ssign, man, exp = tsign, tman, texp
+    else:
+        if sexp < texp:
+            ssign, sman, sexp, sbc, tsign, tman, texp, tbc = (
+                tsign, tman, texp, tbc, ssign, sman, sexp, sbc)
+        offset = sexp - texp
+        if offset > 100 and sbc + offset - tbc > prec + 4:
+            man = (sman << (prec + 4)) + (1 if ssign == tsign else -1)
+            exp = sexp - prec - 4
+        else:
+            man = (sman << offset) + tman if ssign == tsign else (sman << offset) - tman
+            exp = texp
+            if man <= 0:
+                if not man:
+                    return RAW_ZERO
+                ssign, man = ssign ^ 1, -man
+    # to nearest, ties to even, then strip the trailing zeros; a carry to
+    # 2**prec leaves mantissa 1.  raw_mul writes this out too: a shared
+    # helper's call costs about a tenth of an operation's time
+    n = man.bit_length() - prec
+    if n > 0:
+        half = man >> (n - 1)
+        exp += n
+        if half & 1 and (half & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (half >> 1) + 1
+        else:
+            man = half >> 1
+    if not man & 1:
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+    return ssign, man, exp, man.bit_length()
+
+
 def exact_fraction(v) -> Fraction:
     """Exact Fraction equal to an mpf value (mpf -> rational is always
     exact).  Raises InvalidParameter on +-inf and NaN, which have none."""
@@ -318,13 +416,14 @@ def exact_fraction(v) -> Fraction:
 
 
 def fixed_context(bits: int = RATIONAL_APPROX_BITS) -> MPContext:
-    """The binary-float context at ``bits`` of precision, in any mode: one
-    shared object per ``bits``, since building one costs about half a
-    millisecond.  Callers never change its precision."""
+    """The binary-float context at ``bits`` of precision, in any mode and
+    for every ``FloatMode(bits)``: one shared object per ``bits`` (among
+    the ``MAX_SHARED_CONTEXTS`` last used), since building one costs about
+    half a millisecond.  Callers never change its precision."""
     return _shared_context(bits)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MAX_SHARED_CONTEXTS)
 def _shared_context(bits: int) -> MPContext:
     ctx = MPContext()
     ctx.prec = bits

@@ -46,15 +46,17 @@ floors here are ``mpf`` values, which the library's ``log2`` floors must
 match to within 1e-9 relative in ``log2``.
 
 ``float_row_termwise`` is the float sigma row entry by entry on raw mpf
-tuples: every product taken, a zero multiplier's too, and each noise floor
-the log-add of a list of the terms that are present, by ``max`` and
-``sum``.  The library skips the products by an exact zero multiplier,
-sums a fixed list of terms, an absent one as -inf, in the same order, and
-on symmetric data computes only the entries with k + l even
-(``hamburger._float_row``); the rows, the floors and the recurrence must
-be equal, ``==`` on binary64 floors too.  That holds where ``sum`` adds
-floats left to right, as through Python 3.11; from 3.12 it compensates,
-and a floor may then differ in its last bit.
+tuples, through mpmath's own ``mpf_mul``, ``mpf_add`` and ``mpf_sub`` at
+``round_nearest`` (not ``scalars.raw_mul`` and its siblings, which it
+checks): every product taken, a zero multiplier's too, and each noise
+floor the log-add of a list of the terms that are present, by ``max`` and
+an explicit left-to-right loop.  The library skips the products by an
+exact zero multiplier, sums a fixed list of terms, an absent one as -inf,
+in the same order, and on symmetric data computes only the entries with
+k + l even (``hamburger._float_row``); the rows, the floors and the
+recurrence must be equal, ``==`` on binary64 floors too.  The builtin
+``sum`` would not do for the floors: from Python 3.12 on it compensates,
+and a floor could then differ in its last bit.
 
 ``christoffel_fractions`` and ``weyl_radius_sq_fractions`` are the
 Christoffel value and the Weyl radius as chains of the mode's scalar
@@ -185,6 +187,8 @@ from itertools import permutations, product
 from math import comb, inf, log2
 from typing import Sequence
 
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
+
 from momentkit import gaps, simplex
 from momentkit.errors import (DegreeInsufficient, DimensionMismatch, InvalidParameter,
                               LpInfeasible, LpUnbounded, ModeMismatch, NonRealPointRequired,
@@ -198,9 +202,8 @@ from momentkit.moments import (FullSpace, MomentSequence, NonnegativeOrthant, af
                                apply_linear_functional, pushforward_direction)
 from momentkit.polynomials import (compositions, mpoly_degree, mpoly_mul, multi_indices,
                                    poly_add, poly_mul, poly_pow)
-from momentkit.scalars import (NEAREST, RAW_ZERO, ComplexScalar, FloatMode, Mode, RationalMode,
-                               complex_scalar, exact_fraction, half_floor, raw_add, raw_mul,
-                               raw_sub)
+from momentkit.scalars import (ComplexScalar, FloatMode, Mode, RationalMode, complex_scalar,
+                               exact_fraction, half_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +520,11 @@ def float_row_termwise(k: int, hi: int, alpha_prev, beta_prev, row_prev: list,
     working precision: |c| * floor is log2|c| + floor, eps * |x| is
     log2|x| + log2(eps) with eps = 2**(guard - prec), and a sum is a
     log-add in binary64."""
-    mul, add, sub, rnd = raw_mul, raw_add, raw_sub, NEAREST
+    mul, add, sub, rnd = mpf_mul, mpf_add, mpf_sub, round_nearest
     eps = FLOAT_PIVOT_GUARD_BITS - prec
     an, bn = alpha_prev._mpf_, beta_prev._mpf_
     log_an, log_bn = _log2(an), _log2(bn)
-    row = [RAW_ZERO] * len(row_prev)
+    row = [fzero] * len(row_prev)
     noi = [-inf] * len(row_prev)
     for l in range(k, hi + 1):
         a_l, log_a = an, log_an                 # alpha_{k-1} - a_l
@@ -543,7 +546,12 @@ def float_row_termwise(k: int, hi: int, alpha_prev, beta_prev, row_prev: list,
         row[l] = v
         parts.append(_log2(v) + eps)
         top = max(parts)                        # the log-add of the parts
-        noi[l] = top if top == -inf else top + log2(sum([2.0 ** (t - top) for t in parts]))
+        if top != -inf:
+            total = 0.0                         # left to right, never compensated
+            for t in parts:
+                total += 2.0 ** (t - top)
+            top += log2(total)
+        noi[l] = top
     return row, noi
 
 

@@ -5,8 +5,10 @@ numerators over one denominator per row or level in rational mode and take
 only the gcds that cancel: a row is content-reduced, while a level may
 keep a rare common factor, so examples whose levels keep one are pinned.
 In float mode ``_factorize`` runs its sigma rows on raw mpmath
-mantissa/exponent tuples and keeps their noise floors as binary64 ``log2``
-magnitudes, and ``_forward_pass`` runs its loop on (value, 1) pairs.
+mantissa/exponent tuples through ``scalars.raw_mul`` and its siblings,
+momentkit's own round-to-nearest on the integer mantissas, and keeps their
+noise floors as binary64 ``log2`` magnitudes, and ``_forward_pass`` runs
+its loop on (value, 1) pairs.
 ``oracles.factorize_fractions`` and ``oracles.forward_pass_fractions`` do
 the arithmetic entry by entry in the mode's scalars, with the mpf
 operators in float mode.
@@ -40,7 +42,10 @@ floors (at 40 bits and up; below, the oracle's floors round off more).
 Its decisions are swept over seven families at 48 to 200 bits.  The float
 row kernel, which skips products by an exact zero and runs every second
 entry on symmetric data, is held ``==`` to ``oracles.float_row_termwise``,
-the entry-by-entry kernel it replaced, rows and binary64 floors alike.
+the entry-by-entry kernel it replaced, rows and binary64 floors alike;
+that oracle runs on mpmath's tuple functions and sums its floors left to
+right, so neither the raw arithmetic nor Python's compensated ``sum``
+(3.12 on) stands on both sides.
 """
 
 import math

@@ -1,5 +1,6 @@
 import ast
 import copy
+import json
 import math
 import pickle
 import random
@@ -7,11 +8,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import fzero, from_man_exp, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 import momentkit
-from momentkit import curves, envelopes, gaps, hamburger, moments, verdicts
+from momentkit import cli, curves, envelopes, gaps, hamburger, moments, verdicts
 from momentkit.errors import InvalidParameter, ModeMismatch
 from momentkit.hamburger import _log2, carleman
 from momentkit.moments import GaussianProduct, generate_moments
@@ -30,6 +32,9 @@ from momentkit.scalars import (
     mode_from_string,
     mode_to_string,
     ratio_to_float,
+    raw_add,
+    raw_mul,
+    raw_sub,
     to_context,
     work_context,
 )
@@ -179,6 +184,22 @@ def test_fixed_context_is_one_shared_context_per_bit_count():
         seq = generate_moments(GaussianProduct((F(1),)), 1, 40, mode)
         carleman(seq, Flavor.HAMBURGER, 20)
         assert fixed_context(256) is ctx and ctx.prec == 256
+
+
+def test_float_modes_share_the_context_of_their_precision(tmp_path):
+    """A float mode holds the one shared context of its precision, and an
+    analyze at float:128, whose Carleman terms run at 256 bits, leaves
+    both precisions as they were."""
+    assert FloatMode(128).ctx is FloatMode(128).ctx is fixed_context(128)
+    assert FloatMode(128).ctx is not FloatMode(129).ctx
+    assert FloatMode(256).ctx is fixed_context(256) is fixed_context()
+    spec = tmp_path / "ql.json"
+    spec.write_text(json.dumps({"measure": {"variant": "q_lattice", "q": "2"},
+                                "dimension": 1, "max_degree": 40, "mode": "float:128"}))
+    assert cli.main(["analyze", "--input", str(spec), "--out", str(tmp_path / "out.json")]) == 0
+    assert "carleman" in (tmp_path / "out.json").read_text()
+    assert fixed_context(128).prec == 128 and fixed_context(256).prec == 256
+    assert FloatMode(128).ctx.prec == 128
 
 
 def test_foreign_context_values_enter_a_float_mode_rounded():
@@ -336,3 +357,41 @@ def test_half_floor_keeps_half_the_working_bits(pm, pe, k, bits):
         in_log2 = _log2(p._mpf_) - bits // 2 <= _log2(t._mpf_)
         gap = abs(exact_fraction(half_floor(mode, p)) - exact_fraction(t))
         assert in_log2 == exact or gap <= exact_fraction(t) / 2 ** 30
+
+
+def _raw(negative: bool, man: int, exp: int) -> tuple:
+    """The normalized raw tuple of (-1)**negative * man * 2**exp."""
+    return from_man_exp(-man if negative else man, exp)
+
+
+RAW = st.builds(_raw, st.booleans(), st.integers(0, 2**1100), st.integers(-2000, 2000))
+ONE = _raw(False, 1, 0)
+
+
+@HELPER_SETTINGS
+@given(RAW, RAW, st.integers(8, 1100))
+# ties at 8 bits: 257 rounds down to 256, 259 up to 260 (to even)
+@example(_raw(False, 257, 0), ONE, 8)
+@example(_raw(True, 259, -40), ONE, 8)
+@example(_raw(False, 2**20 + 2**12, 0), _raw(False, 1, 11), 8)
+# a carry to a power of two: mantissa 1, bc = 1
+@example(_raw(False, 511, 0), ONE, 8)
+@example(_raw(True, 2**64 - 1, 3), _raw(False, 1, -1000), 53)
+# gaps over 100 bits, with t below s and with s below t
+@example(_raw(False, 1, 500), _raw(False, 3, 0), 53)
+@example(_raw(True, 3, -700), _raw(False, 2**200 + 1, 0), 128)
+@example(_raw(False, 1, 200), _raw(False, 2**300 - 1, 0), 53)
+# ... where s alone is a tie at 8 bits, so t's sign alone breaks it
+@example(_raw(False, 257, 200), _raw(True, 1, 0), 8)
+# exact cancellation and zero operands
+@example(_raw(False, 2**90 + 7, -5), _raw(False, 2**90 + 7, -5), 64)
+@example(_raw(True, 2**90 + 7, -5), _raw(False, 2**90 + 7, -5), 64)
+@example(fzero, _raw(True, 2**1099 + 1, 9), 8)
+@example(fzero, fzero, 8)
+def test_raw_arithmetic_is_mpmaths_at_round_nearest(s, t, prec):
+    """raw_mul, raw_add and raw_sub return what mpmath's mpf_mul, mpf_add
+    and mpf_sub return at (prec, round_nearest), on mantissas of up to 1100
+    bits and exponents of +-2000 (so exponent gaps well over 100 bits)."""
+    for ours, theirs in ((raw_mul, mpf_mul), (raw_add, mpf_add), (raw_sub, mpf_sub)):
+        assert ours(s, t, prec) == theirs(s, t, prec, round_nearest)
+        assert ours(t, s, prec) == theirs(t, s, prec, round_nearest)
